@@ -1,9 +1,7 @@
 //! Scale sweep: generates 10⁴–10⁶-record heterogeneous datasets with the
 //! streaming generator, runs the HERA pipeline per size, and records
 //! wall-clock, peak RSS and per-stage throughput in
-//! `results/BENCH_scale.json`, alongside before/after measurements of the
-//! hot-path optimizations (dense candidate accumulator, gram-sketch
-//! verification prefilter, bulk index build).
+//! `results/BENCH_scale.json`.
 //!
 //! Each tier runs in a **child process** (the binary re-execs itself with
 //! `--child`), so `VmHWM` in `/proc/self/status` is that tier's own peak
@@ -13,7 +11,7 @@
 //! (resolving 10⁶ records end to end awaits blocking on the streaming
 //! path — ROADMAP item 2).
 //!
-//! * `--smoke` — 10⁴ pipeline tier only, single rep (the CI perf-gate
+//! * `--smoke` — 10⁴ pipeline tier only (the CI perf-gate
 //!   workload; see `perf_gate`).
 //! * `--out PATH` — artifact path (default `results/BENCH_scale.json`).
 //!   The committed perf-gate baseline is refreshed with
@@ -22,11 +20,7 @@
 use hera_bench::{header, row, BenchReport};
 use hera_core::{Hera, HeraConfig, Recorder};
 use hera_datagen::{scale_preset, ScaleGenerator};
-use hera_index::ValuePairIndex;
-use hera_join::{JoinConfig, SimilarityJoin};
-use hera_sim::TypeDispatch;
 use hera_types::json::{parse, Json};
-use hera_types::Dataset;
 use std::process::Command;
 use std::time::Instant;
 
@@ -111,7 +105,6 @@ fn main() {
         .map(|i| value_of(i + 1, "--out requires a PATH").clone())
         .unwrap_or_else(|| "results/BENCH_scale.json".to_string());
     let tiers = if smoke { SMOKE_TIERS } else { FULL_TIERS };
-    let reps = if smoke { 1 } else { 3 };
 
     println!(
         "# Scale sweep (δ = {DELTA}, ξ = {XI}, {} tier{})\n",
@@ -193,34 +186,16 @@ fn main() {
         }
     }
 
-    // Before/after measurements for the hot-path optimizations. The full
-    // sweep measures on the 32k tier (the bulk index build only has real
-    // work once the pair set is in the millions); smoke stays on 10k to
-    // keep the CI job short.
-    let (opt_n, opt_seed) = if smoke { (10_000, 51) } else { (32_000, 54) };
-    println!("\n# Hot-path optimizations (before → after, scale_{opt_n})\n");
-    header(&[
-        "optimization",
-        "stage",
-        "before (ms)",
-        "after (ms)",
-        "speedup",
-    ]);
-    let opt_entries = measure_optimizations(reps, opt_n, opt_seed);
-
-    let mut report = BenchReport::new("scale_sweep").reps(reps);
+    let mut report = BenchReport::new("scale_sweep");
     if let Some((pairs, rr)) = headline_candidates {
         report = report.candidates(pairs, rr);
     }
     report
         .note(&format!(
             "delta={DELTA} xi={XI}; each tier runs in its own child process so peak_rss_mb is \
-             per-tier VmHWM; the 10^6 tier is generation-only (streamed, never materialized); \
-             optimizations are measured before/after on the scale_{opt_n} dataset with outputs \
-             asserted identical"
+             per-tier VmHWM; the 10^6 tier is generation-only (streamed, never materialized)"
         ))
         .section("tiers", Json::Arr(tier_entries))
-        .section("optimizations", Json::Arr(opt_entries))
         .write(&out);
 }
 
@@ -372,153 +347,4 @@ fn peak_rss_mb() -> Json {
         }
     }
     Json::Null
-}
-
-/// Times each optimized path against its kept reference path on one
-/// sweep dataset, asserting identical outputs (best-of-`reps`).
-fn measure_optimizations(reps: usize, n: usize, seed: u64) -> Vec<Json> {
-    let ds = ScaleGenerator::new(scale_preset(n, seed)).generate();
-    let metric = TypeDispatch::paper_default();
-    let mut out = Vec::new();
-
-    // 1. Dense epoch-array candidate accumulator vs the hash-map
-    // reference, on the dataset's distinct-value gram signatures.
-    let sigs = distinct_signatures(&ds);
-    let (before, after, ref_out, opt_out) = ab(
-        reps,
-        || hera_join::gram_candidates_ref(&sigs, XI, true),
-        || hera_join::gram_candidates(&sigs, XI, true),
-    );
-    assert_eq!(ref_out, opt_out, "accumulators must agree");
-    out.push(opt_entry(
-        "dense_candidate_accumulator",
-        "join",
-        &ds.name,
-        before,
-        after,
-        "hash-map collision accumulator",
-        "dense epoch-stamped array with touched-list drain",
-    ));
-
-    // 2. Gram-sketch verification prefilter, measured over the whole
-    // join (the sketch gates the exact merge-intersection per candidate).
-    let (before, after, ref_out, opt_out) = ab(
-        reps,
-        || {
-            SimilarityJoin::new(JoinConfig::new(XI).without_sketch_prefilter(), &metric)
-                .join_dataset(&ds)
-        },
-        || SimilarityJoin::new(JoinConfig::new(XI), &metric).join_dataset(&ds),
-    );
-    assert_eq!(ref_out, opt_out, "sketch prefilter must not change pairs");
-    out.push(opt_entry(
-        "gram_sketch_prefilter",
-        "join",
-        &ds.name,
-        before,
-        after,
-        "exact merge-intersection on every candidate",
-        "128-bit occupancy-sketch Jaccard upper bound rejects first",
-    ));
-
-    // 3. Bulk (sorted-run) index construction vs per-pair insertion.
-    // hera_index::ValuePair is the join's pair type re-exported, so the
-    // join output feeds the index directly.
-    let pairs = SimilarityJoin::new(JoinConfig::new(XI), &metric).join_dataset(&ds);
-    let (before, after, ref_out, opt_out) = ab(
-        reps,
-        || ValuePairIndex::build_incremental(pairs.iter().copied()),
-        || ValuePairIndex::build(pairs.iter().copied()),
-    );
-    assert_eq!(
-        ref_out.to_json().to_string_compact(),
-        opt_out.to_json().to_string_compact(),
-        "bulk build must match the incremental reference"
-    );
-    out.push(opt_entry(
-        "bulk_index_build",
-        "index_build",
-        &ds.name,
-        before,
-        after,
-        "per-pair tree insertion with group re-sorting",
-        "single sort, then one insertion per sorted record-pair run",
-    ));
-    out
-}
-
-/// Gram signatures of a dataset's distinct values (the join's candidate
-///-generation input), reproduced here so the accumulator can be timed in
-/// isolation.
-fn distinct_signatures(ds: &Dataset) -> Vec<Vec<u64>> {
-    let mut texts: Vec<String> = ds
-        .iter()
-        .flat_map(|r| r.values.iter())
-        .filter(|v| !v.is_null())
-        .map(|v| v.to_text())
-        .collect();
-    texts.sort_unstable();
-    texts.dedup();
-    texts
-        .iter()
-        .map(|t| hera_sim::text::folded_qgram_set(t, 2))
-        .collect()
-}
-
-/// Best-of-`reps` wall-clock for the reference and optimized closures;
-/// returns both timings and both last outputs so the caller can assert
-/// they are identical.
-fn ab<T>(
-    reps: usize,
-    mut reference: impl FnMut() -> T,
-    mut optimized: impl FnMut() -> T,
-) -> (f64, f64, T, T) {
-    let mut before = f64::INFINITY;
-    let mut after = f64::INFINITY;
-    let mut ref_out = None;
-    let mut opt_out = None;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        ref_out = Some(reference());
-        before = before.min(t0.elapsed().as_secs_f64() * 1e3);
-        let t0 = Instant::now();
-        opt_out = Some(optimized());
-        after = after.min(t0.elapsed().as_secs_f64() * 1e3);
-    }
-    (
-        before,
-        after,
-        ref_out.expect("reps >= 1"),
-        opt_out.expect("reps >= 1"),
-    )
-}
-
-fn opt_entry(
-    name: &str,
-    stage: &str,
-    dataset: &str,
-    before_ms: f64,
-    after_ms: f64,
-    before_desc: &str,
-    after_desc: &str,
-) -> Json {
-    let speedup = before_ms / after_ms.max(1e-9);
-    row(&[
-        name.to_string(),
-        stage.to_string(),
-        format!("{before_ms:.1}"),
-        format!("{after_ms:.1}"),
-        format!("{speedup:.2}"),
-    ]);
-    Json::Obj(vec![
-        ("name".into(), Json::Str(name.into())),
-        ("stage".into(), Json::Str(stage.into())),
-        ("dataset".into(), Json::Str(dataset.into())),
-        ("before".into(), Json::Str(before_desc.into())),
-        ("after".into(), Json::Str(after_desc.into())),
-        ("before_ms".into(), Json::Float(before_ms)),
-        ("after_ms".into(), Json::Float(after_ms)),
-        ("speedup".into(), Json::Float(speedup)),
-        ("outputs_identical".into(), Json::Bool(true)),
-    ])
 }

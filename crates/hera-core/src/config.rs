@@ -39,6 +39,8 @@ pub struct HeraConfig {
     /// Run full index-invariant checks after every iteration (normalized
     /// keys, similarity-descending groups, partner symmetry, counts).
     /// Costs a full index scan per iteration — for tests and debugging.
+    /// A broken invariant ends a batch run with `HeraError::Corrupt`
+    /// and panics a streaming session's `resolve` with the same message.
     pub validate_index: bool,
     /// Worker threads for the parallel stages (join verification and
     /// candidate verification). `0` auto-detects the available cores.

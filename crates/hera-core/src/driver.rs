@@ -1,16 +1,15 @@
 //! The HERA driver — Algorithm 2 (§V).
 
 use crate::config::HeraConfig;
-use crate::simcache::SimCache;
+use crate::engine::{Ctx, Engine, StageAgg};
 use crate::stats::RunStats;
-use crate::super_record::SuperRecord;
-use crate::verify::{InstanceVerifier, VerifyScratch};
-use crate::voter::{DecidedMatching, SchemaVoter};
-use hera_index::{UnionFind, ValuePairIndex};
+use crate::voter::DecidedMatching;
+use hera_index::ValuePairIndex;
 use hera_join::{JoinConfig, SimilarityJoin};
 use hera_sim::{TypeDispatch, ValueSimilarity};
+use hera_types::json::Json;
 use hera_types::{Dataset, HeraError, Result};
-use rustc_hash::{FxHashMap, FxHashSet};
+use rustc_hash::FxHashSet;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -175,445 +174,42 @@ impl Hera {
                 )));
             }
         }
-        let mut stats = RunStats::default();
         let cfg = &self.config;
         let rec = &self.recorder;
         rec.run_start("batch", &ds.name, ds.len(), cfg.delta, cfg.xi);
 
         // ---- Line 1: build index (offline, Prop. 1).
         let t0 = Instant::now();
-        let mut index = ValuePairIndex::build(pairs);
-        stats.index_size = index.len();
-        stats.index_build_time = t0.elapsed();
+        let index = ValuePairIndex::build(pairs);
+        let index_build_time = t0.elapsed();
         index.record_span(rec, "index_build");
-        rec.timing("index_build", None, stats.index_build_time);
+        rec.timing("index_build", None, index_build_time);
 
         let t1 = Instant::now();
-        let n = ds.len();
-        let mut uf = UnionFind::new(n);
-        let mut supers: FxHashMap<u32, SuperRecord> = ds
-            .iter()
-            .map(|r| (r.id.raw(), SuperRecord::from_record(ds, r)))
-            .collect();
-        let mut voter = SchemaVoter::new();
-        let verifier = InstanceVerifier::new(self.metric.as_ref(), cfg.xi, cfg.use_kuhn_munkres);
-        let threads = crate::parallel::effective_threads(cfg.num_threads);
-        stats.threads = threads;
-        // Merge-aware similarity memo cache (read-only during the parallel
-        // snapshot phases; filled and invalidated in the sequential apply
-        // phases, so results stay bit-identical at every thread count).
-        let mut cache: Option<SimCache> = cfg.sim_cache.then(SimCache::new);
-        // Scratch for the sequential re-verifications of the apply phases.
-        let mut scratch = VerifyScratch::new();
+        let ctx = Ctx::new(cfg, rec, self.metric.as_ref(), &ds.registry);
+        let mut engine = Engine::for_dataset(ds, index, cfg.sim_cache);
+        engine.stats.index_size = engine.index.len();
+        engine.stats.index_build_time = index_build_time;
+        engine.stats.threads = ctx.threads;
 
-        // ---- Lines 2–10: iterate until no two super records merge.
-        //
-        // Dirty tracking: a group whose two records did not change since
-        // the last scan has unchanged bounds (its entries and both record
-        // sizes are untouched), so a pair pruned or rejected once only
-        // needs re-examination after one of its sides merges. The first
-        // iteration scans everything; later iterations scan only groups
-        // touching a record merged in the previous iteration.
+        // ---- Lines 2–10: iterate until no two super records merge. The
+        // first round scans every index group; later rounds only the
+        // groups touching a record merged in the round before.
         let mut dirty: Option<FxHashSet<u32>> = None;
-        loop {
-            if stats.iterations >= cfg.max_iterations {
+        while engine.stats.iterations < cfg.max_iterations {
+            let merged = BatchRound::run(&mut engine, &ctx, dirty.as_ref())?;
+            if merged.is_empty() {
                 break;
             }
-            stats.iterations += 1;
-            let round = stats.iterations;
-            let mut merged_any = false;
-            let mut merged_rids: FxHashSet<u32> = FxHashSet::default();
-            let round_metric_calls_before = stats.metric_sim_calls;
-            let round_merges_before = stats.merges;
-            let round_pruned_before = stats.pruned;
-
-            // Candidate generation (line 3): scan every record pair that
-            // shares at least one similar value. Groups snapshot — merges
-            // re-home groups mid-iteration, so pairs are re-resolved
-            // through union–find before use.
-            let groups: Vec<(u32, u32)> = match &dirty {
-                None => index.record_pairs().collect(),
-                Some(d) => index
-                    .record_pairs()
-                    .filter(|(i, j)| d.contains(i) || d.contains(j))
-                    .collect(),
-            };
-            let groups_scanned = groups.len();
-            let mut direct: Vec<(u32, u32)> = Vec::new();
-            let mut candidates: Vec<(u32, u32)> = Vec::new();
-            for (i, j) in groups {
-                let (si, sj) = (supers[&i].informative_size(), supers[&j].informative_size());
-                let b = index.bounds(i, j, si, sj, cfg.bound_mode);
-                if b.up < cfg.delta {
-                    stats.pruned += 1;
-                } else if b.is_exact() {
-                    stats.direct_decisions += 1;
-                    if b.up >= cfg.delta {
-                        direct.push((i, j));
-                    }
-                } else {
-                    candidates.push((i, j));
-                }
-            }
-            rec.span(
-                "candidates",
-                Some(round),
-                &[
-                    ("groups", groups_scanned as i64),
-                    ("pruned", (stats.pruned - round_pruned_before) as i64),
-                    ("direct", direct.len() as i64),
-                    ("deferred", candidates.len() as i64),
-                ],
-            );
-
-            // Lines 4–5: merge the directly-decided pairs. Like the
-            // candidate stage below, this runs as a parallel snapshot
-            // phase (A) followed by a sequential apply phase (B): the
-            // split is what keeps N-thread results bit-identical to the
-            // 1-thread run — threads never influence which state a
-            // verdict is computed from, only when.
-            //
-            // Phase A: deduplicate in pair order and verify the pairs
-            // still under their original roots against the round-start
-            // state. The rest fall through to the candidate stage —
-            // their exact bounds are stale (the conflict-free
-            // similar-field-pair argument no longer applies under merged
-            // roots), so they need a full verification.
-            let mut processed: FxHashSet<(u32, u32)> = FxHashSet::default();
-            let mut direct_list: Vec<(u32, u32)> = Vec::new();
-            for (i, j) in direct {
-                let (ri, rj) = (uf.find(i), uf.find(j));
-                if ri == rj {
-                    continue;
-                }
-                let key = (ri.min(rj), ri.max(rj));
-                if !processed.insert(key) {
-                    continue;
-                }
-                if (ri, rj) == (i.min(j), i.max(j)) {
-                    direct_list.push(key);
-                } else {
-                    candidates.push(key);
-                }
-            }
-            let td = Instant::now();
-            let direct_verifications = {
-                let (index, supers, voter, cache) = (&index, &supers, &voter, &cache);
-                crate::parallel::par_map_with(
-                    threads,
-                    &direct_list,
-                    VerifyScratch::new,
-                    |scratch, &(a, b)| {
-                        let v = self.verify_pair(
-                            &verifier,
-                            index,
-                            supers,
-                            ds,
-                            voter,
-                            cache.as_ref(),
-                            a,
-                            b,
-                            scratch,
-                        );
-                        (v, std::mem::take(&mut scratch.delta))
-                    },
-                )
-            };
-            let td_elapsed = td.elapsed();
-            stats.verify_time += td_elapsed;
-            // Per-worker aggregation: verdicts arrive in input order
-            // regardless of thread count, so folding them here yields
-            // one deterministic span per stage.
-            let mut direct_agg = StageAgg::default();
-            for (v, delta) in &direct_verifications {
-                stats.simplified_nodes_sum += v.simplified_nodes;
-                stats.graph_nodes_sum += v.graph_nodes;
-                stats.matchings_run += 1;
-                stats.record_cache_delta(delta);
-                direct_agg.add(v, delta);
-            }
-            direct_agg.emit(rec, "verify_direct", round);
-            rec.timing("verify_direct", Some(round), td_elapsed);
-
-            // Phase B: merge in pair order. A pair re-rooted by an
-            // earlier merge in this phase falls through to the candidate
-            // stage; a pair whose super record grew (its root absorbed
-            // another record) gets re-verified against the current state
-            // so its field matching and votes are fresh.
-            let mut touched: FxHashSet<u32> = FxHashSet::default();
-            let mut direct_reverify = StageAgg::default();
-            for (idx, &key) in direct_list.iter().enumerate() {
-                // Memoize the snapshot verdict's metric calls — even when
-                // the verdict itself goes stale below, its fills are exact
-                // metric outputs, so the sequential re-verification can
-                // reuse them. Fills naming a since-folded record are
-                // filtered out (only root labels stay valid across merges).
-                if let Some(c) = cache.as_mut() {
-                    c.apply_if(&direct_verifications[idx].1, |l| {
-                        uf.find_const(l.rid) == l.rid
-                    });
-                }
-                let (ri, rj) = (uf.find(key.0), uf.find(key.1));
-                if ri == rj {
-                    continue;
-                }
-                let cur = (ri.min(rj), ri.max(rj));
-                if cur != key {
-                    if processed.insert(cur) {
-                        candidates.push(cur);
-                    }
-                    continue;
-                }
-                let stale = touched.contains(&key.0) || touched.contains(&key.1);
-                let reverified;
-                let v = if stale {
-                    let t = Instant::now();
-                    reverified = self.verify_pair(
-                        &verifier,
-                        &index,
-                        &supers,
-                        ds,
-                        &voter,
-                        cache.as_ref(),
-                        key.0,
-                        key.1,
-                        &mut scratch,
-                    );
-                    stats.verify_time += t.elapsed();
-                    stats.simplified_nodes_sum += reverified.simplified_nodes;
-                    stats.graph_nodes_sum += reverified.graph_nodes;
-                    stats.matchings_run += 1;
-                    stats.record_cache_delta(&scratch.delta);
-                    direct_reverify.add(&reverified, &scratch.delta);
-                    if let Some(c) = cache.as_mut() {
-                        c.apply(&scratch.delta);
-                    }
-                    &reverified
-                } else {
-                    &direct_verifications[idx].0
-                };
-                // Directly-decided similar pairs are just as much
-                // evidence for schema matchings as verified ones: the
-                // schema-based method consumes every field matching of
-                // a pair judged to co-refer (§IV-B).
-                if cfg.schema_voting {
-                    self.cast_votes(&mut voter, &supers, ds, key.0, key.1, v.predicted());
-                    let fresh =
-                        voter.decide(cfg.vote_prior, cfg.vote_error_threshold, cfg.vote_min_n);
-                    stats.schema_matchings_decided += fresh.len();
-                    self.emit_decided(ds, round, &fresh);
-                }
-                rec.merge(round, key.0, key.1, v.sim, v.matching.len());
-                self.merge_pair(
-                    &mut index,
-                    &mut supers,
-                    &mut uf,
-                    &mut cache,
-                    key.0,
-                    key.1,
-                    &v.matching,
-                    &mut stats,
-                );
-                merged_any = true;
-                merged_rids.insert(key.0);
-                touched.insert(key.0);
-                touched.insert(key.1);
-            }
-            rec.span(
-                "apply_direct",
-                Some(round),
-                &[
-                    ("merges", (stats.merges - round_merges_before) as i64),
-                    ("reverified", direct_reverify.pairs),
-                    ("lookups", direct_reverify.lookups),
-                ],
-            );
-
-            // Lines 6–10: verify candidates, vote, merge — split into a
-            // parallel snapshot phase (A) and a sequential apply phase
-            // (B) so results are bit-identical for every thread count.
-            //
-            // Phase A: deduplicate candidate root-pairs in candidate
-            // order (thread-count independent) and verify each against
-            // the round's post-direct-phase state. Verification is
-            // read-only, so the verdicts can be computed on any number
-            // of workers without changing them.
-            let mut verify_list: Vec<(u32, u32)> = Vec::new();
-            for (i, j) in candidates {
-                let (ri, rj) = (uf.find(i), uf.find(j));
-                if ri == rj {
-                    continue;
-                }
-                let key = (ri.min(rj), ri.max(rj));
-                if !processed.insert(key) {
-                    continue;
-                }
-                verify_list.push(key);
-            }
-            let tv = Instant::now();
-            let verifications = {
-                let (index, supers, voter, cache) = (&index, &supers, &voter, &cache);
-                crate::parallel::par_map_with(
-                    threads,
-                    &verify_list,
-                    VerifyScratch::new,
-                    |scratch, &(a, b)| {
-                        let v = self.verify_pair(
-                            &verifier,
-                            index,
-                            supers,
-                            ds,
-                            voter,
-                            cache.as_ref(),
-                            a,
-                            b,
-                            scratch,
-                        );
-                        (v, std::mem::take(&mut scratch.delta))
-                    },
-                )
-            };
-            let tv_elapsed = tv.elapsed();
-            stats.verify_time += tv_elapsed;
-            let mut cand_agg = StageAgg::default();
-            for (v, delta) in &verifications {
-                stats.comparisons += 1;
-                stats.simplified_nodes_sum += v.simplified_nodes;
-                stats.graph_nodes_sum += v.graph_nodes;
-                stats.matchings_run += 1;
-                stats.record_cache_delta(delta);
-                cand_agg.add(v, delta);
-            }
-            cand_agg.emit(rec, "verify_candidates", round);
-            rec.timing("verify_candidates", Some(round), tv_elapsed);
-
-            // Phase B: apply in candidate order. A merge earlier in this
-            // phase can re-root or grow a super record a later snapshot
-            // verdict was computed from; such stale pairs are re-verified
-            // sequentially against the current state, so the decisions
-            // match what a fully sequential pass would make.
-            let mut touched: FxHashSet<u32> = FxHashSet::default();
-            let mut cand_reverify = StageAgg::default();
-            let apply_merges_before = stats.merges;
-            for (idx, &key) in verify_list.iter().enumerate() {
-                // Memoize this verdict's metric calls up front (filtered
-                // to still-root labels) — see the direct phase above.
-                if let Some(c) = cache.as_mut() {
-                    c.apply_if(&verifications[idx].1, |l| uf.find_const(l.rid) == l.rid);
-                }
-                let (ri, rj) = (uf.find(key.0), uf.find(key.1));
-                if ri == rj {
-                    continue;
-                }
-                let cur = (ri.min(rj), ri.max(rj));
-                if cur != key && !processed.insert(cur) {
-                    continue;
-                }
-                let stale = cur != key || touched.contains(&cur.0) || touched.contains(&cur.1);
-                let reverified;
-                let v = if stale {
-                    let t = Instant::now();
-                    reverified = self.verify_pair(
-                        &verifier,
-                        &index,
-                        &supers,
-                        ds,
-                        &voter,
-                        cache.as_ref(),
-                        cur.0,
-                        cur.1,
-                        &mut scratch,
-                    );
-                    stats.verify_time += t.elapsed();
-                    stats.comparisons += 1;
-                    stats.simplified_nodes_sum += reverified.simplified_nodes;
-                    stats.graph_nodes_sum += reverified.graph_nodes;
-                    stats.matchings_run += 1;
-                    stats.record_cache_delta(&scratch.delta);
-                    cand_reverify.add(&reverified, &scratch.delta);
-                    if let Some(c) = cache.as_mut() {
-                        c.apply(&scratch.delta);
-                    }
-                    &reverified
-                } else {
-                    &verifications[idx].0
-                };
-                if v.sim >= cfg.delta {
-                    // Line 9: schema-based method on the new predictions.
-                    if cfg.schema_voting {
-                        self.cast_votes(&mut voter, &supers, ds, cur.0, cur.1, v.predicted());
-                        let fresh =
-                            voter.decide(cfg.vote_prior, cfg.vote_error_threshold, cfg.vote_min_n);
-                        stats.schema_matchings_decided += fresh.len();
-                        self.emit_decided(ds, round, &fresh);
-                    }
-                    // Line 10: merge.
-                    rec.merge(round, cur.0, cur.1, v.sim, v.matching.len());
-                    self.merge_pair(
-                        &mut index,
-                        &mut supers,
-                        &mut uf,
-                        &mut cache,
-                        cur.0,
-                        cur.1,
-                        &v.matching,
-                        &mut stats,
-                    );
-                    merged_any = true;
-                    merged_rids.insert(cur.0);
-                    touched.insert(cur.0);
-                    touched.insert(cur.1);
-                }
-            }
-            rec.span(
-                "apply_candidates",
-                Some(round),
-                &[
-                    ("merges", (stats.merges - apply_merges_before) as i64),
-                    ("reverified", cand_reverify.pairs),
-                    ("lookups", cand_reverify.lookups),
-                ],
-            );
-
-            stats
-                .metric_calls_by_round
-                .push(stats.metric_sim_calls - round_metric_calls_before);
-            rec.round_end(
-                round,
-                (stats.merges - round_merges_before) as i64,
-                index.len() as i64,
-                voter.open_buckets() as i64,
-            );
-
-            if cfg.validate_index {
-                index.check_invariants().map_err(|e| {
-                    HeraError::Corrupt(format!(
-                        "index invariant broken after iteration {}: {e}",
-                        stats.iterations
-                    ))
-                })?;
-                if let Some(c) = &cache {
-                    c.check_invariants().map_err(|e| {
-                        HeraError::Corrupt(format!(
-                            "sim-cache invariant broken after iteration {}: {e}",
-                            stats.iterations
-                        ))
-                    })?;
-                }
-            }
-
-            if !merged_any {
-                break;
-            }
-            dirty = Some(merged_rids);
+            dirty = Some(merged);
         }
-
-        stats.final_index_size = index.len();
-        if let Some(c) = &cache {
-            stats.sim_cache_size = c.len();
-            stats.sim_cache_invalidated = c.invalidated();
-        }
-        stats.resolve_time = t1.elapsed();
+        engine.seal(t1.elapsed());
+        let Engine {
+            mut uf,
+            voter,
+            stats,
+            ..
+        } = engine;
 
         rec.run_end(&[
             ("iterations", stats.iterations as i64),
@@ -635,31 +231,17 @@ impl Hera {
         // Host- and configuration-dependent numbers go on a diagnostic
         // line: raw hit/miss counts differ with the cache off, thread
         // count differs per run — neither may touch the core journal.
+        let int = |n: u64| Json::Int(n as i64);
         rec.emit_diag(
             "diag",
             vec![
-                ("threads", hera_types::json::Json::Int(stats.threads as i64)),
-                ("sim_cache", hera_types::json::Json::Bool(cfg.sim_cache)),
-                (
-                    "cache_hits",
-                    hera_types::json::Json::Int(stats.sim_cache_hits as i64),
-                ),
-                (
-                    "cache_misses",
-                    hera_types::json::Json::Int(stats.sim_cache_misses as i64),
-                ),
-                (
-                    "metric_sim_calls",
-                    hera_types::json::Json::Int(stats.metric_sim_calls as i64),
-                ),
-                (
-                    "cache_size",
-                    hera_types::json::Json::Int(stats.sim_cache_size as i64),
-                ),
-                (
-                    "cache_invalidated",
-                    hera_types::json::Json::Int(stats.sim_cache_invalidated as i64),
-                ),
+                ("threads", int(stats.threads as u64)),
+                ("sim_cache", Json::Bool(cfg.sim_cache)),
+                ("cache_hits", int(stats.sim_cache_hits)),
+                ("cache_misses", int(stats.sim_cache_misses)),
+                ("metric_sim_calls", int(stats.metric_sim_calls)),
+                ("cache_size", int(stats.sim_cache_size as u64)),
+                ("cache_invalidated", int(stats.sim_cache_invalidated)),
             ],
         );
         rec.timing("resolve", None, stats.resolve_time);
@@ -667,144 +249,162 @@ impl Hera {
         rec.flush();
 
         // ---- Lines 11–12: entity labels via union–find.
-        let entity_of: Vec<u32> = (0..n as u32).map(|r| uf.find(r)).collect();
+        let entity_of: Vec<u32> = (0..ds.len() as u32).map(|r| uf.find(r)).collect();
         Ok(HeraResult {
             entity_of,
             stats,
             schema_matchings: voter.decided(),
         })
     }
+}
 
-    #[allow(clippy::too_many_arguments)]
-    fn verify_pair(
-        &self,
-        verifier: &InstanceVerifier<'_>,
-        index: &ValuePairIndex,
-        supers: &FxHashMap<u32, SuperRecord>,
-        ds: &Dataset,
-        voter: &SchemaVoter,
-        cache: Option<&SimCache>,
-        i: u32,
-        j: u32,
-        scratch: &mut VerifyScratch,
-    ) -> crate::verify::Verification {
-        let voter_opt = self.config.schema_voting.then_some(voter);
-        verifier.verify_with(
-            index,
-            &supers[&i],
-            &supers[&j],
-            &ds.registry,
-            voter_opt,
-            cache,
-            scratch,
-        )
-    }
+/// The batch schedule's round: every candidate the dirty groups yield,
+/// the directly-decided ones first, stale verdicts re-verified in-phase.
+struct BatchRound<'a, 'c> {
+    engine: &'a mut Engine,
+    ctx: &'a Ctx<'c>,
+    round: usize,
+    /// Root pairs this round has taken up, so a pair re-rooted onto one
+    /// of them is not examined twice.
+    processed: FxHashSet<(u32, u32)>,
+    /// The candidate stage's input, in order: the bounds' undecided
+    /// pairs, then the direct pairs a merge re-rooted.
+    candidates: Vec<(u32, u32)>,
+    /// Winners of this round's merges — the next round's dirty set.
+    merged: FxHashSet<u32>,
+}
 
-    /// Journals freshly decided schema matchings. Name resolution only
-    /// runs when a sink is attached.
-    fn emit_decided(&self, ds: &Dataset, round: usize, fresh: &[DecidedMatching]) {
-        if !self.recorder.enabled() || fresh.is_empty() {
-            return;
-        }
-        for d in fresh {
-            self.recorder.schema_decided(
-                round,
-                &ds.registry.attr_qualified_name(d.attr),
-                &ds.registry.attr_qualified_name(d.partner),
-                d.up_error(),
-            );
-        }
-    }
+impl BatchRound<'_, '_> {
+    /// Runs one round over the groups touching `dirty` and returns the
+    /// roots it merged into (empty at the fixpoint).
+    fn run(
+        engine: &mut Engine,
+        ctx: &Ctx<'_>,
+        dirty: Option<&FxHashSet<u32>>,
+    ) -> Result<FxHashSet<u32>> {
+        let cfg = ctx.cfg;
+        let mark = engine.begin_round();
+        let pruned_before = engine.stats.pruned;
 
-    /// Casts schema-matching votes for every attribute pair aggregated by
-    /// a predicted field matching.
-    fn cast_votes(
-        &self,
-        voter: &mut SchemaVoter,
-        supers: &FxHashMap<u32, SuperRecord>,
-        ds: &Dataset,
-        i: u32,
-        j: u32,
-        predicted: &[(u32, u32, f64)],
-    ) {
-        let (li, rj) = (&supers[&i], &supers[&j]);
-        for &(lf, rf, _) in predicted {
-            for &a in &li.fields[lf as usize].attrs {
-                for &b in &rj.fields[rf as usize].attrs {
-                    voter.add_vote(&ds.registry, a, b);
-                }
+        // Line 3: classify every record pair sharing a similar value by
+        // its bounds.
+        let groups = engine.root_pairs(dirty);
+        let mut direct: Vec<(u32, u32)> = Vec::new();
+        let mut candidates: Vec<(u32, u32)> = Vec::new();
+        for &(i, j) in &groups {
+            let b = engine.bounds(cfg, i, j);
+            if b.up < cfg.delta {
+                engine.stats.pruned += 1;
+            } else if b.is_exact() {
+                engine.stats.direct_decisions += 1;
+                direct.push((i, j));
+            } else {
+                candidates.push((i, j));
             }
         }
-    }
+        ctx.rec.span(
+            "candidates",
+            Some(mark.round),
+            &[
+                ("groups", groups.len() as i64),
+                ("pruned", (engine.stats.pruned - pruned_before) as i64),
+                ("direct", direct.len() as i64),
+                ("deferred", candidates.len() as i64),
+            ],
+        );
 
-    /// Merges super records `i` and `j` (roots, `i < j`) using the field
-    /// matching, and maintains the index (§III-B2).
-    #[allow(clippy::too_many_arguments)]
-    fn merge_pair(
-        &self,
-        index: &mut ValuePairIndex,
-        supers: &mut FxHashMap<u32, SuperRecord>,
-        uf: &mut UnionFind,
-        cache: &mut Option<SimCache>,
-        i: u32,
-        j: u32,
-        matching: &[(u32, u32, f64)],
-        stats: &mut RunStats,
-    ) {
-        debug_assert!(i < j);
-        let k = uf.union(i, j);
-        debug_assert_eq!(k, i, "union keeps the smaller root");
-        let loser = supers.remove(&j).expect("loser super record exists");
-        let winner = supers.get_mut(&i).expect("winner super record exists");
-        let field_matching: Vec<(u32, u32)> = matching.iter().map(|&(l, r, _)| (l, r)).collect();
-        let remap = winner.absorb(&loser, &field_matching);
-        index.merge(i, j, k, |l| remap.apply(l));
-        // The memo cache survives the merge through the same remap: the
-        // (i, j) group is invalidated, third-party groups are re-homed.
-        if let Some(c) = cache.as_mut() {
-            c.merge(i, j, k, |l| remap.apply(l));
+        let mut round = BatchRound {
+            engine,
+            ctx,
+            round: mark.round,
+            processed: direct.iter().copied().collect(),
+            candidates,
+            merged: FxHashSet::default(),
+        };
+        round.stage(true, &direct);
+        // Candidates resolve through union–find once more: the direct
+        // stage's merges may have re-rooted or joined them.
+        let mut verify_list: Vec<(u32, u32)> = Vec::new();
+        for (i, j) in std::mem::take(&mut round.candidates) {
+            let (ri, rj) = (round.engine.uf.find(i), round.engine.uf.find(j));
+            let key = (ri.min(rj), ri.max(rj));
+            if ri != rj && round.processed.insert(key) {
+                verify_list.push(key);
+            }
         }
-        stats.merges += 1;
-    }
-}
+        round.stage(false, &verify_list);
 
-/// Deterministic per-stage aggregate over a list of verifications, folded
-/// in input order (the `par_map_with` output order, which is independent
-/// of thread count). `lookups` uses [`SimDelta::lookups`], the
-/// cache-invariant counter, so the emitted span is byte-identical with
-/// the similarity cache on or off.
-#[derive(Debug, Default)]
-pub(crate) struct StageAgg {
-    pub(crate) pairs: i64,
-    pub(crate) lookups: i64,
-    graph_nodes: i64,
-    simplified_nodes: i64,
-    components: i64,
-}
-
-impl StageAgg {
-    pub(crate) fn add(
-        &mut self,
-        v: &crate::verify::Verification,
-        delta: &crate::simcache::SimDelta,
-    ) {
-        self.pairs += 1;
-        self.lookups += delta.lookups() as i64;
-        self.graph_nodes += v.graph_nodes as i64;
-        self.simplified_nodes += v.simplified_nodes as i64;
-        self.components += v.components as i64;
+        let merged = round.merged;
+        engine.end_round(ctx, &mark).map_err(HeraError::Corrupt)?;
+        Ok(merged)
     }
 
-    pub(crate) fn emit(&self, rec: &hera_obs::Recorder, stage: &str, round: usize) {
-        rec.span(
-            stage,
+    /// One verify-then-apply stage: lines 4–5 over the pairs the bounds
+    /// decided (`direct`), lines 6–10 over the candidates. Direct pairs
+    /// count no comparison, merge whatever similarity a re-verification
+    /// finds, and once re-rooted fall through to the candidates.
+    ///
+    /// Phase A verifies `list` against the state as the stage finds it,
+    /// on any number of workers; phase B applies the verdicts in list
+    /// order. The split keeps N-thread results bit-identical to the
+    /// 1-thread run: a merge earlier in phase B can re-root or grow a
+    /// super record a later verdict was computed from, and such a stale
+    /// pair is re-verified sequentially against the current state, so
+    /// every decision is the one a fully sequential pass would make.
+    fn stage(&mut self, direct: bool, list: &[(u32, u32)]) {
+        let (ctx, round) = (self.ctx, self.round);
+        let (verify_span, apply_span) = if direct {
+            ("verify_direct", "apply_direct")
+        } else {
+            ("verify_candidates", "apply_candidates")
+        };
+        let verdicts = self
+            .engine
+            .verify_snapshot(ctx, list, verify_span, round, !direct);
+        let merges_before = self.engine.stats.merges;
+        let mut touched: FxHashSet<u32> = FxHashSet::default();
+        let mut reverified = StageAgg::default();
+        for (&key, (snapshot, fills)) in list.iter().zip(&verdicts) {
+            let Some(cur) = self.engine.settle(key, fills) else {
+                continue;
+            };
+            if cur != key {
+                if direct {
+                    // Exact bounds say nothing under merged roots (the
+                    // conflict-free similar-field-pair argument no longer
+                    // applies): the pair falls through to the candidates.
+                    if self.processed.insert(cur) {
+                        self.candidates.push(cur);
+                    }
+                    continue;
+                }
+                if !self.processed.insert(cur) {
+                    continue;
+                }
+            }
+            let stale = cur != key || touched.contains(&cur.0) || touched.contains(&cur.1);
+            let fresh;
+            let v = if stale {
+                fresh = self.engine.reverify(ctx, cur, !direct, &mut reverified);
+                &fresh
+            } else {
+                snapshot
+            };
+            if !direct && v.sim < ctx.cfg.delta {
+                continue;
+            }
+            self.engine.merge_verified(ctx, round, cur, v);
+            self.merged.insert(cur.0);
+            touched.insert(cur.0);
+            touched.insert(cur.1);
+        }
+        ctx.rec.span(
+            apply_span,
             Some(round),
             &[
-                ("pairs", self.pairs),
-                ("lookups", self.lookups),
-                ("graph_nodes", self.graph_nodes),
-                ("simplified_nodes", self.simplified_nodes),
-                ("components", self.components),
+                ("merges", (self.engine.stats.merges - merges_before) as i64),
+                ("reverified", reverified.pairs),
+                ("lookups", reverified.lookups),
             ],
         );
     }

@@ -41,6 +41,7 @@
 pub mod chaos;
 mod config;
 mod driver;
+mod engine;
 pub mod parallel;
 mod session;
 mod simcache;

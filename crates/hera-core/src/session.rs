@@ -19,10 +19,10 @@
 //!   schema-based method's intended long-run behavior.
 
 use crate::config::HeraConfig;
+use crate::engine::{Ctx, Engine};
 use crate::simcache::SimCache;
 use crate::stats::RunStats;
 use crate::super_record::SuperRecord;
-use crate::verify::{InstanceVerifier, VerifyScratch};
 use crate::voter::{DecidedMatching, SchemaVoter};
 use hera_block::StreamingBlocker;
 use hera_faults::{io_retryable, BackoffPolicy, Clock, FaultInjector, SystemClock};
@@ -225,12 +225,14 @@ pub struct HeraSession {
     config: HeraConfig,
     metric: Arc<dyn ValueSimilarity>,
     registry: SchemaRegistry,
-    record_count: usize,
-    index: ValuePairIndex,
+    /// Index, super records, union–find, voter, similarity cache (it
+    /// persists across `resolve` calls, so a long-lived session keeps
+    /// amortizing its metric work) and the lifetime counters —
+    /// `stats.iterations` is the monotonic `round` of the session's
+    /// journal events and survives checkpoint/restore.
+    engine: Engine,
+    /// Live values of every root, relabeled on every merge.
     join: IncrementalJoin,
-    supers: FxHashMap<u32, SuperRecord>,
-    uf: UnionFind,
-    voter: SchemaVoter,
     /// Records whose evidence changed since the last `resolve`.
     dirty: FxHashSet<u32>,
     /// Streaming blocker gating the incremental join's candidate
@@ -238,9 +240,6 @@ pub struct HeraSession {
     /// [`hera_block::BlockingScheme::None`] — that path is byte-for-byte
     /// the historical unfiltered ingest.
     blocker: Option<StreamingBlocker>,
-    /// Merge-aware `metric.sim` memo cache; persists across `resolve`
-    /// calls, so a long-lived session keeps amortizing its metric work.
-    cache: Option<SimCache>,
     /// Journal recorder (disabled by default).
     recorder: hera_obs::Recorder,
     /// Fault injector threaded into snapshot IO (disabled by default).
@@ -249,9 +248,6 @@ pub struct HeraSession {
     retry: BackoffPolicy,
     /// Delay source for the retry policy's backoff.
     clock: Arc<dyn Clock>,
-    /// Lifetime counters; `stats.iterations` is the monotonic `round` of
-    /// the session's journal events and survives checkpoint/restore.
-    stats: RunStats,
 }
 
 /// Builder for [`HeraSession`] — the single construction path for every
@@ -326,22 +322,16 @@ impl HeraSessionBuilder {
     pub fn build(self) -> HeraSession {
         HeraSession {
             join: IncrementalJoin::new(self.config.xi, 2, self.metric.clone()),
-            cache: self.config.sim_cache.then(SimCache::new),
+            engine: Engine::empty(self.config.sim_cache),
             blocker: StreamingBlocker::new(&self.config.blocking),
             config: self.config,
             metric: self.metric,
             registry: SchemaRegistry::new(),
-            record_count: 0,
-            index: ValuePairIndex::default(),
-            supers: FxHashMap::default(),
-            uf: UnionFind::new(0),
-            voter: SchemaVoter::new(),
             dirty: FxHashSet::default(),
             recorder: self.recorder.unwrap_or_else(hera_obs::Recorder::from_env),
             faults: self.faults,
             retry: self.retry,
             clock: self.clock,
-            stats: RunStats::default(),
         }
     }
 
@@ -380,43 +370,49 @@ impl HeraSessionBuilder {
             )));
         }
 
-        let mut registry = SchemaRegistry::from_json(snap.expect("registry")?)?;
-        registry.rebuild_lookups();
+        session.registry = SchemaRegistry::from_json(snap.expect("registry")?)?;
+        session.registry.rebuild_lookups();
         let record_count = snap.expect("record_count")?.as_i64()?;
         if record_count < 0 {
             return Err(HeraError::Corrupt("negative record_count".into()));
         }
         let record_count = record_count as usize;
-        let uf = UnionFind::from_json(snap.expect("union_find")?)?;
-        if uf.len() != record_count {
+        let engine = &mut session.engine;
+        engine.uf = UnionFind::from_json(snap.expect("union_find")?)?;
+        if engine.uf.len() != record_count {
             return Err(HeraError::Corrupt(format!(
                 "union-find covers {} records, snapshot has {record_count}",
-                uf.len()
+                engine.uf.len()
             )));
         }
-        let mut supers: FxHashMap<u32, SuperRecord> = FxHashMap::default();
         for s_json in snap.expect("supers")?.as_arr()? {
             let s = SuperRecord::from_json(s_json)?;
-            if (s.rid as usize) >= record_count || uf.find_const(s.rid) != s.rid {
+            if (s.rid as usize) >= record_count || engine.uf.find_const(s.rid) != s.rid {
                 return Err(HeraError::Corrupt(format!(
                     "super record {} is not a live union-find root",
                     s.rid
                 )));
             }
-            supers.insert(s.rid, s);
+            engine.supers.insert(s.rid, s);
         }
         for rid in 0..record_count as u32 {
-            let root = uf.find_const(rid);
-            if !supers.contains_key(&root) {
+            let root = engine.uf.find_const(rid);
+            if !engine.supers.contains_key(&root) {
                 return Err(HeraError::Corrupt(format!(
                     "record {rid} resolves to root {root} with no super record"
                 )));
             }
         }
-        let index = ValuePairIndex::from_json(snap.expect("index")?)?;
-        let join = IncrementalJoin::from_json(snap.expect("join")?, session.metric.clone())?;
-        let voter = SchemaVoter::from_json(snap.expect("voter")?)?;
-        let mut dirty = FxHashSet::default();
+        engine.index = ValuePairIndex::from_json(snap.expect("index")?)?;
+        engine.voter = SchemaVoter::from_json(snap.expect("voter")?)?;
+        engine.stats = RunStats::from_json(snap.expect("stats")?)?;
+        // The cache is state *and* policy: restore it only when this
+        // config runs with the cache on. A cache-off snapshot restored
+        // into a cache-on config simply starts the memo empty.
+        if let (Some(cache), Some(j)) = (engine.cache.as_mut(), snap.get("sim_cache")) {
+            *cache = SimCache::from_json(j)?;
+        }
+        session.join = IncrementalJoin::from_json(snap.expect("join")?, session.metric.clone())?;
         for d in snap.expect("dirty")?.as_arr()? {
             let rid = d.as_u32()?;
             if rid as usize >= record_count {
@@ -424,21 +420,8 @@ impl HeraSessionBuilder {
                     "dirty record {rid} out of range"
                 )));
             }
-            dirty.insert(rid);
+            session.dirty.insert(rid);
         }
-        let stats = RunStats::from_json(snap.expect("stats")?)?;
-        // The cache is state *and* policy: restore it only when this
-        // config runs with the cache on. A cache-off snapshot restored
-        // into a cache-on config simply starts the memo empty.
-        let cache = if session.config.sim_cache {
-            match snap.get("sim_cache") {
-                Some(j) => Some(SimCache::from_json(j)?),
-                None => Some(SimCache::new()),
-            }
-        } else {
-            None
-        };
-
         match snap.get("blocker") {
             Some(j) => {
                 session.blocker = Some(StreamingBlocker::from_json(&session.config.blocking, j)?);
@@ -451,16 +434,6 @@ impl HeraSessionBuilder {
                 }
             }
         }
-        session.registry = registry;
-        session.record_count = record_count;
-        session.index = index;
-        session.join = join;
-        session.supers = supers;
-        session.uf = uf;
-        session.voter = voter;
-        session.dirty = dirty;
-        session.cache = cache;
-        session.stats = stats;
         session.recorder.span(
             "checkpoint_load",
             None,
@@ -566,18 +539,19 @@ impl HeraSession {
             snap.insert("blocker", b.to_json());
         }
         snap.insert("registry", self.registry.to_json());
-        snap.insert("record_count", Json::Int(self.record_count as i64));
-        let mut roots: Vec<&SuperRecord> = self.supers.values().collect();
+        snap.insert("record_count", Json::Int(self.len() as i64));
+        let engine = &self.engine;
+        let mut roots: Vec<&SuperRecord> = engine.supers.values().collect();
         roots.sort_unstable_by_key(|s| s.rid);
         snap.insert(
             "supers",
             Json::Arr(roots.iter().map(|s| s.to_json()).collect()),
         );
-        snap.insert("union_find", self.uf.to_json());
-        snap.insert("index", self.index.to_json());
+        snap.insert("union_find", engine.uf.to_json());
+        snap.insert("index", engine.index.to_json());
         snap.insert("join", self.join.to_json());
-        snap.insert("voter", self.voter.to_json());
-        if let Some(c) = &self.cache {
+        snap.insert("voter", engine.voter.to_json());
+        if let Some(c) = &engine.cache {
             snap.insert("sim_cache", c.to_json());
         }
         let mut dirty: Vec<u32> = self.dirty.iter().copied().collect();
@@ -586,7 +560,7 @@ impl HeraSession {
             "dirty",
             Json::Arr(dirty.into_iter().map(|r| Json::Int(r as i64)).collect()),
         );
-        snap.insert("stats", self.stats.to_json());
+        snap.insert("stats", engine.stats.to_json());
         snap
     }
 
@@ -612,38 +586,14 @@ impl HeraSession {
         let expected = self.registry.schema(schema).arity();
         if values.len() != expected {
             return Err(HeraError::ArityMismatch {
-                record: self.record_count as u32,
+                record: self.len() as u32,
                 expected,
                 actual: values.len(),
             });
         }
-        let rid = self.record_count as u32;
-        self.record_count += 1;
-        let pushed = self.uf.push();
-        debug_assert_eq!(pushed, rid);
-
-        // Lift into a super record (tracking attribute provenance).
-        let schema_ref = self.registry.schema(schema);
-        let fields: Vec<crate::super_record::Field> = values
-            .iter()
-            .zip(&schema_ref.attrs)
-            .map(|(v, a)| crate::super_record::Field {
-                values: if v.is_null() {
-                    Vec::new()
-                } else {
-                    vec![v.clone()]
-                },
-                attrs: vec![a.id],
-            })
-            .collect();
-        self.supers.insert(
-            rid,
-            SuperRecord {
-                rid,
-                fields,
-                members: vec![rid],
-            },
-        );
+        let rid = self
+            .engine
+            .push_record(&values, self.registry.schema(schema));
 
         // With blocking on, the record's co-blocked candidates bound the
         // join's candidate universe. The blocker speaks in original rids;
@@ -654,7 +604,7 @@ impl HeraSession {
         // blocked insert cost tracks the co-blocked neighborhood instead
         // of the live-value universe.
         let allowed: Option<Vec<u32>> = self.blocker.as_mut().map(|b| {
-            let uf = &mut self.uf;
+            let uf = &mut self.engine.uf;
             let mut roots: Vec<u32> = b
                 .admit(rid, &values)
                 .into_iter()
@@ -682,7 +632,7 @@ impl HeraSession {
             self.dirty.insert(p.a.rid);
             self.dirty.insert(p.b.rid);
         }
-        self.index.extend(new_pairs);
+        self.engine.index.extend(new_pairs);
         Ok(RecordId::new(rid))
     }
 
@@ -747,7 +697,7 @@ impl HeraSession {
 
     /// [`HeraSession::resolve_progressive`] with a streaming observer:
     /// `on_merge` is invoked for every applied merge, in schedule order,
-    /// the moment it lands (ROADMAP item 3(a)'s callback form). The
+    /// the moment it lands. The
     /// schedule, the report, and the journal are bit-identical to
     /// [`HeraSession::resolve_progressive`] under the same budget — the
     /// observer only *watches* the run. For a pull-based iterator over
@@ -790,10 +740,9 @@ impl HeraSession {
     /// verified at least one pair. This is the cost model behind
     /// [`ResolveBudget::wall_clock`]'s per-round cap.
     pub fn per_comparison_cost(&self) -> Option<Duration> {
-        (self.stats.comparisons > 0).then(|| {
-            Duration::from_secs_f64(
-                self.stats.verify_time.as_secs_f64() / self.stats.comparisons as f64,
-            )
+        let stats = &self.engine.stats;
+        (stats.comparisons > 0).then(|| {
+            Duration::from_secs_f64(stats.verify_time.as_secs_f64() / stats.comparisons as f64)
         })
     }
 
@@ -802,8 +751,9 @@ impl HeraSession {
     /// threads through.
     fn progressive_start(&mut self, budget: ResolveBudget) -> ProgressiveState {
         let started = Instant::now();
-        self.stats.threads = crate::parallel::effective_threads(self.config.num_threads);
-        self.stats.index_size = self.stats.index_size.max(self.index.len());
+        let stats = &mut self.engine.stats;
+        stats.threads = crate::parallel::effective_threads(self.config.num_threads);
+        stats.index_size = stats.index_size.max(self.engine.index.len());
         ProgressiveState {
             report: ProgressiveReport::default(),
             iterations: 0,
@@ -828,25 +778,25 @@ impl HeraSession {
         st: &mut ProgressiveState,
         on_merge: &mut dyn FnMut(MergeEvent),
     ) -> bool {
-        let cfg = self.config.clone();
-        let rec = self.recorder.clone();
-        let verifier = InstanceVerifier::new(self.metric.as_ref(), cfg.xi, cfg.use_kuhn_munkres);
-        let threads = crate::parallel::effective_threads(cfg.num_threads);
+        let ctx = Ctx::new(
+            &self.config,
+            &self.recorder,
+            self.metric.as_ref(),
+            &self.registry,
+        );
+        let cfg = ctx.cfg;
         let epoch_of = |epochs: &FxHashMap<u32, u32>, r: u32| epochs.get(&r).copied().unwrap_or(0);
         if self.dirty.is_empty() || st.iterations >= cfg.max_iterations {
             return false;
         }
-        // A merge budget met between rounds stops before the next
-        // round spends any comparisons; the untouched dirty set *is*
-        // the frontier state.
-        if budget.merges.is_some_and(|m| st.report.merges as u64 >= m) {
-            st.report.exhausted = true;
-            return false;
-        }
-        // A wall-clock deadline met between rounds likewise ends the
-        // call at the round boundary (best-effort — see
-        // [`ResolveBudget::wall_clock`]).
-        if st.deadline.is_some_and(|d| Instant::now() >= d) {
+        // A merge budget or a wall-clock deadline met between rounds ends
+        // the call at the round boundary, before the next round spends
+        // any comparisons (the deadline best-effort — see
+        // [`ResolveBudget::wall_clock`]); the untouched dirty set *is* the
+        // frontier state.
+        if budget.merges.is_some_and(|m| st.report.merges as u64 >= m)
+            || st.deadline.is_some_and(|d| Instant::now() >= d)
+        {
             st.report.exhausted = true;
             return false;
         }
@@ -859,299 +809,175 @@ impl HeraSession {
             voter_epoch,
             ..
         } = st;
-        {
-            self.stats.iterations += 1;
-            let round = self.stats.iterations;
-            let round_merges_before = self.stats.merges;
-            let round_metric_before = self.stats.metric_sim_calls;
-            let dirty = std::mem::take(&mut self.dirty);
-            let groups: Vec<(u32, u32)> = self
-                .index
-                .record_pairs()
-                .filter(|(i, j)| dirty.contains(i) || dirty.contains(j))
-                .collect();
+        let mark = self.engine.begin_round();
+        let round = mark.round;
 
-            // Phase A: dedup root-pairs in group order, then drain them
-            // from the index in bound-priority order (pruning Up < δ),
-            // and verify the survivors in parallel against the
-            // iteration-start state (verification is read-only).
-            let mut processed: FxHashSet<(u32, u32)> = FxHashSet::default();
-            let mut keys: Vec<(u32, u32)> = Vec::new();
-            for (i, j) in groups {
-                let (ri, rj) = (self.uf.find(i), self.uf.find(j));
-                if ri == rj {
-                    continue;
-                }
-                let key = (ri.min(rj), ri.max(rj));
-                let verdict_fresh = decided.get(&key).is_some_and(|&(ea, eb, ev)| {
-                    ea == epoch_of(merge_epoch, key.0)
-                        && eb == epoch_of(merge_epoch, key.1)
-                        && ev == *voter_epoch
-                });
-                if verdict_fresh || !processed.insert(key) {
-                    continue;
-                }
-                keys.push(key);
+        // The frontier: root pairs of the dirty groups, minus those
+        // whose verdict from earlier in this call still stands, drained
+        // from the index in bound-priority order (pruning Up < δ).
+        let dirty = std::mem::take(&mut self.dirty);
+        let mut keys = self.engine.root_pairs(Some(&dirty));
+        keys.retain(|key| {
+            let verdict_stands = decided.get(key).is_some_and(|&(ea, eb, ev)| {
+                ea == epoch_of(merge_epoch, key.0)
+                    && eb == epoch_of(merge_epoch, key.1)
+                    && ev == *voter_epoch
+            });
+            !verdict_stands
+        });
+        let (ranked, pruned) = self.engine.rank(cfg, &keys);
+        self.engine.stats.pruned += pruned;
+
+        // Round schedule: the maximal-matching prefix of the ranked
+        // list, cut at the ROUND_FOCUS priority floor and capped at
+        // ROUND_CHUNK. Skipping a candidate whose root is already
+        // claimed this round costs nothing — it defers back to the
+        // frontier unverified — whereas verifying it would burn a
+        // comparison on a verdict guaranteed to go stale under the
+        // earlier, higher-priority merge (a big fragment's pairs all
+        // share its root, so an unfiltered chunk buys one merge per
+        // chunk). The schedule is a pure function of the ranked
+        // list; the budget only truncates it, and only the budget's
+        // cut marks exhaustion.
+        let floor = ranked.first().map_or(0.0, |c| ROUND_FOCUS * c.priority());
+        let mut claimed: FxHashSet<u32> = FxHashSet::default();
+        let mut selected: Vec<(u32, u32)> = Vec::new();
+        let mut unselected: Vec<(u32, u32)> = Vec::new();
+        for c in &ranked {
+            if selected.len() >= ROUND_CHUNK
+                || c.priority() < floor
+                || claimed.contains(&c.pair.0)
+                || claimed.contains(&c.pair.1)
+            {
+                unselected.push(c.pair);
+                continue;
             }
-            let (ranked, pruned) = {
-                let supers = &self.supers;
-                self.index.drain_ranked(
-                    &keys,
-                    |r| supers[&r].informative_size(),
-                    |r| supers[&r].members.len() as u64,
-                    cfg.bound_mode,
-                    cfg.delta,
-                )
+            claimed.insert(c.pair.0);
+            claimed.insert(c.pair.1);
+            selected.push(c.pair);
+        }
+        let mut cap = match budget.comparisons {
+            Some(c) => (c.saturating_sub(report.comparisons_spent) as usize).min(selected.len()),
+            None => selected.len(),
+        };
+        // Wall-clock budgets additionally cap the round at the
+        // number of verifications the cost model predicts still fit
+        // before the deadline. Host timing feeds both inputs, so
+        // this cut — unlike the two counters above — is best-effort
+        // rather than bit-exact (see [`ResolveBudget::wall_clock`]).
+        if let Some(d) = deadline {
+            let remaining = d.saturating_duration_since(Instant::now());
+            if remaining.is_zero() {
+                cap = 0;
+            } else if let Some(per) = self.per_comparison_cost() {
+                if !per.is_zero() {
+                    let affordable = (remaining.as_secs_f64() / per.as_secs_f64()).floor() as usize;
+                    cap = cap.min(affordable);
+                }
+            }
+        }
+
+        // Phase A: verify the round's pairs in parallel against the
+        // round-start state.
+        let verify_list = &selected[..cap];
+        let verdicts =
+            self.engine
+                .verify_snapshot(&ctx, verify_list, "resolve_verify", round, true);
+        report.comparisons_spent += verdicts.len() as u64;
+
+        // Phase B: apply sequentially in candidate (priority) order.
+        // The matching filter guarantees no two candidates share a
+        // root, so verdicts cannot go stale within the phase; the
+        // stale branch below stays as a defensive safeguard (a stale
+        // pair defers to the next round rather than merging on
+        // outdated evidence).
+        let mut touched: FxHashSet<u32> = FxHashSet::default();
+        let mut deferred_stale = 0i64;
+        let deferred_before = report.comparisons_deferred;
+        for (&key, (v, fills)) in verify_list.iter().zip(&verdicts) {
+            let Some(cur) = self.engine.settle(key, fills) else {
+                continue;
             };
-            self.stats.pruned += pruned;
+            if cur != key || touched.contains(&cur.0) || touched.contains(&cur.1) {
+                self.dirty.insert(cur.0);
+                self.dirty.insert(cur.1);
+                deferred_stale += 1;
+                continue;
+            }
+            if v.sim < cfg.delta {
+                // A below-δ verdict consumes no merge budget, so a
+                // mid-phase merge cut still banks it — its
+                // comparison was already spent and the decision is
+                // budget-independent.
+                decided.insert(
+                    cur,
+                    (
+                        epoch_of(merge_epoch, cur.0),
+                        epoch_of(merge_epoch, cur.1),
+                        *voter_epoch,
+                    ),
+                );
+                continue;
+            }
+            if budget.merges.is_some_and(|m| report.merges as u64 >= m) {
+                // Verified, would merge, but the merge budget is
+                // spent: the pair returns to the frontier undecided
+                // and a following call re-verifies it. Its
+                // comparison is already in comparisons_spent;
+                // count the write-off so the waste is observable.
+                self.dirty.insert(cur.0);
+                self.dirty.insert(cur.1);
+                report.comparisons_deferred += 1;
+                continue;
+            }
+            let (remap, decided_fresh) = self.engine.merge_verified(&ctx, round, cur, v);
+            if decided_fresh {
+                // New matchings can flip any pair's verdict, not
+                // just the merging pair's: stale every memo.
+                *voter_epoch += 1;
+            }
+            self.join.relabel(cur.0, cur.1, |l| remap.apply(l));
+            *merge_epoch.entry(cur.0).or_insert(0) += 1;
+            self.dirty.insert(cur.0);
+            touched.insert(cur.0);
+            touched.insert(cur.1);
+            report.merges += 1;
+            on_merge(MergeEvent {
+                winner: cur.0,
+                loser: cur.1,
+                confidence: v.sim,
+                comparisons_spent: report.comparisons_spent,
+            });
+        }
+        ctx.rec.span(
+            "resolve_apply",
+            Some(round),
+            &[
+                ("merges", self.engine.merges_since(&mark)),
+                ("deferred_stale", deferred_stale),
+            ],
+        );
+        if let Err(broken) = self.engine.end_round(&ctx, &mark) {
+            // Only under `HeraConfig::validate_index` (tests/debug).
+            panic!("{broken}");
+        }
 
-            // Round schedule: the maximal-matching prefix of the ranked
-            // list, cut at the ROUND_FOCUS priority floor and capped at
-            // ROUND_CHUNK. Skipping a candidate whose root is already
-            // claimed this round costs nothing — it defers back to the
-            // frontier unverified — whereas verifying it would burn a
-            // comparison on a verdict guaranteed to go stale under the
-            // earlier, higher-priority merge (a big fragment's pairs all
-            // share its root, so an unfiltered chunk buys one merge per
-            // chunk). The schedule is a pure function of the ranked
-            // list; the budget only truncates it, and only the budget's
-            // cut marks exhaustion.
-            let floor = ranked.first().map_or(0.0, |c| ROUND_FOCUS * c.priority());
-            let mut claimed: FxHashSet<u32> = FxHashSet::default();
-            let mut selected: Vec<(u32, u32)> = Vec::new();
-            let mut unselected: Vec<(u32, u32)> = Vec::new();
-            for c in &ranked {
-                if selected.len() >= ROUND_CHUNK
-                    || c.priority() < floor
-                    || claimed.contains(&c.pair.0)
-                    || claimed.contains(&c.pair.1)
-                {
-                    unselected.push(c.pair);
-                    continue;
-                }
-                claimed.insert(c.pair.0);
-                claimed.insert(c.pair.1);
-                selected.push(c.pair);
-            }
-            let mut cap = match budget.comparisons {
-                Some(c) => {
-                    (c.saturating_sub(report.comparisons_spent) as usize).min(selected.len())
-                }
-                None => selected.len(),
-            };
-            // Wall-clock budgets additionally cap the round at the
-            // number of verifications the cost model predicts still fit
-            // before the deadline. Host timing feeds both inputs, so
-            // this cut — unlike the two counters above — is best-effort
-            // rather than bit-exact (see [`ResolveBudget::wall_clock`]).
-            if let Some(d) = deadline {
-                let remaining = d.saturating_duration_since(Instant::now());
-                if remaining.is_zero() {
-                    cap = 0;
-                } else if let Some(per) = self.per_comparison_cost() {
-                    if !per.is_zero() {
-                        let affordable =
-                            (remaining.as_secs_f64() / per.as_secs_f64()).floor() as usize;
-                        cap = cap.min(affordable);
-                    }
-                }
-            }
-            let verify_list: Vec<(u32, u32)> = selected[..cap].to_vec();
-            let tv = std::time::Instant::now();
-            let verifications = {
-                let (index, supers, registry, cache) =
-                    (&self.index, &self.supers, &self.registry, &self.cache);
-                let voter_opt = cfg.schema_voting.then_some(&self.voter);
-                crate::parallel::par_map_with(
-                    threads,
-                    &verify_list,
-                    VerifyScratch::new,
-                    |scratch, &(a, b)| {
-                        let v = verifier.verify_with(
-                            index,
-                            &supers[&a],
-                            &supers[&b],
-                            registry,
-                            voter_opt,
-                            cache.as_ref(),
-                            scratch,
-                        );
-                        (v, std::mem::take(&mut scratch.delta))
-                    },
-                )
-            };
-            let tv_elapsed = tv.elapsed();
-            self.stats.verify_time += tv_elapsed;
-            // Per-worker aggregation: verdicts are in input order for
-            // every thread count, so one fold gives a deterministic span.
-            let mut verify_agg = crate::driver::StageAgg::default();
-            for (v, delta) in &verifications {
-                self.stats.comparisons += 1;
-                self.stats.simplified_nodes_sum += v.simplified_nodes;
-                self.stats.graph_nodes_sum += v.graph_nodes;
-                self.stats.matchings_run += 1;
-                self.stats.record_cache_delta(delta);
-                verify_agg.add(v, delta);
-            }
-            report.comparisons_spent += verifications.len() as u64;
-            verify_agg.emit(&rec, "resolve_verify", round);
-            rec.timing("resolve_verify", Some(round), tv_elapsed);
-
-            // Phase B: apply sequentially in candidate (priority) order.
-            // The matching filter guarantees no two candidates share a
-            // root, so verdicts cannot go stale within the phase; the
-            // stale branch below stays as a defensive safeguard (a stale
-            // pair defers to the next round rather than merging on
-            // outdated evidence).
-            let mut touched: FxHashSet<u32> = FxHashSet::default();
-            let mut deferred_stale = 0i64;
-            let deferred_before = report.comparisons_deferred;
-            for (idx, &key) in verify_list.iter().enumerate() {
-                // Memoize this snapshot verdict's metric calls even if
-                // the verdict goes stale below — the fills are exact
-                // metric outputs, so the deferred re-verification next
-                // round reuses them. Fills naming a since-folded record
-                // are filtered out (only root labels stay valid).
-                if let Some(c) = self.cache.as_mut() {
-                    let uf = &self.uf;
-                    c.apply_if(&verifications[idx].1, |l| uf.find_const(l.rid) == l.rid);
-                }
-                let (ri, rj) = (self.uf.find(key.0), self.uf.find(key.1));
-                if ri == rj {
-                    continue;
-                }
-                let cur = (ri.min(rj), ri.max(rj));
-                if cur != key && !processed.insert(cur) {
-                    continue;
-                }
-                if cur != key || touched.contains(&cur.0) || touched.contains(&cur.1) {
-                    self.dirty.insert(cur.0);
-                    self.dirty.insert(cur.1);
-                    deferred_stale += 1;
-                    continue;
-                }
-                let v = &verifications[idx].0;
-                if v.sim < cfg.delta {
-                    // A below-δ verdict consumes no merge budget, so a
-                    // mid-phase merge cut still banks it — its
-                    // comparison was already spent and the decision is
-                    // budget-independent.
-                    decided.insert(
-                        cur,
-                        (
-                            epoch_of(merge_epoch, cur.0),
-                            epoch_of(merge_epoch, cur.1),
-                            *voter_epoch,
-                        ),
-                    );
-                    continue;
-                }
-                if budget.merges.is_some_and(|m| report.merges as u64 >= m) {
-                    // Verified, would merge, but the merge budget is
-                    // spent: the pair returns to the frontier undecided
-                    // and a following call re-verifies it. Its
-                    // comparison is already in comparisons_spent;
-                    // count the write-off so the waste is observable.
-                    self.dirty.insert(cur.0);
-                    self.dirty.insert(cur.1);
-                    report.comparisons_deferred += 1;
-                    continue;
-                }
-                if cfg.schema_voting {
-                    for &(lf, rf, _) in v.predicted() {
-                        let left = &self.supers[&cur.0];
-                        let right = &self.supers[&cur.1];
-                        // Collect votes before mutating.
-                        let la = left.fields[lf as usize].attrs.clone();
-                        let ra = right.fields[rf as usize].attrs.clone();
-                        for a in &la {
-                            for b in &ra {
-                                self.voter.add_vote(&self.registry, *a, *b);
-                            }
-                        }
-                    }
-                    let fresh =
-                        self.voter
-                            .decide(cfg.vote_prior, cfg.vote_error_threshold, cfg.vote_min_n);
-                    self.stats.schema_matchings_decided += fresh.len();
-                    if !fresh.is_empty() {
-                        // New matchings can flip any pair's verdict, not
-                        // just the merging pair's: stale every memo.
-                        *voter_epoch += 1;
-                    }
-                    if rec.enabled() {
-                        for d in &fresh {
-                            rec.schema_decided(
-                                round,
-                                &self.registry.attr_qualified_name(d.attr),
-                                &self.registry.attr_qualified_name(d.partner),
-                                d.up_error(),
-                            );
-                        }
-                    }
-                }
-                // Merge.
-                rec.merge(round, cur.0, cur.1, v.sim, v.matching.len());
-                let k = self.uf.union(cur.0, cur.1);
-                debug_assert_eq!(k, cur.0);
-                let loser = self.supers.remove(&cur.1).expect("loser exists");
-                let winner = self.supers.get_mut(&cur.0).expect("winner exists");
-                let matching: Vec<(u32, u32)> =
-                    v.matching.iter().map(|&(l, r, _)| (l, r)).collect();
-                let remap = winner.absorb(&loser, &matching);
-                self.index.merge(cur.0, cur.1, k, |l| remap.apply(l));
-                if let Some(c) = self.cache.as_mut() {
-                    c.merge(cur.0, cur.1, k, |l| remap.apply(l));
-                }
-                self.join.relabel(cur.0, cur.1, |l| remap.apply(l));
-                *merge_epoch.entry(cur.0).or_insert(0) += 1;
-                self.dirty.insert(k);
-                touched.insert(cur.0);
-                touched.insert(cur.1);
-                report.merges += 1;
-                self.stats.merges += 1;
-                on_merge(MergeEvent {
-                    winner: cur.0,
-                    loser: cur.1,
-                    confidence: v.sim,
-                    comparisons_spent: report.comparisons_spent,
-                });
-            }
-            self.stats
-                .metric_calls_by_round
-                .push(self.stats.metric_sim_calls - round_metric_before);
-            rec.span(
-                "resolve_apply",
-                Some(round),
-                &[
-                    ("merges", (self.stats.merges - round_merges_before) as i64),
-                    ("deferred_stale", deferred_stale),
-                ],
-            );
-            rec.round_end(
-                round,
-                (self.stats.merges - round_merges_before) as i64,
-                self.index.len() as i64,
-                self.voter.open_buckets() as i64,
-            );
-
-            // Return every unprocessed candidate to the frontier by
-            // re-marking its current roots dirty — the next round (or the
-            // next call) regenerates and re-ranks them. Only a *budget*
-            // cut ends the call: the chunk cut just rolls into the next
-            // round. Either way the session state is a clean resume
-            // boundary.
-            let budget_truncated =
-                cap < selected.len() || report.comparisons_deferred > deferred_before;
-            let deferred_pairs = selected[cap..].iter().chain(&unselected).copied();
-            for (a, b) in deferred_pairs {
-                self.dirty.insert(self.uf.find(a));
-                self.dirty.insert(self.uf.find(b));
-            }
-            if budget_truncated {
-                report.exhausted = true;
-                return false;
-            }
+        // Return every unprocessed candidate to the frontier by
+        // re-marking its current roots dirty — the next round (or the
+        // next call) regenerates and re-ranks them. Only a *budget*
+        // cut ends the call: the chunk cut just rolls into the next
+        // round. Either way the session state is a clean resume
+        // boundary.
+        let budget_truncated =
+            cap < selected.len() || report.comparisons_deferred > deferred_before;
+        let uf = &mut self.engine.uf;
+        for &(a, b) in selected[cap..].iter().chain(&unselected) {
+            self.dirty.insert(uf.find(a));
+            self.dirty.insert(uf.find(b));
+        }
+        if budget_truncated {
+            report.exhausted = true;
+            return false;
         }
         true
     }
@@ -1182,7 +1008,7 @@ impl HeraSession {
             // schedule.)
             self.recorder.span(
                 "progressive",
-                Some(self.stats.iterations),
+                Some(self.engine.stats.iterations),
                 &[
                     ("budget_spent", report.comparisons_spent as i64),
                     ("merges_emitted", report.merges as i64),
@@ -1192,12 +1018,7 @@ impl HeraSession {
                 ],
             );
         }
-        self.stats.final_index_size = self.index.len();
-        if let Some(c) = &self.cache {
-            self.stats.sim_cache_size = c.len();
-            self.stats.sim_cache_invalidated = c.invalidated();
-        }
-        self.stats.resolve_time += st.started.elapsed();
+        self.engine.seal(st.started.elapsed());
         self.recorder.flush();
     }
 
@@ -1206,32 +1027,8 @@ impl HeraSession {
     /// the next [`HeraSession::resolve_progressive`] call will drain
     /// first. Read-only and deterministic.
     pub fn frontier_len(&self) -> usize {
-        let mut processed: FxHashSet<(u32, u32)> = FxHashSet::default();
-        let mut keys: Vec<(u32, u32)> = Vec::new();
-        for (i, j) in self.index.record_pairs() {
-            if !(self.dirty.contains(&i) || self.dirty.contains(&j)) {
-                continue;
-            }
-            let (ri, rj) = (self.uf.find_const(i), self.uf.find_const(j));
-            if ri == rj {
-                continue;
-            }
-            let key = (ri.min(rj), ri.max(rj));
-            if processed.insert(key) {
-                keys.push(key);
-            }
-        }
-        let supers = &self.supers;
-        self.index
-            .drain_ranked(
-                &keys,
-                |r| supers[&r].informative_size(),
-                |r| supers[&r].members.len() as u64,
-                self.config.bound_mode,
-                self.config.delta,
-            )
-            .0
-            .len()
+        let keys = self.engine.root_pairs(Some(&self.dirty));
+        self.engine.rank(&self.config, &keys).0.len()
     }
 
     /// Re-marks every live root dirty, returning the whole universe to
@@ -1241,12 +1038,12 @@ impl HeraSession {
     /// `tests/progressive.rs` property-tests (it is what catches a
     /// schedule that silently skips an emergent merge).
     pub fn mark_all_dirty(&mut self) {
-        self.dirty.extend(self.supers.keys().copied());
+        self.dirty.extend(self.engine.supers.keys().copied());
     }
 
     /// Current entity label (super-record rid) of a record.
     pub fn entity_of(&self, rid: RecordId) -> u32 {
-        self.uf.find_const(rid.raw())
+        self.engine.uf.find_const(rid.raw())
     }
 
     /// Member record ids of the entity labeled `label`, in merge order
@@ -1254,27 +1051,27 @@ impl HeraSession {
     /// `None` when `label` is not a live entity label. O(1) — reads the
     /// super record.
     pub fn entity_members(&self, label: u32) -> Option<&[u32]> {
-        self.supers.get(&label).map(|s| s.members.as_slice())
+        self.engine.supers.get(&label).map(|s| s.members.as_slice())
     }
 
     /// All records grouped by current entity.
     pub fn clusters(&mut self) -> Vec<Vec<u32>> {
-        self.uf.clusters()
+        self.engine.uf.clusters()
     }
 
     /// Number of records ingested.
     pub fn len(&self) -> usize {
-        self.record_count
+        self.engine.uf.len()
     }
 
     /// True if no records were ingested.
     pub fn is_empty(&self) -> bool {
-        self.record_count == 0
+        self.engine.uf.is_empty()
     }
 
     /// Total merges performed so far.
     pub fn merge_count(&self) -> usize {
-        self.stats.merges
+        self.engine.stats.merges
     }
 
     /// Lifetime run statistics (iterations, comparisons, cache traffic,
@@ -1282,23 +1079,23 @@ impl HeraSession {
     /// restore, so a restored-and-continued session reports the same
     /// numbers an uninterrupted one would.
     pub fn stats(&self) -> &RunStats {
-        &self.stats
+        &self.engine.stats
     }
 
     /// Index size `|𝒱|` right now.
     pub fn index_size(&self) -> usize {
-        self.index.len()
+        self.engine.index.len()
     }
 
     /// Entries currently held by the similarity memo cache (0 when the
     /// cache is disabled via [`HeraConfig::sim_cache`]).
     pub fn sim_cache_size(&self) -> usize {
-        self.cache.as_ref().map_or(0, SimCache::len)
+        self.engine.cache.as_ref().map_or(0, SimCache::len)
     }
 
     /// Schema matchings decided so far.
     pub fn schema_matchings(&self) -> Vec<DecidedMatching> {
-        self.voter.decided()
+        self.engine.voter.decided()
     }
 
     /// The session's schema registry.
@@ -1545,11 +1342,31 @@ mod tests {
                 .add_record(schemas[rec.schema.index()], rec.values.clone())
                 .unwrap();
             session.resolve();
-            session.index.check_invariants().unwrap();
-            if let Some(c) = &session.cache {
+            session.engine.index.check_invariants().unwrap();
+            if let Some(c) = &session.engine.cache {
                 c.check_invariants().unwrap();
             }
         }
+    }
+
+    /// Streaming twin of the batch driver's
+    /// `index_invariants_hold_throughout_run`: under `validate_index` the
+    /// session checks the index and cache invariants after every round
+    /// (and panics on a broken one).
+    #[test]
+    fn session_index_invariants_hold_throughout_run() {
+        let ds = motivating_example();
+        let cfg = HeraConfig::paper_example().with_index_validation();
+        let mut session = HeraSession::builder(cfg).build();
+        let schemas = mirror_schemas(&mut session, &ds);
+        for rec in ds.iter() {
+            session
+                .add_record(schemas[rec.schema.index()], rec.values.clone())
+                .unwrap();
+            session.resolve();
+        }
+        assert!(session.stats().iterations > 0);
+        assert_eq!(session.clusters().len(), 2);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Super records (Definition 2) and the merge operation `⊕` (Example 2).
 
 use hera_types::json::Json;
-use hera_types::{Dataset, Label, Record, Result, SourceAttrId, Value};
+use hera_types::{Dataset, Label, Record, Result, Schema, SourceAttrId, Value};
 use rustc_hash::FxHashMap;
 
 /// One field of a super record: the set of values observed for (what HERA
@@ -23,13 +23,6 @@ pub struct Field {
 }
 
 impl Field {
-    fn from_value(value: Value, attr: SourceAttrId) -> Self {
-        Self {
-            values: vec![value],
-            attrs: vec![attr],
-        }
-    }
-
     /// True if the field already stores an equal value.
     fn position_of_same(&self, v: &Value) -> Option<usize> {
         self.values.iter().position(|x| x.same(v))
@@ -63,26 +56,29 @@ impl SuperRecord {
     /// occupy a fid so labels align with the base record's positions) but
     /// carry no values.
     pub fn from_record(ds: &Dataset, rec: &Record) -> Self {
-        let schema = ds.registry.schema(rec.schema);
-        let fields = rec
-            .values
+        Self::lift(rec.id.raw(), &rec.values, ds.registry.schema(rec.schema))
+    }
+
+    /// Lifts record `rid`'s values under their schema — the one place a
+    /// base record becomes a super record, for the batch path (through
+    /// [`SuperRecord::from_record`]) and the streaming one alike.
+    pub(crate) fn lift(rid: u32, values: &[Value], schema: &Schema) -> Self {
+        let fields = values
             .iter()
             .zip(&schema.attrs)
-            .map(|(v, a)| {
-                if v.is_null() {
-                    Field {
-                        values: Vec::new(),
-                        attrs: vec![a.id],
-                    }
+            .map(|(v, a)| Field {
+                values: if v.is_null() {
+                    Vec::new()
                 } else {
-                    Field::from_value(v.clone(), a.id)
-                }
+                    vec![v.clone()]
+                },
+                attrs: vec![a.id],
             })
             .collect();
         Self {
-            rid: rec.id.raw(),
+            rid,
             fields,
-            members: vec![rec.id.raw()],
+            members: vec![rid],
         }
     }
 

@@ -34,8 +34,8 @@ impl ValuePairIndex {
     /// Bulk path: pairs are sorted by group key (a no-op pass when the
     /// input is already in join output order) and consumed as sorted
     /// runs, so the tree, partner-map, and set operations happen once per
-    /// **group** instead of once per pair. [`Self::build_incremental`] is
-    /// the per-pair reference path with identical results.
+    /// **group** instead of once per pair (a per-pair reference build is
+    /// the tests' differential oracle).
     pub fn build(pairs: impl IntoIterator<Item = ValuePair>) -> Self {
         let mut pairs: Vec<ValuePair> = pairs.into_iter().collect();
         pairs.sort_unstable_by_key(|p| (p.a.rid, p.b.rid));
@@ -62,9 +62,9 @@ impl ValuePairIndex {
     }
 
     /// Reference build: one tree/partner insertion per pair — the
-    /// pre-optimization path, kept for A/B benchmarks and differential
-    /// tests against the bulk [`Self::build`].
-    pub fn build_incremental(pairs: impl IntoIterator<Item = ValuePair>) -> Self {
+    /// differential oracle for the bulk [`Self::build`].
+    #[cfg(test)]
+    fn build_incremental(pairs: impl IntoIterator<Item = ValuePair>) -> Self {
         let mut idx = Self::default();
         for p in pairs {
             idx.insert(p);

@@ -12,19 +12,18 @@
 //!   stream grows, so it is deliberately not used here);
 //! * numeric values are probed through a sorted sweep, sound for metrics
 //!   non-increasing in `|a − b|`;
-//! * every candidate is verified with the black-box metric — except when
-//!   the metric declares [`ValueSimilarity::qgram_compatible`], in which
-//!   case non-numeric pairs are scored from gram signatures stored at
-//!   registration time, behind the same sound [`GramSketch`] upper-bound
-//!   prefilter the batch join uses (bit-identical scores, no
-//!   re-tokenization in the verify loop).
+//! * every candidate is scored by the batch join's own dispatch: the
+//!   black-box metric, or — when the metric declares
+//!   [`ValueSimilarity::qgram_compatible`] — gram signatures stored at
+//!   registration time behind the sound [`GramSketch`] upper bound
+//!   (bit-identical scores, no re-tokenization in the verify loop).
 //!
 //! Labels mutate when records merge (the index relabels its entries);
 //! [`IncrementalJoin::relabel`] applies the same remap here so future
 //! insertions emit pairs against *current* labels.
 
-use crate::ValuePair;
-use hera_sim::text::{folded_qgram_set, jaccard_of_sets, GramSketch};
+use crate::{score, Side, ValuePair};
+use hera_sim::text::{folded_qgram_set, GramSketch};
 use hera_sim::ValueSimilarity;
 use hera_types::json::Json;
 use hera_types::{HeraError, Label, Result, Value};
@@ -98,13 +97,10 @@ impl IncrementalJoin {
 
     /// [`IncrementalJoin::insert`] restricted to a candidate-record
     /// filter: only pairs whose partner rid passes `allowed` are scored
-    /// and emitted — the hook a blocking stage uses to keep the
-    /// incremental join from enumerating the full value universe. The
-    /// value is registered either way (it must be probe-able by future
-    /// insertions), and an always-true filter is bit-identical to
-    /// [`IncrementalJoin::insert`] — same candidates, same scores, same
-    /// order.
-    pub fn insert_filtered(
+    /// and emitted. The value is registered either way (it must be
+    /// probe-able by future insertions). The tests use the filter as the
+    /// probing oracle for [`IncrementalJoin::insert_among`].
+    fn insert_filtered(
         &mut self,
         label: Label,
         value: Value,
@@ -144,19 +140,8 @@ impl IncrementalJoin {
         cand.sort_unstable();
         cand.dedup();
 
-        let value_num = value.as_number().is_some();
-        let sketch = GramSketch::of(&sig);
-        let mut out = Vec::new();
-        for i in cand {
-            if self.entries[i].label.rid == label.rid || !allowed(self.entries[i].label.rid) {
-                continue;
-            }
-            if let Some(p) = self.verify(label, &value, value_num, &sig, sketch, i) {
-                out.push(p);
-            }
-        }
-        out.sort_unstable_by_key(|x| (x.a, x.b));
-
+        cand.retain(|&i| allowed(self.entries[i].label.rid));
+        let out = self.verify(label, &value, &sig, cand);
         self.register(label, value, &sig);
         out
     }
@@ -171,9 +156,9 @@ impl IncrementalJoin {
     /// Like the batch blocked join, this verifies the allowed cross
     /// product directly with the same dispatch as
     /// [`IncrementalJoin::insert`], so for the default gram-compatible
-    /// metric it emits exactly the [`IncrementalJoin::insert_filtered`]
-    /// pairs for the same record set (share-a-gram candidate generation
-    /// is complete for q-gram Jaccard); an exotic metric scoring
+    /// metric it emits exactly the pairs `insert` would emit against the
+    /// same record set (share-a-gram candidate generation is complete
+    /// for q-gram Jaccard); an exotic metric scoring
     /// zero-gram-overlap string pairs above ξ can only gain pairs here,
     /// never lose one. Entries of `label`'s own record never pair, and
     /// the value is registered for future probes either way.
@@ -182,9 +167,6 @@ impl IncrementalJoin {
             return Vec::new();
         }
         let sig = folded_qgram_set(&value.to_text(), self.q);
-        let value_num = value.as_number().is_some();
-        let sketch = GramSketch::of(&sig);
-
         let mut cand: Vec<usize> = Vec::new();
         for rid in rids {
             if let Some(list) = self.by_rid.get(rid) {
@@ -193,55 +175,49 @@ impl IncrementalJoin {
         }
         cand.sort_unstable();
         cand.dedup();
-
-        let mut out = Vec::new();
-        for i in cand {
-            if self.entries[i].label.rid == label.rid {
-                continue;
-            }
-            if let Some(p) = self.verify(label, &value, value_num, &sig, sketch, i) {
-                out.push(p);
-            }
-        }
-        out.sort_unstable_by_key(|x| (x.a, x.b));
-
+        let out = self.verify(label, &value, &sig, cand);
         self.register(label, value, &sig);
         out
     }
 
-    /// Scores the incoming value against stored entry `i` — mirror of the
-    /// batch join's verify dispatch: gram-compatible non-numeric pairs
-    /// score from stored signatures (identical values by the
-    /// `qgram_compatible` contract), behind the sound sketch upper bound;
-    /// everything else asks the metric. Returns the normalized pair when
-    /// the score clears ξ.
-    fn verify(
-        &self,
-        label: Label,
-        value: &Value,
-        value_num: bool,
-        sig: &[u64],
-        sketch: GramSketch,
-        i: usize,
-    ) -> Option<ValuePair> {
-        let other = &self.entries[i];
-        let s = if self.fast_grams && !(value_num && other.is_num) {
-            if sketch.jaccard_upper_bound(sig.len(), other.sketch, other.sig.len()) < self.xi {
-                return None;
+    /// Scores the incoming value against the stored entries `cand` of
+    /// other records ([`score`], the batch join's dispatch) and returns
+    /// the normalized pairs that clear ξ, ordered by label.
+    fn verify(&self, label: Label, value: &Value, sig: &[u64], cand: Vec<usize>) -> Vec<ValuePair> {
+        let incoming = Side {
+            value,
+            is_num: value.as_number().is_some(),
+            sig,
+            sketch: GramSketch::of(sig),
+        };
+        let mut out = Vec::new();
+        for other in cand.into_iter().map(|i| &self.entries[i]) {
+            if other.label.rid == label.rid {
+                continue;
             }
-            jaccard_of_sets(sig, &other.sig)
-        } else {
-            self.metric.sim(value, &other.value)
-        };
-        if s < self.xi {
-            return None;
+            let stored = Side {
+                value: &other.value,
+                is_num: other.is_num,
+                sig: &other.sig,
+                sketch: other.sketch,
+            };
+            if let Some(sim) = score(
+                self.metric.as_ref(),
+                self.fast_grams,
+                self.xi,
+                incoming,
+                stored,
+            ) {
+                let (a, b) = if label.rid < other.label.rid {
+                    (label, other.label)
+                } else {
+                    (other.label, label)
+                };
+                out.push(ValuePair { a, b, sim });
+            }
         }
-        let (a, b) = if label.rid < other.label.rid {
-            (label, other.label)
-        } else {
-            (other.label, label)
-        };
-        Some(ValuePair { a, b, sim: s })
+        out.sort_unstable_by_key(|x| (x.a, x.b));
+        out
     }
 
     /// Registers a value in the probe structures without emitting pairs.
@@ -377,12 +353,7 @@ mod tests {
             for (l, v) in &values {
                 streamed.extend(inc.insert(*l, v.clone()));
             }
-            streamed.sort_unstable_by(|x, y| {
-                (x.a.rid, x.b.rid)
-                    .cmp(&(y.a.rid, y.b.rid))
-                    .then_with(|| y.sim.partial_cmp(&x.sim).unwrap())
-                    .then_with(|| (x.a, x.b).cmp(&(y.a, y.b)))
-            });
+            streamed.sort_unstable_by(crate::output_order);
             assert_eq!(streamed, batch, "xi = {xi}");
         }
     }

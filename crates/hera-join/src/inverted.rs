@@ -36,8 +36,9 @@ impl GramIndex {
 }
 
 /// Per-probe collision accumulator: maps a previously indexed value `y`
-/// to `(collisions so far, alive)`. Two interchangeable implementations;
-/// both produce the same candidate **set** (the caller sorts).
+/// to `(collisions so far, alive)`. The dense implementation is the one
+/// that runs; the tests keep a hash-map one as its oracle. Both produce
+/// the same candidate **set** (the caller sorts).
 trait Accumulator {
     fn begin_probe(&mut self);
     /// The mutable `(hits, alive)` slot for candidate `y`.
@@ -46,14 +47,15 @@ trait Accumulator {
     fn drain_into(&mut self, x: usize, out: &mut Vec<(usize, usize)>);
 }
 
-/// Reference accumulator: a hash map keyed by candidate index (the
-/// pre-optimization path, kept for A/B benchmarks and differential
-/// tests).
+/// Reference accumulator: a hash map keyed by candidate index — the
+/// differential oracle for [`DenseAccumulator`].
+#[cfg(test)]
 #[derive(Default)]
 struct MapAccumulator {
     acc: FxHashMap<usize, (u32, bool)>,
 }
 
+#[cfg(test)]
 impl Accumulator for MapAccumulator {
     fn begin_probe(&mut self) {
         self.acc.clear();
@@ -133,9 +135,6 @@ impl Accumulator for DenseAccumulator {
 /// must meet the Jaccard-equivalent overlap requirement
 /// `α = ⌈ξ/(1+ξ)·(|x|+|y|)⌉`. Without `prefix_filter`, any shared gram
 /// produces a candidate.
-///
-/// Uses the dense epoch-array accumulator; [`gram_candidates_ref`] is the
-/// hash-map reference path with identical output.
 pub fn gram_candidates(sigs: &[Vec<u64>], xi: f64, prefix_filter: bool) -> Vec<(usize, usize)> {
     gram_candidates_impl(
         sigs,
@@ -145,10 +144,9 @@ pub fn gram_candidates(sigs: &[Vec<u64>], xi: f64, prefix_filter: bool) -> Vec<(
     )
 }
 
-/// [`gram_candidates`] through the hash-map reference accumulator — the
-/// pre-optimization path, kept so benches can measure the dense
-/// accumulator's effect and tests can assert output equality.
-pub fn gram_candidates_ref(sigs: &[Vec<u64>], xi: f64, prefix_filter: bool) -> Vec<(usize, usize)> {
+/// [`gram_candidates`] through the hash-map reference accumulator.
+#[cfg(test)]
+fn gram_candidates_ref(sigs: &[Vec<u64>], xi: f64, prefix_filter: bool) -> Vec<(usize, usize)> {
     gram_candidates_impl(sigs, xi, prefix_filter, &mut MapAccumulator::default())
 }
 

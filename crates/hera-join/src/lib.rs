@@ -41,12 +41,14 @@ mod numeric;
 mod source;
 
 pub use incremental::IncrementalJoin;
-pub use inverted::{gram_candidates, gram_candidates_ref, GramIndex};
+pub use inverted::{gram_candidates, GramIndex};
 pub use source::{CandidateSource, RecordPairSet};
 
+use hera_sim::text::{folded_qgram_set, jaccard_of_sets, GramSketch};
 use hera_sim::ValueSimilarity;
 use hera_types::{Dataset, Label, Value};
 use rustc_hash::FxHashMap;
+use std::time::Instant;
 
 /// One emitted similar value pair. `a.rid < b.rid` always holds.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -78,16 +80,6 @@ pub struct JoinConfig {
     /// bit-identical for every setting (candidates are sharded in order
     /// and the final sort's total tie-break fixes the order).
     pub num_threads: usize,
-    /// Reject candidates whose 128-bit gram-sketch Jaccard upper bound is
-    /// below ξ before running the exact merge-intersection (gram-verified
-    /// pairs only). The bound is sound, so the output is bit-identical
-    /// with the flag on or off; off is the reference path for A/B
-    /// benchmarks.
-    pub sketch_prefilter: bool,
-    /// Use the dense epoch-array collision accumulator for candidate
-    /// generation (identical output; off falls back to the hash-map
-    /// reference path for A/B benchmarks).
-    pub dense_candidates: bool,
 }
 
 impl JoinConfig {
@@ -100,8 +92,6 @@ impl JoinConfig {
             prefix_filter: true,
             all_pairs: false,
             num_threads: 0,
-            sketch_prefilter: true,
-            dense_candidates: true,
         }
     }
 
@@ -122,20 +112,62 @@ impl JoinConfig {
         self.num_threads = num_threads;
         self
     }
+}
 
-    /// Disables the gram-sketch verification prefilter (reference path;
-    /// output is identical either way).
-    pub fn without_sketch_prefilter(mut self) -> Self {
-        self.sketch_prefilter = false;
-        self
-    }
+/// One value as the verifier sees it: the value, whether it is numeric,
+/// and its folded gram signature with the signature's 128-bit sketch
+/// (both empty where no gram scoring can happen).
+#[derive(Clone, Copy)]
+pub(crate) struct Side<'a> {
+    pub(crate) value: &'a Value,
+    pub(crate) is_num: bool,
+    pub(crate) sig: &'a [u64],
+    pub(crate) sketch: GramSketch,
+}
 
-    /// Uses the hash-map reference accumulator for candidate generation
-    /// (output is identical either way).
-    pub fn with_reference_candidates(mut self) -> Self {
-        self.dense_candidates = false;
-        self
-    }
+/// Views `values[i]` with signature `sigs[i]`, for every `i`.
+fn sides<'a>(values: impl Iterator<Item = &'a Value>, sigs: &'a [Vec<u64>]) -> Vec<Side<'a>> {
+    values
+        .zip(sigs)
+        .map(|(value, sig)| Side {
+            value,
+            is_num: value.as_number().is_some(),
+            sig,
+            sketch: GramSketch::of(sig),
+        })
+        .collect()
+}
+
+/// The join's one scoring decision, shared by the all-pairs, the blocked
+/// and the incremental verifier: `Some(sim)` iff `sim(a, b) ≥ ξ`.
+///
+/// Two numbers, or any pair under a metric whose string leg is not q-gram
+/// Jaccard at the join's `q` (`fast_grams` off), ask the black-box metric.
+/// Every other pair is scored from the stored signatures — the same value
+/// by the [`ValueSimilarity::qgram_compatible`] contract, without
+/// re-tokenizing — after the sketch's upper bound on that Jaccard: the
+/// bound is sound, so a reject can never drop a pair the exact
+/// intersection would keep.
+#[inline]
+pub(crate) fn score(
+    metric: &dyn ValueSimilarity,
+    fast_grams: bool,
+    xi: f64,
+    a: Side<'_>,
+    b: Side<'_>,
+) -> Option<f64> {
+    let s = if fast_grams && !(a.is_num && b.is_num) {
+        if a.sketch
+            .jaccard_upper_bound(a.sig.len(), b.sketch, b.sig.len())
+            < xi
+        {
+            return None;
+        }
+        jaccard_of_sets(a.sig, b.sig)
+    } else {
+        metric.sim(a.value, b.value)
+    };
+    (s >= xi).then_some(s)
 }
 
 /// The similarity self-join operator.
@@ -196,14 +228,11 @@ impl<'m> SimilarityJoin<'m> {
     /// entirely, which is where the all-pairs join spends most of its
     /// time at scale.
     ///
-    /// Scoring replicates the all-pairs verification exactly — numeric
-    /// pairs go through the metric, gram-compatible string pairs through
-    /// the shared gram signatures (with the sound sketch prefilter), and
-    /// everything else through the black-box metric — so every emitted
-    /// pair carries the same similarity the all-pairs join would have
-    /// produced for it.
+    /// Scoring is the all-pairs verification's ([`score`]), so every
+    /// emitted pair carries the same similarity the all-pairs join would
+    /// have produced for it.
     fn join_blocked(&self, ds: &Dataset, allowed: &RecordPairSet) -> Vec<ValuePair> {
-        let t0 = std::time::Instant::now();
+        let t0 = Instant::now();
         // 1. Intern distinct values; remember each record's labeled slots.
         let mut index_of: FxHashMap<&Value, u32> = FxHashMap::default();
         let mut distinct: Vec<&Value> = Vec::new();
@@ -223,60 +252,38 @@ impl<'m> SimilarityJoin<'m> {
             }
         }
 
-        // 2. Shared signatures, exactly as the all-pairs verifier uses.
+        // 2. Signatures, exactly as the all-pairs verifier uses.
         let fast_grams = self.metric.qgram_compatible() == Some(self.config.q);
-        let sketch_prefilter = fast_grams && self.config.sketch_prefilter;
-        let (sigs, sketches): (Vec<Vec<u64>>, Vec<hera_sim::text::GramSketch>) = if fast_grams {
-            let sigs: Vec<Vec<u64>> = distinct
+        let sigs: Vec<Vec<u64>> = if fast_grams {
+            distinct
                 .iter()
-                .map(|v| hera_sim::text::folded_qgram_set(&v.to_text(), self.config.q))
-                .collect();
-            let sketches = sigs
-                .iter()
-                .map(|s| hera_sim::text::GramSketch::of(s))
-                .collect();
-            (sigs, sketches)
+                .map(|v| folded_qgram_set(&v.to_text(), self.config.q))
+                .collect()
         } else {
-            (Vec::new(), Vec::new())
+            vec![Vec::new(); distinct.len()]
         };
-        let numeric: Vec<bool> = distinct.iter().map(|v| v.as_number().is_some()).collect();
+        let sides = sides(distinct.iter().copied(), &sigs);
 
         // 3. Verify the field cross-product of every allowed record pair.
         // Each (label, label) pair is visited at most once, so no dedup is
         // needed; the final sort fixes the global order.
-        let verify_chunk = |chunk: &[(u32, u32)],
-                            out: &mut Vec<ValuePair>,
-                            comparisons: &mut u64| {
-            for &(ra, rb) in chunk {
-                if ra as usize >= slots.len() || rb as usize >= slots.len() {
-                    continue; // foreign rid in the pair set: nothing to compare
-                }
-                for &(fa, ia) in &slots[ra as usize] {
-                    for &(fb, ib) in &slots[rb as usize] {
-                        *comparisons += 1;
-                        let (va, vb) = (distinct[ia as usize], distinct[ib as usize]);
-                        let s = if fast_grams && !(numeric[ia as usize] && numeric[ib as usize]) {
-                            let (sa, sb) = (&sigs[ia as usize], &sigs[ib as usize]);
-                            if sketch_prefilter
-                                && sketches[ia as usize].jaccard_upper_bound(
-                                    sa.len(),
-                                    sketches[ib as usize],
-                                    sb.len(),
-                                ) < self.config.xi
-                            {
-                                continue;
+        let verify_chunk =
+            |chunk: &[(u32, u32)], out: &mut Vec<ValuePair>, comparisons: &mut u64| {
+                for &(ra, rb) in chunk {
+                    if ra as usize >= slots.len() || rb as usize >= slots.len() {
+                        continue; // foreign rid in the pair set: nothing to compare
+                    }
+                    for &(fa, ia) in &slots[ra as usize] {
+                        for &(fb, ib) in &slots[rb as usize] {
+                            *comparisons += 1;
+                            let (a, b) = (sides[ia as usize], sides[ib as usize]);
+                            if let Some(s) = score(self.metric, fast_grams, self.config.xi, a, b) {
+                                push_pair(out, Label::new(ra, fa, 0), Label::new(rb, fb, 0), s);
                             }
-                            hera_sim::text::jaccard_of_sets(sa, sb)
-                        } else {
-                            self.metric.sim(va, vb)
-                        };
-                        if s >= self.config.xi {
-                            push_pair(out, Label::new(ra, fa, 0), Label::new(rb, fb, 0), s);
                         }
                     }
                 }
-            }
-        };
+            };
         let mut out: Vec<ValuePair> = Vec::new();
         let mut comparisons = 0u64;
         let threads = effective_threads(self.config.num_threads);
@@ -308,28 +315,33 @@ impl<'m> SimilarityJoin<'m> {
             verify_chunk(pairs, &mut out, &mut comparisons);
         }
 
-        // Same deterministic order as the all-pairs join.
-        out.sort_unstable_by(|x, y| {
-            (x.a.rid, x.b.rid)
-                .cmp(&(y.a.rid, y.b.rid))
-                .then_with(|| {
-                    y.sim
-                        .partial_cmp(&x.sim)
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                })
-                .then_with(|| (x.a, x.b).cmp(&(y.a, y.b)))
-        });
-        // Same span name and counter set as the all-pairs path, so the
-        // funnel reads uniformly: `candidates` is the number of value
-        // comparisons attempted (all totals are order-independent, hence
-        // part of the deterministic core journal).
+        // `candidates` is the number of value comparisons attempted, so
+        // the funnel reads uniformly with the all-pairs path.
+        self.finish(out, total_values, distinct.len(), comparisons as usize, t0)
+    }
+
+    /// Puts a join's output into its deterministic order — `(rid1, rid2,
+    /// sim desc, labels)`, a total order, so the result is independent of
+    /// how verification was sharded — and journals the `join` span. The
+    /// funnel counters are all order-independent totals, so the span is
+    /// part of the deterministic core journal; wall-clock is a separate
+    /// diagnostic line.
+    fn finish(
+        &self,
+        mut out: Vec<ValuePair>,
+        values: usize,
+        distinct: usize,
+        candidates: usize,
+        t0: Instant,
+    ) -> Vec<ValuePair> {
+        out.sort_unstable_by(output_order);
         self.recorder.span(
             "join",
             None,
             &[
-                ("values", total_values as i64),
-                ("distinct", distinct.len() as i64),
-                ("candidates", comparisons as i64),
+                ("values", values as i64),
+                ("distinct", distinct as i64),
+                ("candidates", candidates as i64),
                 ("pairs", out.len() as i64),
             ],
         );
@@ -339,7 +351,7 @@ impl<'m> SimilarityJoin<'m> {
 
     /// Joins an explicit labeled value collection.
     pub fn join(&self, values: &[(Label, Value)]) -> Vec<ValuePair> {
-        let t0 = std::time::Instant::now();
+        let t0 = Instant::now();
         // 1. Group labels by distinct value.
         let mut groups: FxHashMap<&Value, Vec<Label>> = FxHashMap::default();
         for (label, v) in values {
@@ -367,33 +379,19 @@ impl<'m> SimilarityJoin<'m> {
 
         // 3. Candidate pairs *across* distinct values. Gram signatures are
         // computed once and reused for candidate generation *and* (when
-        // the metric declares gram compatibility) verification.
-        let mut sigs: Vec<Vec<u64>> = Vec::new();
-        let mut sketches: Vec<hera_sim::text::GramSketch> = Vec::new();
-        let candidates = if self.config.all_pairs {
-            let n = distinct.len();
-            let mut c = Vec::with_capacity(n * n / 2);
-            for i in 0..n {
-                for j in i + 1..n {
-                    c.push((i, j));
-                }
-            }
-            c
+        // the metric declares gram compatibility) verification; the
+        // exhaustive oracle uses none.
+        let all_pairs = self.config.all_pairs;
+        let n = distinct.len();
+        let (sigs, candidates): (Vec<Vec<u64>>, Vec<(usize, usize)>) = if all_pairs {
+            let every_pair = (0..n).flat_map(|i| (i + 1..n).map(move |j| (i, j)));
+            (vec![Vec::new(); n], every_pair.collect())
         } else {
-            sigs = distinct
+            let sigs: Vec<Vec<u64>> = distinct
                 .iter()
-                .map(|(v, _)| hera_sim::text::folded_qgram_set(&v.to_text(), self.config.q))
+                .map(|(v, _)| folded_qgram_set(&v.to_text(), self.config.q))
                 .collect();
-            sketches = sigs
-                .iter()
-                .map(|s| hera_sim::text::GramSketch::of(s))
-                .collect();
-            let gram_cands = if self.config.dense_candidates {
-                inverted::gram_candidates
-            } else {
-                inverted::gram_candidates_ref
-            };
-            let mut c = gram_cands(&sigs, self.config.xi, self.config.prefix_filter);
+            let mut c = gram_candidates(&sigs, self.config.xi, self.config.prefix_filter);
             c.extend(numeric::numeric_candidates(
                 &distinct,
                 self.metric,
@@ -401,14 +399,10 @@ impl<'m> SimilarityJoin<'m> {
             ));
             c.sort_unstable();
             c.dedup();
-            c
+            (sigs, c)
         };
-
-        // Signature-based fast verification applies to non-numeric pairs
-        // when the metric's string leg is q-gram Jaccard at our q.
-        let fast_grams =
-            !self.config.all_pairs && self.metric.qgram_compatible() == Some(self.config.q);
-        let sketch_prefilter = fast_grams && self.config.sketch_prefilter;
+        let fast_grams = !all_pairs && self.metric.qgram_compatible() == Some(self.config.q);
+        let sides = sides(distinct.iter().map(|(v, _)| *v), &sigs);
 
         // 4. Verify with the black box and expand to label pairs. Large
         // candidate sets fan out across threads (verification is pure:
@@ -417,28 +411,10 @@ impl<'m> SimilarityJoin<'m> {
         // order independent of the split).
         let verify_chunk = |chunk: &[(usize, usize)], out: &mut Vec<ValuePair>| {
             for &(i, j) in chunk {
-                let (va, la) = (&distinct[i].0, &distinct[i].1);
-                let (vb, lb) = (&distinct[j].0, &distinct[j].1);
-                let both_numeric = va.as_number().is_some() && vb.as_number().is_some();
-                let s = if fast_grams && !both_numeric {
-                    // Sound sketch upper bound: a reject here can never
-                    // drop a pair the exact intersection would keep.
-                    if sketch_prefilter
-                        && sketches[i].jaccard_upper_bound(
-                            sigs[i].len(),
-                            sketches[j],
-                            sigs[j].len(),
-                        ) < self.config.xi
-                    {
-                        continue;
-                    }
-                    hera_sim::text::jaccard_of_sets(&sigs[i], &sigs[j])
-                } else {
-                    self.metric.sim(va, vb)
-                };
-                if s >= self.config.xi {
-                    for &a in la.iter() {
-                        for &b in lb.iter() {
+                if let Some(s) = score(self.metric, fast_grams, self.config.xi, sides[i], sides[j])
+                {
+                    for &a in &distinct[i].1 {
+                        for &b in &distinct[j].1 {
                             push_pair(out, a, b, s);
                         }
                     }
@@ -473,33 +449,20 @@ impl<'m> SimilarityJoin<'m> {
             verify_chunk(&candidates, &mut out);
         }
 
-        // Deterministic output order: (rid1, rid2, sim desc, labels).
-        out.sort_unstable_by(|x, y| {
-            (x.a.rid, x.b.rid)
-                .cmp(&(y.a.rid, y.b.rid))
-                .then_with(|| {
-                    y.sim
-                        .partial_cmp(&x.sim)
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                })
-                .then_with(|| (x.a, x.b).cmp(&(y.a, y.b)))
-        });
-        // The funnel counters are all order-independent totals, so this
-        // span is part of the deterministic core journal; wall-clock is a
-        // separate diagnostic line.
-        self.recorder.span(
-            "join",
-            None,
-            &[
-                ("values", values.len() as i64),
-                ("distinct", distinct.len() as i64),
-                ("candidates", candidates.len() as i64),
-                ("pairs", out.len() as i64),
-            ],
-        );
-        self.recorder.timing("join", None, t0.elapsed());
-        out
+        self.finish(out, values.len(), distinct.len(), candidates.len(), t0)
     }
+}
+
+/// The join's output order: `(rid1, rid2, sim desc, labels)`.
+pub(crate) fn output_order(x: &ValuePair, y: &ValuePair) -> std::cmp::Ordering {
+    (x.a.rid, x.b.rid)
+        .cmp(&(y.a.rid, y.b.rid))
+        .then_with(|| {
+            y.sim
+                .partial_cmp(&x.sim)
+                .unwrap_or(std::cmp::Ordering::Equal)
+        })
+        .then_with(|| (x.a, x.b).cmp(&(y.a, y.b)))
 }
 
 /// Below this many candidates the sequential path wins (thread spawn and
@@ -649,28 +612,27 @@ mod tests {
         assert!(join.join(&vals).is_empty());
     }
 
+    /// The sketch bound only ever rejects pairs the exact score would
+    /// reject too: the default join (signature path, bound on) must equal
+    /// the exhaustive one, which asks the metric about every pair and
+    /// never looks at a signature — through the all-pairs and the blocked
+    /// verifier alike. (The dense candidate accumulator has its own
+    /// oracle in `inverted.rs`.)
     #[test]
-    fn optimization_flags_do_not_change_output() {
+    fn sketch_bound_does_not_change_output() {
         let metric = TypeDispatch::paper_default();
         let ds = motivating_example();
+        let n = ds.len() as u32;
+        let every_pair: Vec<(u32, u32)> = (0..n)
+            .flat_map(|a| (a + 1..n).map(move |b| (a, b)))
+            .collect();
+        let blocked = CandidateSource::Blocked(RecordPairSet::from_pairs(every_pair));
         for xi in [0.3, 0.5, 0.7, 0.9] {
-            let default = SimilarityJoin::new(JoinConfig::new(xi), &metric).join_dataset(&ds);
-            let no_sketch =
-                SimilarityJoin::new(JoinConfig::new(xi).without_sketch_prefilter(), &metric)
-                    .join_dataset(&ds);
-            let ref_cands =
-                SimilarityJoin::new(JoinConfig::new(xi).with_reference_candidates(), &metric)
-                    .join_dataset(&ds);
-            let both_off = SimilarityJoin::new(
-                JoinConfig::new(xi)
-                    .without_sketch_prefilter()
-                    .with_reference_candidates(),
-                &metric,
-            )
-            .join_dataset(&ds);
-            assert_eq!(default, no_sketch, "xi={xi}");
-            assert_eq!(default, ref_cands, "xi={xi}");
-            assert_eq!(default, both_off, "xi={xi}");
+            let join = SimilarityJoin::new(JoinConfig::new(xi), &metric);
+            let oracle =
+                SimilarityJoin::new(JoinConfig::new(xi).exhaustive(), &metric).join_dataset(&ds);
+            assert_eq!(join.join_dataset(&ds), oracle, "xi={xi}");
+            assert_eq!(join.join_dataset_with(&ds, &blocked), oracle, "xi={xi}");
         }
     }
 

@@ -1,10 +1,7 @@
 //! API-contract coverage for the batch driver's pair-injection entry
 //! point: `run_with_pairs` must reject every malformed pair shape with
 //! the documented typed error — never a panic and never a silently
-//! wrong result. (The `#[deprecated]` pre-builder constructor shims
-//! this file used to pin were removed once the builder migration
-//! finished; `Hera::builder` / `HeraSession::builder` are the only
-//! construction paths now.)
+//! wrong result.
 
 use hera::{motivating_example, Hera, HeraConfig, HeraError, Label};
 
