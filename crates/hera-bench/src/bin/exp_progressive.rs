@@ -33,7 +33,7 @@ use hera_datagen::{scale_preset, ScaleGenerator};
 use hera_eval::PairMetrics;
 use hera_obs::Recorder;
 use hera_types::json::Json;
-use hera_types::{Dataset, SchemaId};
+use hera_types::Dataset;
 use std::time::Instant;
 
 /// Merge and join thresholds run looser than the scale sweep's (δ = 0.4
@@ -165,16 +165,7 @@ fn ingest_base(ds: &Dataset, rec: Recorder, xi: f64) -> HeraSession {
     let mut session = HeraSession::builder(HeraConfig::new(DELTA, xi))
         .recorder(rec)
         .build();
-    let schemas: Vec<SchemaId> = ds
-        .registry
-        .schemas()
-        .map(|s| {
-            session.add_schema(
-                s.name.clone(),
-                s.attrs.iter().map(|a| a.name.clone()).collect::<Vec<_>>(),
-            )
-        })
-        .collect();
+    let schemas = session.mirror_schemas(&ds.registry);
     let t0 = Instant::now();
     for (i, r) in ds.records.iter().enumerate() {
         session

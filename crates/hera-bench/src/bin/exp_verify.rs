@@ -211,8 +211,7 @@ fn main() {
     );
 
     // ---- Part 2: end-to-end pipeline, cache on/off × 1/N threads.
-    let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let n_threads = host_cpus.clamp(2, 8);
+    let n_threads = hera_bench::host_cpus().clamp(2, 8);
     println!("\n# End-to-end pipeline (δ = 0.45, ξ = {xi})\n");
     header(&[
         "threads",

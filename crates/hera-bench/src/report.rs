@@ -134,7 +134,7 @@ impl BenchReport {
 /// The host's available parallelism (recorded in every envelope so a
 /// reader can judge the thread-scaling numbers).
 pub fn host_cpus() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
+    hera_types::parallel::effective_threads(0)
 }
 
 #[cfg(test)]

@@ -35,6 +35,7 @@ pub use meta::MetaBlocking;
 pub use streaming::{route_shard, StreamingBlocker};
 
 use hera_join::RecordPairSet;
+use hera_types::parallel::par_map;
 use hera_types::Dataset;
 use rustc_hash::FxHashMap;
 
@@ -205,8 +206,8 @@ pub struct BlockingOutcome {
 /// index) consumes.
 ///
 /// Output is deterministic and independent of the worker-thread count:
-/// key extraction is pure per record and merged in record order, and
-/// the meta-blocking pass sorts its pair multiset before counting.
+/// key extraction is an ordered map over the records, and the
+/// meta-blocking pass sorts its pair multiset before counting.
 pub struct Blocker {
     scheme: BlockingScheme,
     recorder: hera_obs::Recorder,
@@ -293,46 +294,12 @@ impl Blocker {
         }
     }
 
-    /// Blocking keys of every record, in record order. Extraction is a
-    /// pure function of the record, so it shards freely across threads;
-    /// the shards are reassembled in record order, making the result
-    /// identical at every thread count.
+    /// Blocking keys of every record, in record order — the extraction
+    /// the streaming blocker and the shard router use, fanned out over
+    /// [`hera_types::parallel`].
     fn record_keys(&self, ds: &Dataset) -> Vec<Vec<u64>> {
-        let extract = |rec: &hera_types::Record| -> Vec<u64> {
-            match &self.scheme {
-                BlockingScheme::None => unreachable!("rejected in Blocker::new"),
-                BlockingScheme::Token(p) => {
-                    tokenize::word_value_tokens(&rec.values, p.include_full_value)
-                }
-                BlockingScheme::QGram(p) => tokenize::qgram_tokens(&rec.values, p.q),
-                BlockingScheme::MinHashLsh(p) => minhash::band_tokens(
-                    &tokenize::word_value_tokens(&rec.values, true),
-                    p.bands,
-                    p.rows,
-                    p.seed,
-                ),
-            }
-        };
-        let threads = if self.num_threads == 0 {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        } else {
-            self.num_threads
-        };
-        let records = &ds.records;
-        if threads <= 1 || records.len() < 2048 {
-            return records.iter().map(extract).collect();
-        }
-        let chunk_size = records.len().div_ceil(threads);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = records
-                .chunks(chunk_size)
-                .map(|chunk| scope.spawn(move || chunk.iter().map(extract).collect::<Vec<_>>()))
-                .collect();
-            let mut out = Vec::with_capacity(records.len());
-            for h in handles {
-                out.extend(h.join().expect("blocking key extraction thread panicked"));
-            }
-            out
+        par_map(self.num_threads, &ds.records, |rec| {
+            streaming::keys_for(&self.scheme, &rec.values)
         })
     }
 }
@@ -373,7 +340,9 @@ mod tests {
 
     #[test]
     fn deterministic_across_thread_counts() {
-        let ds = motivating_example();
+        // Enough records that key extraction fans out (the motivating
+        // example's six would run inline at every thread count).
+        let ds = hera_datagen::ScaleGenerator::new(hera_datagen::scale_preset(300, 7)).generate();
         for scheme in [
             BlockingScheme::token(),
             BlockingScheme::qgram(),

@@ -353,20 +353,6 @@ fn build_recorder(args: &Args) -> Result<hera_obs::Recorder, String> {
     Ok(recorder)
 }
 
-/// Registers every schema of `ds` in the (empty) session, in dataset
-/// order, so that `ds` schema index `i` maps to session schema id `i`.
-fn mirror_schemas(session: &mut HeraSession, ds: &Dataset) -> Vec<SchemaId> {
-    ds.registry
-        .schemas()
-        .map(|s| {
-            session.add_schema(
-                s.name.clone(),
-                s.attrs.iter().map(|a| a.name.clone()).collect::<Vec<_>>(),
-            )
-        })
-        .collect()
-}
-
 /// Ingests records `[from, to)` of `ds` one by one, resolving after
 /// each insert; with `checkpoint_every = Some(n)` also snapshots the
 /// session to `checkpoint_path` after every `n`-th ingested record.
@@ -479,7 +465,7 @@ fn resolve_streaming(args: &Args, ds: &Dataset) -> Result<(), String> {
         .recorder(recorder.clone())
         .faults(injector)
         .build();
-    let schemas = mirror_schemas(&mut session, ds);
+    let schemas = session.mirror_schemas(&ds.registry);
     ingest_range(&mut session, ds, &schemas, 0, ds.len(), every, snap_path)?;
     if let Some(path) = snap_path {
         session
@@ -511,7 +497,7 @@ fn checkpoint(args: &Args) -> Result<(), String> {
     let mut session = HeraSession::builder(build_config(args)?)
         .recorder(recorder.clone())
         .build();
-    let schemas = mirror_schemas(&mut session, &ds);
+    let schemas = session.mirror_schemas(&ds.registry);
     ingest_range(&mut session, &ds, &schemas, 0, upto, None, None)?;
     session
         .checkpoint(out)
@@ -601,7 +587,7 @@ fn resolve_budgeted(args: &Args, ds: &Dataset, budget: ResolveBudget) -> Result<
         .recorder(recorder.clone())
         .faults(injector)
         .build();
-    let schemas = mirror_schemas(&mut session, ds);
+    let schemas = session.mirror_schemas(&ds.registry);
     for (i, rec) in ds.records.iter().enumerate() {
         session
             .add_record(schemas[rec.schema.index()], rec.values.clone())
@@ -1003,7 +989,11 @@ fn client(args: &Args) -> Result<(), String> {
         if line.trim().is_empty() {
             continue;
         }
-        writeln!(writer, "{line}").map_err(|e| e.to_string())?;
+        // One write per line, like the typed client: a separate newline
+        // write stalls the socket (Nagle's algorithm, delayed ACK).
+        writer
+            .write_all(format!("{line}\n").as_bytes())
+            .map_err(|e| e.to_string())?;
         writer.flush().map_err(|e| e.to_string())?;
         let mut reply = String::new();
         if responses.read_line(&mut reply).map_err(|e| e.to_string())? == 0 {

@@ -26,7 +26,7 @@
 use crate::config::HeraConfig;
 use crate::session::{HeraSession, ResolveBudget};
 use hera_faults::{BackoffPolicy, FaultInjector, FaultPlan, FiredFault, ManualClock};
-use hera_types::{Dataset, HeraError, SchemaId};
+use hera_types::{Dataset, HeraError};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -115,21 +115,6 @@ impl ChaosReport {
     }
 }
 
-/// Mirrors the dataset's schemas into the session, returning session-side
-/// ids in dataset order (identical across rebuilds and restores, because
-/// registration order is identical).
-fn mirror_schemas(session: &mut HeraSession, ds: &Dataset) -> Vec<SchemaId> {
-    ds.registry
-        .schemas()
-        .map(|s| {
-            session.add_schema(
-                s.name.clone(),
-                s.attrs.iter().map(|a| a.name.clone()).collect::<Vec<_>>(),
-            )
-        })
-        .collect()
-}
-
 fn build_session(
     cfg: &ChaosConfig,
     injector: &FaultInjector,
@@ -167,7 +152,7 @@ pub fn run_chaos(
     let n = cfg.n_records(ds);
 
     let mut session = build_session(cfg, &injector, &recorder);
-    let mut schemas = mirror_schemas(&mut session, ds);
+    let mut schemas = session.mirror_schemas(&ds.registry);
     let mut checkpoint_failures = 0usize;
     let mut restores = 0usize;
     let mut last_good: Option<usize> = None;
@@ -211,7 +196,7 @@ pub fn run_chaos(
                     // Nothing durable yet: a restarted process replays the
                     // stream from the beginning.
                     session = build_session(cfg, &injector, &recorder);
-                    schemas = mirror_schemas(&mut session, ds);
+                    schemas = session.mirror_schemas(&ds.registry);
                     i = 0;
                 }
             }

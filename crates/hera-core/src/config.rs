@@ -34,16 +34,15 @@ pub struct HeraConfig {
     /// Run Kuhn–Munkres after graph simplification (true, the paper) or
     /// fall back to greedy matching (the A2 ablation's cheap arm).
     pub use_kuhn_munkres: bool,
-    /// Use the q-gram prefix filter inside the similarity join.
-    pub prefix_filter: bool,
     /// Run full index-invariant checks after every iteration (normalized
     /// keys, similarity-descending groups, partner symmetry, counts).
     /// Costs a full index scan per iteration — for tests and debugging.
     /// A broken invariant ends a batch run with `HeraError::Corrupt`
     /// and panics a streaming session's `resolve` with the same message.
     pub validate_index: bool,
-    /// Worker threads for the parallel stages (join verification and
-    /// candidate verification). `0` auto-detects the available cores.
+    /// Worker threads for the parallel stages (blocking-key extraction,
+    /// join verification and candidate verification). `0` auto-detects
+    /// the available cores.
     /// Results are bit-identical for every setting — see
     /// [`crate::parallel`].
     pub num_threads: usize,
@@ -78,7 +77,6 @@ impl HeraConfig {
             vote_min_n: 3,
             max_iterations: 4096,
             use_kuhn_munkres: true,
-            prefix_filter: true,
             validate_index: false,
             num_threads: 0,
             sim_cache: true,

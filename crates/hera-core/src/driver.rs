@@ -123,7 +123,6 @@ impl Hera {
     /// [`Hera::run_with_pairs`] calls — δ-sweeps reuse one join.
     pub fn join(&self, ds: &Dataset) -> Vec<hera_join::ValuePair> {
         let mut join_cfg = JoinConfig::new(self.config.xi);
-        join_cfg.prefix_filter = self.config.prefix_filter;
         join_cfg.num_threads = self.config.num_threads;
         let join = SimilarityJoin::new(join_cfg, self.metric.as_ref())
             .with_recorder(self.recorder.clone());

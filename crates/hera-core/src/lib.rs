@@ -14,9 +14,9 @@
 //! * [`Hera`] — the iterative compare-and-merge driver (Algorithm 2) with
 //!   candidate generation, direct decisions, verification, merging, and
 //!   index maintenance;
-//! * [`parallel`] — the scoped worker pool behind the parallel join and
-//!   verification stages (deterministic: results are bit-identical for
-//!   every thread count);
+//! * [`parallel`] — the scoped worker pool behind every parallel stage
+//!   (re-exported from `hera-types`; deterministic: results are
+//!   bit-identical for every thread count);
 //! * [`SimCache`] — merge-aware memoization of `metric.sim` on the
 //!   verification hot path, invalidated/re-homed through the same label
 //!   remap the index uses, populated deterministically in the sequential
@@ -42,7 +42,6 @@ pub mod chaos;
 mod config;
 mod driver;
 mod engine;
-pub mod parallel;
 mod session;
 mod simcache;
 mod stats;
@@ -65,3 +64,4 @@ pub use voter::{vote_error_bound, DecidedMatching, SchemaVoter};
 pub use hera_block::{Blocker, BlockingScheme};
 pub use hera_index::BoundMode;
 pub use hera_obs::{JournalBuffer, Recorder};
+pub use hera_types::parallel;

@@ -574,6 +574,17 @@ impl HeraSession {
         self.registry.add_schema(name, attrs)
     }
 
+    /// Registers every schema of `registry`, in its order, and returns
+    /// the id map: position `i` holds the session-side id of the
+    /// registry's schema `i`. Ids depend on registration order only, so a
+    /// rebuilt or restored session mirrors the same registry identically.
+    pub fn mirror_schemas(&mut self, registry: &SchemaRegistry) -> Vec<SchemaId> {
+        registry
+            .schemas()
+            .map(|s| self.add_schema(s.name.as_str(), s.attrs.iter().map(|a| a.name.as_str())))
+            .collect()
+    }
+
     /// Ingests one record under a registered schema: its values join
     /// against every live value and the index grows accordingly. Returns
     /// the record id. Call [`HeraSession::resolve`] to fold new evidence
@@ -1197,17 +1208,7 @@ mod tests {
     fn streaming_motivating_example() {
         let ds = motivating_example();
         let mut session = HeraSession::builder(HeraConfig::paper_example()).build();
-        // Mirror the dataset's schemas.
-        let schemas: Vec<SchemaId> = ds
-            .registry
-            .schemas()
-            .map(|s| {
-                session.add_schema(
-                    s.name.clone(),
-                    s.attrs.iter().map(|a| a.name.clone()).collect::<Vec<_>>(),
-                )
-            })
-            .collect();
+        let schemas = session.mirror_schemas(&ds.registry);
         for rec in ds.iter() {
             session
                 .add_record(schemas[rec.schema.index()], rec.values.clone())
@@ -1237,16 +1238,7 @@ mod tests {
             .unwrap();
 
         let mut session = HeraSession::builder(HeraConfig::paper_example()).build();
-        let schemas: Vec<SchemaId> = ds
-            .registry
-            .schemas()
-            .map(|s| {
-                session.add_schema(
-                    s.name.clone(),
-                    s.attrs.iter().map(|a| a.name.clone()).collect::<Vec<_>>(),
-                )
-            })
-            .collect();
+        let schemas = session.mirror_schemas(&ds.registry);
         for rec in ds.iter() {
             session
                 .add_record(schemas[rec.schema.index()], rec.values.clone())
@@ -1286,16 +1278,7 @@ mod tests {
     fn resolve_is_idempotent_without_new_evidence() {
         let ds = motivating_example();
         let mut session = HeraSession::builder(HeraConfig::paper_example()).build();
-        let schemas: Vec<SchemaId> = ds
-            .registry
-            .schemas()
-            .map(|s| {
-                session.add_schema(
-                    s.name.clone(),
-                    s.attrs.iter().map(|a| a.name.clone()).collect::<Vec<_>>(),
-                )
-            })
-            .collect();
+        let schemas = session.mirror_schemas(&ds.registry);
         for rec in ds.iter() {
             session
                 .add_record(schemas[rec.schema.index()], rec.values.clone())
@@ -1327,16 +1310,7 @@ mod tests {
     fn session_index_stays_consistent() {
         let ds = motivating_example();
         let mut session = HeraSession::builder(HeraConfig::paper_example()).build();
-        let schemas: Vec<SchemaId> = ds
-            .registry
-            .schemas()
-            .map(|s| {
-                session.add_schema(
-                    s.name.clone(),
-                    s.attrs.iter().map(|a| a.name.clone()).collect::<Vec<_>>(),
-                )
-            })
-            .collect();
+        let schemas = session.mirror_schemas(&ds.registry);
         for rec in ds.iter() {
             session
                 .add_record(schemas[rec.schema.index()], rec.values.clone())
@@ -1358,7 +1332,7 @@ mod tests {
         let ds = motivating_example();
         let cfg = HeraConfig::paper_example().with_index_validation();
         let mut session = HeraSession::builder(cfg).build();
-        let schemas = mirror_schemas(&mut session, &ds);
+        let schemas = session.mirror_schemas(&ds.registry);
         for rec in ds.iter() {
             session
                 .add_record(schemas[rec.schema.index()], rec.values.clone())
@@ -1374,16 +1348,7 @@ mod tests {
         let ds = motivating_example();
         let stream = |cfg: HeraConfig| {
             let mut session = HeraSession::builder(cfg).build();
-            let schemas: Vec<SchemaId> = ds
-                .registry
-                .schemas()
-                .map(|s| {
-                    session.add_schema(
-                        s.name.clone(),
-                        s.attrs.iter().map(|a| a.name.clone()).collect::<Vec<_>>(),
-                    )
-                })
-                .collect();
+            let schemas = session.mirror_schemas(&ds.registry);
             for rec in ds.iter() {
                 session
                     .add_record(schemas[rec.schema.index()], rec.values.clone())
@@ -1397,20 +1362,6 @@ mod tests {
         assert_eq!(cached.clusters(), uncached.clusters());
         assert_eq!(cached.merge_count(), uncached.merge_count());
         assert_eq!(uncached.sim_cache_size(), 0);
-    }
-
-    /// Mirrors the dataset's schemas into a session and returns the
-    /// session-side schema ids in dataset order.
-    fn mirror_schemas(session: &mut HeraSession, ds: &hera_types::Dataset) -> Vec<SchemaId> {
-        ds.registry
-            .schemas()
-            .map(|s| {
-                session.add_schema(
-                    s.name.clone(),
-                    s.attrs.iter().map(|a| a.name.clone()).collect::<Vec<_>>(),
-                )
-            })
-            .collect()
     }
 
     /// Stats rendering with the wall-clock fields zeroed — what must be
@@ -1431,7 +1382,7 @@ mod tests {
         let records: Vec<_> = ds.iter().collect();
 
         let mut straight = HeraSession::builder(HeraConfig::paper_example()).build();
-        let schemas = mirror_schemas(&mut straight, &ds);
+        let schemas = straight.mirror_schemas(&ds.registry);
         for rec in &records {
             straight
                 .add_record(schemas[rec.schema.index()], rec.values.clone())
@@ -1440,7 +1391,7 @@ mod tests {
         }
 
         let mut first = HeraSession::builder(HeraConfig::paper_example()).build();
-        let schemas = mirror_schemas(&mut first, &ds);
+        let schemas = first.mirror_schemas(&ds.registry);
         for rec in &records[..3] {
             first
                 .add_record(schemas[rec.schema.index()], rec.values.clone())
@@ -1482,7 +1433,7 @@ mod tests {
         let path =
             std::env::temp_dir().join(format!("hera-session-xi-{}.hera", std::process::id()));
         let mut session = HeraSession::builder(HeraConfig::paper_example()).build();
-        let schemas = mirror_schemas(&mut session, &ds);
+        let schemas = session.mirror_schemas(&ds.registry);
         for rec in ds.iter() {
             session
                 .add_record(schemas[rec.schema.index()], rec.values.clone())
@@ -1518,7 +1469,7 @@ mod tests {
     fn populated_session(builder: HeraSessionBuilder) -> HeraSession {
         let ds = motivating_example();
         let mut session = builder.build();
-        let schemas = mirror_schemas(&mut session, &ds);
+        let schemas = session.mirror_schemas(&ds.registry);
         for rec in ds.iter() {
             session
                 .add_record(schemas[rec.schema.index()], rec.values.clone())

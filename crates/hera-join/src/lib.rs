@@ -28,8 +28,10 @@
 //!
 //! Prefix filtering is **complete** when the verifying string metric is
 //! q-gram Jaccard with the same `q` and folding as the index (HERA's
-//! default). For other metrics, disable it ([`JoinConfig::prefix_filter`])
-//! to fall back to share-a-gram candidate generation, or use
+//! default), and the join applies it only then
+//! ([`ValueSimilarity::qgram_compatible`]). Under any other metric the
+//! candidates are share-a-gram — what [`IncrementalJoin`] probes with, so
+//! batch and streaming ingest find the same pairs; use
 //! [`JoinConfig::all_pairs`] for metric-agnostic exactness.
 
 #![forbid(unsafe_code)]
@@ -46,6 +48,7 @@ pub use source::{CandidateSource, RecordPairSet};
 
 use hera_sim::text::{folded_qgram_set, jaccard_of_sets, GramSketch};
 use hera_sim::ValueSimilarity;
+use hera_types::parallel::par_map_blocks;
 use hera_types::{Dataset, Label, Value};
 use rustc_hash::FxHashMap;
 use std::time::Instant;
@@ -69,16 +72,17 @@ pub struct JoinConfig {
     /// Gram length for the inverted index (match the verifying metric's
     /// `q`; the paper uses 2).
     pub q: usize,
-    /// Apply Jaccard prefix filtering (exact iff verifying with q-gram
-    /// Jaccard at the same `q`; otherwise a recall-lossy speedup).
+    /// Apply Jaccard prefix filtering. It takes effect only where it is
+    /// exact — verifying with q-gram Jaccard at the same `q`; under any
+    /// other metric candidates are share-a-gram regardless.
     pub prefix_filter: bool,
     /// Skip all filtering and verify every distinct-value pair —
     /// metric-agnostic ground truth, quadratic cost.
     pub all_pairs: bool,
-    /// Worker threads for candidate verification: `0` auto-detects from
-    /// the machine, `1` forces the sequential path. The output is
-    /// bit-identical for every setting (candidates are sharded in order
-    /// and the final sort's total tie-break fixes the order).
+    /// Worker threads for candidate verification
+    /// ([`hera_types::parallel`]): `0` auto-detects from the machine, `1`
+    /// forces the sequential path. The output is bit-identical for every
+    /// setting.
     pub num_threads: usize,
 }
 
@@ -266,65 +270,43 @@ impl<'m> SimilarityJoin<'m> {
 
         // 3. Verify the field cross-product of every allowed record pair.
         // Each (label, label) pair is visited at most once, so no dedup is
-        // needed; the final sort fixes the global order.
-        let verify_chunk =
-            |chunk: &[(u32, u32)], out: &mut Vec<ValuePair>, comparisons: &mut u64| {
-                for &(ra, rb) in chunk {
-                    if ra as usize >= slots.len() || rb as usize >= slots.len() {
-                        continue; // foreign rid in the pair set: nothing to compare
-                    }
-                    for &(fa, ia) in &slots[ra as usize] {
-                        for &(fb, ib) in &slots[rb as usize] {
-                            *comparisons += 1;
+        // needed. A foreign rid in the pair set has nothing to compare.
+        let slots_of = |rid: u32| slots.get(rid as usize).map_or(&[][..], Vec::as_slice);
+        let pairs = allowed.as_slice();
+        let out = par_map_blocks(
+            self.config.num_threads,
+            pairs,
+            || (),
+            |(), block| {
+                let mut out = Vec::new();
+                for &(ra, rb) in block {
+                    for &(fa, ia) in slots_of(ra) {
+                        for &(fb, ib) in slots_of(rb) {
                             let (a, b) = (sides[ia as usize], sides[ib as usize]);
                             if let Some(s) = score(self.metric, fast_grams, self.config.xi, a, b) {
-                                push_pair(out, Label::new(ra, fa, 0), Label::new(rb, fb, 0), s);
+                                let (la, lb) = (Label::new(ra, fa, 0), Label::new(rb, fb, 0));
+                                push_pair(&mut out, la, lb, s);
                             }
                         }
                     }
                 }
-            };
-        let mut out: Vec<ValuePair> = Vec::new();
-        let mut comparisons = 0u64;
-        let threads = effective_threads(self.config.num_threads);
-        let pairs = allowed.as_slice();
-        if pairs.len() >= MIN_PARALLEL_CANDIDATES && threads > 1 {
-            let chunk_size = pairs.len().div_ceil(threads);
-            let results: Vec<(Vec<ValuePair>, u64)> = std::thread::scope(|scope| {
-                let handles: Vec<_> = pairs
-                    .chunks(chunk_size)
-                    .map(|chunk| {
-                        scope.spawn(|| {
-                            let mut local = Vec::new();
-                            let mut n = 0u64;
-                            verify_chunk(chunk, &mut local, &mut n);
-                            (local, n)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("blocked join thread panicked"))
-                    .collect()
-            });
-            for (mut part, n) in results {
-                out.append(&mut part);
-                comparisons += n;
-            }
-        } else {
-            verify_chunk(pairs, &mut out, &mut comparisons);
-        }
+                out
+            },
+        );
+        let comparisons: usize = pairs
+            .iter()
+            .map(|&(ra, rb)| slots_of(ra).len() * slots_of(rb).len())
+            .sum();
 
         // `candidates` is the number of value comparisons attempted, so
         // the funnel reads uniformly with the all-pairs path.
-        self.finish(out, total_values, distinct.len(), comparisons as usize, t0)
+        self.finish(out, total_values, distinct.len(), comparisons, t0)
     }
 
-    /// Puts a join's output into its deterministic order — `(rid1, rid2,
-    /// sim desc, labels)`, a total order, so the result is independent of
-    /// how verification was sharded — and journals the `join` span. The
-    /// funnel counters are all order-independent totals, so the span is
-    /// part of the deterministic core journal; wall-clock is a separate
+    /// Puts a join's output into its order — `(rid1, rid2, sim desc,
+    /// labels)`, a total order — and journals the `join` span. The funnel
+    /// counters are all order-independent totals, so the span is part of
+    /// the deterministic core journal; wall-clock is a separate
     /// diagnostic line.
     fn finish(
         &self,
@@ -363,25 +345,12 @@ impl<'m> SimilarityJoin<'m> {
         // Deterministic order.
         distinct.sort_unstable_by(|a, b| a.0.cmp(b.0));
 
-        let mut out: Vec<ValuePair> = Vec::new();
-
-        // 2. Pairs *within* one distinct-value group: sim(v, v).
-        for (v, labels) in &distinct {
-            let s = self.metric.sim(v, v);
-            if s >= self.config.xi {
-                for (i, &la) in labels.iter().enumerate() {
-                    for &lb in &labels[i + 1..] {
-                        push_pair(&mut out, la, lb, s);
-                    }
-                }
-            }
-        }
-
-        // 3. Candidate pairs *across* distinct values. Gram signatures are
+        // 2. Candidate pairs *across* distinct values. Gram signatures are
         // computed once and reused for candidate generation *and* (when
         // the metric declares gram compatibility) verification; the
         // exhaustive oracle uses none.
         let all_pairs = self.config.all_pairs;
+        let fast_grams = !all_pairs && self.metric.qgram_compatible() == Some(self.config.q);
         let n = distinct.len();
         let (sigs, candidates): (Vec<Vec<u64>>, Vec<(usize, usize)>) = if all_pairs {
             let every_pair = (0..n).flat_map(|i| (i + 1..n).map(move |j| (i, j)));
@@ -391,7 +360,9 @@ impl<'m> SimilarityJoin<'m> {
                 .iter()
                 .map(|(v, _)| folded_qgram_set(&v.to_text(), self.config.q))
                 .collect();
-            let mut c = gram_candidates(&sigs, self.config.xi, self.config.prefix_filter);
+            // The prefix filter only where it is exact: `fast_grams`.
+            let prefix_filter = self.config.prefix_filter && fast_grams;
+            let mut c = gram_candidates(&sigs, self.config.xi, prefix_filter);
             c.extend(numeric::numeric_candidates(
                 &distinct,
                 self.metric,
@@ -401,52 +372,40 @@ impl<'m> SimilarityJoin<'m> {
             c.dedup();
             (sigs, c)
         };
-        let fast_grams = !all_pairs && self.metric.qgram_compatible() == Some(self.config.q);
         let sides = sides(distinct.iter().map(|(v, _)| *v), &sigs);
 
-        // 4. Verify with the black box and expand to label pairs. Large
-        // candidate sets fan out across threads (verification is pure:
-        // each candidate reads shared immutable state and emits pairs
-        // into a thread-local buffer; the final global sort makes output
-        // order independent of the split).
-        let verify_chunk = |chunk: &[(usize, usize)], out: &mut Vec<ValuePair>| {
-            for &(i, j) in chunk {
-                if let Some(s) = score(self.metric, fast_grams, self.config.xi, sides[i], sides[j])
-                {
-                    for &a in &distinct[i].1 {
-                        for &b in &distinct[j].1 {
-                            push_pair(out, a, b, s);
+        // 3. Verify with the black box and expand to label pairs.
+        let mut out = par_map_blocks(
+            self.config.num_threads,
+            &candidates,
+            || (),
+            |(), block| {
+                let mut out = Vec::new();
+                for &(i, j) in block {
+                    if let Some(s) =
+                        score(self.metric, fast_grams, self.config.xi, sides[i], sides[j])
+                    {
+                        for &a in &distinct[i].1 {
+                            for &b in &distinct[j].1 {
+                                push_pair(&mut out, a, b, s);
+                            }
                         }
                     }
                 }
+                out
+            },
+        );
+
+        // 4. Pairs *within* one distinct-value group: sim(v, v).
+        for (v, labels) in &distinct {
+            let s = self.metric.sim(v, v);
+            if s >= self.config.xi {
+                for (i, &la) in labels.iter().enumerate() {
+                    for &lb in &labels[i + 1..] {
+                        push_pair(&mut out, la, lb, s);
+                    }
+                }
             }
-        };
-        let threads = effective_threads(self.config.num_threads);
-        if candidates.len() >= MIN_PARALLEL_CANDIDATES && threads > 1 {
-            let chunk_size = candidates.len().div_ceil(threads);
-            let results: Vec<Vec<ValuePair>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = candidates
-                    .chunks(chunk_size)
-                    .map(|chunk| {
-                        scope.spawn(|| {
-                            let mut local = Vec::new();
-                            verify_chunk(chunk, &mut local);
-                            local
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("join verification thread panicked"))
-                    .collect()
-            });
-            // Shards are appended in candidate order; the sort below then
-            // makes the output independent of the shard boundaries.
-            for mut part in results {
-                out.append(&mut part);
-            }
-        } else {
-            verify_chunk(&candidates, &mut out);
         }
 
         self.finish(out, values.len(), distinct.len(), candidates.len(), t0)
@@ -463,19 +422,6 @@ pub(crate) fn output_order(x: &ValuePair, y: &ValuePair) -> std::cmp::Ordering {
                 .unwrap_or(std::cmp::Ordering::Equal)
         })
         .then_with(|| (x.a, x.b).cmp(&(y.a, y.b)))
-}
-
-/// Below this many candidates the sequential path wins (thread spawn and
-/// shard merge overhead dominate sub-millisecond verification work).
-const MIN_PARALLEL_CANDIDATES: usize = 1024;
-
-/// Resolves a requested worker count: `0` auto-detects from the machine.
-fn effective_threads(requested: usize) -> usize {
-    if requested == 0 {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    } else {
-        requested
-    }
 }
 
 /// Normalizes (smaller rid first) and drops intra-record pairs.

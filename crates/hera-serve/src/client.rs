@@ -1,7 +1,7 @@
 //! A thin typed client over the line protocol — what `hera-cli client`
 //! and the tests use; re-exported through the `hera` facade.
 
-use crate::protocol::Request;
+use crate::protocol::{write_line, Request};
 use crate::service::{IngestReply, LookupReply};
 use hera_core::ResolveBudget;
 use hera_types::json::{parse, Json};
@@ -49,8 +49,7 @@ impl<R: BufRead, W: Write> ServeClient<R, W> {
     /// [`HeraError::InvalidConfig`] carrying the server's message.
     pub fn request(&mut self, request: &Request) -> Result<Json> {
         let io_err = |e: std::io::Error| HeraError::Io(e.to_string());
-        writeln!(self.writer, "{}", request.to_json().to_string_compact()).map_err(io_err)?;
-        self.writer.flush().map_err(io_err)?;
+        write_line(&mut self.writer, &request.to_json()).map_err(io_err)?;
         let mut line = String::new();
         if self.reader.read_line(&mut line).map_err(io_err)? == 0 {
             return Err(HeraError::Io("server closed the connection".into()));

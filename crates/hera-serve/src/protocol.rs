@@ -11,6 +11,7 @@
 use hera_core::ResolveBudget;
 use hera_types::json::Json;
 use hera_types::{HeraError, Result, Value};
+use std::io::Write;
 use std::time::Duration;
 
 /// A parsed protocol request.
@@ -230,6 +231,17 @@ pub fn err(e: impl std::fmt::Display) -> Json {
         ("ok".into(), Json::Bool(false)),
         ("error".into(), Json::Str(e.to_string())),
     ])
+}
+
+/// Sends `json` as one protocol line in a single write, payload and
+/// newline together, then flushes. Two small writes followed by a read
+/// are what Nagle's algorithm and a delayed ACK turn into a stall per
+/// line on a raw socket.
+pub(crate) fn write_line<W: Write>(out: &mut W, json: &Json) -> std::io::Result<()> {
+    let mut line = json.to_string_compact();
+    line.push('\n');
+    out.write_all(line.as_bytes())?;
+    out.flush()
 }
 
 #[cfg(test)]

@@ -20,7 +20,7 @@
 //! `read`), and all connection threads are joined before
 //! [`serve_tcp`] returns.
 
-use crate::protocol::{err, Request};
+use crate::protocol::{err, write_line, Request};
 use crate::service::ErService;
 use hera_types::json::parse;
 use hera_types::{HeraError, Result};
@@ -54,8 +54,7 @@ pub fn serve_lines<R: BufRead, W: Write>(
             Ok(request) => service.handle(&request),
             Err(e) => (err(e), true),
         };
-        writeln!(output, "{}", response.to_string_compact()).map_err(io_err)?;
-        output.flush().map_err(io_err)?;
+        write_line(output, &response).map_err(io_err)?;
         if !keep_going {
             return Ok(true);
         }
@@ -205,4 +204,67 @@ pub fn serve_tcp(service: Arc<ErService>, listener: TcpListener) -> Result<()> {
         thread.join().ok();
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::ServeClient;
+    use hera_core::HeraConfig;
+
+    /// Records every `write` call it receives, one entry per call.
+    #[derive(Default)]
+    struct WriteLog(Vec<Vec<u8>>);
+
+    impl Write for WriteLog {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.push(buf.to_vec());
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    fn assert_one_write_per_line(log: &WriteLog, lines: usize) {
+        assert_eq!(log.0.len(), lines, "one write call per line");
+        for call in &log.0 {
+            let newlines = call.iter().filter(|&&b| b == b'\n').count();
+            assert_eq!((newlines, call.last()), (1, Some(&b'\n')), "{call:?}");
+        }
+    }
+
+    /// Payload and newline must leave in the same write, from the server
+    /// and from the client: split, they stall a raw socket (Nagle's
+    /// algorithm against a delayed ACK) once per line.
+    #[test]
+    fn every_wire_line_is_one_write() {
+        let service = ErService::builder(HeraConfig::new(0.5, 0.5), 1).build();
+        let requests = concat!(
+            r#"{"cmd":"schema","name":"crm","attrs":["name"]}"#,
+            "\n\n",
+            r#"{"cmd":"ingest","schema":0,"values":["alice"]}"#,
+            "\nnot json\n",
+            r#"{"cmd":"lookup","id":0}"#,
+            "\n",
+            r#"{"cmd":"stats"}"#,
+            "\n",
+        );
+        let mut replies = WriteLog::default();
+        let shutdown = serve_lines(&service, requests.as_bytes(), &mut replies).unwrap();
+        assert!(!shutdown);
+        assert_one_write_per_line(&replies, 5);
+
+        let mut sent = WriteLog::default();
+        let canned = "{\"ok\":true,\"stitched\":0}\n".repeat(3);
+        let mut client = ServeClient::over(canned.as_bytes(), &mut sent);
+        client.stitch().unwrap();
+        client.stats().unwrap();
+        client
+            .request(&Request::Batch {
+                records: vec![(0, vec!["alice".into()]), (0, vec!["bob".into()])],
+            })
+            .unwrap();
+        assert_one_write_per_line(&sent, 3);
+    }
 }

@@ -15,6 +15,9 @@
 //! * [`Label`] — the `(rid, fid, vid)` coordinate of a value inside a
 //!   (super) record, exactly as used by the paper's value-pair index
 //!   (Definition 6).
+//! * [`parallel`] — the one ordered fan-out every parallel stage of the
+//!   workspace runs on (std-only, so it sits at the bottom of the crate
+//!   graph).
 //!
 //! The paper's notation maps onto this crate as follows: a record set
 //! `R = {r_1 .. r_n}` is a [`Dataset`]; the schema `s_i` of `r_i` with
@@ -30,6 +33,7 @@ mod dataset;
 mod error;
 mod ids;
 pub mod json;
+pub mod parallel;
 mod record;
 mod schema;
 mod value;

@@ -100,8 +100,10 @@ fn main() {
     }
 
     println!(
-        "\nNote: non-Jaccard metrics cannot use the join's signature fast path\n\
-         or guarantee prefix-filter completeness, so they run slower and the\n\
-         candidate generation is heuristic for them (see hera-join docs)."
+        "\nNote: the join's signature fast path and its prefix filter are exact\n\
+         only for q-gram Jaccard, so under the other stacks the join asks the\n\
+         metric about every pair of values sharing a gram — the rule streaming\n\
+         ingest probes with, so both find the same pairs — and runs slower\n\
+         (see hera-join docs)."
     );
 }

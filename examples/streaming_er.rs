@@ -7,7 +7,7 @@
 //! ```
 
 use hera::core::HeraSession;
-use hera::{HeraConfig, PairMetrics, SchemaId};
+use hera::{HeraConfig, PairMetrics};
 use std::time::Instant;
 
 fn main() {
@@ -19,16 +19,7 @@ fn main() {
     );
 
     let mut session = HeraSession::builder(HeraConfig::new(0.5, 0.5)).build();
-    let schemas: Vec<SchemaId> = ds
-        .registry
-        .schemas()
-        .map(|s| {
-            session.add_schema(
-                s.name.clone(),
-                s.attrs.iter().map(|a| a.name.clone()).collect::<Vec<_>>(),
-            )
-        })
-        .collect();
+    let schemas = session.mirror_schemas(&ds.registry);
 
     let t = Instant::now();
     let mut latencies = Vec::with_capacity(ds.len());

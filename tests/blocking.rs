@@ -76,7 +76,8 @@ proptest::proptest! {
     }
 }
 
-/// Blocking emits the same pair set at every worker-thread count.
+/// Blocking emits the same pair set at every worker-thread count (600
+/// records: key extraction fans out above 32).
 #[test]
 fn blocking_is_deterministic_across_thread_counts() {
     let ds = dataset(77, 600);

@@ -331,16 +331,7 @@ mod serve_chaos {
     /// at the end for the final explicit stitch.
     fn reference_partition(ds: &hera::Dataset, stitch_every: usize) -> Vec<Vec<u32>> {
         let mut session = HeraSession::builder(HeraConfig::new(DELTA, XI)).build();
-        let schemas: Vec<hera::SchemaId> = ds
-            .registry
-            .schemas()
-            .map(|s| {
-                session.add_schema(
-                    s.name.clone(),
-                    s.attrs.iter().map(|a| a.name.clone()).collect::<Vec<_>>(),
-                )
-            })
-            .collect();
+        let schemas = session.mirror_schemas(&ds.registry);
         for (i, rec) in ds.iter().enumerate() {
             session
                 .add_record(schemas[rec.schema.index()], rec.values.clone())

@@ -123,9 +123,7 @@ fn new_session(cfg: HeraConfig, ds: &Dataset) -> (HeraSession, hera::JournalBuff
     let mut session = HeraSession::builder(cfg)
         .recorder(rec.deterministic())
         .build();
-    for s in ds.registry.schemas() {
-        session.add_schema(s.name.clone(), s.attrs.iter().map(|a| a.name.clone()));
-    }
+    session.mirror_schemas(&ds.registry);
     (session, buf)
 }
 

@@ -3,11 +3,14 @@
 //! grouped index vs the paper-literal flat index, and Algorithm-1 bounds
 //! vs the exact similarity.
 
+use hera::sim::ValueSimilarity;
+use hera::types::{Label, Value};
 use hera::{
-    BoundMode, FlatIndex, InstanceVerifier, JoinConfig, NestLoopVerifier, SimilarityJoin,
-    SuperRecord, TypeDispatch, ValuePairIndex,
+    BoundMode, EditSimilarity, FlatIndex, IncrementalJoin, InstanceVerifier, JoinConfig,
+    NestLoopVerifier, SimilarityJoin, SuperRecord, TypeDispatch, ValuePairIndex,
 };
 use hera_datagen::{CorruptionConfig, DatagenConfig, Generator};
+use std::sync::Arc;
 
 fn dataset(seed: u64) -> hera::Dataset {
     Generator::new(DatagenConfig {
@@ -136,5 +139,42 @@ fn join_prefix_filter_is_lossless() {
         let slow = SimilarityJoin::new(JoinConfig::new(xi).exhaustive(), &metric).join_dataset(&ds);
         assert_eq!(fast.len(), slow.len(), "xi={xi}");
         assert_eq!(fast, slow, "xi={xi}");
+    }
+}
+
+/// The prefix filter is complete only for q-gram Jaccard, so under any
+/// other string metric the batch join generates share-a-gram candidates —
+/// what `IncrementalJoin` probes with. Batch and streaming ingest then
+/// find the same value pairs, similarities bit for bit.
+#[test]
+fn batch_and_incremental_join_agree_under_edit_similarity() {
+    let ds = dataset(6);
+    let metric = TypeDispatch::paper_default().with_string_metric(Arc::new(EditSimilarity));
+    assert_eq!(metric.qgram_compatible(), None);
+    let values: Vec<(Label, Value)> = ds
+        .iter()
+        .flat_map(|r| {
+            let labeled = r.values.iter().enumerate();
+            labeled.map(move |(fid, v)| (Label::new(r.id.raw(), fid as u32, 0), v.clone()))
+        })
+        .filter(|(_, v)| !v.is_null())
+        .collect();
+    let keyed = |pairs: Vec<hera::ValuePair>| {
+        let mut keyed: Vec<_> = pairs
+            .into_iter()
+            .map(|p| (p.a, p.b, p.sim.to_bits()))
+            .collect();
+        keyed.sort_unstable();
+        keyed
+    };
+    for xi in [0.4, 0.6, 0.8] {
+        let batch = SimilarityJoin::new(JoinConfig::new(xi), &metric).join(&values);
+        let mut incremental = IncrementalJoin::new(xi, 2, Arc::new(metric.clone()));
+        let mut streamed = Vec::new();
+        for (label, value) in &values {
+            streamed.extend(incremental.insert(*label, value.clone()));
+        }
+        assert!(!batch.is_empty(), "xi={xi}");
+        assert_eq!(keyed(batch), keyed(streamed), "xi={xi}");
     }
 }

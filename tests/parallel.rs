@@ -3,11 +3,11 @@
 //! counters — because parallelism only reschedules read-only snapshot
 //! verifications, never reorders decisions.
 
-use hera::{Hera, HeraConfig, Recorder, ValuePairIndex};
+use hera::{BlockingScheme, Hera, HeraConfig, Recorder, ValuePairIndex};
 use hera_datagen::{CorruptionConfig, DatagenConfig, Generator};
 
-/// Seeded dataset big enough to exercise the parallel paths (the join
-/// parallelizes above ~1k candidate pairs; verification above 32).
+/// Seeded dataset big enough to exercise the parallel paths (every stage
+/// fans out above 32 items: records, join candidates, root pairs).
 fn dataset() -> hera::Dataset {
     Generator::new(DatagenConfig {
         name: "parallel-test".into(),
@@ -68,18 +68,33 @@ fn auto_threads_match_explicit_single_thread() {
 #[test]
 fn parallel_join_is_bit_identical() {
     let ds = dataset();
-    let seq = Hera::builder(HeraConfig::new(0.5, 0.5).with_threads(1))
-        .build()
-        .join(&ds);
-    for threads in [2, 4, 8] {
-        let par = Hera::builder(HeraConfig::new(0.5, 0.5).with_threads(threads))
-            .build()
-            .join(&ds);
-        assert_eq!(seq.len(), par.len(), "{threads} threads");
-        for (a, b) in seq.iter().zip(&par) {
-            assert_eq!(a.a, b.a);
-            assert_eq!(a.b, b.b);
-            assert_eq!(a.sim.to_bits(), b.sim.to_bits(), "{threads} threads");
+    // The all-pairs join, then block → blocked join: the pairs with their
+    // similarities bit for bit, and the `blocking` and `join` spans.
+    for blocking in [BlockingScheme::None, BlockingScheme::token()] {
+        let join = |threads: usize| {
+            let (rec, buf) = Recorder::to_memory();
+            let cfg = HeraConfig::new(0.5, 0.5)
+                .with_threads(threads)
+                .with_blocking(blocking.clone());
+            let hera = Hera::builder(cfg).recorder(rec.deterministic()).build();
+            (hera.join(&ds), buf.contents())
+        };
+        let (seq, seq_journal) = join(1);
+        assert!(seq.len() > 1_000, "{}: too few pairs", blocking.name());
+        assert!(seq_journal.contains("\"join\""));
+        assert_eq!(
+            seq_journal.contains("\"blocking\""),
+            blocking != BlockingScheme::None
+        );
+        for threads in [2, 4, 8] {
+            let (par, par_journal) = join(threads);
+            assert_eq!(seq.len(), par.len(), "{threads} threads");
+            for (a, b) in seq.iter().zip(&par) {
+                assert_eq!(a.a, b.a);
+                assert_eq!(a.b, b.b);
+                assert_eq!(a.sim.to_bits(), b.sim.to_bits(), "{threads} threads");
+            }
+            assert_eq!(seq_journal, par_journal, "{threads} threads");
         }
     }
 }

@@ -14,7 +14,7 @@
 //!    exhausted run, and the resumed continuation is byte-identical to
 //!    continuing in the original session.
 
-use hera::{HeraConfig, HeraSession, PairMetrics, Recorder, ResolveBudget, SchemaId};
+use hera::{HeraConfig, HeraSession, PairMetrics, Recorder, ResolveBudget};
 use hera_datagen::{CorruptionConfig, DatagenConfig, Generator};
 use proptest::prelude::*;
 
@@ -63,16 +63,7 @@ fn ingest_all(cfg: HeraConfig, ds: &hera::Dataset) -> (HeraSession, hera::Journa
     let mut session = HeraSession::builder(cfg)
         .recorder(rec.deterministic())
         .build();
-    let schemas: Vec<SchemaId> = ds
-        .registry
-        .schemas()
-        .map(|s| {
-            session.add_schema(
-                s.name.clone(),
-                s.attrs.iter().map(|a| a.name.clone()).collect::<Vec<_>>(),
-            )
-        })
-        .collect();
+    let schemas = session.mirror_schemas(&ds.registry);
     for rec in &ds.records {
         session
             .add_record(schemas[rec.schema.index()], rec.values.clone())

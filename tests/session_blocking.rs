@@ -29,18 +29,6 @@ fn dataset(seed: u64, n_records: usize) -> hera::Dataset {
     .generate()
 }
 
-fn mirror_schemas(session: &mut HeraSession, ds: &hera::Dataset) -> Vec<SchemaId> {
-    ds.registry
-        .schemas()
-        .map(|s| {
-            session.add_schema(
-                s.name.clone(),
-                s.attrs.iter().map(|a| a.name.clone()).collect::<Vec<_>>(),
-            )
-        })
-        .collect()
-}
-
 /// Ingests the whole dataset, resolving every `batch` records, under a
 /// deterministic journal.
 fn run_stream(cfg: HeraConfig, ds: &hera::Dataset, batch: usize) -> (HeraSession, JournalBuffer) {
@@ -48,7 +36,7 @@ fn run_stream(cfg: HeraConfig, ds: &hera::Dataset, batch: usize) -> (HeraSession
     let mut session = HeraSession::builder(cfg)
         .recorder(rec.deterministic())
         .build();
-    let schemas = mirror_schemas(&mut session, ds);
+    let schemas = session.mirror_schemas(&ds.registry);
     for (i, r) in ds.iter().enumerate() {
         session
             .add_record(schemas[r.schema.index()], r.values.clone())
@@ -152,7 +140,7 @@ fn blocker_state_survives_checkpoint_restore() {
     let path = dir.join("blocked.hera");
     {
         let mut first = HeraSession::builder(cfg.clone()).build();
-        let schemas = mirror_schemas(&mut first, &ds);
+        let schemas = first.mirror_schemas(&ds.registry);
         for (i, r) in ds.iter().enumerate().take(cut) {
             first
                 .add_record(schemas[r.schema.index()], r.values.clone())
@@ -205,7 +193,7 @@ fn restore_rejects_blocking_scheme_mismatch() {
         let path = dir.join(format!("{}.hera", written.name()));
         let mut session =
             HeraSession::builder(HeraConfig::new(DELTA, XI).with_blocking(written.clone())).build();
-        let schemas = mirror_schemas(&mut session, &ds);
+        let schemas = session.mirror_schemas(&ds.registry);
         for r in ds.iter().take(30) {
             session
                 .add_record(schemas[r.schema.index()], r.values.clone())

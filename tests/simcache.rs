@@ -77,16 +77,7 @@ proptest! {
         let ds = dataset(seed, 60, 12, 1);
         let stream = |cfg: HeraConfig| {
             let mut session = HeraSession::builder(cfg).build();
-            let schemas: Vec<_> = ds
-                .registry
-                .schemas()
-                .map(|s| {
-                    session.add_schema(
-                        s.name.clone(),
-                        s.attrs.iter().map(|a| a.name.clone()).collect::<Vec<_>>(),
-                    )
-                })
-                .collect();
+            let schemas = session.mirror_schemas(&ds.registry);
             let mut pending = 0usize;
             let mut batches = batch_sizes.iter().cycle();
             for rec in ds.iter() {

@@ -31,19 +31,6 @@ fn dataset(seed: u64, n_records: usize, n_entities: usize, corruption: u8) -> he
     .generate()
 }
 
-/// Mirrors a dataset's schemas into a session and returns the id map.
-fn mirror_schemas(session: &mut HeraSession, ds: &hera::Dataset) -> Vec<SchemaId> {
-    ds.registry
-        .schemas()
-        .map(|s| {
-            session.add_schema(
-                s.name.clone(),
-                s.attrs.iter().map(|a| a.name.clone()).collect::<Vec<_>>(),
-            )
-        })
-        .collect()
-}
-
 /// Ingests records `[from, to)` with a resolve after each insert.
 fn ingest(session: &mut HeraSession, ds: &hera::Dataset, from: usize, to: usize) {
     let schemas: Vec<SchemaId> = (0..ds.registry.len() as u32).map(SchemaId::new).collect();
@@ -114,14 +101,14 @@ proptest! {
         // Uninterrupted reference run.
         let (rec_a, buf_a) = Recorder::to_memory();
         let mut straight = HeraSession::builder(config.clone()).recorder(rec_a).build();
-        mirror_schemas(&mut straight, &ds);
+        straight.mirror_schemas(&ds.registry);
         ingest(&mut straight, &ds, 0, n);
 
         // Interrupted run: ingest [0, cut), checkpoint, drop the session,
         // restore from disk, continue with [cut, n).
         let (rec_b1, buf_b1) = Recorder::to_memory();
         let mut first = HeraSession::builder(config.clone()).recorder(rec_b1).build();
-        mirror_schemas(&mut first, &ds);
+        first.mirror_schemas(&ds.registry);
         ingest(&mut first, &ds, 0, cut);
         first.checkpoint(&path).unwrap();
         drop(first);
@@ -170,7 +157,7 @@ proptest! {
 fn real_snapshot(tag: &str) -> PathBuf {
     let ds = dataset(4242, 40, 8, 1);
     let mut session = HeraSession::builder(HeraConfig::new(0.5, 0.5)).build();
-    mirror_schemas(&mut session, &ds);
+    session.mirror_schemas(&ds.registry);
     ingest(&mut session, &ds, 0, 20);
     let path = snap_path(tag);
     session.checkpoint(&path).unwrap();
@@ -251,7 +238,7 @@ fn missing_snapshot_is_an_io_error() {
 fn cache_setting_may_differ_between_checkpoint_and_restore() {
     let ds = dataset(7, 40, 8, 1);
     let mut on = HeraSession::builder(HeraConfig::new(0.5, 0.5)).build();
-    mirror_schemas(&mut on, &ds);
+    on.mirror_schemas(&ds.registry);
     ingest(&mut on, &ds, 0, 20);
     let path = snap_path("cache-skew");
     on.checkpoint(&path).unwrap();

@@ -2,7 +2,7 @@
 //! the batch driver, on generated heterogeneous data.
 
 use hera::core::HeraSession;
-use hera::{Hera, HeraConfig, PairMetrics, SchemaId};
+use hera::{Hera, HeraConfig, PairMetrics};
 use hera_datagen::{CorruptionConfig, DatagenConfig, Generator};
 
 fn dataset() -> hera::Dataset {
@@ -21,19 +21,6 @@ fn dataset() -> hera::Dataset {
     .generate()
 }
 
-/// Mirrors a dataset's schemas into a session and returns the id map.
-fn mirror_schemas(session: &mut HeraSession, ds: &hera::Dataset) -> Vec<SchemaId> {
-    ds.registry
-        .schemas()
-        .map(|s| {
-            session.add_schema(
-                s.name.clone(),
-                s.attrs.iter().map(|a| a.name.clone()).collect::<Vec<_>>(),
-            )
-        })
-        .collect()
-}
-
 /// Bulk-ingest + single resolve reaches batch-grade quality.
 #[test]
 fn bulk_ingest_quality_matches_batch() {
@@ -45,7 +32,7 @@ fn bulk_ingest_quality_matches_batch() {
     let batch_f1 = PairMetrics::score(&batch.clusters(), &ds.truth).f1();
 
     let mut session = HeraSession::builder(HeraConfig::new(0.5, 0.5)).build();
-    let schemas = mirror_schemas(&mut session, &ds);
+    let schemas = session.mirror_schemas(&ds.registry);
     for rec in ds.iter() {
         session
             .add_record(schemas[rec.schema.index()], rec.values.clone())
@@ -66,7 +53,7 @@ fn bulk_ingest_quality_matches_batch() {
 fn per_record_resolution() {
     let ds = dataset();
     let mut session = HeraSession::builder(HeraConfig::new(0.5, 0.5)).build();
-    let schemas = mirror_schemas(&mut session, &ds);
+    let schemas = session.mirror_schemas(&ds.registry);
     for (step, rec) in ds.iter().enumerate() {
         session
             .add_record(schemas[rec.schema.index()], rec.values.clone())
@@ -87,7 +74,7 @@ fn per_record_resolution() {
 fn schema_matchings_accumulate_and_stay_truthful() {
     let ds = dataset();
     let mut session = HeraSession::builder(HeraConfig::new(0.5, 0.5)).build();
-    let schemas = mirror_schemas(&mut session, &ds);
+    let schemas = session.mirror_schemas(&ds.registry);
     let mut counts = Vec::new();
     for rec in ds.iter() {
         session
@@ -121,7 +108,7 @@ fn schema_matchings_accumulate_and_stay_truthful() {
 fn late_arrivals_attach_to_existing_entities() {
     let ds = dataset();
     let mut session = HeraSession::builder(HeraConfig::new(0.5, 0.5)).build();
-    let schemas = mirror_schemas(&mut session, &ds);
+    let schemas = session.mirror_schemas(&ds.registry);
     // Ingest all but the last 20 records, resolve, snapshot.
     let n = ds.len();
     for rec in ds.iter().take(n - 20) {
