@@ -32,7 +32,7 @@ mod streaming;
 mod tokenize;
 
 pub use meta::MetaBlocking;
-pub use streaming::{route_shard, StreamingBlocker};
+pub use streaming::StreamingBlocker;
 
 use hera_join::RecordPairSet;
 use hera_types::parallel::par_map;
@@ -295,7 +295,7 @@ impl Blocker {
     }
 
     /// Blocking keys of every record, in record order — the extraction
-    /// the streaming blocker and the shard router use, fanned out over
+    /// the streaming blocker uses, fanned out over
     /// [`hera_types::parallel`].
     fn record_keys(&self, ds: &Dataset) -> Vec<Vec<u64>> {
         par_map(self.num_threads, &ds.records, |rec| {

@@ -1,6 +1,5 @@
 //! Streaming (incremental) blocking — the batch blocker's semantics
-//! maintained under record insertions, for the session ingest path and
-//! the serving layer's shard router.
+//! maintained under record insertions, for the session ingest path.
 //!
 //! The batch [`crate::Blocker`] sees the whole dataset at once: it can
 //! purge a block by its *final* size and prune pairs by collection-wide
@@ -225,8 +224,7 @@ impl StreamingBlocker {
 }
 
 /// Blocking keys of a record's values under a scheme — the shared
-/// extraction the batch blocker, the streaming blocker, and the shard
-/// router all use. Sorted and deduplicated; empty for all-null records.
+/// extraction the batch blocker and the streaming blocker use. Sorted and deduplicated; empty for all-null records.
 pub(crate) fn keys_for(scheme: &BlockingScheme, values: &[Value]) -> Vec<u64> {
     match scheme {
         BlockingScheme::None => Vec::new(),
@@ -238,28 +236,6 @@ pub(crate) fn keys_for(scheme: &BlockingScheme, values: &[Value]) -> Vec<u64> {
             p.rows,
             p.seed,
         ),
-    }
-}
-
-/// Routes a record to one of `shards` partitions by its minimum word
-/// token — a 1-row MinHash, so records sharing their rarest rendering
-/// tend to co-locate and most duplicate pairs resolve inside one shard.
-/// Pure function of the values: the same record always routes the same
-/// way, at any ingest order. Records with no tokens (all-null) go to
-/// shard 0.
-///
-/// Routing is a *locality* heuristic, never a correctness boundary: a
-/// serving layer's cross-shard boundary pass re-examines everything, so
-/// a duplicate pair split across shards is still found — just later.
-pub fn route_shard(values: &[Value], shards: usize) -> usize {
-    assert!(shards > 0, "shard count must be positive");
-    if shards == 1 {
-        return 0;
-    }
-    let toks = tokenize::word_value_tokens(values, false);
-    match toks.iter().min() {
-        Some(&min) => (min % shards as u64) as usize,
-        None => 0,
     }
 }
 
@@ -350,19 +326,5 @@ mod tests {
         .err()
         .expect("None scheme must be rejected");
         assert!(matches!(err, HeraError::InvalidConfig(_)), "{err}");
-    }
-
-    #[test]
-    fn route_shard_is_stable_and_in_range() {
-        let v = vals(&["norman street", "los angeles"]);
-        for shards in 1..=8 {
-            let s = route_shard(&v, shards);
-            assert!(s < shards);
-            assert_eq!(s, route_shard(&v, shards), "pure function");
-        }
-        assert_eq!(route_shard(&[Value::Null], 4), 0, "token-free fallback");
-        // Identical values co-locate at every shard count.
-        let w = vals(&["norman street", "los angeles"]);
-        assert_eq!(route_shard(&v, 5), route_shard(&w, 5));
     }
 }

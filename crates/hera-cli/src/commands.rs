@@ -40,8 +40,7 @@ USAGE:
   hera-cli faults replay --input FILE --plan FILE.json [--checkpoint-every N]
                 [--crash-after N] [--strict-checkpoints] [--upto N] [--resolve-budget N]
                 [--delta 0.5] [--xi 0.5] [--threads N] [--no-sim-cache]
-  hera-cli serve    [--shards N] [--workers N] [--listen ADDR | (stdio default)]
-                [--restore FILE.hera]
+  hera-cli serve    [--listen ADDR | (stdio default)] [--restore FILE.hera]
                 [--stitch-every N] [--delta 0.5] [--xi 0.5] [--threads N]
                 [--no-sim-cache] [--blocking <none|token|qgram|lsh>]
                 [--trace FILE.jsonl] [--trace-deterministic]
@@ -105,22 +104,21 @@ not compose with `--budget` (the budget already defines the boundary).
 per-record comparison budget, covering crash/recovery of progressive
 runs.
 
-`serve` runs the long-lived sharded ER service (crate hera-serve):
-records arrive as JSON-lines requests — over stdin/stdout by default,
-or TCP with `--listen 127.0.0.1:PORT` — route to `--shards N` per-shard
-sessions by blocking key, resolve incrementally under per-request
-budgets, and stay queryable (`lookup` / `entity` / `stats`).
-`--stitch-every N` runs the cross-shard boundary pass automatically
-every N ingested records (or send `{\"cmd\":\"stitch\"}` manually). The
-service is concurrent: `--workers N` sets the shard-worker thread count
-(default: one per shard; clamped to the shard count), shards ingest and
-resolve in parallel, the boundary stitch runs double-buffered on its own
-thread while lookups answer from the last published partition, and the
-TCP listener serves any number of simultaneous clients — answers stay
-bit-identical at every worker count. The `checkpoint` request snapshots
-every shard plus a manifest (safe to race with live ingest);
-`serve --restore FILE.hera` brings the whole service back. `client`
-forwards request lines to a running server and prints the responses.
+`serve` runs the long-lived ER service (crate hera-serve): records
+arrive as JSON-lines requests — over stdin/stdout by default, or TCP
+with `--listen 127.0.0.1:PORT` — join one authoritative session,
+resolve incrementally under per-request budgets, and stay queryable
+(`lookup` / `entity` / `stats`). `--stitch-every N` runs the boundary
+pass (resolve to fixpoint, publish the partition) automatically every N
+ingested records (or send `{\"cmd\":\"stitch\"}` manually). The session
+lives on one owner thread behind one command queue (`--threads N`
+parallelises inside it), the published partition is double-buffered so
+lookups never wait on a pass, and the TCP listener serves any number of
+simultaneous clients — answers are a pure function of the request
+order. The `checkpoint` request writes one session snapshot file (safe
+to race with live ingest); `serve --restore FILE.hera` brings the
+service back from it. `client` forwards request lines to a running
+server and prints the responses.
 
 `resolve --fault-plan FILE` runs under a deterministic fault-injection
 plan (hera-faults JSON): named failpoints on the snapshot write/read
@@ -903,20 +901,14 @@ fn faults_replay(args: &Args) -> Result<(), String> {
     }
 }
 
-/// `serve` — run the long-lived sharded ER service over stdio or TCP.
+/// `serve` — run the long-lived ER service over stdio or TCP.
 fn serve(args: &Args) -> Result<(), String> {
     let config = build_config(args)?;
-    let shards = args.get_u64("shards", 1)? as usize;
-    if shards == 0 {
-        return Err("--shards must be at least 1".into());
-    }
     let stitch_every = args.get_u64("stitch-every", 0)? as usize;
-    let workers = args.get_u64("workers", 0)? as usize;
     let recorder = build_recorder(args)?;
     let injector = fault_injector(args)?;
-    let mut builder = hera_serve::ErService::builder(config, shards)
+    let mut builder = hera_serve::ErService::builder(config, 1)
         .stitch_every(stitch_every)
-        .workers(workers)
         .recorder(recorder.clone())
         .faults(injector);
     if args.has("no-retry") {
@@ -929,9 +921,7 @@ fn serve(args: &Args) -> Result<(), String> {
         None => builder.build(),
     };
     eprintln!(
-        "hera-serve: {} shard(s) on {} worker thread(s), {} record(s) restored, stitch-every {}",
-        service.shard_count(),
-        service.worker_count(),
+        "hera-serve: {} record(s) restored, stitch-every {}",
         service.len(),
         stitch_every
     );

@@ -76,7 +76,7 @@ impl<R: BufRead, W: Write> ServeClient<R, W> {
         Ok(SchemaId::new(reply.expect("schema")?.as_u32()?))
     }
 
-    /// Ingests one record; returns its global id and shard.
+    /// Ingests one record; returns its id.
     pub fn ingest(&mut self, schema: SchemaId, values: Vec<Value>) -> Result<IngestReply> {
         let reply = self.request(&Request::Ingest {
             schema: schema.raw(),
@@ -84,12 +84,11 @@ impl<R: BufRead, W: Write> ServeClient<R, W> {
         })?;
         Ok(IngestReply {
             id: reply.expect("id")?.as_u32()?,
-            shard: reply.expect("shard")?.as_u32()?,
             stitched: matches!(reply.get("stitched"), Some(Json::Bool(true))),
         })
     }
 
-    /// Ingests a batch; returns the assigned global ids.
+    /// Ingests a batch; returns the assigned ids.
     pub fn batch(&mut self, records: Vec<(SchemaId, Vec<Value>)>) -> Result<Vec<u32>> {
         let reply = self.request(&Request::Batch {
             records: records.into_iter().map(|(s, v)| (s.raw(), v)).collect(),
@@ -102,7 +101,7 @@ impl<R: BufRead, W: Write> ServeClient<R, W> {
             .collect()
     }
 
-    /// Runs budgeted per-shard resolution; returns `(merges, exhausted)`.
+    /// Runs budgeted resolution; returns `(merges, exhausted)`.
     pub fn resolve(&mut self, budget: ResolveBudget) -> Result<(usize, bool)> {
         let reply = self.request(&Request::Resolve { budget })?;
         let merges = reply.expect("merges")?.as_i64()? as usize;
@@ -110,13 +109,13 @@ impl<R: BufRead, W: Write> ServeClient<R, W> {
         Ok((merges, exhausted))
     }
 
-    /// Runs the cross-shard boundary pass; returns the stitched total.
+    /// Runs the boundary pass; returns the published total.
     pub fn stitch(&mut self) -> Result<usize> {
         let reply = self.request(&Request::Stitch)?;
         Ok(reply.expect("stitched")?.as_i64()? as usize)
     }
 
-    /// Looks up a record's entity by global id.
+    /// Looks up a record's entity by id.
     pub fn lookup(&mut self, id: u32) -> Result<LookupReply> {
         let reply = self.request(&Request::Lookup { id })?;
         Ok(LookupReply {
@@ -131,7 +130,7 @@ impl<R: BufRead, W: Write> ServeClient<R, W> {
         })
     }
 
-    /// Lists a stitched entity's members.
+    /// Lists a published entity's members.
     pub fn entity(&mut self, label: u32) -> Result<Vec<u32>> {
         let reply = self.request(&Request::Entity { label })?;
         reply

@@ -9,16 +9,16 @@
 //! failing seed replays (and shrinks, under proptest) exactly.
 //!
 //! The concurrency is still real. Ingests are fire-and-forget commands
-//! executing on shard worker threads, [`ErService::stitch_async`]
-//! passes run on the stitch worker while the driver keeps issuing
-//! lookups against whatever view happens to be published, and
-//! [`ErService::resolve_async`] keeps shard workers busy in the
-//! background. What the seed pins down is the *request order* — the
-//! service's own determinism guarantee (global order = bookkeeping-lock
-//! order) is then exactly the property under test: the final stitched
+//! executing on the session thread, and [`ErService::stitch_async`] /
+//! [`ErService::resolve_async`] passes run there while the driver
+//! keeps issuing lookups against whatever view happens to be
+//! published. What the seed pins down is the *request order* — the
+//! service's own determinism guarantee (queue order = bookkeeping-lock
+//! order) is then exactly the property under test: the final published
 //! partition must be a pure function of the request order, independent
-//! of worker count and OS scheduling. `tests/serve_concurrent.rs`
-//! asserts that against a sequential single-shard reference.
+//! of session thread count and OS scheduling.
+//! `tests/serve_concurrent.rs` asserts that against a bare
+//! `HeraSession` replaying the logged arrivals and passes.
 
 use crate::service::{ErService, LookupReply, ResolveHandle, StitchHandle};
 use hera_core::ResolveBudget;
@@ -31,8 +31,8 @@ pub enum ScheduledOp {
     Ingest(SchemaId, Vec<Value>),
     /// Look up a seed-chosen already-ingested record.
     Lookup,
-    /// Dispatch a budgeted resolve across all shards (async; the driver
-    /// waits for all resolves before returning).
+    /// Dispatch a budgeted resolve (async; the driver waits for all
+    /// resolves before returning).
     Resolve(ResolveBudget),
     /// Dispatch a boundary pass (async; the driver records its boundary
     /// and waits for the pass before returning).
@@ -55,28 +55,39 @@ pub struct Schedule {
 /// then, and what came back.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LookupSample {
-    /// Global record id looked up.
+    /// Record id looked up.
     pub id: u32,
-    /// How many boundary passes had been *dispatched* when the lookup
-    /// was issued (indexes a prefix of [`RunLog::boundaries`]). A
-    /// non-provisional reply must match the reference partition at one
-    /// of those dispatched boundaries covering `id` — anything else is
-    /// a torn or future value.
+    /// How many passes had been *dispatched* when the lookup was issued
+    /// (indexes a prefix of [`RunLog::passes`]). A non-provisional
+    /// reply must match the reference partition at one of the boundary
+    /// passes in that prefix covering `id` — anything else is a torn or
+    /// future value.
     pub dispatched: usize,
     /// The service's reply.
     pub reply: LookupReply,
 }
 
+/// One resolution pass a schedule dispatched. Resolves act on the
+/// authoritative session, so replaying a run needs every pass, not
+/// only the boundaries.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LoggedPass {
+    /// Stream position: records ingested before the pass was dispatched.
+    pub at: usize,
+    /// `Some` for a budgeted `Resolve`; `None` for a boundary pass
+    /// (explicit `Stitch` or `stitch_every` auto-pass), which resolves
+    /// to fixpoint and publishes.
+    pub budget: Option<ResolveBudget>,
+}
+
 /// Everything a schedule run observed, for replay-exact assertions.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunLog {
-    /// The records in the global arrival order the service saw — a
-    /// sequential reference session replays exactly this stream.
+    /// The records in the arrival order the service saw — a reference
+    /// session replays exactly this stream.
     pub arrivals: Vec<(SchemaId, Vec<Value>)>,
-    /// Global-stream prefix length of every dispatched boundary pass,
-    /// in dispatch order (explicit `Stitch` ops and `stitch_every`
-    /// auto-passes both included).
-    pub boundaries: Vec<usize>,
+    /// Every dispatched pass, in dispatch order.
+    pub passes: Vec<LoggedPass>,
     /// Every lookup the schedule issued, in issue order.
     pub lookups: Vec<LookupSample>,
     /// Records ingested by the schedule.
@@ -114,7 +125,7 @@ pub fn drive(service: &ErService, ops: Vec<ScheduledOp>, schedule: &Schedule) ->
 
     let mut log = RunLog {
         arrivals: Vec::new(),
-        boundaries: Vec::new(),
+        passes: Vec::new(),
         lookups: Vec::new(),
         ingested: 0,
     };
@@ -135,7 +146,10 @@ pub fn drive(service: &ErService, ops: Vec<ScheduledOp>, schedule: &Schedule) ->
                 if reply.stitched {
                     // Auto-pass: dispatched under the same lock hold as
                     // this ingest, so its boundary is id + 1.
-                    log.boundaries.push(reply.id as usize + 1);
+                    log.passes.push(LoggedPass {
+                        at: reply.id as usize + 1,
+                        budget: None,
+                    });
                 }
             }
             ScheduledOp::Lookup => {
@@ -143,7 +157,7 @@ pub fn drive(service: &ErService, ops: Vec<ScheduledOp>, schedule: &Schedule) ->
                     continue;
                 }
                 let id = (next(&mut rng) % log.ingested as u64) as u32;
-                let dispatched = log.boundaries.len();
+                let dispatched = log.passes.len();
                 let reply = service.lookup(id)?;
                 log.lookups.push(LookupSample {
                     id,
@@ -153,10 +167,17 @@ pub fn drive(service: &ErService, ops: Vec<ScheduledOp>, schedule: &Schedule) ->
             }
             ScheduledOp::Resolve(budget) => {
                 resolves.push(service.resolve_async(budget));
+                log.passes.push(LoggedPass {
+                    at: log.ingested,
+                    budget: Some(budget),
+                });
             }
             ScheduledOp::Stitch => {
                 let handle = service.stitch_async();
-                log.boundaries.push(handle.boundary());
+                log.passes.push(LoggedPass {
+                    at: handle.boundary(),
+                    budget: None,
+                });
                 stitches.push(handle);
             }
         }

@@ -24,7 +24,7 @@ pub enum Request {
         /// Attribute names, in order.
         attrs: Vec<String>,
     },
-    /// Ingest one record; replies with its global id and shard.
+    /// Ingest one record; replies with its id.
     Ingest {
         /// Schema id from a prior `Schema` reply.
         schema: u32,
@@ -36,28 +36,34 @@ pub enum Request {
         /// `(schema, values)` per record, in arrival order.
         records: Vec<(u32, Vec<Value>)>,
     },
-    /// Run budgeted incremental resolution on every shard.
+    /// Run budgeted incremental resolution on the authoritative session.
+    ///
+    /// A wall-clock budget makes the *published* partition
+    /// host-timing-dependent, exactly as [`ResolveBudget::wall_clock`]
+    /// states for a bare session: where the clock cuts the schedule
+    /// decides which merges precede the next arrivals. Count budgets
+    /// (`comparisons`, `merges`) stay bit-exact.
     Resolve {
-        /// Per-shard budget (unlimited when the field is omitted).
+        /// The budget (unlimited when the field is omitted).
         budget: ResolveBudget,
     },
-    /// Run the cross-shard boundary pass.
+    /// Run the boundary pass: resolve to fixpoint and publish.
     Stitch,
-    /// Look up the entity of a record by global id.
+    /// Look up the entity of a record by id.
     Lookup {
-        /// Global record id from an `Ingest`/`Batch` reply.
+        /// Record id from an `Ingest`/`Batch` reply.
         id: u32,
     },
-    /// List the members of a stitched entity.
+    /// List the members of a published entity.
     Entity {
         /// Entity label from a `Lookup` reply.
         label: u32,
     },
     /// Service-wide counters.
     Stats,
-    /// Snapshot every shard, the stitcher, and the manifest.
+    /// Snapshot the session to one file.
     Checkpoint {
-        /// Manifest path; shard snapshots live beside it.
+        /// Server-side snapshot path.
         path: String,
     },
     /// Stop the service (the reply is sent before it stops).
@@ -73,7 +79,10 @@ fn budget_to_json(b: &ResolveBudget) -> Json {
         fields.push(("merges".into(), Json::Int(n as i64)));
     }
     if let Some(d) = b.wall_clock {
-        fields.push(("wall_clock_ms".into(), Json::Int(d.as_millis() as i64)));
+        // Rounded up: a non-zero budget must never arrive as zero, which
+        // exhausts before the first round.
+        let ms = d.as_nanos().div_ceil(1_000_000);
+        fields.push(("wall_clock_ms".into(), Json::Int(ms as i64)));
     }
     Json::Obj(fields)
 }
@@ -284,6 +293,23 @@ mod tests {
             let line = req.to_json().to_string_compact();
             let back = Request::from_json(&parse(&line).unwrap()).unwrap();
             assert_eq!(back, req, "{line}");
+        }
+    }
+
+    /// The wire carries whole milliseconds; a finer budget rounds up so
+    /// it stays a budget.
+    #[test]
+    fn sub_millisecond_wall_clock_budgets_round_up() {
+        for (sent, arrives_ms) in [(500, 1), (1_000, 1), (1_001, 2), (0, 0)] {
+            let req = Request::Resolve {
+                budget: ResolveBudget::wall_clock(Duration::from_micros(sent)),
+            };
+            let line = req.to_json().to_string_compact();
+            let back = Request::from_json(&parse(&line).unwrap()).unwrap();
+            let want = Request::Resolve {
+                budget: ResolveBudget::wall_clock(Duration::from_millis(arrives_ms)),
+            };
+            assert_eq!(back, want, "{sent} us: {line}");
         }
     }
 

@@ -5,8 +5,8 @@
 //! of simultaneous clients, one thread per connection, all sharing one
 //! `Arc<ErService>` — the service is `&self` end to end, so a
 //! connection thread never blocks another except at the service's
-//! bookkeeping lock (held only for routing-table pushes and channel
-//! sends, never across session work).
+//! bookkeeping lock (held only for counter updates and channel sends,
+//! never across session work).
 //!
 //! Client disconnects are connection-local: a socket that dies mid-line
 //! or mid-request (reset, kill, half-close) ends only its own thread —
@@ -51,7 +51,7 @@ pub fn serve_lines<R: BufRead, W: Write>(
             continue;
         }
         let (response, keep_going) = match parse(&line).and_then(|j| Request::from_json(&j)) {
-            Ok(request) => service.handle(&request),
+            Ok(request) => service.handle(request),
             Err(e) => (err(e), true),
         };
         write_line(output, &response).map_err(io_err)?;

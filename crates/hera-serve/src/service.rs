@@ -1,66 +1,44 @@
-//! The sharded ER service: N per-shard [`HeraSession`]s behind a
-//! blocking-key router, plus a *stitcher* session that replays the
-//! global arrival stream to resolve across shard boundaries.
+//! The ER service: one [`HeraSession`] owned by one thread, and one
+//! published view of its partition.
 //!
-//! # Sharding model
+//! # Model
 //!
-//! Each arriving record routes to one shard by
-//! [`hera_block::route_shard`] — a pure function of its values — and
-//! joins only that shard's live universe, so per-record ingest cost
-//! scales with the shard's value universe, not the service's. Shard
-//! resolution ([`ErService::resolve`]) is budgeted, incremental, and
-//! *provisional*: two duplicates routed to different shards cannot merge
-//! there.
-//!
-//! The boundary pass ([`ErService::stitch`]) fixes that without new
-//! machinery: a dedicated single-shard session (the stitcher) ingests
-//! the pending suffix of the global stream — same records, same order,
-//! global record ids — and resolves with the ordinary union-find +
-//! schema-vote pipeline. The stitched partition is therefore *by
-//! construction* the partition a single-shard session would have
-//! produced on the same stream: sharding never changes answers, only
-//! when they arrive. Shards answer between passes (flagged
-//! `provisional`); the stitcher answers for everything it has seen.
+//! The paper's compare-and-merge loop is order-sensitive (Theorem-2
+//! votes depend on merge order), so the service does not split it: every
+//! record is ingested into, and resolved by, one authoritative session.
+//! [`ErService::resolve`] spends a budget on that session;
+//! [`ErService::stitch`] — the *boundary pass* — resolves it to a
+//! fixpoint, captures the partition as an immutable generation and
+//! swaps it in as the published view. A lookup below the published
+//! boundary answers from the view; one above it asks the live session
+//! and is flagged `provisional`.
 //!
 //! # Concurrency model
 //!
 //! The service is `&self` end to end and safe to share across threads
-//! (`Arc<ErService>` behind any number of connections). Sessions live
-//! on dedicated worker threads (see the crate-private `worker`
-//! module for the ownership map and channel topology); the service
-//! front end keeps only bookkeeping — the routing table, the pending
-//! suffix, the schema list — behind one mutex, and *every channel send
-//! happens while that mutex is held*. That single rule is what makes
-//! the concurrent service deterministic where it matters:
+//! (`Arc<ErService>` behind any number of connections). The session
+//! lives on a dedicated owner thread (see the crate-private `worker`
+//! module); the front end keeps only bookkeeping — the schema arities,
+//! the record count, the dispatched boundary — behind one mutex, and
+//! *every command is sent while that mutex is held*. The queue order is
+//! therefore the lock order, and the session is sequential, so its
+//! state and every published partition are pure functions of the
+//! request order — bit-identical to a bare `HeraSession` fed the same
+//! arrivals and passes, at any session thread count, under any
+//! interleaving. `tests/serve_concurrent.rs` holds this as a property
+//! over seeded schedules.
 //!
-//! * The bookkeeping lock's acquisition order defines **the** global
-//!   arrival order. Each shard's command stream and the stitcher's
-//!   replay stream are projections of it, so per-shard session state
-//!   and every stitched partition are pure functions of that order —
-//!   independent of worker count and OS scheduling.
-//! * The stitcher ingests drained suffixes in global order, so the
-//!   stitched partition is bit-identical to what a sequential
-//!   single-shard session produces on the same stream — at any worker
-//!   count, under any interleaving. `tests/serve_concurrent.rs` holds
-//!   this as a property over seeded schedules.
-//!
-//! Lookups are lock-light and never wait on a boundary pass: stitched
-//! answers come from the last *published* stitched view (an
-//! immutable generation swapped in atomically after each pass), and
-//! pre-stitch answers come from the owning shard, flagged provisional.
-//! A reply is always one consistent generation or one shard's coherent
-//! view — bounded staleness, never a torn value.
+//! Published lookups take no lock and never wait on a boundary pass:
+//! they read the last *published* generation. Provisional lookups queue
+//! behind the session's work. A reply is always one consistent
+//! generation or the live session's coherent view — bounded staleness,
+//! never a torn value.
 
 use crate::protocol::{err, ok, Request};
-use crate::worker::{
-    spawn_shard_workers, spawn_stitch_worker, Published, ShardCmd, ShardMsg, StitchCmd,
-    StitchedView,
-};
-use hera_block::route_shard;
-use hera_core::{HeraConfig, HeraSession, ProgressiveReport, ResolveBudget};
-use hera_faults::{io_retryable, BackoffPolicy, Clock, FaultInjector, SystemClock};
+use crate::worker::{spawn_session_worker, Published, SessionCmd, StitchedView};
+use hera_core::{HeraConfig, HeraSession, HeraSessionBuilder, ProgressiveReport, ResolveBudget};
+use hera_faults::{BackoffPolicy, Clock, FaultInjector, SystemClock};
 use hera_obs::Recorder;
-use hera_store::Snapshot;
 use hera_types::json::Json;
 use hera_types::{HeraError, Result, SchemaId, Value};
 use std::path::Path;
@@ -68,12 +46,10 @@ use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
-/// Builder for [`ErService`] — shard count, worker threads, cadence,
-/// and the fault / journal plumbing threaded into every session.
+/// Builder for [`ErService`] — cadence, and the fault / journal
+/// plumbing threaded into the session.
 pub struct ErServiceBuilder {
     config: HeraConfig,
-    shards: usize,
-    workers: usize,
     stitch_every: usize,
     recorder: Recorder,
     faults: FaultInjector,
@@ -82,42 +58,26 @@ pub struct ErServiceBuilder {
 }
 
 impl ErServiceBuilder {
-    fn new(config: HeraConfig, shards: usize) -> Self {
-        Self {
-            config,
-            shards,
-            workers: 0,
-            stitch_every: 0,
-            recorder: Recorder::disabled(),
-            faults: FaultInjector::disabled(),
-            retry: BackoffPolicy::checkpoint_default(),
-            clock: Arc::new(SystemClock),
-        }
-    }
-
-    /// Runs the boundary pass automatically once this many records are
-    /// pending (0, the default, stitches only on explicit request).
-    /// Automatic passes are dispatched asynchronously: the triggering
-    /// ingest returns as soon as the pass is queued.
+    /// Runs the boundary pass automatically whenever the record count
+    /// reaches a multiple of `records` (0, the default, stitches only on
+    /// explicit request). Automatic passes are dispatched
+    /// asynchronously: the triggering ingest returns as soon as the
+    /// pass is queued.
     pub fn stitch_every(mut self, records: usize) -> Self {
         self.stitch_every = records;
         self
     }
 
-    /// Shard-worker thread count. Shard `i` lives on worker
-    /// `i % workers`, so workers resolve and ingest in parallel up to
-    /// the shard count; the value is clamped to `[1, shards]`.
-    /// 0 (the default) means one dedicated worker per shard.
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.workers = workers;
+    /// Ignored, and holds no state: the service has one session on one
+    /// thread. Kept only because the frozen `benchmark/` package calls
+    /// it; ROADMAP item 1 schedules its removal.
+    #[doc(hidden)]
+    pub fn workers(self, _workers: usize) -> Self {
         self
     }
 
     /// Attaches the audit journal: every protocol request and boundary
-    /// pass emits through it, alongside the sessions' own events. Each
-    /// shard session journals under a `shard<i>` scope and the stitcher
-    /// under `stitcher`, so interleaved worker output stays
-    /// per-scope-checkable (`hera trace-check`).
+    /// pass emits through it, alongside the session's own events.
     pub fn recorder(mut self, recorder: Recorder) -> Self {
         self.recorder = recorder;
         self
@@ -142,189 +102,63 @@ impl ErServiceBuilder {
         self
     }
 
-    fn session(&self, scope: &str) -> HeraSession {
+    fn session(&self) -> HeraSessionBuilder {
         HeraSession::builder(self.config.clone())
-            .recorder(self.recorder.scoped(scope))
+            .recorder(self.recorder.clone())
             .faults(self.faults.clone())
             .retry(self.retry)
             .clock(self.clock.clone())
-            .build()
     }
 
-    fn worker_count(&self) -> usize {
-        let requested = if self.workers == 0 {
-            self.shards
-        } else {
-            self.workers
-        };
-        requested.clamp(1, self.shards)
-    }
-
-    /// Builds an empty service and spawns its worker threads.
+    /// Builds an empty service and spawns its session thread.
     pub fn build(self) -> ErService {
-        let shards: Vec<HeraSession> = (0..self.shards)
-            .map(|i| self.session(&format!("shard{i}")))
-            .collect();
-        let stitcher = self.session("stitcher");
-        let local_to_global = vec![Vec::new(); self.shards];
-        self.assemble(shards, stitcher, Vec::new(), local_to_global, Vec::new())
+        let session = self.session().build();
+        self.assemble(session)
     }
 
-    /// Builds a service whose state is loaded from a checkpoint written
-    /// by [`ErService::checkpoint`] — manifest plus one snapshot per
-    /// shard and one for the stitcher, all beside `path`. The builder's
-    /// config and shard count must match the checkpointing service's.
+    /// Builds a service around the session snapshot at `path` — the one
+    /// file [`ErService::checkpoint`] writes, which is the session's own
+    /// (`HeraSessionBuilder::restore` opens it too). The restored
+    /// partition is published as the first generation. The builder's
+    /// config must match the checkpointing service's.
     pub fn restore(self, path: impl AsRef<Path>) -> Result<ErService> {
-        let path = path.as_ref();
-        let manifest = Snapshot::read_with(path, &self.faults)?;
-        let snap_shards = manifest.expect("service")?.expect("shards")?.as_u32()? as usize;
-        if snap_shards != self.shards {
-            return Err(HeraError::InvalidConfig(format!(
-                "checkpoint has {snap_shards} shard(s) but the restore asked for {}; \
-                 record routing is shard-count-dependent",
-                self.shards
-            )));
-        }
-        let mut schemas = Vec::new();
-        for s in manifest.expect("schemas")?.as_arr()? {
-            let name = s.expect("name")?.as_str()?.to_string();
-            let attrs = s
-                .expect("attrs")?
-                .as_arr()?
-                .iter()
-                .map(|a| Ok(a.as_str()?.to_string()))
-                .collect::<Result<Vec<_>>>()?;
-            schemas.push((name, attrs));
-        }
-        let mut route = Vec::new();
-        let mut local_to_global: Vec<Vec<u32>> = vec![Vec::new(); self.shards];
-        for r in manifest.expect("route")?.as_arr()? {
-            let shard = r.as_u32()? as usize;
-            if shard >= self.shards {
-                return Err(HeraError::Corrupt(format!(
-                    "route entry names shard {shard} of {}",
-                    self.shards
-                )));
-            }
-            let global = route.len() as u32;
-            route.push((shard as u32, local_to_global[shard].len() as u32));
-            local_to_global[shard].push(global);
-        }
-        let mut pending = Vec::new();
-        for p in manifest.expect("pending")?.as_arr()? {
-            let schema = p.expect("schema")?.as_u32()?;
-            let values = p
-                .expect("values")?
-                .as_arr()?
-                .iter()
-                .map(Value::from_json)
-                .collect::<Result<Vec<_>>>()?;
-            pending.push((SchemaId::new(schema), values));
-        }
-
-        let shards = (0..self.shards)
-            .map(|i| self.restore_session(&shard_path(path, i), &format!("shard{i}")))
-            .collect::<Result<Vec<_>>>()?;
-        let stitcher = self.restore_session(&stitcher_path(path), "stitcher")?;
-
-        for (i, shard) in shards.iter().enumerate() {
-            if shard.len() != local_to_global[i].len() {
-                return Err(HeraError::Corrupt(format!(
-                    "shard {i} snapshot holds {} record(s), route says {}",
-                    shard.len(),
-                    local_to_global[i].len()
-                )));
-            }
-        }
-        if stitcher.len() + pending.len() != route.len() {
-            return Err(HeraError::Corrupt(format!(
-                "stitcher has {} record(s) and {} pending, route says {}",
-                stitcher.len(),
-                pending.len(),
-                route.len()
-            )));
-        }
-
-        let mut service = self.assemble(shards, stitcher, route, local_to_global, pending);
-        service.replay_schemas(schemas);
-        Ok(service)
+        let session = self.session().restore(path)?;
+        Ok(self.assemble(session))
     }
 
-    /// Hands the sessions off to their worker threads and wires the
-    /// front end around the channels.
-    fn assemble(
-        self,
-        shards: Vec<HeraSession>,
-        stitcher: HeraSession,
-        route: Vec<(u32, u32)>,
-        local_to_global: Vec<Vec<u32>>,
-        pending: Vec<(SchemaId, Vec<Value>)>,
-    ) -> ErService {
-        let drained = route.len() - pending.len();
-        let workers = self.worker_count();
-        let (shard_txs, worker_txs, mut handles) = spawn_shard_workers(shards, workers);
-        let (stitch_tx, published, stitch_handle) =
-            spawn_stitch_worker(stitcher, self.recorder.scoped("stitcher"));
-        handles.push(stitch_handle);
+    /// Hands the session off to its owner thread and wires the front
+    /// end around the channel.
+    fn assemble(self, session: HeraSession) -> ErService {
+        let schemas = session.registry().schemas().map(|s| s.arity()).collect();
+        let records = session.len();
+        let (tx, published, handle) = spawn_session_worker(session, self.recorder.clone());
         ErService {
             state: Mutex::new(ServiceState {
-                shard_txs,
-                worker_txs,
-                stitch_tx,
-                schemas: Vec::new(),
-                route,
-                local_to_global,
-                pending,
-                drained,
+                tx,
+                schemas,
+                records,
+                dispatched: records,
             }),
             published,
-            handles,
-            workers,
-            shards: self.shards,
+            handle: Some(handle),
             stitch_every: self.stitch_every,
             recorder: self.recorder,
-            faults: self.faults,
-            retry: self.retry,
-            clock: self.clock,
         }
     }
-
-    fn restore_session(&self, path: &std::path::PathBuf, scope: &str) -> Result<HeraSession> {
-        HeraSession::builder(self.config.clone())
-            .recorder(self.recorder.scoped(scope))
-            .faults(self.faults.clone())
-            .retry(self.retry)
-            .clock(self.clock.clone())
-            .restore(path)
-    }
 }
 
-fn shard_path(manifest: &Path, shard: usize) -> std::path::PathBuf {
-    let mut p = manifest.as_os_str().to_owned();
-    p.push(format!(".shard{shard}"));
-    p.into()
-}
-
-fn stitcher_path(manifest: &Path) -> std::path::PathBuf {
-    let mut p = manifest.as_os_str().to_owned();
-    p.push(".stitcher");
-    p.into()
-}
-
-/// The error every channel operation maps a dead worker thread to: the
-/// only way a worker exits early is a panic, so the service is broken,
-/// not the request.
+/// The error every channel operation maps a dead session thread to: the
+/// only way it exits early is a panic, so the service is broken, not
+/// the request.
 fn worker_gone<T>(_: T) -> HeraError {
-    HeraError::Io("service worker thread terminated".into())
+    HeraError::Io("service session thread terminated".into())
 }
 
 /// Reply to [`ErService::ingest`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IngestReply {
-    /// Global record id (dense, arrival-ordered — the protocol's `id`).
+    /// Record id (dense, arrival-ordered — the protocol's `id`).
     pub id: u32,
-    /// Shard the record routed to.
-    pub shard: u32,
     /// Whether this ingest tripped the automatic boundary pass. The
     /// pass is dispatched, not complete: it publishes asynchronously.
     pub stitched: bool,
@@ -333,42 +167,28 @@ pub struct IngestReply {
 /// Reply to [`ErService::lookup`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LookupReply {
-    /// Entity label: a global record id — the cluster representative's
-    /// id when stitched, the shard-root's global id when provisional.
+    /// Entity label: the id of the cluster's representative record.
     pub entity: u32,
     /// True when the record was not covered by the last published
-    /// boundary pass: the entity reflects one shard's view and may
-    /// change (only by growing or relabeling, never splitting) at the
-    /// next stitch.
+    /// boundary pass: the entity reflects the live session mid-way to
+    /// its next fixpoint and may change (only by growing or relabeling,
+    /// never splitting) at the next stitch.
     pub provisional: bool,
-    /// Global ids of the entity's known members, ascending.
+    /// Ids of the entity's known members, ascending.
     pub members: Vec<u32>,
-}
-
-/// Reply to [`ErService::resolve`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ResolveReply {
-    /// Merges applied across all shards.
-    pub merges: usize,
-    /// Comparisons spent across all shards.
-    pub comparisons: u64,
-    /// True when any shard's budget ran out before its fixpoint.
-    pub exhausted: bool,
-    /// Per-shard progressive reports, shard-ordered.
-    pub per_shard: Vec<ProgressiveReport>,
 }
 
 /// Reply to [`ErService::stitch`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StitchReply {
-    /// Records the boundary pass ingested (the pending suffix).
+    /// Records this pass added to the published view.
     pub ingested: usize,
-    /// The stitcher's resolution report for the pass.
+    /// The session's resolution report for the pass.
     pub report: ProgressiveReport,
 }
 
 /// An in-flight boundary pass (from [`ErService::stitch_async`]). The
-/// pass runs on the stitch worker; [`StitchHandle::wait`] blocks until
+/// pass runs on the session thread; [`StitchHandle::wait`] blocks until
 /// its view is published. Dropping the handle abandons the wait, not
 /// the pass.
 pub struct StitchHandle {
@@ -377,107 +197,95 @@ pub struct StitchHandle {
 }
 
 impl StitchHandle {
-    /// Global-stream prefix length this pass covers once published.
+    /// Stream prefix length this pass covers once published.
     pub fn boundary(&self) -> usize {
         self.boundary
     }
 
-    /// Blocks until the pass has published its stitched view.
+    /// Blocks until the pass has published its view.
     ///
     /// # Panics
-    /// When the stitch worker thread died (a service-level bug).
+    /// When the session thread died (a service-level bug).
     pub fn wait(self) -> StitchReply {
-        self.rx.recv().expect("stitch worker terminated")
+        self.rx.recv().expect("session thread terminated")
     }
 }
 
-/// An in-flight cross-shard resolve (from [`ErService::resolve_async`]).
-/// Shards work in parallel; [`ResolveHandle::wait`] gathers the
-/// shard-ordered reports.
+/// An in-flight budgeted resolve (from [`ErService::resolve_async`]).
 pub struct ResolveHandle {
-    rxs: Vec<Receiver<ProgressiveReport>>,
+    rx: Receiver<ProgressiveReport>,
 }
 
 impl ResolveHandle {
-    /// Blocks until every shard finished its budgeted pass.
+    /// Blocks until the session finished its budgeted pass.
     ///
     /// # Panics
-    /// When a shard worker thread died (a service-level bug).
-    pub fn wait(self) -> ResolveReply {
-        let per_shard: Vec<ProgressiveReport> = self
-            .rxs
-            .into_iter()
-            .map(|rx| rx.recv().expect("shard worker terminated"))
-            .collect();
-        ResolveReply {
-            merges: per_shard.iter().map(|r| r.merges).sum(),
-            comparisons: per_shard.iter().map(|r| r.comparisons_spent).sum(),
-            exhausted: per_shard.iter().any(|r| r.exhausted),
-            per_shard,
-        }
+    /// When the session thread died (a service-level bug).
+    pub fn wait(self) -> ProgressiveReport {
+        self.rx.recv().expect("session thread terminated")
     }
 }
 
 /// Front-end bookkeeping, guarded by the service's one mutex. Every
-/// channel send happens under this lock — see the module docs for why
-/// that ordering rule is the whole determinism argument.
+/// command is sent under this lock — see the module docs for why that
+/// ordering rule is the whole determinism argument.
 struct ServiceState {
-    /// One sender per shard (shards on the same worker share a channel).
-    shard_txs: Vec<Sender<ShardMsg>>,
-    /// One sender per worker thread, for shutdown.
-    worker_txs: Vec<Sender<ShardMsg>>,
-    /// The stitch worker's channel.
-    stitch_tx: Sender<StitchCmd>,
-    /// Registered schemas (name, attrs), id-ordered — kept for request
-    /// validation and the checkpoint manifest.
-    schemas: Vec<(String, Vec<String>)>,
-    /// Global id → (shard, local id).
-    route: Vec<(u32, u32)>,
-    /// Per-shard local id → global id. Append-only, so a provisional
-    /// lookup can translate a shard reply after re-acquiring the lock.
-    local_to_global: Vec<Vec<u32>>,
-    /// Records ingested since the last dispatched boundary pass,
-    /// global-id-ordered (global id = drained + position).
-    pending: Vec<(SchemaId, Vec<Value>)>,
-    /// Global-stream prefix already handed to the stitch worker
-    /// (`route.len() - pending.len()` at all times).
-    drained: usize,
+    /// The session thread's command queue.
+    tx: Sender<SessionCmd>,
+    /// Arity of each registered schema, id-ordered — request validation.
+    schemas: Vec<usize>,
+    /// Records ingested (the next record id).
+    records: usize,
+    /// Stream prefix covered by the last *dispatched* boundary pass.
+    dispatched: usize,
 }
 
-/// A long-lived sharded ER service — see the module docs for the model.
-/// All methods take `&self`; share it as `Arc<ErService>` across
-/// connection threads. Dropping the service shuts its workers down and
-/// joins them.
+impl ServiceState {
+    /// Queues a command that carries a reply channel. A dead session
+    /// thread shows at the receiver: the send fails, the reply sender
+    /// drops with the command, and `recv` errors.
+    fn ask<T>(&self, cmd: impl FnOnce(Sender<T>) -> SessionCmd) -> Receiver<T> {
+        let (reply, rx) = channel();
+        self.tx.send(cmd(reply)).ok();
+        rx
+    }
+}
+
+/// A long-lived ER service — see the module docs for the model. All
+/// methods take `&self`; share it as `Arc<ErService>` across connection
+/// threads. Dropping the service shuts its session thread down and
+/// joins it.
 pub struct ErService {
     state: Mutex<ServiceState>,
-    /// The double-buffered stitched view (see the worker module docs).
+    /// The double-buffered published view (see the worker module docs).
     published: Published,
-    /// Shard workers + the stitch worker, joined on drop.
-    handles: Vec<JoinHandle<()>>,
-    workers: usize,
-    shards: usize,
+    /// The session thread, joined on drop.
+    handle: Option<JoinHandle<()>>,
     stitch_every: usize,
     recorder: Recorder,
-    faults: FaultInjector,
-    retry: BackoffPolicy,
-    clock: Arc<dyn Clock>,
 }
 
 impl ErService {
-    /// Starts building a service with `shards` shard sessions.
-    ///
-    /// # Panics
-    /// When `shards` is zero.
-    pub fn builder(config: HeraConfig, shards: usize) -> ErServiceBuilder {
-        assert!(shards > 0, "a service needs at least one shard");
-        ErServiceBuilder::new(config, shards)
+    /// Starts building a service. The second argument is ignored and
+    /// holds no state (it was a shard count); it is kept only because
+    /// the frozen `benchmark/` package passes one, and ROADMAP item 1
+    /// schedules its removal. Pass `1`.
+    pub fn builder(config: HeraConfig, _ignored: usize) -> ErServiceBuilder {
+        ErServiceBuilder {
+            config,
+            stitch_every: 0,
+            recorder: Recorder::disabled(),
+            faults: FaultInjector::disabled(),
+            retry: BackoffPolicy::checkpoint_default(),
+            clock: Arc::new(SystemClock),
+        }
     }
 
     fn state(&self) -> MutexGuard<'_, ServiceState> {
         self.state.lock().expect("service state poisoned")
     }
 
-    /// One consistent snapshot of the published stitched view.
+    /// One consistent snapshot of the published view.
     fn view(&self) -> Arc<StitchedView> {
         self.published
             .read()
@@ -485,19 +293,9 @@ impl ErService {
             .clone()
     }
 
-    /// Shard count.
-    pub fn shard_count(&self) -> usize {
-        self.shards
-    }
-
-    /// Shard-worker thread count.
-    pub fn worker_count(&self) -> usize {
-        self.workers
-    }
-
     /// Records ingested over the service's lifetime.
     pub fn len(&self) -> usize {
-        self.state().route.len()
+        self.state().records
     }
 
     /// True before the first ingest.
@@ -505,9 +303,10 @@ impl ErService {
         self.len() == 0
     }
 
-    /// Records awaiting dispatch to a boundary pass.
+    /// Records ingested since the last dispatched boundary pass.
     pub fn pending_len(&self) -> usize {
-        self.state().pending.len()
+        let st = self.state();
+        st.records - st.dispatched
     }
 
     /// Boundary passes published so far.
@@ -520,194 +319,133 @@ impl ErService {
         self.view().len()
     }
 
-    /// Registers a schema in every shard and the stitcher; ids are
-    /// assigned densely in registration order, identical across all
-    /// sessions (every session sees registrations and ingests in the
-    /// same lock-defined global order).
+    /// Registers a schema; ids are assigned densely in registration
+    /// order.
     pub fn add_schema(&self, name: &str, attrs: &[String]) -> SchemaId {
         let mut st = self.state();
         let id = SchemaId::new(st.schemas.len() as u32);
-        for (shard, tx) in st.shard_txs.iter().enumerate() {
-            tx.send((
-                shard,
-                ShardCmd::Schema {
-                    name: name.to_string(),
-                    attrs: attrs.to_vec(),
-                },
-            ))
-            .expect("shard worker terminated");
-        }
-        st.stitch_tx
-            .send(StitchCmd::Schema {
+        st.tx
+            .send(SessionCmd::Schema {
                 name: name.to_string(),
                 attrs: attrs.to_vec(),
             })
-            .expect("stitch worker terminated");
-        st.schemas.push((name.to_string(), attrs.to_vec()));
+            .expect("session thread terminated");
+        st.schemas.push(attrs.len());
         id
     }
 
-    /// Installs the manifest's schema list after a restore. The
-    /// restored sessions persist their own registries, so nothing is
-    /// re-sent to the workers — only the front-end validation list
-    /// needs filling.
-    fn replay_schemas(&mut self, schemas: Vec<(String, Vec<String>)>) {
-        self.state().schemas = schemas;
-    }
-
-    /// Ingests one record: routes it by blocking key, dispatches it to
-    /// its shard worker, and queues it for the next boundary pass.
-    /// Validation (schema id, arity) happens here on the front end so
-    /// the fire-and-forget shard command cannot fail. Trips an
-    /// automatic stitch dispatch when the builder's `stitch_every`
-    /// threshold fills.
+    /// Ingests one record: validates it (schema id, arity) here on the
+    /// front end so the fire-and-forget session command cannot fail,
+    /// then moves it to the session thread. Trips an automatic stitch
+    /// dispatch when the record count reaches a multiple of the
+    /// builder's `stitch_every`.
     pub fn ingest(&self, schema: SchemaId, values: Vec<Value>) -> Result<IngestReply> {
-        let shard = route_shard(&values, self.shards);
         let mut st = self.state();
-        let global = st.route.len() as u32;
+        let id = st.records as u32;
         match st.schemas.get(schema.index()) {
             None => return Err(HeraError::UnknownId(format!("{schema}"))),
-            Some((_, attrs)) if attrs.len() != values.len() => {
+            Some(&arity) if arity != values.len() => {
                 return Err(HeraError::ArityMismatch {
-                    record: global,
-                    expected: attrs.len(),
+                    record: id,
+                    expected: arity,
                     actual: values.len(),
                 })
             }
             Some(_) => {}
         }
-        st.shard_txs[shard]
-            .send((
-                shard,
-                ShardCmd::Ingest {
-                    schema,
-                    values: values.clone(),
-                },
-            ))
+        st.tx
+            .send(SessionCmd::Ingest { schema, values })
             .map_err(worker_gone)?;
-        let local = st.local_to_global[shard].len() as u32;
-        st.route.push((shard as u32, local));
-        st.local_to_global[shard].push(global);
-        st.pending.push((schema, values));
-        let mut stitched = false;
-        if self.stitch_every > 0 && st.pending.len() >= self.stitch_every {
+        st.records += 1;
+        let stitched = self.stitch_every > 0 && st.records.is_multiple_of(self.stitch_every);
+        if stitched {
             // Fire-and-forget: dropping the handle abandons the wait,
             // not the pass.
-            let _ = self.dispatch_stitch(&mut st);
-            stitched = true;
+            let _ = Self::dispatch_stitch(&mut st);
         }
-        Ok(IngestReply {
-            id: global,
-            shard: shard as u32,
-            stitched,
-        })
+        Ok(IngestReply { id, stitched })
     }
 
-    /// Drains the pending suffix to the stitch worker. Must run under
-    /// the state lock so the drained batch is a contiguous prefix of
-    /// the global order.
-    fn dispatch_stitch(&self, st: &mut ServiceState) -> StitchHandle {
-        let records = std::mem::take(&mut st.pending);
-        st.drained += records.len();
-        let boundary = st.drained;
-        let (tx, rx) = channel();
-        st.stitch_tx
-            .send(StitchCmd::Stitch { records, reply: tx })
-            .expect("stitch worker terminated");
-        StitchHandle { boundary, rx }
+    /// Queues a boundary pass covering everything ingested so far. Runs
+    /// under the state lock so the boundary is the pass's queue position.
+    fn dispatch_stitch(st: &mut ServiceState) -> StitchHandle {
+        st.dispatched = st.records;
+        StitchHandle {
+            boundary: st.dispatched,
+            rx: st.ask(|reply| SessionCmd::Stitch { reply }),
+        }
     }
 
-    /// Dispatches a budgeted incremental resolve to every shard (each
-    /// shard gets the full `budget`) and returns without waiting;
-    /// shards work in parallel.
+    /// Dispatches a budgeted incremental resolve on the session and
+    /// returns without waiting.
     pub fn resolve_async(&self, budget: ResolveBudget) -> ResolveHandle {
-        let st = self.state();
-        let rxs = st
-            .shard_txs
-            .iter()
-            .enumerate()
-            .map(|(shard, tx)| {
-                let (rtx, rrx) = channel();
-                tx.send((shard, ShardCmd::Resolve { budget, reply: rtx }))
-                    .expect("shard worker terminated");
-                rrx
-            })
-            .collect();
-        ResolveHandle { rxs }
+        let rx = self
+            .state()
+            .ask(|reply| SessionCmd::Resolve { budget, reply });
+        ResolveHandle { rx }
     }
 
-    /// Runs budgeted incremental resolution on every shard in parallel
-    /// and waits for all of them.
-    pub fn resolve(&self, budget: ResolveBudget) -> ResolveReply {
+    /// Runs budgeted incremental resolution on the authoritative
+    /// session and waits for its report.
+    pub fn resolve(&self, budget: ResolveBudget) -> ProgressiveReport {
         self.resolve_async(budget).wait()
     }
 
-    /// Dispatches the cross-shard boundary pass — the stitcher ingests
-    /// the pending suffix of the global stream and resolves to a
-    /// fixpoint on its own thread — and returns without waiting.
-    /// Lookups keep answering from the previous published view until
-    /// the pass swaps its generation in.
+    /// Dispatches the boundary pass — the session resolves to a
+    /// fixpoint and publishes its partition — and returns without
+    /// waiting. Lookups keep answering from the previous published view
+    /// until the pass swaps its generation in.
     pub fn stitch_async(&self) -> StitchHandle {
-        let mut st = self.state();
-        self.dispatch_stitch(&mut st)
+        Self::dispatch_stitch(&mut self.state())
     }
 
     /// Runs the boundary pass and waits for its view to publish; once
     /// this returns, every record ingested before the call is part of
-    /// the authoritative partition.
+    /// the published partition.
     pub fn stitch(&self) -> StitchReply {
         self.stitch_async().wait()
     }
 
-    /// Looks up the entity of a record by global id. Records covered by
-    /// the last published boundary pass answer from that immutable
-    /// view; records still awaiting one answer from their shard,
-    /// flagged provisional, with member ids translated to global ids.
-    /// Never blocks on an in-flight stitch.
+    /// Looks up the entity of a record by id. Records covered by the
+    /// last published boundary pass answer from that immutable view
+    /// without taking the state lock or waiting on an in-flight pass;
+    /// records past it ask the live session, flagged provisional — a
+    /// command like any other, answered when the session's queue
+    /// reaches it.
     pub fn lookup(&self, id: u32) -> Result<LookupReply> {
-        let (shard, local, tx) = {
+        let view = self.view();
+        if (id as usize) < view.len() {
+            let entity = view.entity_of(id);
+            let members = view
+                .members_of(entity)
+                .expect("published root has a member list")
+                .to_vec();
+            return Ok(LookupReply {
+                entity,
+                provisional: false,
+                members,
+            });
+        }
+        let rx = {
             let st = self.state();
-            if (id as usize) >= st.route.len() {
+            if (id as usize) >= st.records {
                 return Err(HeraError::UnknownId(format!("record {id}")));
             }
-            let view = self.view();
-            if (id as usize) < view.len() {
-                let entity = view.entity_of(id);
-                let members = view
-                    .members_of(entity)
-                    .expect("stitched root has a member list")
-                    .to_vec();
-                return Ok(LookupReply {
-                    entity,
-                    provisional: false,
-                    members,
-                });
-            }
-            let (shard, local) = st.route[id as usize];
-            (shard as usize, local, st.shard_txs[shard as usize].clone())
+            st.ask(|reply| SessionCmd::Lookup { id, reply })
         };
-        // Outside the lock: the shard answers from whatever coherent
-        // state its own command stream has reached — at least as new as
-        // our bookkeeping read, possibly newer, never torn.
-        let (rtx, rrx) = channel();
-        tx.send((shard, ShardCmd::Lookup { local, reply: rtx }))
-            .map_err(worker_gone)?;
-        let (root, local_members) = rrx.recv().map_err(worker_gone)?;
-        // Re-acquire to translate: the map is append-only, so every
-        // local id the shard can name already has a global mapping.
-        let st = self.state();
-        let map = &st.local_to_global[shard];
-        let mut members: Vec<u32> = local_members.iter().map(|&l| map[l as usize]).collect();
-        members.sort_unstable();
+        // Outside the lock: the session answers from whatever coherent
+        // state its queue has reached — the record's own ingest was
+        // queued before this lookup, so it is always there.
+        let (entity, members) = rx.recv().map_err(worker_gone)?;
         Ok(LookupReply {
-            entity: map[root as usize],
+            entity,
             provisional: true,
             members,
         })
     }
 
-    /// Members of a stitched entity by label (a stitched `Lookup`'s
-    /// `entity` field), from the last published view.
+    /// Members of a published entity by label (a non-provisional
+    /// `Lookup`'s `entity` field), from the last published view.
     pub fn entity(&self, label: u32) -> Result<Vec<u32>> {
         self.view()
             .members_of(label)
@@ -715,211 +453,79 @@ impl ErService {
             .ok_or_else(|| HeraError::UnknownId(format!("entity {label}")))
     }
 
-    /// The authoritative stitched partition (one vec of global ids per
-    /// entity) as of the last published boundary pass — call
-    /// [`ErService::stitch`] first for full coverage.
+    /// The published partition (one vec of record ids per entity) as of
+    /// the last boundary pass — call [`ErService::stitch`] first for
+    /// full coverage.
     pub fn stitched_partition(&self) -> Vec<Vec<u32>> {
         self.view().partition()
     }
 
     /// Service-wide counters as a JSON object (the `stats` reply body).
     pub fn stats(&self) -> Vec<(String, Json)> {
-        let (records, pending, drained, schemas, rxs) = {
+        let (records, dispatched, schemas, rx) = {
             let st = self.state();
-            let rxs: Vec<Receiver<(usize, usize, u64)>> = st
-                .shard_txs
-                .iter()
-                .enumerate()
-                .map(|(shard, tx)| {
-                    let (rtx, rrx) = channel();
-                    tx.send((shard, ShardCmd::Stats { reply: rtx }))
-                        .expect("shard worker terminated");
-                    rrx
-                })
-                .collect();
-            (
-                st.route.len(),
-                st.pending.len(),
-                st.drained,
-                st.schemas.len(),
-                rxs,
-            )
+            let rx = st.ask(|reply| SessionCmd::Stats { reply });
+            (st.records, st.dispatched, st.schemas.len(), rx)
         };
-        let shard_stats: Vec<Json> = rxs
-            .into_iter()
-            .map(|rx| {
-                let (records, merges, comparisons) = rx.recv().expect("shard worker terminated");
-                Json::Obj(vec![
-                    ("records".into(), Json::Int(records as i64)),
-                    ("merges".into(), Json::Int(merges as i64)),
-                    ("comparisons".into(), Json::Int(comparisons as i64)),
-                ])
-            })
-            .collect();
+        let (merges, comparisons) = rx.recv().expect("session thread terminated");
         let view = self.view();
-        vec![
-            ("records".into(), Json::Int(records as i64)),
-            ("stitched".into(), Json::Int(view.len() as i64)),
-            ("pending".into(), Json::Int(pending as i64)),
-            (
-                "stitching".into(),
-                Json::Int(drained.saturating_sub(view.len()) as i64),
-            ),
-            ("schemas".into(), Json::Int(schemas as i64)),
-            ("workers".into(), Json::Int(self.workers as i64)),
-            ("passes".into(), Json::Int(view.passes() as i64)),
-            ("shards".into(), Json::Arr(shard_stats)),
-            (
-                "stitcher_merges".into(),
-                Json::Int(view.stitcher_merges() as i64),
-            ),
+        [
+            ("records", records),
+            ("stitched", view.len()),
+            ("pending", records - dispatched),
+            ("stitching", dispatched.saturating_sub(view.len())),
+            ("schemas", schemas),
+            ("passes", view.passes() as usize),
+            ("merges", merges),
+            ("comparisons", comparisons),
         ]
+        .into_iter()
+        .map(|(name, n)| (name.to_string(), Json::Int(n as i64)))
+        .collect()
     }
 
-    /// Checkpoints the whole service: one snapshot per shard
-    /// (`<path>.shard<i>`), one for the stitcher (`<path>.stitcher`),
-    /// then the manifest at `path` — all atomic, CRC-checked, and
-    /// retried under the builder's policy.
+    /// Checkpoints the service as **one file**: the session's own
+    /// snapshot (`HeraSession::checkpoint` — atomic, CRC-checked,
+    /// retried under the builder's policy, byte-identical for identical
+    /// state), written by the session thread in queue position.
     ///
-    /// Safe to race with live ingest: the snapshot commands and the
-    /// manifest's bookkeeping clone are taken under **one** hold of the
-    /// state lock, and each worker channel is FIFO — so every session
-    /// snapshot captures exactly the records the manifest's routing
-    /// table says it should, no matter what other threads ingest while
-    /// the snapshots are being written. The manifest is written last,
-    /// after every session snapshot has succeeded, so a crash or
-    /// injected fault mid-checkpoint never publishes a manifest
-    /// pointing at a torn shard set.
+    /// Safe to race with live ingest: the command is queued under the
+    /// state lock and the queue is FIFO, so the snapshot holds exactly
+    /// the records ingested before this call, whatever other threads
+    /// ingest while it is being written.
     pub fn checkpoint(&self, path: impl AsRef<Path>) -> Result<()> {
-        let path = path.as_ref();
-        let (rxs, stitch_rx, schemas, route, pending) = {
-            let st = self.state();
-            let rxs: Vec<Receiver<Result<()>>> = st
-                .shard_txs
-                .iter()
-                .enumerate()
-                .map(|(shard, tx)| {
-                    let (rtx, rrx) = channel();
-                    tx.send((
-                        shard,
-                        ShardCmd::Checkpoint {
-                            path: shard_path(path, shard),
-                            reply: rtx,
-                        },
-                    ))
-                    .map_err(worker_gone)?;
-                    Ok(rrx)
-                })
-                .collect::<Result<_>>()?;
-            let (rtx, rrx) = channel();
-            st.stitch_tx
-                .send(StitchCmd::Checkpoint {
-                    path: stitcher_path(path),
-                    reply: rtx,
-                })
-                .map_err(worker_gone)?;
-            (
-                rxs,
-                rrx,
-                st.schemas.clone(),
-                st.route.clone(),
-                st.pending.clone(),
-            )
-        };
-        for rx in rxs {
-            rx.recv().map_err(worker_gone)??;
-        }
-        stitch_rx.recv().map_err(worker_gone)??;
-
-        let mut manifest = Snapshot::new();
-        manifest.insert(
-            "service",
-            Json::Obj(vec![
-                ("shards".into(), Json::Int(self.shards as i64)),
-                ("stitch_every".into(), Json::Int(self.stitch_every as i64)),
-            ]),
-        );
-        manifest.insert(
-            "schemas",
-            Json::Arr(
-                schemas
-                    .iter()
-                    .map(|(name, attrs)| {
-                        Json::Obj(vec![
-                            ("name".into(), Json::Str(name.clone())),
-                            (
-                                "attrs".into(),
-                                Json::Arr(attrs.iter().map(|a| Json::Str(a.clone())).collect()),
-                            ),
-                        ])
-                    })
-                    .collect(),
-            ),
-        );
-        manifest.insert(
-            "route",
-            Json::Arr(
-                route
-                    .iter()
-                    .map(|&(shard, _)| Json::Int(shard as i64))
-                    .collect(),
-            ),
-        );
-        manifest.insert(
-            "pending",
-            Json::Arr(
-                pending
-                    .iter()
-                    .map(|(schema, values)| {
-                        Json::Obj(vec![
-                            ("schema".into(), Json::Int(schema.index() as i64)),
-                            (
-                                "values".into(),
-                                Json::Arr(values.iter().map(Value::to_json).collect()),
-                            ),
-                        ])
-                    })
-                    .collect(),
-            ),
-        );
-        hera_faults::retry(
-            &self.retry,
-            self.clock.as_ref(),
-            |_| manifest.write_with(path, &self.faults),
-            io_retryable,
-        )
-        .map_err(|e| HeraError::CheckpointFailed {
-            attempts: e.attempts,
-            cause: Box::new(e.error),
-        })?;
-        Ok(())
+        let path = path.as_ref().to_path_buf();
+        let rx = self
+            .state()
+            .ask(|reply| SessionCmd::Checkpoint { path, reply });
+        rx.recv().map_err(worker_gone)?
     }
 
     /// Handles one protocol request, returning the response object and
-    /// whether the service should keep running. Every request lands one
-    /// `serve_request` audit line in the journal.
-    pub fn handle(&self, request: &Request) -> (Json, bool) {
+    /// whether the service should keep running. Takes the request by
+    /// value so record values move from the decoder into the session.
+    /// Every request lands one `serve_request` audit line in the
+    /// journal.
+    pub fn handle(&self, request: Request) -> (Json, bool) {
+        let cmd = cmd_name(&request);
         let (response, keep_going) = self.dispatch(request);
         let outcome = matches!(response.get("ok"), Some(Json::Bool(true)));
         self.recorder.emit(
             "serve_request",
-            vec![
-                ("cmd", Json::Str(cmd_name(request).into())),
-                ("ok", Json::Bool(outcome)),
-            ],
+            vec![("cmd", Json::Str(cmd.into())), ("ok", Json::Bool(outcome))],
         );
         self.recorder.flush();
         (response, keep_going)
     }
 
-    fn dispatch(&self, request: &Request) -> (Json, bool) {
+    fn dispatch(&self, request: Request) -> (Json, bool) {
         let response = match request {
             Request::Schema { name, attrs } => {
-                let id = self.add_schema(name, attrs);
+                let id = self.add_schema(&name, &attrs);
                 ok(vec![("schema".into(), Json::Int(id.index() as i64))])
             }
             Request::Ingest { schema, values } => {
-                match self.ingest(SchemaId::new(*schema), values.clone()) {
+                match self.ingest(SchemaId::new(schema), values) {
                     Ok(r) => ingest_fields(&[r]),
                     Err(e) => err(e),
                 }
@@ -928,7 +534,7 @@ impl ErService {
                 let mut replies = Vec::with_capacity(records.len());
                 let mut failed = None;
                 for (schema, values) in records {
-                    match self.ingest(SchemaId::new(*schema), values.clone()) {
+                    match self.ingest(SchemaId::new(schema), values) {
                         Ok(r) => replies.push(r),
                         Err(e) => {
                             failed = Some((replies.len(), e));
@@ -944,10 +550,10 @@ impl ErService {
                 }
             }
             Request::Resolve { budget } => {
-                let r = self.resolve(*budget);
+                let r = self.resolve(budget);
                 ok(vec![
                     ("merges".into(), Json::Int(r.merges as i64)),
-                    ("comparisons".into(), Json::Int(r.comparisons as i64)),
+                    ("comparisons".into(), Json::Int(r.comparisons_spent as i64)),
                     ("exhausted".into(), Json::Bool(r.exhausted)),
                 ])
             }
@@ -959,7 +565,7 @@ impl ErService {
                     ("stitched".into(), Json::Int(self.stitched_len() as i64)),
                 ])
             }
-            Request::Lookup { id } => match self.lookup(*id) {
+            Request::Lookup { id } => match self.lookup(id) {
                 Ok(r) => ok(vec![
                     ("entity".into(), Json::Int(r.entity as i64)),
                     ("provisional".into(), Json::Bool(r.provisional)),
@@ -970,7 +576,7 @@ impl ErService {
                 ]),
                 Err(e) => err(e),
             },
-            Request::Entity { label } => match self.entity(*label) {
+            Request::Entity { label } => match self.entity(label) {
                 Ok(members) => ok(vec![(
                     "members".into(),
                     Json::Arr(members.iter().map(|&m| Json::Int(m as i64)).collect()),
@@ -978,8 +584,8 @@ impl ErService {
                 Err(e) => err(e),
             },
             Request::Stats => ok(self.stats()),
-            Request::Checkpoint { path } => match self.checkpoint(path) {
-                Ok(()) => ok(vec![("path".into(), Json::Str(path.clone()))]),
+            Request::Checkpoint { path } => match self.checkpoint(&path) {
+                Ok(()) => ok(vec![("path".into(), Json::Str(path))]),
                 Err(e) => err(e),
             },
             Request::Shutdown => return (ok(vec![("bye".into(), Json::Bool(true))]), false),
@@ -989,21 +595,17 @@ impl ErService {
 }
 
 impl Drop for ErService {
-    /// Shuts the workers down and joins them. A worker mid-command
-    /// (e.g. a long stitch) finishes it first — `Shutdown` queues
-    /// behind everything already sent.
+    /// Shuts the session thread down and joins it. A command in flight
+    /// (e.g. a long stitch) finishes first — `Shutdown` queues behind
+    /// everything already sent.
     fn drop(&mut self) {
-        {
-            let st = self
-                .state
-                .lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-            for tx in &st.worker_txs {
-                tx.send((usize::MAX, ShardCmd::Shutdown)).ok();
-            }
-            st.stitch_tx.send(StitchCmd::Shutdown).ok();
-        }
-        for handle in self.handles.drain(..) {
+        self.state
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
+            .tx
+            .send(SessionCmd::Shutdown)
+            .ok();
+        if let Some(handle) = self.handle.take() {
             handle.join().ok();
         }
     }
@@ -1031,10 +633,40 @@ fn ingest_fields(replies: &[IngestReply]) -> Json {
     )];
     if let [only] = replies {
         fields.push(("id".into(), Json::Int(only.id as i64)));
-        fields.push(("shard".into(), Json::Int(only.shard as i64)));
     }
     if replies.iter().any(|r| r.stitched) {
         fields.push(("stitched".into(), Json::Bool(true)));
     }
     ok(fields)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::time::Duration;
+
+    /// A published lookup reads the view and nothing else: it must
+    /// answer while another thread holds the bookkeeping lock (as every
+    /// ingest does).
+    #[test]
+    fn published_lookup_takes_no_lock() {
+        let service = Arc::new(ErService::builder(HeraConfig::new(0.5, 0.5), 1).build());
+        let schema = service.add_schema("crm", &["name".to_string()]);
+        service.ingest(schema, vec!["alice".into()]).unwrap();
+        service.stitch();
+
+        let (tx, rx) = channel();
+        let guard = service.state();
+        let reader = {
+            let service = service.clone();
+            std::thread::spawn(move || tx.send(service.lookup(0)).ok())
+        };
+        let reply = rx.recv_timeout(Duration::from_secs(10));
+        drop(guard);
+        reader.join().unwrap();
+        let reply = reply
+            .expect("a published lookup waited on the state lock")
+            .unwrap();
+        assert_eq!((reply.provisional, reply.members), (false, vec![0]));
+    }
 }

@@ -1,42 +1,23 @@
-//! Worker threads behind the concurrent [`ErService`]: per-shard
-//! session ownership, command channels, and the double-buffered
-//! stitched view.
+//! The session-owner thread behind [`ErService`](crate::service::ErService)
+//! and the double-buffered published view.
 //!
-//! # Ownership map
+//! One thread exclusively owns the service's one [`HeraSession`]: ingest,
+//! budgeted resolve, boundary pass, live lookup, stats and checkpoint all
+//! arrive as [`SessionCmd`] messages on one unbounded FIFO channel and
+//! run in arrival order. `HeraSession` is `Send` but deliberately not
+//! `Sync`, so the compiler enforces the ownership. The front end sends
+//! every command while holding its bookkeeping lock, which makes the
+//! queue order the lock order — and since the session is sequential,
+//! its state is a pure function of that order.
 //!
-//! * Each **shard worker thread** exclusively owns one or more shard
-//!   [`HeraSession`]s (shard *i* lives on worker `i % workers`). Nothing
-//!   else ever touches a shard session: ingest, budgeted resolve,
-//!   provisional lookup, and checkpoint all arrive as [`ShardCmd`]
-//!   messages on the worker's channel and are executed by the owning
-//!   thread. `HeraSession` is `Send` but deliberately not `Sync`, so
-//!   this is the only shape concurrent access can take — the compiler
-//!   enforces the ownership map.
-//! * The **stitch worker thread** exclusively owns the stitcher session
-//!   and is the only writer of the published [`StitchedView`].
-//! * The **front end** ([`ErService`](crate::service::ErService)) owns
-//!   only bookkeeping (routing table, pending suffix, schema list)
-//!   behind a mutex, and the read side of the published view.
+//! # Publishing
 //!
-//! # Channel topology
-//!
-//! One unbounded mpsc channel per worker thread; the service holds one
-//! sender *per shard* (shards on the same worker share a channel), so a
-//! shard's command stream is FIFO. All sends happen while the service's
-//! bookkeeping lock is held, which makes every channel's order a
-//! projection of one global arrival order — per-shard determinism needs
-//! nothing more.
-//!
-//! # Stitch double buffer
-//!
-//! The boundary pass never blocks lookups. The stitch worker replays
-//! the drained pending suffix into the stitcher, resolves to fixpoint,
+//! A boundary pass never blocks lookups. The owner resolves to fixpoint,
 //! builds a complete [`StitchedView`] (entity labels, member lists, the
 //! full partition), and *then* swaps it into the published slot under a
 //! write lock held only for the pointer swap. Readers clone the `Arc`
-//! out under the read lock and answer from an immutable generation —
-//! a lookup can observe the pass-*k* or pass-*k+1* view, never a
-//! mixture.
+//! out under the read lock and answer from an immutable generation — a
+//! lookup can observe the pass-*k* or pass-*k+1* view, never a mixture.
 
 use crate::service::StitchReply;
 use hera_core::{HeraSession, ProgressiveReport, ResolveBudget};
@@ -49,186 +30,71 @@ use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, RwLock};
 use std::thread::JoinHandle;
 
-/// Commands a shard worker executes against the sessions it owns.
-/// Every variant but `Shutdown` names its shard (workers can own
-/// several); replies ride one-shot mpsc channels.
-pub(crate) enum ShardCmd {
+/// Commands the owner thread executes against the session; replies ride
+/// one-shot mpsc channels.
+pub(crate) enum SessionCmd {
+    /// Register a source schema.
+    Schema {
+        /// Source name.
+        name: String,
+        /// Attribute names.
+        attrs: Vec<String>,
+    },
     /// Ingest one record. Pre-validated by the front end (schema id and
-    /// arity checked against the service's schema list), so the
-    /// worker-side `add_record` cannot fail; fire-and-forget.
+    /// arity checked against its schema list), so the session-side
+    /// `add_record` cannot fail; fire-and-forget.
     Ingest {
         /// Schema the record arrives under.
         schema: SchemaId,
         /// The record's values.
         values: Vec<Value>,
     },
-    /// Run one budgeted progressive resolve on the shard.
+    /// Run one budgeted progressive resolve.
     Resolve {
         /// Per-request budget.
         budget: ResolveBudget,
         /// Where the report goes.
         reply: Sender<ProgressiveReport>,
     },
-    /// Provisional lookup: local root and members, in local ids.
+    /// One boundary pass: resolve to fixpoint, publish a fresh
+    /// [`StitchedView`], then reply (auto-passes drop the receiver).
+    Stitch {
+        /// Where the pass report goes.
+        reply: Sender<StitchReply>,
+    },
+    /// Live lookup of a record past the published boundary.
     Lookup {
-        /// Shard-local record id.
-        local: u32,
-        /// `(root local id, member local ids ascending)`.
+        /// Record id.
+        id: u32,
+        /// `(entity label, member ids ascending)`.
         reply: Sender<(u32, Vec<u32>)>,
     },
-    /// Shard-session counters for the `stats` reply.
+    /// Session-lifetime counters for the `stats` reply.
     Stats {
-        /// `(records, merges, comparisons)`.
-        reply: Sender<(usize, usize, u64)>,
+        /// `(merges, comparisons)`.
+        reply: Sender<(usize, usize)>,
     },
-    /// Snapshot the shard session at `path`.
+    /// Snapshot the session at `path`.
     Checkpoint {
-        /// Snapshot path (the service derives it from the manifest path).
+        /// Snapshot path.
         path: PathBuf,
         /// Outcome of the (internally retried) write.
         reply: Sender<Result<()>>,
     },
-    /// Mirror a schema registration (ids stay dense and identical
-    /// across sessions because all sends happen under the service's
-    /// bookkeeping lock, in one global order).
-    Schema {
-        /// Source name.
-        name: String,
-        /// Attribute names.
-        attrs: Vec<String>,
-    },
-    /// Stop the worker thread (sent once per worker, on service drop).
+    /// Stop the owner thread (on service drop).
     Shutdown,
 }
 
-/// A message on a worker channel: which shard, and what to do.
-pub(crate) type ShardMsg = (usize, ShardCmd);
-
-/// What [`spawn_shard_workers`] hands back: one sender per *shard*
-/// (shards on the same worker share a channel), one sender per *worker*
-/// (for shutdown), and the worker join handles.
-pub(crate) type ShardWorkers = (
-    Vec<Sender<ShardMsg>>,
-    Vec<Sender<ShardMsg>>,
-    Vec<JoinHandle<()>>,
-);
-
-/// Spawns `workers` shard-worker threads owning `sessions` (shard `i`
-/// on worker `i % workers`).
-pub(crate) fn spawn_shard_workers(sessions: Vec<HeraSession>, workers: usize) -> ShardWorkers {
-    let shards = sessions.len();
-    let workers = workers.clamp(1, shards.max(1));
-    let mut owned: Vec<FxHashMap<usize, HeraSession>> =
-        (0..workers).map(|_| FxHashMap::default()).collect();
-    for (i, s) in sessions.into_iter().enumerate() {
-        owned[i % workers].insert(i, s);
-    }
-    let mut worker_txs = Vec::with_capacity(workers);
-    let mut handles = Vec::with_capacity(workers);
-    for (w, sessions) in owned.into_iter().enumerate() {
-        let (tx, rx) = channel::<ShardMsg>();
-        worker_txs.push(tx);
-        let handle = std::thread::Builder::new()
-            .name(format!("hera-shard-{w}"))
-            .spawn(move || shard_worker_loop(sessions, rx))
-            .expect("spawn shard worker");
-        handles.push(handle);
-    }
-    let shard_txs = (0..shards)
-        .map(|i| worker_txs[i % workers].clone())
-        .collect();
-    (shard_txs, worker_txs, handles)
-}
-
-/// The shard worker body: drain commands until `Shutdown` or every
-/// sender is gone. Replies to droped callers are discarded (`.ok()`),
-/// so an abandoned request can never wedge the worker.
-fn shard_worker_loop(mut sessions: FxHashMap<usize, HeraSession>, rx: Receiver<ShardMsg>) {
-    while let Ok((shard, cmd)) = rx.recv() {
-        if matches!(cmd, ShardCmd::Shutdown) {
-            break;
-        }
-        let session = sessions
-            .get_mut(&shard)
-            .expect("command routed to a worker that owns the shard");
-        match cmd {
-            ShardCmd::Ingest { schema, values } => {
-                // The front end validated schema + arity under its
-                // bookkeeping lock before routing, so failure here is a
-                // service-level bug, not bad client input.
-                session
-                    .add_record(schema, values)
-                    .expect("front-end-validated ingest");
-            }
-            ShardCmd::Resolve { budget, reply } => {
-                reply.send(session.resolve_progressive(budget)).ok();
-            }
-            ShardCmd::Lookup { local, reply } => {
-                let root = session.entity_of(RecordId::new(local));
-                let members = session
-                    .entity_members(root)
-                    .expect("shard root has a super record")
-                    .to_vec();
-                reply.send((root, members)).ok();
-            }
-            ShardCmd::Stats { reply } => {
-                let stats = session.stats();
-                reply
-                    .send((session.len(), stats.merges, stats.comparisons as u64))
-                    .ok();
-            }
-            ShardCmd::Checkpoint { path, reply } => {
-                reply.send(session.checkpoint(path)).ok();
-            }
-            ShardCmd::Schema { name, attrs } => {
-                session.add_schema(name, attrs);
-            }
-            ShardCmd::Shutdown => unreachable!("handled above"),
-        }
-    }
-}
-
-/// Commands for the stitch worker.
-pub(crate) enum StitchCmd {
-    /// Mirror a schema registration.
-    Schema {
-        /// Source name.
-        name: String,
-        /// Attribute names.
-        attrs: Vec<String>,
-    },
-    /// One boundary pass: replay `records` (the drained pending suffix,
-    /// in global arrival order), resolve to fixpoint, publish a fresh
-    /// [`StitchedView`], then reply.
-    Stitch {
-        /// The drained global-stream suffix.
-        records: Vec<(SchemaId, Vec<Value>)>,
-        /// Where the pass report goes (auto-stitches drop the receiver).
-        reply: Sender<StitchReply>,
-    },
-    /// Snapshot the stitcher session at `path`.
-    Checkpoint {
-        /// Snapshot path.
-        path: PathBuf,
-        /// Outcome of the write.
-        reply: Sender<Result<()>>,
-    },
-    /// Stop the stitch worker (on service drop).
-    Shutdown,
-}
-
-/// One published generation of the authoritative cross-shard partition:
-/// everything a lookup needs, immutable, behind an `Arc`. Built by the
-/// stitch worker after each boundary pass and swapped in atomically.
+/// One published generation of the authoritative partition: everything a
+/// lookup needs, immutable, behind an `Arc`. Built by the owner thread
+/// after each boundary pass and swapped in atomically.
 pub(crate) struct StitchedView {
-    /// Global ids `< entity.len()` are covered by this generation.
+    /// Record ids `< entity.len()` are covered by this generation.
     entity: Vec<u32>,
-    /// Entity label → member global ids, ascending.
+    /// Entity label → member ids, ascending.
     members: FxHashMap<u32, Vec<u32>>,
     /// The full partition, in [`HeraSession::clusters`] order.
     partition: Vec<Vec<u32>>,
-    /// Stitcher-session lifetime merge count at publish time.
-    stitcher_merges: usize,
     /// Boundary passes published so far (generation counter).
     passes: u64,
 }
@@ -239,7 +105,7 @@ impl StitchedView {
         self.entity.len()
     }
 
-    /// Entity label of a covered global id.
+    /// Entity label of a covered record id.
     pub(crate) fn entity_of(&self, id: u32) -> u32 {
         self.entity[id as usize]
     }
@@ -254,22 +120,16 @@ impl StitchedView {
         self.partition.clone()
     }
 
-    /// Stitcher merges at publish time.
-    pub(crate) fn stitcher_merges(&self) -> usize {
-        self.stitcher_merges
-    }
-
     /// Published boundary passes.
     pub(crate) fn passes(&self) -> u64 {
         self.passes
     }
 
-    /// Captures the stitcher's current partition as generation `passes`.
-    fn capture(stitcher: &mut HeraSession, passes: u64) -> Self {
-        let partition = stitcher.clusters();
-        let len = stitcher.len();
-        let entity: Vec<u32> = (0..len as u32)
-            .map(|id| stitcher.entity_of(RecordId::new(id)))
+    /// Captures the session's current partition as generation `passes`.
+    fn capture(session: &mut HeraSession, passes: u64) -> Self {
+        let partition = session.clusters();
+        let entity: Vec<u32> = (0..session.len() as u32)
+            .map(|id| session.entity_of(RecordId::new(id)))
             .collect();
         let mut members = FxHashMap::default();
         for cluster in &partition {
@@ -279,70 +139,80 @@ impl StitchedView {
             entity,
             members,
             partition,
-            stitcher_merges: stitcher.stats().merges,
             passes,
         }
     }
 }
 
 /// The published-view slot: readers clone the inner `Arc` under a read
-/// lock; the stitch worker swaps a fresh generation in under a write
+/// lock; the owner thread swaps a fresh generation in under a write
 /// lock held only for the assignment.
 pub(crate) type Published = Arc<RwLock<Arc<StitchedView>>>;
 
-/// Spawns the stitch worker owning `stitcher`. The initial published
-/// view is captured from the session *before* the handoff, so a
-/// restored service answers stitched lookups immediately.
-pub(crate) fn spawn_stitch_worker(
-    mut stitcher: HeraSession,
+/// Spawns the owner thread for `session`. The initial published view is
+/// captured from the session *before* the handoff, so a restored
+/// service answers lookups from its first generation immediately.
+pub(crate) fn spawn_session_worker(
+    mut session: HeraSession,
     recorder: Recorder,
-) -> (Sender<StitchCmd>, Published, JoinHandle<()>) {
-    let initial_passes = u64::from(!stitcher.is_empty());
+) -> (Sender<SessionCmd>, Published, JoinHandle<()>) {
+    let passes = u64::from(!session.is_empty());
     let published: Published = Arc::new(RwLock::new(Arc::new(StitchedView::capture(
-        &mut stitcher,
-        initial_passes,
+        &mut session,
+        passes,
     ))));
     let slot = published.clone();
-    let (tx, rx) = channel::<StitchCmd>();
+    let (tx, rx) = channel();
     let handle = std::thread::Builder::new()
-        .name("hera-stitcher".into())
-        .spawn(move || stitch_worker_loop(stitcher, slot, recorder, rx, initial_passes))
-        .expect("spawn stitch worker");
+        .name("hera-session".into())
+        .spawn(move || session_worker_loop(session, slot, recorder, rx, passes))
+        .expect("spawn session worker");
     (tx, published, handle)
 }
 
-fn stitch_worker_loop(
-    mut stitcher: HeraSession,
+/// The owner body: drain commands until `Shutdown` or every sender is
+/// gone. Replies to dropped callers are discarded (`.ok()`), so an
+/// abandoned request can never wedge the thread.
+fn session_worker_loop(
+    mut session: HeraSession,
     published: Published,
     recorder: Recorder,
-    rx: Receiver<StitchCmd>,
+    rx: Receiver<SessionCmd>,
     mut passes: u64,
 ) {
     while let Ok(cmd) = rx.recv() {
         match cmd {
-            StitchCmd::Schema { name, attrs } => {
-                stitcher.add_schema(name, attrs);
+            SessionCmd::Schema { name, attrs } => {
+                session.add_schema(name, attrs);
             }
-            StitchCmd::Stitch { records, reply } => {
-                let ingested = records.len();
-                for (schema, values) in records {
-                    stitcher
-                        .add_record(schema, values)
-                        .expect("stitcher schemas mirror the shards'");
-                }
-                let report = stitcher.resolve_progressive(ResolveBudget::unlimited());
+            SessionCmd::Ingest { schema, values } => {
+                // The front end validated schema + arity under its
+                // bookkeeping lock, so failure here is a service-level
+                // bug, not bad client input.
+                session
+                    .add_record(schema, values)
+                    .expect("front-end-validated ingest");
+            }
+            SessionCmd::Resolve { budget, reply } => {
+                reply.send(session.resolve_progressive(budget)).ok();
+            }
+            SessionCmd::Stitch { reply } => {
+                let report = session.resolve_progressive(ResolveBudget::unlimited());
                 passes += 1;
-                let view = Arc::new(StitchedView::capture(&mut stitcher, passes));
-                let merges = report.merges;
+                let view = Arc::new(StitchedView::capture(&mut session, passes));
                 let total = view.len();
                 // Publish: the only write the slot ever sees, held just
                 // long enough to swap the pointer.
-                *published.write().expect("published view poisoned") = view;
+                let previous = std::mem::replace(
+                    &mut *published.write().expect("published view poisoned"),
+                    view,
+                );
+                let ingested = total - previous.len();
                 recorder.emit(
                     "serve_stitch",
                     vec![
                         ("ingested", Json::Int(ingested as i64)),
-                        ("merges", Json::Int(merges as i64)),
+                        ("merges", Json::Int(report.merges as i64)),
                         ("stitched_total", Json::Int(total as i64)),
                         ("pass", Json::Int(passes as i64)),
                     ],
@@ -350,10 +220,23 @@ fn stitch_worker_loop(
                 recorder.flush();
                 reply.send(StitchReply { ingested, report }).ok();
             }
-            StitchCmd::Checkpoint { path, reply } => {
-                reply.send(stitcher.checkpoint(path)).ok();
+            SessionCmd::Lookup { id, reply } => {
+                let entity = session.entity_of(RecordId::new(id));
+                let mut members = session
+                    .entity_members(entity)
+                    .expect("a root has a super record")
+                    .to_vec();
+                members.sort_unstable();
+                reply.send((entity, members)).ok();
             }
-            StitchCmd::Shutdown => break,
+            SessionCmd::Stats { reply } => {
+                let stats = session.stats();
+                reply.send((stats.merges, stats.comparisons)).ok();
+            }
+            SessionCmd::Checkpoint { path, reply } => {
+                reply.send(session.checkpoint(path)).ok();
+            }
+            SessionCmd::Shutdown => break,
         }
     }
 }

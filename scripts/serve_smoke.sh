@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Restore-after-kill smoke for hera-serve: start a TCP server, ingest,
 # stitch, record a lookup answer, checkpoint, kill -9 the server, restore
-# a fresh process from the checkpoint, and demand the same lookup answer
-# bit for bit — then prove ingest still works on the restored service.
+# a fresh process from the checkpoint (which must be exactly one file),
+# and demand the same lookup answer bit for bit — then prove ingest
+# still works on the restored service.
 set -euo pipefail
 
 BIN=${HERA_CLI:-target/release/hera-cli}
@@ -28,7 +29,7 @@ wait_ready() {
   exit 1
 }
 
-"$BIN" serve --shards 2 --stitch-every 2 --listen "$ADDR" &
+"$BIN" serve --stitch-every 2 --listen "$ADDR" &
 SERVER_PID=$!
 wait_ready
 
@@ -40,12 +41,17 @@ BEFORE=$(req '{"cmd":"lookup","id":0}')
 echo "lookup before kill: $BEFORE"
 case "$BEFORE" in *'"ok":true'*) ;; *) echo "FAIL: lookup failed pre-kill" >&2; exit 1;; esac
 req "{\"cmd\":\"checkpoint\",\"path\":\"$DIR/svc.hera\"}"
+FILES=$(ls -A "$DIR")
+if [ "$FILES" != "svc.hera" ]; then
+  echo "FAIL: checkpoint left more than one file: $FILES" >&2
+  exit 1
+fi
 
 kill -9 "$SERVER_PID"
 wait "$SERVER_PID" 2>/dev/null || true
 SERVER_PID=
 
-"$BIN" serve --shards 2 --stitch-every 2 --restore "$DIR/svc.hera" --listen "$ADDR" &
+"$BIN" serve --stitch-every 2 --restore "$DIR/svc.hera" --listen "$ADDR" &
 SERVER_PID=$!
 wait_ready
 

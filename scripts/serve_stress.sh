@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Multi-client stress smoke for hera-serve: one 2-shard / 2-worker TCP
-# server, four concurrent clients each streaming interleaved ingest +
+# Multi-client stress smoke for hera-serve: one TCP server, four
+# concurrent clients each streaming interleaved ingest +
 # lookup requests over a single held connection, then a final stitch and
 # consistency check. Any error reply, dropped response line, or lost
 # record fails the script.
@@ -30,7 +30,7 @@ wait_ready() {
   exit 1
 }
 
-"$BIN" serve --shards 2 --workers 2 --stitch-every 8 --listen "$ADDR" &
+"$BIN" serve --stitch-every 8 --listen "$ADDR" &
 SERVER_PID=$!
 wait_ready
 

@@ -16,7 +16,7 @@
 //! | [`matching`] | `hera-matching` | Kuhn–Munkres max-weight bipartite matching, simplification, greedy |
 //! | [`index`] | `hera-index` | the value-pair index, Algorithm-1 bounds, union–find, merge maintenance |
 //! | [`obs`] | `hera-obs` | structured run journal: spans, counters, merge/promotion events (JSON Lines) |
-//! | [`serve`] | `hera-serve` | long-lived sharded ER service: incremental ingest, boundary stitching, JSON-lines protocol over stdio/TCP |
+//! | [`serve`] | `hera-serve` | long-lived ER service: incremental ingest into one session, a published partition view, JSON-lines protocol over stdio/TCP |
 //! | [`faults`] | `hera-faults` | deterministic fault injection: seeded failpoint plans, retry/backoff, injectable clocks |
 //! | [`core`] | `hera-core` | super records, instance-/schema-based verification, the HERA driver, the chaos harness |
 //! | [`store`] | `hera-store` | versioned, CRC-checked session snapshots (checkpoint/restore) |
@@ -97,8 +97,8 @@ pub use hera_index::{FlatIndex, UnionFind, ValuePair, ValuePairIndex};
 pub use hera_join::{IncrementalJoin, JoinConfig, SimilarityJoin};
 pub use hera_obs::{JournalBuffer, Recorder};
 pub use hera_serve::{
-    ErService, ErServiceBuilder, IngestReply, LookupReply, LookupSample, RunLog, Schedule,
-    ScheduledOp, ServeClient, TcpClient,
+    ErService, ErServiceBuilder, IngestReply, LoggedPass, LookupReply, LookupSample, RunLog,
+    Schedule, ScheduledOp, ServeClient, TcpClient,
 };
 pub use hera_sim::{
     CosineTf, DiceQGram, EditSimilarity, ExactMatch, Jaro, JaroWinkler, MongeElkan,

@@ -258,15 +258,15 @@ fn failing_case_artifacts_round_trip() {
 // ---------------------------------------------------------------------------
 // Service-level chaos: whole-service checkpoints racing live ingest.
 //
-// The sharded service checkpoints all shard sessions + the stitcher +
-// the manifest while shard workers keep ingesting. The invariant is the
-// service-shaped no-torn-state rule: a checkpoint that *reports success*
-// must restore to a consistent manifest — shard snapshot lengths, the
-// routing table, and the stitcher/pending split all agreeing (restore's
-// own `Corrupt` checks) — and the restored service must continue to the
-// same final partition as the live one. A checkpoint that fails under
-// injected faults must fail with a typed error, leave the live service
-// serving, and leave no torn manifest behind the last good one.
+// The service checkpoints its session — one snapshot file, written by
+// the session thread in queue position — while another thread keeps
+// ingesting. The invariant is the service-shaped no-torn-state rule: a
+// checkpoint that *reports success* must restore (the session
+// snapshot's own `Corrupt` checks) to a prefix of the stream, and the
+// restored service must continue to the same final partition as the
+// live one. A checkpoint that fails under injected faults must fail
+// with a typed error, leave the live service serving, and leave no torn
+// file behind the last good one.
 // ---------------------------------------------------------------------------
 
 mod serve_chaos {
@@ -279,7 +279,6 @@ mod serve_chaos {
 
     const DELTA: f64 = 0.5;
     const XI: f64 = 0.5;
-    const SHARDS: usize = 2;
 
     struct ServeCase {
         ds: hera::Dataset,
@@ -324,11 +323,10 @@ mod serve_chaos {
             .collect()
     }
 
-    /// Sequential single-shard reference partition. The pump ingests in
-    /// dataset order on one thread, so the service's auto-boundaries sit
-    /// at exact multiples of `stitch_every` — the reference resolves at
-    /// those same prefixes (the stitcher's replay schedule), then once
-    /// at the end for the final explicit stitch.
+    /// Bare-session reference partition. The service's auto-boundaries
+    /// sit at exact multiples of `stitch_every` — the reference resolves
+    /// at those same prefixes, then once at the end for the final
+    /// explicit stitch.
     fn reference_partition(ds: &hera::Dataset, stitch_every: usize) -> Vec<Vec<u32>> {
         let mut session = HeraSession::builder(HeraConfig::new(DELTA, XI)).build();
         let schemas = session.mirror_schemas(&ds.registry);
@@ -360,9 +358,8 @@ mod serve_chaos {
     }
 
     fn run_in_dir(master_seed: u64, case: &ServeCase, dir: &Path) -> Result<(), String> {
-        let build = || {
-            ErService::builder(HeraConfig::new(DELTA, XI), SHARDS).stitch_every(case.stitch_every)
-        };
+        let build =
+            || ErService::builder(HeraConfig::new(DELTA, XI), 1).stitch_every(case.stitch_every);
         let service = Arc::new(
             build()
                 .faults(FaultInjector::new(&case.plan))
@@ -372,8 +369,8 @@ mod serve_chaos {
         let schemas = mirror_schemas(&service, &case.ds);
 
         // The pump: one thread ingesting the whole dataset in order, so
-        // the service's global arrival order IS the dataset order and
-        // any checkpoint captures a prefix of it.
+        // the service's arrival order IS the dataset order and any
+        // checkpoint captures a prefix of it.
         let pump = {
             let service = service.clone();
             let records: Vec<_> = case
@@ -400,12 +397,12 @@ mod serve_chaos {
         service.stitch();
 
         // The live service, faults and all, must still match the
-        // sequential reference — checkpointing is read-only w.r.t. ER
+        // bare-session reference — checkpointing is read-only w.r.t. ER
         // state no matter how it fails.
         let want = reference_partition(&case.ds, case.stitch_every);
         if service.stitched_partition() != want {
             return Err(format!(
-                "seed {master_seed}: live service diverged from the sequential \
+                "seed {master_seed}: live service diverged from the bare-session \
                  reference after {} racing checkpoint(s)",
                 case.checkpoints
             ));
@@ -415,14 +412,13 @@ mod serve_chaos {
         for (path, outcome) in &outcomes {
             match outcome {
                 Ok(()) => {
-                    // Reported success ⇒ restorable, consistent manifest.
-                    // `restore` itself re-checks shard lengths vs the
-                    // routing table vs the stitcher/pending split; any
-                    // torn shard set fails typed here.
+                    // Reported success ⇒ restorable: the session snapshot
+                    // re-checks its own sections on the way in, so a torn
+                    // file fails typed here.
                     let restored = build().restore(path).map_err(|e| {
                         format!(
                             "seed {master_seed}: checkpoint at {} reported success \
-                             but failed to restore (torn shard set?): {e}",
+                             but failed to restore (torn file?): {e}",
                             path.display()
                         )
                     })?;
@@ -502,7 +498,7 @@ mod serve_chaos {
         let dir = case_dir(u64::MAX - 8);
         std::fs::create_dir_all(&dir).unwrap();
         let service = Arc::new(
-            ErService::builder(HeraConfig::new(DELTA, XI), SHARDS)
+            ErService::builder(HeraConfig::new(DELTA, XI), 1)
                 .stitch_every(case.stitch_every)
                 .build(),
         );

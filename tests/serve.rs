@@ -1,12 +1,13 @@
 //! hera-serve integration tests: the line protocol end to end (in
-//! process and over TCP), checkpoint → kill → restore continuity, and
-//! the sharding equivalence property — sharded ingest plus boundary
-//! stitching lands on exactly the partition a single-shard session
-//! produces on the same stream, at any shard count and thread count.
+//! process and over TCP), checkpoint → kill → restore continuity (one
+//! file, the session's own snapshot), and the service's equivalence
+//! property — the published partition is exactly what a bare
+//! `HeraSession` produces from the same arrivals and passes, at any
+//! session thread count.
 
 use hera::serve::{serve_lines, serve_tcp, ErService, TcpClient};
 use hera::types::json::{parse, Json};
-use hera::{HeraConfig, HeraSession, ResolveBudget, SchemaId};
+use hera::{HeraConfig, HeraError, HeraSession, ResolveBudget, SchemaId};
 use hera_datagen::{CorruptionConfig, DatagenConfig, Generator};
 use std::io::Cursor;
 
@@ -43,6 +44,13 @@ fn mirror_schemas(service: &ErService, ds: &hera::Dataset) -> Vec<SchemaId> {
         .collect()
 }
 
+/// A fresh per-process scratch directory; callers remove it.
+fn scratch_dir(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("hera-serve-{tag}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
 /// Runs a request script through an in-process service and returns the
 /// parsed response lines.
 fn run_script(service: &ErService, script: &str) -> Vec<Json> {
@@ -65,7 +73,7 @@ fn is_ok(reply: &Json) -> bool {
 /// responses for bad input, with the connection surviving every error.
 #[test]
 fn protocol_round_trips_in_process() {
-    let service = ErService::builder(HeraConfig::new(DELTA, XI), 2).build();
+    let service = ErService::builder(HeraConfig::new(DELTA, XI), 1).build();
     let script = r#"{"cmd":"schema","name":"crm","attrs":["name","city"]}
 {"cmd":"ingest","schema":0,"values":[{"Str":"alice example"},{"Str":"berlin"}]}
 not even json
@@ -96,7 +104,7 @@ not even json
     assert_eq!(
         lookup.expect("provisional").unwrap(),
         &Json::Bool(false),
-        "stitched lookup is authoritative"
+        "published lookup is authoritative"
     );
     let members = lookup.expect("members").unwrap().as_arr().unwrap();
     assert_eq!(members.len(), 2, "identical records must have merged");
@@ -106,26 +114,24 @@ not even json
     assert!(is_ok(&replies[9]), "shutdown acks");
 }
 
-/// Sharded ingest + boundary stitching reproduces the single-shard
-/// partition exactly — same clusters, same entity labels — for every
-/// shard count and thread count, with periodic budgeted shard resolves
-/// and stitches along the way. (ISSUE satellite 5.)
+/// A bare session with the dataset's schemas mirrored in.
+fn reference_session(ds: &hera::Dataset) -> (HeraSession, Vec<SchemaId>) {
+    let mut session = HeraSession::builder(HeraConfig::new(DELTA, XI)).build();
+    let schemas = session.mirror_schemas(&ds.registry);
+    (session, schemas)
+}
+
+/// The service publishes exactly the partition a bare session reaches
+/// from the same arrivals and the same passes — same clusters, same
+/// entity labels — at every session thread count, with budgeted
+/// resolves and automatic boundary passes along the way. (The name
+/// predates the removal of the shard layer.)
 #[test]
 fn sharded_stitching_matches_single_shard_partition() {
     let ds = dataset(91, 180);
-    // Single-shard reference: resolve at the same stitch boundaries.
     let stitch_every = 45;
-    let mut reference = HeraSession::builder(HeraConfig::new(DELTA, XI)).build();
-    let ref_schemas: Vec<SchemaId> = ds
-        .registry
-        .schemas()
-        .map(|s| {
-            reference.add_schema(
-                s.name.clone(),
-                s.attrs.iter().map(|a| a.name.clone()).collect::<Vec<_>>(),
-            )
-        })
-        .collect();
+    let budget = ResolveBudget::comparisons(200);
+    let (mut reference, ref_schemas) = reference_session(&ds);
     for (i, rec) in ds.iter().enumerate() {
         reference
             .add_record(ref_schemas[rec.schema.index()], rec.values.clone())
@@ -133,70 +139,97 @@ fn sharded_stitching_matches_single_shard_partition() {
         if (i + 1) % stitch_every == 0 {
             reference.resolve();
         }
+        if (i + 1) % 10 == 0 {
+            reference.resolve_progressive(budget);
+        }
     }
     reference.resolve();
     let want = reference.clusters();
 
-    for shards in [1, 2, 4] {
-        for threads in [1, 8] {
-            let service =
-                ErService::builder(HeraConfig::new(DELTA, XI).with_threads(threads), shards)
-                    .stitch_every(stitch_every)
-                    .build();
-            let schemas = mirror_schemas(&service, &ds);
-            for rec in ds.iter() {
-                service
-                    .ingest(schemas[rec.schema.index()], rec.values.clone())
-                    .unwrap();
-                // Shard-level resolution between boundaries: provisional
-                // work that must never change the stitched answer.
-                if service.len() % 10 == 0 {
-                    service.resolve(ResolveBudget::comparisons(200));
-                }
+    for threads in [1, 2, 8] {
+        let service = ErService::builder(HeraConfig::new(DELTA, XI).with_threads(threads), 1)
+            .stitch_every(stitch_every)
+            .build();
+        let schemas = mirror_schemas(&service, &ds);
+        for rec in ds.iter() {
+            service
+                .ingest(schemas[rec.schema.index()], rec.values.clone())
+                .unwrap();
+            // Budgeted resolution between boundaries acts on the
+            // authoritative session, so the reference replays it too.
+            if service.len() % 10 == 0 {
+                service.resolve(budget);
             }
-            service.stitch();
+        }
+        service.stitch();
+        assert_eq!(service.stitched_partition(), want, "{threads} thread(s)");
+        // Every lookup agrees with the reference session bit for bit.
+        for rid in 0..ds.len() as u32 {
+            let reply = service.lookup(rid).unwrap();
+            assert!(!reply.provisional, "all records published");
             assert_eq!(
-                service.stitched_partition(),
-                want,
-                "{shards} shard(s), {threads} thread(s)"
+                reply.entity,
+                reference.entity_of(hera::RecordId::new(rid)),
+                "rid {rid} at {threads} thread(s)"
             );
-            // Every lookup agrees with the reference session bit for bit.
-            for rid in 0..ds.len() as u32 {
-                let reply = service.lookup(rid).unwrap();
-                assert!(!reply.provisional, "all records stitched");
-                assert_eq!(
-                    reply.entity,
-                    reference.entity_of(hera::RecordId::new(rid)),
-                    "rid {rid} at {shards} shard(s), {threads} thread(s)"
-                );
-            }
         }
     }
 }
 
-// Property version over random streams: ingest order, shard count, and
-// stitch cadence never change the stitched partition.
+/// `resolve` acts on the authoritative session, so it shapes the
+/// published partition: on a stream long enough for merge order to
+/// matter, the service lands on what a bare session reaches with the
+/// same interleaved resolves — not on what it reaches without them.
+#[test]
+fn resolves_shape_the_published_partition() {
+    use hera::datagen::{scale_preset, ScaleGenerator};
+    let n = 1_500;
+    let ds = ScaleGenerator::new(scale_preset(n, 51)).generate();
+    let config = HeraConfig::new(DELTA, 0.7).with_blocking(hera::BlockingScheme::token());
+    let bare = |every: usize| {
+        let mut session = HeraSession::builder(config.clone()).build();
+        let schemas = session.mirror_schemas(&ds.registry);
+        for (i, rec) in ds.iter().enumerate() {
+            session
+                .add_record(schemas[rec.schema.index()], rec.values.clone())
+                .unwrap();
+            if (i + 1).is_multiple_of(every) {
+                session.resolve();
+            }
+        }
+        session.resolve();
+        session.clusters()
+    };
+
+    let service = ErService::builder(config.clone(), 1).build();
+    let schemas = mirror_schemas(&service, &ds);
+    for rec in ds.iter() {
+        service
+            .ingest(schemas[rec.schema.index()], rec.values.clone())
+            .unwrap();
+        if service.len().is_multiple_of(n / 10) {
+            service.resolve(ResolveBudget::unlimited());
+        }
+    }
+    service.stitch();
+    let served = service.stitched_partition();
+    assert_eq!(served, bare(n / 10), "same arrivals, same passes");
+    assert_ne!(served, bare(n), "the interleaved resolves left no trace");
+}
+
+// Property version over random streams: session thread count and
+// stitch cadence never move the published partition off the bare
+// session's. (The name predates the removal of the shard layer.)
 proptest::proptest! {
     #![proptest_config(proptest::prelude::ProptestConfig::with_cases(6))]
     #[test]
     fn stitched_partition_is_shard_invariant(
         seed in 0u64..1_000,
-        shards in 1usize..=4,
         threads in 1usize..=8,
         stitch_every in 20usize..=60,
     ) {
         let ds = dataset(seed, 120);
-        let mut reference = HeraSession::builder(HeraConfig::new(DELTA, XI)).build();
-        let ref_schemas: Vec<SchemaId> = ds
-            .registry
-            .schemas()
-            .map(|s| {
-                reference.add_schema(
-                    s.name.clone(),
-                    s.attrs.iter().map(|a| a.name.clone()).collect::<Vec<_>>(),
-                )
-            })
-            .collect();
+        let (mut reference, ref_schemas) = reference_session(&ds);
         for (i, rec) in ds.iter().enumerate() {
             reference
                 .add_record(ref_schemas[rec.schema.index()], rec.values.clone())
@@ -205,14 +238,12 @@ proptest::proptest! {
                 reference.resolve();
             }
         }
+        reference.resolve_progressive(ResolveBudget::merges(5));
         reference.resolve();
 
-        let service = ErService::builder(
-            HeraConfig::new(DELTA, XI).with_threads(threads),
-            shards,
-        )
-        .stitch_every(stitch_every)
-        .build();
+        let service = ErService::builder(HeraConfig::new(DELTA, XI).with_threads(threads), 1)
+            .stitch_every(stitch_every)
+            .build();
         let schemas = mirror_schemas(&service, &ds);
         for rec in ds.iter() {
             service
@@ -226,17 +257,16 @@ proptest::proptest! {
 }
 
 /// Checkpoint → drop → restore: the restored service answers lookups
-/// identically, keeps its pending suffix, and continues ingesting +
+/// identically, publishes what it restored, and continues ingesting +
 /// stitching to the same final partition as a never-interrupted twin.
 #[test]
 fn checkpoint_restore_preserves_answers_and_continuation() {
     let ds = dataset(92, 160);
     let cut = 100;
-    let dir = std::env::temp_dir().join(format!("hera-serve-ckpt-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = scratch_dir("ckpt");
     let path = dir.join("service.hera");
 
-    let build = || ErService::builder(HeraConfig::new(DELTA, XI), 3).stitch_every(40);
+    let build = || ErService::builder(HeraConfig::new(DELTA, XI), 1).stitch_every(40);
 
     // Uninterrupted twin.
     let whole = build().build();
@@ -249,7 +279,7 @@ fn checkpoint_restore_preserves_answers_and_continuation() {
     whole.stitch();
 
     // Interrupted twin: ingest a prefix, checkpoint mid-pending, drop.
-    let (pre_lookup, pre_pending) = {
+    let pre_lookup = {
         let first = build().build();
         let schemas = mirror_schemas(&first, &ds);
         for rec in ds.iter().take(cut) {
@@ -259,12 +289,16 @@ fn checkpoint_restore_preserves_answers_and_continuation() {
         }
         assert!(first.pending_len() > 0, "cut must land mid-pending");
         first.checkpoint(&path).unwrap();
-        (first.lookup(0).unwrap(), first.pending_len())
+        first.lookup(0).unwrap()
     };
 
     let resumed = build().restore(&path).unwrap();
     assert_eq!(resumed.len(), cut);
-    assert_eq!(resumed.pending_len(), pre_pending);
+    assert_eq!(
+        (resumed.stitched_len(), resumed.pending_len()),
+        (cut, 0),
+        "the restored partition is the first published generation"
+    );
     assert_eq!(
         resumed.lookup(0).unwrap(),
         pre_lookup,
@@ -283,17 +317,72 @@ fn checkpoint_restore_preserves_answers_and_continuation() {
         "continuation matches the uninterrupted run"
     );
 
-    // Shard-count mismatch is a typed config error, not silent rerouting.
-    let err = ErService::builder(HeraConfig::new(DELTA, XI), 2)
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A service checkpoint is one file, and that file is the session's own
+/// snapshot: `HeraSessionBuilder::restore` opens it to the partition
+/// the service goes on to publish.
+#[test]
+fn checkpoint_is_one_session_snapshot_file() {
+    let ds = dataset(93, 90);
+    let dir = scratch_dir("onefile");
+    let path = dir.join("service.hera");
+
+    let service = ErService::builder(HeraConfig::new(DELTA, XI), 1)
+        .stitch_every(30)
+        .build();
+    let schemas = mirror_schemas(&service, &ds);
+    for rec in ds.iter() {
+        service
+            .ingest(schemas[rec.schema.index()], rec.values.clone())
+            .unwrap();
+    }
+    service.checkpoint(&path).unwrap();
+    let files: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name())
+        .collect();
+    assert_eq!(files, ["service.hera"], "one file, nothing beside it");
+
+    let mut session = HeraSession::builder(HeraConfig::new(DELTA, XI))
+        .restore(&path)
+        .unwrap();
+    service.stitch();
+    session.resolve();
+    assert_eq!(session.clusters(), service.stitched_partition());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A manifest written before the shard layer went (`service` / `route`
+/// / `pending` sections, no session sections) is a foreign file now:
+/// typed rejection, no panic.
+#[test]
+fn pre_change_manifest_is_rejected_typed() {
+    let dir = scratch_dir("manifest");
+    let path = dir.join("old.hera");
+    let mut manifest = hera::Snapshot::new();
+    manifest.insert(
+        "service",
+        parse(r#"{"shards":2,"stitch_every":0}"#).unwrap(),
+    );
+    manifest.insert(
+        "schemas",
+        parse(r#"[{"name":"crm","attrs":["name"]}]"#).unwrap(),
+    );
+    manifest.insert("route", parse("[0,1]").unwrap());
+    manifest.insert(
+        "pending",
+        parse(r#"[{"schema":0,"values":[{"Str":"alice"}]}]"#).unwrap(),
+    );
+    manifest.write(&path).unwrap();
+
+    let err = ErService::builder(HeraConfig::new(DELTA, XI), 1)
         .restore(&path)
         .err()
-        .expect("wrong shard count must fail");
-    assert!(matches!(err, hera::HeraError::InvalidConfig(_)), "{err}");
-
-    for entry in std::fs::read_dir(&dir).unwrap() {
-        std::fs::remove_file(entry.unwrap().path()).ok();
-    }
-    std::fs::remove_dir(&dir).ok();
+        .expect("a pre-change manifest must not restore");
+    assert!(matches!(err, HeraError::Corrupt(_)), "{err}");
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// The TCP transport end to end with the typed client: two sequential
@@ -304,7 +393,7 @@ fn tcp_server_and_typed_client() {
     let addr = listener.local_addr().unwrap();
     let server = std::thread::spawn(move || {
         let service =
-            std::sync::Arc::new(ErService::builder(HeraConfig::new(DELTA, XI), 2).build());
+            std::sync::Arc::new(ErService::builder(HeraConfig::new(DELTA, XI), 1).build());
         serve_tcp(service, listener).unwrap();
     });
 

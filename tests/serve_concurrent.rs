@@ -1,13 +1,13 @@
-//! Concurrency properties of the sharded service, held under the
-//! deterministic schedule harness (`hera::serve::harness`):
+//! Concurrency properties of the service, held under the deterministic
+//! schedule harness (`hera::serve::harness`):
 //!
 //! 1. **Sequential equivalence** — under random seeded schedules of
 //!    interleaved ingest / lookup / budgeted resolve / stitch, across
-//!    1–8 worker threads and 1–4 shards, the final stitched partition
-//!    is bit-identical to a sequential single-shard reference session
-//!    replaying the same arrival stream.
+//!    1–4 clients and 1–8 session threads, the final published
+//!    partition is bit-identical to a bare `HeraSession` replaying the
+//!    logged arrivals and passes.
 //! 2. **Bounded staleness, never torn** — every lookup the schedule
-//!    issued returned either a provisional per-shard answer or the
+//!    issued returned either a provisional live-session answer or the
 //!    reference partition *at one of the boundary passes dispatched by
 //!    then* — never a mixture of generations, never a pass that had not
 //!    been dispatched.
@@ -16,16 +16,12 @@
 //!    neither panics the server nor leaks its connection thread; the
 //!    server keeps serving and still shuts down cleanly (joining all
 //!    threads — a leaked thread would hang the shutdown).
-//! 4. **Routing stability** — `route_shard` is a pure function of the
-//!    record, so any arrival order routes identically; shard counts 1–4
-//!    stitch to the same partition (one pinned seed per count).
 //!
 //! Failing schedule seeds are persisted under
 //! `/tmp/hera-serve-sched-<seed>/` (dataset + schedule parameters), the
 //! same pattern the chaos suite uses, so CI can upload them.
 
-use hera::block::route_shard;
-use hera::serve::harness::{drive, Schedule, ScheduledOp};
+use hera::serve::harness::{drive, LoggedPass, Schedule, ScheduledOp};
 use hera::serve::{serve_tcp, ErService, LookupReply, TcpClient};
 use hera::{HeraConfig, HeraSession, ResolveBudget, SchemaId};
 use hera_datagen::{CorruptionConfig, DatagenConfig, Generator};
@@ -65,8 +61,7 @@ fn dataset(seed: u64, n_records: usize) -> hera::Dataset {
 /// Everything one master seed expands to.
 struct Case {
     ds: hera::Dataset,
-    shards: usize,
-    workers: usize,
+    threads: usize,
     stitch_every: usize,
     schedule: Schedule,
     lookups: usize,
@@ -78,8 +73,7 @@ fn expand(master_seed: u64) -> Case {
     let mut s = master_seed;
     let n_records = 36 + (next(&mut s) % 29) as usize; // 36..=64
     let ds = dataset(next(&mut s), n_records);
-    let shards = 1 + (next(&mut s) % 4) as usize; // 1..=4
-    let workers = 1 + (next(&mut s) % 8) as usize; // 1..=8
+    let threads = 1 + (next(&mut s) % 8) as usize; // 1..=8
                                                    // Half the cases stitch automatically mid-stream, half only on the
                                                    // schedule's explicit stitch ops.
     let stitch_every = if next(&mut s).is_multiple_of(2) {
@@ -89,8 +83,7 @@ fn expand(master_seed: u64) -> Case {
     };
     Case {
         ds,
-        shards,
-        workers,
+        threads,
         stitch_every,
         schedule: Schedule {
             seed: next(&mut s),
@@ -126,36 +119,40 @@ fn ops_for(case: &Case, seed: u64) -> Vec<ScheduledOp> {
     ops
 }
 
-/// One reference generation: the sequential partition after resolving
-/// at a boundary.
+/// One reference generation: the bare session's partition after a
+/// boundary pass.
 struct RefView {
+    /// Passes dispatched up to and including this one.
+    dispatched: usize,
     boundary: usize,
     entity: Vec<u32>,
     members: HashMap<u32, Vec<u32>>,
 }
 
-/// Replays `arrivals` through a sequential single-shard session,
-/// resolving at exactly the dispatched boundaries, and snapshots the
-/// partition at each one. Returns the per-boundary views and the final
-/// clusters (after a final full resolve, mirroring the service's final
-/// stitch).
+/// Replays `arrivals` and `passes` through a bare session — each pass
+/// at its logged stream position, budgeted resolves with their budget,
+/// boundary passes to fixpoint — and snapshots the partition at every
+/// boundary pass. Returns the per-boundary views and the session.
 fn reference_run(
     service_schemas: &[(String, Vec<String>)],
     arrivals: &[(SchemaId, Vec<hera::Value>)],
-    boundaries: &[usize],
-) -> (Vec<RefView>, Vec<Vec<u32>>, HeraSession) {
+    passes: &[LoggedPass],
+) -> (Vec<RefView>, HeraSession) {
     let mut reference = HeraSession::builder(HeraConfig::new(DELTA, XI)).build();
     for (name, attrs) in service_schemas {
         reference.add_schema(name.clone(), attrs.clone());
     }
     let mut views = Vec::new();
     let mut at = 0usize;
-    for &boundary in boundaries {
-        assert!(boundary >= at, "boundaries are monotone");
-        while at < boundary {
-            let (schema, values) = &arrivals[at];
+    for (i, pass) in passes.iter().enumerate() {
+        assert!(pass.at >= at, "passes are logged in stream order");
+        for (schema, values) in &arrivals[at..pass.at] {
             reference.add_record(*schema, values.clone()).unwrap();
-            at += 1;
+        }
+        at = pass.at;
+        if let Some(budget) = pass.budget {
+            reference.resolve_progressive(budget);
+            continue;
         }
         reference.resolve();
         let entity: Vec<u32> = (0..at as u32)
@@ -166,19 +163,13 @@ fn reference_run(
             members.insert(entity[cluster[0] as usize], cluster);
         }
         views.push(RefView {
-            boundary,
+            dispatched: i + 1,
+            boundary: at,
             entity,
             members,
         });
     }
-    while at < arrivals.len() {
-        let (schema, values) = &arrivals[at];
-        reference.add_record(*schema, values.clone()).unwrap();
-        at += 1;
-    }
-    reference.resolve();
-    let finals = reference.clusters();
-    (views, finals, reference)
+    (views, reference)
 }
 
 /// Persists a failing case for CI artifact upload; returns the dir.
@@ -190,8 +181,8 @@ fn persist_failure(master_seed: u64, case: &Case) -> String {
         case.ds.to_json().unwrap_or_default(),
     );
     let params = format!(
-        "master_seed={master_seed}\nshards={}\nworkers={}\nstitch_every={}\nschedule_seed={}\nclients={}\n",
-        case.shards, case.workers, case.stitch_every, case.schedule.seed, case.schedule.clients,
+        "master_seed={master_seed}\nthreads={}\nstitch_every={}\nschedule_seed={}\nclients={}\n",
+        case.threads, case.stitch_every, case.schedule.seed, case.schedule.clients,
     );
     let _ = std::fs::write(dir.join("params.txt"), params);
     dir.display().to_string()
@@ -203,14 +194,13 @@ fn run_case(master_seed: u64) -> Result<(), String> {
     let fail = |detail: String| {
         let dir = persist_failure(master_seed, &case);
         Err(format!(
-            "seed {master_seed} ({} shard(s), {} worker(s), stitch_every {}, {} client(s)): \
+            "seed {master_seed} ({} thread(s), stitch_every {}, {} client(s)): \
              {detail}\ncase persisted at {dir}",
-            case.shards, case.workers, case.stitch_every, case.schedule.clients
+            case.threads, case.stitch_every, case.schedule.clients
         ))
     };
 
-    let service = ErService::builder(HeraConfig::new(DELTA, XI), case.shards)
-        .workers(case.workers)
+    let service = ErService::builder(HeraConfig::new(DELTA, XI).with_threads(case.threads), 1)
         .stitch_every(case.stitch_every)
         .build();
     let schemas: Vec<(String, Vec<String>)> = case
@@ -233,15 +223,19 @@ fn run_case(master_seed: u64) -> Result<(), String> {
     // Cover the tail: the final boundary pass every deployment would run.
     service.stitch();
 
-    let mut boundaries = log.boundaries.clone();
-    boundaries.push(log.arrivals.len());
-    let (views, want, reference) = reference_run(&schemas, &log.arrivals, &boundaries);
+    let mut passes = log.passes.clone();
+    passes.push(LoggedPass {
+        at: log.arrivals.len(),
+        budget: None,
+    });
+    let (views, mut reference) = reference_run(&schemas, &log.arrivals, &passes);
+    let want = reference.clusters();
 
-    // Property 1: final stitched partition == sequential reference.
+    // Property 1: final published partition == bare-session reference.
     let got = service.stitched_partition();
     if got != want {
         return fail(format!(
-            "stitched partition diverged from the sequential reference \
+            "published partition diverged from the bare-session reference \
              ({} vs {} cluster(s))",
             got.len(),
             want.len()
@@ -267,8 +261,8 @@ fn run_case(master_seed: u64) -> Result<(), String> {
             ));
         }
         if reply.provisional {
-            // Provisional labels come from one shard's coherent view;
-            // the label must itself be a member.
+            // Provisional labels come from the live session's coherent
+            // view; the label must itself be a member.
             if !reply.members.contains(&reply.entity) {
                 return fail(format!(
                     "provisional lookup {} label {} outside its members {:?}",
@@ -277,9 +271,9 @@ fn run_case(master_seed: u64) -> Result<(), String> {
             }
             continue;
         }
-        let candidates: Vec<&RefView> = views[..sample.dispatched]
+        let candidates: Vec<&RefView> = views
             .iter()
-            .filter(|v| v.boundary > sample.id as usize)
+            .filter(|v| v.dispatched <= sample.dispatched && v.boundary > sample.id as usize)
             .collect();
         let matched = candidates.iter().any(|v| {
             v.entity[sample.id as usize] == reply.entity
@@ -287,7 +281,7 @@ fn run_case(master_seed: u64) -> Result<(), String> {
         });
         if !matched {
             return fail(format!(
-                "stitched lookup {} = {:?} matches none of the {} dispatched \
+                "published lookup {} = {:?} matches none of the {} dispatched \
                  generation(s) covering it (torn or future value)",
                 sample.id,
                 reply,
@@ -301,61 +295,13 @@ fn run_case(master_seed: u64) -> Result<(), String> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(160))]
 
-    /// The acceptance criterion: ≥128 seeded schedules, every worker
-    /// count 1–8, stitched partition bit-identical to the sequential
+    /// The acceptance criterion: 160 seeded schedules, session thread
+    /// counts 1–8, published partition bit-identical to the bare-session
     /// reference, every lookup provisional-or-published.
     #[test]
     fn schedules_match_sequential_reference(master_seed in any::<u64>()) {
         let outcome = run_case(master_seed);
         prop_assert!(outcome.is_ok(), "{}", outcome.err().unwrap_or_default());
-    }
-}
-
-/// Pinned sweep: one dataset, every worker count 1–8 (clamped by the
-/// service to the shard count where applicable), identical partition —
-/// the tentpole's determinism claim without proptest in the loop.
-#[test]
-fn worker_count_never_changes_the_partition() {
-    let ds = dataset(1206, 90);
-    let schedule = Schedule {
-        seed: 77,
-        clients: 3,
-    };
-    let mut partitions = Vec::new();
-    for workers in 1..=8 {
-        let service = ErService::builder(HeraConfig::new(DELTA, XI), 4)
-            .workers(workers)
-            .stitch_every(25)
-            .build();
-        let schemas: Vec<SchemaId> = ds
-            .registry
-            .schemas()
-            .map(|s| {
-                service.add_schema(
-                    &s.name,
-                    &s.attrs.iter().map(|a| a.name.clone()).collect::<Vec<_>>(),
-                )
-            })
-            .collect();
-        let ops: Vec<ScheduledOp> = ds
-            .iter()
-            .map(|rec| ScheduledOp::Ingest(schemas[rec.schema.index()], rec.values.clone()))
-            .chain((0..30).map(|_| ScheduledOp::Lookup))
-            .chain(std::iter::once(ScheduledOp::Resolve(
-                ResolveBudget::comparisons(200),
-            )))
-            .collect();
-        drive(&service, ops, &schedule).unwrap();
-        service.stitch();
-        partitions.push(service.stitched_partition());
-    }
-    for (i, p) in partitions.iter().enumerate().skip(1) {
-        assert_eq!(
-            p,
-            &partitions[0],
-            "workers={} diverged from workers=1",
-            i + 1
-        );
     }
 }
 
@@ -371,7 +317,7 @@ fn tcp_client_death_at_every_stage_leaves_server_serving() {
     let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
     let server = std::thread::spawn(move || {
-        let service = Arc::new(ErService::builder(HeraConfig::new(DELTA, XI), 2).build());
+        let service = Arc::new(ErService::builder(HeraConfig::new(DELTA, XI), 1).build());
         serve_tcp(service, listener).unwrap();
     });
 
@@ -432,88 +378,4 @@ fn tcp_client_death_at_every_stage_leaves_server_serving() {
     // Shutdown joins every connection thread; a leaked thread from any
     // of the dead clients would deadlock this join.
     server.join().unwrap();
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// Satellite: `route_shard` is a pure function of the record —
-    /// re-ingesting the same stream in any arrival order routes every
-    /// record to the same shard.
-    #[test]
-    fn route_shard_is_arrival_order_invariant(
-        seed in any::<u64>(),
-        shards in 1usize..=4,
-    ) {
-        let ds = dataset(seed % 1000, 40);
-        let baseline: Vec<usize> = ds
-            .iter()
-            .map(|rec| route_shard(&rec.values, shards))
-            .collect();
-        // A seeded permutation of the same records.
-        let mut order: Vec<usize> = (0..ds.len()).collect();
-        let mut s = seed ^ 0x0dd_5eed;
-        for i in (1..order.len()).rev() {
-            let j = (next(&mut s) % (i as u64 + 1)) as usize;
-            order.swap(i, j);
-        }
-        let records: Vec<_> = ds.iter().collect();
-        for &i in &order {
-            prop_assert_eq!(
-                route_shard(&records[i].values, shards),
-                baseline[i],
-                "record {} routed differently on re-ingest", i
-            );
-        }
-    }
-}
-
-/// Satellite: shard counts 1–4 all stitch to the same partition — one
-/// pinned seed per shard count, so every count is exercised regardless
-/// of what proptest draws elsewhere.
-#[test]
-fn every_shard_count_stitches_to_the_same_partition() {
-    for (shards, seed) in [(1usize, 301u64), (2, 302), (3, 303), (4, 304)] {
-        let ds = dataset(seed, 72);
-        let mut reference = HeraSession::builder(HeraConfig::new(DELTA, XI)).build();
-        let ref_schemas: Vec<SchemaId> = ds
-            .registry
-            .schemas()
-            .map(|s| {
-                reference.add_schema(
-                    s.name.clone(),
-                    s.attrs.iter().map(|a| a.name.clone()).collect::<Vec<_>>(),
-                )
-            })
-            .collect();
-        for rec in ds.iter() {
-            reference
-                .add_record(ref_schemas[rec.schema.index()], rec.values.clone())
-                .unwrap();
-        }
-        reference.resolve();
-
-        let service = ErService::builder(HeraConfig::new(DELTA, XI), shards).build();
-        let schemas: Vec<SchemaId> = ds
-            .registry
-            .schemas()
-            .map(|s| {
-                service.add_schema(
-                    &s.name,
-                    &s.attrs.iter().map(|a| a.name.clone()).collect::<Vec<_>>(),
-                )
-            })
-            .collect();
-        for rec in ds.iter() {
-            service
-                .ingest(schemas[rec.schema.index()], rec.values.clone())
-                .unwrap();
-        }
-        service.stitch();
-        assert_eq!(
-            service.stitched_partition(),
-            reference.clusters(),
-            "shards={shards} seed={seed}"
-        );
-    }
 }
