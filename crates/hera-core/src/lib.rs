@@ -52,9 +52,7 @@ mod voter;
 pub use chaos::{check_no_torn_state, run_chaos, ChaosConfig, ChaosReport, ChaosVerdict};
 pub use config::HeraConfig;
 pub use driver::{Hera, HeraBuilder, HeraResult};
-pub use session::{
-    HeraSession, HeraSessionBuilder, MergeEvent, ProgressiveReport, ResolveBudget, ResolveStream,
-};
+pub use session::{HeraSession, HeraSessionBuilder, MergeEvent, ProgressiveReport, ResolveBudget};
 pub use simcache::{SimCache, SimDelta};
 pub use stats::RunStats;
 pub use super_record::{Field, SuperRecord};

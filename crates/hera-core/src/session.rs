@@ -33,7 +33,6 @@ use hera_store::Snapshot;
 use hera_types::json::Json;
 use hera_types::{HeraError, Label, RecordId, Result, SchemaId, SchemaRegistry, Value};
 use rustc_hash::{FxHashMap, FxHashSet};
-use std::collections::VecDeque;
 use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -133,7 +132,7 @@ impl ResolveBudget {
     }
 }
 
-/// One applied merge, streamed by [`HeraSession::resolve_stream`] /
+/// One applied merge, streamed by
 /// [`HeraSession::resolve_progressive_with`] as it happens. Events come
 /// out in schedule order — the same confidence-ranked order a budgeted
 /// [`HeraSession::resolve_progressive`] spends its budget in — so a
@@ -181,10 +180,7 @@ pub struct ProgressiveReport {
 }
 
 /// Per-call state of a progressive resolve, threaded between rounds by
-/// the callback ([`HeraSession::resolve_progressive_with`]) and
-/// iterator ([`HeraSession::resolve_stream`]) frontends. Holds exactly
-/// the locals the old monolithic loop kept on its stack, so splitting
-/// the loop into resumable rounds cannot change the schedule.
+/// [`HeraSession::resolve_progressive_with`].
 struct ProgressiveState {
     report: ProgressiveReport,
     /// Rounds run by this call (bounded by `HeraConfig::max_iterations`).
@@ -208,8 +204,6 @@ struct ProgressiveState {
     started: Instant,
     /// Wall-clock cutoff derived from `ResolveBudget::wall_clock`.
     deadline: Option<Instant>,
-    /// Guards `progressive_finish` so the seal runs exactly once.
-    finished: bool,
 }
 
 /// Incremental HERA: owns the schema registry and all algorithm state.
@@ -217,8 +211,8 @@ struct ProgressiveState {
 /// A session is [`Send`]: every field is owned data or an
 /// `Arc` of a `Send + Sync` trait object, so a built (or restored)
 /// session can be handed to a dedicated worker thread — the ownership
-/// model `hera-serve` uses to run one session per shard worker. It is
-/// deliberately *not* `Sync`: all mutation goes through `&mut self`, so
+/// model `hera-serve` uses to run its one session on one owner thread.
+/// It is deliberately *not* `Sync`: all mutation goes through `&mut self`, so
 /// concurrent access is structured as message passing to the owning
 /// thread, never shared-memory mutation.
 pub struct HeraSession {
@@ -231,7 +225,8 @@ pub struct HeraSession {
     /// `stats.iterations` is the monotonic `round` of the session's
     /// journal events and survives checkpoint/restore.
     engine: Engine,
-    /// Live values of every root, relabeled on every merge.
+    /// Probe structures over the super records' values, relabeled on
+    /// every merge: its live `(label, value)` set is theirs.
     join: IncrementalJoin,
     /// Records whose evidence changed since the last `resolve`.
     dirty: FxHashSet<u32>,
@@ -393,6 +388,11 @@ impl HeraSessionBuilder {
                     s.rid
                 )));
             }
+            // The join holds what the super records hold, so it is
+            // rebuilt from them rather than stored beside them.
+            for (label, v) in s.labeled_values() {
+                session.join.register(label, v.clone());
+            }
             engine.supers.insert(s.rid, s);
         }
         for rid in 0..record_count as u32 {
@@ -412,7 +412,6 @@ impl HeraSessionBuilder {
         if let (Some(cache), Some(j)) = (engine.cache.as_mut(), snap.get("sim_cache")) {
             *cache = SimCache::from_json(j)?;
         }
-        session.join = IncrementalJoin::from_json(snap.expect("join")?, session.metric.clone())?;
         for d in snap.expect("dirty")?.as_arr()? {
             let rid = d.as_u32()?;
             if rid as usize >= record_count {
@@ -549,7 +548,6 @@ impl HeraSession {
         );
         snap.insert("union_find", engine.uf.to_json());
         snap.insert("index", engine.index.to_json());
-        snap.insert("join", self.join.to_json());
         snap.insert("voter", engine.voter.to_json());
         if let Some(c) = &engine.cache {
             snap.insert("sim_cache", c.to_json());
@@ -630,14 +628,12 @@ impl HeraSession {
         // merged records are already current (the join is relabeled on
         // every merge).
         let mut new_pairs = Vec::new();
-        for (fid, v) in values.iter().enumerate() {
-            if !v.is_null() {
-                let label = Label::new(rid, fid as u32, 0);
-                match &allowed {
-                    Some(rids) => new_pairs.extend(self.join.insert_among(label, v.clone(), rids)),
-                    None => new_pairs.extend(self.join.insert(label, v.clone())),
-                }
-            }
+        for (fid, v) in values.into_iter().enumerate() {
+            let label = Label::new(rid, fid as u32, 0);
+            new_pairs.extend(match &allowed {
+                Some(rids) => self.join.insert_among(label, v, rids),
+                None => self.join.insert(label, v),
+            });
         }
         for p in &new_pairs {
             self.dirty.insert(p.a.rid);
@@ -711,8 +707,7 @@ impl HeraSession {
     /// the moment it lands. The
     /// schedule, the report, and the journal are bit-identical to
     /// [`HeraSession::resolve_progressive`] under the same budget — the
-    /// observer only *watches* the run. For a pull-based iterator over
-    /// the same events, see [`HeraSession::resolve_stream`].
+    /// observer only *watches* the run.
     pub fn resolve_progressive_with<F: FnMut(MergeEvent)>(
         &mut self,
         budget: ResolveBudget,
@@ -722,26 +717,6 @@ impl HeraSession {
         while self.progressive_round(budget, &mut st, &mut on_merge) {}
         self.progressive_finish(budget, &mut st);
         st.report
-    }
-
-    /// Pull-based streaming resolve: returns an iterator that advances
-    /// the budget-scheduled fixpoint one round at a time and yields each
-    /// [`MergeEvent`] as it is applied. Dropping the stream early is
-    /// safe — rounds are atomic, so the session is left at the same
-    /// clean checkpointable boundary a budget cut would produce, with
-    /// unfinished work back on the frontier. The final
-    /// [`ProgressiveReport`] is available from
-    /// [`ResolveStream::report`] once the iterator is exhausted (or via
-    /// [`ResolveStream::finish`], which drains the rest).
-    pub fn resolve_stream(&mut self, budget: ResolveBudget) -> ResolveStream<'_> {
-        let st = self.progressive_start(budget);
-        ResolveStream {
-            session: self,
-            budget,
-            st,
-            buf: VecDeque::new(),
-            done: false,
-        }
     }
 
     /// Estimated wall-clock cost of one pair verification, from the
@@ -773,7 +748,6 @@ impl HeraSession {
             voter_epoch: 0,
             started,
             deadline: budget.wall_clock.map(|d| started + d),
-            finished: false,
         }
     }
 
@@ -781,8 +755,7 @@ impl HeraSession {
     /// `st`, reporting each applied merge through `on_merge`. Returns
     /// `false` when the call is over — fixpoint reached, iteration cap
     /// hit, or a budget ran out — after which
-    /// [`HeraSession::progressive_finish`] must seal the call exactly
-    /// once.
+    /// [`HeraSession::progressive_finish`] seals the call.
     fn progressive_round(
         &mut self,
         budget: ResolveBudget,
@@ -972,6 +945,17 @@ impl HeraSession {
             // Only under `HeraConfig::validate_index` (tests/debug).
             panic!("{broken}");
         }
+        if cfg.validate_index {
+            let supers = self.engine.supers.values();
+            if let Err(broken) = self
+                .join
+                .check_values(supers.flat_map(SuperRecord::labeled_values))
+            {
+                panic!(
+                    "join is not the super records' value table after iteration {round}: {broken}"
+                );
+            }
+        }
 
         // Return every unprocessed candidate to the frontier by
         // re-marking its current roots dirty — the next round (or the
@@ -993,15 +977,9 @@ impl HeraSession {
         true
     }
 
-    /// Seals a progressive call exactly once: finalizes the report and
-    /// lifetime stats and emits the per-call summary span. Idempotent —
-    /// the second and later calls are no-ops, so the stream's `Drop` can
-    /// invoke it unconditionally.
+    /// Seals a progressive call: finalizes the report and lifetime stats
+    /// and emits the per-call summary span.
     fn progressive_finish(&mut self, budget: ResolveBudget, st: &mut ProgressiveState) {
-        if st.finished {
-            return;
-        }
-        st.finished = true;
         let report = &mut st.report;
         if !self.dirty.is_empty() {
             // Either a budget cut above (already flagged) or the
@@ -1112,75 +1090,6 @@ impl HeraSession {
     /// The session's schema registry.
     pub fn registry(&self) -> &SchemaRegistry {
         &self.registry
-    }
-}
-
-/// Pull-based view of one progressive resolve call — see
-/// [`HeraSession::resolve_stream`]. Yields [`MergeEvent`]s in schedule
-/// order, advancing the session one round at a time as the consumer
-/// pulls. While the stream is live it mutably borrows the session;
-/// dropping it (drained or not) seals the call's report, stats, and
-/// journal summary exactly as [`HeraSession::resolve_progressive`]
-/// would.
-pub struct ResolveStream<'s> {
-    session: &'s mut HeraSession,
-    budget: ResolveBudget,
-    st: ProgressiveState,
-    /// Events produced by the current round, drained before the next
-    /// round runs.
-    buf: VecDeque<MergeEvent>,
-    /// True once the round driver reported no more rounds.
-    done: bool,
-}
-
-impl ResolveStream<'_> {
-    /// The call's report so far: complete (frontier, exhausted flag)
-    /// once the iterator has returned `None` or the stream was dropped
-    /// via [`ResolveStream::finish`]; a live snapshot before that.
-    pub fn report(&self) -> ProgressiveReport {
-        self.st.report
-    }
-
-    /// Drains the remaining events and returns the final report —
-    /// `resolve_progressive` semantics for a caller that started
-    /// streaming but stopped caring about individual merges.
-    pub fn finish(mut self) -> ProgressiveReport {
-        for _ in self.by_ref() {}
-        self.session.progressive_finish(self.budget, &mut self.st);
-        self.st.report
-    }
-}
-
-impl Iterator for ResolveStream<'_> {
-    type Item = MergeEvent;
-
-    fn next(&mut self) -> Option<MergeEvent> {
-        loop {
-            if let Some(e) = self.buf.pop_front() {
-                return Some(e);
-            }
-            if self.done {
-                return None;
-            }
-            let mut buf = std::mem::take(&mut self.buf);
-            let more = self
-                .session
-                .progressive_round(self.budget, &mut self.st, &mut |e| buf.push_back(e));
-            self.buf = buf;
-            if !more {
-                self.done = true;
-                self.session.progressive_finish(self.budget, &mut self.st);
-            }
-        }
-    }
-}
-
-impl Drop for ResolveStream<'_> {
-    fn drop(&mut self) {
-        // An abandoned stream still seals the call (idempotent): rounds
-        // are atomic, so the session sits at a clean budget-cut-style
-        // boundary with unfinished work back on the frontier.
-        self.session.progressive_finish(self.budget, &mut self.st);
     }
 }
 

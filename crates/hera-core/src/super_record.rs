@@ -107,6 +107,14 @@ impl SuperRecord {
         &self.fields[label.fid as usize].values[label.vid as usize]
     }
 
+    /// Every stored value with its label, in `(fid, vid)` order.
+    pub(crate) fn labeled_values(&self) -> impl Iterator<Item = (Label, &Value)> {
+        self.fields.iter().zip(0u32..).flat_map(move |(f, fid)| {
+            let labels = (0u32..).map(move |vid| Label::new(self.rid, fid, vid));
+            labels.zip(&f.values)
+        })
+    }
+
     /// Encodes the super record as JSON, preserving field, value, and
     /// member order exactly (labels index into these vectors, so the
     /// order *is* part of the state).

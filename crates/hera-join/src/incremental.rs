@@ -20,13 +20,15 @@
 //!
 //! Labels mutate when records merge (the index relabels its entries);
 //! [`IncrementalJoin::relabel`] applies the same remap here so future
-//! insertions emit pairs against *current* labels.
+//! insertions emit pairs against *current* labels. A merge that folds
+//! two equal values onto one label leaves one live entry, the one the
+//! merged super record kept, so the live `(label, value)` set is the
+//! super records' value set and no label is ever scored twice.
 
 use crate::{score, Side, ValuePair};
 use hera_sim::text::{folded_qgram_set, GramSketch};
 use hera_sim::ValueSimilarity;
-use hera_types::json::Json;
-use hera_types::{HeraError, Label, Result, Value};
+use hera_types::{Label, Value};
 use rustc_hash::FxHashMap;
 
 struct Entry {
@@ -47,12 +49,16 @@ pub struct IncrementalJoin {
     /// True iff the metric's string leg is exactly q-gram Jaccard at our
     /// gram length — enables signature scoring + the sketch prefilter.
     fast_grams: bool,
-    entries: Vec<Entry>,
-    /// gram token → entry indices containing it.
+    /// Every value ever registered, by entry index; `None` once a merge
+    /// folded the value onto a label another entry already held.
+    entries: Vec<Option<Entry>>,
+    /// gram token → entry indices containing it (retired ones linger
+    /// and are skipped when probed).
     postings: FxHashMap<u64, Vec<usize>>,
-    /// entry indices of numeric values, kept sorted by numeric value.
+    /// entry indices of numeric values, kept sorted by numeric value
+    /// (retired ones linger and are skipped when swept).
     numeric: Vec<(f64, usize)>,
-    /// rid → entry indices (for relabeling after merges).
+    /// rid → live entry indices.
     by_rid: FxHashMap<u32, Vec<usize>>,
 }
 
@@ -78,14 +84,15 @@ impl IncrementalJoin {
         }
     }
 
-    /// Number of values inserted.
+    /// Number of live values: those inserted, minus those a merge folded
+    /// onto a label that already held an equal value.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.by_rid.values().map(Vec::len).sum()
     }
 
-    /// True if nothing was inserted yet.
+    /// True if no value is live.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.by_rid.is_empty()
     }
 
     /// Inserts one labeled value and returns all new similar pairs
@@ -123,14 +130,16 @@ impl IncrementalJoin {
             // stays above ξ (monotone in distance).
             let pos = self.numeric.partition_point(|&(v, _)| v < x);
             for &(_, i) in self.numeric[pos..].iter() {
-                if self.metric.sim(&value, &self.entries[i].value) >= self.xi {
+                let Some(e) = &self.entries[i] else { continue };
+                if self.metric.sim(&value, &e.value) >= self.xi {
                     cand.push(i);
                 } else {
                     break;
                 }
             }
             for &(_, i) in self.numeric[..pos].iter().rev() {
-                if self.metric.sim(&value, &self.entries[i].value) >= self.xi {
+                let Some(e) = &self.entries[i] else { continue };
+                if self.metric.sim(&value, &e.value) >= self.xi {
                     cand.push(i);
                 } else {
                     break;
@@ -140,9 +149,13 @@ impl IncrementalJoin {
         cand.sort_unstable();
         cand.dedup();
 
-        cand.retain(|&i| allowed(self.entries[i].label.rid));
+        cand.retain(|&i| {
+            self.entries[i]
+                .as_ref()
+                .is_some_and(|e| allowed(e.label.rid))
+        });
         let out = self.verify(label, &value, &sig, cand);
-        self.register(label, value, &sig);
+        self.register_sig(label, value, &sig);
         out
     }
 
@@ -176,11 +189,11 @@ impl IncrementalJoin {
         cand.sort_unstable();
         cand.dedup();
         let out = self.verify(label, &value, &sig, cand);
-        self.register(label, value, &sig);
+        self.register_sig(label, value, &sig);
         out
     }
 
-    /// Scores the incoming value against the stored entries `cand` of
+    /// Scores the incoming value against the live entries `cand` of
     /// other records ([`score`], the batch join's dispatch) and returns
     /// the normalized pairs that clear ξ, ordered by label.
     fn verify(&self, label: Label, value: &Value, sig: &[u64], cand: Vec<usize>) -> Vec<ValuePair> {
@@ -191,7 +204,7 @@ impl IncrementalJoin {
             sketch: GramSketch::of(sig),
         };
         let mut out = Vec::new();
-        for other in cand.into_iter().map(|i| &self.entries[i]) {
+        for other in cand.into_iter().map(|i| self.entry(i)) {
             if other.label.rid == label.rid {
                 continue;
             }
@@ -220,11 +233,28 @@ impl IncrementalJoin {
         out
     }
 
-    /// Registers a value in the probe structures without emitting pairs.
-    /// Shared by [`IncrementalJoin::insert`] and snapshot restore, which
-    /// replays registration in entry order to rebuild the postings,
-    /// numeric sweep, and rid maps bit-identically.
-    fn register(&mut self, label: Label, value: Value, sig: &[u64]) {
+    /// The live entry at `idx`; `by_rid` and the filtered candidate lists
+    /// hold no other kind.
+    fn entry(&self, idx: usize) -> &Entry {
+        self.entries[idx]
+            .as_ref()
+            .expect("a live entry index names a live entry")
+    }
+
+    /// Registers a value for future probes without scoring it against
+    /// anything: what a restored session does with every value of its
+    /// super records. Pairs emitted later do not depend on the order
+    /// values were registered in, labels being unique and
+    /// [`IncrementalJoin::insert`]'s output sorted by label. Nulls are
+    /// ignored, as on insert.
+    pub fn register(&mut self, label: Label, value: Value) {
+        if !value.is_null() {
+            let sig = folded_qgram_set(&value.to_text(), self.q);
+            self.register_sig(label, value, &sig);
+        }
+    }
+
+    fn register_sig(&mut self, label: Label, value: Value, sig: &[u64]) {
         let idx = self.entries.len();
         for &t in sig {
             self.postings.entry(t).or_default().push(idx);
@@ -235,89 +265,77 @@ impl IncrementalJoin {
             self.numeric.insert(pos, (x, idx));
         }
         self.by_rid.entry(label.rid).or_default().push(idx);
-        self.entries.push(Entry {
+        self.entries.push(Some(Entry {
             label,
             value,
             sig: sig.to_vec(),
             sketch: GramSketch::of(sig),
             is_num: num.is_some(),
-        });
-    }
-
-    /// Encodes the join state as JSON: the threshold, gram length, and
-    /// the `(label, value)` entries in insertion order. The derived probe
-    /// structures (postings, numeric sweep, rid map) are not serialized —
-    /// [`IncrementalJoin::from_json`] rebuilds them by replaying
-    /// registration, which is deterministic given the same entry order.
-    pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("xi".into(), Json::Float(self.xi)),
-            ("q".into(), Json::Int(self.q as i64)),
-            (
-                "entries".into(),
-                Json::Arr(
-                    self.entries
-                        .iter()
-                        .map(|e| {
-                            Json::Obj(vec![
-                                ("label".into(), e.label.to_json()),
-                                ("value".into(), e.value.to_json()),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-
-    /// Decodes a join from [`IncrementalJoin::to_json`] output. The
-    /// metric is not serialized (it is arbitrary user code); the caller
-    /// supplies the same metric the session was built with.
-    pub fn from_json(json: &Json, metric: std::sync::Arc<dyn ValueSimilarity>) -> Result<Self> {
-        let xi = json.expect("xi")?.as_f64()?;
-        let q = json.expect("q")?.as_i64()?;
-        if !(xi > 0.0 && xi <= 1.0) {
-            return Err(HeraError::Corrupt(format!(
-                "join threshold xi = {xi} outside (0, 1]"
-            )));
-        }
-        if !(1..=64).contains(&q) {
-            return Err(HeraError::Corrupt(format!("join gram length q = {q}")));
-        }
-        let mut join = Self::new(xi, q as usize, metric);
-        for e in json.expect("entries")?.as_arr()? {
-            let label = Label::from_json(e.expect("label")?)?;
-            let value = Value::from_json(e.expect("value")?)?;
-            if value.is_null() {
-                return Err(HeraError::Corrupt(format!(
-                    "join entry {label} holds a null value"
-                )));
-            }
-            let sig = folded_qgram_set(&value.to_text(), join.q);
-            join.register(label, value, &sig);
-        }
-        Ok(join)
+        }));
     }
 
     /// Applies a merge remap: every stored label of records `i` or `j`
     /// moves to its new label under the surviving rid (mirror of
-    /// `ValuePairIndex::merge`).
+    /// `ValuePairIndex::merge`). Where the remap folds several values
+    /// onto one label — the merged super record kept one of two equal
+    /// values — one entry stays live: the surviving record's own if it
+    /// has one, else the moved-in entry with the smallest old label,
+    /// which is the value `SuperRecord::absorb` keeps. The others are
+    /// dropped with their value and signature.
     pub fn relabel(&mut self, i: u32, j: u32, remap: impl Fn(Label) -> Label) {
-        let mut moved: Vec<usize> = Vec::new();
+        // (new label, moved in, old label, entry index): sorted, each
+        // run of one new label starts with the entry that keeps it.
+        let mut moved: Vec<(Label, bool, Label, usize)> = Vec::new();
         for rid in [i, j] {
-            if let Some(list) = self.by_rid.remove(&rid) {
-                moved.extend(list);
+            for idx in self.by_rid.remove(&rid).unwrap_or_default() {
+                let old = self.entry(idx).label;
+                let new = remap(old);
+                moved.push((new, new.rid != old.rid, old, idx));
             }
         }
-        let mut new_rid = None;
-        for &idx in &moved {
-            let l = remap(self.entries[idx].label);
-            self.entries[idx].label = l;
-            debug_assert!(new_rid.is_none() || new_rid == Some(l.rid));
-            new_rid = Some(l.rid);
+        moved.sort_unstable();
+        let mut held = None;
+        for (new, _, _, idx) in moved {
+            if held == Some(new) {
+                self.entries[idx] = None;
+                continue;
+            }
+            held = Some(new);
+            self.entries[idx].as_mut().expect("live, read above").label = new;
+            self.by_rid.entry(new.rid).or_default().push(idx);
         }
-        if let Some(k) = new_rid {
-            self.by_rid.entry(k).or_default().extend(moved);
+    }
+
+    /// Checks that the live `(label, value)` set is exactly `expected` —
+    /// the same labels, each holding the same variant of the same value.
+    /// A session passes the values of its super records; the error names
+    /// a label that differs.
+    pub fn check_values<'a>(
+        &self,
+        expected: impl IntoIterator<Item = (Label, &'a Value)>,
+    ) -> Result<(), String> {
+        let mut live: FxHashMap<Label, &Value> = FxHashMap::default();
+        for e in self.by_rid.values().flatten().map(|&idx| self.entry(idx)) {
+            if live.insert(e.label, &e.value).is_some() {
+                return Err(format!("two live join entries share label {}", e.label));
+            }
+        }
+        for (label, value) in expected {
+            let Some(held) = live.remove(&label) else {
+                return Err(format!("join holds no value at {label}"));
+            };
+            let same_variant = std::mem::discriminant(held) == std::mem::discriminant(value);
+            if !same_variant || held.to_text() != value.to_text() {
+                return Err(format!(
+                    "join holds {held:?} at {label}, the super record {value:?}"
+                ));
+            }
+        }
+        match live.keys().min() {
+            Some(extra) => Err(format!(
+                "join holds a value at {extra} that no super record has"
+            )),
+            None => Ok(()),
         }
     }
 }
@@ -453,13 +471,80 @@ mod tests {
         assert!((pairs[0].sim - 0.8).abs() < 1e-12);
     }
 
+    /// Records 0 and 1 both hold "bush@gmail" (and distinct names) and
+    /// merge: the merged super record keeps one copy of the equal value,
+    /// and so does the join. A third record holding it too is then
+    /// scored once per label, probing or blocked, where a join that kept
+    /// both entries emitted the `(0,1,0)` pair twice.
     #[test]
-    fn json_roundtrip_emits_identical_future_pairs() {
+    fn values_folded_by_a_merge_are_scored_once() {
+        let metric = TypeDispatch::paper_default();
+        let mut probing = IncrementalJoin::new(0.5, 2, Arc::new(metric.clone()));
+        let mut blocked = IncrementalJoin::new(0.5, 2, Arc::new(metric.clone()));
+        for join in [&mut probing, &mut blocked] {
+            join.insert(label(0, 0), Value::from("john bush"));
+            join.insert(label(0, 1), Value::from("bush@gmail"));
+            join.insert(label(1, 0), Value::from("j. bush"));
+            join.insert(label(1, 1), Value::from("bush@gmail"));
+            assert_eq!(join.len(), 4);
+            // 1 folds into 0: the names stay apart as two values of
+            // field 0, the equal mail values share label (0, 1, 0).
+            join.relabel(0, 1, |l| match (l.rid, l.fid) {
+                (1, 0) => Label::new(0, 0, 1),
+                (1, 1) => Label::new(0, 1, 0),
+                _ => l,
+            });
+            assert_eq!(join.len(), 3, "len counts live entries");
+            join.check_values([
+                (Label::new(0, 0, 0), &Value::from("john bush")),
+                (Label::new(0, 0, 1), &Value::from("j. bush")),
+                (Label::new(0, 1, 0), &Value::from("bush@gmail")),
+            ])
+            .unwrap();
+        }
+        let a = probing.insert(label(2, 0), Value::from("bush@gmail"));
+        let b = blocked.insert_among(label(2, 0), Value::from("bush@gmail"), &[0]);
+        assert_eq!(a, b);
+        assert_eq!(
+            a,
+            vec![ValuePair {
+                a: Label::new(0, 1, 0),
+                b: label(2, 0),
+                sim: 1.0
+            }]
+        );
+        assert_eq!(probing.len(), 4);
+    }
+
+    /// A numeric value retired by a merge must not cut the sweep short:
+    /// the walk outward steps over it to the live neighbour behind it.
+    #[test]
+    fn numeric_sweep_steps_over_retired_values() {
+        use hera_sim::NumericProximity;
+        let metric =
+            TypeDispatch::paper_default().with_numeric_metric(Arc::new(NumericProximity::new(5.0)));
+        let mut inc = IncrementalJoin::new(0.5, 2, Arc::new(metric));
+        inc.insert(label(0, 0), Value::from(1980i64));
+        inc.insert(label(1, 0), Value::from(1981i64));
+        inc.insert(label(2, 0), Value::from(1981i64));
+        // 2 folds into 1; the two 1981s share a label, one is retired.
+        inc.relabel(1, 2, |l| Label::new(1, l.fid, l.vid));
+        assert_eq!(inc.len(), 2);
+        let pairs = inc.insert(label(3, 0), Value::from(1982i64));
+        let partners: Vec<Label> = pairs.iter().map(|p| p.a).collect();
+        assert_eq!(partners, vec![label(0, 0), label(1, 0)]);
+    }
+
+    /// `register` makes a value probe-able without scoring it, in any
+    /// order: a join rebuilt from the live values in label order emits
+    /// what the join that saw them arrive (and merge) emits.
+    #[test]
+    fn registered_values_answer_like_inserted_ones() {
         let metric = TypeDispatch::paper_default();
         let mut live = IncrementalJoin::new(0.5, 2, Arc::new(metric.clone()));
-        live.insert(label(0, 0), Value::from("electronic"));
         live.insert(label(1, 0), Value::from("electronics"));
         live.insert(label(2, 0), Value::from(1984i64));
+        live.insert(label(0, 0), Value::from("electronic"));
         live.relabel(0, 1, |l| {
             if l.rid == 1 {
                 Label::new(0, 7, l.vid)
@@ -468,30 +553,17 @@ mod tests {
             }
         });
 
-        let dump = live.to_json().to_string_compact();
-        let mut restored = IncrementalJoin::from_json(
-            &hera_types::json::parse(&dump).unwrap(),
-            Arc::new(metric.clone()),
-        )
-        .unwrap();
-        assert_eq!(restored.len(), live.len());
-        assert_eq!(restored.to_json().to_string_compact(), dump, "fixpoint");
+        let mut rebuilt = IncrementalJoin::new(0.5, 2, Arc::new(metric));
+        rebuilt.register(label(0, 0), Value::from("electronic"));
+        rebuilt.register(Label::new(0, 7, 0), Value::from("electronics"));
+        rebuilt.register(label(2, 0), Value::from(1984i64));
+        rebuilt.register(label(2, 1), Value::Null);
+        assert_eq!(rebuilt.len(), live.len());
 
         let a = live.insert(label(9, 0), Value::from("electronic"));
-        let b = restored.insert(label(9, 0), Value::from("electronic"));
-        assert_eq!(a, b, "restored join emits the same pairs");
-        assert!(!a.is_empty());
-    }
-
-    #[test]
-    fn json_rejects_bad_threshold() {
-        let metric = TypeDispatch::paper_default();
-        let json = hera_types::json::parse(r#"{"xi":1.5,"q":2,"entries":[]}"#).unwrap();
-        let err = match IncrementalJoin::from_json(&json, Arc::new(metric)) {
-            Ok(_) => panic!("bad xi accepted"),
-            Err(e) => e,
-        };
-        assert!(matches!(err, hera_types::HeraError::Corrupt(_)), "{err}");
+        let b = rebuilt.insert(label(9, 0), Value::from("electronic"));
+        assert_eq!(a, b);
+        assert_eq!(a.len(), 2);
     }
 
     #[test]

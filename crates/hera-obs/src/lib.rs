@@ -125,10 +125,6 @@ pub struct Recorder {
     /// Fault injector consulted at `obs.sink.write` (disabled by
     /// default).
     faults: FaultInjector,
-    /// Attribution label stamped on every event this handle emits (see
-    /// [`Recorder::scoped`]); `None` leaves lines byte-identical to the
-    /// historical format.
-    scope: Option<Arc<str>>,
 }
 
 impl Recorder {
@@ -203,20 +199,6 @@ impl Recorder {
         self
     }
 
-    /// A handle that stamps `"scope": label` on every event it emits,
-    /// sharing this recorder's sink. Concurrent emitters (one session
-    /// per shard worker, say) each take a scoped handle so their
-    /// interleaved lines stay attributable — and round-counter
-    /// monotonicity ([`check_rounds_monotonic`]) is checked *per scope*,
-    /// so independent per-shard round counters interleaving in one
-    /// journal are not a false violation. Unscoped recorders emit the
-    /// historical byte-identical format.
-    pub fn scoped(&self, label: &str) -> Recorder {
-        let mut scoped = self.clone();
-        scoped.scope = Some(Arc::from(label));
-        scoped
-    }
-
     /// True if any emit can have an effect — guard expensive event
     /// construction (name lookups, string formatting) on this.
     pub fn enabled(&self) -> bool {
@@ -240,11 +222,8 @@ impl Recorder {
 
     fn write_line(&self, ev: &str, fields: Vec<(&str, Json)>) {
         let Some(sink) = &self.sink else { return };
-        let mut obj = Vec::with_capacity(fields.len() + 2);
+        let mut obj = Vec::with_capacity(fields.len() + 1);
         obj.push(("ev".to_string(), Json::Str(ev.to_string())));
-        if let Some(scope) = &self.scope {
-            obj.push(("scope".to_string(), Json::Str(scope.to_string())));
-        }
         obj.extend(fields.into_iter().map(|(k, v)| (k.to_string(), v)));
         let line = Json::Obj(obj).to_string_compact();
         let mut state = sink.lock().expect("journal sink poisoned");
@@ -479,47 +458,27 @@ pub fn deterministic_view(journal: &str) -> String {
 }
 
 /// Checks that the `"round"` field of every round-bearing journal line
-/// never decreases *within its scope* — the invariant a
+/// never decreases — the invariant a
 /// checkpoint-resumed progressive run must uphold (the session's round
 /// counter is part of the snapshot, so a restored run continues the
-/// numbering instead of restarting at 1). Lines are grouped by their
-/// optional `"scope"` attribution field ([`Recorder::scoped`]): a
-/// sharded service's per-shard sessions each keep an independent round
-/// counter, so their interleaved lines are monotone per shard, not
-/// globally. Unscoped lines form one group of their own, so
-/// single-writer journals are checked exactly as before.
+/// numbering instead of restarting at 1).
 /// Returns the number of round-bearing lines checked; the error names
 /// the first offending line. Unparseable lines are skipped (validation
 /// is [`validate`]'s job). Note that a crash-*replay* journal — where
 /// the writer re-executes pre-crash rounds — legitimately rewinds;
 /// apply this to journals of a single resumed lineage.
 pub fn check_rounds_monotonic(journal: &str) -> Result<usize, String> {
-    let mut last: BTreeMap<String, i64> = BTreeMap::new();
+    let mut last: Option<i64> = None;
     let mut checked = 0usize;
     for (i, line) in journal.lines().enumerate() {
         let Ok(doc) = json::parse(line) else { continue };
         let Some(round) = doc.get("round").and_then(|r| r.as_i64().ok()) else {
             continue;
         };
-        let scope = doc
-            .get("scope")
-            .and_then(|s| s.as_str().ok())
-            .unwrap_or("")
-            .to_string();
-        if let Some(&prev) = last.get(&scope) {
-            if round < prev {
-                let at = if scope.is_empty() {
-                    String::new()
-                } else {
-                    format!(" in scope {scope:?}")
-                };
-                return Err(format!(
-                    "line {}: round {round} after round {prev}{at}",
-                    i + 1
-                ));
-            }
+        if let Some(prev) = last.filter(|&prev| round < prev) {
+            return Err(format!("line {}: round {round} after round {prev}", i + 1));
         }
-        last.insert(scope, round);
+        last = Some(round);
         checked += 1;
     }
     Ok(checked)
@@ -620,48 +579,6 @@ mod tests {
         rec.round_end(1, 0, 10, 0); // restart-from-1 bug
         let err = check_rounds_monotonic(&buf.contents()).unwrap_err();
         assert!(err.contains("round 1 after round 3"), "{err}");
-    }
-
-    #[test]
-    fn scoped_handles_stamp_and_partition_round_checks() {
-        let (rec, buf) = Recorder::to_memory();
-        let s0 = rec.scoped("shard0");
-        let s1 = rec.scoped("shard1");
-        // Interleaved per-shard counters: each shard is monotone on its
-        // own, the merged journal is not globally monotone.
-        s0.round_end(5, 1, 10, 0);
-        s1.round_end(1, 0, 4, 0);
-        s0.round_end(6, 0, 10, 0);
-        s1.round_end(2, 2, 5, 0);
-        let text = buf.contents();
-        assert!(text.contains("\"scope\":\"shard0\""));
-        assert!(text.contains("\"scope\":\"shard1\""));
-        assert_eq!(check_rounds_monotonic(&text).unwrap(), 4);
-        // The same interleaving without attribution is a violation.
-        let unscoped = text
-            .replace("\"scope\":\"shard0\",", "")
-            .replace("\"scope\":\"shard1\",", "");
-        let err = check_rounds_monotonic(&unscoped).unwrap_err();
-        assert!(err.contains("round 1 after round 5"), "{err}");
-    }
-
-    #[test]
-    fn rewind_within_one_scope_is_still_caught() {
-        let (rec, buf) = Recorder::to_memory();
-        let s0 = rec.scoped("shard0");
-        rec.scoped("shard1").round_end(9, 0, 1, 0);
-        s0.round_end(3, 0, 1, 0);
-        s0.round_end(2, 0, 1, 0); // rewind inside shard0
-        let err = check_rounds_monotonic(&buf.contents()).unwrap_err();
-        assert!(err.contains("round 2 after round 3"), "{err}");
-        assert!(err.contains("shard0"), "{err}");
-    }
-
-    #[test]
-    fn unscoped_recorder_format_is_unchanged() {
-        let (rec, buf) = Recorder::to_memory();
-        rec.span("verify", Some(1), &[("pairs", 3)]);
-        assert!(!buf.contents().contains("scope"));
     }
 
     #[test]

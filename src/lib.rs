@@ -80,8 +80,8 @@ pub use hera_block::{Blocker, BlockingScheme};
 pub use hera_core::{
     check_no_torn_state, run_chaos, BoundMode, ChaosConfig, ChaosReport, ChaosVerdict, Hera,
     HeraBuilder, HeraConfig, HeraResult, HeraSession, HeraSessionBuilder, InstanceVerifier,
-    MergeEvent, ProgressiveReport, ResolveBudget, ResolveStream, RunStats, SchemaVoter, SimCache,
-    SimDelta, SuperRecord, Verification, VerifyScratch,
+    MergeEvent, ProgressiveReport, ResolveBudget, RunStats, SchemaVoter, SimCache, SimDelta,
+    SuperRecord, Verification, VerifyScratch,
 };
 pub use hera_datagen::{table1_dataset, DatagenConfig, Domain, Generator};
 pub use hera_eval::{adjusted_rand_index, bcubed, v_measure, PairMetrics};

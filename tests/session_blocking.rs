@@ -7,8 +7,11 @@
 //! different scheme.
 
 use hera::core::HeraSession;
-use hera::{BlockingScheme, HeraConfig, HeraError, JournalBuffer, PairMetrics, Recorder, SchemaId};
+use hera::{
+    BlockingScheme, HeraConfig, HeraError, JournalBuffer, PairMetrics, Recorder, SchemaId, Snapshot,
+};
 use hera_datagen::{CorruptionConfig, DatagenConfig, Generator};
+use proptest::prelude::*;
 
 const DELTA: f64 = 0.5;
 const XI: f64 = 0.5;
@@ -221,4 +224,60 @@ fn restore_rejects_blocking_scheme_mismatch() {
         std::fs::remove_file(&path).ok();
     }
     std::fs::remove_dir(&dir).ok();
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// The session keeps one table of live values, the super records,
+    /// and the join is an index over it: for random datasets, blocking
+    /// on and off, `add_record` and `resolve` interleaved at a random
+    /// cadence, every round leaves the join's live `(label, value)` set
+    /// equal to the super records' (`with_index_validation` panics on the
+    /// first round that does not), the index holds each `(a, b)` label
+    /// pair once, and the snapshot carries no second copy of the values.
+    #[test]
+    fn join_is_an_index_over_the_super_records(
+        seed in 0u64..10_000,
+        n_records in 30usize..90,
+        blocked in any::<bool>(),
+        every in 1usize..12,
+    ) {
+        let ds = dataset(seed, n_records);
+        let mut cfg = HeraConfig::new(DELTA, XI).with_index_validation();
+        if blocked {
+            cfg = cfg.with_blocking(BlockingScheme::token());
+        }
+        let mut session = HeraSession::builder(cfg).build();
+        let schemas = session.mirror_schemas(&ds.registry);
+        let path = std::env::temp_dir().join(format!(
+            "hera-session-blocking-{}-table-{seed}.hera",
+            std::process::id()
+        ));
+        for (i, r) in ds.iter().enumerate() {
+            session
+                .add_record(schemas[r.schema.index()], r.values.clone())
+                .unwrap();
+            if (i + 1) % every != 0 && i + 1 != ds.len() {
+                continue;
+            }
+            session.resolve();
+            session.checkpoint(&path).unwrap();
+            let snap = Snapshot::read(&path).unwrap();
+            prop_assert!(snap.get("join").is_none());
+            let label_pairs: std::collections::BTreeSet<String> = snap
+                .expect("index")
+                .unwrap()
+                .as_arr()
+                .unwrap()
+                .iter()
+                .map(|p| {
+                    let side = |k| p.expect(k).unwrap().to_string_compact();
+                    format!("{}-{}", side("a"), side("b"))
+                })
+                .collect();
+            prop_assert_eq!(label_pairs.len(), session.index_size());
+        }
+        std::fs::remove_file(&path).ok();
+    }
 }

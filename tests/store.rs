@@ -253,6 +253,34 @@ fn cache_setting_may_differ_between_checkpoint_and_restore() {
     std::fs::remove_file(&path).ok();
 }
 
+/// Restore reads the sections it knows and ignores the rest: a file that
+/// carries one more — as the files written before the join was derived
+/// from the super records carry a `join` section — restores, and the
+/// continuation lands on the uninterrupted run's partition.
+#[test]
+fn unknown_extra_section_is_ignored() {
+    let ds = dataset(4242, 40, 8, 1);
+    let path = real_snapshot("extra-section");
+    let mut snap = hera::Snapshot::read(&path).unwrap();
+    assert!(snap.get("join").is_none(), "the join is no longer stored");
+    let stale = r#"{"xi":0.5,"q":2,"entries":[{"label":{"rid":0,"fid":0,"vid":0},"value":{"Str":"stale"}}]}"#;
+    snap.insert("join", hera::types::json::parse(stale).unwrap());
+    snap.write(&path).unwrap();
+
+    let mut resumed = restore(&path).unwrap();
+    ingest(&mut resumed, &ds, 20, ds.len());
+    let mut straight = HeraSession::builder(HeraConfig::new(0.5, 0.5)).build();
+    straight.mirror_schemas(&ds.registry);
+    ingest(&mut straight, &ds, 0, ds.len());
+    assert_eq!(resumed.clusters(), straight.clusters());
+    assert_eq!(resumed.merge_count(), straight.merge_count());
+    assert_eq!(
+        deterministic_stats(resumed.stats()),
+        deterministic_stats(straight.stats())
+    );
+    std::fs::remove_file(&path).ok();
+}
+
 /// Restoring under a different ξ is refused — the live-value universe
 /// was filtered by the snapshot's ξ, so continuing under another
 /// threshold would silently diverge from a from-scratch run.
