@@ -8,28 +8,45 @@
 //! # Strategy
 //!
 //! A naive self-join is quadratic in the number of values. This crate cuts
-//! that down with the standard filter-verify architecture of the
-//! similarity-join literature the paper cites \[13\]:
+//! that down with the filter-verify architecture of the similarity-join
+//! literature the paper cites \[13\], fused into a single pass:
 //!
 //! 1. **Distinct-value grouping.** Real datasets repeat values constantly
 //!    (every record of a movie shares its title). The join runs over
-//!    *distinct* values only and expands matches to label pairs afterwards.
-//! 2. **Inverted q-gram index with prefix filtering.** Distinct string
-//!    renderings are gram-tokenized; tokens are ordered by ascending
-//!    document frequency, and only each value's *prefix* (its
-//!    `|x| − ⌈ξ·|x|⌉ + 1` rarest tokens) is indexed — any pair with Jaccard
-//!    `≥ ξ` must collide on at least one prefix token. A length filter
-//!    (`ξ·|x| ≤ |y|`) prunes further.
-//! 3. **Numeric sweep.** Numeric values are sorted and paired by a bounded
+//!    *distinct* values only and expands matches to label pairs.
+//! 2. **One length-ordered probe of an inverted q-gram index.** Distinct
+//!    string renderings are gram-tokenized and the tokens ranked once by
+//!    ascending document frequency. Values are processed in `(signature
+//!    length, index)` order and each is probed against the values before
+//!    it only, so an indexed `y` never meets a shorter probe: it is enough
+//!    to index its *index prefix*, the `|y| − ⌈2ξ/(1+ξ)·|y|⌉ + 1` rarest
+//!    tokens, while a probing `x` looks up its longer *probe prefix*, the
+//!    `|x| − ⌈ξ·|x|⌉ + 1` rarest — any pair with Jaccard `≥ ξ` collides on
+//!    one of those. Posting lists are sorted by length, so the length
+//!    filter (`|y| ≥ ⌈ξ·|x|⌉`) is a binary search; a positional filter
+//!    drops a pair whose remaining tokens can no longer reach the required
+//!    overlap. The probe runs on [`hera_types::parallel`], heaviest values
+//!    first.
+//! 3. **Verification inside the probe.** A pair that survives the filters
+//!    is scored at once — by the black-box [`ValueSimilarity`], or from the
+//!    stored signatures when the metric declares them equivalent — and, if
+//!    `sim ≥ ξ`, expanded to label pairs in the worker's output. No
+//!    candidate list is built, sorted or deduplicated.
+//! 4. **Numeric sweep.** Numeric values are sorted and paired by a bounded
 //!    forward sweep, sound for any metric that is non-increasing in
-//!    `|a − b|` (all built-in numeric metrics are).
-//! 4. **Verification.** Every surviving candidate is scored with the real
-//!    black-box [`ValueSimilarity`]; only `sim ≥ ξ` pairs are emitted.
+//!    `|a − b|` (all built-in numeric metrics are); each swept pair is
+//!    scored once, by the sweep.
+//!
+//! The `join` span's `candidates` counts the distinct-value pairs that
+//! were scored — the probe's survivors plus the sweep's pairs (every pair,
+//! under [`JoinConfig::exhaustive`]; every compared field pair, under
+//! [`CandidateSource::Blocked`]). It is the same at every thread count.
 //!
 //! Prefix filtering is **complete** when the verifying string metric is
 //! q-gram Jaccard with the same `q` and folding as the index (HERA's
 //! default), and the join applies it only then
 //! ([`ValueSimilarity::qgram_compatible`]). Under any other metric the
+//! same probe runs over full signatures with the filters off: the
 //! candidates are share-a-gram — what [`IncrementalJoin`] probes with, so
 //! batch and streaming ingest find the same pairs; use
 //! [`JoinConfig::all_pairs`] for metric-agnostic exactness.
@@ -43,7 +60,6 @@ mod numeric;
 mod source;
 
 pub use incremental::IncrementalJoin;
-pub use inverted::{gram_candidates, GramIndex};
 pub use source::{CandidateSource, RecordPairSet};
 
 use hera_sim::text::{folded_qgram_set, jaccard_of_sets, GramSketch};
@@ -79,7 +95,7 @@ pub struct JoinConfig {
     /// Skip all filtering and verify every distinct-value pair —
     /// metric-agnostic ground truth, quadratic cost.
     pub all_pairs: bool,
-    /// Worker threads for candidate verification
+    /// Worker threads for the probe and verification
     /// ([`hera_types::parallel`]): `0` auto-detects from the machine, `1`
     /// forces the sequential path. The output is bit-identical for every
     /// setting.
@@ -111,7 +127,7 @@ impl JoinConfig {
         self
     }
 
-    /// Sets the verification worker count (`0` = auto-detect).
+    /// Sets the worker count (`0` = auto-detect).
     pub fn with_threads(mut self, num_threads: usize) -> Self {
         self.num_threads = num_threads;
         self
@@ -201,15 +217,12 @@ impl<'m> SimilarityJoin<'m> {
     /// Joins all values of a dataset: every field of every record
     /// contributes one labeled value (`vid = 0`, base records).
     pub fn join_dataset(&self, ds: &Dataset) -> Vec<ValuePair> {
-        let mut values: Vec<(Label, Value)> = Vec::new();
-        for rec in ds.iter() {
-            for (fid, v) in rec.values.iter().enumerate() {
-                if !v.is_null() {
-                    values.push((Label::new(rec.id.raw(), fid as u32, 0), v.clone()));
-                }
-            }
-        }
-        self.join(&values)
+        self.join_refs(ds.iter().flat_map(|rec| {
+            let values = rec.values.iter().enumerate();
+            values
+                .filter(|(_, v)| !v.is_null())
+                .map(|(fid, v)| (Label::new(rec.id.raw(), fid as u32, 0), v))
+        }))
     }
 
     /// Joins a dataset through an explicit [`CandidateSource`]:
@@ -227,10 +240,8 @@ impl<'m> SimilarityJoin<'m> {
 
     /// Record-pair-driven join: compares the field values of each allowed
     /// record pair directly instead of generating candidates from the
-    /// value universe. For the sub-quadratic pair sets a blocker emits
-    /// this skips the (quadratic-prone) gram candidate generation
-    /// entirely, which is where the all-pairs join spends most of its
-    /// time at scale.
+    /// value universe. Its cost follows the pair set a blocker emits, not
+    /// the value universe: no gram index is built or probed.
     ///
     /// Scoring is the all-pairs verification's ([`score`]), so every
     /// emitted pair carries the same similarity the all-pairs join would
@@ -333,73 +344,98 @@ impl<'m> SimilarityJoin<'m> {
 
     /// Joins an explicit labeled value collection.
     pub fn join(&self, values: &[(Label, Value)]) -> Vec<ValuePair> {
+        self.join_refs(values.iter().map(|(label, v)| (*label, v)))
+    }
+
+    /// [`Self::join`] over borrowed values.
+    fn join_refs<'a>(&self, values: impl Iterator<Item = (Label, &'a Value)>) -> Vec<ValuePair> {
         let t0 = Instant::now();
         // 1. Group labels by distinct value.
+        let mut total_values = 0usize;
         let mut groups: FxHashMap<&Value, Vec<Label>> = FxHashMap::default();
         for (label, v) in values {
+            total_values += 1;
             if !v.is_null() {
-                groups.entry(v).or_default().push(*label);
+                groups.entry(v).or_default().push(label);
             }
         }
         let mut distinct: Vec<(&Value, Vec<Label>)> = groups.into_iter().collect();
         // Deterministic order.
         distinct.sort_unstable_by(|a, b| a.0.cmp(b.0));
 
-        // 2. Candidate pairs *across* distinct values. Gram signatures are
-        // computed once and reused for candidate generation *and* (when
-        // the metric declares gram compatibility) verification; the
-        // exhaustive oracle uses none.
-        let all_pairs = self.config.all_pairs;
-        let fast_grams = !all_pairs && self.metric.qgram_compatible() == Some(self.config.q);
-        let n = distinct.len();
-        let (sigs, candidates): (Vec<Vec<u64>>, Vec<(usize, usize)>) = if all_pairs {
-            let every_pair = (0..n).flat_map(|i| (i + 1..n).map(move |j| (i, j)));
-            (vec![Vec::new(); n], every_pair.collect())
-        } else {
-            let sigs: Vec<Vec<u64>> = distinct
-                .iter()
-                .map(|(v, _)| folded_qgram_set(&v.to_text(), self.config.q))
-                .collect();
-            // The prefix filter only where it is exact: `fast_grams`.
-            let prefix_filter = self.config.prefix_filter && fast_grams;
-            let mut c = gram_candidates(&sigs, self.config.xi, prefix_filter);
-            c.extend(numeric::numeric_candidates(
-                &distinct,
-                self.metric,
-                self.config.xi,
-            ));
-            c.sort_unstable();
-            c.dedup();
-            (sigs, c)
+        // 2. Pairs *across* distinct values `i < j`: scored once, expanded
+        // to label pairs on the spot.
+        let JoinConfig { xi, q, .. } = self.config;
+        let expand = |out: &mut Vec<ValuePair>, i: usize, j: usize, s: f64| {
+            for &a in &distinct[i].1 {
+                for &b in &distinct[j].1 {
+                    push_pair(out, a, b, s);
+                }
+            }
         };
-        let sides = sides(distinct.iter().map(|(v, _)| *v), &sigs);
-
-        // 3. Verify with the black box and expand to label pairs.
-        let mut out = par_map_blocks(
-            self.config.num_threads,
-            &candidates,
-            || (),
-            |(), block| {
-                let mut out = Vec::new();
-                for &(i, j) in block {
-                    if let Some(s) =
-                        score(self.metric, fast_grams, self.config.xi, sides[i], sides[j])
-                    {
-                        for &a in &distinct[i].1 {
-                            for &b in &distinct[j].1 {
-                                push_pair(&mut out, a, b, s);
-                            }
+        let n = distinct.len();
+        let (mut out, candidates) = if self.config.all_pairs {
+            // The oracle: no signature, no filter, the metric on every pair.
+            let every_pair: Vec<(usize, usize)> = (0..n)
+                .flat_map(|i| (i + 1..n).map(move |j| (i, j)))
+                .collect();
+            let out = par_map_blocks(
+                self.config.num_threads,
+                &every_pair,
+                || (),
+                |(), block| {
+                    let mut out = Vec::new();
+                    for &(i, j) in block {
+                        let s = self.metric.sim(distinct[i].0, distinct[j].0);
+                        if s >= xi {
+                            expand(&mut out, i, j, s);
                         }
                     }
-                }
-                out
-            },
-        );
+                    out
+                },
+            );
+            (out, every_pair.len())
+        } else {
+            // Gram signatures are computed once and reused by the probe
+            // *and* (when the metric declares gram compatibility) scoring.
+            let fast_grams = self.metric.qgram_compatible() == Some(q);
+            let sigs: Vec<Vec<u64>> = distinct
+                .iter()
+                .map(|(v, _)| folded_qgram_set(&v.to_text(), q))
+                .collect();
+            let sides = sides(distinct.iter().map(|(v, _)| *v), &sigs);
+            // Two numbers the sweep paired are its to emit, not the probe's.
+            let swept = numeric::numeric_pairs(&distinct, self.metric, xi);
+            let is_swept = |i: usize, j: usize| {
+                let at = |&(a, b, _): &(usize, usize, f64)| (a, b).cmp(&(i, j));
+                sides[i].is_num && sides[j].is_num && swept.binary_search_by(at).is_ok()
+            };
+            // The prefix filter only where it is exact: `fast_grams`.
+            let prefix_filter = self.config.prefix_filter && fast_grams;
+            let threads = self.config.num_threads;
+            let (mut out, scored) =
+                inverted::probe(&sigs, xi, prefix_filter, threads, |i, j, out| {
+                    if is_swept(i, j) {
+                        return false;
+                    }
+                    if let Some(s) = score(self.metric, fast_grams, xi, sides[i], sides[j]) {
+                        expand(out, i, j, s);
+                    }
+                    true
+                });
+            for &(i, j, s) in &swept {
+                expand(&mut out, i, j, s);
+            }
+            (out, scored + swept.len())
+        };
 
-        // 4. Pairs *within* one distinct-value group: sim(v, v).
+        // 3. Pairs *within* one distinct-value group: sim(v, v).
         for (v, labels) in &distinct {
+            if labels.len() < 2 {
+                continue;
+            }
             let s = self.metric.sim(v, v);
-            if s >= self.config.xi {
+            if s >= xi {
                 for (i, &la) in labels.iter().enumerate() {
                     for &lb in &labels[i + 1..] {
                         push_pair(&mut out, la, lb, s);
@@ -408,7 +444,7 @@ impl<'m> SimilarityJoin<'m> {
             }
         }
 
-        self.finish(out, values.len(), distinct.len(), candidates.len(), t0)
+        self.finish(out, total_values, distinct.len(), candidates, t0)
     }
 }
 
@@ -562,8 +598,8 @@ mod tests {
     /// reject too: the default join (signature path, bound on) must equal
     /// the exhaustive one, which asks the metric about every pair and
     /// never looks at a signature — through the all-pairs and the blocked
-    /// verifier alike. (The dense candidate accumulator has its own
-    /// oracle in `inverted.rs`.)
+    /// verifier alike. (The probe's filters have their own oracle test in
+    /// `inverted.rs`.)
     #[test]
     fn sketch_bound_does_not_change_output() {
         let metric = TypeDispatch::paper_default();

@@ -1,20 +1,21 @@
-//! Sorted-sweep candidate generation for numeric values.
+//! Sorted-sweep pair generation for numeric values.
 
 use hera_sim::ValueSimilarity;
 use hera_types::{Label, Value};
 
-/// Generates candidate pairs among numeric distinct values by a forward
-/// sweep over the sorted number line.
+/// Finds the pairs `(i, j, sim)` of numeric distinct values, `i < j`, with
+/// `sim = metric.sim(vᵢ, vⱼ) ≥ ξ` by a forward sweep over the sorted
+/// number line, ordered by `(i, j)`. Each pair is scored once, here.
 ///
 /// Sound for metrics that are non-increasing in `|a − b|` (every built-in
 /// numeric metric is): once `sim(vᵢ, vⱼ) < ξ` for some `j > i` in sorted
 /// order, all later `j` are at least as far from `vᵢ` and score no higher,
 /// so the sweep stops.
-pub fn numeric_candidates(
+pub fn numeric_pairs(
     distinct: &[(&Value, Vec<Label>)],
     metric: &dyn ValueSimilarity,
     xi: f64,
-) -> Vec<(usize, usize)> {
+) -> Vec<(usize, usize, f64)> {
     let mut nums: Vec<(f64, usize)> = distinct
         .iter()
         .enumerate()
@@ -23,18 +24,18 @@ pub fn numeric_candidates(
     nums.sort_unstable_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
 
     let mut out = Vec::new();
-    for i in 0..nums.len() {
-        for j in i + 1..nums.len() {
-            let (vi, ii) = (&distinct[nums[i].1].0, nums[i].1);
-            let (vj, jj) = (&distinct[nums[j].1].0, nums[j].1);
-            let s = metric.sim(vi, vj);
+    for (at, &(_, a)) in nums.iter().enumerate() {
+        for &(_, b) in &nums[at + 1..] {
+            let (i, j) = (a.min(b), a.max(b));
+            let s = metric.sim(distinct[i].0, distinct[j].0);
             if s >= xi {
-                out.push(if ii < jj { (ii, jj) } else { (jj, ii) });
+                out.push((i, j, s));
             } else {
                 break; // monotone metric: later values only further away
             }
         }
     }
+    out.sort_unstable_by_key(|&(i, j, _)| (i, j));
     out
 }
 
@@ -57,10 +58,8 @@ mod tests {
         let owned = dv(vals);
         let borrowed: Vec<(&Value, Vec<Label>)> =
             owned.iter().map(|(v, l)| (v, l.clone())).collect();
-        let mut c = numeric_candidates(&borrowed, &metric, xi);
-        c.sort_unstable();
-        c.dedup();
-        c
+        let pairs = numeric_pairs(&borrowed, &metric, xi);
+        pairs.into_iter().map(|(i, j, _)| (i, j)).collect()
     }
 
     #[test]
@@ -101,14 +100,13 @@ mod tests {
         let owned = dv(&vals);
         let borrowed: Vec<(&Value, Vec<Label>)> =
             owned.iter().map(|(v, l)| (v, l.clone())).collect();
-        let mut sweep = numeric_candidates(&borrowed, &metric, 0.4);
-        sweep.sort_unstable();
-        sweep.dedup();
+        let sweep = numeric_pairs(&borrowed, &metric, 0.4);
         let mut oracle = Vec::new();
         for i in 0..vals.len() {
             for j in i + 1..vals.len() {
-                if metric.sim(&vals[i], &vals[j]) >= 0.4 {
-                    oracle.push((i, j));
+                let s = metric.sim(&vals[i], &vals[j]);
+                if s >= 0.4 {
+                    oracle.push((i, j, s));
                 }
             }
         }

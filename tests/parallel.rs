@@ -4,10 +4,10 @@
 //! verifications, never reorders decisions.
 
 use hera::{BlockingScheme, Hera, HeraConfig, Recorder, ValuePairIndex};
-use hera_datagen::{CorruptionConfig, DatagenConfig, Generator};
+use hera_datagen::{scale_preset, CorruptionConfig, DatagenConfig, Generator, ScaleGenerator};
 
 /// Seeded dataset big enough to exercise the parallel paths (every stage
-/// fans out above 32 items: records, join candidates, root pairs).
+/// fans out above 32 items: records, the join's distinct values, root pairs).
 fn dataset() -> hera::Dataset {
     Generator::new(DatagenConfig {
         name: "parallel-test".into(),
@@ -68,16 +68,23 @@ fn auto_threads_match_explicit_single_thread() {
 #[test]
 fn parallel_join_is_bit_identical() {
     let ds = dataset();
+    // The ledger's `scale_allpairs` input: thousands of distinct values, so
+    // the join's probe is cut into blocks at every thread count above one.
+    let scale = ScaleGenerator::new(scale_preset(2_000, 51)).generate();
     // The all-pairs join, then block → blocked join: the pairs with their
     // similarities bit for bit, and the `blocking` and `join` spans.
-    for blocking in [BlockingScheme::None, BlockingScheme::token()] {
+    for (ds, xi, blocking) in [
+        (&ds, 0.5, BlockingScheme::None),
+        (&ds, 0.5, BlockingScheme::token()),
+        (&scale, 0.7, BlockingScheme::None),
+    ] {
         let join = |threads: usize| {
             let (rec, buf) = Recorder::to_memory();
-            let cfg = HeraConfig::new(0.5, 0.5)
+            let cfg = HeraConfig::new(0.5, xi)
                 .with_threads(threads)
                 .with_blocking(blocking.clone());
             let hera = Hera::builder(cfg).recorder(rec.deterministic()).build();
-            (hera.join(&ds), buf.contents())
+            (hera.join(ds), buf.contents())
         };
         let (seq, seq_journal) = join(1);
         assert!(seq.len() > 1_000, "{}: too few pairs", blocking.name());
