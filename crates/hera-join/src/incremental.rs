@@ -1,22 +1,46 @@
-//! Incremental similarity join: values arrive one at a time.
+//! Incremental similarity join: records arrive one at a time.
 //!
 //! The batch join (Definition 7) runs once, offline. Streaming entity
 //! resolution needs the same result maintained under insertions: when a
-//! new record's values arrive, find every existing value within ξ and
-//! emit the new index entries. [`IncrementalJoin`] does that with the
-//! same gram machinery as the batch join:
+//! new record's values arrive, find every stored value within ξ and emit
+//! the new index entries. [`IncrementalJoin`] keeps every live value with
+//! its gram signature and answers through two kinds of door.
 //!
-//! * string-ish values are probed through an inverted gram index using
-//!   the *share-a-gram* rule (complete for q-gram Jaccard at any ξ > 0 —
-//!   prefix filtering needs a global frequency order, which shifts as the
-//!   stream grows, so it is deliberately not used here);
-//! * numeric values are probed through a sorted sweep, sound for metrics
-//!   non-increasing in `|a − b|`;
-//! * every candidate is scored by the batch join's own dispatch: the
-//!   black-box metric, or — when the metric declares
-//!   [`ValueSimilarity::qgram_compatible`] — gram signatures stored at
-//!   registration time behind the sound [`GramSketch`] upper bound
-//!   (bit-identical scores, no re-tokenization in the verify loop).
+//! **The blocked doors** — [`IncrementalJoin::insert_record_among`] and
+//! its one-value case [`IncrementalJoin::insert_among`] — take the
+//! records a blocker allows and never look at a gram index:
+//!
+//! 1. *Gather, once per record.* The hot row of every live value of the
+//!    allowed records — sketch, numeric flag, entry index, read from a
+//!    table dense by entry index — is counting-sorted by signature length
+//!    into one neighbourhood, with the first row of every length kept.
+//! 2. *Scan, once per value.* A stored length `|y|` can pair with the
+//!    incoming `|x|` only if `min(|x|, |y|) ≥ α(|x| + |y|)`, α being the
+//!    batch probe's required overlap `⌈ξ/(1+ξ)·(|x|+|y|)⌉`
+//!    ([`RequiredOverlap`]); the lengths outside that window are skipped
+//!    whole. Inside it α is fixed per length, and a row survives the
+//!    integer sketch test [`GramSketch::may_share`] or is dropped without
+//!    its entry being touched.
+//! 3. *Score the survivors* by the batch join's own dispatch ([`score`]):
+//!    the sketch bound again and the exact Jaccard over the stored
+//!    signatures when the metric declares
+//!    [`ValueSimilarity::qgram_compatible`], the black-box metric
+//!    otherwise. Both filters are sound for q-gram Jaccard, so the output
+//!    is what scoring every row would give. Two numbers skip the gram
+//!    filters and go to the metric; under a metric that is not gram
+//!    compatible every gathered row does.
+//! 4. *Register* the record's values, after all of them were scored.
+//!
+//! **The probing door** — [`IncrementalJoin::insert`] — has no blocker
+//! to narrow the universe, so it finds candidates itself: string-ish
+//! values through an inverted gram index under the *share-a-gram* rule
+//! (complete for q-gram Jaccard at any ξ > 0 — prefix filtering needs a
+//! global frequency order, which shifts as the stream grows), numeric
+//! values through a sorted sweep, sound for metrics non-increasing in
+//! `|a − b|`. The candidates then go through the same gather and scan.
+//! The gram postings and the numeric order are filed lazily, when
+//! `insert` is first called and from then on before each probe: a join
+//! that is only ever asked through the blocked doors never builds them.
 //!
 //! Labels mutate when records merge (the index relabels its entries);
 //! [`IncrementalJoin::relabel`] applies the same remap here so future
@@ -25,19 +49,52 @@
 //! merged super record kept, so the live `(label, value)` set is the
 //! super records' value set and no label is ever scored twice.
 
+use crate::inverted::RequiredOverlap;
 use crate::{score, Side, ValuePair};
 use hera_sim::text::{folded_qgram_set, GramSketch};
 use hera_sim::ValueSimilarity;
 use hera_types::{Label, Value};
 use rustc_hash::FxHashMap;
+use std::borrow::Cow;
 
+/// What scoring reads of a stored value; the scan never touches it for a
+/// row the filters drop.
 struct Entry {
     label: Label,
     value: Value,
     /// Folded gram signature, kept so verification never re-tokenizes.
     sig: Vec<u64>,
+}
+
+/// What the filters read of a value.
+#[derive(Clone, Copy)]
+struct Hot {
     sketch: GramSketch,
+    /// Signature length.
+    len: u32,
     is_num: bool,
+}
+
+/// A value that was tokenized and not yet registered.
+struct Pending {
+    entry: Entry,
+    hot: Hot,
+}
+
+/// One stored value as the scan sees it; its length is its bucket's.
+#[derive(Clone, Copy, Default)]
+struct Row {
+    sketch: GramSketch,
+    /// Entry index.
+    idx: u32,
+    is_num: bool,
+}
+
+/// The live values an incoming value may pair with, ordered by signature
+/// length: `rows[starts[len]..starts[len + 1]]` are those of length `len`.
+struct Neighbourhood {
+    rows: Vec<Row>,
+    starts: Vec<u32>,
 }
 
 /// Insert-only similarity join state. Owns its metric (`Arc`) so it can
@@ -47,19 +104,27 @@ pub struct IncrementalJoin {
     q: usize,
     metric: std::sync::Arc<dyn ValueSimilarity>,
     /// True iff the metric's string leg is exactly q-gram Jaccard at our
-    /// gram length — enables signature scoring + the sketch prefilter.
+    /// gram length — enables signature scoring + the gram filters.
     fast_grams: bool,
+    /// α for every pair of lengths registered or scanned so far.
+    alpha: RequiredOverlap,
     /// Every value ever registered, by entry index; `None` once a merge
     /// folded the value onto a label another entry already held.
     entries: Vec<Option<Entry>>,
+    /// The filters' view of `entries`, by the same index (a retired
+    /// entry's row lingers, unreachable).
+    hot: Vec<Hot>,
+    /// rid → live entry indices.
+    by_rid: FxHashMap<u32, Vec<u32>>,
+    /// `entries[..probed]` are filed in `postings` and `numeric`; the
+    /// rest wait for the next [`IncrementalJoin::insert`].
+    probed: usize,
     /// gram token → entry indices containing it (retired ones linger
     /// and are skipped when probed).
-    postings: FxHashMap<u64, Vec<usize>>,
+    postings: FxHashMap<u64, Vec<u32>>,
     /// entry indices of numeric values, kept sorted by numeric value
     /// (retired ones linger and are skipped when swept).
-    numeric: Vec<(f64, usize)>,
-    /// rid → live entry indices.
-    by_rid: FxHashMap<u32, Vec<usize>>,
+    numeric: Vec<(f64, u32)>,
 }
 
 impl IncrementalJoin {
@@ -77,10 +142,13 @@ impl IncrementalJoin {
             q,
             metric,
             fast_grams,
+            alpha: RequiredOverlap::new(xi),
             entries: Vec::new(),
+            hot: Vec::new(),
+            by_rid: FxHashMap::default(),
+            probed: 0,
             postings: FxHashMap::default(),
             numeric: Vec::new(),
-            by_rid: FxHashMap::default(),
         }
     }
 
@@ -95,9 +163,16 @@ impl IncrementalJoin {
         self.by_rid.is_empty()
     }
 
+    /// Number of values filed in the gram postings and the numeric order
+    /// so far: zero for a join that [`IncrementalJoin::insert`] never
+    /// probed.
+    pub fn probed(&self) -> usize {
+        self.probed
+    }
+
     /// Inserts one labeled value and returns all new similar pairs
     /// against previously inserted values of *other* records, normalized
-    /// (`a.rid < b.rid`) and ordered by partner label.
+    /// (`a.rid < b.rid`) and ordered by label.
     pub fn insert(&mut self, label: Label, value: Value) -> Vec<ValuePair> {
         self.insert_filtered(label, value, |_| true)
     }
@@ -113,165 +188,265 @@ impl IncrementalJoin {
         value: Value,
         allowed: impl Fn(u32) -> bool,
     ) -> Vec<ValuePair> {
-        if value.is_null() {
+        let Some(incoming) = self.tokenize(label, value) else {
             return Vec::new();
-        }
-        let sig = folded_qgram_set(&value.to_text(), self.q);
+        };
+        self.file_unprobed();
 
         // Candidates: share a gram, or numeric neighbor.
-        let mut cand: Vec<usize> = Vec::new();
-        for &t in &sig {
-            if let Some(list) = self.postings.get(&t) {
+        let mut cand: Vec<u32> = Vec::new();
+        for t in &incoming.entry.sig {
+            if let Some(list) = self.postings.get(t) {
                 cand.extend(list.iter().copied());
             }
         }
+        let value = &incoming.entry.value;
         if let Some(x) = value.as_number() {
             // Walk outward from the insertion point while the metric
-            // stays above ξ (monotone in distance).
+            // stays above ξ (monotone in distance), over retired entries.
             let pos = self.numeric.partition_point(|&(v, _)| v < x);
-            for &(_, i) in self.numeric[pos..].iter() {
-                let Some(e) = &self.entries[i] else { continue };
-                if self.metric.sim(&value, &e.value) >= self.xi {
-                    cand.push(i);
-                } else {
-                    break;
-                }
-            }
-            for &(_, i) in self.numeric[..pos].iter().rev() {
-                let Some(e) = &self.entries[i] else { continue };
-                if self.metric.sim(&value, &e.value) >= self.xi {
-                    cand.push(i);
-                } else {
-                    break;
-                }
-            }
+            let (below, above) = self.numeric.split_at(pos);
+            let near = |&&(_, i): &&(f64, u32)| match &self.entries[i as usize] {
+                Some(e) => self.metric.sim(value, &e.value) >= self.xi,
+                None => true,
+            };
+            cand.extend(above.iter().take_while(near).map(|&(_, i)| i));
+            cand.extend(below.iter().rev().take_while(near).map(|&(_, i)| i));
         }
         cand.sort_unstable();
         cand.dedup();
-
         cand.retain(|&i| {
-            self.entries[i]
+            self.entries[i as usize]
                 .as_ref()
-                .is_some_and(|e| allowed(e.label.rid))
+                .is_some_and(|e| e.label.rid != label.rid && allowed(e.label.rid))
         });
-        let out = self.verify(label, &value, &sig, cand);
-        self.register_sig(label, value, &sig);
-        out
-    }
 
-    /// [`IncrementalJoin::insert`] restricted to an explicit candidate
-    /// *record* list: the value is verified against every stored value of
-    /// the `rids` given (the blocked streaming path — candidates come
-    /// from the blocker, so the inverted gram index and numeric sweep are
-    /// not probed at all, making insert cost proportional to the
-    /// co-blocked neighborhood instead of the live-value universe).
-    ///
-    /// Like the batch blocked join, this verifies the allowed cross
-    /// product directly with the same dispatch as
-    /// [`IncrementalJoin::insert`], so for the default gram-compatible
-    /// metric it emits exactly the pairs `insert` would emit against the
-    /// same record set (share-a-gram candidate generation is complete
-    /// for q-gram Jaccard); an exotic metric scoring
-    /// zero-gram-overlap string pairs above ξ can only gain pairs here,
-    /// never lose one. Entries of `label`'s own record never pair, and
-    /// the value is registered for future probes either way.
-    pub fn insert_among(&mut self, label: Label, value: Value, rids: &[u32]) -> Vec<ValuePair> {
-        if value.is_null() {
-            return Vec::new();
-        }
-        let sig = folded_qgram_set(&value.to_text(), self.q);
-        let mut cand: Vec<usize> = Vec::new();
-        for rid in rids {
-            if let Some(list) = self.by_rid.get(rid) {
-                cand.extend(list.iter().copied());
-            }
-        }
-        cand.sort_unstable();
-        cand.dedup();
-        let out = self.verify(label, &value, &sig, cand);
-        self.register_sig(label, value, &sig);
-        out
-    }
-
-    /// Scores the incoming value against the live entries `cand` of
-    /// other records ([`score`], the batch join's dispatch) and returns
-    /// the normalized pairs that clear ξ, ordered by label.
-    fn verify(&self, label: Label, value: &Value, sig: &[u64], cand: Vec<usize>) -> Vec<ValuePair> {
-        let incoming = Side {
-            value,
-            is_num: value.as_number().is_some(),
-            sig,
-            sketch: GramSketch::of(sig),
-        };
         let mut out = Vec::new();
-        for other in cand.into_iter().map(|i| self.entry(i)) {
-            if other.label.rid == label.rid {
+        self.scan(&incoming, &self.gather(&cand), &mut out);
+        self.register_tokenized(incoming);
+        out
+    }
+
+    /// Inserts the values of record `rid` — `values[fid]` under label
+    /// `(rid, fid, 0)`, nulls ignored — and returns their similar pairs
+    /// against the live values of the records `rids`: the blocked
+    /// streaming path. Candidates come from the blocker, so the inverted
+    /// gram index and the numeric sweep are not probed (nor built): the
+    /// neighbourhood of `rids` is gathered once, every value is scanned
+    /// against it (see the module docs), and the cost follows the
+    /// co-blocked neighbourhood instead of the live-value universe.
+    ///
+    /// `rids` may come in any order, repeat a record, name `rid` itself
+    /// (values of one record never pair) or a record the join does not
+    /// hold; every pair is emitted once. The output is normalized
+    /// (`a.rid < b.rid`), ordered by label per value, and the values
+    /// follow each other in field order.
+    ///
+    /// For the default gram-compatible metric these are exactly the pairs
+    /// [`IncrementalJoin::insert`] would emit against the same record set
+    /// (share-a-gram candidate generation is complete for q-gram
+    /// Jaccard); an exotic metric scoring zero-gram-overlap string pairs
+    /// above ξ can only gain pairs here, never lose one. The values are
+    /// registered for future calls either way.
+    pub fn insert_record_among(
+        &mut self,
+        rid: u32,
+        values: Vec<Value>,
+        rids: &[u32],
+    ) -> Vec<ValuePair> {
+        let incoming: Vec<Pending> = (0u32..)
+            .zip(values)
+            .filter_map(|(fid, v)| self.tokenize(Label::new(rid, fid, 0), v))
+            .collect();
+        self.insert_tokenized_among(rid, incoming, rids)
+    }
+
+    /// [`IncrementalJoin::insert_record_among`] for one value under any
+    /// label: the same gather and scan, paid for a single value.
+    pub fn insert_among(&mut self, label: Label, value: Value, rids: &[u32]) -> Vec<ValuePair> {
+        let incoming = self.tokenize(label, value);
+        self.insert_tokenized_among(label.rid, incoming.into_iter().collect(), rids)
+    }
+
+    fn insert_tokenized_among(
+        &mut self,
+        rid: u32,
+        incoming: Vec<Pending>,
+        rids: &[u32],
+    ) -> Vec<ValuePair> {
+        let mut out = Vec::new();
+        if incoming.is_empty() {
+            return out;
+        }
+        // Each allowed record once: a repeated rid would repeat its pairs.
+        let mut rids = Cow::Borrowed(rids);
+        if !rids.windows(2).all(|w| w[0] < w[1]) {
+            let rids = rids.to_mut();
+            rids.sort_unstable();
+            rids.dedup();
+        }
+        let others = rids.iter().filter(|&&other| other != rid);
+        let live: Vec<u32> = others
+            .filter_map(|other| self.by_rid.get(other))
+            .flatten()
+            .copied()
+            .collect();
+        let neighbourhood = self.gather(&live);
+        for value in &incoming {
+            self.scan(value, &neighbourhood, &mut out);
+        }
+        for value in incoming {
+            self.register_tokenized(value);
+        }
+        out
+    }
+
+    /// Counting-sorts the hot rows of the live entries `indices` by
+    /// signature length.
+    fn gather(&self, indices: &[u32]) -> Neighbourhood {
+        let mut starts = vec![0u32; 2];
+        for &idx in indices {
+            let len = self.hot[idx as usize].len as usize;
+            if len + 2 > starts.len() {
+                starts.resize(len + 2, 0);
+            }
+            starts[len + 1] += 1;
+        }
+        for len in 1..starts.len() {
+            starts[len] += starts[len - 1];
+        }
+        let mut next = starts.clone();
+        let mut rows = vec![Row::default(); next.pop().expect("two slots at least") as usize];
+        for &idx in indices {
+            let Hot {
+                sketch,
+                len,
+                is_num,
+            } = self.hot[idx as usize];
+            let at = &mut next[len as usize];
+            rows[*at as usize] = Row {
+                sketch,
+                idx,
+                is_num,
+            };
+            *at += 1;
+        }
+        Neighbourhood { rows, starts }
+    }
+
+    /// Appends to `out` the normalized pairs of `incoming` with the rows
+    /// of `neighbourhood` that clear ξ, ordered by label: the length
+    /// window and the integer sketch test where they are sound
+    /// (`fast_grams`, and not two numbers), then [`score`], the batch
+    /// join's dispatch.
+    fn scan(&self, incoming: &Pending, neighbourhood: &Neighbourhood, out: &mut Vec<ValuePair>) {
+        let first = out.len();
+        let Pending { entry, hot } = incoming;
+        let x_len = entry.sig.len();
+        let x = Side {
+            value: &entry.value,
+            is_num: hot.is_num,
+            sig: &entry.sig,
+            sketch: hot.sketch,
+        };
+        for (y_len, bounds) in neighbourhood.starts.windows(2).enumerate() {
+            let rows = &neighbourhood.rows[bounds[0] as usize..bounds[1] as usize];
+            if rows.is_empty() {
                 continue;
             }
-            let stored = Side {
-                value: &other.value,
-                is_num: other.is_num,
-                sig: &other.sig,
-                sketch: other.sketch,
-            };
-            if let Some(sim) = score(
-                self.metric.as_ref(),
-                self.fast_grams,
-                self.xi,
-                incoming,
-                stored,
-            ) {
-                let (a, b) = if label.rid < other.label.rid {
-                    (label, other.label)
-                } else {
-                    (other.label, label)
+            // No Jaccard ≥ ξ without α common grams, and no more common
+            // grams than the shorter signature holds.
+            let alpha = self.alpha.of(x_len + y_len) as usize;
+            let in_window = x_len.min(y_len) >= alpha;
+            if self.fast_grams && !in_window && !hot.is_num {
+                continue;
+            }
+            for row in rows {
+                let survives = !self.fast_grams
+                    || (hot.is_num && row.is_num)
+                    || (in_window && row.sketch.may_share(y_len, hot.sketch, x_len, alpha));
+                if !survives {
+                    continue;
+                }
+                let other = self.entry(row.idx);
+                let y = Side {
+                    value: &other.value,
+                    is_num: row.is_num,
+                    sig: &other.sig,
+                    sketch: row.sketch,
                 };
-                out.push(ValuePair { a, b, sim });
+                if let Some(sim) = score(self.metric.as_ref(), self.fast_grams, self.xi, x, y) {
+                    let (a, b) = if entry.label.rid < other.label.rid {
+                        (entry.label, other.label)
+                    } else {
+                        (other.label, entry.label)
+                    };
+                    out.push(ValuePair { a, b, sim });
+                }
             }
         }
-        out.sort_unstable_by_key(|x| (x.a, x.b));
-        out
+        out[first..].sort_unstable_by_key(|p| (p.a, p.b));
     }
 
     /// The live entry at `idx`; `by_rid` and the filtered candidate lists
     /// hold no other kind.
-    fn entry(&self, idx: usize) -> &Entry {
-        self.entries[idx]
+    fn entry(&self, idx: u32) -> &Entry {
+        self.entries[idx as usize]
             .as_ref()
             .expect("a live entry index names a live entry")
     }
 
-    /// Registers a value for future probes without scoring it against
+    /// Registers a value for future calls without scoring it against
     /// anything: what a restored session does with every value of its
     /// super records. Pairs emitted later do not depend on the order
-    /// values were registered in, labels being unique and
-    /// [`IncrementalJoin::insert`]'s output sorted by label. Nulls are
-    /// ignored, as on insert.
+    /// values were registered in, labels being unique and the output
+    /// sorted by label. Nulls are ignored, as on insert.
     pub fn register(&mut self, label: Label, value: Value) {
-        if !value.is_null() {
-            let sig = folded_qgram_set(&value.to_text(), self.q);
-            self.register_sig(label, value, &sig);
+        if let Some(value) = self.tokenize(label, value) {
+            self.register_tokenized(value);
         }
     }
 
-    fn register_sig(&mut self, label: Label, value: Value, sig: &[u64]) {
-        let idx = self.entries.len();
-        for &t in sig {
-            self.postings.entry(t).or_default().push(idx);
+    /// Tokenizes a value for scanning and registration; `None` for a
+    /// null, which is neither scored nor stored.
+    fn tokenize(&mut self, label: Label, value: Value) -> Option<Pending> {
+        if value.is_null() {
+            return None;
         }
-        let num = value.as_number();
-        if let Some(x) = num {
-            let pos = self.numeric.partition_point(|&(v, _)| v < x);
-            self.numeric.insert(pos, (x, idx));
+        let sig = folded_qgram_set(&value.to_text(), self.q);
+        // Any two lengths ever tokenized sum to a covered length.
+        self.alpha.cover(2 * sig.len());
+        let hot = Hot {
+            sketch: GramSketch::of(&sig),
+            len: u32::try_from(sig.len()).expect("a signature holds fewer than 2^32 grams"),
+            is_num: value.as_number().is_some(),
+        };
+        let entry = Entry { label, value, sig };
+        Some(Pending { entry, hot })
+    }
+
+    fn register_tokenized(&mut self, Pending { entry, hot }: Pending) {
+        let idx = u32::try_from(self.entries.len()).expect("the join holds fewer than 2^32 values");
+        self.by_rid.entry(entry.label.rid).or_default().push(idx);
+        self.entries.push(Some(entry));
+        self.hot.push(hot);
+    }
+
+    /// Files every registered entry the probe structures have not seen
+    /// yet; those retired in the meantime have nothing to file.
+    fn file_unprobed(&mut self) {
+        for (idx, entry) in self.entries.iter().enumerate().skip(self.probed) {
+            let Some(entry) = entry else { continue };
+            let idx = idx as u32; // checked at registration
+            for &t in &entry.sig {
+                self.postings.entry(t).or_default().push(idx);
+            }
+            if let Some(x) = entry.value.as_number() {
+                let pos = self.numeric.partition_point(|&(v, _)| v < x);
+                self.numeric.insert(pos, (x, idx));
+            }
         }
-        self.by_rid.entry(label.rid).or_default().push(idx);
-        self.entries.push(Some(Entry {
-            label,
-            value,
-            sig: sig.to_vec(),
-            sketch: GramSketch::of(sig),
-            is_num: num.is_some(),
-        }));
+        self.probed = self.entries.len();
     }
 
     /// Applies a merge remap: every stored label of records `i` or `j`
@@ -285,7 +460,7 @@ impl IncrementalJoin {
     pub fn relabel(&mut self, i: u32, j: u32, remap: impl Fn(Label) -> Label) {
         // (new label, moved in, old label, entry index): sorted, each
         // run of one new label starts with the entry that keeps it.
-        let mut moved: Vec<(Label, bool, Label, usize)> = Vec::new();
+        let mut moved: Vec<(Label, bool, Label, u32)> = Vec::new();
         for rid in [i, j] {
             for idx in self.by_rid.remove(&rid).unwrap_or_default() {
                 let old = self.entry(idx).label;
@@ -296,12 +471,13 @@ impl IncrementalJoin {
         moved.sort_unstable();
         let mut held = None;
         for (new, _, _, idx) in moved {
+            let entry = &mut self.entries[idx as usize];
             if held == Some(new) {
-                self.entries[idx] = None;
+                *entry = None;
                 continue;
             }
             held = Some(new);
-            self.entries[idx].as_mut().expect("live, read above").label = new;
+            entry.as_mut().expect("live, read above").label = new;
             self.by_rid.entry(new.rid).or_default().push(idx);
         }
     }
@@ -352,6 +528,19 @@ mod tests {
 
     use std::sync::Arc;
 
+    /// A metric that keeps what it computes to itself: no
+    /// `qgram_compatible`, so every row goes to `sim`.
+    #[derive(Clone)]
+    struct Opaque(TypeDispatch);
+    impl ValueSimilarity for Opaque {
+        fn sim(&self, a: &Value, b: &Value) -> f64 {
+            self.0.sim(a, b)
+        }
+        fn name(&self) -> &'static str {
+            "opaque"
+        }
+    }
+
     #[test]
     fn incremental_matches_batch() {
         let metric = TypeDispatch::paper_default();
@@ -382,17 +571,6 @@ mod tests {
     /// same pair stream on every insert.
     #[test]
     fn signature_fast_path_matches_metric_path() {
-        #[derive(Clone)]
-        struct Opaque(TypeDispatch);
-        impl ValueSimilarity for Opaque {
-            fn sim(&self, a: &Value, b: &Value) -> f64 {
-                self.0.sim(a, b)
-            }
-            fn name(&self) -> &'static str {
-                "opaque"
-            }
-        }
-
         let metric = TypeDispatch::paper_default();
         assert_eq!(metric.qgram_compatible(), Some(2), "fast path engages");
         let values: Vec<(Label, Value)> = vec![
@@ -646,6 +824,270 @@ mod tests {
                     assert_eq!(a, b, "xi = {xi}, mask = {mask:b}, inserting {l}");
                 }
             }
+        }
+    }
+
+    /// The blocked doors take the allow-list as it comes: out of order,
+    /// with repeats, naming the incoming record itself or records the
+    /// join never saw. Every pair comes out once, as for the clean list.
+    #[test]
+    fn blocked_doors_accept_any_rid_list() {
+        let metric = TypeDispatch::paper_default();
+        let seeded = || {
+            let mut join = IncrementalJoin::new(0.5, 2, Arc::new(metric.clone()));
+            join.register(label(0, 0), Value::from("electronic"));
+            join.register(label(1, 0), Value::from("electronics"));
+            join.register(label(2, 0), Value::from("electronic"));
+            join.register(label(3, 0), Value::from("unrelated stuff"));
+            // An earlier value of the incoming record: never a partner.
+            join.register(label(7, 0), Value::from("electronic"));
+            join
+        };
+        let incoming = || vec![Value::Null, Value::from("electronic")];
+        let clean = seeded().insert_record_among(7, incoming(), &[0, 1, 2]);
+        let partners: Vec<Label> = clean.iter().map(|p| p.a).collect();
+        assert_eq!(partners, vec![label(0, 0), label(1, 0), label(2, 0)]);
+        assert!(clean.iter().all(|p| p.b == label(7, 1)));
+        let cases: [(&str, &[u32]); 4] = [
+            ("unsorted", &[2, 0, 1]),
+            ("repeated", &[0, 0, 1, 2, 2, 1]),
+            ("own rid", &[0, 1, 2, 7]),
+            ("unknown records", &[0, 1, 2, 5, 900]),
+        ];
+        for (case, rids) in cases {
+            let by_record = seeded().insert_record_among(7, incoming(), rids);
+            assert_eq!(by_record, clean, "insert_record_among, {case}");
+            let by_value = seeded().insert_among(label(7, 1), Value::from("electronic"), rids);
+            assert_eq!(by_value, clean, "insert_among, {case}");
+        }
+    }
+
+    /// A record's values are registered once all of them were scored,
+    /// under `(rid, position, 0)`, nulls skipped; the next record pairs
+    /// with each of them.
+    #[test]
+    fn record_door_registers_every_value() {
+        let metric = TypeDispatch::paper_default();
+        let mut join = IncrementalJoin::new(0.5, 2, Arc::new(metric));
+        let first = vec![Value::from("same"), Value::Null, Value::from("same")];
+        assert!(join.insert_record_among(0, first, &[]).is_empty());
+        assert_eq!(join.len(), 2);
+        let pairs = join.insert_record_among(1, vec![Value::from("same")], &[0]);
+        let partners: Vec<Label> = pairs.iter().map(|p| p.a).collect();
+        assert_eq!(partners, vec![label(0, 0), label(0, 2)]);
+    }
+
+    /// What a session with blocking on does to its join — record-level
+    /// inserts, merges, `register` on restore — files nothing in the gram
+    /// postings or the numeric order.
+    #[test]
+    fn blocked_doors_never_build_the_probe_structures() {
+        let metric = TypeDispatch::paper_default();
+        let mut join = IncrementalJoin::new(0.5, 2, Arc::new(metric));
+        join.register(label(0, 0), Value::from("electronic"));
+        join.register(label(0, 1), Value::from(1984i64));
+        let record = vec![Value::from("electronics"), Value::from(1984i64)];
+        assert_eq!(join.insert_record_among(1, record, &[0]).len(), 2);
+        join.relabel(0, 1, |l| Label::new(0, l.fid, l.rid));
+        let pairs = join.insert_among(label(2, 0), Value::from("electronic"), &[0]);
+        assert_eq!(pairs.len(), 2);
+        assert_eq!(join.len(), 5);
+        assert_eq!(join.probed(), 0);
+        assert_eq!(join.postings.capacity(), 0);
+        assert_eq!(join.numeric.capacity(), 0);
+    }
+
+    /// The probe structures are filed late, not differently: a join that
+    /// took blocked inserts, merges and `register`s before its first
+    /// `insert` answers every later `insert` like the join that was
+    /// probed from its first value — the numeric sweep stepping over the
+    /// entries a merge retired, filed or not.
+    #[test]
+    fn late_filing_answers_like_eager_filing() {
+        use hera_sim::NumericProximity;
+        let metric =
+            TypeDispatch::paper_default().with_numeric_metric(Arc::new(NumericProximity::new(5.0)));
+        let mut eager = IncrementalJoin::new(0.5, 2, Arc::new(metric.clone()));
+        let mut late = IncrementalJoin::new(0.5, 2, Arc::new(metric));
+        let records: [(u32, [Value; 2]); 4] = [
+            (0, [Value::from("electronic"), Value::from(1980i64)]),
+            (1, [Value::from("electronics"), Value::from(1981i64)]),
+            (2, [Value::from("electronics"), Value::from(1981i64)]),
+            (3, [Value::from("unrelated"), Value::from(1981i64)]),
+        ];
+        for (rid, values) in &records {
+            for (fid, v) in (0u32..).zip(values) {
+                eager.insert(label(*rid, fid), v.clone());
+            }
+            if *rid == 3 {
+                for (fid, v) in (0u32..).zip(values) {
+                    late.register(label(*rid, fid), v.clone());
+                }
+            } else {
+                late.insert_record_among(*rid, values.to_vec(), &[0, 1, 2]);
+            }
+        }
+        // 2 folds into 1 and 3 into 0: two 1981s and one "electronics"
+        // are retired — before `late` filed anything, after `eager` did.
+        for join in [&mut eager, &mut late] {
+            join.relabel(1, 2, |l| Label::new(1, l.fid, l.vid));
+            join.relabel(0, 3, |l| match (l.rid, l.fid) {
+                (3, 0) => Label::new(0, 0, 1),
+                (3, 1) => Label::new(0, 1, 1),
+                _ => l,
+            });
+            assert_eq!(join.len(), 6);
+        }
+        assert_eq!(late.probed(), 0);
+        let incoming = [
+            (label(4, 0), Value::from("electronic")),
+            (label(4, 1), Value::from(1982i64)),
+            (label(5, 0), Value::from(1979i64)),
+            (label(6, 0), Value::from("1981")),
+        ];
+        for (l, v) in incoming {
+            let expected = eager.insert(l, v.clone());
+            assert!(!expected.is_empty(), "inserting {l}");
+            assert_eq!(late.insert(l, v), expected, "inserting {l}");
+            assert_eq!(late.probed(), eager.probed());
+        }
+        // Retired before it was filed: not in the numeric order at all.
+        assert_eq!(late.numeric.len() + 1, eager.numeric.len());
+    }
+
+    /// The live values of a stream with merges, as the super records
+    /// would hold them: the oracle's input and the source of each remap.
+    #[derive(Default)]
+    struct LiveValues(std::collections::BTreeMap<Label, Value>);
+
+    impl LiveValues {
+        /// Folds record `j` into record `i` field by field: a value `i`
+        /// already holds in that field shares its label, any other gets
+        /// the field's next free `vid`. Returns the remap.
+        fn merge(&mut self, i: u32, j: u32) -> FxHashMap<Label, Label> {
+            let moved: Vec<Label> = self.0.keys().copied().filter(|l| l.rid == j).collect();
+            let mut remap = FxHashMap::default();
+            for old in moved {
+                let value = self.0.remove(&old).unwrap();
+                let field = || {
+                    self.0
+                        .iter()
+                        .filter(|(l, _)| l.rid == i && l.fid == old.fid)
+                };
+                let held = field().find(|(_, held)| **held == value).map(|(l, _)| *l);
+                let new = held.unwrap_or(Label::new(i, old.fid, field().count() as u32));
+                self.0.entry(new).or_insert(value);
+                remap.insert(old, new);
+            }
+            remap
+        }
+    }
+
+    use proptest::prelude::*;
+
+    fn any_value() -> impl Strategy<Value = Value> {
+        prop_oneof![
+            "[a-c ]{0,6}".prop_map(Value::from),
+            "[0-2]{1,2}".prop_map(Value::from),
+            (0i64..24).prop_map(Value::from),
+            (0i64..48).prop_map(|half| Value::from(half as f64 / 2.0)),
+            Just(Value::Null),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+        /// One stream of records with merges in between, through all
+        /// three doors and the batch oracle: the record-level door, the
+        /// one-value door, the probing door filtered to the same records
+        /// and `JoinConfig::exhaustive()` over the live values of the
+        /// allowed records agree on every record — same labels, same
+        /// similarity bits, same order — under q-gram Jaccard declared
+        /// and hidden, and under edit similarity, where probing finds
+        /// only what shares a gram. The allow-lists come unsorted, with
+        /// repeats, the incoming record and unknown ones.
+        #[test]
+        fn doors_equal_exhaustive(
+            records in proptest::collection::vec(
+                (
+                    proptest::collection::vec(any_value(), 0..5),
+                    proptest::collection::vec(0u32..14, 0..12),
+                    any::<bool>(),
+                    (any::<usize>(), any::<usize>()),
+                ),
+                0..12,
+            ),
+            xi in prop_oneof![0.05f64..0.95, Just(0.5), Just(0.75), Just(0.8)],
+            metric_kind in 0usize..3,
+        ) {
+            use hera_sim::text::intersection_size;
+            use hera_sim::{EditSimilarity, NumericProximity};
+            let jaccard = TypeDispatch::paper_default()
+                .with_numeric_metric(Arc::new(NumericProximity::new(5.0)));
+            let metric: Arc<dyn ValueSimilarity> = match metric_kind {
+                0 => Arc::new(jaccard),
+                1 => Arc::new(Opaque(jaccard)),
+                _ => Arc::new(jaccard.with_string_metric(Arc::new(EditSimilarity))),
+            };
+            let share_a_gram_only = metric_kind == 2;
+            let mut by_record = IncrementalJoin::new(xi, 2, metric.clone());
+            let mut by_value = IncrementalJoin::new(xi, 2, metric.clone());
+            let mut probing = IncrementalJoin::new(xi, 2, metric.clone());
+            let oracle = SimilarityJoin::new(JoinConfig::new(xi).exhaustive(), metric.as_ref());
+            let mut live = LiveValues::default();
+            let mut roots: Vec<u32> = Vec::new();
+            let bits = |pairs: &[ValuePair]| -> Vec<(Label, Label, u64)> {
+                pairs.iter().map(|p| (p.a, p.b, p.sim.to_bits())).collect()
+            };
+
+            for (rid, (values, rids, merge, picks)) in (0u32..).zip(records) {
+                // The oracle: everything live in the allowed records and
+                // the new record, all pairs; the new record's are the
+                // ones an insert emits, value by value in label order.
+                let incoming = (0u32..).zip(&values).map(|(fid, v)| (label(rid, fid), v.clone()));
+                let universe: Vec<(Label, Value)> = live.0.iter()
+                    .filter(|(l, _)| rids.contains(&l.rid))
+                    .map(|(l, v)| (*l, v.clone()))
+                    .chain(incoming.clone())
+                    .collect();
+                let mut expected = oracle.join(&universe);
+                expected.retain(|p| p.b.rid == rid);
+                expected.sort_unstable_by_key(|p| (p.b.fid, p.a));
+                let mut probed = expected.clone();
+                if share_a_gram_only {
+                    let of = |l: Label| &universe.iter().find(|(held, _)| *held == l).unwrap().1;
+                    probed.retain(|p| {
+                        let (a, b) = (of(p.a), of(p.b));
+                        let grams = |v: &Value| folded_qgram_set(&v.to_text(), 2);
+                        a.as_number().is_some() && b.as_number().is_some()
+                            || intersection_size(&grams(a), &grams(b)) > 0
+                    });
+                }
+
+                let got = by_record.insert_record_among(rid, values.clone(), &rids);
+                prop_assert_eq!(bits(&got), bits(&expected), "record {}, by record", rid);
+                let mut got = Vec::new();
+                let mut got_probing = Vec::new();
+                for (l, v) in incoming {
+                    got.extend(by_value.insert_among(l, v.clone(), &rids));
+                    got_probing.extend(probing.insert_filtered(l, v, |r| rids.contains(&r)));
+                }
+                prop_assert_eq!(bits(&got), bits(&expected), "record {}, by value", rid);
+                prop_assert_eq!(bits(&got_probing), bits(&probed), "record {}, probing", rid);
+
+                live.0.extend(universe.into_iter().filter(|(l, v)| l.rid == rid && !v.is_null()));
+                roots.push(rid);
+                if merge && roots.len() >= 2 {
+                    let j = roots.swap_remove(picks.0 % roots.len());
+                    let i = roots[picks.1 % roots.len()];
+                    let remap = live.merge(i, j);
+                    for join in [&mut by_record, &mut by_value, &mut probing] {
+                        join.relabel(i, j, |l| remap.get(&l).copied().unwrap_or(l));
+                        prop_assert!(join.check_values(live.0.iter().map(|(l, v)| (*l, v))).is_ok());
+                    }
+                }
+            }
+            prop_assert_eq!(by_record.probed(), 0);
         }
     }
 }

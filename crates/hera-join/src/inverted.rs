@@ -38,6 +38,36 @@ fn required(share: f64, len: usize) -> usize {
     (share * len as f64 - 1e-9).ceil().max(0.0) as usize
 }
 
+/// `α(|x| + |y|) = ⌈ξ/(1+ξ)·(|x| + |y|)⌉`, at least 1: the gram overlap
+/// two signatures need to reach Jaccard ξ, tabled by the sum of their
+/// lengths. Shared by the batch probe and [`crate::IncrementalJoin`].
+pub(crate) struct RequiredOverlap {
+    share: f64,
+    by_sum: Vec<u32>,
+}
+
+impl RequiredOverlap {
+    pub(crate) fn new(xi: f64) -> Self {
+        Self {
+            share: xi / (1.0 + xi),
+            by_sum: Vec::new(),
+        }
+    }
+
+    /// Tables every length sum up to `max_sum`.
+    pub(crate) fn cover(&mut self, max_sum: usize) {
+        for sum in self.by_sum.len()..=max_sum {
+            self.by_sum.push(required(self.share, sum).max(1) as u32);
+        }
+    }
+
+    /// α of a covered length sum.
+    #[inline]
+    pub(crate) fn of(&self, sum: usize) -> u32 {
+        self.by_sum[sum]
+    }
+}
+
 /// The signatures as ranks, the processing order and the posting lists.
 struct Index {
     /// Signature of the value at `ord`: `ranks[starts[ord]..starts[ord + 1]]`,
@@ -189,7 +219,8 @@ pub(crate) fn probe<U: Send>(
     threads: usize,
     verify: impl Fn(usize, usize, &mut Vec<U>) -> bool + Sync,
 ) -> (Vec<U>, usize) {
-    let overlap_share = xi / (1.0 + xi);
+    let mut alpha = RequiredOverlap::new(xi);
+    let overlap_share = alpha.share;
     let prefix = |len: usize, share: f64| {
         if prefix_filter {
             (len - required(share, len).min(len) + 1).min(len)
@@ -200,10 +231,7 @@ pub(crate) fn probe<U: Send>(
     let index = Index::build(sigs, |len| prefix(len, 2.0 * overlap_share));
     let n = index.order.len();
     let lens: Vec<u32> = (0..n).map(|ord| index.sig(ord).len() as u32).collect();
-    // α by |x| + |y|.
-    let alpha: Vec<u32> = (0..=2 * lens.last().copied().unwrap_or(0) as usize)
-        .map(|sum| required(overlap_share, sum).max(1) as u32)
-        .collect();
+    alpha.cover(2 * lens.last().copied().unwrap_or(0) as usize);
 
     // A probe visits postings of lower `ord` only, so its cost grows with
     // `ord`: hand the work out heaviest first.
@@ -241,7 +269,7 @@ pub(crate) fn probe<U: Send>(
                             // Positional filter: best possible total overlap.
                             let y_len = lens[y as usize] as usize;
                             let rest = (x_len - x_pos - 1).min(y_len - y_pos as usize - 1);
-                            *hits = if *hits + 1 + rest as u32 >= alpha[x_len + y_len] {
+                            *hits = if *hits + 1 + rest as u32 >= alpha.of(x_len + y_len) {
                                 *hits + 1
                             } else {
                                 DEAD

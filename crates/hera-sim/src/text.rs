@@ -140,6 +140,21 @@ impl GramSketch {
             .min(b_len.saturating_sub(miss_b))
     }
 
+    /// The upper bound as a yes/no question in integers: `false` only if
+    /// `|A ∩ B| < overlap` — so a caller that knows the overlap a
+    /// threshold requires can reject on `false` without ever dropping a
+    /// pair that reaches it. The first side's count alone settles most
+    /// rejects.
+    #[inline]
+    pub fn may_share(self, a_len: usize, other: Self, b_len: usize, overlap: usize) -> bool {
+        let miss_a = (self.lo & !other.lo).count_ones() + (self.hi & !other.hi).count_ones();
+        if miss_a as usize + overlap > a_len {
+            return false;
+        }
+        let miss_b = (other.lo & !self.lo).count_ones() + (other.hi & !self.hi).count_ones();
+        miss_b as usize + overlap <= b_len
+    }
+
     /// Upper bound on the Jaccard similarity of the underlying sets:
     /// `jaccard_of_sets(A, B) ≤ a.jaccard_upper_bound(|A|, b, |B|)`
     /// always holds, so `bound < ξ` soundly rejects a candidate.
@@ -271,6 +286,31 @@ mod tests {
             let iub = GramSketch::of(&ha)
                 .intersection_upper_bound(ha.len(), GramSketch::of(&hb), hb.len());
             prop_assert!(iub >= inter);
+        }
+
+        /// The integer form of the bound never rejects a pair whose exact
+        /// Jaccard reaches ξ when asked for the overlap the join derives
+        /// from ξ (`⌈ξ/(1+ξ)·(|A|+|B|)⌉`, guarded against fp inflation as
+        /// in `hera-join`), including at thresholds a pair can sit on
+        /// exactly; it is the intersection bound compared to `overlap`.
+        #[test]
+        fn integer_sketch_test_keeps_every_similar_pair(
+            a in "[a-e ]{0,12}",
+            b in "[a-e ]{0,12}",
+            xi in prop_oneof![0.05f64..0.95, Just(0.5), Just(0.75), Just(0.8)],
+        ) {
+            let (ha, hb) = (folded_qgram_set(&a, 2), folded_qgram_set(&b, 2));
+            let (sa, sb) = (GramSketch::of(&ha), GramSketch::of(&hb));
+            let sum = ha.len() + hb.len();
+            let alpha = (xi / (1.0 + xi) * sum as f64 - 1e-9).ceil().max(0.0) as usize;
+            if jaccard_of_sets(&ha, &hb) >= xi {
+                prop_assert!(sa.may_share(ha.len(), sb, hb.len(), alpha));
+                prop_assert!(sb.may_share(hb.len(), sa, ha.len(), alpha));
+            }
+            let bound = sa.intersection_upper_bound(ha.len(), sb, hb.len());
+            for overlap in 0..=sum + 1 {
+                prop_assert_eq!(sa.may_share(ha.len(), sb, hb.len(), overlap), bound >= overlap);
+            }
         }
 
         /// Hashed gram sets must have the same cardinality as string gram
