@@ -649,6 +649,13 @@ fn resolve(args: &Args) -> Result<(), String> {
         result.stats.verify_time,
         result.stats.verify_pairs_per_sec()
     );
+    eprintln!(
+        "  loop: {:?} · candidates: {:?} · absorb: {:?} · index/cache merge: {:?}",
+        result.stats.resolve_time,
+        result.stats.candidate_time,
+        result.stats.absorb_time,
+        result.stats.merge_time
+    );
     if args.has("no-sim-cache") {
         eprintln!(
             "  sim cache: off · {} metric calls",

@@ -4,7 +4,7 @@ use crate::config::HeraConfig;
 use crate::engine::{Ctx, Engine, StageAgg};
 use crate::stats::RunStats;
 use crate::voter::DecidedMatching;
-use hera_index::ValuePairIndex;
+use hera_index::{BoundsScratch, ValuePairIndex};
 use hera_join::{JoinConfig, SimilarityJoin};
 use hera_sim::{TypeDispatch, ValueSimilarity};
 use hera_types::json::Json;
@@ -287,11 +287,13 @@ impl BatchRound<'_, '_> {
 
         // Line 3: classify every record pair sharing a similar value by
         // its bounds.
+        let started = Instant::now();
         let groups = engine.root_pairs(dirty);
         let mut direct: Vec<(u32, u32)> = Vec::new();
         let mut candidates: Vec<(u32, u32)> = Vec::new();
+        let mut scratch = BoundsScratch::default();
         for &(i, j) in &groups {
-            let b = engine.bounds(cfg, i, j);
+            let b = engine.bounds(cfg, i, j, &mut scratch);
             if b.up < cfg.delta {
                 engine.stats.pruned += 1;
             } else if b.is_exact() {
@@ -301,6 +303,7 @@ impl BatchRound<'_, '_> {
                 candidates.push((i, j));
             }
         }
+        engine.stats.candidate_time += started.elapsed();
         ctx.rec.span(
             "candidates",
             Some(mark.round),

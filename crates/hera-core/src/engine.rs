@@ -15,7 +15,7 @@ use crate::stats::RunStats;
 use crate::super_record::{LabelRemap, SuperRecord};
 use crate::verify::{InstanceVerifier, Verification, VerifyScratch};
 use crate::voter::SchemaVoter;
-use hera_index::{Bounds, RankedCandidate, UnionFind, ValuePairIndex};
+use hera_index::{Bounds, BoundsScratch, RankedCandidate, UnionFind, ValuePairIndex};
 use hera_obs::Recorder;
 use hera_sim::ValueSimilarity;
 use hera_types::{Dataset, Schema, SchemaRegistry, Value};
@@ -61,6 +61,8 @@ pub(crate) struct RoundMark {
     pub(crate) round: usize,
     merges: usize,
     metric_calls: u64,
+    /// `[candidate, absorb, merge]` times at the start of the round.
+    loop_times: [Duration; 3],
 }
 
 /// The resolver state: value-pair index, super records, union–find,
@@ -121,30 +123,46 @@ impl Engine {
     // ---- Candidates from the index.
 
     /// The index groups touching `dirty` (every group when `None`) as
-    /// current root pairs, deduplicated, in index order. A group none of
-    /// whose records changed since it was last examined has unchanged
-    /// bounds, so a schedule only revisits groups its merges (or new
-    /// arrivals) touched.
+    /// root pairs in ascending order. The index names live roots only —
+    /// a merge re-homes every group of the record it folds — so its keys
+    /// are the root pairs, and a dirty record's groups are its row. A
+    /// group none of whose records changed since it was last examined
+    /// has unchanged bounds, so a schedule only revisits groups its
+    /// merges (or new arrivals) touched.
     pub(crate) fn root_pairs(&self, dirty: Option<&FxHashSet<u32>>) -> Vec<(u32, u32)> {
-        let mut seen: FxHashSet<(u32, u32)> = FxHashSet::default();
-        let mut pairs = Vec::new();
-        for (i, j) in self.index.record_pairs() {
-            if dirty.is_some_and(|d| !d.contains(&i) && !d.contains(&j)) {
-                continue;
+        let pairs: Vec<(u32, u32)> = match dirty {
+            None => self.index.record_pairs().collect(),
+            Some(dirty) => {
+                let mut pairs: Vec<(u32, u32)> = dirty
+                    .iter()
+                    .flat_map(|&d| self.index.partners(d).map(move |p| (d.min(p), d.max(p))))
+                    .collect();
+                pairs.sort_unstable();
+                pairs.dedup();
+                pairs
             }
-            let (ri, rj) = (self.uf.find_const(i), self.uf.find_const(j));
-            let key = (ri.min(rj), ri.max(rj));
-            if ri != rj && seen.insert(key) {
-                pairs.push(key);
-            }
-        }
+        };
+        debug_assert!(
+            pairs
+                .iter()
+                .all(|&(i, j)| [i, j].iter().all(|&r| self.uf.find_const(r) == r)),
+            "the index names a folded record"
+        );
         pairs
     }
 
-    /// Algorithm-1 bounds of a root pair over informative field counts.
-    pub(crate) fn bounds(&self, cfg: &HeraConfig, i: u32, j: u32) -> Bounds {
+    /// Algorithm-1 bounds of a root pair over informative field counts,
+    /// computed in the caller's `scratch`.
+    pub(crate) fn bounds(
+        &self,
+        cfg: &HeraConfig,
+        i: u32,
+        j: u32,
+        scratch: &mut BoundsScratch,
+    ) -> Bounds {
         let size = |r: u32| self.supers[&r].informative_size();
-        self.index.bounds(i, j, size(i), size(j), cfg.bound_mode)
+        self.index
+            .bounds_with(i, j, size(i), size(j), cfg.bound_mode, scratch)
     }
 
     /// Drops the pairs whose upper bound cannot reach δ and ranks the
@@ -331,11 +349,15 @@ impl Engine {
         let loser = self.supers.remove(&j).expect("loser super record exists");
         let winner = self.supers.get_mut(&i).expect("winner super record exists");
         let field_matching: Vec<(u32, u32)> = matching.iter().map(|&(l, r, _)| (l, r)).collect();
+        let started = Instant::now();
         let remap = winner.absorb(&loser, &field_matching);
+        let absorbed = Instant::now();
         self.index.merge(i, j, k, |l| remap.apply(l));
         if let Some(cache) = self.cache.as_mut() {
             cache.merge(i, j, k, |l| remap.apply(l));
         }
+        self.stats.absorb_time += absorbed - started;
+        self.stats.merge_time += absorbed.elapsed();
         self.stats.merges += 1;
         remap
     }
@@ -349,6 +371,7 @@ impl Engine {
             round: self.stats.iterations,
             merges: self.stats.merges,
             metric_calls: self.stats.metric_sim_calls,
+            loop_times: self.stats.loop_times(),
         }
     }
 
@@ -358,8 +381,9 @@ impl Engine {
     }
 
     /// Closes a round: records its metric calls, journals `round_end`
-    /// and, under [`HeraConfig::validate_index`], checks the index and
-    /// cache invariants — the error names the broken one.
+    /// and the round's share of the loop timers and, under
+    /// [`HeraConfig::validate_index`], checks the index and cache
+    /// invariants — the error names the broken one.
     pub(crate) fn end_round(
         &mut self,
         ctx: &Ctx<'_>,
@@ -374,6 +398,14 @@ impl Engine {
             self.index.len() as i64,
             self.voter.open_buckets() as i64,
         );
+        let now = self.stats.loop_times();
+        for (k, stage) in ["candidates", "absorb", "index_merge"]
+            .into_iter()
+            .enumerate()
+        {
+            ctx.rec
+                .timing(stage, Some(mark.round), now[k] - mark.loop_times[k]);
+        }
         if ctx.cfg.validate_index {
             let round = mark.round;
             self.index
@@ -444,5 +476,45 @@ impl StageAgg {
                 ("components", self.components),
             ],
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hera_join::{JoinConfig, SimilarityJoin};
+    use hera_sim::TypeDispatch;
+    use hera_types::motivating_example;
+
+    #[test]
+    fn dirty_root_pairs_equal_the_filtered_full_scan() {
+        let ds = motivating_example();
+        let metric = TypeDispatch::paper_default();
+        let pairs = SimilarityJoin::new(JoinConfig::new(0.5), &metric).join_dataset(&ds);
+        let mut engine = Engine::for_dataset(&ds, ValuePairIndex::build(pairs), true);
+        // Fig. 8's first merges (0-based rids): r1 ⊕ r6, then r2 ⊕ r4.
+        engine.merge(0, 5, &[(0, 0, 1.0), (1, 1, 1.0)]);
+        engine.merge(1, 3, &[]);
+        engine.index.check_invariants().unwrap();
+
+        let all = engine.root_pairs(None);
+        assert!(all.len() >= 4, "merged index keeps groups: {all:?}");
+        assert!(all.iter().all(|&(i, j)| i < j && ![3, 5].contains(&j)));
+        for dirty in [
+            vec![],
+            vec![0],
+            vec![1, 0],
+            vec![5],
+            vec![2, 4, 3],
+            vec![0, 1, 2, 4],
+        ] {
+            let dirty: FxHashSet<u32> = dirty.into_iter().collect();
+            let scan: Vec<(u32, u32)> = all
+                .iter()
+                .copied()
+                .filter(|(i, j)| dirty.contains(i) || dirty.contains(j))
+                .collect();
+            assert_eq!(engine.root_pairs(Some(&dirty)), scan, "dirty {dirty:?}");
+        }
     }
 }

@@ -403,7 +403,7 @@ impl HeraSessionBuilder {
                 )));
             }
         }
-        engine.index = ValuePairIndex::from_json(snap.expect("index")?)?;
+        engine.index = ValuePairIndex::from_json(snap.expect("index")?, record_count)?;
         engine.voter = SchemaVoter::from_json(snap.expect("voter")?)?;
         engine.stats = RunStats::from_json(snap.expect("stats")?)?;
         // The cache is state *and* policy: restore it only when this
@@ -800,6 +800,7 @@ impl HeraSession {
         // whose verdict from earlier in this call still stands, drained
         // from the index in bound-priority order (pruning Up < δ).
         let dirty = std::mem::take(&mut self.dirty);
+        let candidates_started = Instant::now();
         let mut keys = self.engine.root_pairs(Some(&dirty));
         keys.retain(|key| {
             let verdict_stands = decided.get(key).is_some_and(|&(ea, eb, ev)| {
@@ -810,6 +811,7 @@ impl HeraSession {
             !verdict_stands
         });
         let (ranked, pruned) = self.engine.rank(cfg, &keys);
+        self.engine.stats.candidate_time += candidates_started.elapsed();
         self.engine.stats.pruned += pruned;
 
         // Round schedule: the maximal-matching prefix of the ranked
@@ -1280,6 +1282,9 @@ mod tests {
         s.index_build_time = Default::default();
         s.resolve_time = Default::default();
         s.verify_time = Default::default();
+        s.candidate_time = Default::default();
+        s.absorb_time = Default::default();
+        s.merge_time = Default::default();
         s.to_json().to_string_compact()
     }
 

@@ -41,6 +41,18 @@ pub struct RunStats {
     /// snapshot phase plus sequential re-verifications; a subset of
     /// [`RunStats::resolve_time`]).
     pub verify_time: Duration,
+    /// Wall-clock time spent generating candidates: walking the index
+    /// groups of the dirty records and bounding each (classification in
+    /// the batch schedule, ranking in the progressive one). With the two
+    /// below, names the part of [`RunStats::resolve_time`] that is not
+    /// verification.
+    pub candidate_time: Duration,
+    /// Wall-clock time spent folding super records into each other (`⊕`,
+    /// which yields each merge's label remap).
+    pub absorb_time: Duration,
+    /// Wall-clock time spent on merge maintenance (§III-B2): re-homing
+    /// the index groups and similarity-cache entries of folded records.
+    pub merge_time: Duration,
     /// Worker threads used by the parallel stages.
     pub threads: usize,
     /// Similarity-cache lookups answered from the cache.
@@ -106,6 +118,12 @@ impl RunStats {
         } else {
             self.sim_cache_hits as f64 / total as f64
         }
+    }
+
+    /// The loop timers beside `verify_time`, as `[candidate, absorb,
+    /// merge]`.
+    pub(crate) fn loop_times(&self) -> [Duration; 3] {
+        [self.candidate_time, self.absorb_time, self.merge_time]
     }
 
     /// Folds one verification's cache traffic into the counters.
@@ -179,6 +197,18 @@ impl RunStats {
                 "verify_us".into(),
                 Json::Int(self.verify_time.as_micros() as i64),
             ),
+            (
+                "candidate_us".into(),
+                Json::Int(self.candidate_time.as_micros() as i64),
+            ),
+            (
+                "absorb_us".into(),
+                Json::Int(self.absorb_time.as_micros() as i64),
+            ),
+            (
+                "merge_us".into(),
+                Json::Int(self.merge_time.as_micros() as i64),
+            ),
             ("threads".into(), Json::Int(self.threads as i64)),
             (
                 "sim_cache_hits".into(),
@@ -218,6 +248,10 @@ impl RunStats {
             |key: &str| -> Result<usize> { Ok(json.expect(key)?.as_i64()?.max(0) as usize) };
         let u64_of = |key: &str| -> Result<u64> { Ok(json.expect(key)?.as_i64()?.max(0) as u64) };
         let dur_of = |key: &str| -> Result<Duration> { Ok(Duration::from_micros(u64_of(key)?)) };
+        // The loop timers postdate the first snapshots: absent reads zero.
+        let dur_or_zero = |key: &str| -> Result<Duration> {
+            json.get(key).map_or(Ok(Duration::ZERO), |_| dur_of(key))
+        };
         let mut metric_calls_by_round = Vec::new();
         for c in json.expect("metric_calls_by_round")?.as_arr()? {
             metric_calls_by_round.push(c.as_i64()?.max(0) as u64);
@@ -237,6 +271,9 @@ impl RunStats {
             index_build_time: dur_of("index_build_us")?,
             resolve_time: dur_of("resolve_us")?,
             verify_time: dur_of("verify_us")?,
+            candidate_time: dur_or_zero("candidate_us")?,
+            absorb_time: dur_or_zero("absorb_us")?,
+            merge_time: dur_or_zero("merge_us")?,
             threads: usize_of("threads")?,
             sim_cache_hits: u64_of("sim_cache_hits")?,
             sim_cache_misses: u64_of("sim_cache_misses")?,
@@ -255,7 +292,8 @@ impl RunStats {
     ///   cache off: no cache traffic and no retained entries
     /// - `metric_calls_by_round` partitions `metric_sim_calls`
     /// - one per-round entry per iteration
-    /// - verify time is a subset of resolve time
+    /// - the verify, candidate, absorb and merge timers cover disjoint
+    ///   parts of the loop, so they sum to at most the resolve time
     /// - every comparison runs at least one matching
     pub fn check_consistency(&self, cache_enabled: bool) -> std::result::Result<(), String> {
         if cache_enabled {
@@ -293,10 +331,11 @@ impl RunStats {
                 self.metric_calls_by_round.len()
             ));
         }
-        if self.verify_time > self.resolve_time {
+        let timed = self.verify_time + self.loop_times().into_iter().sum::<Duration>();
+        if timed > self.resolve_time {
             return Err(format!(
-                "verify_time ({:?}) exceeds resolve_time ({:?})",
-                self.verify_time, self.resolve_time
+                "verify + candidate + absorb + merge time ({timed:?}) exceeds resolve_time ({:?})",
+                self.resolve_time
             ));
         }
         if self.matchings_run < self.comparisons {
@@ -366,6 +405,9 @@ mod tests {
             index_build_time: Duration::from_micros(1234),
             resolve_time: Duration::from_micros(5678),
             verify_time: Duration::from_micros(345),
+            candidate_time: Duration::from_micros(456),
+            absorb_time: Duration::from_micros(67),
+            merge_time: Duration::from_micros(890),
             ..Default::default()
         };
         let dump = s.to_json().to_string_compact();
@@ -374,7 +416,31 @@ mod tests {
         assert_eq!(back.merges, 7);
         assert_eq!(back.metric_calls_by_round, vec![10, 6, 3]);
         assert_eq!(back.resolve_time, Duration::from_micros(5678));
+        assert_eq!(back.merge_time, Duration::from_micros(890));
         back.check_consistency(true).unwrap();
+    }
+
+    #[test]
+    fn loop_timers_read_as_zero_when_absent_and_bound_resolve_time() {
+        let mut s = RunStats {
+            resolve_time: Duration::from_micros(1000),
+            verify_time: Duration::from_micros(400),
+            candidate_time: Duration::from_micros(300),
+            absorb_time: Duration::from_micros(100),
+            merge_time: Duration::from_micros(200),
+            ..Default::default()
+        };
+        s.check_consistency(true).unwrap();
+        // A snapshot written before the timers existed carries no keys.
+        let Json::Obj(mut fields) = s.to_json() else {
+            unreachable!()
+        };
+        fields.retain(|(k, _)| !["candidate_us", "absorb_us", "merge_us"].contains(&k.as_str()));
+        let old = RunStats::from_json(&Json::Obj(fields)).unwrap();
+        assert_eq!(old.loop_times(), [Duration::ZERO; 3]);
+        assert_eq!(old.verify_time, s.verify_time);
+        s.merge_time += Duration::from_micros(1);
+        assert!(s.check_consistency(true).is_err());
     }
 
     #[test]

@@ -49,22 +49,43 @@ impl Bounds {
     }
 }
 
+/// The buffers one bounds computation fills — the refined field set and
+/// the sound derivation's four field lists — so a loop that classifies
+/// many groups allocates them once, not per group.
+#[derive(Debug, Default)]
+pub struct BoundsScratch {
+    refined: Vec<FieldPairSim>,
+    /// Left/right fields already counted into the upper sums.
+    seen_l: Vec<u32>,
+    seen_r: Vec<u32>,
+    /// Left/right fields already taken by the greedy matching.
+    used_l: Vec<u32>,
+    used_r: Vec<u32>,
+}
+
+/// Algorithm 1 for one index group: refine it, then bound `Sim` from the
+/// refined set. `size_i`/`size_j` are the sizes of the group's left and
+/// right records.
+pub(crate) fn group_bounds(
+    group: &[ValuePair],
+    size_i: usize,
+    size_j: usize,
+    mode: BoundMode,
+    scratch: &mut BoundsScratch,
+) -> Bounds {
+    refined_field_set_into(group, &mut scratch.refined);
+    compute_bounds(size_i, size_j, mode, scratch)
+}
+
 /// Reduces a `(rid₁, rid₂)` index group to the refined field set `𝒱′ᵢⱼ`:
 /// for each field pair, only the value pair with maximum similarity
-/// survives (Algorithm 1 lines 6–8).
+/// survives (Algorithm 1 lines 6–8). `out` is cleared and refilled, so a
+/// reused buffer makes the hottest candidate-generation loop
+/// allocation-free.
 ///
 /// `group` must be sorted by similarity descending (the index order), so
 /// the first occurrence of each `(fid, fid)` key is its maximum; the
 /// output preserves that descending order.
-pub fn refined_field_set(group: &[ValuePair]) -> Vec<FieldPairSim> {
-    let mut out: Vec<FieldPairSim> = Vec::with_capacity(group.len().min(16));
-    refined_field_set_into(group, &mut out);
-    out
-}
-
-/// `refined_field_set` into a caller buffer: `out` is cleared and
-/// refilled, so a reused buffer makes the hottest candidate-generation
-/// loop allocation-free.
 pub fn refined_field_set_into(group: &[ValuePair], out: &mut Vec<FieldPairSim>) {
     out.clear();
     // Hybrid dedupe: linear scan for the common small groups (index groups
@@ -103,14 +124,21 @@ pub fn refined_field_set_into(group: &[ValuePair], out: &mut Vec<FieldPairSim>) 
     );
 }
 
-/// Computes `Up` / `Low` from a refined field set and the two record sizes
-/// (field counts `|Rᵢ|`, `|Rⱼ|`).
-pub fn compute_bounds(
-    refined: &[FieldPairSim],
+/// Computes `Up` / `Low` from the refined field set in `scratch` and the
+/// two record sizes (field counts `|Rᵢ|`, `|Rⱼ|`).
+fn compute_bounds(
     size_i: usize,
     size_j: usize,
     mode: BoundMode,
+    scratch: &mut BoundsScratch,
 ) -> Bounds {
+    let BoundsScratch {
+        refined,
+        seen_l,
+        seen_r,
+        used_l,
+        used_r,
+    } = scratch;
     let denom = size_i.min(size_j).max(1) as f64;
     match mode {
         BoundMode::Paper => {
@@ -119,7 +147,7 @@ pub fn compute_bounds(
             // hit = max, last hit = min.
             let mut max_of: FxHashMap<u32, f64> = FxHashMap::default();
             let mut min_of: FxHashMap<u32, f64> = FxHashMap::default();
-            for p in refined {
+            for p in refined.iter() {
                 max_of.entry(p.left_fid).or_insert(p.sim);
                 min_of.insert(p.left_fid, p.sim);
             }
@@ -131,16 +159,15 @@ pub fn compute_bounds(
             }
         }
         BoundMode::Sound => {
-            // Single allocation-light pass. `refined` is sim-descending,
+            // Single pass over reused lists. `refined` is sim-descending,
             // so the *first* occurrence of a fid is its per-field max, and
             // greedily taking conflict-free pairs in this order is a valid
             // maximal matching (the sound lower bound).
-            let mut seen_l: Vec<u32> = Vec::with_capacity(refined.len());
-            let mut seen_r: Vec<u32> = Vec::with_capacity(refined.len());
-            let mut used_l: Vec<u32> = Vec::with_capacity(refined.len());
-            let mut used_r: Vec<u32> = Vec::with_capacity(refined.len());
+            for list in [&mut *seen_l, &mut *seen_r, &mut *used_l, &mut *used_r] {
+                list.clear();
+            }
             let (mut up_left, mut up_right, mut low) = (0.0f64, 0.0f64, 0.0f64);
-            for p in refined {
+            for p in refined.iter() {
                 if !seen_l.contains(&p.left_fid) {
                     seen_l.push(p.left_fid);
                     up_left += p.sim;
@@ -177,6 +204,20 @@ mod tests {
             b: Label::new(r2, f2, 0),
             sim,
         }
+    }
+
+    fn refined_field_set(group: &[ValuePair]) -> Vec<FieldPairSim> {
+        let mut out = Vec::new();
+        refined_field_set_into(group, &mut out);
+        out
+    }
+
+    fn compute_bounds(refined: &[FieldPairSim], i: usize, j: usize, mode: BoundMode) -> Bounds {
+        let mut scratch = BoundsScratch {
+            refined: refined.to_vec(),
+            ..BoundsScratch::default()
+        };
+        super::compute_bounds(i, j, mode, &mut scratch)
     }
 
     #[test]

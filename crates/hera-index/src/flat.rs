@@ -168,50 +168,139 @@ mod tests {
         assert_eq!(r.len(), 5);
     }
 
+    /// A record of the differential model: its labels and the value
+    /// each holds. Similarity is a function of the two values, so labels
+    /// a merge collapses — they hold one value — carry equal sims, as
+    /// super-record merging guarantees.
+    type Labels = Vec<(Label, u32)>;
+
+    fn sim_of(u: u32, v: u32) -> f64 {
+        let (u, v) = (u.min(v), u.max(v));
+        ((u * 7 + v * 3) % 10 + 1) as f64 / 10.0
+    }
+
+    /// Up to `n` pairs between labels of two different live records that
+    /// `have` does not hold yet, rid-normalized.
+    fn fresh_pairs(
+        rng: &mut impl Rng,
+        records: &[Option<Labels>],
+        have: &[ValuePair],
+        n: usize,
+    ) -> Vec<ValuePair> {
+        let labels: Vec<(Label, u32)> = records.iter().flatten().flatten().copied().collect();
+        let mut out: Vec<ValuePair> = Vec::new();
+        for _ in 0..n {
+            let (x, u) = labels[rng.gen_range(0..labels.len())];
+            let (y, v) = labels[rng.gen_range(0..labels.len())];
+            if x.rid == y.rid {
+                continue;
+            }
+            let (a, b) = if x.rid < y.rid { (x, y) } else { (y, x) };
+            if !have.iter().chain(&out).any(|p| (p.a, p.b) == (a, b)) {
+                let sim = sim_of(u, v);
+                out.push(ValuePair { a, b, sim });
+            }
+        }
+        out
+    }
+
+    /// Every observable of the grouped index against the flat oracle.
+    fn assert_same(flat: &FlatIndex, grouped: &ValuePairIndex, rids: u32, step: &str) {
+        grouped
+            .check_invariants()
+            .unwrap_or_else(|e| panic!("{step}: {e}"));
+        assert_eq!(flat.len(), grouped.len(), "{step}: len");
+        let mut keys: Vec<(u32, u32)> = flat.entries().iter().map(|e| (e.a.rid, e.b.rid)).collect();
+        keys.dedup();
+        assert_eq!(keys.len(), grouped.group_count(), "{step}: group_count");
+        assert_eq!(
+            keys,
+            grouped.record_pairs().collect::<Vec<_>>(),
+            "{step}: record_pairs"
+        );
+        for i in 0..rids {
+            let partners: Vec<u32> = (0..rids)
+                .filter(|&p| keys.contains(&(i.min(p), i.max(p))))
+                .collect();
+            assert_eq!(
+                partners,
+                grouped.partners(i).collect::<Vec<_>>(),
+                "{step}: partners of {i}"
+            );
+            for j in 0..rids {
+                assert_eq!(
+                    flat.group(i, j),
+                    grouped.group(i, j),
+                    "{step}: group ({i},{j})"
+                );
+            }
+        }
+        assert_eq!(
+            ValuePairIndex::build(flat.entries().to_vec())
+                .to_json()
+                .to_string_compact(),
+            grouped.to_json().to_string_compact(),
+            "{step}: to_json"
+        );
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
-        /// Flat and grouped indexes agree on every group, before and after
-        /// a merge.
+        /// Flat and grouped indexes agree on every observable through a
+        /// random sequence of merges and arrivals: records merged again
+        /// after a merge, either rid as the target, remaps that collapse
+        /// labels holding one value (within the winner too) and that
+        /// renumber the winner's labels, and new pairs filed into slots
+        /// earlier merges freed.
         #[test]
-        fn differential_with_grouped(seed in any::<u64>(), n in 0usize..40) {
+        fn differential_with_grouped(seed in any::<u64>(), n in 0usize..60) {
+            const RIDS: u32 = 8;
             let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
-            let mut pairs = Vec::new();
-            let mut used = std::collections::HashSet::new();
-            for _ in 0..n {
-                let r1 = rng.gen_range(0..6u32);
-                let r2 = rng.gen_range(0..6u32);
-                if r1 == r2 { continue; }
-                let (r1, r2) = if r1 < r2 { (r1, r2) } else { (r2, r1) };
-                let p = vp(r1, rng.gen_range(0..4), r2, rng.gen_range(0..4),
-                           rng.gen_range(1..=10) as f64 / 10.0);
-                // Distinct labels, as a real join (one entry per value
-                // pair) guarantees.
-                if used.insert((p.a, p.b)) {
-                    pairs.push(p);
-                }
-            }
-            let flat = FlatIndex::build(pairs.clone());
-            let grouped = ValuePairIndex::build(pairs.clone());
-            prop_assert_eq!(flat.len(), grouped.len());
-            for i in 0..6u32 {
-                for j in (i + 1)..6u32 {
-                    prop_assert_eq!(flat.group(i, j), grouped.group(i, j),
-                        "group ({}, {})", i, j);
-                }
-            }
+            let mut records: Vec<Option<Labels>> = (0..RIDS)
+                .map(|r| Some((0..3).map(|f| (Label::new(r, f, 0), rng.gen_range(0..5))).collect()))
+                .collect();
+            let pairs = fresh_pairs(&mut rng, &records, &[], n);
+            let mut flat = FlatIndex::build(pairs.clone());
+            let mut grouped = ValuePairIndex::build(pairs);
+            assert_same(&flat, &grouped, RIDS, "build");
 
-            // Merge 0 and 1 into 0 with an fid-shifting remap.
-            let remap = |l: Label| Label::new(0, l.fid + 4 * u32::from(l.rid == 1), l.vid);
-            let mut flat = flat;
-            let mut grouped = grouped;
-            flat.merge(0, 1, 0, remap);
-            grouped.merge(0, 1, 0, remap);
-            grouped.check_invariants().unwrap();
-            prop_assert_eq!(flat.len(), grouped.len());
-            for i in 0..6u32 {
-                for j in (i + 1)..6u32 {
-                    prop_assert_eq!(flat.group(i, j), grouped.group(i, j),
-                        "post-merge group ({}, {})", i, j);
+            for step in 1..RIDS {
+                let live: Vec<u32> = (0..RIDS).filter(|&r| records[r as usize].is_some()).collect();
+                let i = live[rng.gen_range(0..live.len())];
+                let j = live[rng.gen_range(0..live.len())];
+                if i == j {
+                    continue;
+                }
+                let (k, folded) = if rng.gen_bool(0.5) { (i, j) } else { (j, i) };
+                // One label per distinct value under k, the winner's
+                // values first — unless this merge renumbers them.
+                let mut old: Labels = records[k as usize].take().unwrap();
+                let loser = records[folded as usize].take().unwrap();
+                if rng.gen_bool(0.3) {
+                    old.splice(0..0, loser);
+                } else {
+                    old.extend(loser);
+                }
+                let mut merged: Labels = Vec::new();
+                let mut map = std::collections::HashMap::new();
+                for (label, value) in old {
+                    let at = merged.iter().position(|&(_, v)| v == value).unwrap_or_else(|| {
+                        let nth = merged.len() as u32;
+                        merged.push((Label::new(k, nth % 3, nth / 3), value));
+                        merged.len() - 1
+                    });
+                    map.insert(label, merged[at].0);
+                }
+                records[k as usize] = Some(merged);
+                flat.merge(i, j, k, |l| map[&l]);
+                grouped.merge(i, j, k, |l| map[&l]);
+                assert_same(&flat, &grouped, RIDS, &format!("merge {step}: {i}+{j}->{k}"));
+
+                if rng.gen_bool(0.4) {
+                    let arrivals = fresh_pairs(&mut rng, &records, flat.entries(), 4);
+                    flat = FlatIndex::build(flat.entries().iter().copied().chain(arrivals.clone()));
+                    grouped.extend(arrivals);
+                    assert_same(&flat, &grouped, RIDS, &format!("extend {step}"));
                 }
             }
         }

@@ -1,28 +1,51 @@
-//! The production value-pair index: grouped, ordered, and maintainable.
+//! The production value-pair index: sorted partner rows over a group slab.
 
 use crate::bounds::{
-    compute_bounds, refined_field_set, refined_field_set_into, BoundMode, Bounds, FieldPairSim,
+    group_bounds, refined_field_set_into, BoundMode, Bounds, BoundsScratch, FieldPairSim,
 };
 use hera_join::ValuePair;
 use hera_types::json::Json;
 use hera_types::{HeraError, Label, Result};
-use rustc_hash::{FxHashMap, FxHashSet};
-use std::collections::BTreeMap;
+use rustc_hash::FxHashMap;
 
 /// The value-pair index of Definition 6.
 ///
 /// Logically a single sequence sorted by `(rid₁, rid₂, sim desc)`;
-/// physically a `BTreeMap` keyed by the `(rid₁, rid₂)` prefix with each
-/// group kept similarity-descending. Lookups match the paper's two nested
-/// binary searches (`O(log |𝒱| + |𝒱ᵢⱼ|)`), and merge maintenance re-homes
-/// only the `O(|𝒱̂ᵢⱼ|)` affected entries instead of splicing a flat array.
+/// physically an adjacency layout. `rows[rid]` lists the record's
+/// partners strictly ascending, each entry `(partner, slot)` naming the
+/// group the two records share, and the entry is stored in both records'
+/// rows. Groups live once, similarity-descending, in a slab of slots
+/// recycled through a free list. Record ids are dense (batch rids are
+/// dataset positions, session rids an arrival counter), so `rows` is
+/// indexed by rid directly.
+///
+/// * **Lookup** — `group(i, j)` is one binary search in `rows[i]`.
+/// * **Key order** — walking `rows` ascending and, in each row, the
+///   partners above the row's own rid visits the groups in ascending
+///   `(rid₁, rid₂)` order: Definition 6's sequence, and the order
+///   [`Self::record_pairs`] and [`Self::to_json`] emit.
+/// * **Merge maintenance** (§III-B2) — folding a record into `k` walks
+///   the folded record's row once. Each of its `O(|𝒱̂ᵢⱼ|)` groups is
+///   relabeled in place, dropped from its partner's row, and either
+///   appended to the existing `(k, partner)` group or filed under
+///   `(k, partner)` as it stands: two binary searches in rows plus a
+///   sort of that one small group, no set and no fresh `Vec`.
 #[derive(Debug, Clone, Default)]
 pub struct ValuePairIndex {
-    groups: BTreeMap<(u32, u32), Vec<ValuePair>>,
-    /// rid → set of partner rids with at least one indexed pair.
-    partners: FxHashMap<u32, FxHashSet<u32>>,
+    /// `rows[rid]`: `(partner, slot)`, strictly ascending by partner;
+    /// `(p, s) ∈ rows[r]` iff `(r, s) ∈ rows[p]`.
+    rows: Vec<Vec<(u32, u32)>>,
+    /// The group slab. A slot a row names holds a non-empty group; a
+    /// slot on the free list is empty and named by no row.
+    groups: Vec<Vec<ValuePair>>,
+    free: Vec<u32>,
     /// Total entry count `|𝒱|`.
     total: usize,
+}
+
+/// Position of `partner` in a row, or where it would be inserted.
+fn find(row: &[(u32, u32)], partner: u32) -> std::result::Result<usize, usize> {
+    row.binary_search_by_key(&partner, |&(p, _)| p)
 }
 
 impl ValuePairIndex {
@@ -33,73 +56,113 @@ impl ValuePairIndex {
     ///
     /// Bulk path: pairs are sorted by group key (a no-op pass when the
     /// input is already in join output order) and consumed as sorted
-    /// runs, so the tree, partner-map, and set operations happen once per
-    /// **group** instead of once per pair (a per-pair reference build is
-    /// the tests' differential oracle).
+    /// runs. Keys arrive ascending, so every row entry is a push at its
+    /// row's end — no search (a per-pair reference build is the tests'
+    /// differential oracle).
     pub fn build(pairs: impl IntoIterator<Item = ValuePair>) -> Self {
         let mut pairs: Vec<ValuePair> = pairs.into_iter().collect();
         pairs.sort_unstable_by_key(|p| (p.a.rid, p.b.rid));
+        let records = pairs.iter().map(|p| p.b.rid as usize + 1).max();
         let mut idx = Self {
+            rows: vec![Vec::new(); records.unwrap_or(0)],
             total: pairs.len(),
             ..Self::default()
         };
-        let mut i = 0;
-        while i < pairs.len() {
-            let key = (pairs[i].a.rid, pairs[i].b.rid);
-            assert!(key.0 < key.1, "value pair must be rid-normalized");
-            let mut j = i + 1;
-            while j < pairs.len() && (pairs[j].a.rid, pairs[j].b.rid) == key {
-                j += 1;
-            }
-            let mut group = pairs[i..j].to_vec();
+        for run in pairs.chunk_by(|x, y| (x.a.rid, x.b.rid) == (y.a.rid, y.b.rid)) {
+            let (i, j) = (run[0].a.rid, run[0].b.rid);
+            assert!(i < j, "value pair must be rid-normalized");
+            let slot = idx.groups.len() as u32;
+            let mut group = run.to_vec();
             sort_group(&mut group);
-            idx.groups.insert(key, group);
-            idx.partners.entry(key.0).or_default().insert(key.1);
-            idx.partners.entry(key.1).or_default().insert(key.0);
-            i = j;
+            idx.groups.push(group);
+            idx.rows[i as usize].push((j, slot));
+            idx.rows[j as usize].push((i, slot));
         }
         idx
     }
 
-    /// Reference build: one tree/partner insertion per pair — the
-    /// differential oracle for the bulk [`Self::build`].
+    /// Reference build: one row search per pair — the differential
+    /// oracle for the bulk [`Self::build`].
     #[cfg(test)]
     fn build_incremental(pairs: impl IntoIterator<Item = ValuePair>) -> Self {
         let mut idx = Self::default();
-        for p in pairs {
-            idx.insert(p);
-        }
-        idx.restore_group_order();
+        idx.extend(pairs);
         idx
     }
 
-    fn insert(&mut self, p: ValuePair) {
-        assert!(p.a.rid < p.b.rid, "value pair must be rid-normalized");
-        self.groups.entry((p.a.rid, p.b.rid)).or_default().push(p);
-        self.partners.entry(p.a.rid).or_default().insert(p.b.rid);
-        self.partners.entry(p.b.rid).or_default().insert(p.a.rid);
-        self.total += 1;
+    /// Files `slot` as the `(a, b)` group, which must not exist yet, in
+    /// both records' rows.
+    fn link(&mut self, a: u32, b: u32, slot: u32) {
+        for (rid, partner) in [(a, b), (b, a)] {
+            let row = &mut self.rows[rid as usize];
+            let at = find(row, partner).expect_err("linking a record pair that has a group");
+            row.insert(at, (partner, slot));
+        }
     }
 
-    fn restore_group_order(&mut self) {
-        for g in self.groups.values_mut() {
-            sort_group(g);
+    /// Takes the `(a, b)` group out of both records' rows and returns
+    /// its slot, still holding the entries; `None` if there is no such
+    /// group.
+    fn unlink(&mut self, a: u32, b: u32) -> Option<u32> {
+        let row = &mut self.rows[a as usize];
+        let (_, slot) = row.remove(find(row, b).ok()?);
+        let row = &mut self.rows[b as usize];
+        let at = find(row, a).expect("rows are symmetric");
+        row.remove(at);
+        Some(slot)
+    }
+
+    /// Empties an unlinked slot onto the free list and returns the
+    /// entries it held.
+    fn release(&mut self, slot: u32) -> Vec<ValuePair> {
+        self.free.push(slot);
+        std::mem::take(&mut self.groups[slot as usize])
+    }
+
+    /// Grows `rows` to hold records `a` and `b`.
+    fn cover(&mut self, a: u32, b: u32) {
+        let records = a.max(b) as usize + 1;
+        if self.rows.len() < records {
+            self.rows.resize_with(records, Vec::new);
         }
+    }
+
+    /// The slot of the `(a, b)` group, linking an empty one — recycled
+    /// from the free list when it has any — if the pair has no group.
+    fn slot_of(&mut self, a: u32, b: u32) -> u32 {
+        self.cover(a, b);
+        let row = &self.rows[a as usize];
+        if let Ok(at) = find(row, b) {
+            return row[at].1;
+        }
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.groups.push(Vec::new());
+            self.groups.len() as u32 - 1
+        });
+        self.link(a, b, slot);
+        slot
+    }
+
+    /// Adds one pair at the end of its group (creating the group if
+    /// need be) and returns the group's slot; the caller restores the
+    /// group's order.
+    fn insert(&mut self, p: ValuePair) -> u32 {
+        assert!(p.a.rid < p.b.rid, "value pair must be rid-normalized");
+        let slot = self.slot_of(p.a.rid, p.b.rid);
+        self.groups[slot as usize].push(p);
+        self.total += 1;
+        slot
     }
 
     /// Adds freshly joined pairs to an existing index (streaming ER: a
     /// new record's similar value pairs arrive after the initial build).
     /// Only the touched groups are re-sorted.
     pub fn extend(&mut self, pairs: impl IntoIterator<Item = ValuePair>) {
-        let mut touched: FxHashSet<(u32, u32)> = FxHashSet::default();
-        for p in pairs {
-            touched.insert((p.a.rid, p.b.rid));
-            self.insert(p);
-        }
-        for key in touched {
-            if let Some(g) = self.groups.get_mut(&key) {
-                sort_group(g);
-            }
+        let mut touched: Vec<u32> = pairs.into_iter().map(|p| self.insert(p)).collect();
+        touched.sort_unstable();
+        touched.dedup();
+        for slot in touched {
+            sort_group(&mut self.groups[slot as usize]);
         }
     }
 
@@ -117,27 +180,42 @@ impl ValuePairIndex {
     /// similarity-descending. Empty slice if the records share no similar
     /// values.
     pub fn group(&self, i: u32, j: u32) -> &[ValuePair] {
-        let key = if i < j { (i, j) } else { (j, i) };
-        self.groups.get(&key).map(Vec::as_slice).unwrap_or(&[])
+        let Some(row) = self.rows.get(i as usize) else {
+            return &[];
+        };
+        match find(row, j) {
+            Ok(at) => &self.groups[row[at].1 as usize],
+            Err(_) => &[],
+        }
+    }
+
+    /// The groups in key order — each row's partners above the row's
+    /// own rid — as `(key, slot)`.
+    fn keyed_slots(&self) -> impl Iterator<Item = ((u32, u32), u32)> + '_ {
+        (0u32..).zip(&self.rows).flat_map(|(rid, row)| {
+            row[row.partition_point(|&(p, _)| p < rid)..]
+                .iter()
+                .map(move |&(p, slot)| ((rid, p), slot))
+        })
     }
 
     /// Iterates all record pairs that share at least one similar value —
-    /// the raw candidate universe, obtained in linear time (Prop. 2).
+    /// the raw candidate universe, in ascending `(rid₁, rid₂)` order,
+    /// obtained in linear time (Prop. 2).
     pub fn record_pairs(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
-        self.groups.keys().copied()
+        self.keyed_slots().map(|(key, _)| key)
     }
 
     /// Number of record-pair groups.
     pub fn group_count(&self) -> usize {
-        self.groups.len()
+        self.groups.len() - self.free.len()
     }
 
-    /// Partners of a record (rids it shares similar values with).
+    /// Partners of a record (rids it shares similar values with),
+    /// ascending.
     pub fn partners(&self, rid: u32) -> impl Iterator<Item = u32> + '_ {
-        self.partners
-            .get(&rid)
-            .into_iter()
-            .flat_map(|s| s.iter().copied())
+        let row = self.rows.get(rid as usize);
+        row.into_iter().flat_map(|r| r.iter().map(|&(p, _)| p))
     }
 
     /// The refined field set `𝒱′ᵢⱼ` — all *similar field pairs* of the
@@ -164,14 +242,29 @@ impl ValuePairIndex {
     }
 
     /// Algorithm 1: bounds of `Sim(Rᵢ, Rⱼ)` given the two record sizes.
+    /// One-shot form of [`Self::bounds_with`].
     pub fn bounds(&self, i: u32, j: u32, size_i: usize, size_j: usize, mode: BoundMode) -> Bounds {
-        let (key_sizes, group) = if i < j {
-            ((size_i, size_j), self.group(i, j))
+        self.bounds_with(i, j, size_i, size_j, mode, &mut BoundsScratch::default())
+    }
+
+    /// [`Self::bounds`] over caller-owned buffers: a loop classifying
+    /// many record pairs passes one `scratch` and allocates nothing per
+    /// pair.
+    pub fn bounds_with(
+        &self,
+        i: u32,
+        j: u32,
+        size_i: usize,
+        size_j: usize,
+        mode: BoundMode,
+        scratch: &mut BoundsScratch,
+    ) -> Bounds {
+        let (size_left, size_right) = if i < j {
+            (size_i, size_j)
         } else {
-            ((size_j, size_i), self.group(i, j))
+            (size_j, size_i)
         };
-        let refined = refined_field_set(group);
-        compute_bounds(&refined, key_sizes.0, key_sizes.1, mode)
+        group_bounds(self.group(i, j), size_left, size_right, mode, scratch)
     }
 
     /// Bound-ordered candidate drain: computes Up/Low for each candidate
@@ -198,8 +291,9 @@ impl ValuePairIndex {
         // contribute cluster gain below.
         let mut survivors: Vec<((u32, u32), Bounds, bool)> = Vec::with_capacity(pairs.len());
         let mut pruned = 0usize;
+        let mut scratch = BoundsScratch::default();
         for &(a, b) in pairs {
-            let bounds = self.bounds(a, b, size_of(a), size_of(b), mode);
+            let bounds = self.bounds_with(a, b, size_of(a), size_of(b), mode, &mut scratch);
             if bounds.up < delta {
                 pruned += 1;
                 continue;
@@ -274,83 +368,52 @@ impl ValuePairIndex {
     /// Effects, per the paper: the `(i, j)` group is **deleted** (its
     /// values are now intra-record), every other group touching `i` or `j`
     /// is relabeled and re-homed under `k`, and group order is restored.
+    ///
+    /// Super-record merging dedupes equal values, so two old labels can
+    /// remap to one new label; the resulting entries are exact duplicates
+    /// (equal values ⇒ equal sims), adjacent under the group's total
+    /// order, and one of them is kept.
     pub fn merge(&mut self, i: u32, j: u32, k: u32, remap: impl Fn(Label) -> Label) {
         assert!(
             k == i || k == j,
             "merge target must be one of the merged rids"
         );
-        let (a, b) = if i < j { (i, j) } else { (j, i) };
+        let folded = if k == i { j } else { i };
+        self.cover(i, j);
 
         // 1. delete: intra-pairs between i and j.
-        if let Some(gone) = self.groups.remove(&(a, b)) {
-            self.total -= gone.len();
+        if let Some(slot) = self.unlink(i, j) {
+            self.total -= self.release(slot).len();
         }
-        self.partners.entry(a).or_default().remove(&b);
-        self.partners.entry(b).or_default().remove(&a);
 
-        // 2. collect partners of both rids (excluding each other).
-        let mut affected: FxHashSet<u32> = FxHashSet::default();
-        for rid in [i, j] {
-            if let Some(ps) = self.partners.get(&rid) {
-                affected.extend(ps.iter().copied());
+        // 2. k's own groups stay where they are; only a remap that
+        // renumbers k's labels changes them.
+        for &(_, slot) in &self.rows[k as usize] {
+            let group = &mut self.groups[slot as usize];
+            if relabel(group, k, k, &remap) {
+                self.total -= restore_group(group);
             }
         }
-        affected.remove(&i);
-        affected.remove(&j);
 
-        // 3. update: re-home each affected group under k, relabeling.
-        for p in affected {
-            let mut merged: Vec<ValuePair> = Vec::new();
-            for old in [i, j] {
-                let key = if old < p { (old, p) } else { (p, old) };
-                if let Some(entries) = self.groups.remove(&key) {
-                    for e in entries {
-                        // Rewrite the side that belonged to old → k.
-                        let (mut x, mut y) = (e.a, e.b);
-                        if x.rid == old {
-                            x = remap(x);
-                            debug_assert_eq!(x.rid, k, "remap must move labels to k");
-                        } else {
-                            y = remap(y);
-                            debug_assert_eq!(y.rid, k, "remap must move labels to k");
-                        }
-                        let (x, y) = if x.rid < y.rid { (x, y) } else { (y, x) };
-                        merged.push(ValuePair {
-                            a: x,
-                            b: y,
-                            sim: e.sim,
-                        });
-                    }
+        // 3. re-home each of the folded record's groups under k.
+        for (p, slot) in std::mem::take(&mut self.rows[folded as usize]) {
+            relabel(&mut self.groups[slot as usize], folded, k, &remap);
+            let row_p = &mut self.rows[p as usize];
+            let at = find(row_p, folded).expect("rows are symmetric");
+            row_p.remove(at);
+            let home = match find(&self.rows[k as usize], p) {
+                Ok(at) => {
+                    let home = self.rows[k as usize][at].1;
+                    let mut moved = self.release(slot);
+                    self.groups[home as usize].append(&mut moved);
+                    home
                 }
-                self.partners.entry(old).or_default().remove(&p);
-                self.partners.entry(p).or_default().remove(&old);
-            }
-            if merged.is_empty() {
-                continue;
-            }
-            sort_group(&mut merged);
-            // Super-record merging dedupes equal values, so two old labels
-            // can remap to one new label; the resulting entries are exact
-            // duplicates (equal values ⇒ equal sims). Keep the first.
-            let mut seen_labels: FxHashSet<(Label, Label)> = FxHashSet::default();
-            let before = merged.len();
-            merged.retain(|e| seen_labels.insert((e.a, e.b)));
-            self.total -= before - merged.len();
-            let new_key = if k < p { (k, p) } else { (p, k) };
-            // Both old groups were removed above; re-homing cannot collide
-            // with an untouched group because any (k, p) group was one of
-            // them (k ∈ {i, j}).
-            let slot = self.groups.entry(new_key).or_default();
-            debug_assert!(slot.is_empty(), "re-homed group collided");
-            slot.extend(merged);
-            self.partners.entry(k).or_default().insert(p);
-            self.partners.entry(p).or_default().insert(k);
-        }
-
-        // Drop empty partner sets of the absorbed rid.
-        let folded = if k == i { j } else { i };
-        if self.partners.get(&folded).is_some_and(|s| s.is_empty()) {
-            self.partners.remove(&folded);
+                Err(_) => {
+                    self.link(k, p, slot);
+                    slot
+                }
+            };
+            self.total -= restore_group(&mut self.groups[home as usize]);
         }
     }
 
@@ -361,9 +424,8 @@ impl ValuePairIndex {
     /// index yields byte-identical output.
     pub fn to_json(&self) -> Json {
         Json::Arr(
-            self.groups
-                .values()
-                .flatten()
+            self.keyed_slots()
+                .flat_map(|(_, slot)| &self.groups[slot as usize])
                 .map(|p| {
                     Json::Obj(vec![
                         ("a".into(), p.a.to_json()),
@@ -375,10 +437,13 @@ impl ValuePairIndex {
         )
     }
 
-    /// Decodes an index from [`ValuePairIndex::to_json`] output,
-    /// rejecting non-normalized or non-finite pairs with a typed error
-    /// instead of panicking.
-    pub fn from_json(json: &Json) -> Result<Self> {
+    /// Decodes an index over `records` records from
+    /// [`ValuePairIndex::to_json`] output, rejecting pairs that are not
+    /// rid-normalized, not finite, or name a record the caller does not
+    /// have with a typed error instead of panicking. Rows are indexed by
+    /// rid, so the last check also keeps a corrupt rid from sizing an
+    /// allocation.
+    pub fn from_json(json: &Json, records: usize) -> Result<Self> {
         let mut idx = Self::default();
         for p in json.as_arr()? {
             let pair = ValuePair {
@@ -392,6 +457,12 @@ impl ValuePairIndex {
                     pair.a, pair.b
                 )));
             }
+            if pair.b.rid as usize >= records {
+                return Err(HeraError::Corrupt(format!(
+                    "index pair {}-{} names a record outside the {records} restored",
+                    pair.a, pair.b
+                )));
+            }
             if !pair.sim.is_finite() {
                 return Err(HeraError::Corrupt(format!(
                     "index pair {}-{} has non-finite sim",
@@ -400,21 +471,19 @@ impl ValuePairIndex {
             }
             idx.insert(pair);
         }
-        idx.restore_group_order();
+        for group in &mut idx.groups {
+            sort_group(group);
+        }
         Ok(idx)
     }
 
     /// Structural statistics for reports and tuning.
     pub fn stats(&self) -> IndexStats {
-        let mut max_group = 0usize;
-        for g in self.groups.values() {
-            max_group = max_group.max(g.len());
-        }
         IndexStats {
             entries: self.total,
-            groups: self.groups.len(),
-            records: self.partners.values().filter(|s| !s.is_empty()).count(),
-            max_group,
+            groups: self.group_count(),
+            records: self.rows.iter().filter(|row| !row.is_empty()).count(),
+            max_group: self.groups.iter().map(Vec::len).max().unwrap_or(0),
         }
     }
 
@@ -455,13 +524,33 @@ impl ValuePairIndex {
         out
     }
 
-    /// Full-index invariant check (tests/debug): normalization, ordering,
-    /// partner symmetry, and count consistency.
+    /// Full-index invariant check (tests/debug): rows strictly ascending
+    /// and symmetric on one slot, every slot either a live non-empty
+    /// group named by exactly one record pair or an empty free one,
+    /// entries normalized, filed under their own key, similarity-
+    /// descending and label-distinct, and both counts recounted.
     pub fn check_invariants(&self) -> std::result::Result<(), String> {
-        let mut count = 0;
-        for (&(i, j), g) in &self.groups {
-            if i >= j {
-                return Err(format!("group key ({i},{j}) not normalized"));
+        for (rid, row) in (0u32..).zip(&self.rows) {
+            if !row.windows(2).all(|w| w[0].0 < w[1].0) {
+                return Err(format!("row {rid} not strictly ascending"));
+            }
+            for &(p, slot) in row {
+                if p == rid {
+                    return Err(format!("row {rid} names itself"));
+                }
+                let back = self.rows.get(p as usize).map_or(&[][..], Vec::as_slice);
+                if find(back, rid).map(|at| back[at].1) != Ok(slot) {
+                    return Err(format!("partner rows miss group ({rid},{p}) slot {slot}"));
+                }
+            }
+        }
+        let mut owners = vec![0usize; self.groups.len()];
+        let (mut count, mut live) = (0, 0);
+        for ((i, j), slot) in self.keyed_slots() {
+            owners[slot as usize] += 1;
+            let g = &self.groups[slot as usize];
+            if g.is_empty() {
+                return Err(format!("group ({i},{j}) is empty"));
             }
             for w in g.windows(2) {
                 if w[0].sim < w[1].sim - 1e-12 {
@@ -473,12 +562,34 @@ impl ValuePairIndex {
                     return Err(format!("entry {}-{} filed under group ({i},{j})", e.a, e.b));
                 }
             }
-            count += g.len();
-            let pi = self.partners.get(&i).is_some_and(|s| s.contains(&j));
-            let pj = self.partners.get(&j).is_some_and(|s| s.contains(&i));
-            if !pi || !pj {
-                return Err(format!("partner sets miss group ({i},{j})"));
+            let mut labels: Vec<(Label, Label)> = g.iter().map(|e| (e.a, e.b)).collect();
+            labels.sort_unstable();
+            if labels.windows(2).any(|w| w[0] == w[1]) {
+                return Err(format!("group ({i},{j}) repeats a label pair"));
             }
+            count += g.len();
+            live += 1;
+        }
+        for &slot in &self.free {
+            if !self.groups[slot as usize].is_empty() {
+                return Err(format!("free slot {slot} holds entries"));
+            }
+            if owners[slot as usize] != 0 {
+                return Err(format!("free slot {slot} is named by a row"));
+            }
+            owners[slot as usize] = 1;
+        }
+        if let Some(slot) = owners.iter().position(|&n| n != 1) {
+            return Err(format!(
+                "slot {slot} is named by {} record pairs and free lists",
+                owners[slot]
+            ));
+        }
+        if live != self.group_count() {
+            return Err(format!(
+                "group_count {} != counted {live}",
+                self.group_count()
+            ));
         }
         if count != self.total {
             return Err(format!("total {} != counted {count}", self.total));
@@ -564,6 +675,34 @@ fn sort_group(g: &mut [ValuePair]) {
     });
 }
 
+/// Rewrites the `old` record's side of every entry through `remap`,
+/// which must move it to `k`, keeping each entry rid-normalized. Returns
+/// whether any label changed.
+fn relabel(group: &mut [ValuePair], old: u32, k: u32, remap: impl Fn(Label) -> Label) -> bool {
+    let mut changed = false;
+    for e in group {
+        let side = if e.a.rid == old { &mut e.a } else { &mut e.b };
+        let new = remap(*side);
+        debug_assert_eq!(new.rid, k, "remap must move labels to k");
+        changed |= new != *side;
+        *side = new;
+        if e.a.rid > e.b.rid {
+            std::mem::swap(&mut e.a, &mut e.b);
+        }
+    }
+    changed
+}
+
+/// Restores a relabeled or appended-to group's order and drops the exact
+/// duplicates the relabeling produced — equal labels carry equal sims,
+/// so they are adjacent once sorted. Returns the number dropped.
+fn restore_group(group: &mut Vec<ValuePair>) -> usize {
+    let before = group.len();
+    sort_group(group);
+    group.dedup_by(|x, y| (x.a, x.b) == (y.a, y.b));
+    before - group.len()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -580,7 +719,11 @@ mod tests {
     /// The motivating example's index (Fig. 4), 1-based rids like the
     /// paper. 17 value pairs.
     fn fig4_index() -> ValuePairIndex {
-        ValuePairIndex::build(vec![
+        ValuePairIndex::build(fig4_pairs())
+    }
+
+    fn fig4_pairs() -> Vec<ValuePair> {
+        vec![
             vp(1, 3, 1, 4, 3, 1, 1.0),
             vp(1, 1, 1, 6, 1, 1, 1.0),
             vp(1, 2, 1, 6, 2, 1, 1.0),
@@ -598,7 +741,7 @@ mod tests {
             vp(4, 3, 1, 6, 3, 1, 1.0),
             vp(4, 4, 1, 6, 4, 1, 1.0),
             vp(4, 5, 1, 6, 5, 1, 0.9),
-        ])
+        ]
     }
 
     #[test]
@@ -761,6 +904,44 @@ mod tests {
     }
 
     #[test]
+    fn extend_files_descending_partners_and_recycles_slots() {
+        // A new record's pairs arrive partner-descending and out of sim
+        // order: every row must still come out ascending, every group
+        // sim-descending, as if bulk-built.
+        let arrivals = vec![
+            vp(6, 1, 1, 9, 1, 1, 0.6),
+            vp(4, 1, 1, 9, 1, 1, 0.7),
+            vp(4, 2, 1, 9, 2, 1, 0.9),
+            vp(2, 1, 1, 9, 1, 1, 0.8),
+            vp(1, 1, 1, 9, 1, 1, 1.0),
+        ];
+        let mut idx = fig4_index();
+        idx.extend(arrivals.clone());
+        idx.check_invariants().unwrap();
+        assert_eq!(idx.partners(9).collect::<Vec<_>>(), vec![1, 2, 4, 6]);
+        assert_eq!(idx.group(9, 4)[0].sim, 0.9);
+        let mut all = fig4_pairs();
+        all.extend(arrivals);
+        assert_eq!(
+            idx.to_json().to_string_compact(),
+            ValuePairIndex::build(all).to_json().to_string_compact()
+        );
+
+        // The merge below frees the (1,6) slot and the slots of 6's
+        // groups that land on a group 1 already has; later arrivals
+        // take those slots instead of growing the slab.
+        idx.merge(1, 6, 1, |l| {
+            Label::new(1, l.fid, if l.rid == 6 { 2 } else { l.vid })
+        });
+        idx.check_invariants().unwrap();
+        let (slab, free) = (idx.groups.len(), idx.free.len());
+        assert!(free >= 2, "{free} slots freed");
+        idx.extend(vec![vp(3, 1, 1, 9, 1, 1, 0.5), vp(2, 1, 1, 5, 1, 1, 0.5)]);
+        idx.check_invariants().unwrap();
+        assert_eq!((idx.groups.len(), idx.free.len()), (slab, free - 2));
+    }
+
+    #[test]
     #[should_panic(expected = "rid-normalized")]
     fn bulk_build_rejects_unnormalized_pairs() {
         ValuePairIndex::build(vec![vp(6, 1, 1, 2, 1, 1, 0.5)]);
@@ -770,7 +951,7 @@ mod tests {
     fn json_roundtrip_is_a_fixpoint() {
         let idx = fig4_index();
         let dump = idx.to_json().to_string_compact();
-        let back = ValuePairIndex::from_json(&hera_types::json::parse(&dump).unwrap()).unwrap();
+        let back = ValuePairIndex::from_json(&hera_types::json::parse(&dump).unwrap(), 7).unwrap();
         back.check_invariants().unwrap();
         assert_eq!(back.len(), idx.len());
         assert_eq!(back.group_count(), idx.group_count());
@@ -783,8 +964,21 @@ mod tests {
             r#"[{"a":{"rid":4,"fid":0,"vid":0},"b":{"rid":2,"fid":0,"vid":0},"sim":0.5}]"#,
         )
         .unwrap();
-        let err = ValuePairIndex::from_json(&json).unwrap_err();
+        let err = ValuePairIndex::from_json(&json, 5).unwrap_err();
         assert!(matches!(err, hera_types::HeraError::Corrupt(_)), "{err}");
+    }
+
+    #[test]
+    fn json_rejects_a_rid_past_the_record_count() {
+        // Rows are indexed by rid: a pair naming a record the caller does
+        // not have must be refused before it sizes anything.
+        let json = hera_types::json::parse(
+            r#"[{"a":{"rid":2,"fid":0,"vid":0},"b":{"rid":4000000000,"fid":0,"vid":0},"sim":0.5}]"#,
+        )
+        .unwrap();
+        let err = ValuePairIndex::from_json(&json, 5).unwrap_err();
+        assert!(matches!(err, hera_types::HeraError::Corrupt(_)), "{err}");
+        assert!(ValuePairIndex::from_json(&json, 0).is_err());
     }
 
     #[test]

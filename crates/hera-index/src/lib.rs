@@ -15,9 +15,10 @@
 //!   groups are re-homed under `k`, in `O(|𝒱̂ᵢⱼ| log |𝒱|)`.
 //!
 //! Two physical layouts implement the same logical structure:
-//! [`ValuePairIndex`] (grouped `BTreeMap`, the production structure) and
-//! [`FlatIndex`] (the paper's literal flat sorted array probed by nested
-//! binary search, kept for differential testing and the bench suite).
+//! [`ValuePairIndex`] (sorted partner rows over a group slab, the
+//! production structure) and [`FlatIndex`] (the paper's literal flat
+//! sorted array probed by nested binary search, kept as the differential
+//! oracle and for the bench suite).
 //! [`UnionFind`] tracks record → super-record identity (Prop. 3).
 
 #![forbid(unsafe_code)]
@@ -28,7 +29,7 @@ mod flat;
 mod index;
 mod union_find;
 
-pub use bounds::{refined_field_set_into, BoundMode, Bounds, FieldPairSim};
+pub use bounds::{refined_field_set_into, BoundMode, Bounds, BoundsScratch, FieldPairSim};
 pub use flat::FlatIndex;
 pub use index::{rank_candidates, IndexStats, RankedCandidate, ValuePairIndex};
 pub use union_find::UnionFind;

@@ -49,6 +49,9 @@ fn deterministic_stats(s: &RunStats) -> String {
     s.index_build_time = Default::default();
     s.resolve_time = Default::default();
     s.verify_time = Default::default();
+    s.candidate_time = Default::default();
+    s.absorb_time = Default::default();
+    s.merge_time = Default::default();
     s.to_json().to_string_compact()
 }
 
@@ -278,6 +281,44 @@ fn unknown_extra_section_is_ignored() {
         deterministic_stats(resumed.stats()),
         deterministic_stats(straight.stats())
     );
+    std::fs::remove_file(&path).ok();
+}
+
+/// The index's rows are indexed by record id, so a snapshot whose index
+/// section names a record the snapshot does not hold is refused when the
+/// section is read — a typed error, before the rid sizes anything and
+/// long before the resolver would look the record up.
+#[test]
+fn index_pair_naming_an_unknown_record_is_rejected_as_corrupt() {
+    use hera::types::json::Json;
+    let path = real_snapshot("index-rid");
+    let mut snap = hera::Snapshot::read(&path).unwrap();
+    let Json::Arr(mut pairs) = snap.get("index").unwrap().clone() else {
+        panic!("the index section is an array of pairs");
+    };
+    let label = |rid: i64| {
+        let part = |k: &str, v: i64| (k.to_string(), Json::Int(v));
+        Json::Obj(vec![part("rid", rid), part("fid", 0), part("vid", 0)])
+    };
+    // 20 records were ingested: rids 0..20. One just past the end, one
+    // that would size a 4-billion-row table.
+    for unknown in [20, i64::from(u32::MAX)] {
+        pairs.push(Json::Obj(vec![
+            ("a".into(), label(3)),
+            ("b".into(), label(unknown)),
+            ("sim".into(), Json::Float(0.75)),
+        ]));
+        snap.insert("index", Json::Arr(pairs.clone()));
+        snap.write(&path).unwrap();
+        match restore(&path) {
+            Err(HeraError::Corrupt(msg)) => {
+                assert!(msg.contains(&unknown.to_string()), "message: {msg}")
+            }
+            Err(other) => panic!("expected Corrupt, got {other}"),
+            Ok(_) => panic!("index pair naming record {unknown} accepted"),
+        }
+        pairs.pop();
+    }
     std::fs::remove_file(&path).ok();
 }
 
