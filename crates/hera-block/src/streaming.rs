@@ -21,6 +21,15 @@
 //!   weight and therefore has no streaming analogue — it is ignored
 //!   here (documented divergence from the batch pass).
 //!
+//! An admission costs its visits: one counter bump per member of every
+//! retained block the record falls in. The counters are a table indexed
+//! by rid that the blocker keeps across admissions — rids are dense in a
+//! session; a standalone blocker's table grows to the largest member it
+//! visits — a rid joins the output the moment its count reaches the CBS
+//! floor, and the table is zeroed again through the list of rids the
+//! admission touched. No map is built per record and nothing but the
+//! output is allocated.
+//!
 //! The blocker is session state: it serializes into the session
 //! snapshot ([`StreamingBlocker::to_json`]) so a restored session
 //! admits future records against exactly the blocks the checkpointed
@@ -43,6 +52,12 @@ pub struct StreamingBlocker {
     blocks: FxHashMap<u64, Block>,
     /// Records admitted so far (for stats/sanity only).
     records: u64,
+    /// Co-occurrence counts of the admission in progress, indexed by
+    /// rid and grown to the largest member visited; all zero between
+    /// admissions.
+    counts: Vec<u32>,
+    /// The rids whose count the admission in progress raised above zero.
+    touched: Vec<u32>,
 }
 
 impl StreamingBlocker {
@@ -62,6 +77,8 @@ impl StreamingBlocker {
             meta,
             blocks: FxHashMap::default(),
             records: 0,
+            counts: Vec::new(),
+            touched: Vec::new(),
         })
     }
 
@@ -92,31 +109,51 @@ impl StreamingBlocker {
     /// regardless of map order). The record joins its blocks either way;
     /// a block pushed past `max_block_size` by this admission is purged
     /// for all *future* admissions.
+    ///
+    /// Costs one counter bump per member visited: the counts live in a
+    /// table the blocker keeps, a rid joins the output the moment its
+    /// count reaches the floor, and the table is zeroed through the list
+    /// of rids touched — nothing but the output is allocated.
     pub fn admit(&mut self, rid: u32, values: &[Value]) -> Vec<u32> {
         self.records += 1;
         let keys = self.keys_of(values);
-        let mut counts: FxHashMap<u32, u32> = FxHashMap::default();
+        let floor = self.meta.min_common_blocks.max(1);
+        let mut out = Vec::new();
         for &k in &keys {
             let block = self.blocks.entry(k).or_insert_with(|| Some(Vec::new()));
             let Some(members) = block else {
                 continue; // purged: no candidates, no growth
             };
             for &m in members.iter() {
-                *counts.entry(m).or_insert(0) += 1;
+                if m as usize >= self.counts.len() {
+                    self.counts.resize(m as usize + 1, 0);
+                }
+                let count = &mut self.counts[m as usize];
+                if *count == 0 {
+                    self.touched.push(m);
+                }
+                *count += 1;
+                if *count == floor {
+                    out.push(m);
+                }
             }
             members.push(rid);
             if members.len() > self.meta.max_block_size {
                 *block = None;
             }
         }
-        let floor = self.meta.min_common_blocks.max(1);
-        let mut out: Vec<u32> = counts
-            .into_iter()
-            .filter(|&(_, c)| c >= floor)
-            .map(|(m, _)| m)
-            .collect();
+        for m in self.touched.drain(..) {
+            self.counts[m as usize] = 0;
+        }
         out.sort_unstable();
         out
+    }
+
+    /// The largest rid any live block names, if any does. The count
+    /// table grows to it, so a session restoring a blocker checks it
+    /// against its record count before the next admission.
+    pub fn max_member(&self) -> Option<u32> {
+        self.blocks.values().flatten().flatten().copied().max()
     }
 
     /// Encodes the block map (sorted by key for byte-stable snapshots):
@@ -170,6 +207,10 @@ impl StreamingBlocker {
     /// Decodes a blocker checkpointed by [`StreamingBlocker::to_json`],
     /// under the restoring session's `scheme` (must match the
     /// checkpointing session's for the continuation to be equivalent).
+    ///
+    /// Member rids are taken as they come — a standalone blocker may
+    /// number its records sparsely; a caller that knows how many records
+    /// there are checks [`StreamingBlocker::max_member`] against it.
     ///
     /// # Errors
     /// [`HeraError::Corrupt`] on malformed keys, and
@@ -311,6 +352,92 @@ mod tests {
         let a = live.admit(9, &vals(&["aa bb ee"]));
         let b = restored.admit(9, &vals(&["aa bb ee"]));
         assert_eq!(a, b, "restored blocker admits identically");
+    }
+
+    /// Sharing one block of the two the floor asks for returns nothing,
+    /// and leaves nothing behind for the next admission to count on.
+    #[test]
+    fn accumulator_is_clean_after_an_admission_that_returned_nothing() {
+        let mut b = StreamingBlocker::new(&small_token(100, 2)).unwrap();
+        b.admit(0, &vals(&["alice smith"]));
+        b.admit(7, &vals(&["carol smith"]));
+        assert!(b.admit(3, &vals(&["bob smith"])).is_empty());
+        assert!(b.counts.len() > 7, "both co-members were counted");
+        assert!(b.counts.iter().all(|&c| c == 0));
+        assert!(b.touched.is_empty());
+        assert_eq!(b.admit(9, &vals(&["dave smith", "bob"])), vec![3]);
+        assert_eq!(b.max_member(), Some(9));
+    }
+
+    /// Recounts co-occurrence from the retained blocks, one scan of the
+    /// visited members per member.
+    struct Oracle {
+        blocks: std::collections::BTreeMap<u64, Block>,
+        meta: MetaBlocking,
+    }
+
+    impl Oracle {
+        fn admit(&mut self, rid: u32, keys: &[u64]) -> Vec<u32> {
+            let mut visited: Vec<u32> = Vec::new();
+            for &k in keys {
+                let block = self.blocks.entry(k).or_insert_with(|| Some(Vec::new()));
+                let Some(members) = block else { continue };
+                visited.extend(members.iter());
+                members.push(rid);
+                if members.len() > self.meta.max_block_size {
+                    *block = None;
+                }
+            }
+            let shared = |m: u32| visited.iter().filter(|&&v| v == m).count();
+            let floor = self.meta.min_common_blocks.max(1) as usize;
+            let mut out: Vec<u32> = visited
+                .iter()
+                .copied()
+                .filter(|&m| shared(m) >= floor)
+                .collect();
+            out.sort_unstable();
+            out.dedup();
+            out
+        }
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        /// Random streams over a vocabulary small enough that blocks
+        /// outgrow `max_block_size`, with rids out of order, far apart
+        /// and admitted twice, and a snapshot round trip somewhere in
+        /// the middle: every admission returns what recounting the
+        /// retained blocks gives.
+        #[test]
+        fn admissions_equal_a_recount_of_the_retained_blocks(
+            stream in proptest::collection::vec(
+                (prop_oneof![0u32..12, 0u32..12, 0u32..3000], "[a-e ]{0,7}", "[a-c]{0,2}"),
+                0..40,
+            ),
+            max_block_size in 1usize..7,
+            min_common_blocks in 1u32..4,
+            cut in 0usize..40,
+        ) {
+            let scheme = small_token(max_block_size, min_common_blocks);
+            let mut blocker = StreamingBlocker::new(&scheme).unwrap();
+            let mut oracle = Oracle {
+                blocks: Default::default(),
+                meta: blocker.meta,
+            };
+            for (step, (rid, a, b)) in stream.iter().enumerate() {
+                if step == cut {
+                    let dump = blocker.to_json().to_string_compact();
+                    let json = hera_types::json::parse(&dump).unwrap();
+                    blocker = StreamingBlocker::from_json(&scheme, &json).unwrap();
+                }
+                let values = vals(&[a.as_str(), b.as_str()]);
+                let expected = oracle.admit(*rid, &blocker.keys_of(&values));
+                prop_assert_eq!(blocker.admit(*rid, &values), expected, "step {}", step);
+                prop_assert!(blocker.touched.is_empty());
+                prop_assert!(blocker.counts.iter().all(|&c| c == 0));
+            }
+        }
     }
 
     #[test]

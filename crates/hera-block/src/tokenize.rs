@@ -31,7 +31,13 @@ pub(crate) fn word_value_tokens(
         if v.is_null() {
             continue;
         }
-        let folded = hera_sim::text::fold(&v.to_text());
+        // ASCII folds byte by byte, in the rendering itself.
+        let mut folded = v.to_text();
+        if folded.is_ascii() {
+            folded.make_ascii_lowercase();
+        } else {
+            folded = hera_sim::text::fold(&folded);
+        }
         for w in folded.split_whitespace() {
             out.push(hash_token(w.as_bytes()));
         }
@@ -53,7 +59,7 @@ pub(crate) fn qgram_tokens(values: &[hera_types::Value], q: usize) -> Vec<u64> {
         if v.is_null() {
             continue;
         }
-        out.extend(hera_sim::text::folded_qgram_set(&v.to_text(), q));
+        out.extend(hera_sim::text::folded_qgram_set(&v.text(), q));
     }
     out.sort_unstable();
     out.dedup();
@@ -94,6 +100,48 @@ mod tests {
     fn numbers_tokenize_via_rendering() {
         let toks = word_value_tokens(&[Value::from(1984i64)], true);
         assert_eq!(toks, vec![hash_token(b"1984")]);
+    }
+
+    /// The allocate-and-fold form `word_value_tokens` replaced.
+    fn folded_copy_tokens(values: &[Value], include_full_value: bool) -> Vec<u64> {
+        let mut out = Vec::new();
+        for v in values.iter().filter(|v| !v.is_null()) {
+            let folded = hera_sim::text::fold(&v.to_text());
+            out.extend(folded.split_whitespace().map(|w| hash_token(w.as_bytes())));
+            if include_full_value && !folded.is_empty() {
+                out.push(hash_token(folded.as_bytes()));
+            }
+        }
+        out.sort_unstable();
+        out.dedup();
+        out
+    }
+
+    proptest::proptest! {
+        /// Lowering an ASCII rendering in place yields the keys of the
+        /// folded copy; text with a final sigma, a dotted capital I, a
+        /// sharp s or a combining mark in it still goes through `fold`.
+        #[test]
+        fn word_tokens_equal_those_of_the_folded_copy(
+            texts in proptest::collection::vec(
+                proptest::prop_oneof![
+                    "[ -~]{0,16}",
+                    "[a-cA-C ΣσςİßÀé\u{301}]{0,10}",
+                ],
+                0..4,
+            ),
+            number in -50i64..50,
+            include_full_value in proptest::prelude::any::<bool>(),
+        ) {
+            let mut values: Vec<Value> = texts.iter().map(|t| Value::from(t.as_str())).collect();
+            values.push(Value::from(number));
+            values.push(Value::from(number as f64 / 4.0));
+            values.push(Value::Null);
+            proptest::prop_assert_eq!(
+                word_value_tokens(&values, include_full_value),
+                folded_copy_tokens(&values, include_full_value)
+            );
+        }
     }
 
     #[test]

@@ -405,6 +405,10 @@ fn report_session(args: &Args, ds: &Dataset, session: &mut HeraSession) -> Resul
         stats.threads,
         stats.total_time()
     );
+    eprintln!(
+        "  ingest: {:?} · admit: {:?} · join insert: {:?}",
+        stats.ingest_time, stats.admit_time, stats.join_insert_time
+    );
     if args.has("no-sim-cache") {
         eprintln!("  sim cache: off · {} metric calls", stats.metric_sim_calls);
     } else {

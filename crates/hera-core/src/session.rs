@@ -423,7 +423,15 @@ impl HeraSessionBuilder {
         }
         match snap.get("blocker") {
             Some(j) => {
-                session.blocker = Some(StreamingBlocker::from_json(&session.config.blocking, j)?);
+                let blocker = StreamingBlocker::from_json(&session.config.blocking, j)?;
+                // The blocker counts co-occurrence in a table indexed by
+                // rid: a member past the records would size it.
+                if let Some(rid) = blocker.max_member().filter(|&m| m as usize >= record_count) {
+                    return Err(HeraError::Corrupt(format!(
+                        "blocker names record {rid}, snapshot has {record_count}"
+                    )));
+                }
+                session.blocker = Some(blocker);
             }
             None => {
                 if session.blocker.is_some() {
@@ -589,6 +597,7 @@ impl HeraSession {
     /// into entities (per record for lowest latency, or in batches for
     /// throughput).
     pub fn add_record(&mut self, schema: SchemaId, values: Vec<Value>) -> Result<RecordId> {
+        let started = Instant::now();
         if schema.index() >= self.registry.len() {
             return Err(HeraError::UnknownId(format!("{schema}")));
         }
@@ -608,6 +617,7 @@ impl HeraSession {
         // join's candidate universe. The blocker speaks in original rids;
         // the join's labels carry union-find roots (relabeled on every
         // merge), so the allow-list is the candidates' *current roots*.
+        let admission_started = Instant::now();
         let allowed: Option<Vec<u32>> = self.blocker.as_mut().map(|b| {
             let uf = &mut self.engine.uf;
             let mut roots: Vec<u32> = b
@@ -619,6 +629,10 @@ impl HeraSession {
             roots.dedup();
             roots
         });
+        let join_started = match allowed {
+            Some(_) => Instant::now(),
+            None => admission_started,
+        };
 
         // Labels of previously merged records are already current (the
         // join is relabeled on every merge). Blocked, the whole record
@@ -640,6 +654,13 @@ impl HeraSession {
             self.dirty.insert(p.b.rid);
         }
         self.engine.index.extend(new_pairs);
+        // Four clock reads a record: the join's share ends where the
+        // call does, and so takes in filing the pairs just above.
+        let done = Instant::now();
+        let stats = &mut self.engine.stats;
+        stats.ingest_time += done - started;
+        stats.admit_time += join_started - admission_started;
+        stats.join_insert_time += done - join_started;
         Ok(RecordId::new(rid))
     }
 
@@ -1283,6 +1304,9 @@ mod tests {
         s.resolve_time = Default::default();
         s.verify_time = Default::default();
         s.candidate_time = Default::default();
+        s.ingest_time = Default::default();
+        s.admit_time = Default::default();
+        s.join_insert_time = Default::default();
         s.absorb_time = Default::default();
         s.merge_time = Default::default();
         s.to_json().to_string_compact()

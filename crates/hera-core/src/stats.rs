@@ -53,6 +53,18 @@ pub struct RunStats {
     /// Wall-clock time spent on merge maintenance (§III-B2): re-homing
     /// the index groups and similarity-cache entries of folded records.
     pub merge_time: Duration,
+    /// Wall-clock time of a session's `add_record` calls, entry to exit:
+    /// streaming ingest, none of it resolution (zero for a batch run).
+    pub ingest_time: Duration,
+    /// The part of [`RunStats::ingest_time`] spent admitting records to
+    /// the streaming blocker and mapping the candidates it returns onto
+    /// their entity roots. Zero without blocking.
+    pub admit_time: Duration,
+    /// The part of [`RunStats::ingest_time`] from the end of admission
+    /// to the end of the call: the incremental join of the record's
+    /// values and the filing of its pairs in the index. What remains of
+    /// `ingest_time` is the arity check and lifting the super record.
+    pub join_insert_time: Duration,
     /// Worker threads used by the parallel stages.
     pub threads: usize,
     /// Similarity-cache lookups answered from the cache.
@@ -209,6 +221,18 @@ impl RunStats {
                 "merge_us".into(),
                 Json::Int(self.merge_time.as_micros() as i64),
             ),
+            (
+                "ingest_us".into(),
+                Json::Int(self.ingest_time.as_micros() as i64),
+            ),
+            (
+                "admit_us".into(),
+                Json::Int(self.admit_time.as_micros() as i64),
+            ),
+            (
+                "join_insert_us".into(),
+                Json::Int(self.join_insert_time.as_micros() as i64),
+            ),
             ("threads".into(), Json::Int(self.threads as i64)),
             (
                 "sim_cache_hits".into(),
@@ -248,7 +272,8 @@ impl RunStats {
             |key: &str| -> Result<usize> { Ok(json.expect(key)?.as_i64()?.max(0) as usize) };
         let u64_of = |key: &str| -> Result<u64> { Ok(json.expect(key)?.as_i64()?.max(0) as u64) };
         let dur_of = |key: &str| -> Result<Duration> { Ok(Duration::from_micros(u64_of(key)?)) };
-        // The loop timers postdate the first snapshots: absent reads zero.
+        // The loop and ingest timers postdate the first snapshots: absent
+        // reads zero.
         let dur_or_zero = |key: &str| -> Result<Duration> {
             json.get(key).map_or(Ok(Duration::ZERO), |_| dur_of(key))
         };
@@ -274,6 +299,9 @@ impl RunStats {
             candidate_time: dur_or_zero("candidate_us")?,
             absorb_time: dur_or_zero("absorb_us")?,
             merge_time: dur_or_zero("merge_us")?,
+            ingest_time: dur_or_zero("ingest_us")?,
+            admit_time: dur_or_zero("admit_us")?,
+            join_insert_time: dur_or_zero("join_insert_us")?,
             threads: usize_of("threads")?,
             sim_cache_hits: u64_of("sim_cache_hits")?,
             sim_cache_misses: u64_of("sim_cache_misses")?,
@@ -294,6 +322,8 @@ impl RunStats {
     /// - one per-round entry per iteration
     /// - the verify, candidate, absorb and merge timers cover disjoint
     ///   parts of the loop, so they sum to at most the resolve time
+    /// - admission and the join insert are disjoint parts of ingest, so
+    ///   they sum to at most the ingest time
     /// - every comparison runs at least one matching
     pub fn check_consistency(&self, cache_enabled: bool) -> std::result::Result<(), String> {
         if cache_enabled {
@@ -336,6 +366,13 @@ impl RunStats {
             return Err(format!(
                 "verify + candidate + absorb + merge time ({timed:?}) exceeds resolve_time ({:?})",
                 self.resolve_time
+            ));
+        }
+        let ingest_named = self.admit_time + self.join_insert_time;
+        if ingest_named > self.ingest_time {
+            return Err(format!(
+                "admit + join insert time ({ingest_named:?}) exceeds ingest_time ({:?})",
+                self.ingest_time
             ));
         }
         if self.matchings_run < self.comparisons {
@@ -441,6 +478,53 @@ mod tests {
         assert_eq!(old.verify_time, s.verify_time);
         s.merge_time += Duration::from_micros(1);
         assert!(s.check_consistency(true).is_err());
+    }
+
+    #[test]
+    fn ingest_timers_read_as_zero_when_absent_and_bound_ingest_time() {
+        let mut s = RunStats {
+            ingest_time: Duration::from_micros(900),
+            admit_time: Duration::from_micros(300),
+            join_insert_time: Duration::from_micros(500),
+            ..Default::default()
+        };
+        s.check_consistency(true).unwrap();
+        let dump = s.to_json().to_string_compact();
+        let back = RunStats::from_json(&hera_types::json::parse(&dump).unwrap()).unwrap();
+        assert_eq!(back.ingest_time, s.ingest_time);
+        assert_eq!(back.admit_time, s.admit_time);
+        assert_eq!(back.join_insert_time, s.join_insert_time);
+        // A snapshot written before the timers existed carries no keys.
+        let Json::Obj(mut fields) = s.to_json() else {
+            unreachable!()
+        };
+        fields.retain(|(k, _)| !["ingest_us", "admit_us", "join_insert_us"].contains(&k.as_str()));
+        let old = RunStats::from_json(&Json::Obj(fields)).unwrap();
+        assert_eq!(old.ingest_time, Duration::ZERO);
+        assert_eq!(old.admit_time + old.join_insert_time, Duration::ZERO);
+        s.admit_time += Duration::from_micros(101);
+        assert!(s.check_consistency(true).is_err());
+    }
+
+    /// A blocked session's ingest timers as the session accumulates
+    /// them: both named parts run, and together stay inside the whole.
+    #[test]
+    fn session_ingest_timers_are_parts_of_ingest_time() {
+        use crate::{HeraConfig, HeraSession};
+        use hera_block::BlockingScheme;
+        let ds = hera_types::motivating_example();
+        let config = HeraConfig::paper_example().with_blocking(BlockingScheme::token());
+        let mut session = HeraSession::builder(config).build();
+        let schemas = session.mirror_schemas(&ds.registry);
+        for rec in ds.iter() {
+            session
+                .add_record(schemas[rec.schema.index()], rec.values.clone())
+                .unwrap();
+        }
+        let s = session.stats();
+        assert!(s.admit_time > Duration::ZERO && s.join_insert_time > Duration::ZERO);
+        assert!(s.admit_time + s.join_insert_time <= s.ingest_time);
+        s.check_consistency(true).unwrap();
     }
 
     #[test]

@@ -10,26 +10,36 @@
 //! its one-value case [`IncrementalJoin::insert_among`] — take the
 //! records a blocker allows and never look at a gram index:
 //!
-//! 1. *Gather, once per record.* The hot row of every live value of the
-//!    allowed records — sketch, numeric flag, entry index, read from a
-//!    table dense by entry index — is counting-sorted by signature length
-//!    into one neighbourhood, with the first row of every length kept.
-//! 2. *Scan, once per value.* A stored length `|y|` can pair with the
-//!    incoming `|x|` only if `min(|x|, |y|) ≥ α(|x| + |y|)`, α being the
-//!    batch probe's required overlap `⌈ξ/(1+ξ)·(|x|+|y|)⌉`
+//! 1. *Gather, once per record.* Two tables are dense, one by rid — the
+//!    live entry indices of each record — and one by entry index — the
+//!    hot row of each value: sketch, numeric flag, signature length. The
+//!    allowed records' rows are walked twice, to size one bucket per
+//!    signature length and to fill them: a counting sort into one
+//!    neighbourhood, in buffers the join owns and every gather refills.
+//! 2. *Filter, once per value and length.* A stored length `|y|` can pair
+//!    with the incoming `|x|` only if `min(|x|, |y|) ≥ α(|x| + |y|)`, α
+//!    being the batch probe's required overlap `⌈ξ/(1+ξ)·(|x|+|y|)⌉`
 //!    ([`RequiredOverlap`]); the lengths outside that window are skipped
 //!    whole. Inside it α is fixed per length, and a row survives the
 //!    integer sketch test [`GramSketch::may_share`] or is dropped without
-//!    its entry being touched.
-//! 3. *Score the survivors* by the batch join's own dispatch ([`score`]):
-//!    the sketch bound again and the exact Jaccard over the stored
-//!    signatures when the metric declares
+//!    its entry being touched. The loop over a bucket does nothing else:
+//!    what the incoming value is — a string, a number (whose numeric rows
+//!    survive regardless), a value under a metric that is not gram
+//!    compatible (every row survives) — is decided outside it.
+//! 3. *Score the survivors*, in one loop behind the filters, by the batch
+//!    join's own dispatch ([`score`]): the sketch bound again and the
+//!    exact Jaccard over the stored signatures when the metric declares
 //!    [`ValueSimilarity::qgram_compatible`], the black-box metric
 //!    otherwise. Both filters are sound for q-gram Jaccard, so the output
 //!    is what scoring every row would give. Two numbers skip the gram
-//!    filters and go to the metric; under a metric that is not gram
-//!    compatible every gathered row does.
+//!    filters and go to the metric.
 //! 4. *Register* the record's values, after all of them were scored.
+//!
+//! The neighbourhood stays materialised. Testing each stored row of the
+//! allowed records against the record's values directly, through
+//! per-value length windows, was measured ≈ 0.05 s slower on the 5 000
+//! record blocked stream than gathering and scanning by bucket: skipping
+//! a whole out-of-window bucket per value is worth more than the copy.
 //!
 //! **The probing door** — [`IncrementalJoin::insert`] — has no blocker
 //! to narrow the universe, so it finds candidates itself: string-ish
@@ -92,13 +102,62 @@ struct Row {
 
 /// The live values an incoming value may pair with, ordered by signature
 /// length: `rows[starts[len]..starts[len + 1]]` are those of length `len`.
+/// Every gather refills it; nothing of the previous one is read.
+#[derive(Default)]
 struct Neighbourhood {
     rows: Vec<Row>,
     starts: Vec<u32>,
+    /// While a gather fills the buckets: where the next row of each
+    /// length goes.
+    next: Vec<u32>,
+}
+
+impl Neighbourhood {
+    /// Counting-sorts the hot rows of the live entries `indices` yields
+    /// by signature length. `indices` is walked twice — to size the
+    /// buckets, then to fill them — and never copied out.
+    fn gather(&mut self, hot: &[Hot], indices: impl Iterator<Item = u32> + Clone) {
+        let Self { rows, starts, next } = self;
+        starts.clear();
+        starts.resize(2, 0);
+        for idx in indices.clone() {
+            let len = hot[idx as usize].len as usize;
+            if len + 2 > starts.len() {
+                starts.resize(len + 2, 0);
+            }
+            starts[len + 1] += 1;
+        }
+        for len in 1..starts.len() {
+            starts[len] += starts[len - 1];
+        }
+        next.clear();
+        next.extend_from_slice(starts);
+        let total = next.pop().expect("two slots at least") as usize;
+        // Sized only: the buckets tile `rows`, so each slot is written.
+        rows.resize(total, Row::default());
+        for idx in indices {
+            let Hot {
+                sketch,
+                len,
+                is_num,
+            } = hot[idx as usize];
+            let at = &mut next[len as usize];
+            rows[*at as usize] = Row {
+                sketch,
+                idx,
+                is_num,
+            };
+            *at += 1;
+        }
+    }
 }
 
 /// Insert-only similarity join state. Owns its metric (`Arc`) so it can
 /// live inside long-running session state.
+///
+/// Records are expected to be numbered the way a session numbers them,
+/// densely from zero: the per-record table is indexed by rid, so a label
+/// naming record `n` sizes `n + 1` rows.
 pub struct IncrementalJoin {
     xi: f64,
     q: usize,
@@ -114,8 +173,13 @@ pub struct IncrementalJoin {
     /// The filters' view of `entries`, by the same index (a retired
     /// entry's row lingers, unreachable).
     hot: Vec<Hot>,
-    /// rid → live entry indices.
-    by_rid: FxHashMap<u32, Vec<u32>>,
+    /// The live entry indices of each record, by rid; empty for a record
+    /// that was folded into another or never seen.
+    by_rid: Vec<Vec<u32>>,
+    /// The last gather, and the rows of it that passed the filters for
+    /// the value scanned last: buffers, with no meaning between calls.
+    neighbourhood: Neighbourhood,
+    survivors: Vec<Row>,
     /// `entries[..probed]` are filed in `postings` and `numeric`; the
     /// rest wait for the next [`IncrementalJoin::insert`].
     probed: usize,
@@ -145,7 +209,9 @@ impl IncrementalJoin {
             alpha: RequiredOverlap::new(xi),
             entries: Vec::new(),
             hot: Vec::new(),
-            by_rid: FxHashMap::default(),
+            by_rid: Vec::new(),
+            neighbourhood: Neighbourhood::default(),
+            survivors: Vec::new(),
             probed: 0,
             postings: FxHashMap::default(),
             numeric: Vec::new(),
@@ -155,12 +221,12 @@ impl IncrementalJoin {
     /// Number of live values: those inserted, minus those a merge folded
     /// onto a label that already held an equal value.
     pub fn len(&self) -> usize {
-        self.by_rid.values().map(Vec::len).sum()
+        self.by_rid.iter().map(Vec::len).sum()
     }
 
     /// True if no value is live.
     pub fn is_empty(&self) -> bool {
-        self.by_rid.is_empty()
+        self.by_rid.iter().all(Vec::is_empty)
     }
 
     /// Number of values filed in the gram postings and the numeric order
@@ -222,7 +288,8 @@ impl IncrementalJoin {
         });
 
         let mut out = Vec::new();
-        self.scan(&incoming, &self.gather(&cand), &mut out);
+        self.neighbourhood.gather(&self.hot, cand.iter().copied());
+        self.scan(&incoming, &mut out);
         self.register_tokenized(incoming);
         out
     }
@@ -285,15 +352,16 @@ impl IncrementalJoin {
             rids.sort_unstable();
             rids.dedup();
         }
-        let others = rids.iter().filter(|&&other| other != rid);
-        let live: Vec<u32> = others
-            .filter_map(|other| self.by_rid.get(other))
+        let by_rid = &self.by_rid;
+        let live = rids
+            .iter()
+            .filter(|&&other| other != rid)
+            .filter_map(|&other| by_rid.get(other as usize))
             .flatten()
-            .copied()
-            .collect();
-        let neighbourhood = self.gather(&live);
+            .copied();
+        self.neighbourhood.gather(&self.hot, live);
         for value in &incoming {
-            self.scan(value, &neighbourhood, &mut out);
+            self.scan(value, &mut out);
         }
         for value in incoming {
             self.register_tokenized(value);
@@ -301,95 +369,69 @@ impl IncrementalJoin {
         out
     }
 
-    /// Counting-sorts the hot rows of the live entries `indices` by
-    /// signature length.
-    fn gather(&self, indices: &[u32]) -> Neighbourhood {
-        let mut starts = vec![0u32; 2];
-        for &idx in indices {
-            let len = self.hot[idx as usize].len as usize;
-            if len + 2 > starts.len() {
-                starts.resize(len + 2, 0);
-            }
-            starts[len + 1] += 1;
-        }
-        for len in 1..starts.len() {
-            starts[len] += starts[len - 1];
-        }
-        let mut next = starts.clone();
-        let mut rows = vec![Row::default(); next.pop().expect("two slots at least") as usize];
-        for &idx in indices {
-            let Hot {
-                sketch,
-                len,
-                is_num,
-            } = self.hot[idx as usize];
-            let at = &mut next[len as usize];
-            rows[*at as usize] = Row {
-                sketch,
-                idx,
-                is_num,
-            };
-            *at += 1;
-        }
-        Neighbourhood { rows, starts }
-    }
-
     /// Appends to `out` the normalized pairs of `incoming` with the rows
-    /// of `neighbourhood` that clear ξ, ordered by label: the length
-    /// window and the integer sketch test where they are sound
-    /// (`fast_grams`, and not two numbers), then [`score`], the batch
-    /// join's dispatch.
-    fn scan(&self, incoming: &Pending, neighbourhood: &Neighbourhood, out: &mut Vec<ValuePair>) {
+    /// of the gathered neighbourhood that clear ξ, ordered by label: per
+    /// length bucket the filters that are sound there — the length window
+    /// and the integer sketch test under `fast_grams`, numeric rows let
+    /// through for a number — then, over what survived, [`score`], the
+    /// batch join's dispatch.
+    fn scan(&mut self, incoming: &Pending, out: &mut Vec<ValuePair>) {
         let first = out.len();
         let Pending { entry, hot } = incoming;
         let x_len = entry.sig.len();
+        let Neighbourhood { rows, starts, .. } = &self.neighbourhood;
+        let survivors = &mut self.survivors;
+        survivors.clear();
+        if !self.fast_grams {
+            survivors.extend_from_slice(rows);
+        } else {
+            for (y_len, bounds) in starts.windows(2).enumerate() {
+                let rows = &rows[bounds[0] as usize..bounds[1] as usize];
+                if rows.is_empty() {
+                    continue;
+                }
+                // No Jaccard ≥ ξ without α common grams, and no more
+                // common grams than the shorter signature holds.
+                let alpha = self.alpha.of(x_len + y_len) as usize;
+                let in_window = x_len.min(y_len) >= alpha;
+                let may_share = |row: &&Row| row.sketch.may_share(y_len, hot.sketch, x_len, alpha);
+                if hot.is_num {
+                    let passes = |row: &&Row| row.is_num || (in_window && may_share(row));
+                    survivors.extend(rows.iter().filter(passes));
+                } else if in_window {
+                    survivors.extend(rows.iter().filter(may_share));
+                }
+            }
+        }
         let x = Side {
             value: &entry.value,
             is_num: hot.is_num,
             sig: &entry.sig,
             sketch: hot.sketch,
         };
-        for (y_len, bounds) in neighbourhood.starts.windows(2).enumerate() {
-            let rows = &neighbourhood.rows[bounds[0] as usize..bounds[1] as usize];
-            if rows.is_empty() {
-                continue;
-            }
-            // No Jaccard ≥ ξ without α common grams, and no more common
-            // grams than the shorter signature holds.
-            let alpha = self.alpha.of(x_len + y_len) as usize;
-            let in_window = x_len.min(y_len) >= alpha;
-            if self.fast_grams && !in_window && !hot.is_num {
-                continue;
-            }
-            for row in rows {
-                let survives = !self.fast_grams
-                    || (hot.is_num && row.is_num)
-                    || (in_window && row.sketch.may_share(y_len, hot.sketch, x_len, alpha));
-                if !survives {
-                    continue;
-                }
-                let other = self.entry(row.idx);
-                let y = Side {
-                    value: &other.value,
-                    is_num: row.is_num,
-                    sig: &other.sig,
-                    sketch: row.sketch,
+        for row in survivors.iter() {
+            let other = self.entries[row.idx as usize]
+                .as_ref()
+                .expect("a gathered row names a live entry");
+            let y = Side {
+                value: &other.value,
+                is_num: row.is_num,
+                sig: &other.sig,
+                sketch: row.sketch,
+            };
+            if let Some(sim) = score(self.metric.as_ref(), self.fast_grams, self.xi, x, y) {
+                let (a, b) = if entry.label.rid < other.label.rid {
+                    (entry.label, other.label)
+                } else {
+                    (other.label, entry.label)
                 };
-                if let Some(sim) = score(self.metric.as_ref(), self.fast_grams, self.xi, x, y) {
-                    let (a, b) = if entry.label.rid < other.label.rid {
-                        (entry.label, other.label)
-                    } else {
-                        (other.label, entry.label)
-                    };
-                    out.push(ValuePair { a, b, sim });
-                }
+                out.push(ValuePair { a, b, sim });
             }
         }
         out[first..].sort_unstable_by_key(|p| (p.a, p.b));
     }
 
-    /// The live entry at `idx`; `by_rid` and the filtered candidate lists
-    /// hold no other kind.
+    /// The live entry at `idx`; `by_rid` holds no other kind.
     fn entry(&self, idx: u32) -> &Entry {
         self.entries[idx as usize]
             .as_ref()
@@ -413,7 +455,7 @@ impl IncrementalJoin {
         if value.is_null() {
             return None;
         }
-        let sig = folded_qgram_set(&value.to_text(), self.q);
+        let sig = folded_qgram_set(&value.text(), self.q);
         // Any two lengths ever tokenized sum to a covered length.
         self.alpha.cover(2 * sig.len());
         let hot = Hot {
@@ -427,9 +469,18 @@ impl IncrementalJoin {
 
     fn register_tokenized(&mut self, Pending { entry, hot }: Pending) {
         let idx = u32::try_from(self.entries.len()).expect("the join holds fewer than 2^32 values");
-        self.by_rid.entry(entry.label.rid).or_default().push(idx);
+        self.row_mut(entry.label.rid).push(idx);
         self.entries.push(Some(entry));
         self.hot.push(hot);
+    }
+
+    /// Record `rid`'s row of `by_rid`, the table grown to hold it.
+    fn row_mut(&mut self, rid: u32) -> &mut Vec<u32> {
+        let rid = rid as usize;
+        if rid >= self.by_rid.len() {
+            self.by_rid.resize_with(rid + 1, Vec::new);
+        }
+        &mut self.by_rid[rid]
     }
 
     /// Files every registered entry the probe structures have not seen
@@ -462,7 +513,8 @@ impl IncrementalJoin {
         // run of one new label starts with the entry that keeps it.
         let mut moved: Vec<(Label, bool, Label, u32)> = Vec::new();
         for rid in [i, j] {
-            for idx in self.by_rid.remove(&rid).unwrap_or_default() {
+            let row = self.by_rid.get_mut(rid as usize).map(std::mem::take);
+            for idx in row.unwrap_or_default() {
                 let old = self.entry(idx).label;
                 let new = remap(old);
                 moved.push((new, new.rid != old.rid, old, idx));
@@ -478,7 +530,7 @@ impl IncrementalJoin {
             }
             held = Some(new);
             entry.as_mut().expect("live, read above").label = new;
-            self.by_rid.entry(new.rid).or_default().push(idx);
+            self.row_mut(new.rid).push(idx);
         }
     }
 
@@ -491,7 +543,7 @@ impl IncrementalJoin {
         expected: impl IntoIterator<Item = (Label, &'a Value)>,
     ) -> Result<(), String> {
         let mut live: FxHashMap<Label, &Value> = FxHashMap::default();
-        for e in self.by_rid.values().flatten().map(|&idx| self.entry(idx)) {
+        for e in self.by_rid.iter().flatten().map(|&idx| self.entry(idx)) {
             if live.insert(e.label, &e.value).is_some() {
                 return Err(format!("two live join entries share label {}", e.label));
             }
@@ -501,7 +553,7 @@ impl IncrementalJoin {
                 return Err(format!("join holds no value at {label}"));
             };
             let same_variant = std::mem::discriminant(held) == std::mem::discriminant(value);
-            if !same_variant || held.to_text() != value.to_text() {
+            if !same_variant || held.text() != value.text() {
                 return Err(format!(
                     "join holds {held:?} at {label}, the super record {value:?}"
                 ));
@@ -988,6 +1040,7 @@ mod tests {
     fn any_value() -> impl Strategy<Value = Value> {
         prop_oneof![
             "[a-c ]{0,6}".prop_map(Value::from),
+            "[a-c ]{7,20}".prop_map(Value::from),
             "[0-2]{1,2}".prop_map(Value::from),
             (0i64..24).prop_map(Value::from),
             (0i64..48).prop_map(|half| Value::from(half as f64 / 2.0)),
@@ -1006,6 +1059,13 @@ mod tests {
         /// and hidden, and under edit similarity, where probing finds
         /// only what shares a gram. The allow-lists come unsorted, with
         /// repeats, the incoming record and unknown ones.
+        ///
+        /// The joins gather into buffers they keep, so every other call
+        /// is cut down to one allowed record: neighbourhoods large and
+        /// small, of longer and shorter signatures, follow each other
+        /// with relabels in between, and the record door must still
+        /// answer like a join built afresh from the live values — a row
+        /// or a bucket bound left over from the call before would show.
         #[test]
         fn doors_equal_exhaustive(
             records in proptest::collection::vec(
@@ -1040,7 +1100,10 @@ mod tests {
                 pairs.iter().map(|p| (p.a, p.b, p.sim.to_bits())).collect()
             };
 
-            for (rid, (values, rids, merge, picks)) in (0u32..).zip(records) {
+            for (rid, (values, mut rids, merge, picks)) in (0u32..).zip(records) {
+                if rid % 2 == 1 {
+                    rids.truncate(1);
+                }
                 // The oracle: everything live in the allowed records and
                 // the new record, all pairs; the new record's are the
                 // ones an insert emits, value by value in label order.
@@ -1066,6 +1129,12 @@ mod tests {
 
                 let got = by_record.insert_record_among(rid, values.clone(), &rids);
                 prop_assert_eq!(bits(&got), bits(&expected), "record {}, by record", rid);
+                let mut fresh = IncrementalJoin::new(xi, 2, metric.clone());
+                for (l, v) in &live.0 {
+                    fresh.register(*l, v.clone());
+                }
+                let afresh = fresh.insert_record_among(rid, values.clone(), &rids);
+                prop_assert_eq!(bits(&got), bits(&afresh), "record {}, built afresh", rid);
                 let mut got = Vec::new();
                 let mut got_probing = Vec::new();
                 for (l, v) in incoming {

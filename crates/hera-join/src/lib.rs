@@ -272,7 +272,7 @@ impl<'m> SimilarityJoin<'m> {
         let sigs: Vec<Vec<u64>> = if fast_grams {
             distinct
                 .iter()
-                .map(|v| folded_qgram_set(&v.to_text(), self.config.q))
+                .map(|v| folded_qgram_set(&v.text(), self.config.q))
                 .collect()
         } else {
             vec![Vec::new(); distinct.len()]
@@ -401,7 +401,7 @@ impl<'m> SimilarityJoin<'m> {
             let fast_grams = self.metric.qgram_compatible() == Some(q);
             let sigs: Vec<Vec<u64>> = distinct
                 .iter()
-                .map(|(v, _)| folded_qgram_set(&v.to_text(), q))
+                .map(|(v, _)| folded_qgram_set(&v.text(), q))
                 .collect();
             let sides = sides(distinct.iter().map(|(v, _)| *v), &sigs);
             // Two numbers the sweep paired are its to emit, not the probe's.

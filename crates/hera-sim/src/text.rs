@@ -26,14 +26,29 @@ pub fn fold(s: &str) -> String {
     s.to_lowercase()
 }
 
-/// Hashes one gram (a char window) into a token.
-#[inline]
-fn hash_gram(chars: &[char]) -> u64 {
-    let mut h = FxHasher::default();
-    for &c in chars {
-        c.hash(&mut h);
+/// The **set** of q-gram tokens over `units`, each read as the `char`
+/// `as_char` gives: one gram (a `char` window hashed into a token) per
+/// window, sorted ascending and deduplicated.
+fn gram_set<T: Copy>(units: &[T], q: usize, as_char: impl Fn(T) -> char) -> Vec<u64> {
+    assert!(q >= 1, "q must be at least 1");
+    if units.is_empty() {
+        return Vec::new();
     }
-    h.finish()
+    let hash_gram = |window: &[T]| {
+        let mut h = FxHasher::default();
+        for &u in window {
+            as_char(u).hash(&mut h);
+        }
+        h.finish()
+    };
+    let mut grams: Vec<u64> = if units.len() < q {
+        vec![hash_gram(units)]
+    } else {
+        units.windows(q).map(hash_gram).collect()
+    };
+    grams.sort_unstable();
+    grams.dedup();
+    grams
 }
 
 /// Extracts the **set** of q-gram tokens of `s` (already-folded text),
@@ -43,24 +58,21 @@ fn hash_gram(chars: &[char]) -> u64 {
 /// string (so `"a"` still has a signature and `sim("a","a") == 1`); the
 /// empty string has the empty set.
 pub fn qgram_set(s: &str, q: usize) -> Vec<u64> {
-    assert!(q >= 1, "q must be at least 1");
     let chars: Vec<char> = s.chars().collect();
-    if chars.is_empty() {
-        return Vec::new();
-    }
-    let mut grams: Vec<u64> = if chars.len() < q {
-        vec![hash_gram(&chars)]
-    } else {
-        chars.windows(q).map(hash_gram).collect()
-    };
-    grams.sort_unstable();
-    grams.dedup();
-    grams
+    gram_set(&chars, q, |c| c)
 }
 
-/// Convenience: fold then extract the q-gram set.
+/// Fold then extract the q-gram set: `qgram_set(&fold(s), q)`. ASCII
+/// text — where folding is byte-wise and a `char` is a byte — is hashed
+/// where it lies, with no folded copy and no `char` buffer. Anything else
+/// goes through [`fold`]: lowering `char` by `char` would miss what
+/// `str::to_lowercase` knows about context (a final `Σ` lowers to `ς`).
 pub fn folded_qgram_set(s: &str, q: usize) -> Vec<u64> {
-    qgram_set(&fold(s), q)
+    if s.is_ascii() {
+        gram_set(s.as_bytes(), q, |b| char::from(b.to_ascii_lowercase()))
+    } else {
+        qgram_set(&fold(s), q)
+    }
 }
 
 /// Size of the intersection of two sorted, deduplicated token slices.
@@ -331,6 +343,21 @@ mod tests {
             prop_assert_eq!(hb.len(), sb.len());
             let inter_oracle = sa.intersection(&sb).count();
             prop_assert_eq!(intersection_size(&ha, &hb), inter_oracle);
+        }
+
+        /// Hashing ASCII text where it lies gives the tokens of the folded
+        /// copy, and text with anything else in it — a final sigma, a
+        /// dotted capital I that lowers to two chars, a sharp s, accents
+        /// composed and combining — still goes through `fold`.
+        #[test]
+        fn folded_grams_equal_grams_of_the_folded_copy(
+            s in prop_oneof![
+                "[ -~]{0,20}",
+                "[a-cA-C ΣσςİßÀé\u{301}]{0,12}",
+            ],
+            q in 1usize..5
+        ) {
+            prop_assert_eq!(folded_qgram_set(&s, q), qgram_set(&fold(&s), q));
         }
 
         #[test]

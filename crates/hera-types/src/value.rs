@@ -2,6 +2,7 @@
 
 use crate::error::{HeraError, Result};
 use crate::json::Json;
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::fmt;
 
@@ -80,11 +81,17 @@ impl Value {
     /// the string-similarity fallbacks operate on when comparing values of
     /// mixed kinds.
     pub fn to_text(&self) -> String {
+        self.text().into_owned()
+    }
+
+    /// [`Value::to_text`] without the copy where the text is already
+    /// there: a string is borrowed, a number rendered.
+    pub fn text(&self) -> Cow<'_, str> {
         match self {
-            Value::Str(s) => s.clone(),
-            Value::Int(i) => i.to_string(),
-            Value::Float(f) => format!("{f}"),
-            Value::Null => String::new(),
+            Value::Str(s) => Cow::Borrowed(s),
+            Value::Int(i) => Cow::Owned(i.to_string()),
+            Value::Float(f) => Cow::Owned(format!("{f}")),
+            Value::Null => Cow::Borrowed(""),
         }
     }
 
@@ -268,6 +275,8 @@ mod tests {
         assert_eq!(Value::from(42i64).to_text(), "42");
         assert_eq!(Value::from(1.5).to_text(), "1.5");
         assert_eq!(Value::Null.to_text(), "");
+        assert!(matches!(Value::from("ab").text(), Cow::Borrowed("ab")));
+        assert_eq!(Value::from(1.5).text(), "1.5");
     }
 
     #[test]

@@ -50,6 +50,9 @@ fn deterministic_stats(s: &RunStats) -> String {
     s.resolve_time = Default::default();
     s.verify_time = Default::default();
     s.candidate_time = Default::default();
+    s.ingest_time = Default::default();
+    s.admit_time = Default::default();
+    s.join_insert_time = Default::default();
     s.absorb_time = Default::default();
     s.merge_time = Default::default();
     s.to_json().to_string_compact()
@@ -158,8 +161,12 @@ proptest! {
 
 /// Builds a real mid-stream snapshot file to corrupt.
 fn real_snapshot(tag: &str) -> PathBuf {
+    real_snapshot_under(HeraConfig::new(0.5, 0.5), tag)
+}
+
+fn real_snapshot_under(config: HeraConfig, tag: &str) -> PathBuf {
     let ds = dataset(4242, 40, 8, 1);
-    let mut session = HeraSession::builder(HeraConfig::new(0.5, 0.5)).build();
+    let mut session = HeraSession::builder(config).build();
     session.mirror_schemas(&ds.registry);
     ingest(&mut session, &ds, 0, 20);
     let path = snap_path(tag);
@@ -318,6 +325,44 @@ fn index_pair_naming_an_unknown_record_is_rejected_as_corrupt() {
             Ok(_) => panic!("index pair naming record {unknown} accepted"),
         }
         pairs.pop();
+    }
+    std::fs::remove_file(&path).ok();
+}
+
+/// The streaming blocker counts co-occurrence in a table indexed by
+/// rid, so a blocker section naming a record the snapshot does not hold
+/// is refused at restore — before an admission sizes the table by it.
+#[test]
+fn blocker_member_naming_an_unknown_record_is_rejected_as_corrupt() {
+    use hera::types::json::Json;
+    let config = || HeraConfig::new(0.5, 0.5).with_blocking(hera::BlockingScheme::token());
+    let path = real_snapshot_under(config(), "blocker-rid");
+    let restore = || HeraSession::builder(config()).restore(&path);
+    restore().expect("the untouched snapshot restores");
+
+    let mut snap = hera::Snapshot::read(&path).unwrap();
+    let Json::Obj(blocker) = snap.get("blocker").unwrap().clone() else {
+        panic!("the blocker section is an object");
+    };
+    // 20 records were ingested: rids 0..20. One just past the end, one
+    // that would size a 16 GB table.
+    for unknown in [20, i64::from(u32::MAX)] {
+        let block = Json::Obj(vec![
+            ("key".into(), Json::Str("0000000000000001".into())),
+            ("members".into(), Json::Arr(vec![Json::Int(unknown)])),
+        ]);
+        let mut edited = blocker.clone();
+        let blocks = edited.iter_mut().find(|(k, _)| k == "blocks").unwrap();
+        blocks.1 = Json::Arr(vec![block]);
+        snap.insert("blocker", Json::Obj(edited));
+        snap.write(&path).unwrap();
+        match restore() {
+            Err(HeraError::Corrupt(msg)) => {
+                assert!(msg.contains(&unknown.to_string()), "message: {msg}")
+            }
+            Err(other) => panic!("expected Corrupt, got {other}"),
+            Ok(_) => panic!("blocker member naming record {unknown} accepted"),
+        }
     }
     std::fs::remove_file(&path).ok();
 }
