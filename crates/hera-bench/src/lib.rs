@@ -1,10 +1,10 @@
-//! Shared harness for the experiment binaries and Criterion benches.
+//! Shared helpers for the paper-reproduction binaries.
 //!
-//! Every table and figure of the paper's §VI has a binary under
-//! `src/bin/` that regenerates it (`cargo run --release -p hera-bench
-//! --bin exp_fig9`) and a Criterion bench under `benches/` that measures
-//! the code path behind it. EXPERIMENTS.md records the output of the
-//! binaries next to the paper's reported values.
+//! Every table and figure of the paper's §VI, and the A1–A4 ablations,
+//! has a binary under `src/bin/` that regenerates it (`cargo run
+//! --release -p hera-bench --bin exp_fig9`). EXPERIMENTS.md records their
+//! output next to the paper's reported values. Engineering timings are
+//! the ledger's (`benchmark/`), not this crate's.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -12,11 +12,6 @@
 use hera_core::{Hera, HeraConfig, HeraResult};
 use hera_eval::PairMetrics;
 use hera_types::Dataset;
-
-pub mod report;
-pub mod verify_workload;
-
-pub use report::{host_cpus, BenchReport, BENCH_SCHEMA_VERSION};
 
 /// The four Table I datasets, generation-cached per process.
 pub fn datasets() -> Vec<Dataset> {

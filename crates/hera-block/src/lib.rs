@@ -21,7 +21,8 @@
 //! Blocking trades recall for speed: the emitted pair set is measured by
 //! **pair completeness** (fraction of ground-truth duplicate pairs kept)
 //! against **reduction ratio** (fraction of the quadratic pair space
-//! skipped) — see the `exp_blocking` harness in hera-bench.
+//! skipped). The repo's `tests/blocking.rs` holds each scheme to a
+//! measured pair-completeness floor.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

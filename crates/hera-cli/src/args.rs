@@ -1,5 +1,5 @@
 //! Minimal dependency-free argument parsing: `--flag value` pairs and
-//! bare `--switch`es after a subcommand.
+//! declared bare `--switch`es after a subcommand.
 
 use std::collections::BTreeMap;
 
@@ -15,9 +15,13 @@ pub struct Args {
 impl Args {
     /// Parses raw arguments (excluding the program name).
     ///
-    /// Grammar: `<command> (--key value | --switch)*`. A `--key` followed
-    /// by another `--…` token or end of input is a switch.
-    pub fn parse<I: IntoIterator<Item = String>>(raw: I) -> Result<Self, String> {
+    /// Grammar: `<command> (--key value | --switch)*`, where the switches
+    /// are exactly the names in `switches`. Any other `--key` followed by
+    /// another `--…` token or end of input is an error naming it.
+    pub fn parse<I: IntoIterator<Item = String>>(
+        raw: I,
+        switches: &[&str],
+    ) -> Result<Self, String> {
         let mut out = Args::default();
         let mut it = raw.into_iter().peekable();
         match it.next() {
@@ -32,14 +36,13 @@ impl Args {
             if key.is_empty() {
                 return Err("empty flag name".into());
             }
-            match it.peek() {
-                Some(v) if !v.starts_with("--") => {
-                    out.flags
-                        .entry(key.to_owned())
-                        .or_default()
-                        .push(it.next().unwrap());
-                }
-                _ => out.switches.push(key.to_owned()),
+            if switches.contains(&key) {
+                out.switches.push(key.to_owned());
+                continue;
+            }
+            match it.next_if(|v| !v.starts_with("--")) {
+                Some(v) => out.flags.entry(key.to_owned()).or_default().push(v),
+                None => return Err(format!("--{key} expects a value")),
             }
         }
         Ok(out)
@@ -119,9 +122,10 @@ impl Args {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::commands::SWITCHES;
 
     fn parse(s: &str) -> Result<Args, String> {
-        Args::parse(s.split_whitespace().map(String::from))
+        Args::parse(s.split_whitespace().map(String::from), SWITCHES)
     }
 
     #[test]
@@ -132,7 +136,37 @@ mod tests {
         assert_eq!(a.get_f64("delta", 0.5).unwrap(), 0.6);
         assert_eq!(a.get_f64("xi", 0.5).unwrap(), 0.5);
         assert!(a.has("eval"));
-        assert!(!a.has("quiet"));
+        assert!(!a.has("streaming"));
+    }
+
+    #[test]
+    fn switches_are_the_names_commands_reads() {
+        let mut read: Vec<&str> = include_str!("commands.rs")
+            .split("args.has(\"")
+            .skip(1)
+            .map(|s| &s[..s.find('"').unwrap()])
+            .collect();
+        read.sort_unstable();
+        read.dedup();
+        assert_eq!(read, SWITCHES);
+    }
+
+    #[test]
+    fn flag_without_a_value_is_error_naming_it() {
+        for (line, flag) in [
+            ("resolve --input x.json --delta", "--delta"),
+            ("resolve --input x.json --threads --eval", "--threads"),
+            ("resolve --input x.json --evl", "--evl"),
+        ] {
+            let err = parse(line).unwrap_err();
+            assert!(err.contains(flag), "{line}: {err}");
+        }
+    }
+
+    #[test]
+    fn token_after_a_switch_is_positional() {
+        let err = parse("resolve --eval 0.6 --input x.json").unwrap_err();
+        assert!(err.contains("positional") && err.contains("0.6"), "{err}");
     }
 
     #[test]
@@ -155,8 +189,8 @@ mod tests {
 
     #[test]
     fn trailing_switch() {
-        let a = parse("demo --verbose").unwrap();
-        assert!(a.has("verbose"));
+        let a = parse("trace-check --input t.jsonl --require-monotonic-rounds").unwrap();
+        assert!(a.has("require-monotonic-rounds"));
     }
 
     #[test]
@@ -184,7 +218,7 @@ mod tests {
 
     #[test]
     fn repeated_switch_is_reported() {
-        let a = parse("resolve --eval --eval --quiet").unwrap();
+        let a = parse("resolve --eval --eval --streaming").unwrap();
         assert!(a.has("eval"));
         assert_eq!(a.duplicated(&[]), vec!["eval".to_string()]);
     }

@@ -132,6 +132,20 @@ chaos harness and checks the no-torn-state invariant — the exact repro
 path for a chaos-test failure (see DESIGN.md, Fault model).
 ";
 
+/// The bare `--switch`es the subcommands read with [`Args::has`]; every
+/// other flag takes a value.
+pub const SWITCHES: &[&str] = &[
+    "eval",
+    "matchings",
+    "no-retry",
+    "no-sim-cache",
+    "require-monotonic-rounds",
+    "streaming",
+    "strict-checkpoints",
+    "trace-deterministic",
+    "trace-stderr",
+];
+
 /// Routes a parsed command line.
 pub fn dispatch(args: &Args) -> Result<(), String> {
     match args.command.as_str() {

@@ -30,7 +30,7 @@ fn main() -> ExitCode {
         let action = raw.remove(1);
         raw[0] = format!("faults {action}");
     }
-    let args = match Args::parse(raw) {
+    let args = match Args::parse(raw, commands::SWITCHES) {
         Ok(a) => a,
         Err(e) => {
             eprintln!("error: {e}");

@@ -47,9 +47,9 @@ pub struct HeraConfig {
     /// [`crate::parallel`].
     pub num_threads: usize,
     /// Memoize `metric.sim` results across rounds in a merge-aware cache
-    /// ([`crate::SimCache`]). Results are bit-identical on or off — the
-    /// cache stores exact metric outputs — so this is purely a speed
-    /// knob; disable to measure the uncached baseline.
+    /// (the crate-internal `SimCache`). Results are bit-identical on or
+    /// off — the cache stores exact metric outputs — so this is purely a
+    /// speed knob; disable to measure the uncached baseline.
     pub sim_cache: bool,
     /// Candidate generation ahead of the similarity join.
     /// [`BlockingScheme::None`] (the default) keeps the paper-exact

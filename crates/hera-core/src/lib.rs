@@ -17,10 +17,10 @@
 //! * [`parallel`] — the scoped worker pool behind every parallel stage
 //!   (re-exported from `hera-types`; deterministic: results are
 //!   bit-identical for every thread count);
-//! * [`SimCache`] — merge-aware memoization of `metric.sim` on the
-//!   verification hot path, invalidated/re-homed through the same label
-//!   remap the index uses, populated deterministically in the sequential
-//!   apply phase;
+//! * the similarity cache ([`HeraConfig::sim_cache`]) — merge-aware
+//!   memoization of `metric.sim` on the verification hot path,
+//!   invalidated/re-homed through the same label remap the index uses,
+//!   populated deterministically in the sequential apply phase;
 //! * [`RunStats`] — the counters behind Table II, Fig. 10 and Fig. 12.
 //!
 //! ```
@@ -53,10 +53,9 @@ pub use chaos::{check_no_torn_state, run_chaos, ChaosConfig, ChaosReport, ChaosV
 pub use config::HeraConfig;
 pub use driver::{Hera, HeraBuilder, HeraResult};
 pub use session::{HeraSession, HeraSessionBuilder, MergeEvent, ProgressiveReport, ResolveBudget};
-pub use simcache::{SimCache, SimDelta};
 pub use stats::RunStats;
 pub use super_record::{Field, SuperRecord};
-pub use verify::{InstanceVerifier, Verification, VerifyScratch};
+pub use verify::{InstanceVerifier, Verification};
 pub use voter::{vote_error_bound, DecidedMatching, SchemaVoter};
 
 pub use hera_block::{Blocker, BlockingScheme};

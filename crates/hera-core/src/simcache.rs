@@ -44,7 +44,7 @@ fn canon(a: Label, b: Label) -> (Label, Label) {
 /// index: delete the merged pair's group, re-home third-party groups
 /// through the label remap.
 #[derive(Debug, Default)]
-pub struct SimCache {
+pub(crate) struct SimCache {
     /// `(rid₁, rid₂)` with `rid₁ < rid₂` → canonical label pair → sim.
     groups: FxHashMap<(u32, u32), FxHashMap<(Label, Label), f64>>,
     /// rid → rids it shares a group with (for merge maintenance).
@@ -65,11 +65,6 @@ impl SimCache {
     /// Number of memoized value-pair similarities.
     pub fn len(&self) -> usize {
         self.len
-    }
-
-    /// True if no entry is stored.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// Entries invalidated by merges so far.
@@ -282,7 +277,7 @@ impl SimCache {
 /// Per-verification record of cache traffic, produced by workers against a
 /// frozen cache snapshot and applied sequentially (module docs).
 #[derive(Debug, Default, Clone)]
-pub struct SimDelta {
+pub(crate) struct SimDelta {
     /// Misses computed by the worker: `(label, label, sim)` to memoize.
     pub fills: Vec<(Label, Label, f64)>,
     /// Lookups answered by the snapshot.

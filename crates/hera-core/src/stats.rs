@@ -139,7 +139,7 @@ impl RunStats {
     }
 
     /// Folds one verification's cache traffic into the counters.
-    pub fn record_cache_delta(&mut self, delta: &crate::simcache::SimDelta) {
+    pub(crate) fn record_cache_delta(&mut self, delta: &crate::simcache::SimDelta) {
         self.sim_cache_hits += delta.hits;
         self.sim_cache_misses += delta.misses;
         self.metric_sim_calls += delta.metric_calls;

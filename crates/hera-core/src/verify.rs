@@ -108,7 +108,7 @@ impl Verification {
 /// allocates nothing per verified pair beyond the returned
 /// [`Verification::matching`] vector itself.
 #[derive(Debug, Default)]
-pub struct VerifyScratch {
+pub(crate) struct VerifyScratch {
     field_pairs: Vec<FieldPairSim>,
     sim_of: FxHashMap<(u32, u32), f64>,
     cands: Vec<(f64, u32, u32)>,
@@ -152,7 +152,8 @@ impl<'m> InstanceVerifier<'m> {
     }
 
     /// Computes `Sim(left, right)` (Definition 5) on fresh scratch, without
-    /// memoization. Convenience wrapper over [`InstanceVerifier::verify_with`].
+    /// memoization. The driver verifies through the crate-internal
+    /// `verify_with`, which reuses scratch and consults the similarity cache.
     pub fn verify(
         &self,
         index: &ValuePairIndex,
@@ -181,7 +182,7 @@ impl<'m> InstanceVerifier<'m> {
     /// Cached values are exact metric outputs, so results are bit-identical
     /// with the cache on or off.
     #[allow(clippy::too_many_arguments)]
-    pub fn verify_with(
+    pub(crate) fn verify_with(
         &self,
         index: &ValuePairIndex,
         left: &SuperRecord,

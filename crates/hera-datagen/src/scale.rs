@@ -127,7 +127,8 @@ pub struct ScaleConfig {
     /// few hub entities described by many sources plus a long tail of
     /// near-singletons. Most ground-truth record pairs then sit inside
     /// the hub clusters, which is the regime where anytime resolution
-    /// pays off (see `exp_progressive`).
+    /// pays off (see `quarter_budget_reaches_most_of_full_f1` in
+    /// `tests/progressive.rs`).
     pub duplicate_skew: f64,
     /// Number of canonical attributes (4 ..= [`scale_catalog`] length).
     pub n_attrs: usize,

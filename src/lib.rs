@@ -51,8 +51,9 @@
 //! # Ok::<(), hera::HeraError>(())
 //! ```
 //!
-//! See `examples/` for end-to-end walkthroughs and `crates/hera-bench`
-//! for the experiment reproductions (Tables I–II, Figs. 9–12).
+//! See `examples/` for end-to-end walkthroughs, `crates/hera-bench` for
+//! the experiment reproductions (Tables I–II, Figs. 9–12, ablations
+//! A1–A4) and `benchmark/` for the performance ledger.
 
 #![forbid(unsafe_code)]
 
@@ -80,8 +81,7 @@ pub use hera_block::{Blocker, BlockingScheme};
 pub use hera_core::{
     check_no_torn_state, run_chaos, BoundMode, ChaosConfig, ChaosReport, ChaosVerdict, Hera,
     HeraBuilder, HeraConfig, HeraResult, HeraSession, HeraSessionBuilder, InstanceVerifier,
-    MergeEvent, ProgressiveReport, ResolveBudget, RunStats, SchemaVoter, SimCache, SimDelta,
-    SuperRecord, Verification, VerifyScratch,
+    MergeEvent, ProgressiveReport, ResolveBudget, RunStats, SchemaVoter, SuperRecord, Verification,
 };
 pub use hera_datagen::{table1_dataset, DatagenConfig, Domain, Generator};
 pub use hera_eval::{adjusted_rand_index, bcubed, v_measure, PairMetrics};

@@ -3,8 +3,8 @@
 //! new pair), blocking must be deterministic across thread counts, the
 //! `BlockingScheme::None` default must leave the pipeline bit-identical,
 //! and each scheme must clear a measured recall floor on a seeded
-//! dataset (so a silent recall regression fails CI, not just the full
-//! `exp_blocking` sweep).
+//! dataset (so a silent recall regression fails tier-1; this is the
+//! repo's pair-completeness gate, qgram ≥ 0.95).
 
 use hera::join::{CandidateSource, JoinConfig, SimilarityJoin};
 use hera::sim::TypeDispatch;
@@ -155,8 +155,8 @@ fn none_scheme_keeps_the_pipeline_bit_identical() {
 /// Measured recall floors per scheme on a seeded scale dataset. The
 /// floors are deliberately a few points under the measured
 /// pair-completeness (token 0.72, qgram 1.00, lsh 0.78 on this seed) so
-/// the test catches regressions, not noise; the full PC/RR trade-off
-/// lives in `exp_blocking`.
+/// the test catches regressions, not noise. The last committed PC/RR
+/// sweep is EXPERIMENTS.md's retired-harness record.
 #[test]
 fn schemes_clear_their_recall_floor_on_seeded_data() {
     let ds = ScaleGenerator::new(scale_preset(5_000, 51)).generate();
