@@ -31,7 +31,7 @@ use hera_join::IncrementalJoin;
 use hera_sim::{TypeDispatch, ValueSimilarity};
 use hera_store::Snapshot;
 use hera_types::json::Json;
-use hera_types::{HeraError, Label, RecordId, Result, SchemaId, SchemaRegistry, Value};
+use hera_types::{HeraError, RecordId, Result, SchemaId, SchemaRegistry, Value};
 use rustc_hash::{FxHashMap, FxHashSet};
 use std::path::Path;
 use std::sync::Arc;
@@ -635,19 +635,13 @@ impl HeraSession {
         };
 
         // Labels of previously merged records are already current (the
-        // join is relabeled on every merge). Blocked, the whole record
-        // goes through the join's record-level door: the live values of
-        // the allowed roots are gathered once and each of the record's
-        // values is scanned against that one neighbourhood, so the cost
-        // tracks the co-blocked neighbourhood, not the live-value
-        // universe, and the join never builds its gram postings.
-        // Unblocked, each value probes them.
+        // join is relabeled on every merge). The whole record goes through
+        // the join's record-level door: the live values of the allowed
+        // roots — of every root, unblocked — are gathered once and each of
+        // the record's values is scanned against that one neighbourhood.
         let new_pairs = match &allowed {
             Some(rids) => self.join.insert_record_among(rid, values, rids),
-            None => (0u32..)
-                .zip(values)
-                .flat_map(|(fid, v)| self.join.insert(Label::new(rid, fid, 0), v))
-                .collect(),
+            None => self.join.insert_record(rid, values),
         };
         for p in &new_pairs {
             self.dirty.insert(p.a.rid);
@@ -1363,55 +1357,6 @@ mod tests {
             resumed.schema_matchings().len(),
             straight.schema_matchings().len()
         );
-    }
-
-    /// With blocking on, ingest goes through the join's record-level
-    /// blocked door, which needs no gram postings and no numeric order:
-    /// neither is ever built, before or after a restore. Without a
-    /// blocker every value probes them.
-    #[test]
-    fn blocked_session_never_builds_the_join_probe_structures() {
-        use hera_block::BlockingScheme;
-        let ds = motivating_example();
-        let config = HeraConfig::paper_example().with_blocking(BlockingScheme::token());
-        let path = std::env::temp_dir().join(format!(
-            "hera-session-blocked-join-{}.hera",
-            std::process::id()
-        ));
-        let records: Vec<_> = ds.iter().collect();
-
-        let mut blocked = HeraSession::builder(config.clone()).build();
-        let schemas = blocked.mirror_schemas(&ds.registry);
-        for rec in &records[..4] {
-            blocked
-                .add_record(schemas[rec.schema.index()], rec.values.clone())
-                .unwrap();
-            blocked.resolve();
-        }
-        assert!(blocked.merge_count() > 0, "merges relabel the join");
-        assert!(!blocked.join.is_empty());
-        assert_eq!(blocked.join.probed(), 0);
-        blocked.checkpoint(&path).unwrap();
-
-        let metric = Arc::new(TypeDispatch::paper_default());
-        let mut resumed = HeraSession::restore(&path, config, metric).unwrap();
-        std::fs::remove_file(&path).ok();
-        for rec in &records[4..] {
-            resumed
-                .add_record(schemas[rec.schema.index()], rec.values.clone())
-                .unwrap();
-        }
-        resumed.resolve();
-        assert_eq!(resumed.clusters().len(), 2);
-        assert_eq!(resumed.join.probed(), 0);
-
-        let mut open = HeraSession::builder(HeraConfig::paper_example()).build();
-        let schemas = open.mirror_schemas(&ds.registry);
-        for rec in &records {
-            open.add_record(schemas[rec.schema.index()], rec.values.clone())
-                .unwrap();
-        }
-        assert!(open.join.probed() > 0);
     }
 
     #[test]

@@ -47,9 +47,10 @@
 //! default), and the join applies it only then
 //! ([`ValueSimilarity::qgram_compatible`]). Under any other metric the
 //! same probe runs over full signatures with the filters off: the
-//! candidates are share-a-gram — what [`IncrementalJoin`] probes with, so
-//! batch and streaming ingest find the same pairs; use
-//! [`JoinConfig::all_pairs`] for metric-agnostic exactness.
+//! candidates are share-a-gram. Use [`JoinConfig::all_pairs`] for
+//! metric-agnostic exactness; it is what [`IncrementalJoin`] computes
+//! between an incoming record and the records it gathers, under any
+//! metric, so streaming ingest finds a superset of the share-a-gram pairs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

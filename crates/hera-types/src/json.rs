@@ -203,11 +203,19 @@ fn write_seq<T>(
     out.push(close);
 }
 
-/// Parses a JSON document; trailing non-whitespace is an error.
+/// How deeply arrays and objects may nest in a parsed document. The parser
+/// recurses once per level, so without a bound one line of `[`s overflows
+/// the reading thread's stack, which aborts the process; every document
+/// this workspace writes nests fewer than 10 levels.
+const MAX_DEPTH: usize = 128;
+
+/// Parses a JSON document; trailing non-whitespace, or arrays and objects
+/// nested more than 128 levels deep, is an error.
 pub fn parse(input: &str) -> Result<Json> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -221,6 +229,8 @@ pub fn parse(input: &str) -> Result<Json> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -258,8 +268,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.eat_literal("true", Json::Bool(true)),
             Some(b'f') => self.eat_literal("false", Json::Bool(false)),
@@ -267,6 +277,17 @@ impl Parser<'_> {
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.error("expected a JSON value")),
         }
+    }
+
+    /// Parses an array or object one level deeper, or refuses to.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json>) -> Result<Json> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.error(&format!("nested deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn object(&mut self) -> Result<Json> {
@@ -508,6 +529,23 @@ mod tests {
                 assert_eq!(pairs[1].0, "a");
             }
             _ => panic!("expected object"),
+        }
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nest = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        let mut v = parse(&nest(MAX_DEPTH)).unwrap();
+        for _ in 1..MAX_DEPTH {
+            v = v.as_arr().unwrap()[0].clone();
+        }
+        assert_eq!(v, Json::Arr(Vec::new()));
+        let objects = r#"{"a":"#.repeat(MAX_DEPTH - 1) + "[]" + &"}".repeat(MAX_DEPTH - 1);
+        assert!(parse(&objects).is_ok());
+        for deep in [nest(MAX_DEPTH + 1), "[".repeat(100_000)] {
+            let err = parse(&deep).unwrap_err().to_string();
+            let at = format!("at byte {MAX_DEPTH}: nested deeper than {MAX_DEPTH} levels");
+            assert!(err.contains(&at), "{err}");
         }
     }
 

@@ -143,9 +143,11 @@ fn join_prefix_filter_is_lossless() {
 }
 
 /// The prefix filter is complete only for q-gram Jaccard, so under any
-/// other string metric the batch join generates share-a-gram candidates —
-/// what `IncrementalJoin` probes with. Batch and streaming ingest then
-/// find the same value pairs, similarities bit for bit.
+/// other string metric the batch join generates share-a-gram candidates,
+/// while streaming ingest scores every live value the filters cannot rule
+/// out — under edit similarity, every one. Streamed record by record, the
+/// incremental join then finds exactly the exhaustive join's value pairs,
+/// similarities bit for bit, and so a superset of the batch join's.
 #[test]
 fn batch_and_incremental_join_agree_under_edit_similarity() {
     let ds = dataset(6);
@@ -167,14 +169,26 @@ fn batch_and_incremental_join_agree_under_edit_similarity() {
         keyed.sort_unstable();
         keyed
     };
+    // Pairs the stream adds to the share-a-gram batch join, per ξ: string
+    // pairs with no gram in common that edit similarity still scores at ξ
+    // or above. On this dataset only the lowest ξ has any.
+    let mut added = Vec::new();
     for xi in [0.4, 0.6, 0.8] {
-        let batch = SimilarityJoin::new(JoinConfig::new(xi), &metric).join(&values);
+        let exhaustive = SimilarityJoin::new(JoinConfig::new(xi).exhaustive(), &metric);
+        let batch = keyed(SimilarityJoin::new(JoinConfig::new(xi), &metric).join(&values));
         let mut incremental = IncrementalJoin::new(xi, 2, Arc::new(metric.clone()));
         let mut streamed = Vec::new();
-        for (label, value) in &values {
-            streamed.extend(incremental.insert(*label, value.clone()));
+        for r in ds.iter() {
+            streamed.extend(incremental.insert_record(r.id.raw(), r.values.clone()));
         }
+        let streamed = keyed(streamed);
         assert!(!batch.is_empty(), "xi={xi}");
-        assert_eq!(keyed(batch), keyed(streamed), "xi={xi}");
+        assert_eq!(streamed, keyed(exhaustive.join(&values)), "xi={xi}");
+        assert!(
+            batch.iter().all(|p| streamed.binary_search(p).is_ok()),
+            "xi={xi}: a batch pair the stream lost"
+        );
+        added.push(streamed.len() - batch.len());
     }
+    assert_eq!(added, [15, 0, 0]);
 }

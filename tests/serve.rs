@@ -114,6 +114,25 @@ not even json
     assert!(is_ok(&replies[9]), "shutdown acks");
 }
 
+/// A line of 10⁵ nested arrays gets an error reply naming the depth
+/// bound, where an unbounded recursive parse would overflow the reading
+/// thread's stack and abort the process, and the next request on the
+/// same stream is answered.
+#[test]
+fn deeply_nested_line_is_refused_and_serving_continues() {
+    let service = ErService::builder(HeraConfig::new(DELTA, XI), 1).build();
+    let script = "[".repeat(100_000)
+        + "\n"
+        + r#"{"cmd":"schema","name":"crm","attrs":["name","city"]}"#
+        + "\n";
+    let replies = run_script(&service, &script);
+    assert_eq!(replies.len(), 2);
+    assert!(!is_ok(&replies[0]), "the deep line must error");
+    let error = replies[0].expect("error").unwrap().as_str().unwrap();
+    assert!(error.contains("nested deeper than 128 levels"), "{error}");
+    assert!(is_ok(&replies[1]), "the next request is served");
+}
+
 /// A bare session with the dataset's schemas mirrored in.
 fn reference_session(ds: &hera::Dataset) -> (HeraSession, Vec<SchemaId>) {
     let mut session = HeraSession::builder(HeraConfig::new(DELTA, XI)).build();
