@@ -20,15 +20,15 @@ USAGE:
   hera-cli generate --size N [--dup-ratio 0.3] [--sources 6] [--attrs 12]
                 [--corruption <light|moderate|heavy>] [--seed N] [--out FILE]
   hera-cli resolve  --input FILE [--delta 0.5] [--xi 0.5] [--threads N] [--labels FILE]
-                [--eval] [--matchings] [--no-sim-cache] [--trace FILE.jsonl]
+                [--eval] [--matchings] [--trace FILE.jsonl]
                 [--trace-stderr] [--trace-deterministic] [--streaming]
                 [--checkpoint FILE.hera] [--checkpoint-every N]
                 [--budget N] [--budget-merges M]
                 [--fault-plan FILE.json] [--blocking <none|token|qgram|lsh>]
   hera-cli checkpoint --input FILE --out FILE.hera [--upto N] [--delta 0.5] [--xi 0.5]
-                [--threads N] [--no-sim-cache] [--blocking <none|token|qgram|lsh>]
+                [--threads N] [--blocking <none|token|qgram|lsh>]
   hera-cli restore-resolve --snapshot FILE.hera --input FILE [--labels FILE] [--eval]
-                [--matchings] [--delta 0.5] [--xi 0.5] [--threads N] [--no-sim-cache]
+                [--matchings] [--delta 0.5] [--xi 0.5] [--threads N]
                 [--budget N] [--budget-merges M] [--checkpoint FILE.hera]
                 [--trace FILE.jsonl] [--trace-stderr] [--trace-deterministic]
                 [--blocking <none|token|qgram|lsh>]
@@ -39,10 +39,10 @@ USAGE:
   hera-cli faults gen --seed N [--out FILE.json]
   hera-cli faults replay --input FILE --plan FILE.json [--checkpoint-every N]
                 [--crash-after N] [--strict-checkpoints] [--upto N] [--resolve-budget N]
-                [--delta 0.5] [--xi 0.5] [--threads N] [--no-sim-cache]
+                [--delta 0.5] [--xi 0.5] [--threads N]
   hera-cli serve    [--listen ADDR | (stdio default)] [--restore FILE.hera]
                 [--stitch-every N] [--delta 0.5] [--xi 0.5] [--threads N]
-                [--no-sim-cache] [--blocking <none|token|qgram|lsh>]
+                [--blocking <none|token|qgram|lsh>]
                 [--trace FILE.jsonl] [--trace-deterministic]
                 [--fault-plan FILE.json] [--no-retry]
   hera-cli client   --connect ADDR [--line JSON]...   (stdin JSONL when no --line)
@@ -51,9 +51,7 @@ USAGE:
 
 Datasets are JSON (hera_types::Dataset). Labels are CSV `record_id,entity`.
 `--threads 0` (the default) auto-detects the cores; any setting yields
-bit-identical results. `--no-sim-cache` disables the merge-aware similarity
-memo cache (results are bit-identical either way; the flag exists for
-baseline timing).
+bit-identical results.
 
 `resolve --blocking <scheme>` runs a blocking + meta-blocking pass ahead
 of the similarity join (token, qgram, or lsh — see DESIGN.md, Candidate
@@ -68,8 +66,8 @@ under the blocking scheme that produced it).
 `--trace FILE` writes a structured run journal (JSON Lines: per-stage
 spans, every merge, every decided schema matching — see DESIGN.md,
 Observability). Core journal events are byte-identical at every thread
-count and cache setting; `--trace-deterministic` drops the host-dependent
-timing/diag lines too, making the whole file reproducible.
+count; `--trace-deterministic` drops the host-dependent timing/diag
+lines too, making the whole file reproducible.
 `--trace-stderr` mirrors per-round summaries to stderr as the run goes.
 `trace-check` validates a journal (every line parses, every line has an
 event kind) and prints per-kind counts.
@@ -138,7 +136,6 @@ pub const SWITCHES: &[&str] = &[
     "eval",
     "matchings",
     "no-retry",
-    "no-sim-cache",
     "require-monotonic-rounds",
     "streaming",
     "strict-checkpoints",
@@ -280,9 +277,6 @@ fn build_config(args: &Args) -> Result<HeraConfig, String> {
     let xi = args.get_f64("xi", 0.5)?;
     let threads = args.get_u64("threads", 0)? as usize;
     let mut config = HeraConfig::new(delta, xi).with_threads(threads);
-    if args.has("no-sim-cache") {
-        config = config.without_sim_cache();
-    }
     if let Some(scheme) = args.get("blocking") {
         config = config.with_blocking(BlockingScheme::parse(scheme)?);
     }
@@ -423,19 +417,7 @@ fn report_session(args: &Args, ds: &Dataset, session: &mut HeraSession) -> Resul
         "  ingest: {:?} · admit: {:?} · join insert: {:?}",
         stats.ingest_time, stats.admit_time, stats.join_insert_time
     );
-    if args.has("no-sim-cache") {
-        eprintln!("  sim cache: off · {} metric calls", stats.metric_sim_calls);
-    } else {
-        eprintln!(
-            "  sim cache: {} hits / {} misses ({:.0}% hit rate) · {} entries, {} invalidated · {} metric calls",
-            stats.sim_cache_hits,
-            stats.sim_cache_misses,
-            stats.sim_cache_hit_rate() * 100.0,
-            stats.sim_cache_size,
-            stats.sim_cache_invalidated,
-            stats.metric_sim_calls
-        );
-    }
+    eprintln!("  metric calls: {}", stats.metric_sim_calls);
     if args.has("eval") {
         let clusters = session.clusters();
         let m = PairMetrics::score(&clusters, &ds.truth);
@@ -668,28 +650,13 @@ fn resolve(args: &Args) -> Result<(), String> {
         result.stats.verify_pairs_per_sec()
     );
     eprintln!(
-        "  loop: {:?} · candidates: {:?} · absorb: {:?} · index/cache merge: {:?}",
+        "  loop: {:?} · candidates: {:?} · absorb: {:?} · index merge: {:?}",
         result.stats.resolve_time,
         result.stats.candidate_time,
         result.stats.absorb_time,
         result.stats.merge_time
     );
-    if args.has("no-sim-cache") {
-        eprintln!(
-            "  sim cache: off · {} metric calls",
-            result.stats.metric_sim_calls
-        );
-    } else {
-        eprintln!(
-            "  sim cache: {} hits / {} misses ({:.0}% hit rate) · {} entries, {} invalidated · {} metric calls",
-            result.stats.sim_cache_hits,
-            result.stats.sim_cache_misses,
-            result.stats.sim_cache_hit_rate() * 100.0,
-            result.stats.sim_cache_size,
-            result.stats.sim_cache_invalidated,
-            result.stats.metric_sim_calls
-        );
-    }
+    eprintln!("  metric calls: {}", result.stats.metric_sim_calls);
     if args.has("eval") {
         let m = PairMetrics::score(&result.clusters(), &ds.truth);
         let (bp, br, bf) = bcubed(&result.clusters(), &ds.truth);

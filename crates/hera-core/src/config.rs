@@ -46,11 +46,6 @@ pub struct HeraConfig {
     /// Results are bit-identical for every setting — see
     /// [`crate::parallel`].
     pub num_threads: usize,
-    /// Memoize `metric.sim` results across rounds in a merge-aware cache
-    /// (the crate-internal `SimCache`). Results are bit-identical on or
-    /// off — the cache stores exact metric outputs — so this is purely a
-    /// speed knob; disable to measure the uncached baseline.
-    pub sim_cache: bool,
     /// Candidate generation ahead of the similarity join.
     /// [`BlockingScheme::None`] (the default) keeps the paper-exact
     /// all-pairs enumeration — every existing result is bit-identical.
@@ -79,7 +74,6 @@ impl HeraConfig {
             use_kuhn_munkres: true,
             validate_index: false,
             num_threads: 0,
-            sim_cache: true,
             blocking: BlockingScheme::None,
         }
     }
@@ -116,12 +110,6 @@ impl HeraConfig {
     /// Sets the worker-thread count for the parallel stages (`0` = auto).
     pub fn with_threads(mut self, num_threads: usize) -> Self {
         self.num_threads = num_threads;
-        self
-    }
-
-    /// Disables the merge-aware similarity memo cache (baseline runs).
-    pub fn without_sim_cache(mut self) -> Self {
-        self.sim_cache = false;
         self
     }
 
@@ -172,13 +160,10 @@ mod tests {
             .without_schema_voting()
             .with_greedy_matching()
             .with_bound_mode(BoundMode::Paper)
-            .with_threads(4)
-            .without_sim_cache();
+            .with_threads(4);
         assert!(!c.schema_voting);
         assert!(!c.use_kuhn_munkres);
         assert_eq!(c.bound_mode, BoundMode::Paper);
         assert_eq!(c.num_threads, 4);
-        assert!(!c.sim_cache);
-        assert!(HeraConfig::paper_example().sim_cache);
     }
 }

@@ -186,7 +186,7 @@ impl Hera {
 
         let t1 = Instant::now();
         let ctx = Ctx::new(cfg, rec, self.metric.as_ref(), &ds.registry);
-        let mut engine = Engine::for_dataset(ds, index, cfg.sim_cache);
+        let mut engine = Engine::for_dataset(ds, index);
         engine.stats.index_size = engine.index.len();
         engine.stats.index_build_time = index_build_time;
         engine.stats.threads = ctx.threads;
@@ -225,22 +225,16 @@ impl Hera {
             ("final_index_size", stats.final_index_size as i64),
             ("graph_nodes_sum", stats.graph_nodes_sum as i64),
             ("simplified_nodes_sum", stats.simplified_nodes_sum as i64),
-            ("sim_lookups", stats.sim_lookups() as i64),
+            ("sim_lookups", stats.metric_sim_calls as i64),
         ]);
-        // Host- and configuration-dependent numbers go on a diagnostic
-        // line: raw hit/miss counts differ with the cache off, thread
-        // count differs per run — neither may touch the core journal.
+        // Host-dependent numbers go on a diagnostic line: the thread
+        // count differs per run, so it may not touch the core journal.
         let int = |n: u64| Json::Int(n as i64);
         rec.emit_diag(
             "diag",
             vec![
                 ("threads", int(stats.threads as u64)),
-                ("sim_cache", Json::Bool(cfg.sim_cache)),
-                ("cache_hits", int(stats.sim_cache_hits)),
-                ("cache_misses", int(stats.sim_cache_misses)),
                 ("metric_sim_calls", int(stats.metric_sim_calls)),
-                ("cache_size", int(stats.sim_cache_size as u64)),
-                ("cache_invalidated", int(stats.sim_cache_invalidated)),
             ],
         );
         rec.timing("resolve", None, stats.resolve_time);
@@ -366,8 +360,8 @@ impl BatchRound<'_, '_> {
         let merges_before = self.engine.stats.merges;
         let mut touched: FxHashSet<u32> = FxHashSet::default();
         let mut reverified = StageAgg::default();
-        for (&key, (snapshot, fills)) in list.iter().zip(&verdicts) {
-            let Some(cur) = self.engine.settle(key, fills) else {
+        for (&key, snapshot) in list.iter().zip(&verdicts) {
+            let Some(cur) = self.engine.settle(key) else {
                 continue;
             };
             if cur != key {
@@ -536,30 +530,6 @@ mod tests {
         let cfg = HeraConfig::paper_example().with_index_validation();
         let result = Hera::builder(cfg).build().run(&ds).unwrap();
         assert_eq!(result.entity_count(), 2);
-    }
-
-    #[test]
-    fn sim_cache_does_not_change_results() {
-        let ds = motivating_example();
-        // validate_index also exercises SimCache::check_invariants after
-        // every iteration's merges.
-        let on = Hera::builder(HeraConfig::paper_example().with_index_validation())
-            .build()
-            .run(&ds)
-            .unwrap();
-        let off = Hera::builder(HeraConfig::paper_example().without_sim_cache())
-            .build()
-            .run(&ds)
-            .unwrap();
-        assert_eq!(on.entity_of, off.entity_of);
-        assert_eq!(on.stats.merges, off.stats.merges);
-        assert_eq!(on.stats.comparisons, off.stats.comparisons);
-        // The cache-off run never touches the cache…
-        assert_eq!(off.stats.sim_cache_hits + off.stats.sim_cache_misses, 0);
-        assert_eq!(off.stats.sim_cache_size, 0);
-        // …and never calls the metric more often than the uncached run.
-        assert!(on.stats.metric_sim_calls <= off.stats.metric_sim_calls);
-        assert_eq!(on.stats.metric_calls_by_round.len(), on.stats.iterations);
     }
 
     #[test]

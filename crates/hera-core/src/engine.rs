@@ -10,7 +10,6 @@
 //! journals are each written once.
 
 use crate::config::HeraConfig;
-use crate::simcache::{SimCache, SimDelta};
 use crate::stats::RunStats;
 use crate::super_record::{LabelRemap, SuperRecord};
 use crate::verify::{InstanceVerifier, Verification, VerifyScratch};
@@ -51,9 +50,6 @@ impl<'a> Ctx<'a> {
     }
 }
 
-/// A snapshot verdict and the cache traffic its verification recorded.
-pub(crate) type Verdict = (Verification, SimDelta);
-
 /// Counters at the start of a round, for the round's deltas.
 pub(crate) struct RoundMark {
     /// The round's number: the lifetime iteration count, monotonic
@@ -66,16 +62,12 @@ pub(crate) struct RoundMark {
 }
 
 /// The resolver state: value-pair index, super records, union–find,
-/// schema voter, similarity cache and the counters over them.
+/// schema voter and the counters over them.
 pub(crate) struct Engine {
     pub(crate) index: ValuePairIndex,
     pub(crate) supers: FxHashMap<u32, SuperRecord>,
     pub(crate) uf: UnionFind,
     pub(crate) voter: SchemaVoter,
-    /// Merge-aware `metric.sim` memo: read-only during a snapshot verify
-    /// phase, filled and re-homed in the sequential apply phase, so
-    /// results are bit-identical at every thread count.
-    pub(crate) cache: Option<SimCache>,
     pub(crate) stats: RunStats,
     /// Scratch for the sequential re-verifications.
     scratch: VerifyScratch,
@@ -84,13 +76,12 @@ pub(crate) struct Engine {
 impl Engine {
     /// An engine over no records, to be grown by [`Engine::push_record`]
     /// and `index.extend`.
-    pub(crate) fn empty(sim_cache: bool) -> Self {
+    pub(crate) fn empty() -> Self {
         Self {
             index: ValuePairIndex::default(),
             supers: FxHashMap::default(),
             uf: UnionFind::new(0),
             voter: SchemaVoter::new(),
-            cache: sim_cache.then(SimCache::new),
             stats: RunStats::default(),
             scratch: VerifyScratch::new(),
         }
@@ -98,7 +89,7 @@ impl Engine {
 
     /// An engine over a whole dataset and the index bulk-built from its
     /// similarity join: every record a singleton super record.
-    pub(crate) fn for_dataset(ds: &Dataset, index: ValuePairIndex, sim_cache: bool) -> Self {
+    pub(crate) fn for_dataset(ds: &Dataset, index: ValuePairIndex) -> Self {
         let supers = ds
             .iter()
             .map(|r| (r.id.raw(), SuperRecord::from_record(ds, r)))
@@ -107,7 +98,7 @@ impl Engine {
             index,
             supers,
             uf: UnionFind::new(ds.len()),
-            ..Self::empty(sim_cache)
+            ..Self::empty()
         }
     }
 
@@ -198,10 +189,10 @@ impl Engine {
         stage: &str,
         round: usize,
         comparisons: bool,
-    ) -> Vec<Verdict> {
+    ) -> Vec<Verification> {
         let started = Instant::now();
         let verdicts = {
-            let (index, supers, cache) = (&self.index, &self.supers, &self.cache);
+            let (index, supers) = (&self.index, &self.supers);
             let (verifier, registry) = (&ctx.verifier, ctx.registry);
             let voter = ctx.cfg.schema_voting.then_some(&self.voter);
             crate::parallel::par_map_with(
@@ -209,42 +200,26 @@ impl Engine {
                 pairs,
                 VerifyScratch::new,
                 |scratch, &(a, b)| {
-                    let v = verifier.verify_with(
-                        index,
-                        &supers[&a],
-                        &supers[&b],
-                        registry,
-                        voter,
-                        cache.as_ref(),
-                        scratch,
-                    );
-                    (v, std::mem::take(&mut scratch.delta))
+                    verifier.verify_with(index, &supers[&a], &supers[&b], registry, voter, scratch)
                 },
             )
         };
         let elapsed = started.elapsed();
         self.stats.verify_time += elapsed;
         let mut agg = StageAgg::default();
-        for (v, delta) in &verdicts {
-            count(&mut self.stats, v, delta, comparisons);
-            agg.add(v, delta);
+        for v in &verdicts {
+            count(&mut self.stats, v, comparisons);
+            agg.add(v);
         }
         agg.emit(ctx.rec, stage, round);
         ctx.rec.timing(stage, Some(round), elapsed);
         verdicts
     }
 
-    /// First step of applying a snapshot verdict: banks its cache fills
-    /// and resolves the pair to its current roots. The fills are exact
-    /// metric outputs, so they are kept even if the verdict itself went
-    /// stale — minus those naming a since-folded record, as only root
-    /// labels stay valid across merges. `None` when an earlier merge
+    /// First step of applying a snapshot verdict: resolves the pair to
+    /// its current roots, smaller first. `None` when an earlier merge
     /// already joined the two sides.
-    pub(crate) fn settle(&mut self, pair: (u32, u32), fills: &SimDelta) -> Option<(u32, u32)> {
-        if let Some(c) = self.cache.as_mut() {
-            let uf = &self.uf;
-            c.apply_if(fills, |l| uf.find_const(l.rid) == l.rid);
-        }
+    pub(crate) fn settle(&mut self, pair: (u32, u32)) -> Option<(u32, u32)> {
         let (ri, rj) = (self.uf.find(pair.0), self.uf.find(pair.1));
         (ri != rj).then_some((ri.min(rj), ri.max(rj)))
     }
@@ -267,16 +242,11 @@ impl Engine {
             &self.supers[&b],
             ctx.registry,
             ctx.cfg.schema_voting.then_some(&self.voter),
-            self.cache.as_ref(),
             &mut self.scratch,
         );
         self.stats.verify_time += started.elapsed();
-        let delta = &self.scratch.delta;
-        count(&mut self.stats, &v, delta, comparison);
-        agg.add(&v, delta);
-        if let Some(c) = self.cache.as_mut() {
-            c.apply(delta);
-        }
+        count(&mut self.stats, &v, comparison);
+        agg.add(&v);
         v
     }
 
@@ -340,8 +310,8 @@ impl Engine {
     /// Folds super record `j` into `i` along the field matching and
     /// maintains everything keyed by their labels (§III-B2), in this
     /// order: union–find, the super records (`⊕`, which yields the label
-    /// remap), the index — the `(i, j)` group is deleted, third-party
-    /// groups re-homed — and the similarity cache through the same remap.
+    /// remap), and the index through that remap — the `(i, j)` group is
+    /// deleted, third-party groups re-homed.
     fn merge(&mut self, i: u32, j: u32, matching: &[(u32, u32, f64)]) -> LabelRemap {
         debug_assert!(i < j);
         let k = self.uf.union(i, j);
@@ -353,9 +323,6 @@ impl Engine {
         let remap = winner.absorb(&loser, &field_matching);
         let absorbed = Instant::now();
         self.index.merge(i, j, k, |l| remap.apply(l));
-        if let Some(cache) = self.cache.as_mut() {
-            cache.merge(i, j, k, |l| remap.apply(l));
-        }
         self.stats.absorb_time += absorbed - started;
         self.stats.merge_time += absorbed.elapsed();
         self.stats.merges += 1;
@@ -382,8 +349,8 @@ impl Engine {
 
     /// Closes a round: records its metric calls, journals `round_end`
     /// and the round's share of the loop timers and, under
-    /// [`HeraConfig::validate_index`], checks the index and cache
-    /// invariants — the error names the broken one.
+    /// [`HeraConfig::validate_index`], checks the index invariants — the
+    /// error names the broken one.
     pub(crate) fn end_round(
         &mut self,
         ctx: &Ctx<'_>,
@@ -411,11 +378,6 @@ impl Engine {
             self.index
                 .check_invariants()
                 .map_err(|e| format!("index invariant broken after iteration {round}: {e}"))?;
-            if let Some(c) = &self.cache {
-                c.check_invariants().map_err(|e| {
-                    format!("sim-cache invariant broken after iteration {round}: {e}")
-                })?;
-            }
         }
         Ok(())
     }
@@ -424,28 +386,22 @@ impl Engine {
     /// took `elapsed`.
     pub(crate) fn seal(&mut self, elapsed: Duration) {
         self.stats.final_index_size = self.index.len();
-        if let Some(c) = &self.cache {
-            self.stats.sim_cache_size = c.len();
-            self.stats.sim_cache_invalidated = c.invalidated();
-        }
         self.stats.resolve_time += elapsed;
     }
 }
 
 /// Folds one verification into the lifetime counters.
-fn count(stats: &mut RunStats, v: &Verification, delta: &SimDelta, comparison: bool) {
+fn count(stats: &mut RunStats, v: &Verification, comparison: bool) {
     stats.comparisons += usize::from(comparison);
     stats.simplified_nodes_sum += v.simplified_nodes;
     stats.graph_nodes_sum += v.graph_nodes;
     stats.matchings_run += 1;
-    stats.record_cache_delta(delta);
+    stats.metric_sim_calls += v.metric_calls;
 }
 
 /// Deterministic per-stage aggregate over a list of verifications, folded
 /// in input order (the `par_map_with` output order, which is independent
-/// of thread count). `lookups` uses [`SimDelta::lookups`], the
-/// cache-invariant counter, so the emitted span is byte-identical with
-/// the similarity cache on or off.
+/// of thread count). `lookups` sums the verifications' metric calls.
 #[derive(Debug, Default)]
 pub(crate) struct StageAgg {
     pub(crate) pairs: i64,
@@ -456,9 +412,9 @@ pub(crate) struct StageAgg {
 }
 
 impl StageAgg {
-    fn add(&mut self, v: &Verification, delta: &SimDelta) {
+    fn add(&mut self, v: &Verification) {
         self.pairs += 1;
-        self.lookups += delta.lookups() as i64;
+        self.lookups += v.metric_calls as i64;
         self.graph_nodes += v.graph_nodes as i64;
         self.simplified_nodes += v.simplified_nodes as i64;
         self.components += v.components as i64;
@@ -491,7 +447,7 @@ mod tests {
         let ds = motivating_example();
         let metric = TypeDispatch::paper_default();
         let pairs = SimilarityJoin::new(JoinConfig::new(0.5), &metric).join_dataset(&ds);
-        let mut engine = Engine::for_dataset(&ds, ValuePairIndex::build(pairs), true);
+        let mut engine = Engine::for_dataset(&ds, ValuePairIndex::build(pairs));
         // Fig. 8's first merges (0-based rids): r1 ⊕ r6, then r2 ⊕ r4.
         engine.merge(0, 5, &[(0, 0, 1.0), (1, 1, 1.0)]);
         engine.merge(1, 3, &[]);

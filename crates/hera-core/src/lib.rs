@@ -17,10 +17,6 @@
 //! * [`parallel`] — the scoped worker pool behind every parallel stage
 //!   (re-exported from `hera-types`; deterministic: results are
 //!   bit-identical for every thread count);
-//! * the similarity cache ([`HeraConfig::sim_cache`]) — merge-aware
-//!   memoization of `metric.sim` on the verification hot path,
-//!   invalidated/re-homed through the same label remap the index uses,
-//!   populated deterministically in the sequential apply phase;
 //! * [`RunStats`] — the counters behind Table II, Fig. 10 and Fig. 12.
 //!
 //! ```
@@ -43,7 +39,6 @@ mod config;
 mod driver;
 mod engine;
 mod session;
-mod simcache;
 mod stats;
 mod super_record;
 mod verify;

@@ -20,7 +20,6 @@
 
 use crate::config::HeraConfig;
 use crate::engine::{Ctx, Engine};
-use crate::simcache::SimCache;
 use crate::stats::RunStats;
 use crate::super_record::SuperRecord;
 use crate::voter::{DecidedMatching, SchemaVoter};
@@ -219,9 +218,7 @@ pub struct HeraSession {
     config: HeraConfig,
     metric: Arc<dyn ValueSimilarity>,
     registry: SchemaRegistry,
-    /// Index, super records, union–find, voter, similarity cache (it
-    /// persists across `resolve` calls, so a long-lived session keeps
-    /// amortizing its metric work) and the lifetime counters —
+    /// Index, super records, union–find, voter and the lifetime counters —
     /// `stats.iterations` is the monotonic `round` of the session's
     /// journal events and survives checkpoint/restore.
     engine: Engine,
@@ -317,7 +314,7 @@ impl HeraSessionBuilder {
     pub fn build(self) -> HeraSession {
         HeraSession {
             join: IncrementalJoin::new(self.config.xi, 2, self.metric.clone()),
-            engine: Engine::empty(self.config.sim_cache),
+            engine: Engine::empty(),
             blocker: StreamingBlocker::new(&self.config.blocking),
             config: self.config,
             metric: self.metric,
@@ -406,12 +403,6 @@ impl HeraSessionBuilder {
         engine.index = ValuePairIndex::from_json(snap.expect("index")?, record_count)?;
         engine.voter = SchemaVoter::from_json(snap.expect("voter")?)?;
         engine.stats = RunStats::from_json(snap.expect("stats")?)?;
-        // The cache is state *and* policy: restore it only when this
-        // config runs with the cache on. A cache-off snapshot restored
-        // into a cache-on config simply starts the memo empty.
-        if let (Some(cache), Some(j)) = (engine.cache.as_mut(), snap.get("sim_cache")) {
-            *cache = SimCache::from_json(j)?;
-        }
         for d in snap.expect("dirty")?.as_arr()? {
             let rid = d.as_u32()?;
             if rid as usize >= record_count {
@@ -535,7 +526,6 @@ impl HeraSession {
             "config",
             Json::Obj(vec![
                 ("xi".into(), Json::Float(self.config.xi)),
-                ("sim_cache".into(), Json::Bool(self.config.sim_cache)),
                 (
                     "blocking".into(),
                     Json::Str(self.config.blocking.name().into()),
@@ -557,9 +547,6 @@ impl HeraSession {
         snap.insert("union_find", engine.uf.to_json());
         snap.insert("index", engine.index.to_json());
         snap.insert("voter", engine.voter.to_json());
-        if let Some(c) = &engine.cache {
-            snap.insert("sim_cache", c.to_json());
-        }
         let mut dirty: Vec<u32> = self.dirty.iter().copied().collect();
         dirty.sort_unstable();
         snap.insert(
@@ -693,7 +680,7 @@ impl HeraSession {
     /// deterministic tie-breaks), so merges come out confidence-ranked
     /// and a small budget completes the biggest clusters first. The schedule is
     /// a pure function of session state: results are bit-identical for
-    /// every [`HeraConfig::num_threads`] setting and cache on/off, and
+    /// every [`HeraConfig::num_threads`] setting, and
     /// the merges emitted under budget `b` are a prefix of those emitted
     /// under any budget `b' > b` (a budget only truncates the schedule,
     /// never reorders it).
@@ -895,8 +882,8 @@ impl HeraSession {
         let mut touched: FxHashSet<u32> = FxHashSet::default();
         let mut deferred_stale = 0i64;
         let deferred_before = report.comparisons_deferred;
-        for (&key, (v, fills)) in verify_list.iter().zip(&verdicts) {
-            let Some(cur) = self.engine.settle(key, fills) else {
+        for (&key, v) in verify_list.iter().zip(&verdicts) {
+            let Some(cur) = self.engine.settle(key) else {
                 continue;
             };
             if cur != key || touched.contains(&cur.0) || touched.contains(&cur.1) {
@@ -1080,7 +1067,7 @@ impl HeraSession {
         self.engine.stats.merges
     }
 
-    /// Lifetime run statistics (iterations, comparisons, cache traffic,
+    /// Lifetime run statistics (iterations, comparisons, metric calls,
     /// …). Deterministic counters survive [`HeraSession::checkpoint`] /
     /// restore, so a restored-and-continued session reports the same
     /// numbers an uninterrupted one would.
@@ -1093,10 +1080,12 @@ impl HeraSession {
         self.engine.index.len()
     }
 
-    /// Entries currently held by the similarity memo cache (0 when the
-    /// cache is disabled via [`HeraConfig::sim_cache`]).
+    /// Always 0: the session holds no similarity memo. Kept only because
+    /// the frozen `benchmark/` package calls it; removed with ROADMAP
+    /// item 1(a).
+    #[doc(hidden)]
     pub fn sim_cache_size(&self) -> usize {
-        self.engine.cache.as_ref().map_or(0, SimCache::len)
+        0
     }
 
     /// Schema matchings decided so far.
@@ -1243,15 +1232,12 @@ mod tests {
                 .unwrap();
             session.resolve();
             session.engine.index.check_invariants().unwrap();
-            if let Some(c) = &session.engine.cache {
-                c.check_invariants().unwrap();
-            }
         }
     }
 
     /// Streaming twin of the batch driver's
     /// `index_invariants_hold_throughout_run`: under `validate_index` the
-    /// session checks the index and cache invariants after every round
+    /// session checks the index invariants after every round
     /// (and panics on a broken one).
     #[test]
     fn session_index_invariants_hold_throughout_run() {
@@ -1267,27 +1253,6 @@ mod tests {
         }
         assert!(session.stats().iterations > 0);
         assert_eq!(session.clusters().len(), 2);
-    }
-
-    #[test]
-    fn session_cache_on_off_agree() {
-        let ds = motivating_example();
-        let stream = |cfg: HeraConfig| {
-            let mut session = HeraSession::builder(cfg).build();
-            let schemas = session.mirror_schemas(&ds.registry);
-            for rec in ds.iter() {
-                session
-                    .add_record(schemas[rec.schema.index()], rec.values.clone())
-                    .unwrap();
-                session.resolve();
-            }
-            session
-        };
-        let mut cached = stream(HeraConfig::paper_example());
-        let mut uncached = stream(HeraConfig::paper_example().without_sim_cache());
-        assert_eq!(cached.clusters(), uncached.clusters());
-        assert_eq!(cached.merge_count(), uncached.merge_count());
-        assert_eq!(uncached.sim_cache_size(), 0);
     }
 
     /// Stats rendering with the wall-clock fields zeroed — what must be

@@ -1,7 +1,7 @@
 //! Run statistics — the counters behind Table II, Fig. 10, and Fig. 12.
 
 use hera_types::json::Json;
-use hera_types::Result;
+use hera_types::{HeraError, Result};
 use std::time::Duration;
 
 /// Counters and timings collected during one [`Hera`](crate::Hera) run.
@@ -51,7 +51,7 @@ pub struct RunStats {
     /// which yields each merge's label remap).
     pub absorb_time: Duration,
     /// Wall-clock time spent on merge maintenance (§III-B2): re-homing
-    /// the index groups and similarity-cache entries of folded records.
+    /// the index groups of folded records.
     pub merge_time: Duration,
     /// Wall-clock time of a session's `add_record` calls, entry to exit:
     /// streaming ingest, none of it resolution (zero for a batch run).
@@ -67,19 +67,15 @@ pub struct RunStats {
     pub join_insert_time: Duration,
     /// Worker threads used by the parallel stages.
     pub threads: usize,
-    /// Similarity-cache lookups answered from the cache.
-    pub sim_cache_hits: u64,
-    /// Similarity-cache lookups that fell through to the metric.
-    pub sim_cache_misses: u64,
-    /// Cache entries invalidated or folded by merge maintenance.
-    pub sim_cache_invalidated: u64,
-    /// Entries held by the cache when the run finished.
-    pub sim_cache_size: usize,
-    /// Total `metric.sim` invocations on the verification path.
+    /// Total `metric.sim` invocations on the verification path: the value
+    /// pairs of forced field pairs the index holds no similar pair for.
+    /// Counts calls actually made. A snapshot written while a similarity
+    /// memo answered some lookups restores with the calls it recorded,
+    /// so after restoring one with H memo hits the lifetime count is H
+    /// below that of an uninterrupted run.
     pub metric_sim_calls: u64,
-    /// `metric.sim` invocations per compare-and-merge iteration — with
-    /// the cache on, this should fall across rounds as re-verifications
-    /// hit memoized value pairs.
+    /// `metric.sim` invocations per compare-and-merge iteration; sums to
+    /// [`RunStats::metric_sim_calls`].
     pub metric_calls_by_round: Vec<u64>,
 }
 
@@ -121,28 +117,18 @@ impl RunStats {
         }
     }
 
-    /// Fraction of similarity-cache lookups answered from the cache.
-    /// Zero when no lookup happened (cache off or no forced-pair work).
+    /// Always 0: no similarity memo answers lookups. Kept only because
+    /// the frozen `benchmark/` package calls it; removed with ROADMAP
+    /// item 1(a).
+    #[doc(hidden)]
     pub fn sim_cache_hit_rate(&self) -> f64 {
-        let total = self.sim_cache_hits + self.sim_cache_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.sim_cache_hits as f64 / total as f64
-        }
+        0.0
     }
 
     /// The loop timers beside `verify_time`, as `[candidate, absorb,
     /// merge]`.
     pub(crate) fn loop_times(&self) -> [Duration; 3] {
         [self.candidate_time, self.absorb_time, self.merge_time]
-    }
-
-    /// Folds one verification's cache traffic into the counters.
-    pub(crate) fn record_cache_delta(&mut self, delta: &crate::simcache::SimDelta) {
-        self.sim_cache_hits += delta.hits;
-        self.sim_cache_misses += delta.misses;
-        self.metric_sim_calls += delta.metric_calls;
     }
 
     /// Index-construction throughput: indexed value pairs per second of
@@ -154,16 +140,6 @@ impl RunStats {
         } else {
             self.index_size as f64 / secs
         }
-    }
-
-    /// Cache-invariant count of value-pair similarity lookups on the
-    /// verification path. With the cache on every lookup is a hit or a
-    /// miss (`metric_sim_calls == sim_cache_misses`); with it off every
-    /// lookup calls the metric directly (`hits = misses = 0`). The max
-    /// folds both cases so the figure matches across cache modes — it is
-    /// the number journal spans report.
-    pub fn sim_lookups(&self) -> u64 {
-        self.sim_cache_hits + self.sim_cache_misses.max(self.metric_sim_calls)
     }
 
     /// Encodes the counters as JSON. Durations are stored as integer
@@ -235,22 +211,6 @@ impl RunStats {
             ),
             ("threads".into(), Json::Int(self.threads as i64)),
             (
-                "sim_cache_hits".into(),
-                Json::Int(self.sim_cache_hits as i64),
-            ),
-            (
-                "sim_cache_misses".into(),
-                Json::Int(self.sim_cache_misses as i64),
-            ),
-            (
-                "sim_cache_invalidated".into(),
-                Json::Int(self.sim_cache_invalidated as i64),
-            ),
-            (
-                "sim_cache_size".into(),
-                Json::Int(self.sim_cache_size as i64),
-            ),
-            (
                 "metric_sim_calls".into(),
                 Json::Int(self.metric_sim_calls as i64),
             ),
@@ -266,11 +226,16 @@ impl RunStats {
         ])
     }
 
-    /// Decodes counters from [`RunStats::to_json`] output.
+    /// Decodes counters from [`RunStats::to_json`] output; a negative
+    /// counter is [`HeraError::Corrupt`]. Keys it does not read — the
+    /// `sim_cache_*` counters older snapshots carry — are ignored.
     pub fn from_json(json: &Json) -> Result<Self> {
-        let usize_of =
-            |key: &str| -> Result<usize> { Ok(json.expect(key)?.as_i64()?.max(0) as usize) };
-        let u64_of = |key: &str| -> Result<u64> { Ok(json.expect(key)?.as_i64()?.max(0) as u64) };
+        let count = |key: &str, n: &Json| -> Result<u64> {
+            u64::try_from(n.as_i64()?)
+                .map_err(|_| HeraError::Corrupt(format!("negative stats counter {key}")))
+        };
+        let u64_of = |key: &str| count(key, json.expect(key)?);
+        let usize_of = |key: &str| -> Result<usize> { Ok(u64_of(key)? as usize) };
         let dur_of = |key: &str| -> Result<Duration> { Ok(Duration::from_micros(u64_of(key)?)) };
         // The loop and ingest timers postdate the first snapshots: absent
         // reads zero.
@@ -279,7 +244,7 @@ impl RunStats {
         };
         let mut metric_calls_by_round = Vec::new();
         for c in json.expect("metric_calls_by_round")?.as_arr()? {
-            metric_calls_by_round.push(c.as_i64()?.max(0) as u64);
+            metric_calls_by_round.push(count("metric_calls_by_round", c)?);
         }
         Ok(Self {
             iterations: usize_of("iterations")?,
@@ -303,10 +268,6 @@ impl RunStats {
             admit_time: dur_or_zero("admit_us")?,
             join_insert_time: dur_or_zero("join_insert_us")?,
             threads: usize_of("threads")?,
-            sim_cache_hits: u64_of("sim_cache_hits")?,
-            sim_cache_misses: u64_of("sim_cache_misses")?,
-            sim_cache_invalidated: u64_of("sim_cache_invalidated")?,
-            sim_cache_size: usize_of("sim_cache_size")?,
             metric_sim_calls: u64_of("metric_sim_calls")?,
             metric_calls_by_round,
         })
@@ -316,8 +277,6 @@ impl RunStats {
     /// relies on. Returns a description of the first violated invariant.
     ///
     /// Invariants (for a finished run):
-    /// - cache on: every metric call is a recorded cache miss;
-    ///   cache off: no cache traffic and no retained entries
     /// - `metric_calls_by_round` partitions `metric_sim_calls`
     /// - one per-round entry per iteration
     /// - the verify, candidate, absorb and merge timers cover disjoint
@@ -325,28 +284,7 @@ impl RunStats {
     /// - admission and the join insert are disjoint parts of ingest, so
     ///   they sum to at most the ingest time
     /// - every comparison runs at least one matching
-    pub fn check_consistency(&self, cache_enabled: bool) -> std::result::Result<(), String> {
-        if cache_enabled {
-            if self.metric_sim_calls != self.sim_cache_misses {
-                return Err(format!(
-                    "cache on: metric_sim_calls ({}) != sim_cache_misses ({})",
-                    self.metric_sim_calls, self.sim_cache_misses
-                ));
-            }
-        } else {
-            if self.sim_cache_hits != 0 || self.sim_cache_misses != 0 {
-                return Err(format!(
-                    "cache off: recorded cache traffic (hits {}, misses {})",
-                    self.sim_cache_hits, self.sim_cache_misses
-                ));
-            }
-            if self.sim_cache_size != 0 {
-                return Err(format!(
-                    "cache off: cache retained {} entries",
-                    self.sim_cache_size
-                ));
-            }
-        }
+    pub fn check_consistency(&self) -> std::result::Result<(), String> {
         let by_round: u64 = self.metric_calls_by_round.iter().sum();
         if by_round != self.metric_sim_calls {
             return Err(format!(
@@ -409,20 +347,6 @@ mod tests {
     }
 
     #[test]
-    fn cache_hit_rate() {
-        let mut s = RunStats::default();
-        assert_eq!(s.sim_cache_hit_rate(), 0.0);
-        s.record_cache_delta(&crate::simcache::SimDelta {
-            fills: Vec::new(),
-            hits: 3,
-            misses: 1,
-            metric_calls: 1,
-        });
-        assert!((s.sim_cache_hit_rate() - 0.75).abs() < 1e-12);
-        assert_eq!(s.metric_sim_calls, 1);
-    }
-
-    #[test]
     fn json_roundtrip_preserves_counters() {
         let s = RunStats {
             iterations: 3,
@@ -433,10 +357,6 @@ mod tests {
             merges: 7,
             matchings_run: 40,
             threads: 4,
-            sim_cache_hits: 21,
-            sim_cache_misses: 19,
-            sim_cache_invalidated: 2,
-            sim_cache_size: 17,
             metric_sim_calls: 19,
             metric_calls_by_round: vec![10, 6, 3],
             index_build_time: Duration::from_micros(1234),
@@ -454,7 +374,45 @@ mod tests {
         assert_eq!(back.metric_calls_by_round, vec![10, 6, 3]);
         assert_eq!(back.resolve_time, Duration::from_micros(5678));
         assert_eq!(back.merge_time, Duration::from_micros(890));
-        back.check_consistency(true).unwrap();
+        back.check_consistency().unwrap();
+    }
+
+    /// A `stats` section written while a similarity memo answered 21 of
+    /// 40 lookups: the 19 metric calls it made restore as written, the
+    /// memo's counters are dropped, and the per-round counts still
+    /// partition the total.
+    #[test]
+    fn memo_era_stats_restore_their_metric_calls_and_drop_the_memo_keys() {
+        let written = include_str!("../testdata/stats_with_memo_counters.json");
+        let s = RunStats::from_json(&hera_types::json::parse(written).unwrap()).unwrap();
+        assert_eq!(s.metric_sim_calls, 19);
+        assert_eq!(s.metric_calls_by_round, vec![10, 6, 3]);
+        s.check_consistency().unwrap();
+        let dump = s.to_json().to_string_compact();
+        assert!(!dump.contains("sim_cache_"), "{dump}");
+    }
+
+    #[test]
+    fn negative_counters_are_corrupt() {
+        let good = RunStats {
+            iterations: 1,
+            metric_calls_by_round: vec![0],
+            ..Default::default()
+        };
+        for (key, bad) in [
+            ("merges", Json::Int(-1)),
+            ("resolve_us", Json::Int(-5)),
+            ("metric_calls_by_round", Json::Arr(vec![Json::Int(-2)])),
+        ] {
+            let Json::Obj(mut fields) = good.to_json() else {
+                unreachable!()
+            };
+            fields.iter_mut().find(|(k, _)| k == key).unwrap().1 = bad;
+            match RunStats::from_json(&Json::Obj(fields)) {
+                Err(HeraError::Corrupt(msg)) => assert!(msg.contains(key), "{msg}"),
+                other => panic!("{key}: expected Corrupt, got {other:?}"),
+            }
+        }
     }
 
     #[test]
@@ -467,7 +425,7 @@ mod tests {
             merge_time: Duration::from_micros(200),
             ..Default::default()
         };
-        s.check_consistency(true).unwrap();
+        s.check_consistency().unwrap();
         // A snapshot written before the timers existed carries no keys.
         let Json::Obj(mut fields) = s.to_json() else {
             unreachable!()
@@ -477,7 +435,7 @@ mod tests {
         assert_eq!(old.loop_times(), [Duration::ZERO; 3]);
         assert_eq!(old.verify_time, s.verify_time);
         s.merge_time += Duration::from_micros(1);
-        assert!(s.check_consistency(true).is_err());
+        assert!(s.check_consistency().is_err());
     }
 
     #[test]
@@ -488,7 +446,7 @@ mod tests {
             join_insert_time: Duration::from_micros(500),
             ..Default::default()
         };
-        s.check_consistency(true).unwrap();
+        s.check_consistency().unwrap();
         let dump = s.to_json().to_string_compact();
         let back = RunStats::from_json(&hera_types::json::parse(&dump).unwrap()).unwrap();
         assert_eq!(back.ingest_time, s.ingest_time);
@@ -503,7 +461,7 @@ mod tests {
         assert_eq!(old.ingest_time, Duration::ZERO);
         assert_eq!(old.admit_time + old.join_insert_time, Duration::ZERO);
         s.admit_time += Duration::from_micros(101);
-        assert!(s.check_consistency(true).is_err());
+        assert!(s.check_consistency().is_err());
     }
 
     /// A blocked session's ingest timers as the session accumulates
@@ -524,7 +482,7 @@ mod tests {
         let s = session.stats();
         assert!(s.admit_time > Duration::ZERO && s.join_insert_time > Duration::ZERO);
         assert!(s.admit_time + s.join_insert_time <= s.ingest_time);
-        s.check_consistency(true).unwrap();
+        s.check_consistency().unwrap();
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! Instance-based verification (§IV-A): record similarity without schema
 //! matchings.
 
-use crate::simcache::{SimCache, SimDelta};
 use crate::super_record::SuperRecord;
 use crate::voter::SchemaVoter;
 use hera_index::{FieldPairSim, ValuePairIndex};
@@ -9,7 +8,7 @@ use hera_matching::{
     greedy_matching_into, max_weight_matching_observed, BipartiteGraph, Edge, MatchScratch,
 };
 use hera_sim::ValueSimilarity;
-use hera_types::{Label, SchemaRegistry};
+use hera_types::SchemaRegistry;
 use rustc_hash::{FxHashMap, FxHashSet};
 
 /// Outcome of verifying one candidate record pair.
@@ -35,6 +34,10 @@ pub struct Verification {
     /// Connected components the Kuhn–Munkres solver decomposed the
     /// simplified graph into (zero under greedy matching).
     pub components: usize,
+    /// `metric.sim` calls the verification made: one per value pair of
+    /// each field pair a decided schema matching forces but the index
+    /// holds no similar value pair for (§IV-B). Zero without voting.
+    pub metric_calls: u64,
 }
 
 impl Verification {
@@ -119,10 +122,6 @@ pub(crate) struct VerifyScratch {
     node_buf: Vec<u32>,
     edges: Vec<Edge>,
     matcher: MatchScratch,
-    /// Cache traffic recorded by the last `verify_with` call: fills to
-    /// apply (sequentially, if the verdict is used) plus hit/miss/metric
-    /// counters. Take it with [`std::mem::take`] before the next call.
-    pub delta: SimDelta,
 }
 
 impl VerifyScratch {
@@ -151,9 +150,9 @@ impl<'m> InstanceVerifier<'m> {
         }
     }
 
-    /// Computes `Sim(left, right)` (Definition 5) on fresh scratch, without
-    /// memoization. The driver verifies through the crate-internal
-    /// `verify_with`, which reuses scratch and consults the similarity cache.
+    /// Computes `Sim(left, right)` (Definition 5) on fresh scratch. The
+    /// driver verifies through the crate-internal `verify_with`, which
+    /// reuses one scratch across pairs.
     pub fn verify(
         &self,
         index: &ValuePairIndex,
@@ -163,7 +162,7 @@ impl<'m> InstanceVerifier<'m> {
         voter: Option<&SchemaVoter>,
     ) -> Verification {
         let mut scratch = VerifyScratch::new();
-        self.verify_with(index, left, right, registry, voter, None, &mut scratch)
+        self.verify_with(index, left, right, registry, voter, &mut scratch)
     }
 
     /// Computes `Sim(left, right)` (Definition 5).
@@ -175,13 +174,6 @@ impl<'m> InstanceVerifier<'m> {
     /// remaining pairs as a maximum-weight bipartite matching (after
     /// simplification + component decomposition); accumulate and normalize
     /// by `min(|Rᵢ|, |Rⱼ|)` over informative fields.
-    ///
-    /// `cache` is consulted read-only for `metric.sim` results on the
-    /// forced-pair path; misses (and hit/miss/metric-call counts) are
-    /// recorded into `scratch.delta` for the caller to apply sequentially.
-    /// Cached values are exact metric outputs, so results are bit-identical
-    /// with the cache on or off.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn verify_with(
         &self,
         index: &ValuePairIndex,
@@ -189,10 +181,9 @@ impl<'m> InstanceVerifier<'m> {
         right: &SuperRecord,
         registry: &SchemaRegistry,
         voter: Option<&SchemaVoter>,
-        cache: Option<&SimCache>,
         scratch: &mut VerifyScratch,
     ) -> Verification {
-        scratch.delta.clear();
+        let mut metric_calls = 0u64;
         index.similar_field_pairs_into(left.rid, right.rid, &mut scratch.field_pairs);
 
         // ---- Forced pairs from decided schema matchings.
@@ -202,8 +193,7 @@ impl<'m> InstanceVerifier<'m> {
         if let Some(voter) = voter {
             // Candidate forced pairs: any (lf, rf) whose attribute
             // provenances contain a decided pair. simf comes from the
-            // index when available, else is computed directly (through
-            // the memo cache when one is supplied).
+            // index when available, else is computed directly.
             scratch.sim_of.clear();
             scratch.sim_of.extend(
                 scratch
@@ -225,16 +215,10 @@ impl<'m> InstanceVerifier<'m> {
                     }
                     let s = match scratch.sim_of.get(&(lf as u32, rf as u32)) {
                         Some(&s) => s,
-                        None => self.field_sim(
-                            left.rid,
-                            lf as u32,
-                            lfield,
-                            right.rid,
-                            rf as u32,
-                            rfield,
-                            cache,
-                            &mut scratch.delta,
-                        ),
+                        None => {
+                            metric_calls += (lfield.values.len() * rfield.values.len()) as u64;
+                            self.field_sim(lfield, rfield)
+                        }
                     };
                     if s > 0.0 {
                         scratch.cands.push((s, lf as u32, rf as u32));
@@ -300,52 +284,17 @@ impl<'m> InstanceVerifier<'m> {
             graph_nodes,
             forced_count,
             components: outcome.components,
+            metric_calls,
         }
     }
 
-    /// Field similarity per Definition 3: max value-pair similarity.
-    ///
-    /// Each value pair is looked up in `cache` (when present) by its label
-    /// pair before falling back to the metric; fallback results are pushed
-    /// into `delta.fills` for deferred, deterministic memoization.
-    #[allow(clippy::too_many_arguments)]
-    fn field_sim(
-        &self,
-        left_rid: u32,
-        left_fid: u32,
-        a: &crate::super_record::Field,
-        right_rid: u32,
-        right_fid: u32,
-        b: &crate::super_record::Field,
-        cache: Option<&SimCache>,
-        delta: &mut SimDelta,
-    ) -> f64 {
+    /// Field similarity per Definition 3: max value-pair similarity,
+    /// one `metric.sim` call per value pair.
+    fn field_sim(&self, a: &crate::super_record::Field, b: &crate::super_record::Field) -> f64 {
         let mut best = 0.0f64;
-        for (vai, va) in a.values.iter().enumerate() {
-            for (vbi, vb) in b.values.iter().enumerate() {
-                let s = match cache {
-                    Some(cache) => {
-                        let la = Label::new(left_rid, left_fid, vai as u32);
-                        let lb = Label::new(right_rid, right_fid, vbi as u32);
-                        match cache.get(la, lb) {
-                            Some(s) => {
-                                delta.hits += 1;
-                                s
-                            }
-                            None => {
-                                delta.misses += 1;
-                                delta.metric_calls += 1;
-                                let s = self.metric.sim(va, vb);
-                                delta.fills.push((la, lb, s));
-                                s
-                            }
-                        }
-                    }
-                    None => {
-                        delta.metric_calls += 1;
-                        self.metric.sim(va, vb)
-                    }
-                };
+        for va in &a.values {
+            for vb in &b.values {
+                let s = self.metric.sim(va, vb);
                 if s > best {
                     best = s;
                 }
@@ -484,13 +433,14 @@ mod tests {
     }
 
     #[test]
-    fn cached_verify_is_bit_identical_and_hits() {
+    fn forced_path_verify_with_matches_verify_and_counts_metric_calls() {
         let (ds, index, supers) = setup(0.5);
         let metric = TypeDispatch::paper_default();
         let verifier = InstanceVerifier::new(&metric, 0.5, true);
 
-        // Force the voter path so field_sim actually runs (index pairs at
-        // ξ=0.5 miss the dissimilar cross products).
+        // Force Customer I.name ≈ Customer III.name, then verify r1 against
+        // r4: "John" vs "Bush" is no similar pair at ξ = 0.5, so the forced
+        // name pair's similarity comes from the metric.
         let name1 = ds.attr_of_field(hera_types::RecordId::new(0), 0);
         let name3 = ds.attr_of_field(hera_types::RecordId::new(5), 0);
         let mut voter = SchemaVoter::new();
@@ -500,38 +450,23 @@ mod tests {
         assert!(!voter.decide(0.8, 0.6, 3).is_empty());
 
         let mut scratch = VerifyScratch::new();
-        let mut cache = SimCache::new();
-
-        let plain = verifier.verify(&index, &supers[0], &supers[5], &ds.registry, Some(&voter));
-        let first = verifier.verify_with(
-            &index,
-            &supers[0],
-            &supers[5],
-            &ds.registry,
-            Some(&voter),
-            Some(&cache),
-            &mut scratch,
-        );
-        assert_eq!(plain.sim.to_bits(), first.sim.to_bits());
-        assert_eq!(plain.matching, first.matching);
-        let first_misses = scratch.delta.misses;
-        cache.apply(&scratch.delta);
-        cache.check_invariants().unwrap();
-
-        let second = verifier.verify_with(
-            &index,
-            &supers[0],
-            &supers[5],
-            &ds.registry,
-            Some(&voter),
-            Some(&cache),
-            &mut scratch,
-        );
-        assert_eq!(first.sim.to_bits(), second.sim.to_bits());
-        assert_eq!(first.matching, second.matching);
-        assert_eq!(scratch.delta.misses, 0, "second pass must be all hits");
-        assert_eq!(scratch.delta.hits, first_misses);
-        assert_eq!(scratch.delta.metric_calls, 0);
+        let plain = verifier.verify(&index, &supers[0], &supers[3], &ds.registry, Some(&voter));
+        for _ in 0..2 {
+            let reused = verifier.verify_with(
+                &index,
+                &supers[0],
+                &supers[3],
+                &ds.registry,
+                Some(&voter),
+                &mut scratch,
+            );
+            assert_eq!(plain.sim.to_bits(), reused.sim.to_bits());
+            assert_eq!(plain.matching, reused.matching);
+            assert_eq!(plain.metric_calls, reused.metric_calls);
+        }
+        assert!(plain.metric_calls > 0, "the forced path calls the metric");
+        let unforced = verifier.verify(&index, &supers[0], &supers[3], &ds.registry, None);
+        assert_eq!(unforced.metric_calls, 0, "no voter, no metric call");
     }
 
     #[test]
@@ -550,7 +485,6 @@ mod tests {
                     &supers[j],
                     &ds.registry,
                     None,
-                    None,
                     &mut scratch,
                 );
                 let fresh = verifier.verify(&index, &supers[i], &supers[j], &ds.registry, None);
@@ -558,6 +492,7 @@ mod tests {
                 assert_eq!(fresh.matching, reused.matching, "pair {i},{j}");
                 assert_eq!(fresh.graph_nodes, reused.graph_nodes);
                 assert_eq!(fresh.simplified_nodes, reused.simplified_nodes);
+                assert_eq!(fresh.metric_calls, reused.metric_calls);
             }
         }
     }

@@ -9,11 +9,10 @@
 //!   `gauge`, `round_end`, `run_end`) describe *what the algorithm
 //!   decided*: per-stage counter deltas, every merge `rid₁ ⊕ rid₂`, every
 //!   schema matching the voter promoted. Because the pipeline's decisions
-//!   are bit-identical at every thread count and with the similarity
-//!   cache on or off (the PR 1/PR 2 determinism discipline), the core
-//!   journal is **byte-identical** across all those configurations.
+//!   are bit-identical at every thread count, the core journal is
+//!   **byte-identical** across thread counts.
 //! * **Diagnostic events** (`timing`, `diag`) describe *how the run went
-//!   on this host*: wall-clock per stage, thread count, cache traffic.
+//!   on this host*: wall-clock per stage, thread count.
 //!   These legitimately vary run to run, so they are a separate line
 //!   class that [`deterministic_view`] strips and
 //!   [`Recorder::deterministic`] suppresses at the source.
@@ -437,7 +436,7 @@ pub fn validate(journal: &str) -> Result<JournalSummary, String> {
 
 /// The deterministic core of a journal: every line whose `"ev"` kind is
 /// not diagnostic, in order. Two runs of the same dataset and config —
-/// at any thread count, cache on or off — produce byte-identical views.
+/// at any thread count — produce byte-identical views.
 /// Unparseable lines are kept (validation is [`validate`]'s job).
 pub fn deterministic_view(journal: &str) -> String {
     let mut out = String::new();

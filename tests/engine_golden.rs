@@ -1,15 +1,14 @@
 //! Golden pins of the resolver's behaviour across commits.
 //!
 //! Every other equivalence test in this repo compares the system to
-//! itself at one commit (thread counts, cache on/off, checkpointed vs.
-//! straight). The fixtures under `tests/fixtures/` were instead written
+//! itself at one commit (thread counts, checkpointed vs. straight). The fixtures under `tests/fixtures/` were instead written
 //! by commit `db3baa8` — the parent of the change that moved the batch
 //! driver and the streaming session onto one `Engine` — and this file
 //! asserts the current code reproduces them: the journal's deterministic
 //! view (by CRC-32), the partition, the merges in apply order, the
 //! decided schema matchings with their confidence bits, and the
-//! deterministic `RunStats` counters, at 1/2/8 threads with the
-//! similarity cache on and off. `engine_golden_midstream.hera` is a
+//! deterministic `RunStats` counters, at 1/2/8 threads.
+//! `engine_golden_midstream.hera` is a
 //! `#hera-snapshot v1` file the same commit wrote mid-stream, right
 //! after a budget-exhausted call; the current code must restore it and
 //! continue to the recorded end state.
@@ -46,13 +45,8 @@ fn batch_dataset() -> Dataset {
     Generator::new(cfg).generate()
 }
 
-fn batch_config(threads: usize, cache: bool) -> HeraConfig {
-    let cfg = HeraConfig::new(0.5, 0.5).with_threads(threads);
-    if cache {
-        cfg
-    } else {
-        cfg.without_sim_cache()
-    }
+fn batch_config(threads: usize) -> HeraConfig {
+    HeraConfig::new(0.5, 0.5).with_threads(threads)
 }
 
 /// 500 records of the scale preset (the ledger's `scale_stream_blocked`
@@ -65,8 +59,8 @@ fn stream_dataset() -> Dataset {
     ScaleGenerator::new(cfg).generate()
 }
 
-fn stream_config(threads: usize, cache: bool) -> HeraConfig {
-    batch_config(threads, cache).with_blocking(BlockingScheme::token())
+fn stream_config(threads: usize) -> HeraConfig {
+    batch_config(threads).with_blocking(BlockingScheme::token())
 }
 
 /// The stream resolves after every 50th record. Two of those calls run
@@ -141,8 +135,6 @@ fn merge_lines(journal: &str) -> impl Iterator<Item = &str> {
 }
 
 impl Outcome {
-    /// Lines prefixed `cache.` hold the counters that exist only with
-    /// the similarity cache on; everything else is cache-invariant.
     fn render(&self) -> String {
         let view = hera::obs::deterministic_view(&self.journal);
         let s = &self.stats;
@@ -190,44 +182,16 @@ impl Outcome {
             s.schema_matchings_decided,
             s.graph_nodes_sum,
             s.simplified_nodes_sum,
-            s.sim_lookups(),
-        )
-        .unwrap();
-        writeln!(
-            w,
-            "cache.stats hits={} misses={} metric_sim_calls={} size={} invalidated={}",
-            s.sim_cache_hits,
-            s.sim_cache_misses,
             s.metric_sim_calls,
-            s.sim_cache_size,
-            s.sim_cache_invalidated,
-        )
-        .unwrap();
-        writeln!(
-            w,
-            "cache.metric_calls_by_round {:?}",
-            s.metric_calls_by_round
         )
         .unwrap();
         out
     }
 }
 
-fn without_cache_lines(text: &str) -> String {
-    text.lines()
-        .filter(|l| !l.starts_with("cache."))
-        .map(|l| format!("{l}\n"))
-        .collect()
-}
-
 /// Compares a rendering against its fixture, naming the first line that
 /// differs instead of dumping two multi-kilobyte strings.
-fn assert_matches_fixture(got: &str, fixture: &str, cache: bool, what: &str) {
-    let (got, want) = if cache {
-        (got.to_owned(), fixture.to_owned())
-    } else {
-        (without_cache_lines(got), without_cache_lines(fixture))
-    };
+fn assert_matches_fixture(got: &str, want: &str, what: &str) {
     if got == want {
         return;
     }
@@ -244,10 +208,10 @@ fn assert_matches_fixture(got: &str, fixture: &str, cache: bool, what: &str) {
     );
 }
 
-fn run_batch(threads: usize, cache: bool) -> Outcome {
+fn run_batch(threads: usize) -> Outcome {
     let ds = batch_dataset();
     let (rec, buf) = Recorder::to_memory();
-    let result = Hera::builder(batch_config(threads, cache))
+    let result = Hera::builder(batch_config(threads))
         .recorder(rec.deterministic())
         .build()
         .run(&ds)
@@ -276,13 +240,9 @@ fn session_outcome(
     }
 }
 
-fn run_stream(
-    threads: usize,
-    cache: bool,
-    after_comparison_cut: impl FnMut(&mut HeraSession),
-) -> Outcome {
+fn run_stream(threads: usize, after_comparison_cut: impl FnMut(&mut HeraSession)) -> Outcome {
     let ds = stream_dataset();
-    let (mut session, buf) = new_session(stream_config(threads, cache), &ds);
+    let (mut session, buf) = new_session(stream_config(threads), &ds);
     let mut reports = Vec::new();
     drive_stream(&mut session, &ds, 0, &mut reports, after_comparison_cut);
     session_outcome(&session, &ds, buf.contents(), reports)
@@ -291,22 +251,16 @@ fn run_stream(
 #[test]
 fn batch_matches_the_parent_commit() {
     for threads in THREADS {
-        for cache in [true, false] {
-            let got = run_batch(threads, cache).render();
-            let what = format!("batch, {threads} threads, cache {cache}");
-            assert_matches_fixture(&got, BATCH_FIXTURE, cache, &what);
-        }
+        let got = run_batch(threads).render();
+        assert_matches_fixture(&got, BATCH_FIXTURE, &format!("batch, {threads} threads"));
     }
 }
 
 #[test]
 fn stream_matches_the_parent_commit() {
     for threads in THREADS {
-        for cache in [true, false] {
-            let got = run_stream(threads, cache, |_| {}).render();
-            let what = format!("stream, {threads} threads, cache {cache}");
-            assert_matches_fixture(&got, STREAM_FIXTURE, cache, &what);
-        }
+        let got = run_stream(threads, |_| {}).render();
+        assert_matches_fixture(&got, STREAM_FIXTURE, &format!("stream, {threads} threads"));
     }
 }
 
@@ -320,46 +274,42 @@ fn parent_written_snapshot_restores_and_continues() {
     let ds = stream_dataset();
     let snapshot = fixture_path("engine_golden_midstream.hera");
     for threads in THREADS {
-        for cache in [true, false] {
-            let what = format!("restore, {threads} threads, cache {cache}");
-            let (rec, buf) = Recorder::to_memory();
-            let mut session = HeraSession::builder(stream_config(threads, cache))
-                .recorder(rec.deterministic())
-                .restore(&snapshot)
-                .unwrap_or_else(|e| panic!("{what}: {e}"));
-            assert_eq!(session.len(), COMPARISON_CUT_AT, "{what}");
-            // The snapshot sits between the exhausted call and its
-            // resume: finish that resume, then carry on with the stream.
-            session.resolve();
-            let mut reports = Vec::new();
-            drive_stream(&mut session, &ds, COMPARISON_CUT_AT, &mut reports, |_| {});
-            let got = session_outcome(&session, &ds, buf.contents(), reports).render();
+        let what = format!("restore, {threads} threads");
+        let (rec, buf) = Recorder::to_memory();
+        let mut session = HeraSession::builder(stream_config(threads))
+            .recorder(rec.deterministic())
+            .restore(&snapshot)
+            .unwrap_or_else(|e| panic!("{what}: {e}"));
+        assert_eq!(session.len(), COMPARISON_CUT_AT, "{what}");
+        // The snapshot sits between the exhausted call and its
+        // resume: finish that resume, then carry on with the stream.
+        session.resolve();
+        let mut reports = Vec::new();
+        drive_stream(&mut session, &ds, COMPARISON_CUT_AT, &mut reports, |_| {});
+        let got = session_outcome(&session, &ds, buf.contents(), reports).render();
 
-            // The partition, the matchings and the lifetime counters
-            // must land where the uninterrupted parent run did. The
-            // cache counters are left out: the snapshot was written with
-            // the cache on, so a cache-off restore has a mixed history.
-            for prefix in ["entity_of", "matching", "stats"] {
-                assert_eq!(
-                    fixture_lines(&got, prefix),
-                    fixture_lines(STREAM_FIXTURE, prefix),
-                    "{what}: {prefix}"
-                );
-            }
-            // The merges after the restore are the tail of the recorded
-            // apply order, and the later budgeted call cuts where it did.
-            let (got_merges, all) = (
-                fixture_lines(&got, "merge"),
-                fixture_lines(STREAM_FIXTURE, "merge"),
-            );
-            assert!(!got_merges.is_empty() && got_merges.len() < all.len());
-            assert_eq!(got_merges, all[all.len() - got_merges.len()..], "{what}");
+        // The partition, the matchings and the lifetime counters
+        // must land where the uninterrupted parent run did.
+        for prefix in ["entity_of", "matching", "stats"] {
             assert_eq!(
-                fixture_lines(&got, "budgeted"),
-                fixture_lines(STREAM_FIXTURE, "budgeted")[1..],
-                "{what}"
+                fixture_lines(&got, prefix),
+                fixture_lines(STREAM_FIXTURE, prefix),
+                "{what}: {prefix}"
             );
         }
+        // The merges after the restore are the tail of the recorded
+        // apply order, and the later budgeted call cuts where it did.
+        let (got_merges, all) = (
+            fixture_lines(&got, "merge"),
+            fixture_lines(STREAM_FIXTURE, "merge"),
+        );
+        assert!(!got_merges.is_empty() && got_merges.len() < all.len());
+        assert_eq!(got_merges, all[all.len() - got_merges.len()..], "{what}");
+        assert_eq!(
+            fixture_lines(&got, "budgeted"),
+            fixture_lines(STREAM_FIXTURE, "budgeted")[1..],
+            "{what}"
+        );
     }
 }
 
@@ -368,16 +318,13 @@ fn parent_written_snapshot_restores_and_continues() {
 #[ignore = "overwrites tests/fixtures; run only when behaviour changes on purpose"]
 fn regenerate_fixtures() {
     let write = |name: &str, text: String| std::fs::write(fixture_path(name), text).unwrap();
-    write("engine_golden_batch.txt", run_batch(1, true).render());
+    write("engine_golden_batch.txt", run_batch(1).render());
     // The snapshot comes from a run of its own: `checkpoint` journals a
     // `checkpoint_save` span the pinned straight run must not carry.
-    run_stream(1, true, |session| {
+    run_stream(1, |session| {
         session
             .checkpoint(fixture_path("engine_golden_midstream.hera"))
             .unwrap();
     });
-    write(
-        "engine_golden_stream.txt",
-        run_stream(1, true, |_| {}).render(),
-    );
+    write("engine_golden_stream.txt", run_stream(1, |_| {}).render());
 }

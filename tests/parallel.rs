@@ -50,6 +50,35 @@ fn thread_count_does_not_change_results() {
 }
 
 #[test]
+fn thread_count_does_not_change_metric_calls() {
+    // Metric calls are counted per verification and folded in input order,
+    // so every thread count must report the same calls in the same rounds —
+    // and produce the same entities.
+    let ds = dataset();
+    let base = Hera::builder(HeraConfig::new(0.5, 0.5).with_threads(1))
+        .build()
+        .run(&ds)
+        .unwrap();
+    assert!(
+        base.stats.metric_sim_calls > 0,
+        "workload must reach the forced-pair metric path for this test to mean anything"
+    );
+    for threads in [2, 4, 8] {
+        let r = Hera::builder(HeraConfig::new(0.5, 0.5).with_threads(threads))
+            .build()
+            .run(&ds)
+            .unwrap();
+        assert_eq!(base.entity_of, r.entity_of, "{threads} threads");
+        assert_eq!(base.stats.merges, r.stats.merges, "{threads} threads");
+        assert_eq!(base.stats.metric_sim_calls, r.stats.metric_sim_calls);
+        assert_eq!(
+            base.stats.metric_calls_by_round,
+            r.stats.metric_calls_by_round
+        );
+    }
+}
+
+#[test]
 fn auto_threads_match_explicit_single_thread() {
     let ds = dataset();
     let auto = Hera::builder(HeraConfig::new(0.5, 0.5))
@@ -106,72 +135,6 @@ fn parallel_join_is_bit_identical() {
     }
 }
 
-#[test]
-fn thread_count_does_not_change_results_with_cache() {
-    // The memo cache is read-only during the parallel snapshot phase and
-    // populated in the sequential apply phase, so every thread count must
-    // see the same hit/miss history — and produce the same entities.
-    let ds = dataset();
-    let base = Hera::builder(HeraConfig::new(0.5, 0.5).with_threads(1))
-        .build()
-        .run(&ds)
-        .unwrap();
-    assert!(
-        base.stats.sim_cache_hits > 0,
-        "workload must exercise the cache for this test to mean anything"
-    );
-    for threads in [2, 4, 8] {
-        let r = Hera::builder(HeraConfig::new(0.5, 0.5).with_threads(threads))
-            .build()
-            .run(&ds)
-            .unwrap();
-        assert_eq!(base.entity_of, r.entity_of, "{threads} threads");
-        assert_eq!(base.stats.merges, r.stats.merges, "{threads} threads");
-        assert_eq!(base.stats.sim_cache_hits, r.stats.sim_cache_hits);
-        assert_eq!(base.stats.sim_cache_misses, r.stats.sim_cache_misses);
-        assert_eq!(base.stats.sim_cache_size, r.stats.sim_cache_size);
-        assert_eq!(
-            base.stats.sim_cache_invalidated,
-            r.stats.sim_cache_invalidated
-        );
-        assert_eq!(base.stats.metric_sim_calls, r.stats.metric_sim_calls);
-        assert_eq!(
-            base.stats.metric_calls_by_round,
-            r.stats.metric_calls_by_round
-        );
-    }
-}
-
-#[test]
-fn cache_on_and_off_are_bit_identical() {
-    // Cached values are exact metric outputs, so disabling the cache may
-    // only change speed, never results.
-    let ds = dataset();
-    for threads in [1, 4] {
-        let on = Hera::builder(HeraConfig::new(0.5, 0.5).with_threads(threads))
-            .build()
-            .run(&ds)
-            .unwrap();
-        let off = Hera::builder(
-            HeraConfig::new(0.5, 0.5)
-                .with_threads(threads)
-                .without_sim_cache(),
-        )
-        .build()
-        .run(&ds)
-        .unwrap();
-        assert_eq!(on.entity_of, off.entity_of, "{threads} threads");
-        assert_eq!(on.stats.merges, off.stats.merges);
-        assert_eq!(on.stats.comparisons, off.stats.comparisons);
-        assert_eq!(on.stats.iterations, off.stats.iterations);
-        assert_eq!(on.schema_matchings.len(), off.schema_matchings.len());
-        // The cache must actually save metric work on this multi-round
-        // workload.
-        assert!(on.stats.metric_sim_calls < off.stats.metric_sim_calls);
-        assert_eq!(off.stats.sim_cache_hits, 0);
-    }
-}
-
 /// Runs the full pipeline with a deterministic (core-events-only) memory
 /// journal attached and returns the journal text.
 fn core_journal(cfg: HeraConfig, ds: &hera::Dataset) -> (String, hera::RunStats) {
@@ -185,7 +148,7 @@ fn core_journal(cfg: HeraConfig, ds: &hera::Dataset) -> (String, hera::RunStats)
 }
 
 #[test]
-fn trace_journal_is_byte_identical_across_threads_and_cache() {
+fn trace_journal_is_byte_identical_across_threads() {
     let ds = dataset();
     let (base, base_stats) = core_journal(HeraConfig::new(0.5, 0.5).with_threads(1), &ds);
     assert!(!base.is_empty());
@@ -204,18 +167,6 @@ fn trace_journal_is_byte_identical_across_threads_and_cache() {
     for threads in [2, 4, 8] {
         let (j, _) = core_journal(HeraConfig::new(0.5, 0.5).with_threads(threads), &ds);
         assert_eq!(base, j, "journal differs at {threads} threads");
-    }
-    for threads in [1, 4] {
-        let (j, _) = core_journal(
-            HeraConfig::new(0.5, 0.5)
-                .with_threads(threads)
-                .without_sim_cache(),
-            &ds,
-        );
-        assert_eq!(
-            base, j,
-            "journal differs with the cache off at {threads} threads"
-        );
     }
 }
 

@@ -4,7 +4,7 @@
 //!
 //! 1. `resolve_progressive(∞)` **is** `resolve()` — same entities, same
 //!    merges, same matchings to the confidence bit, byte-identical core
-//!    journal — at 1–8 threads, cache on or off.
+//!    journal — at 1–8 threads.
 //! 2. The budget only truncates the schedule, never reorders it: the
 //!    merge sequence under budget `b` is a prefix of the sequence under
 //!    any `b' > b` (including `∞`), recall vs ground truth never
@@ -104,21 +104,9 @@ fn check_unlimited_equivalence(master_seed: u64) -> Result<(), String> {
     let base_matchings = base.schema_matchings();
     let base_journal = base_buf.contents();
 
-    let mut variants: Vec<(String, HeraConfig)> = Vec::new();
     for threads in [1usize, 2, 4, 8] {
-        variants.push((
-            format!("{threads}t"),
-            HeraConfig::new(0.5, 0.5).with_threads(threads),
-        ));
-        variants.push((
-            format!("{threads}t-nocache"),
-            HeraConfig::new(0.5, 0.5)
-                .with_threads(threads)
-                .without_sim_cache(),
-        ));
-    }
-    for (name, cfg) in variants {
-        let (mut s, buf) = ingest_all(cfg, &ds);
+        let name = format!("{threads}t");
+        let (mut s, buf) = ingest_all(HeraConfig::new(0.5, 0.5).with_threads(threads), &ds);
         let report = s.resolve_progressive(ResolveBudget::unlimited());
         if report.exhausted || report.frontier != 0 {
             return Err(format!("[{name}] unlimited budget reported exhaustion"));

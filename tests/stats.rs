@@ -1,7 +1,7 @@
 //! Property tests for [`hera::RunStats`] internal consistency: on random
 //! datasets, the counters the observability layer reports must agree with
-//! each other — cache traffic accounts for every cached-path lookup,
-//! per-round metric calls partition the total, timings nest.
+//! each other — per-round metric calls partition the total, timings
+//! nest.
 
 use hera::{Hera, HeraConfig, RunStats};
 use hera_datagen::{CorruptionConfig, DatagenConfig, Generator};
@@ -24,23 +24,9 @@ fn random_dataset(seed: u64, n_records: usize) -> hera::Dataset {
 
 /// The invariants behind `RunStats::check_consistency`, spelled out so a
 /// failure names the exact counter pair that disagreed.
-fn assert_consistent(s: &RunStats, cache_enabled: bool, ctx: &str) {
-    s.check_consistency(cache_enabled)
+fn assert_consistent(s: &RunStats, ctx: &str) {
+    s.check_consistency()
         .unwrap_or_else(|e| panic!("{ctx}: {e}"));
-    // Cached-path lookups are fully accounted: every lookup is either a
-    // hit or a miss, and every miss is a metric call.
-    if cache_enabled {
-        assert_eq!(
-            s.sim_cache_hits + s.sim_cache_misses,
-            s.sim_lookups(),
-            "{ctx}: hits + misses must cover all cached-path lookups"
-        );
-        assert_eq!(s.metric_sim_calls, s.sim_cache_misses, "{ctx}");
-    } else {
-        assert_eq!(s.sim_cache_hits, 0, "{ctx}");
-        assert_eq!(s.sim_cache_misses, 0, "{ctx}");
-        assert_eq!(s.metric_sim_calls, s.sim_lookups(), "{ctx}");
-    }
     // Per-round metric calls partition the total.
     let by_round: u64 = s.metric_calls_by_round.iter().sum();
     assert_eq!(by_round, s.metric_sim_calls, "{ctx}");
@@ -56,26 +42,15 @@ fn assert_consistent(s: &RunStats, cache_enabled: bool, ctx: &str) {
 proptest::proptest! {
     #![proptest_config(proptest::prelude::ProptestConfig::with_cases(8))]
 
-    /// Random datasets, cache on: every counter invariant holds, and the
-    /// cache-invariant lookup count matches the cache-off run.
+    /// Random datasets: every counter invariant holds.
     #[test]
     fn run_stats_are_internally_consistent(
         seed in proptest::prelude::any::<u64>(),
         n in 80usize..140,
     ) {
         let ds = random_dataset(seed, n);
-        let on = Hera::builder(HeraConfig::new(0.5, 0.5)).build().run(&ds).unwrap();
-        assert_consistent(&on.stats, true, "cache on");
-
-        let off = Hera::builder(HeraConfig::new(0.5, 0.5).without_sim_cache()).build().run(&ds).unwrap();
-        assert_consistent(&off.stats, false, "cache off");
-
-        // The decisions are bit-identical, so the decision-driving
-        // counters — including the cache-invariant lookup count — agree.
-        assert_eq!(on.entity_of, off.entity_of);
-        assert_eq!(on.stats.merges, off.stats.merges);
-        assert_eq!(on.stats.iterations, off.stats.iterations);
-        assert_eq!(on.stats.sim_lookups(), off.stats.sim_lookups());
+        let result = Hera::builder(HeraConfig::new(0.5, 0.5)).build().run(&ds).unwrap();
+        assert_consistent(&result.stats, &format!("seed {seed}, {n} records"));
     }
 }
 
@@ -87,25 +62,17 @@ fn check_consistency_rejects_broken_counters() {
         .run(&ds)
         .unwrap();
     let good = result.stats.clone();
-    good.check_consistency(true).unwrap();
-
-    let mut s = good.clone();
-    s.metric_sim_calls += 1;
-    assert!(s.check_consistency(true).is_err(), "miss accounting");
+    good.check_consistency().unwrap();
 
     let mut s = good.clone();
     s.metric_calls_by_round.push(1);
-    assert!(s.check_consistency(true).is_err(), "round partition");
+    assert!(s.check_consistency().is_err(), "round partition");
 
     let mut s = good.clone();
     s.iterations += 1;
-    assert!(s.check_consistency(true).is_err(), "round count");
-
-    let mut s = good.clone();
-    s.verify_time = s.resolve_time + std::time::Duration::from_secs(1);
-    assert!(s.check_consistency(true).is_err(), "time nesting");
+    assert!(s.check_consistency().is_err(), "round count");
 
     let mut s = good;
-    s.sim_cache_hits += 1;
-    assert!(s.check_consistency(false).is_err(), "cache-off traffic");
+    s.verify_time = s.resolve_time + std::time::Duration::from_secs(1);
+    assert!(s.check_consistency().is_err(), "time nesting");
 }

@@ -2,7 +2,7 @@
 //! restored in a fresh session must be a *perfect continuation* — the
 //! resumed run's entities, stats, schema matchings, and deterministic
 //! journal events are bit-identical to an uninterrupted run, at every
-//! thread count and cache setting. Plus rejection tests: corrupt,
+//! thread count. Plus rejection tests: corrupt,
 //! truncated, and version-skewed snapshot files fail with typed errors
 //! instead of poisoning a session. See DESIGN.md ("Persistence").
 
@@ -79,8 +79,8 @@ fn snap_path(tag: &str) -> PathBuf {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// For random datasets, checkpoint points, thread counts, and cache
-    /// settings: streaming resolution interrupted by a checkpoint and
+    /// For random datasets, checkpoint points and thread counts:
+    /// streaming resolution interrupted by a checkpoint and
     /// resumed from disk in a fresh session is indistinguishable from a
     /// run that was never interrupted — same entity for every record,
     /// same merge count, same deterministic stats and schema matchings,
@@ -93,15 +93,11 @@ proptest! {
         corruption in 0u8..3,
         cut_ppm in 0u32..1_000_000,
         threads in 1usize..9,
-        cache in any::<bool>(),
     ) {
         let ds = dataset(seed, n_records, n_entities, corruption);
         let n = ds.len();
         let cut = 1 + (cut_ppm as usize * (n - 2)) / 1_000_000;
-        let mut config = HeraConfig::new(0.5, 0.5).with_threads(threads);
-        if !cache {
-            config = config.without_sim_cache();
-        }
+        let config = HeraConfig::new(0.5, 0.5).with_threads(threads);
         let path = snap_path(&format!("prop-{seed}"));
 
         // Uninterrupted reference run.
@@ -131,8 +127,8 @@ proptest! {
             prop_assert_eq!(
                 straight.entity_of(hera::RecordId::new(rid)),
                 resumed.entity_of(hera::RecordId::new(rid)),
-                "record {} diverged (cut {}, threads {}, cache {})",
-                rid, cut, threads, cache
+                "record {} diverged (cut {}, threads {})",
+                rid, cut, threads
             );
         }
         prop_assert_eq!(straight.clusters(), resumed.clusters());
@@ -239,28 +235,6 @@ fn missing_snapshot_is_an_io_error() {
         Err(other) => panic!("expected Io, got {other}"),
         Ok(_) => panic!("missing snapshot restored"),
     }
-}
-
-/// A snapshot written with the cache on restores into a cache-off config
-/// (and vice versa) — the cache is an optimisation, not state the result
-/// depends on; only ξ must match.
-#[test]
-fn cache_setting_may_differ_between_checkpoint_and_restore() {
-    let ds = dataset(7, 40, 8, 1);
-    let mut on = HeraSession::builder(HeraConfig::new(0.5, 0.5)).build();
-    on.mirror_schemas(&ds.registry);
-    ingest(&mut on, &ds, 0, 20);
-    let path = snap_path("cache-skew");
-    on.checkpoint(&path).unwrap();
-
-    let mut resumed = HeraSession::builder(HeraConfig::new(0.5, 0.5).without_sim_cache())
-        .restore(&path)
-        .unwrap();
-    ingest(&mut on, &ds, 20, ds.len());
-    ingest(&mut resumed, &ds, 20, ds.len());
-    assert_eq!(on.clusters(), resumed.clusters());
-    assert_eq!(on.merge_count(), resumed.merge_count());
-    std::fs::remove_file(&path).ok();
 }
 
 /// Restore reads the sections it knows and ignores the rest: a file that
