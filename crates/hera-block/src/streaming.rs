@@ -27,8 +27,17 @@
 //! session; a standalone blocker's table grows to the largest member it
 //! visits — a rid joins the output the moment its count reaches the CBS
 //! floor, and the table is zeroed again through the list of rids the
-//! admission touched. No map is built per record and nothing but the
-//! output is allocated.
+//! admission touched. No map is built per record; besides the output, an
+//! admission allocates only the spill row of a block that gets its second
+//! member (below).
+//!
+//! A block costs what it holds. The key map stores 8 bytes per block
+//! beside its 8-byte key: the first member inline, and where a later one
+//! arrived, the index of a spill row holding the members after the first
+//! (a 24-byte row header plus 4 bytes per member). A purged block is a
+//! marker and its spill row goes back to a free list, its members
+//! dropped. Most blocks never see a second member, and those allocate
+//! nothing of their own.
 //!
 //! The blocker is session state: it serializes into the session
 //! snapshot ([`StreamingBlocker::to_json`]) so a restored session
@@ -39,17 +48,62 @@ use crate::{minhash, tokenize, BlockingScheme, MetaBlocking};
 use hera_types::json::Json;
 use hera_types::{HeraError, Result, Value};
 use rustc_hash::FxHashMap;
+use std::collections::hash_map::Entry;
 
-/// One live block: the records holding its key, in arrival order.
-/// `None` once purged (members dropped to bound memory).
-type Block = Option<Vec<u32>>;
+/// `Block::rest` of a block with one member.
+const NO_ROW: u32 = u32::MAX;
+/// `Block::rest` of a purged block.
+const PURGED_ROW: u32 = u32::MAX - 1;
+
+/// One block in the key map: the records holding its key, in arrival
+/// order — `first`, then the spill row `rest` names — or a purge marker
+/// once the block outgrew `max_block_size` (members dropped to bound
+/// memory).
+#[derive(Clone, Copy)]
+struct Block {
+    /// The first member; meaningless once purged.
+    first: u32,
+    /// The spill row of the later members, [`NO_ROW`] or [`PURGED_ROW`].
+    rest: u32,
+}
+
+impl Block {
+    const PURGED: Self = Self {
+        first: 0,
+        rest: PURGED_ROW,
+    };
+
+    fn solo(first: u32) -> Self {
+        Self {
+            first,
+            rest: NO_ROW,
+        }
+    }
+
+    fn is_purged(self) -> bool {
+        self.rest == PURGED_ROW
+    }
+
+    /// The members after the first.
+    fn later(self, spill: &[Vec<u32>]) -> &[u32] {
+        match self.rest {
+            NO_ROW | PURGED_ROW => &[],
+            row => &spill[row as usize],
+        }
+    }
+}
 
 /// Incremental blocking state — see the module docs for semantics.
 pub struct StreamingBlocker {
     scheme: BlockingScheme,
     meta: MetaBlocking,
-    /// blocking key → live members, or `None` once purged.
+    /// blocking key → its block.
     blocks: FxHashMap<u64, Block>,
+    /// The members after the first of every block that holds more than
+    /// one, by `Block::rest`; a row on `free` is empty.
+    spill: Vec<Vec<u32>>,
+    /// Spill rows a purge emptied, for the next block that spills.
+    free: Vec<u32>,
     /// Records admitted so far (for stats/sanity only).
     records: u64,
     /// Co-occurrence counts of the admission in progress, indexed by
@@ -76,6 +130,8 @@ impl StreamingBlocker {
             scheme: scheme.clone(),
             meta,
             blocks: FxHashMap::default(),
+            spill: Vec::new(),
+            free: Vec::new(),
             records: 0,
             counts: Vec::new(),
             touched: Vec::new(),
@@ -113,18 +169,31 @@ impl StreamingBlocker {
     /// Costs one counter bump per member visited: the counts live in a
     /// table the blocker keeps, a rid joins the output the moment its
     /// count reaches the floor, and the table is zeroed through the list
-    /// of rids touched — nothing but the output is allocated.
+    /// of rids touched — nothing but the output and a block's first
+    /// spill row is allocated.
     pub fn admit(&mut self, rid: u32, values: &[Value]) -> Vec<u32> {
         self.records += 1;
         let keys = self.keys_of(values);
         let floor = self.meta.min_common_blocks.max(1);
+        let max_block_size = self.meta.max_block_size;
         let mut out = Vec::new();
         for &k in &keys {
-            let block = self.blocks.entry(k).or_insert_with(|| Some(Vec::new()));
-            let Some(members) = block else {
-                continue; // purged: no candidates, no growth
+            let block = match self.blocks.entry(k) {
+                Entry::Vacant(slot) => {
+                    // A block's first member: nothing to count.
+                    slot.insert(match max_block_size {
+                        0 => Block::PURGED,
+                        _ => Block::solo(rid),
+                    });
+                    continue;
+                }
+                Entry::Occupied(slot) => slot.into_mut(),
             };
-            for &m in members.iter() {
+            if block.is_purged() {
+                continue; // no candidates, no growth
+            }
+            let later = block.later(&self.spill);
+            for &m in std::iter::once(&block.first).chain(later) {
                 if m as usize >= self.counts.len() {
                     self.counts.resize(m as usize + 1, 0);
                 }
@@ -137,9 +206,17 @@ impl StreamingBlocker {
                     out.push(m);
                 }
             }
-            members.push(rid);
-            if members.len() > self.meta.max_block_size {
-                *block = None;
+            // The block now holds `later.len() + 2` members.
+            if later.len() + 2 > max_block_size {
+                if block.rest != NO_ROW {
+                    self.spill[block.rest as usize] = Vec::new();
+                    self.free.push(block.rest);
+                }
+                *block = Block::PURGED;
+            } else if block.rest == NO_ROW {
+                block.rest = spill_row(&mut self.spill, &mut self.free, vec![rid]);
+            } else {
+                self.spill[block.rest as usize].push(rid);
             }
         }
         for m in self.touched.drain(..) {
@@ -153,7 +230,9 @@ impl StreamingBlocker {
     /// table grows to it, so a session restoring a blocker checks it
     /// against its record count before the next admission.
     pub fn max_member(&self) -> Option<u32> {
-        self.blocks.values().flatten().flatten().copied().max()
+        let firsts = self.blocks.values().filter(|b| !b.is_purged());
+        let later = self.spill.iter().flatten();
+        firsts.map(|b| b.first).chain(later.copied()).max()
     }
 
     /// Encodes the block map (sorted by key for byte-stable snapshots):
@@ -162,31 +241,29 @@ impl StreamingBlocker {
     /// and the restoring session supplies it (mismatches are the
     /// session's config-compatibility check to make).
     pub fn to_json(&self) -> Json {
-        let mut live: Vec<(&u64, &Vec<u32>)> = Vec::new();
+        let mut live: Vec<(u64, Block)> = Vec::new();
         let mut purged: Vec<u64> = Vec::new();
-        for (k, b) in &self.blocks {
-            match b {
-                Some(members) => live.push((k, members)),
-                None => purged.push(*k),
+        for (&k, &b) in &self.blocks {
+            if b.is_purged() {
+                purged.push(k);
+            } else {
+                live.push((k, b));
             }
         }
-        live.sort_unstable_by_key(|(k, _)| **k);
+        live.sort_unstable_by_key(|&(k, _)| k);
         purged.sort_unstable();
+        let member = |&m: &u32| Json::Int(m as i64);
         Json::Obj(vec![
             ("records".into(), Json::Int(self.records as i64)),
             (
                 "blocks".into(),
                 Json::Arr(
                     live.into_iter()
-                        .map(|(k, members)| {
+                        .map(|(k, b)| {
+                            let members = std::iter::once(&b.first).chain(b.later(&self.spill));
                             Json::Obj(vec![
                                 ("key".into(), Json::Str(format!("{k:016x}"))),
-                                (
-                                    "members".into(),
-                                    Json::Arr(
-                                        members.iter().map(|&m| Json::Int(m as i64)).collect(),
-                                    ),
-                                ),
+                                ("members".into(), Json::Arr(members.map(member).collect())),
                             ])
                         })
                         .collect(),
@@ -213,10 +290,11 @@ impl StreamingBlocker {
     /// there are checks [`StreamingBlocker::max_member`] against it.
     ///
     /// # Errors
-    /// [`HeraError::Corrupt`] on malformed keys, and
-    /// [`HeraError::InvalidConfig`] when `scheme` is
-    /// [`BlockingScheme::None`] (state exists but config says no
-    /// blocking — the caller's config check should have caught this).
+    /// [`HeraError::Corrupt`] on malformed keys, on a live block with no
+    /// members (admission adds a member before it can purge, so no
+    /// blocker ever wrote one), and [`HeraError::InvalidConfig`] when
+    /// `scheme` is [`BlockingScheme::None`] (state exists but config says
+    /// no blocking — the caller's config check should have caught this).
     pub fn from_json(scheme: &BlockingScheme, json: &Json) -> Result<Self> {
         let mut blocker = Self::new(scheme).ok_or_else(|| {
             HeraError::InvalidConfig(
@@ -246,7 +324,16 @@ impl StreamingBlocker {
                     "live block {key:016x} exceeds max_block_size"
                 )));
             }
-            if blocker.blocks.insert(key, Some(members)).is_some() {
+            let Some((&first, later)) = members.split_first() else {
+                return Err(HeraError::Corrupt(format!(
+                    "live block {key:016x} has no members"
+                )));
+            };
+            let mut block = Block::solo(first);
+            if !later.is_empty() {
+                block.rest = spill_row(&mut blocker.spill, &mut blocker.free, later.to_vec());
+            }
+            if blocker.blocks.insert(key, block).is_some() {
                 return Err(HeraError::Corrupt(format!(
                     "duplicate blocking key {key:016x}"
                 )));
@@ -254,13 +341,32 @@ impl StreamingBlocker {
         }
         for p in json.expect("purged")?.as_arr()? {
             let key = parse_key(p)?;
-            if blocker.blocks.insert(key, None).is_some() {
+            if blocker.blocks.insert(key, Block::PURGED).is_some() {
                 return Err(HeraError::Corrupt(format!(
                     "duplicate blocking key {key:016x}"
                 )));
             }
         }
         Ok(blocker)
+    }
+}
+
+/// Files `members` in a spill row — one a purge freed, else a new one —
+/// and returns its index.
+fn spill_row(spill: &mut Vec<Vec<u32>>, free: &mut Vec<u32>, members: Vec<u32>) -> u32 {
+    match free.pop() {
+        Some(row) => {
+            spill[row as usize] = members;
+            row
+        }
+        None => {
+            let row = u32::try_from(spill.len())
+                .ok()
+                .filter(|&row| row < PURGED_ROW)
+                .expect("fewer than 2^32 - 2 blocks spill");
+            spill.push(members);
+            row
+        }
     }
 }
 
@@ -369,6 +475,10 @@ mod tests {
         assert_eq!(b.max_member(), Some(9));
     }
 
+    /// A block as the oracle keeps it: the records holding its key, in
+    /// arrival order, or `None` once purged.
+    type Block = Option<Vec<u32>>;
+
     /// Recounts co-occurrence from the retained blocks, one scan of the
     /// visited members per member.
     struct Oracle {
@@ -453,5 +563,60 @@ mod tests {
         .err()
         .expect("None scheme must be rejected");
         assert!(matches!(err, HeraError::InvalidConfig(_)), "{err}");
+    }
+
+    /// Admission adds a member before it can purge, so no blocker ever
+    /// wrote a live block without one; restore refuses it by key.
+    #[test]
+    fn from_json_rejects_a_live_block_with_no_members() {
+        let scheme = small_token(10, 1);
+        let dump =
+            r#"{"records":1,"blocks":[{"key":"00000000000000ab","members":[]}],"purged":[]}"#;
+        let err = StreamingBlocker::from_json(&scheme, &hera_types::json::parse(dump).unwrap())
+            .err()
+            .expect("a live block with no members must be rejected");
+        assert!(matches!(err, HeraError::Corrupt(_)), "{err}");
+        assert!(err.to_string().contains("00000000000000ab"), "{err}");
+    }
+
+    /// Blocks of one, two and more members, a purged one and a spill row
+    /// a purge freed and the next spilling block took: every live block
+    /// writes its members in arrival order, and the largest member is
+    /// found inline or spilled.
+    #[test]
+    fn members_are_written_in_arrival_order_inline_or_spilled() {
+        let scheme = small_token(3, 1);
+        let mut b = StreamingBlocker::new(&scheme).unwrap();
+        b.admit(5, &vals(&["aa"]));
+        b.admit(2, &vals(&["bb"]));
+        b.admit(9, &vals(&["bb"]));
+        for rid in [1, 3, 4, 6] {
+            b.admit(rid, &vals(&["cc"]));
+        }
+        b.admit(8, &vals(&["dd"]));
+        b.admit(7, &vals(&["dd"]));
+        assert_eq!(b.spill.len(), 2, "the purged block's row was taken again");
+        let members = |b: &StreamingBlocker, text: &str| {
+            let key = format!("{:016x}", b.keys_of(&vals(&[text]))[0]);
+            let json = b.to_json();
+            let blocks = json.get("blocks").unwrap().as_arr().unwrap();
+            let block = blocks
+                .iter()
+                .find(|block| block.get("key").unwrap().as_str().unwrap() == key);
+            block.map(|block| {
+                let members = block.get("members").unwrap().as_arr().unwrap();
+                members
+                    .iter()
+                    .map(|m| m.as_u32().unwrap())
+                    .collect::<Vec<u32>>()
+            })
+        };
+        assert_eq!(members(&b, "aa"), Some(vec![5]));
+        assert_eq!(members(&b, "bb"), Some(vec![2, 9]));
+        assert_eq!(members(&b, "cc"), None, "purged");
+        assert_eq!(members(&b, "dd"), Some(vec![8, 7]));
+        assert_eq!(b.max_member(), Some(9));
+        b.admit(11, &vals(&["aa"]));
+        assert_eq!(b.max_member(), Some(11));
     }
 }

@@ -104,7 +104,7 @@ impl Engine {
 
     /// Admits one more record as a singleton super record and returns
     /// its rid.
-    pub(crate) fn push_record(&mut self, values: &[Value], schema: &Schema) -> u32 {
+    pub(crate) fn push_record(&mut self, values: Vec<Value>, schema: &Schema) -> u32 {
         let rid = self.uf.push();
         self.supers
             .insert(rid, SuperRecord::lift(rid, values, schema));

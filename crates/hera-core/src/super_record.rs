@@ -56,22 +56,19 @@ impl SuperRecord {
     /// occupy a fid so labels align with the base record's positions) but
     /// carry no values.
     pub fn from_record(ds: &Dataset, rec: &Record) -> Self {
-        Self::lift(rec.id.raw(), &rec.values, ds.registry.schema(rec.schema))
+        let values = rec.values.iter().cloned();
+        Self::lift(rec.id.raw(), values, ds.registry.schema(rec.schema))
     }
 
     /// Lifts record `rid`'s values under their schema — the one place a
     /// base record becomes a super record, for the batch path (through
     /// [`SuperRecord::from_record`]) and the streaming one alike.
-    pub(crate) fn lift(rid: u32, values: &[Value], schema: &Schema) -> Self {
+    pub(crate) fn lift(rid: u32, values: impl IntoIterator<Item = Value>, schema: &Schema) -> Self {
         let fields = values
-            .iter()
+            .into_iter()
             .zip(&schema.attrs)
             .map(|(v, a)| Field {
-                values: if v.is_null() {
-                    Vec::new()
-                } else {
-                    vec![v.clone()]
-                },
+                values: if v.is_null() { Vec::new() } else { vec![v] },
                 attrs: vec![a.id],
             })
             .collect();

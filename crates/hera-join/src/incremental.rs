@@ -58,24 +58,36 @@
 //! insertions emit pairs against *current* labels. A merge that folds
 //! two equal values onto one label leaves one live entry, the one the
 //! merged super record kept, so the live `(label, value)` set is the
-//! super records' value set and no label is ever scored twice.
+//! super records' value set and no label is ever scored twice. The
+//! folded entry is retired, not reclaimed: its gram ids stay in the
+//! arena and its hot row in the table, unreachable.
+//!
+//! # What a value costs
+//!
+//! The join stores what the scan and [`score`] read, and a string only
+//! where scoring reads one. Every gram token gets one dense `u32` id from
+//! a vocabulary the join owns, in first-seen order, and a signature is its
+//! ids in ascending order, back to back with every other in one arena:
+//! Jaccard over ids equals Jaccard over tokens bit for bit, ids and tokens
+//! naming the same grams. The 128-bit sketch is taken from the tokens, so
+//! every filter decision is the one the tokens would give. A live value
+//! costs 45 bytes in dense columns — its label (12), arena offset (4), hot
+//! row (24), retired flag (1) and place in its record's row (4) — plus 4
+//! bytes per gram. The value itself is kept only where scoring reads it —
+//! a number (two numbers go to the metric), and every value under a metric
+//! that is not gram compatible — in a 32-byte map slot beside its entry
+//! index. Under q-gram Jaccard a string therefore lives once, in its super
+//! record. The vocabulary adds one 16-byte map slot per distinct gram,
+//! shared by every value that holds it. Amortized `Vec` growth and map
+//! load come on top of all of these.
 
 use crate::inverted::RequiredOverlap;
 use crate::{score, Side, ValuePair};
-use hera_sim::text::{folded_qgram_set, GramSketch};
+use hera_sim::text::{folded_qgram_set, folded_qgrams_into, GramSketch};
 use hera_sim::ValueSimilarity;
 use hera_types::{Label, Value};
 use rustc_hash::FxHashMap;
 use std::borrow::Cow;
-
-/// What scoring reads of a stored value; the scan never touches it for a
-/// row the filters drop.
-struct Entry {
-    label: Label,
-    value: Value,
-    /// Folded gram signature, kept so verification never re-tokenizes.
-    sig: Vec<u64>,
-}
 
 /// What the filters read of a value.
 #[derive(Clone, Copy)]
@@ -86,10 +98,20 @@ struct Hot {
     is_num: bool,
 }
 
-/// A value that was tokenized and not yet registered.
+/// A value that was tokenized and not yet registered. Its gram ids are
+/// already in the arena, from `start` on; registration only indexes them.
 struct Pending {
-    entry: Entry,
+    label: Label,
+    value: Value,
+    start: u32,
     hot: Hot,
+}
+
+/// True iff [`score`] may read the value itself, not only its signature:
+/// a number (two numbers go to the metric), or any value when the metric
+/// is not gram compatible. The join keeps a value exactly then.
+fn keeps(fast_grams: bool, is_num: bool) -> bool {
+    is_num || !fast_grams
 }
 
 /// One stored value as the scan sees it; its length is its bucket's.
@@ -168,12 +190,23 @@ pub struct IncrementalJoin {
     fast_grams: bool,
     /// α for every pair of lengths registered or scanned so far.
     alpha: RequiredOverlap,
-    /// Every value ever registered, by entry index; `None` once a merge
-    /// folded the value onto a label another entry already held.
-    entries: Vec<Option<Entry>>,
-    /// The filters' view of `entries`, by the same index (a retired
-    /// entry's row lingers, unreachable).
+    /// The dense id of every gram token tokenized so far, in first-seen
+    /// order.
+    vocab: FxHashMap<u64, u32>,
+    /// Every value ever registered, as columns by entry index: its label,
+    /// where its gram ids start in `grams` (`hot[idx].len` of them), the
+    /// filters' view of it and whether a merge retired it — folded it onto
+    /// a label another entry already held. A retired entry's columns
+    /// linger, unreachable.
+    labels: Vec<Label>,
+    offsets: Vec<u32>,
     hot: Vec<Hot>,
+    retired: Vec<bool>,
+    /// Every entry's gram ids, ascending per entry, back to back; the ids
+    /// of values tokenized and not yet registered come last.
+    grams: Vec<u32>,
+    /// The values of the live entries [`keeps`] names, by entry index.
+    kept: FxHashMap<u32, Value>,
     /// The live entry indices of each record, by rid; empty for a record
     /// that was folded into another or never seen.
     by_rid: Vec<Vec<u32>>,
@@ -181,6 +214,10 @@ pub struct IncrementalJoin {
     /// the value scanned last: buffers, with no meaning between calls.
     neighbourhood: Neighbourhood,
     survivors: Vec<Row>,
+    /// The value tokenized last, as tokens in text order and as sorted,
+    /// distinct ids: buffers too.
+    tokens: Vec<u64>,
+    ids: Vec<u32>,
 }
 
 impl IncrementalJoin {
@@ -198,11 +235,18 @@ impl IncrementalJoin {
             metric,
             fast_grams,
             alpha: RequiredOverlap::new(xi),
-            entries: Vec::new(),
+            vocab: FxHashMap::default(),
+            labels: Vec::new(),
+            offsets: Vec::new(),
             hot: Vec::new(),
+            retired: Vec::new(),
+            grams: Vec::new(),
+            kept: FxHashMap::default(),
             by_rid: Vec::new(),
             neighbourhood: Neighbourhood::default(),
             survivors: Vec::new(),
+            tokens: Vec::new(),
+            ids: Vec::new(),
         }
     }
 
@@ -303,10 +347,15 @@ impl IncrementalJoin {
     /// batch join's dispatch.
     fn scan(&mut self, incoming: &Pending, out: &mut Vec<ValuePair>) {
         let first = out.len();
-        let Pending { entry, hot } = incoming;
-        let x_len = entry.sig.len();
+        let Pending {
+            label,
+            ref value,
+            start,
+            hot,
+        } = *incoming;
+        let x_len = hot.len as usize;
         let Neighbourhood { rows, starts, .. } = &self.neighbourhood;
-        let survivors = &mut self.survivors;
+        let mut survivors = std::mem::take(&mut self.survivors);
         survivors.clear();
         if !self.fast_grams {
             survivors.extend_from_slice(rows);
@@ -330,38 +379,47 @@ impl IncrementalJoin {
             }
         }
         let x = Side {
-            value: &entry.value,
+            value: Some(value),
             is_num: hot.is_num,
-            sig: &entry.sig,
+            sig: self.ids(start, hot.len),
             sketch: hot.sketch,
         };
-        for row in survivors.iter() {
-            let other = self.entries[row.idx as usize]
-                .as_ref()
-                .expect("a gathered row names a live entry");
+        for row in &survivors {
+            let idx = row.idx as usize;
+            assert!(!self.retired[idx], "a gathered row names a live entry");
             let y = Side {
-                value: &other.value,
+                value: self.kept_value(row.idx, row.is_num),
                 is_num: row.is_num,
-                sig: &other.sig,
+                sig: self.ids(self.offsets[idx], self.hot[idx].len),
                 sketch: row.sketch,
             };
             if let Some(sim) = score(self.metric.as_ref(), self.fast_grams, self.xi, x, y) {
-                let (a, b) = if entry.label.rid < other.label.rid {
-                    (entry.label, other.label)
+                let other = self.labels[idx];
+                let (a, b) = if label.rid < other.rid {
+                    (label, other)
                 } else {
-                    (other.label, entry.label)
+                    (other, label)
                 };
                 out.push(ValuePair { a, b, sim });
             }
         }
+        self.survivors = survivors;
         out[first..].sort_unstable_by_key(|p| (p.a, p.b));
     }
 
-    /// The live entry at `idx`; `by_rid` holds no other kind.
-    fn entry(&self, idx: u32) -> &Entry {
-        self.entries[idx as usize]
-            .as_ref()
-            .expect("a live entry index names a live entry")
+    /// The `len` gram ids at `start` in the arena.
+    fn ids(&self, start: u32, len: u32) -> &[u32] {
+        &self.grams[start as usize..][..len as usize]
+    }
+
+    /// Entry `idx`'s value where the join [`keeps`] it, looked up only
+    /// then.
+    fn kept_value(&self, idx: u32, is_num: bool) -> Option<&Value> {
+        if keeps(self.fast_grams, is_num) {
+            self.kept.get(&idx)
+        } else {
+            None
+        }
     }
 
     /// Registers a value for future calls without scoring it against
@@ -375,22 +433,47 @@ impl IncrementalJoin {
         }
     }
 
-    /// Tokenizes a value for scanning and registration; `None` for a
-    /// null, which is neither scored nor stored.
+    /// Tokenizes a value for scanning and registration, its gram ids
+    /// appended to the arena in ascending order; `None` for a null, which
+    /// is neither scored nor stored.
     fn tokenize(&mut self, label: Label, value: Value) -> Option<Pending> {
         if value.is_null() {
             return None;
         }
-        let sig = folded_qgram_set(&value.text(), self.q);
+        let Self {
+            q,
+            vocab,
+            grams,
+            tokens,
+            ids,
+            ..
+        } = self;
+        folded_qgrams_into(&value.text(), *q, tokens);
+        // Every token its id, a token seen first the next one; sorted
+        // once, as ids.
+        ids.clear();
+        ids.extend(tokens.iter().map(|&token| {
+            let next = u32::try_from(vocab.len()).expect("fewer than 2^32 distinct grams");
+            *vocab.entry(token).or_insert(next)
+        }));
+        ids.sort_unstable();
+        ids.dedup();
+        let start = u32::try_from(grams.len()).expect("the arena holds fewer than 2^32 gram ids");
+        grams.extend_from_slice(ids);
         // Any two lengths ever tokenized sum to a covered length.
-        self.alpha.cover(2 * sig.len());
+        self.alpha.cover(2 * ids.len());
         let hot = Hot {
-            sketch: GramSketch::of(&sig),
-            len: u32::try_from(sig.len()).expect("a signature holds fewer than 2^32 grams"),
+            // From the tokens, so every filter decides as on the tokens.
+            sketch: GramSketch::of(tokens),
+            len: u32::try_from(ids.len()).expect("a signature holds fewer than 2^32 grams"),
             is_num: value.as_number().is_some(),
         };
-        let entry = Entry { label, value, sig };
-        Some(Pending { entry, hot })
+        Some(Pending {
+            label,
+            value,
+            start,
+            hot,
+        })
     }
 
     /// Tokenizes record `rid`'s values under `(rid, fid, 0)`, nulls
@@ -402,11 +485,24 @@ impl IncrementalJoin {
             .collect()
     }
 
-    fn register_tokenized(&mut self, Pending { entry, hot }: Pending) {
-        let idx = u32::try_from(self.entries.len()).expect("the join holds fewer than 2^32 values");
-        self.row_mut(entry.label.rid).push(idx);
-        self.entries.push(Some(entry));
+    /// Registers a tokenized value, whose ids tokenizing put in the arena.
+    /// Its value is kept only where [`keeps`] says scoring reads it.
+    fn register_tokenized(&mut self, pending: Pending) {
+        let Pending {
+            label,
+            value,
+            start,
+            hot,
+        } = pending;
+        let idx = u32::try_from(self.labels.len()).expect("the join holds fewer than 2^32 values");
+        self.row_mut(label.rid).push(idx);
+        self.labels.push(label);
+        self.offsets.push(start);
         self.hot.push(hot);
+        self.retired.push(false);
+        if keeps(self.fast_grams, hot.is_num) {
+            self.kept.insert(idx, value);
+        }
     }
 
     /// Record `rid`'s row of `by_rid`, the table grown to hold it.
@@ -425,7 +521,7 @@ impl IncrementalJoin {
     /// values — one entry stays live: the surviving record's own if it
     /// has one, else the moved-in entry with the smallest old label,
     /// which is the value `SuperRecord::absorb` keeps. The others are
-    /// dropped with their value and signature.
+    /// retired, and a value kept for them dropped.
     pub fn relabel(&mut self, i: u32, j: u32, remap: impl Fn(Label) -> Label) {
         // (new label, moved in, old label, entry index): sorted, each
         // run of one new label starts with the entry that keeps it.
@@ -433,7 +529,7 @@ impl IncrementalJoin {
         for rid in [i, j] {
             let row = self.by_rid.get_mut(rid as usize).map(std::mem::take);
             for idx in row.unwrap_or_default() {
-                let old = self.entry(idx).label;
+                let old = self.labels[idx as usize];
                 let new = remap(old);
                 moved.push((new, new.rid != old.rid, old, idx));
             }
@@ -441,39 +537,45 @@ impl IncrementalJoin {
         moved.sort_unstable();
         let mut held = None;
         for (new, _, _, idx) in moved {
-            let entry = &mut self.entries[idx as usize];
             if held == Some(new) {
-                *entry = None;
+                self.retired[idx as usize] = true;
+                self.kept.remove(&idx);
                 continue;
             }
             held = Some(new);
-            entry.as_mut().expect("live, read above").label = new;
+            self.labels[idx as usize] = new;
             self.row_mut(new.rid).push(idx);
         }
     }
 
-    /// Checks that the live `(label, value)` set is exactly `expected` —
-    /// the same labels, each holding the same variant of the same value.
-    /// A session passes the values of its super records; the error names
-    /// a label that differs.
+    /// Checks that the live `(label, value)` set is exactly `expected`,
+    /// and that each live entry stores what tokenizing its value would
+    /// store: the numeric flag, the gram ids through the vocabulary, the
+    /// sketch, and the value itself — same variant, same text — exactly
+    /// where the join keeps one (a number, or any value under a metric
+    /// that is not gram compatible). A session passes the values of its
+    /// super records; the error names a label that differs.
     pub fn check_values<'a>(
         &self,
         expected: impl IntoIterator<Item = (Label, &'a Value)>,
     ) -> Result<(), String> {
-        let mut live: FxHashMap<Label, &Value> = FxHashMap::default();
-        for e in self.by_rid.iter().flatten().map(|&idx| self.entry(idx)) {
-            if live.insert(e.label, &e.value).is_some() {
-                return Err(format!("two live join entries share label {}", e.label));
+        let mut live: FxHashMap<Label, u32> = FxHashMap::default();
+        for &idx in self.by_rid.iter().flatten() {
+            let label = self.labels[idx as usize];
+            if self.retired[idx as usize] {
+                return Err(format!("a retired join entry is live at {label}"));
+            }
+            if live.insert(label, idx).is_some() {
+                return Err(format!("two live join entries share label {label}"));
             }
         }
         for (label, value) in expected {
-            let Some(held) = live.remove(&label) else {
+            let Some(idx) = live.remove(&label) else {
                 return Err(format!("join holds no value at {label}"));
             };
-            let same_variant = std::mem::discriminant(held) == std::mem::discriminant(value);
-            if !same_variant || held.text() != value.text() {
+            if let Err(held) = self.check_entry(idx, value) {
                 return Err(format!(
-                    "join holds {held:?} at {label}, the super record {value:?}"
+                    "join holds {held} at {label}, the super record {value:?}"
                 ));
             }
         }
@@ -483,6 +585,47 @@ impl IncrementalJoin {
             )),
             None => Ok(()),
         }
+    }
+
+    /// What live entry `idx` stores that tokenizing `value` would not
+    /// give, named.
+    fn check_entry(&self, idx: u32, value: &Value) -> Result<(), String> {
+        let hot = self.hot[idx as usize];
+        let is_num = value.as_number().is_some();
+        if hot.is_num != is_num {
+            return Err(format!("numeric flag {}", hot.is_num));
+        }
+        let tokens = folded_qgram_set(&value.text(), self.q);
+        let ids: Option<Vec<u32>> = tokens.iter().map(|t| self.vocab.get(t).copied()).collect();
+        let ids = ids.map(|mut ids| {
+            ids.sort_unstable();
+            ids
+        });
+        let held = self.ids(self.offsets[idx as usize], hot.len);
+        if ids.as_deref() != Some(held) {
+            return Err(format!("gram ids {held:?}"));
+        }
+        if GramSketch::of(&tokens) != hot.sketch {
+            return Err(format!("sketch {:?}", hot.sketch));
+        }
+        match (self.kept.get(&idx), keeps(self.fast_grams, is_num)) {
+            (None, false) => Ok(()),
+            (None, true) => Err("no value".into()),
+            (Some(held), true)
+                if std::mem::discriminant(held) == std::mem::discriminant(value)
+                    && held.text() == value.text() =>
+            {
+                Ok(())
+            }
+            (Some(held), true) => Err(format!("{held:?}")),
+            (Some(held), false) => Err(format!("a second copy, {held:?}")),
+        }
+    }
+
+    /// How many values the join keeps beside their signatures.
+    #[cfg(test)]
+    fn kept_values(&self) -> usize {
+        self.kept.len()
     }
 }
 
@@ -567,11 +710,89 @@ mod tests {
             let mut slow = IncrementalJoin::new(xi, 2, Arc::new(Opaque(metric.clone())));
             assert!(fast.fast_grams);
             assert!(!slow.fast_grams);
+            let mut numbers = 0;
             for (rid, values) in (0u32..).zip(&records) {
                 let a = fast.insert_record(rid, values.clone());
                 let b = slow.insert_record(rid, values.clone());
                 assert_eq!(a, b, "xi = {xi}, inserting record {rid}");
+                // A string lives in its super record only, unless the
+                // metric may read it.
+                numbers += values.iter().filter(|v| v.as_number().is_some()).count();
+                assert_eq!(fast.kept_values(), numbers, "record {rid}");
+                assert_eq!(slow.kept_values(), slow.len(), "record {rid}");
             }
+        }
+    }
+
+    /// A join holding a string, a number and a value a merge relabeled
+    /// passes the check against its values; altering, in turn, one gram
+    /// id, the sketch, the numeric flag and the kept number makes the
+    /// check fail naming the altered value's label.
+    #[test]
+    fn check_values_refuses_a_tampered_join() {
+        let string = (label(0, 0), Value::from("electronic"));
+        let number = (label(0, 1), Value::from(1984i64));
+        let moved = (Label::new(0, 2, 0), Value::from("bush@gmail"));
+        let build = || {
+            let mut join = IncrementalJoin::new(0.5, 2, Arc::new(TypeDispatch::paper_default()));
+            join.insert_record(0, vec![string.1.clone(), number.1.clone()]);
+            join.insert_record(1, vec![moved.1.clone()]);
+            join.relabel(0, 1, |l| if l.rid == 1 { moved.0 } else { l });
+            join
+        };
+        let expected = [&string, &number, &moved];
+        let check = |join: &IncrementalJoin| join.check_values(expected.map(|(l, v)| (*l, v)));
+        check(&build()).unwrap();
+        let entry = |join: &IncrementalJoin, at: Label| {
+            join.by_rid[0]
+                .iter()
+                .copied()
+                .find(|&idx| join.labels[idx as usize] == at)
+                .unwrap() as usize
+        };
+        type Tamper = fn(&mut IncrementalJoin, usize);
+        // What is altered, at which label, how, and what the error shows.
+        let cases: [(&str, Label, Tamper, &str); 4] = [
+            (
+                "gram id",
+                moved.0,
+                |join, idx| {
+                    join.grams[join.offsets[idx] as usize] += 1;
+                },
+                "gram ids",
+            ),
+            (
+                "sketch",
+                string.0,
+                |join, idx| {
+                    join.hot[idx].sketch = GramSketch::of(&[7]);
+                },
+                "sketch",
+            ),
+            (
+                "numeric flag",
+                number.0,
+                |join, idx| {
+                    join.hot[idx].is_num = false;
+                },
+                "numeric flag",
+            ),
+            (
+                "kept number",
+                number.0,
+                |join, idx| {
+                    *join.kept.get_mut(&(idx as u32)).unwrap() = Value::from(1985i64);
+                },
+                "Int(1985)",
+            ),
+        ];
+        for (what, at, tamper, shows) in cases {
+            let mut join = build();
+            let idx = entry(&join, at);
+            tamper(&mut join, idx);
+            let err = check(&join).expect_err(what);
+            assert!(err.contains(&at.to_string()), "{what}: {err}");
+            assert!(err.contains(shows), "{what}: {err}");
         }
     }
 

@@ -137,21 +137,27 @@ impl JoinConfig {
 
 /// One value as the verifier sees it: the value, whether it is numeric,
 /// and its folded gram signature with the signature's 128-bit sketch
-/// (both empty where no gram scoring can happen).
+/// (both empty where no gram scoring can happen). The signature's tokens
+/// are the hashed grams (`u64`, the batch join) or dense ids that name one
+/// gram each (`u32`, the incremental join); Jaccard reads only which
+/// tokens two signatures share, so both give the same bits.
+///
+/// `value` is `None` only where [`score`] never reads it: a string under a
+/// metric whose string leg is the signatures' Jaccard.
 #[derive(Clone, Copy)]
-pub(crate) struct Side<'a> {
-    pub(crate) value: &'a Value,
+pub(crate) struct Side<'a, T> {
+    pub(crate) value: Option<&'a Value>,
     pub(crate) is_num: bool,
-    pub(crate) sig: &'a [u64],
+    pub(crate) sig: &'a [T],
     pub(crate) sketch: GramSketch,
 }
 
 /// Views `values[i]` with signature `sigs[i]`, for every `i`.
-fn sides<'a>(values: impl Iterator<Item = &'a Value>, sigs: &'a [Vec<u64>]) -> Vec<Side<'a>> {
+fn sides<'a>(values: impl Iterator<Item = &'a Value>, sigs: &'a [Vec<u64>]) -> Vec<Side<'a, u64>> {
     values
         .zip(sigs)
         .map(|(value, sig)| Side {
-            value,
+            value: Some(value),
             is_num: value.as_number().is_some(),
             sig,
             sketch: GramSketch::of(sig),
@@ -170,12 +176,12 @@ fn sides<'a>(values: impl Iterator<Item = &'a Value>, sigs: &'a [Vec<u64>]) -> V
 /// bound is sound, so a reject can never drop a pair the exact
 /// intersection would keep.
 #[inline]
-pub(crate) fn score(
+pub(crate) fn score<T: Ord>(
     metric: &dyn ValueSimilarity,
     fast_grams: bool,
     xi: f64,
-    a: Side<'_>,
-    b: Side<'_>,
+    a: Side<'_, T>,
+    b: Side<'_, T>,
 ) -> Option<f64> {
     let s = if fast_grams && !(a.is_num && b.is_num) {
         if a.sketch
@@ -186,7 +192,8 @@ pub(crate) fn score(
         }
         jaccard_of_sets(a.sig, b.sig)
     } else {
-        metric.sim(a.value, b.value)
+        let held = "a side the metric scores holds its value";
+        metric.sim(a.value.expect(held), b.value.expect(held))
     };
     (s >= xi).then_some(s)
 }

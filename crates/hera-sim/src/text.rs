@@ -26,13 +26,13 @@ pub fn fold(s: &str) -> String {
     s.to_lowercase()
 }
 
-/// The **set** of q-gram tokens over `units`, each read as the `char`
-/// `as_char` gives: one gram (a `char` window hashed into a token) per
-/// window, sorted ascending and deduplicated.
-fn gram_set<T: Copy>(units: &[T], q: usize, as_char: impl Fn(T) -> char) -> Vec<u64> {
+/// Appends to `out` the q-gram tokens over `units`, each read as the
+/// `char` `as_char` gives: one gram (a `char` window hashed into a token)
+/// per window, in text order, repeats kept.
+fn push_grams<T: Copy>(units: &[T], q: usize, as_char: impl Fn(T) -> char, out: &mut Vec<u64>) {
     assert!(q >= 1, "q must be at least 1");
     if units.is_empty() {
-        return Vec::new();
+        return;
     }
     let hash_gram = |window: &[T]| {
         let mut h = FxHasher::default();
@@ -41,11 +41,15 @@ fn gram_set<T: Copy>(units: &[T], q: usize, as_char: impl Fn(T) -> char) -> Vec<
         }
         h.finish()
     };
-    let mut grams: Vec<u64> = if units.len() < q {
-        vec![hash_gram(units)]
+    if units.len() < q {
+        out.push(hash_gram(units));
     } else {
-        units.windows(q).map(hash_gram).collect()
-    };
+        out.extend(units.windows(q).map(hash_gram));
+    }
+}
+
+/// `grams` as a set: sorted ascending and deduplicated.
+fn into_set(mut grams: Vec<u64>) -> Vec<u64> {
     grams.sort_unstable();
     grams.dedup();
     grams
@@ -59,24 +63,39 @@ fn gram_set<T: Copy>(units: &[T], q: usize, as_char: impl Fn(T) -> char) -> Vec<
 /// empty string has the empty set.
 pub fn qgram_set(s: &str, q: usize) -> Vec<u64> {
     let chars: Vec<char> = s.chars().collect();
-    gram_set(&chars, q, |c| c)
+    let mut grams = Vec::new();
+    push_grams(&chars, q, |c| c, &mut grams);
+    into_set(grams)
 }
 
-/// Fold then extract the q-gram set: `qgram_set(&fold(s), q)`. ASCII
-/// text — where folding is byte-wise and a `char` is a byte — is hashed
-/// where it lies, with no folded copy and no `char` buffer. Anything else
-/// goes through [`fold`]: lowering `char` by `char` would miss what
-/// `str::to_lowercase` knows about context (a final `Σ` lowers to `ς`).
+/// Fold then extract the q-gram set: `qgram_set(&fold(s), q)`.
 pub fn folded_qgram_set(s: &str, q: usize) -> Vec<u64> {
+    let mut grams = Vec::new();
+    folded_qgrams_into(s, q, &mut grams);
+    into_set(grams)
+}
+
+/// The tokens of [`folded_qgram_set`] in text order, repeats kept,
+/// written over `out`: the same set without the sort, for a caller that
+/// renames the tokens and sorts the names, or asks only which tokens
+/// occur ([`GramSketch::of`]). ASCII text — where folding is byte-wise
+/// and a `char` is a byte — is hashed where it lies, with no folded copy
+/// and no `char` buffer. Anything else goes through [`fold`]: lowering
+/// `char` by `char` would miss what `str::to_lowercase` knows about
+/// context (a final `Σ` lowers to `ς`).
+pub fn folded_qgrams_into(s: &str, q: usize, out: &mut Vec<u64>) {
+    out.clear();
     if s.is_ascii() {
-        gram_set(s.as_bytes(), q, |b| char::from(b.to_ascii_lowercase()))
+        push_grams(s.as_bytes(), q, |b| char::from(b.to_ascii_lowercase()), out);
     } else {
-        qgram_set(&fold(s), q)
+        let chars: Vec<char> = fold(s).chars().collect();
+        push_grams(&chars, q, |c| c, out);
     }
 }
 
-/// Size of the intersection of two sorted, deduplicated token slices.
-pub fn intersection_size(a: &[u64], b: &[u64]) -> usize {
+/// Size of the intersection of two sorted, deduplicated token slices —
+/// hashed gram tokens, or any other ids that name one gram each.
+pub fn intersection_size<T: Ord>(a: &[T], b: &[T]) -> usize {
     let (mut i, mut j, mut n) = (0, 0, 0);
     while i < a.len() && j < b.len() {
         match a[i].cmp(&b[j]) {
@@ -92,10 +111,12 @@ pub fn intersection_size(a: &[u64], b: &[u64]) -> usize {
     n
 }
 
-/// Jaccard similarity of two sorted, deduplicated token sets.
+/// Jaccard similarity of two sorted, deduplicated token sets. It reads
+/// only which tokens are shared, so any renaming of the tokens that keeps
+/// them distinct and sorted gives the same bits.
 /// Two empty sets score 0 (an empty string is treated as informationless,
 /// consistent with the null semantics of the data model).
-pub fn jaccard_of_sets(a: &[u64], b: &[u64]) -> f64 {
+pub fn jaccard_of_sets<T: Ord>(a: &[T], b: &[T]) -> f64 {
     if a.is_empty() && b.is_empty() {
         return 0.0;
     }
@@ -127,18 +148,14 @@ pub struct GramSketch {
 }
 
 impl GramSketch {
-    /// Sketches a token set (sorted or not; only membership matters).
+    /// Sketches a token set (sorted or not, repeats or not; only
+    /// membership matters).
     pub fn of(sig: &[u64]) -> Self {
-        let (mut lo, mut hi) = (0u64, 0u64);
-        for &t in sig {
-            let b = (t & 127) as u32;
-            if b < 64 {
-                lo |= 1u64 << b;
-            } else {
-                hi |= 1u64 << (b - 64);
-            }
+        let bits = sig.iter().fold(0u128, |bits, &t| bits | 1u128 << (t & 127));
+        Self {
+            lo: bits as u64,
+            hi: (bits >> 64) as u64,
         }
-        Self { lo, hi }
     }
 
     /// Upper bound on `|A ∩ B|` given the two set cardinalities.
@@ -232,7 +249,7 @@ mod tests {
     #[test]
     fn empty_string_has_empty_set() {
         assert!(qgram_set("", 2).is_empty());
-        assert_eq!(jaccard_of_sets(&[], &[]), 0.0);
+        assert_eq!(jaccard_of_sets::<u64>(&[], &[]), 0.0);
     }
 
     #[test]
@@ -259,6 +276,14 @@ mod tests {
         let s = GramSketch::of(&a);
         assert_eq!(s.intersection_upper_bound(a.len(), s, a.len()), a.len());
         assert_eq!(s.jaccard_upper_bound(a.len(), s, a.len()), 1.0);
+    }
+
+    /// Token `t` sets bit `t mod 128`: bits 0–63 in `lo`, 64–127 in `hi`.
+    #[test]
+    fn sketch_sets_the_token_bit_mod_128() {
+        let s = GramSketch::of(&[0, 63, 64, 127, 128 + 5, 64]);
+        assert_eq!(s.lo, 1 | 1 << 63 | 1 << 5);
+        assert_eq!(s.hi, 1 | 1 << 63);
     }
 
     #[test]
@@ -358,6 +383,22 @@ mod tests {
             q in 1usize..5
         ) {
             prop_assert_eq!(folded_qgram_set(&s, q), qgram_set(&fold(&s), q));
+        }
+
+        /// The tokens in text order are the set's, each at least once,
+        /// and sketch alike.
+        #[test]
+        fn grams_in_text_order_are_the_set(
+            s in prop_oneof!["[ -~]{0,20}", "[a-cA-C ΣσςİßÀé\u{301}]{0,12}"],
+            q in 1usize..5
+        ) {
+            let mut raw = vec![7];
+            folded_qgrams_into(&s, q, &mut raw);
+            let set = folded_qgram_set(&s, q);
+            prop_assert_eq!(GramSketch::of(&raw), GramSketch::of(&set));
+            raw.sort_unstable();
+            raw.dedup();
+            prop_assert_eq!(raw, set);
         }
 
         #[test]
