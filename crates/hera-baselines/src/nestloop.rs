@@ -44,11 +44,11 @@ impl NestLoopVerifier {
         metric: &dyn ValueSimilarity,
     ) -> f64 {
         let mut graph = BipartiteGraph::new();
-        for (lf, lfield) in left.fields.iter().enumerate() {
-            for (rf, rfield) in right.fields.iter().enumerate() {
+        for (lf, lfield) in left.fields().enumerate() {
+            for (rf, rfield) in right.fields().enumerate() {
                 let mut best = 0.0f64;
-                for va in &lfield.values {
-                    for vb in &rfield.values {
+                for va in lfield.values {
+                    for vb in rfield.values {
                         let s = metric.sim(va, vb);
                         if s > best {
                             best = s;

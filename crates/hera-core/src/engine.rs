@@ -11,7 +11,7 @@
 
 use crate::config::HeraConfig;
 use crate::stats::RunStats;
-use crate::super_record::{LabelRemap, SuperRecord};
+use crate::super_record::{LabelRemap, SharedAttrs, SuperRecord};
 use crate::verify::{InstanceVerifier, Verification, VerifyScratch};
 use crate::voter::SchemaVoter;
 use hera_index::{Bounds, BoundsScratch, RankedCandidate, UnionFind, ValuePairIndex};
@@ -69,6 +69,8 @@ pub(crate) struct Engine {
     pub(crate) uf: UnionFind,
     pub(crate) voter: SchemaVoter,
     pub(crate) stats: RunStats,
+    /// The attribute lists the base-shaped super records share.
+    pub(crate) attrs: SharedAttrs,
     /// Scratch for the sequential re-verifications.
     scratch: VerifyScratch,
 }
@@ -83,6 +85,7 @@ impl Engine {
             uf: UnionFind::new(0),
             voter: SchemaVoter::new(),
             stats: RunStats::default(),
+            attrs: SharedAttrs::default(),
             scratch: VerifyScratch::new(),
         }
     }
@@ -90,24 +93,28 @@ impl Engine {
     /// An engine over a whole dataset and the index bulk-built from its
     /// similarity join: every record a singleton super record.
     pub(crate) fn for_dataset(ds: &Dataset, index: ValuePairIndex) -> Self {
-        let supers = ds
-            .iter()
-            .map(|r| (r.id.raw(), SuperRecord::from_record(ds, r)))
-            .collect();
-        Self {
+        let mut engine = Self {
             index,
-            supers,
             uf: UnionFind::new(ds.len()),
             ..Self::empty()
+        };
+        engine.supers.reserve(ds.len());
+        for r in ds.iter() {
+            let attrs = engine.attrs.of_schema(ds.registry.schema(r.schema));
+            let rid = r.id.raw();
+            let lifted = SuperRecord::lift(rid, r.values.clone(), attrs);
+            engine.supers.insert(rid, lifted);
         }
+        engine
     }
 
-    /// Admits one more record as a singleton super record and returns
-    /// its rid.
+    /// Admits one more record as a singleton super record, which keeps
+    /// `values` as they are, and returns its rid.
     pub(crate) fn push_record(&mut self, values: Vec<Value>, schema: &Schema) -> u32 {
         let rid = self.uf.push();
+        let attrs = self.attrs.of_schema(schema);
         self.supers
-            .insert(rid, SuperRecord::lift(rid, values, schema));
+            .insert(rid, SuperRecord::lift(rid, values, attrs));
         rid
     }
 
@@ -167,7 +174,7 @@ impl Engine {
         self.index.drain_ranked(
             pairs,
             |r| supers[&r].informative_size(),
-            |r| supers[&r].members.len() as u64,
+            |r| supers[&r].members().len() as u64,
             cfg.bound_mode,
             cfg.delta,
         )
@@ -283,8 +290,8 @@ impl Engine {
     ) -> bool {
         let (left, right) = (&self.supers[&i], &self.supers[&j]);
         for &(lf, rf, _) in predicted {
-            for &a in &left.fields[lf as usize].attrs {
-                for &b in &right.fields[rf as usize].attrs {
+            for &a in left.field(lf as usize).attrs {
+                for &b in right.field(rf as usize).attrs {
                     self.voter.add_vote(ctx.registry, a, b);
                 }
             }

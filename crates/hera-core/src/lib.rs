@@ -49,11 +49,11 @@ pub use config::HeraConfig;
 pub use driver::{Hera, HeraBuilder, HeraResult};
 pub use session::{HeraSession, HeraSessionBuilder, MergeEvent, ProgressiveReport, ResolveBudget};
 pub use stats::RunStats;
-pub use super_record::{Field, SuperRecord};
+pub use super_record::{FieldRef, SuperRecord};
 pub use verify::{InstanceVerifier, Verification};
 pub use voter::{vote_error_bound, DecidedMatching, SchemaVoter};
 
 pub use hera_block::{Blocker, BlockingScheme};
-pub use hera_index::BoundMode;
+pub use hera_index::{BoundMode, Grouping};
 pub use hera_obs::{JournalBuffer, Recorder};
 pub use hera_types::parallel;

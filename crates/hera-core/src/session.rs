@@ -25,7 +25,7 @@ use crate::super_record::SuperRecord;
 use crate::voter::{DecidedMatching, SchemaVoter};
 use hera_block::StreamingBlocker;
 use hera_faults::{io_retryable, BackoffPolicy, Clock, FaultInjector, SystemClock};
-use hera_index::{UnionFind, ValuePairIndex};
+use hera_index::{Grouping, UnionFind, ValuePairIndex};
 use hera_join::IncrementalJoin;
 use hera_sim::{TypeDispatch, ValueSimilarity};
 use hera_store::Snapshot;
@@ -378,7 +378,7 @@ impl HeraSessionBuilder {
             )));
         }
         for s_json in snap.expect("supers")?.as_arr()? {
-            let s = SuperRecord::from_json(s_json)?;
+            let s = SuperRecord::from_json(s_json, &mut engine.attrs)?;
             if (s.rid as usize) >= record_count || engine.uf.find_const(s.rid) != s.rid {
                 return Err(HeraError::Corrupt(format!(
                     "super record {} is not a live union-find root",
@@ -388,7 +388,7 @@ impl HeraSessionBuilder {
             // The join holds what the super records hold, so it is
             // rebuilt from them rather than stored beside them.
             for (label, v) in s.labeled_values() {
-                session.join.register(label, v.clone());
+                session.join.register(label, v);
             }
             engine.supers.insert(s.rid, s);
         }
@@ -596,17 +596,15 @@ impl HeraSession {
                 actual: values.len(),
             });
         }
-        // The super record keeps the values as they arrived, and the join
-        // takes a copy made here: it drops the strings of the copy (it
-        // keeps only what scoring reads), so they are freed on the thread
-        // that made them. Freeing the caller's own — made on the service's
-        // wire thread — cost ≈ 15 % of `serve_mixed`'s wall time on a
-        // 2-CPU host.
-        let copy = values.clone();
+        // The super record keeps the values as they arrived, and the
+        // blocker and the join read them there: the join clones only what
+        // scoring reads, so ingest frees nothing the caller allocated.
         let rid = self
             .engine
             .push_record(values, self.registry.schema(schema));
-        let values = copy;
+        let values = self.engine.supers[&rid]
+            .base_values()
+            .expect("a record just lifted has absorbed nothing");
 
         // With blocking on, the record's co-blocked candidates bound the
         // join's candidate universe. The blocker speaks in original rids;
@@ -616,7 +614,7 @@ impl HeraSession {
         let allowed: Option<Vec<u32>> = self.blocker.as_mut().map(|b| {
             let uf = &mut self.engine.uf;
             let mut roots: Vec<u32> = b
-                .admit(rid, &values)
+                .admit(rid, values)
                 .into_iter()
                 .map(|r| uf.find(r))
                 .collect();
@@ -1047,17 +1045,23 @@ impl HeraSession {
         self.engine.uf.find_const(rid.raw())
     }
 
-    /// Member record ids of the entity labeled `label`, in merge order
-    /// (the winner's members followed by each absorbed loser's), or
+    /// Member record ids of the entity labeled `label`, ascending, or
     /// `None` when `label` is not a live entity label. O(1) — reads the
     /// super record.
     pub fn entity_members(&self, label: u32) -> Option<&[u32]> {
-        self.engine.supers.get(&label).map(|s| s.members.as_slice())
+        self.engine.supers.get(&label).map(SuperRecord::members)
     }
 
     /// All records grouped by current entity.
     pub fn clusters(&mut self) -> Vec<Vec<u32>> {
         self.engine.uf.clusters()
+    }
+
+    /// All records grouped by current entity, as compressed rows: the
+    /// entity label of each record and each entity's members, in one
+    /// array each. Its sets are [`HeraSession::clusters`].
+    pub fn grouping(&mut self) -> Grouping {
+        self.engine.uf.grouping()
     }
 
     /// Number of records ingested.

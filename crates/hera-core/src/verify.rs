@@ -1,7 +1,7 @@
 //! Instance-based verification (§IV-A): record similarity without schema
 //! matchings.
 
-use crate::super_record::SuperRecord;
+use crate::super_record::{FieldRef, SuperRecord};
 use crate::voter::SchemaVoter;
 use hera_index::{FieldPairSim, ValuePairIndex};
 use hera_matching::{
@@ -78,7 +78,7 @@ impl Verification {
                 .collect::<Vec<_>>()
                 .join(" | ")
         };
-        let values = |f: &crate::super_record::Field| -> String {
+        let values = |f: FieldRef<'_>| -> String {
             f.values
                 .iter()
                 .map(|v| format!("{v}"))
@@ -87,16 +87,16 @@ impl Verification {
         };
         for (idx, &(lf, rf, s)) in self.matching.iter().enumerate() {
             let forced = idx < self.forced_count;
-            let lfield = &left.fields[lf as usize];
-            let rfield = &right.fields[rf as usize];
+            let lfield = left.field(lf as usize);
+            let rfield = right.field(rf as usize);
             let _ = writeln!(
                 out,
                 "  {:.3}{} [{}] {:?} ≈ [{}] {:?}",
                 s,
                 if forced { " (schema-decided)" } else { "" },
-                attr_names(&lfield.attrs),
+                attr_names(lfield.attrs),
                 values(lfield),
-                attr_names(&rfield.attrs),
+                attr_names(rfield.attrs),
                 values(rfield),
             );
         }
@@ -202,8 +202,8 @@ impl<'m> InstanceVerifier<'m> {
                     .map(|p| ((p.left_fid, p.right_fid), p.sim)),
             );
             scratch.cands.clear();
-            for (lf, lfield) in left.fields.iter().enumerate() {
-                for (rf, rfield) in right.fields.iter().enumerate() {
+            for (lf, lfield) in left.fields().enumerate() {
+                for (rf, rfield) in right.fields().enumerate() {
                     let decided = lfield.attrs.iter().any(|&a| {
                         rfield
                             .attrs
@@ -290,10 +290,10 @@ impl<'m> InstanceVerifier<'m> {
 
     /// Field similarity per Definition 3: max value-pair similarity,
     /// one `metric.sim` call per value pair.
-    fn field_sim(&self, a: &crate::super_record::Field, b: &crate::super_record::Field) -> f64 {
+    fn field_sim(&self, a: FieldRef<'_>, b: FieldRef<'_>) -> f64 {
         let mut best = 0.0f64;
-        for va in &a.values {
-            for vb in &b.values {
+        for va in a.values {
+            for vb in b.values {
                 let s = self.metric.sim(va, vb);
                 if s > best {
                     best = s;

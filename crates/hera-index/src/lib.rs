@@ -32,6 +32,6 @@ mod union_find;
 pub use bounds::{refined_field_set_into, BoundMode, Bounds, BoundsScratch, FieldPairSim};
 pub use flat::FlatIndex;
 pub use index::{rank_candidates, IndexStats, RankedCandidate, ValuePairIndex};
-pub use union_find::UnionFind;
+pub use union_find::{Grouping, UnionFind};
 
 pub use hera_join::ValuePair;

@@ -120,15 +120,99 @@ impl UnionFind {
         Ok(Self { parent })
     }
 
-    /// Groups every element by representative; clusters sorted by root id.
+    /// Groups every element by representative; clusters sorted by root
+    /// id, members ascending.
     pub fn clusters(&mut self) -> Vec<Vec<u32>> {
-        let n = self.parent.len() as u32;
-        let mut by_root: std::collections::BTreeMap<u32, Vec<u32>> = Default::default();
-        for x in 0..n {
-            let r = self.find(x);
-            by_root.entry(r).or_default().push(x);
+        self.grouping().clusters()
+    }
+
+    /// Groups every element by representative in one counting pass over
+    /// the roots: see [`Grouping`].
+    pub fn grouping(&mut self) -> Grouping {
+        let n = self.parent.len();
+        let roots: Vec<u32> = (0..n as u32).map(|x| self.find(x)).collect();
+        // Each root's count lands at `starts[root + 1]`; the prefix sum
+        // turns it into the row's start at `starts[root]`, which the
+        // filling pass then walks up to the row's end — the next row's
+        // start, one slot left of where it belongs.
+        let mut starts = vec![0u32; n + 1];
+        for &r in &roots {
+            starts[r as usize + 1] += 1;
         }
-        by_root.into_values().collect()
+        for i in 1..=n {
+            starts[i] += starts[i - 1];
+        }
+        let mut members = vec![0u32; n];
+        for (x, &r) in (0u32..).zip(&roots) {
+            let at = &mut starts[r as usize];
+            members[*at as usize] = x;
+            *at += 1;
+        }
+        starts.rotate_right(1);
+        starts[0] = 0;
+        Grouping {
+            roots,
+            starts,
+            members,
+        }
+    }
+}
+
+/// Every element of a [`UnionFind`] grouped by its representative, as
+/// compressed rows: a root per element, every element in one array
+/// grouped by root, and the start of each root's row. A row lists its
+/// members ascending; an element that is no root has an empty row.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Grouping {
+    roots: Vec<u32>,
+    /// `members[starts[x]..starts[x + 1]]` is element `x`'s row.
+    starts: Vec<u32>,
+    members: Vec<u32>,
+}
+
+impl Grouping {
+    /// Number of elements grouped.
+    pub fn len(&self) -> usize {
+        self.roots.len()
+    }
+
+    /// True if no element was grouped.
+    pub fn is_empty(&self) -> bool {
+        self.roots.is_empty()
+    }
+
+    /// Representative of element `x`.
+    ///
+    /// # Panics
+    /// Panics if `x ≥ self.len()`.
+    pub fn root_of(&self, x: u32) -> u32 {
+        self.roots[x as usize]
+    }
+
+    /// The members of the set `root` represents, ascending; `None` when
+    /// `root` is no representative.
+    pub fn members_of(&self, root: u32) -> Option<&[u32]> {
+        let r = root as usize;
+        (self.roots.get(r) == Some(&root)).then(|| self.row(r))
+    }
+
+    /// Every set, by ascending representative — the order of
+    /// [`UnionFind::clusters`].
+    pub fn sets(&self) -> impl Iterator<Item = &[u32]> {
+        (0..self.len())
+            .map(|x| self.row(x))
+            .filter(|row| !row.is_empty())
+    }
+
+    /// Every set as a vector of its own, in [`Grouping::sets`] order.
+    pub fn clusters(&self) -> Vec<Vec<u32>> {
+        let mut clusters = Vec::with_capacity(self.sets().count());
+        clusters.extend(self.sets().map(<[u32]>::to_vec));
+        clusters
+    }
+
+    fn row(&self, x: usize) -> &[u32] {
+        &self.members[self.starts[x] as usize..self.starts[x + 1] as usize]
     }
 }
 
@@ -220,6 +304,33 @@ mod tests {
                 let root = uf.find(cluster[0]);
                 prop_assert_eq!(root, *cluster.iter().min().unwrap());
             }
+        }
+
+        /// The counting pass groups exactly as a map from root to
+        /// members does, in the same order, and its rows answer by root
+        /// only.
+        #[test]
+        fn grouping_equals_the_map_oracle(
+            n in 0u32..30,
+            ops in proptest::collection::vec((0u32..30, 0u32..30), 0..40),
+        ) {
+            let mut uf = UnionFind::new(n as usize);
+            for (a, b) in ops.into_iter().filter(|&(a, b)| a < n && b < n) {
+                uf.union(a, b);
+            }
+            let mut by_root: std::collections::BTreeMap<u32, Vec<u32>> = Default::default();
+            for x in 0..n {
+                by_root.entry(uf.find(x)).or_default().push(x);
+            }
+            let grouping = uf.grouping();
+            prop_assert_eq!(grouping.len(), n as usize);
+            for x in 0..n {
+                prop_assert_eq!(grouping.root_of(x), uf.find(x));
+                prop_assert_eq!(grouping.members_of(x), by_root.get(&x).map(Vec::as_slice));
+            }
+            prop_assert_eq!(grouping.members_of(n), None);
+            let oracle: Vec<Vec<u32>> = by_root.into_values().collect();
+            prop_assert_eq!(uf.clusters(), oracle);
         }
     }
 }

@@ -100,9 +100,10 @@ struct Hot {
 
 /// A value that was tokenized and not yet registered. Its gram ids are
 /// already in the arena, from `start` on; registration only indexes them.
+/// The value itself is held only where [`keeps`] says scoring reads it.
 struct Pending {
     label: Label,
-    value: Value,
+    value: Option<Value>,
     start: u32,
     hot: Hot,
 }
@@ -266,7 +267,7 @@ impl IncrementalJoin {
     /// similar pairs against the live values of every other record: the
     /// unblocked streaming path. The pairs are normalized (`a.rid < b.rid`)
     /// and ordered by label per value, the values in field order.
-    pub fn insert_record(&mut self, rid: u32, values: Vec<Value>) -> Vec<ValuePair> {
+    pub fn insert_record(&mut self, rid: u32, values: &[Value]) -> Vec<ValuePair> {
         let incoming = self.tokenize_record(rid, values);
         self.insert_tokenized(rid, incoming, None)
     }
@@ -281,7 +282,7 @@ impl IncrementalJoin {
     pub fn insert_record_among(
         &mut self,
         rid: u32,
-        values: Vec<Value>,
+        values: &[Value],
         rids: &[u32],
     ) -> Vec<ValuePair> {
         let incoming = self.tokenize_record(rid, values);
@@ -291,7 +292,7 @@ impl IncrementalJoin {
     /// [`IncrementalJoin::insert_record_among`] for one value under any
     /// label: the same gather and scan, paid for a single value.
     pub fn insert_among(&mut self, label: Label, value: Value, rids: &[u32]) -> Vec<ValuePair> {
-        let incoming = self.tokenize(label, value);
+        let incoming = self.tokenize(label, Cow::Owned(value));
         self.insert_tokenized(label.rid, incoming.into_iter().collect(), Some(rids))
     }
 
@@ -353,6 +354,7 @@ impl IncrementalJoin {
             start,
             hot,
         } = *incoming;
+        let value = value.as_ref();
         let x_len = hot.len as usize;
         let Neighbourhood { rows, starts, .. } = &self.neighbourhood;
         let mut survivors = std::mem::take(&mut self.survivors);
@@ -379,7 +381,7 @@ impl IncrementalJoin {
             }
         }
         let x = Side {
-            value: Some(value),
+            value,
             is_num: hot.is_num,
             sig: self.ids(start, hot.len),
             sketch: hot.sketch,
@@ -427,16 +429,18 @@ impl IncrementalJoin {
     /// super records. Pairs emitted later do not depend on the order
     /// values were registered in, labels being unique and the output
     /// sorted by label. Nulls are ignored, as on insert.
-    pub fn register(&mut self, label: Label, value: Value) {
-        if let Some(value) = self.tokenize(label, value) {
+    pub fn register(&mut self, label: Label, value: &Value) {
+        if let Some(value) = self.tokenize(label, Cow::Borrowed(value)) {
             self.register_tokenized(value);
         }
     }
 
     /// Tokenizes a value for scanning and registration, its gram ids
     /// appended to the arena in ascending order; `None` for a null, which
-    /// is neither scored nor stored.
-    fn tokenize(&mut self, label: Label, value: Value) -> Option<Pending> {
+    /// is neither scored nor stored. The value is owned past the call only
+    /// where [`keeps`] says scoring reads it, and cloned for that only if
+    /// it was borrowed.
+    fn tokenize(&mut self, label: Label, value: Cow<'_, Value>) -> Option<Pending> {
         if value.is_null() {
             return None;
         }
@@ -470,7 +474,7 @@ impl IncrementalJoin {
         };
         Some(Pending {
             label,
-            value,
+            value: keeps(self.fast_grams, hot.is_num).then(|| value.into_owned()),
             start,
             hot,
         })
@@ -478,10 +482,10 @@ impl IncrementalJoin {
 
     /// Tokenizes record `rid`'s values under `(rid, fid, 0)`, nulls
     /// skipped.
-    fn tokenize_record(&mut self, rid: u32, values: Vec<Value>) -> Vec<Pending> {
+    fn tokenize_record(&mut self, rid: u32, values: &[Value]) -> Vec<Pending> {
         (0u32..)
             .zip(values)
-            .filter_map(|(fid, v)| self.tokenize(Label::new(rid, fid, 0), v))
+            .filter_map(|(fid, v)| self.tokenize(Label::new(rid, fid, 0), Cow::Borrowed(v)))
             .collect()
     }
 
@@ -500,7 +504,7 @@ impl IncrementalJoin {
         self.offsets.push(start);
         self.hot.push(hot);
         self.retired.push(false);
-        if keeps(self.fast_grams, hot.is_num) {
+        if let Some(value) = value {
             self.kept.insert(idx, value);
         }
     }
@@ -682,7 +686,7 @@ mod tests {
             let mut inc = IncrementalJoin::new(xi, 2, Arc::new(metric.clone()));
             let mut streamed: Vec<ValuePair> = Vec::new();
             for (rid, values) in (0u32..).zip(&records) {
-                streamed.extend(inc.insert_record(rid, values.clone()));
+                streamed.extend(inc.insert_record(rid, values));
             }
             streamed.sort_unstable_by(crate::output_order);
             assert_eq!(streamed, batch, "xi = {xi}");
@@ -712,8 +716,8 @@ mod tests {
             assert!(!slow.fast_grams);
             let mut numbers = 0;
             for (rid, values) in (0u32..).zip(&records) {
-                let a = fast.insert_record(rid, values.clone());
-                let b = slow.insert_record(rid, values.clone());
+                let a = fast.insert_record(rid, values);
+                let b = slow.insert_record(rid, values);
                 assert_eq!(a, b, "xi = {xi}, inserting record {rid}");
                 // A string lives in its super record only, unless the
                 // metric may read it.
@@ -735,8 +739,8 @@ mod tests {
         let moved = (Label::new(0, 2, 0), Value::from("bush@gmail"));
         let build = || {
             let mut join = IncrementalJoin::new(0.5, 2, Arc::new(TypeDispatch::paper_default()));
-            join.insert_record(0, vec![string.1.clone(), number.1.clone()]);
-            join.insert_record(1, vec![moved.1.clone()]);
+            join.insert_record(0, &[string.1.clone(), number.1.clone()]);
+            join.insert_record(1, std::slice::from_ref(&moved.1));
             join.relabel(0, 1, |l| if l.rid == 1 { moved.0 } else { l });
             join
         };
@@ -801,7 +805,7 @@ mod tests {
         let metric = TypeDispatch::paper_default();
         let mut inc = IncrementalJoin::new(0.5, 2, Arc::new(metric.clone()));
         let same = || Value::from("same");
-        assert!(inc.insert_record(0, vec![same(), same()]).is_empty());
+        assert!(inc.insert_record(0, &[same(), same()]).is_empty());
         assert!(inc.insert_among(label(0, 2), same(), &[0]).is_empty());
         assert_eq!(inc.len(), 3);
     }
@@ -810,7 +814,7 @@ mod tests {
     fn nulls_are_ignored() {
         let metric = TypeDispatch::paper_default();
         let mut inc = IncrementalJoin::new(0.5, 2, Arc::new(metric.clone()));
-        assert!(inc.insert_record(0, vec![Value::Null]).is_empty());
+        assert!(inc.insert_record(0, &[Value::Null]).is_empty());
         assert!(inc.insert_among(label(1, 0), Value::Null, &[0]).is_empty());
         assert!(inc.is_empty());
     }
@@ -819,7 +823,7 @@ mod tests {
     fn relabel_redirects_future_pairs() {
         let metric = TypeDispatch::paper_default();
         let mut inc = IncrementalJoin::new(0.5, 2, Arc::new(metric.clone()));
-        inc.insert_record(5, vec![Value::from("bush@gmail")]);
+        inc.insert_record(5, &[Value::from("bush@gmail")]);
         // Record 5 merged into record 1, field shifted to 3.
         inc.relabel(1, 5, |l| {
             if l.rid == 5 {
@@ -828,7 +832,7 @@ mod tests {
                 l
             }
         });
-        let pairs = inc.insert_record(9, vec![Value::from("bush@gmail")]);
+        let pairs = inc.insert_record(9, &[Value::from("bush@gmail")]);
         assert_eq!(pairs.len(), 1);
         assert_eq!(pairs[0].a, Label::new(1, 3, 0));
         assert_eq!(pairs[0].b, label(9, 0));
@@ -840,9 +844,9 @@ mod tests {
         let metric =
             TypeDispatch::paper_default().with_numeric_metric(Arc::new(NumericProximity::new(5.0)));
         let mut inc = IncrementalJoin::new(0.5, 2, Arc::new(metric.clone()));
-        inc.insert_record(0, vec![Value::from(1980i64)]);
-        inc.insert_record(1, vec![Value::from(1990i64)]);
-        let pairs = inc.insert_record(2, vec![Value::from(1981i64)]);
+        inc.insert_record(0, &[Value::from(1980i64)]);
+        inc.insert_record(1, &[Value::from(1990i64)]);
+        let pairs = inc.insert_record(2, &[Value::from(1981i64)]);
         // 1981 vs 1980 → sim 0.8; vs 1990 → 0. Gram overlap of "1981" and
         // "1980"/"1990" also exists but numeric dispatch scores them.
         assert_eq!(pairs.len(), 1);
@@ -861,8 +865,8 @@ mod tests {
         let mut open = IncrementalJoin::new(0.5, 2, Arc::new(metric.clone()));
         let mut blocked = IncrementalJoin::new(0.5, 2, Arc::new(metric.clone()));
         for join in [&mut open, &mut blocked] {
-            join.insert_record(0, vec![Value::from("john bush"), Value::from("bush@gmail")]);
-            join.insert_record(1, vec![Value::from("j. bush"), Value::from("bush@gmail")]);
+            join.insert_record(0, &[Value::from("john bush"), Value::from("bush@gmail")]);
+            join.insert_record(1, &[Value::from("j. bush"), Value::from("bush@gmail")]);
             assert_eq!(join.len(), 4);
             // 1 folds into 0: the names stay apart as two values of
             // field 0, the equal mail values share label (0, 1, 0).
@@ -879,7 +883,7 @@ mod tests {
             ])
             .unwrap();
         }
-        let a = open.insert_record(2, vec![Value::from("bush@gmail")]);
+        let a = open.insert_record(2, &[Value::from("bush@gmail")]);
         let b = blocked.insert_among(label(2, 0), Value::from("bush@gmail"), &[0]);
         assert_eq!(a, b);
         assert_eq!(
@@ -901,13 +905,13 @@ mod tests {
         let metric =
             TypeDispatch::paper_default().with_numeric_metric(Arc::new(NumericProximity::new(5.0)));
         let mut inc = IncrementalJoin::new(0.5, 2, Arc::new(metric));
-        inc.insert_record(0, vec![Value::from(1980i64)]);
-        inc.insert_record(1, vec![Value::from(1981i64)]);
-        inc.insert_record(2, vec![Value::from(1981i64)]);
+        inc.insert_record(0, &[Value::from(1980i64)]);
+        inc.insert_record(1, &[Value::from(1981i64)]);
+        inc.insert_record(2, &[Value::from(1981i64)]);
         // 2 folds into 1; the two 1981s share a label, one is retired.
         inc.relabel(1, 2, |l| Label::new(1, l.fid, l.vid));
         assert_eq!(inc.len(), 2);
-        let pairs = inc.insert_record(3, vec![Value::from(1982i64)]);
+        let pairs = inc.insert_record(3, &[Value::from(1982i64)]);
         let partners: Vec<Label> = pairs.iter().map(|p| p.a).collect();
         assert_eq!(partners, vec![label(0, 0), label(1, 0)]);
     }
@@ -919,9 +923,9 @@ mod tests {
     fn registered_values_answer_like_inserted_ones() {
         let metric = TypeDispatch::paper_default();
         let mut live = IncrementalJoin::new(0.5, 2, Arc::new(metric.clone()));
-        live.insert_record(1, vec![Value::from("electronics")]);
-        live.insert_record(2, vec![Value::from(1984i64)]);
-        live.insert_record(0, vec![Value::from("electronic")]);
+        live.insert_record(1, &[Value::from("electronics")]);
+        live.insert_record(2, &[Value::from(1984i64)]);
+        live.insert_record(0, &[Value::from("electronic")]);
         live.relabel(0, 1, |l| {
             if l.rid == 1 {
                 Label::new(0, 7, l.vid)
@@ -931,14 +935,14 @@ mod tests {
         });
 
         let mut rebuilt = IncrementalJoin::new(0.5, 2, Arc::new(metric));
-        rebuilt.register(label(0, 0), Value::from("electronic"));
-        rebuilt.register(Label::new(0, 7, 0), Value::from("electronics"));
-        rebuilt.register(label(2, 0), Value::from(1984i64));
-        rebuilt.register(label(2, 1), Value::Null);
+        rebuilt.register(label(0, 0), &Value::from("electronic"));
+        rebuilt.register(Label::new(0, 7, 0), &Value::from("electronics"));
+        rebuilt.register(label(2, 0), &Value::from(1984i64));
+        rebuilt.register(label(2, 1), &Value::Null);
         assert_eq!(rebuilt.len(), live.len());
 
-        let a = live.insert_record(9, vec![Value::from("electronic")]);
-        let b = rebuilt.insert_record(9, vec![Value::from("electronic")]);
+        let a = live.insert_record(9, &[Value::from("electronic")]);
+        let b = rebuilt.insert_record(9, &[Value::from("electronic")]);
         assert_eq!(a, b);
         assert_eq!(a.len(), 2);
     }
@@ -959,20 +963,20 @@ mod tests {
         let metric = TypeDispatch::paper_default();
         let seeded = || {
             let mut join = IncrementalJoin::new(0.5, 2, Arc::new(metric.clone()));
-            join.register(label(0, 0), Value::from("electronic"));
-            join.register(label(1, 0), Value::from("electronics"));
-            join.register(label(2, 0), Value::from("electronic"));
-            join.register(label(3, 0), Value::from("unrelated stuff"));
+            join.register(label(0, 0), &Value::from("electronic"));
+            join.register(label(1, 0), &Value::from("electronics"));
+            join.register(label(2, 0), &Value::from("electronic"));
+            join.register(label(3, 0), &Value::from("unrelated stuff"));
             // An earlier value of the incoming record: never a partner.
-            join.register(label(7, 0), Value::from("electronic"));
+            join.register(label(7, 0), &Value::from("electronic"));
             join
         };
         let incoming = || vec![Value::Null, Value::from("electronic")];
-        let clean = seeded().insert_record_among(7, incoming(), &[0, 1, 2]);
+        let clean = seeded().insert_record_among(7, &incoming(), &[0, 1, 2]);
         let partners: Vec<Label> = clean.iter().map(|p| p.a).collect();
         assert_eq!(partners, vec![label(0, 0), label(1, 0), label(2, 0)]);
         assert!(clean.iter().all(|p| p.b == label(7, 1)));
-        assert_eq!(seeded().insert_record(7, incoming()), clean, "unblocked");
+        assert_eq!(seeded().insert_record(7, &incoming()), clean, "unblocked");
         let cases: [(&str, &[u32]); 4] = [
             ("unsorted", &[2, 0, 1]),
             ("repeated", &[0, 0, 1, 2, 2, 1]),
@@ -980,7 +984,7 @@ mod tests {
             ("unknown records", &[0, 1, 2, 5, 900]),
         ];
         for (case, rids) in cases {
-            let by_record = seeded().insert_record_among(7, incoming(), rids);
+            let by_record = seeded().insert_record_among(7, &incoming(), rids);
             assert_eq!(by_record, clean, "insert_record_among, {case}");
             let by_value = seeded().insert_among(label(7, 1), Value::from("electronic"), rids);
             assert_eq!(by_value, clean, "insert_among, {case}");
@@ -995,9 +999,9 @@ mod tests {
         let metric = TypeDispatch::paper_default();
         let mut join = IncrementalJoin::new(0.5, 2, Arc::new(metric));
         let first = vec![Value::from("same"), Value::Null, Value::from("same")];
-        assert!(join.insert_record_among(0, first, &[]).is_empty());
+        assert!(join.insert_record_among(0, &first, &[]).is_empty());
         assert_eq!(join.len(), 2);
-        let pairs = join.insert_record_among(1, vec![Value::from("same")], &[0]);
+        let pairs = join.insert_record_among(1, &[Value::from("same")], &[0]);
         let partners: Vec<Label> = pairs.iter().map(|p| p.a).collect();
         assert_eq!(partners, vec![label(0, 0), label(0, 2)]);
     }
@@ -1116,20 +1120,20 @@ mod tests {
                     .collect();
                 let expected = new_pairs(&universe, rid);
 
-                let got = by_record.insert_record_among(rid, values.clone(), &rids);
+                let got = by_record.insert_record_among(rid, &values, &rids);
                 prop_assert_eq!(bits(&got), bits(&expected), "record {}, by record", rid);
                 let mut fresh = IncrementalJoin::new(xi, 2, metric.clone());
                 for (l, v) in &live.0 {
-                    fresh.register(*l, v.clone());
+                    fresh.register(*l, v);
                 }
-                let afresh = fresh.insert_record_among(rid, values.clone(), &rids);
+                let afresh = fresh.insert_record_among(rid, &values, &rids);
                 prop_assert_eq!(bits(&got), bits(&afresh), "record {}, built afresh", rid);
                 let mut got = Vec::new();
                 for (l, v) in &incoming {
                     got.extend(by_value.insert_among(*l, v.clone(), &rids));
                 }
                 prop_assert_eq!(bits(&got), bits(&expected), "record {}, by value", rid);
-                let got = open.insert_record(rid, values);
+                let got = open.insert_record(rid, &values);
                 let expected = new_pairs(&everything, rid);
                 prop_assert_eq!(bits(&got), bits(&expected), "record {}, unblocked", rid);
 

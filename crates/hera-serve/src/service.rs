@@ -669,4 +669,43 @@ mod tests {
             .unwrap();
         assert_eq!((reply.provisional, reply.members), (false, vec![0]));
     }
+
+    #[test]
+    fn empty_service_publishes_an_empty_view() {
+        let service = ErService::builder(HeraConfig::new(0.5, 0.5), 1).build();
+        for _ in 0..2 {
+            assert!(service.stitched_partition().is_empty());
+            assert!(matches!(service.entity(0), Err(HeraError::UnknownId(_))));
+            assert!(matches!(service.lookup(0), Err(HeraError::UnknownId(_))));
+            service.stitch();
+        }
+    }
+
+    /// A restored service answers from the view it publishes on start:
+    /// the partition, lookups and member rows of the service that wrote
+    /// the snapshot, and no members for a label that names no entity.
+    #[test]
+    fn restored_service_answers_from_its_first_view() {
+        let config = || HeraConfig::new(0.5, 0.5);
+        let service = ErService::builder(config(), 1).build();
+        let schema = service.add_schema("crm", &["name".to_string()]);
+        for name in ["alice smith", "bob jones", "alice smith"] {
+            service.ingest(schema, vec![name.into()]).unwrap();
+        }
+        service.stitch();
+        let path = std::env::temp_dir().join(format!(
+            "hera-serve-restore-view-test-{}.hera",
+            std::process::id()
+        ));
+        service.checkpoint(&path).unwrap();
+        let restored = ErService::builder(config(), 1).restore(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        assert_eq!(restored.stitched_partition(), [vec![0, 2], vec![1]]);
+        assert_eq!(restored.stitched_partition(), service.stitched_partition());
+        let reply = restored.lookup(2).unwrap();
+        assert_eq!((reply.entity, reply.provisional), (0, false));
+        assert_eq!(reply.members, [0, 2]);
+        assert_eq!(restored.entity(0).unwrap(), [0, 2]);
+        assert!(matches!(restored.entity(2), Err(HeraError::UnknownId(_))));
+    }
 }

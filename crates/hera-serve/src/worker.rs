@@ -13,18 +13,17 @@
 //! # Publishing
 //!
 //! A boundary pass never blocks lookups. The owner resolves to fixpoint,
-//! builds a complete [`StitchedView`] (entity labels, member lists, the
-//! full partition), and *then* swaps it into the published slot under a
+//! builds a complete [`StitchedView`] (the session's [`Grouping`]: entity
+//! labels and member rows), and *then* swaps it into the published slot under a
 //! write lock held only for the pointer swap. Readers clone the `Arc`
 //! out under the read lock and answer from an immutable generation — a
 //! lookup can observe the pass-*k* or pass-*k+1* view, never a mixture.
 
 use crate::service::StitchReply;
-use hera_core::{HeraSession, ProgressiveReport, ResolveBudget};
+use hera_core::{Grouping, HeraSession, ProgressiveReport, ResolveBudget};
 use hera_obs::Recorder;
 use hera_types::json::Json;
 use hera_types::{RecordId, Result, SchemaId, Value};
-use rustc_hash::FxHashMap;
 use std::path::PathBuf;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, RwLock};
@@ -89,12 +88,10 @@ pub(crate) enum SessionCmd {
 /// lookup needs, immutable, behind an `Arc`. Built by the owner thread
 /// after each boundary pass and swapped in atomically.
 pub(crate) struct StitchedView {
-    /// Record ids `< entity.len()` are covered by this generation.
-    entity: Vec<u32>,
-    /// Entity label → member ids, ascending.
-    members: FxHashMap<u32, Vec<u32>>,
-    /// The full partition, in [`HeraSession::clusters`] order.
-    partition: Vec<Vec<u32>>,
+    /// Compressed rows: an entity label per record, every record grouped
+    /// by label, a row start per label. Record ids `< entities.len()` are
+    /// covered by this generation.
+    entities: Grouping,
     /// Boundary passes published so far (generation counter).
     passes: u64,
 }
@@ -102,22 +99,24 @@ pub(crate) struct StitchedView {
 impl StitchedView {
     /// Records this generation covers.
     pub(crate) fn len(&self) -> usize {
-        self.entity.len()
+        self.entities.len()
     }
 
     /// Entity label of a covered record id.
     pub(crate) fn entity_of(&self, id: u32) -> u32 {
-        self.entity[id as usize]
+        self.entities.root_of(id)
     }
 
-    /// Members of an entity by label.
+    /// Members of an entity by label, ascending; `None` for a label that
+    /// names no entity.
     pub(crate) fn members_of(&self, label: u32) -> Option<&[u32]> {
-        self.members.get(&label).map(|m| m.as_slice())
+        self.entities.members_of(label)
     }
 
-    /// The whole partition (cloned).
+    /// The whole partition, in [`HeraSession::clusters`] order, built on
+    /// each call.
     pub(crate) fn partition(&self) -> Vec<Vec<u32>> {
-        self.partition.clone()
+        self.entities.clusters()
     }
 
     /// Published boundary passes.
@@ -127,18 +126,8 @@ impl StitchedView {
 
     /// Captures the session's current partition as generation `passes`.
     fn capture(session: &mut HeraSession, passes: u64) -> Self {
-        let partition = session.clusters();
-        let entity: Vec<u32> = (0..session.len() as u32)
-            .map(|id| session.entity_of(RecordId::new(id)))
-            .collect();
-        let mut members = FxHashMap::default();
-        for cluster in &partition {
-            members.insert(entity[cluster[0] as usize], cluster.clone());
-        }
         StitchedView {
-            entity,
-            members,
-            partition,
+            entities: session.grouping(),
             passes,
         }
     }
@@ -222,11 +211,10 @@ fn session_worker_loop(
             }
             SessionCmd::Lookup { id, reply } => {
                 let entity = session.entity_of(RecordId::new(id));
-                let mut members = session
+                let members = session
                     .entity_members(entity)
                     .expect("a root has a super record")
                     .to_vec();
-                members.sort_unstable();
                 reply.send((entity, members)).ok();
             }
             SessionCmd::Stats { reply } => {
@@ -238,5 +226,79 @@ fn session_worker_loop(
             }
             SessionCmd::Shutdown => break,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hera_core::HeraConfig;
+
+    /// A session of four records: the two alices merge into entity 0,
+    /// bob and carol stay alone.
+    fn resolved_session() -> HeraSession {
+        let mut session = HeraSession::builder(HeraConfig::new(0.5, 0.5)).build();
+        let schema = session.add_schema("crm", ["name"]);
+        for name in ["alice smith", "bob jones", "alice smith", "carol white"] {
+            session.add_record(schema, vec![name.into()]).unwrap();
+        }
+        session.resolve();
+        session
+    }
+
+    /// Every covered record's entity and member row answer as the
+    /// session does, and the partition is the session's.
+    fn assert_mirrors(view: &StitchedView, session: &mut HeraSession) {
+        assert_eq!(view.len(), session.len());
+        for id in 0..session.len() as u32 {
+            let entity = session.entity_of(RecordId::new(id));
+            assert_eq!(view.entity_of(id), entity);
+            assert_eq!(view.members_of(entity), session.entity_members(entity));
+        }
+        assert_eq!(view.partition(), session.clusters());
+    }
+
+    #[test]
+    fn view_answers_as_the_session() {
+        let mut session = resolved_session();
+        let view = StitchedView::capture(&mut session, 1);
+        assert_mirrors(&view, &mut session);
+        assert_eq!(view.partition(), [vec![0, 2], vec![1], vec![3]]);
+        assert_eq!(view.members_of(0), Some(&[0, 2][..]));
+        assert_eq!(view.passes(), 1);
+    }
+
+    #[test]
+    fn a_label_that_names_no_entity_has_no_members() {
+        let mut session = resolved_session();
+        let view = StitchedView::capture(&mut session, 1);
+        assert_eq!(view.entity_of(2), 0, "record 2 folded into entity 0");
+        assert_eq!(view.members_of(2), None);
+        assert_eq!(view.members_of(4), None, "past the covered records");
+        assert_eq!(view.members_of(u32::MAX), None);
+    }
+
+    #[test]
+    fn empty_session_gives_an_empty_view() {
+        let mut session = HeraSession::builder(HeraConfig::new(0.5, 0.5)).build();
+        let view = StitchedView::capture(&mut session, 0);
+        assert_eq!(view.len(), 0);
+        assert!(view.partition().is_empty());
+        assert_eq!(view.members_of(0), None);
+    }
+
+    #[test]
+    fn restored_session_gives_the_same_view() {
+        let mut session = resolved_session();
+        let path =
+            std::env::temp_dir().join(format!("hera-serve-view-test-{}.hera", std::process::id()));
+        session.checkpoint(&path).unwrap();
+        let mut restored = HeraSession::builder(HeraConfig::new(0.5, 0.5))
+            .restore(&path)
+            .unwrap();
+        std::fs::remove_file(&path).ok();
+        let view = StitchedView::capture(&mut restored, 1);
+        assert_mirrors(&view, &mut restored);
+        assert_eq!(view.partition(), session.clusters());
     }
 }

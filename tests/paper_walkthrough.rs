@@ -39,8 +39,8 @@ fn example2_super_record_merge() {
     let r6 = SuperRecord::from_record(&ds, ds.record(hera::RecordId::new(5)));
     r1.absorb(&r6, &[(0, 0), (1, 1), (2, 2), (4, 4)]);
     assert_eq!(r1.size(), 6);
-    assert_eq!(r1.fields[4].values.len(), 2); // Electronic + electronics
-    assert_eq!(r1.fields[0].values.len(), 1); // John deduped
+    assert_eq!(r1.field(4).values.len(), 2); // Electronic + electronics
+    assert_eq!(r1.field(0).values.len(), 1); // John deduped
 }
 
 /// Example 3: Sim(R1, R2) for R1 = r1⊕r6, R2 = r2⊕r4 lands near the

@@ -303,6 +303,69 @@ fn index_pair_naming_an_unknown_record_is_rejected_as_corrupt() {
     std::fs::remove_file(&path).ok();
 }
 
+/// A super record whose members are `[rid]` absorbed nothing, so each of
+/// its fields holds the one attribute and at most the one value its
+/// record arrived with. A snapshot that gives such a record a second
+/// attribute or a second value in a field is refused, naming the record.
+#[test]
+fn one_member_super_record_with_a_grown_field_is_rejected_as_corrupt() {
+    use hera::types::json::Json;
+    let path = real_snapshot("one-member");
+    let mut snap = hera::Snapshot::read(&path).unwrap();
+    let Json::Arr(supers) = snap.get("supers").unwrap().clone() else {
+        panic!("the supers section is an array");
+    };
+    let int = |j: &Json| match j {
+        Json::Int(i) => *i,
+        other => panic!("expected an integer, got {other:?}"),
+    };
+    let (at, rid) = supers
+        .iter()
+        .enumerate()
+        .find_map(|(at, s)| {
+            let rid = int(s.get("rid").unwrap());
+            let members = s.get("members").unwrap().as_arr().unwrap();
+            (members.len() == 1).then_some((at, rid))
+        })
+        .expect("some record of the snapshot merged with nothing");
+    type Grow = fn(&mut Vec<(String, Json)>);
+    let grows: [Grow; 2] = [
+        |field| field[1].1 = Json::Arr(vec![Json::Int(0), Json::Int(1)]),
+        |field| field[0].1 = Json::Arr(vec![Json::Str("Null".into()); 2]),
+    ];
+    for grow in grows {
+        let mut edited = supers.clone();
+        let Json::Obj(record) = &mut edited[at] else {
+            panic!("a super record is an object");
+        };
+        let Json::Arr(fields) = &mut record.iter_mut().find(|(k, _)| k == "fields").unwrap().1
+        else {
+            panic!("fields is an array");
+        };
+        let Json::Obj(field) = &mut fields[0] else {
+            panic!("a field is an object");
+        };
+        assert_eq!(
+            (field[0].0.as_str(), field[1].0.as_str()),
+            ("values", "attrs")
+        );
+        grow(field);
+        snap.insert("supers", Json::Arr(edited));
+        snap.write(&path).unwrap();
+        match restore(&path) {
+            Err(HeraError::Corrupt(msg)) => {
+                assert!(
+                    msg.contains(&format!("super record {rid}")),
+                    "message: {msg}"
+                )
+            }
+            Err(other) => panic!("expected Corrupt, got {other}"),
+            Ok(_) => panic!("record {rid} restored with a grown field"),
+        }
+    }
+    std::fs::remove_file(&path).ok();
+}
+
 /// The streaming blocker counts co-occurrence in a table indexed by
 /// rid, so a blocker section naming a record the snapshot does not hold
 /// is refused at restore — before an admission sizes the table by it.
