@@ -8,9 +8,6 @@
 //! check (pairwise metrics over-reward large clusters, so agreement
 //! between the two is a useful sanity signal).
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 mod cluster;
 
 pub use cluster::{adjusted_rand_index, v_measure};

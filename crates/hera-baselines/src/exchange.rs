@@ -1,7 +1,7 @@
 //! Schema matching + data exchange — the conventional pipeline of
 //! Fig. 1(c) that HERA is evaluated against.
 //!
-//! Given a heterogeneous dataset, this crate reproduces §VI-A's
+//! Given a heterogeneous dataset, this module reproduces §VI-A's
 //! construction of the *homogeneous* datasets:
 //!
 //! 1. **Target schema** — a user-defined schema is simulated by sampling a
@@ -21,9 +21,6 @@
 //! The *information loss* HERA exploits is measurable here:
 //! [`ExchangePlan::dropped_value_count`] counts source values that no
 //! target position preserves.
-
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
 
 use hera_types::{CanonAttrId, Dataset, DatasetBuilder, EntityId, SchemaId, Value};
 use rand::seq::SliceRandom;

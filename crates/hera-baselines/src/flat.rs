@@ -9,7 +9,7 @@ use rustc_hash::{FxHashMap, FxHashSet};
 /// (single) target schema; each field accumulates the values of all
 /// members.
 #[derive(Debug, Clone)]
-pub struct FlatSuper {
+pub(crate) struct FlatSuper {
     /// One value-set per target-schema position.
     pub fields: Vec<Vec<Value>>,
     /// Base records folded in (ascending).
@@ -34,11 +34,6 @@ impl FlatSuper {
                 .collect(),
             members: vec![rid],
         }
-    }
-
-    /// Number of fields holding at least one value.
-    pub fn informative_size(&self) -> usize {
-        self.fields.iter().filter(|f| !f.is_empty()).count()
     }
 
     /// Merges `other` into `self`, position-wise, deduplicating equal
@@ -123,7 +118,7 @@ fn field_sim(a: &[Value], b: &[Value], metric: &dyn ValueSimilarity) -> f64 {
 /// Candidate record pairs for a homogeneous dataset: pairs sharing at
 /// least one value pair with `simv ≥ ξ`, via the same similarity join
 /// HERA's index uses. Returned as an adjacency map over base rids.
-pub fn candidate_adjacency(
+pub(crate) fn candidate_adjacency(
     ds: &Dataset,
     metric: &dyn ValueSimilarity,
     xi: f64,
@@ -138,7 +133,7 @@ pub fn candidate_adjacency(
 }
 
 /// All candidate rid pairs `(i, j)` with `i < j`, sorted.
-pub fn candidate_pairs(adj: &FxHashMap<u32, FxHashSet<u32>>) -> Vec<(u32, u32)> {
+pub(crate) fn candidate_pairs(adj: &FxHashMap<u32, FxHashSet<u32>>) -> Vec<(u32, u32)> {
     let mut out = Vec::new();
     for (&i, partners) in adj {
         for &j in partners {
@@ -178,8 +173,6 @@ mod tests {
         let a = FlatSuper::from_record(&ds, 0);
         let b = FlatSuper::from_record(&ds, 1);
         let c = FlatSuper::from_record(&ds, 2);
-        assert_eq!(a.informative_size(), 2);
-        assert_eq!(b.informative_size(), 1);
         // Names overlap; the null city contributes nothing and the
         // arity-2 denominator halves the name similarity.
         let sim_ab = a.similarity(&b, &metric, 0.3);

@@ -1,4 +1,10 @@
-//! The paper's comparators (§VI-C), implemented from scratch:
+//! The paper's comparator side (§VI), implemented from scratch:
+//!
+//! * [`exchange`] — schema matching + data exchange: target schemas,
+//!   tgds and the chase that build the homogeneous `-S` / `-L` datasets
+//!   the baselines run on (§VI-A);
+//! * [`eval`] — pairwise precision/recall/F1, the paper's measure, plus
+//!   B³ and two cluster-agreement scores;
 //!
 //! * [`RSwoosh`] — the generic match-and-merge ER of Benjelloun et al.
 //!   \[4\]: a buffer-and-output loop that merges any matching pair and
@@ -15,8 +21,8 @@
 //!   index speedup (ablation A1).
 //!
 //! All three clustering baselines consume *homogeneous* datasets (one
-//! schema, the output of `hera-exchange`) and share one record-similarity
-//! definition ([`flat::FlatSuper::similarity`]) aligned with HERA's
+//! schema, the output of [`exchange`]) and share one record-similarity
+//! definition (`flat::FlatSuper::similarity`) aligned with HERA's
 //! Definition 5, so Fig. 11 compares algorithms, not scoring functions.
 //! Candidate pairs come from the same similarity join HERA uses — every
 //! system gets the same blocking.
@@ -24,7 +30,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod flat;
+pub mod eval;
+pub mod exchange;
+mod flat;
 mod kwik;
 mod nestloop;
 mod relational;
@@ -51,15 +59,15 @@ pub trait Resolver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hera_eval::PairMetrics;
+    use crate::eval::PairMetrics;
     use hera_sim::TypeDispatch;
     use hera_types::{motivating_example, Dataset};
 
     fn exchanged_example() -> Dataset {
         let ds = motivating_example();
         // Full-information exchange: all 7 distinct attributes.
-        let plan = hera_exchange::plan_exchange(&ds, 1.0, 1);
-        hera_exchange::chase(&ds, &plan, "fig1-full")
+        let plan = crate::exchange::plan_exchange(&ds, 1.0, 1);
+        crate::exchange::chase(&ds, &plan, "fig1-full")
     }
 
     /// With the *full* target schema (no information loss), every
@@ -89,7 +97,7 @@ mod tests {
     #[test]
     fn information_loss_hurts_baselines() {
         let ds = motivating_example();
-        let (lossy, plan) = hera_exchange::exchange_small(&ds, 7);
+        let (lossy, plan) = crate::exchange::exchange_small(&ds, 7);
         assert!(plan.dropped_value_count > 0);
         let metric = TypeDispatch::paper_default();
         let swoosh = RSwoosh::new(0.5, 0.5).resolve(&lossy, &metric);

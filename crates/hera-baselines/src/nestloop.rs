@@ -9,29 +9,19 @@
 //! Ablation A1 benchmarks the two side by side.
 
 use hera_core::SuperRecord;
-use hera_matching::{greedy_matching, max_weight_matching, BipartiteGraph};
+use hera_matching::{max_weight_matching, BipartiteGraph};
 use hera_sim::ValueSimilarity;
 
 /// Index-free record-similarity computation.
 #[derive(Debug, Clone, Copy)]
 pub struct NestLoopVerifier {
     xi: f64,
-    use_kuhn_munkres: bool,
 }
 
 impl NestLoopVerifier {
     /// Creates a verifier with value threshold ξ.
     pub fn new(xi: f64) -> Self {
-        Self {
-            xi,
-            use_kuhn_munkres: true,
-        }
-    }
-
-    /// Switches the matcher to greedy (for apples-to-apples ablations).
-    pub fn with_greedy(mut self) -> Self {
-        self.use_kuhn_munkres = false;
-        self
+        Self { xi }
     }
 
     /// `Sim(left, right)` by brute force: the four loops of Fig. 7(a)
@@ -60,11 +50,7 @@ impl NestLoopVerifier {
                 }
             }
         }
-        let matching = if self.use_kuhn_munkres {
-            max_weight_matching(&graph)
-        } else {
-            greedy_matching(&graph)
-        };
+        let matching = max_weight_matching(&graph);
         let denom = left.informative_size().min(right.informative_size()).max(1) as f64;
         matching.weight / denom
     }
@@ -105,26 +91,6 @@ mod tests {
                         "pair ({i},{j}) at xi={xi}: indexed {a} vs nest-loop {b}"
                     );
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn greedy_never_beats_km() {
-        let ds = motivating_example();
-        let metric = TypeDispatch::paper_default();
-        let supers: Vec<SuperRecord> = ds
-            .iter()
-            .map(|r| SuperRecord::from_record(&ds, r))
-            .collect();
-        let km = NestLoopVerifier::new(0.3);
-        let greedy = NestLoopVerifier::new(0.3).with_greedy();
-        for i in 0..ds.len() {
-            for j in (i + 1)..ds.len() {
-                assert!(
-                    greedy.similarity(&supers[i], &supers[j], &metric)
-                        <= km.similarity(&supers[i], &supers[j], &metric) + 1e-9
-                );
             }
         }
     }

@@ -7,9 +7,9 @@
 //! * **A3** — schema-based method on/off;
 //! * **A4** — BoundMode::Paper vs BoundMode::Sound candidate generation.
 
+use hera_baselines::eval::PairMetrics;
 use hera_bench::{header, row, run_at_delta, shared_join, XI};
 use hera_core::{BoundMode, Hera, HeraConfig, InstanceVerifier, SuperRecord};
-use hera_eval::PairMetrics;
 use hera_index::ValuePairIndex;
 use hera_sim::TypeDispatch;
 use std::time::Instant;

@@ -8,9 +8,9 @@
 //! R-Swoosh/CR/CC), recall ≈ 0.93 (+6/10/16), F1 +6/11/15 — and HERA's
 //! F-measure is the least sensitive to dataset size.
 
+use hera_baselines::eval::PairMetrics;
 use hera_baselines::{CollectiveEr, CorrelationClustering, RSwoosh, Resolver};
 use hera_bench::{header, row, run_at_delta, shared_join, XI};
-use hera_eval::PairMetrics;
 use hera_sim::TypeDispatch;
 
 fn main() {
@@ -31,7 +31,7 @@ fn main() {
         ]);
 
         // Baselines on the exchanged -S variant.
-        let (homo, _) = hera_exchange::exchange_small(&ds, 1);
+        let (homo, _) = hera_baselines::exchange::exchange_small(&ds, 1);
         let baselines: Vec<Box<dyn Resolver>> = vec![
             Box::new(RSwoosh::new(delta, XI)),
             Box::new(CollectiveEr::new(delta, XI, 0.25)),
@@ -56,7 +56,7 @@ fn main() {
     println!("\n# Fig 11 (tech-report companion): baselines on -L datasets\n");
     header(&["dataset", "system", "precision", "recall", "F1"]);
     for ds in hera_bench::datasets() {
-        let (homo, _) = hera_exchange::exchange_large(&ds, 1);
+        let (homo, _) = hera_baselines::exchange::exchange_large(&ds, 1);
         let baselines: Vec<Box<dyn Resolver>> = vec![
             Box::new(RSwoosh::new(delta, XI)),
             Box::new(CollectiveEr::new(delta, XI, 0.25)),

@@ -9,8 +9,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use hera_baselines::eval::PairMetrics;
 use hera_core::{Hera, HeraConfig, HeraResult};
-use hera_eval::PairMetrics;
 use hera_types::Dataset;
 
 /// The four Table I datasets, generation-cached per process.

@@ -16,7 +16,7 @@
 //!    prunes weakly co-blocked pairs (CBS weighting);
 //! 4. the surviving pairs come out as a
 //!    [`hera_join::RecordPairSet`] for
-//!    [`hera_join::SimilarityJoin::join_dataset_with`].
+//!    [`hera_join::SimilarityJoin::join_blocked`].
 //!
 //! Blocking trades recall for speed: the emitted pair set is measured by
 //! **pair completeness** (fraction of ground-truth duplicate pairs kept)

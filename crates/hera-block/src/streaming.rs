@@ -155,7 +155,7 @@ impl StreamingBlocker {
 
     /// Blocking keys of one record under this blocker's scheme — sorted
     /// and deduplicated, a pure function of the values.
-    pub fn keys_of(&self, values: &[Value]) -> Vec<u64> {
+    pub(crate) fn keys_of(&self, values: &[Value]) -> Vec<u64> {
         keys_for(&self.scheme, values)
     }
 

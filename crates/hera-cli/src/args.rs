@@ -5,7 +5,7 @@ use std::collections::BTreeMap;
 
 /// Parsed command line: a subcommand plus flags.
 #[derive(Debug, Clone, Default)]
-pub struct Args {
+pub(crate) struct Args {
     /// The subcommand (first non-flag token).
     pub command: String,
     flags: BTreeMap<String, Vec<String>>,
@@ -57,7 +57,7 @@ impl Args {
     }
 
     /// All occurrences of a repeatable flag, in order.
-    pub fn get_all(&self, key: &str) -> &[String] {
+    pub(crate) fn get_all(&self, key: &str) -> &[String] {
         self.flags.get(key).map(Vec::as_slice).unwrap_or(&[])
     }
 
@@ -68,7 +68,7 @@ impl Args {
     }
 
     /// Float flag with default.
-    pub fn get_f64(&self, key: &str, default: f64) -> Result<f64, String> {
+    pub(crate) fn get_f64(&self, key: &str, default: f64) -> Result<f64, String> {
         match self.get(key) {
             None => Ok(default),
             Some(v) => v
@@ -78,7 +78,7 @@ impl Args {
     }
 
     /// Integer flag with default.
-    pub fn get_u64(&self, key: &str, default: u64) -> Result<u64, String> {
+    pub(crate) fn get_u64(&self, key: &str, default: u64) -> Result<u64, String> {
         match self.get(key) {
             None => Ok(default),
             Some(v) => v
@@ -96,7 +96,7 @@ impl Args {
     /// for value flags the last occurrence silently wins ([`Args::get`]),
     /// so the caller should warn the user. Covers both value flags and
     /// switches; sorted, deduplicated.
-    pub fn duplicated(&self, repeatable: &[&str]) -> Vec<String> {
+    pub(crate) fn duplicated(&self, repeatable: &[&str]) -> Vec<String> {
         let mut dup: Vec<String> = self
             .flags
             .iter()

@@ -1,16 +1,16 @@
 //! Subcommand implementations.
 
 use crate::args::Args;
+use hera_baselines::eval::{bcubed, PairMetrics};
 use hera_baselines::{CollectiveEr, CorrelationClustering, RSwoosh, Resolver};
 use hera_core::{chaos, BlockingScheme, Hera, HeraConfig, HeraSession, ResolveBudget};
-use hera_eval::{bcubed, PairMetrics};
 use hera_faults::{FaultInjector, FaultPlan};
 use hera_sim::TypeDispatch;
 use hera_types::{Dataset, HeraError, RecordId, SchemaId};
 use std::fs;
 
 /// Help text.
-pub const USAGE: &str = "\
+pub(crate) const USAGE: &str = "\
 hera-cli — entity resolution on heterogeneous records (HERA, ICDE 2020)
 
 USAGE:
@@ -132,7 +132,7 @@ path for a chaos-test failure (see DESIGN.md, Fault model).
 
 /// The bare `--switch`es the subcommands read with [`Args::has`]; every
 /// other flag takes a value.
-pub const SWITCHES: &[&str] = &[
+pub(crate) const SWITCHES: &[&str] = &[
     "eval",
     "matchings",
     "no-retry",
@@ -684,13 +684,13 @@ fn exchange(args: &Args) -> Result<(), String> {
     let ds = load_dataset(args.require("input")?)?;
     let fraction = args.get_f64("fraction", 1.0 / 3.0)?;
     let seed = args.get_u64("seed", 1)?;
-    let plan = hera_exchange::plan_exchange_ensuring(
+    let plan = hera_baselines::exchange::plan_exchange_ensuring(
         &ds,
         fraction,
         seed,
         &[hera_types::CanonAttrId::new(0)],
     );
-    let out = hera_exchange::chase(&ds, &plan, format!("{}-X", ds.name));
+    let out = hera_baselines::exchange::chase(&ds, &plan, format!("{}-X", ds.name));
     eprintln!(
         "exchanged into {} target attributes; {} source values dropped",
         plan.target_attrs.len(),
@@ -738,13 +738,14 @@ fn fuse(args: &Args) -> Result<(), String> {
     let labels = parse_labels(args.require("labels")?, ds.len())?;
     let fraction = args.get_f64("fraction", 1.0)?;
     let seed = args.get_u64("seed", 1)?;
-    let plan = hera_exchange::plan_exchange_ensuring(
+    let plan = hera_baselines::exchange::plan_exchange_ensuring(
         &ds,
         fraction,
         seed,
         &[hera_types::CanonAttrId::new(0)],
     );
-    let fused = hera_exchange::fuse_entities(&ds, &labels, &plan, format!("{}-fused", ds.name));
+    let fused =
+        hera_baselines::exchange::fuse_entities(&ds, &labels, &plan, format!("{}-fused", ds.name));
     eprintln!(
         "fused {} records into {} entity records under {} target attributes",
         ds.len(),

@@ -133,7 +133,7 @@ impl Hera {
                     .with_recorder(self.recorder.clone())
                     .with_threads(self.config.num_threads)
                     .block(ds);
-                join.join_dataset_with(ds, &hera_join::CandidateSource::Blocked(outcome.pairs))
+                join.join_blocked(ds, &outcome.pairs)
             }
         }
     }

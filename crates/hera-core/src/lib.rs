@@ -40,6 +40,7 @@ mod driver;
 mod engine;
 mod session;
 mod stats;
+pub mod store;
 mod super_record;
 mod verify;
 mod voter;
@@ -49,6 +50,7 @@ pub use config::HeraConfig;
 pub use driver::{Hera, HeraBuilder, HeraResult};
 pub use session::{HeraSession, HeraSessionBuilder, MergeEvent, ProgressiveReport, ResolveBudget};
 pub use stats::RunStats;
+pub use store::Snapshot;
 pub use super_record::{FieldRef, SuperRecord};
 pub use verify::{InstanceVerifier, Verification};
 pub use voter::{vote_error_bound, DecidedMatching, SchemaVoter};

@@ -21,6 +21,7 @@
 use crate::config::HeraConfig;
 use crate::engine::{Ctx, Engine};
 use crate::stats::RunStats;
+use crate::store::Snapshot;
 use crate::super_record::SuperRecord;
 use crate::voter::{DecidedMatching, SchemaVoter};
 use hera_block::StreamingBlocker;
@@ -28,7 +29,6 @@ use hera_faults::{io_retryable, BackoffPolicy, Clock, FaultInjector, SystemClock
 use hera_index::{Grouping, UnionFind, ValuePairIndex};
 use hera_join::IncrementalJoin;
 use hera_sim::{TypeDispatch, ValueSimilarity};
-use hera_store::Snapshot;
 use hera_types::json::Json;
 use hera_types::{HeraError, RecordId, Result, SchemaId, SchemaRegistry, Value};
 use rustc_hash::{FxHashMap, FxHashSet};
@@ -454,19 +454,8 @@ impl HeraSession {
         HeraSessionBuilder::with_config(config)
     }
 
-    /// Restores a session from a snapshot written by
-    /// [`HeraSession::checkpoint`] — shorthand for
-    /// [`HeraSessionBuilder::restore`].
-    pub fn restore(
-        path: impl AsRef<Path>,
-        config: HeraConfig,
-        metric: Arc<dyn ValueSimilarity>,
-    ) -> Result<Self> {
-        Self::builder(config).metric(metric).restore(path)
-    }
-
     /// Writes the complete session state to `path` as a versioned,
-    /// CRC-checked snapshot (see the `hera-store` crate docs for the
+    /// CRC-checked snapshot (see the [`crate::store`] module docs for the
     /// envelope format). The write is atomic — a crash mid-checkpoint
     /// leaves any previous snapshot at `path` intact. A session restored
     /// from the snapshot continues exactly where this one stood:
@@ -1310,12 +1299,9 @@ mod tests {
         first.checkpoint(&path).unwrap();
         drop(first);
 
-        let mut resumed = HeraSession::restore(
-            &path,
-            HeraConfig::paper_example(),
-            Arc::new(TypeDispatch::paper_default()),
-        )
-        .unwrap();
+        let mut resumed = HeraSession::builder(HeraConfig::paper_example())
+            .restore(&path)
+            .unwrap();
         for rec in &records[3..] {
             resumed
                 .add_record(schemas[rec.schema.index()], rec.values.clone())
@@ -1352,7 +1338,8 @@ mod tests {
         session.checkpoint(&path).unwrap();
 
         let skewed = HeraConfig::new(0.5, 0.9); // different xi
-        let err = HeraSession::restore(&path, skewed, Arc::new(TypeDispatch::paper_default()))
+        let err = HeraSession::builder(skewed)
+            .restore(&path)
             .err()
             .expect("xi mismatch must be rejected");
         assert!(matches!(err, HeraError::InvalidConfig(_)), "{err}");
@@ -1361,13 +1348,10 @@ mod tests {
 
     #[test]
     fn restore_missing_file_is_io_error() {
-        let err = HeraSession::restore(
-            "/nonexistent/path/snapshot.hera",
-            HeraConfig::paper_example(),
-            Arc::new(TypeDispatch::paper_default()),
-        )
-        .err()
-        .expect("missing file must fail");
+        let err = HeraSession::builder(HeraConfig::paper_example())
+            .restore("/nonexistent/path/snapshot.hera")
+            .err()
+            .expect("missing file must fail");
         assert!(matches!(err, HeraError::Io(_)), "{err}");
     }
 
@@ -1421,12 +1405,9 @@ mod tests {
             ]
         );
         // The snapshot on disk is complete and restorable.
-        let resumed = HeraSession::restore(
-            &path,
-            HeraConfig::paper_example(),
-            Arc::new(TypeDispatch::paper_default()),
-        )
-        .unwrap();
+        let resumed = HeraSession::builder(HeraConfig::paper_example())
+            .restore(&path)
+            .unwrap();
         assert_eq!(resumed.merge_count(), session.merge_count());
         std::fs::remove_file(&path).ok();
     }

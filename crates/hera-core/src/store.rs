@@ -1,4 +1,4 @@
-//! Durable snapshots for HERA session state.
+//! Durable snapshots for HERA session state (checkpoint/restore).
 //!
 //! A snapshot is a named collection of JSON sections wrapped in a small
 //! self-validating envelope:
@@ -23,8 +23,8 @@
 //!   rename.
 //!
 //! Every stage of the write and read paths carries a named failpoint
-//! ([`hera_faults::points`]): [`Snapshot::write_with`] /
-//! [`Snapshot::read_with`] accept a [`hera_faults::FaultInjector`] so the
+//! ([`hera_faults::points`]): `Snapshot::write_with` /
+//! `Snapshot::read_with` accept a [`hera_faults::FaultInjector`] so the
 //! chaos harness can fail any stage deterministically (including torn
 //! writes — a partial payload followed by failure — and bit-rot reads).
 //! The plain [`Snapshot::write`] / [`Snapshot::read`] entry points use a
@@ -34,12 +34,9 @@
 //! [`hera_types::json`] writer. Every producer serializes its maps in
 //! sorted order, so equal state yields byte-identical snapshots.
 //!
-//! The crate knows nothing about sessions — it stores named [`Json`]
-//! sections. `hera-core` assembles session state into sections and
-//! consumes them on restore.
-
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+//! The module knows nothing about sessions — it stores named [`Json`]
+//! sections. The session assembles its state into sections and consumes
+//! them on restore.
 
 use hera_faults::{points, FaultInjector, FaultKind};
 use hera_types::json::{self, Json};
@@ -48,7 +45,7 @@ use std::io::Write as _;
 use std::path::Path;
 
 /// Snapshot format version understood by this build.
-pub const FORMAT_VERSION: u32 = 1;
+pub(crate) const FORMAT_VERSION: u32 = 1;
 
 /// Leading magic of every snapshot header.
 const MAGIC: &str = "#hera-snapshot v";
@@ -94,7 +91,7 @@ pub struct WriteReport {
 }
 
 /// A named collection of JSON sections with a versioned, CRC-checked
-/// envelope (crate docs).
+/// envelope (module docs).
 #[derive(Debug, Clone, Default)]
 pub struct Snapshot {
     /// `(name, section)` pairs in insertion order. Order is part of the
@@ -151,13 +148,13 @@ impl Snapshot {
     }
 
     /// Renders the payload (compact JSON object of all sections, without
-    /// the envelope header).
+    /// the envelope header) straight from the sections, copying no tree.
     fn payload(&self) -> String {
-        Json::Obj(self.sections.clone()).to_string_compact()
+        json::compact_object(&self.sections)
     }
 
     /// Encodes the snapshot as envelope bytes (header + payload).
-    pub fn to_bytes(&self) -> Vec<u8> {
+    pub(crate) fn to_bytes(&self) -> Vec<u8> {
         let payload = self.payload();
         let header = format!(
             "{MAGIC}{FORMAT_VERSION} crc32={:08x} len={}\n",
@@ -174,7 +171,7 @@ impl Snapshot {
     /// mismatches, and malformed payloads yield [`HeraError::Corrupt`]; a
     /// parsable header carrying a different format version yields
     /// [`HeraError::VersionMismatch`].
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
+    pub(crate) fn from_bytes(bytes: &[u8]) -> Result<Self> {
         let text = std::str::from_utf8(bytes)
             .map_err(|_| HeraError::Corrupt("snapshot is not valid UTF-8".into()))?;
         let Some(rest) = text.strip_prefix(MAGIC) else {
@@ -244,7 +241,7 @@ impl Snapshot {
     /// sibling is removed, so no partial snapshot file is left behind;
     /// the destination still holds whatever complete snapshot it held
     /// before.
-    pub fn write_with(
+    pub(crate) fn write_with(
         &self,
         path: impl AsRef<Path>,
         faults: &FaultInjector,
@@ -306,26 +303,19 @@ impl Snapshot {
 
     /// Reads and validates a snapshot file.
     pub fn read(path: impl AsRef<Path>) -> Result<Self> {
-        Self::read_report(path).map(|(snap, _)| snap)
+        Self::read_with(path, &FaultInjector::disabled())
     }
 
     /// [`Snapshot::read`] with a fault injector consulted at the
     /// `store.read` failpoint ([`FaultKind::Corrupt`] flips one byte of
     /// the read buffer — the validation layer must catch it).
-    pub fn read_with(path: impl AsRef<Path>, faults: &FaultInjector) -> Result<Self> {
+    pub(crate) fn read_with(path: impl AsRef<Path>, faults: &FaultInjector) -> Result<Self> {
         Self::read_report_with(path, faults).map(|(snap, _)| snap)
     }
 
-    /// Reads and validates a snapshot file, also reporting its payload
-    /// size and section count (the counters `checkpoint_load` spans
-    /// carry).
-    pub fn read_report(path: impl AsRef<Path>) -> Result<(Self, WriteReport)> {
-        Self::read_report_with(path, &FaultInjector::disabled())
-    }
-
-    /// [`Snapshot::read_report`] with a fault injector (see
-    /// [`Snapshot::read_with`]).
-    pub fn read_report_with(
+    /// [`Snapshot::read_with`], also reporting the payload size and
+    /// section count (the counters `checkpoint_load` spans carry).
+    pub(crate) fn read_report_with(
         path: impl AsRef<Path>,
         faults: &FaultInjector,
     ) -> Result<(Self, WriteReport)> {

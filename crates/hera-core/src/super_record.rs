@@ -230,11 +230,6 @@ impl SuperRecord {
         self.fields().filter(|f| !f.values.is_empty()).count()
     }
 
-    /// Total number of stored values.
-    pub fn value_count(&self) -> usize {
-        self.fields().map(|f| f.values.len()).sum()
-    }
-
     /// The value at a label (which must belong to this record).
     pub fn value(&self, label: Label) -> &Value {
         debug_assert_eq!(label.rid, self.rid);
@@ -578,7 +573,6 @@ mod tests {
     fn lift_base_record() {
         let s = &supers()[0]; // r1: Customer I
         assert_eq!(s.size(), 5);
-        assert_eq!(s.value_count(), 5);
         assert_eq!(s.value(Label::new(0, 0, 0)), &Value::from("John"));
         assert_eq!(s.members(), [0]);
     }

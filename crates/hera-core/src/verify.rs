@@ -51,59 +51,6 @@ impl Verification {
     pub fn predicted(&self) -> &[(u32, u32, f64)] {
         &self.matching[self.forced_count..]
     }
-
-    /// Renders a human-readable breakdown of the decision: which fields
-    /// matched, under which attributes, at what similarity — the
-    /// explanation a data steward reviewing a merge wants to see.
-    pub fn explain(
-        &self,
-        registry: &SchemaRegistry,
-        left: &SuperRecord,
-        right: &SuperRecord,
-    ) -> String {
-        use std::fmt::Write;
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "Sim(r{}, r{}) = {:.3} from {} matched field pair(s):",
-            left.rid,
-            right.rid,
-            self.sim,
-            self.matching.len()
-        );
-        let attr_names = |attrs: &[hera_types::SourceAttrId]| -> String {
-            attrs
-                .iter()
-                .map(|&a| registry.attr_qualified_name(a))
-                .collect::<Vec<_>>()
-                .join(" | ")
-        };
-        let values = |f: FieldRef<'_>| -> String {
-            f.values
-                .iter()
-                .map(|v| format!("{v}"))
-                .collect::<Vec<_>>()
-                .join(" / ")
-        };
-        for (idx, &(lf, rf, s)) in self.matching.iter().enumerate() {
-            let forced = idx < self.forced_count;
-            let lfield = left.field(lf as usize);
-            let rfield = right.field(rf as usize);
-            let _ = writeln!(
-                out,
-                "  {:.3}{} [{}] {:?} ≈ [{}] {:?}",
-                s,
-                if forced { " (schema-decided)" } else { "" },
-                attr_names(lfield.attrs),
-                values(lfield),
-                attr_names(rfield.attrs),
-                values(rfield),
-            );
-        }
-        let denom = left.informative_size().min(right.informative_size()).max(1);
-        let _ = writeln!(out, "  normalized by min(|R_i|, |R_j|) = {denom}");
-        out
-    }
 }
 
 /// Reusable per-worker buffers for [`InstanceVerifier::verify_with`]: all
@@ -495,20 +442,6 @@ mod tests {
                 assert_eq!(fresh.metric_calls, reused.metric_calls);
             }
         }
-    }
-
-    #[test]
-    fn explain_is_readable() {
-        let (ds, index, supers) = setup(0.5);
-        let metric = TypeDispatch::paper_default();
-        let verifier = InstanceVerifier::new(&metric, 0.5, true);
-        // r4 vs r6 (0-based 3, 5): three strong matches.
-        let v = verifier.verify(&index, &supers[3], &supers[5], &ds.registry, None);
-        let text = v.explain(&ds.registry, &supers[3], &supers[5]);
-        assert!(text.contains("Sim(r3, r5)"), "{text}");
-        assert!(text.contains("Customer III.work mailbox"), "{text}");
-        assert!(text.contains("bush@gmail"), "{text}");
-        assert!(text.contains("normalized by"), "{text}");
     }
 
     #[test]

@@ -71,7 +71,7 @@ impl SchemaVoter {
     /// Records one field-matching prediction between source attributes of
     /// different schemas. Votes are cast symmetrically (`a` about `b`'s
     /// schema and vice versa).
-    pub fn add_vote(&mut self, registry: &SchemaRegistry, a: SourceAttrId, b: SourceAttrId) {
+    pub(crate) fn add_vote(&mut self, registry: &SchemaRegistry, a: SourceAttrId, b: SourceAttrId) {
         let (sa, sb) = (registry.attr_schema(a), registry.attr_schema(b));
         if sa == sb {
             // Same-schema predictions violate the no-redundant-attributes
@@ -123,12 +123,16 @@ impl SchemaVoter {
     }
 
     /// The decided partner of `attr` in `schema`, if any.
-    pub fn decided_partner(&self, attr: SourceAttrId, schema: SchemaId) -> Option<SourceAttrId> {
+    pub(crate) fn decided_partner(
+        &self,
+        attr: SourceAttrId,
+        schema: SchemaId,
+    ) -> Option<SourceAttrId> {
         self.decided.get(&(attr, schema)).map(|d| d.partner)
     }
 
     /// True if `a ≈ b` has been decided in either direction.
-    pub fn is_decided_pair(
+    pub(crate) fn is_decided_pair(
         &self,
         registry: &SchemaRegistry,
         a: SourceAttrId,

@@ -6,8 +6,8 @@
 //! cargo run --release -p hera-datagen --example sanity
 //! ```
 
+use hera_baselines::eval::PairMetrics;
 use hera_core::{Hera, HeraConfig};
-use hera_eval::PairMetrics;
 
 fn main() {
     for name in ["dm1", "dm4"] {

@@ -7,7 +7,7 @@ use rand_chacha::ChaCha8Rng;
 
 /// How an attribute's canonical values are produced.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum AttrKind {
+pub(crate) enum AttrKind {
     /// Multi-word title from [`vocab::TITLE_WORDS`].
     Title,
     /// `First Last` person name.
@@ -46,7 +46,7 @@ pub enum AttrKind {
 
 /// One canonical (semantic) attribute of the movie domain.
 #[derive(Debug, Clone, Copy)]
-pub struct CanonAttr {
+pub(crate) struct CanonAttr {
     /// Canonical name — keys into [`vocab::ALIASES`].
     pub name: &'static str,
     /// Value generator.
@@ -55,7 +55,7 @@ pub struct CanonAttr {
 
 /// The full catalog: 24 canonical attributes. Table I datasets use
 /// 16–23 of them.
-pub const CATALOG: &[CanonAttr] = &[
+pub(crate) const CATALOG: &[CanonAttr] = &[
     CanonAttr {
         name: "title",
         kind: AttrKind::Title,
@@ -155,7 +155,7 @@ pub const CATALOG: &[CanonAttr] = &[
 ];
 
 /// Aliases for a canonical attribute name.
-pub fn aliases_of(canon_name: &str) -> &'static [&'static str] {
+pub(crate) fn aliases_of(canon_name: &str) -> &'static [&'static str] {
     vocab::ALIASES
         .iter()
         .find(|(n, _)| *n == canon_name)

@@ -21,7 +21,7 @@ pub enum Domain {
 
 impl Domain {
     /// The domain's canonical attribute catalog.
-    pub fn catalog(self) -> &'static [CanonAttr] {
+    pub(crate) fn catalog(self) -> &'static [CanonAttr] {
         match self {
             Domain::Movies => CATALOG,
             Domain::Publications => pubs::pub_catalog(),
@@ -29,7 +29,7 @@ impl Domain {
     }
 
     /// Display-name aliases for one canonical attribute.
-    pub fn aliases_of(self, name: &str) -> &'static [&'static str] {
+    pub(crate) fn aliases_of(self, name: &str) -> &'static [&'static str] {
         match self {
             Domain::Movies => aliases_of(name),
             Domain::Publications => pubs::PUB_ALIASES
@@ -65,14 +65,6 @@ pub struct DatagenConfig {
     pub corruption: CorruptionConfig,
     /// Synthetic domain (movies by default).
     pub domain: Domain,
-}
-
-impl DatagenConfig {
-    /// Switches the domain.
-    pub fn with_domain(mut self, domain: Domain) -> Self {
-        self.domain = domain;
-        self
-    }
 }
 
 impl DatagenConfig {

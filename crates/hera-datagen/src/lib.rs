@@ -33,10 +33,9 @@ pub mod pubs;
 pub mod scale;
 pub mod vocab;
 
-pub use attrs::{AttrKind, CanonAttr, CATALOG};
 pub use corrupt::CorruptionConfig;
 pub use gen::{DatagenConfig, Domain, Generator};
-pub use scale::{scale_100k, scale_10k, scale_1m, scale_preset, ScaleConfig, ScaleGenerator};
+pub use scale::{scale_preset, ScaleConfig, ScaleGenerator};
 
 /// Convenience: generate one of the Table I datasets by name
 /// (`"dm1"`…`"dm4"`), with the canonical seed.

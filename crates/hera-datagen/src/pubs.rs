@@ -10,7 +10,7 @@ use crate::gen::DatagenConfig;
 use crate::vocab;
 
 /// Publication venues.
-pub const VENUES: &[&str] = &[
+pub(crate) const VENUES: &[&str] = &[
     "SIGMOD",
     "VLDB",
     "ICDE",
@@ -34,7 +34,7 @@ pub const VENUES: &[&str] = &[
 ];
 
 /// Publishers.
-pub const PUBLISHERS: &[&str] = &[
+pub(crate) const PUBLISHERS: &[&str] = &[
     "ACM",
     "IEEE",
     "Springer",
@@ -48,7 +48,7 @@ pub const PUBLISHERS: &[&str] = &[
 ];
 
 /// Research keywords.
-pub const TOPICS: &[&str] = &[
+pub(crate) const TOPICS: &[&str] = &[
     "entity resolution",
     "data integration",
     "query optimization",
@@ -73,7 +73,7 @@ pub const TOPICS: &[&str] = &[
 
 /// Display-name aliases per canonical attribute of the publication
 /// domain (position-aligned with [`pub_catalog`]).
-pub const PUB_ALIASES: &[(&str, &[&str])] = &[
+pub(crate) const PUB_ALIASES: &[(&str, &[&str])] = &[
     ("p_title", &["title", "paper_title", "name", "article"]),
     ("p_year", &["year", "pub_year", "date", "published"]),
     (
@@ -100,7 +100,7 @@ pub const PUB_ALIASES: &[(&str, &[&str])] = &[
 ];
 
 /// The publication-domain catalog: 14 canonical attributes.
-pub fn pub_catalog() -> &'static [CanonAttr] {
+pub(crate) fn pub_catalog() -> &'static [CanonAttr] {
     const CATALOG: &[CanonAttr] = &[
         CanonAttr {
             name: "p_title",

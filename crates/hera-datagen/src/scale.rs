@@ -13,7 +13,7 @@
 //! Two other departures from the toy generator keep *resolution* of the
 //! output tractable at scale:
 //!
-//! * the attribute catalog ([`scale_catalog`]) uses only high-cardinality
+//! * the attribute catalog (`scale_catalog`) uses only high-cardinality
 //!   generators (`PersonFull`, `TitleLong`, `PickRange`, wide numeric
 //!   ranges) — a low-cardinality categorical like `studio`
 //!   (20 values) would put ~n/20 records in one same-value group and the
@@ -35,7 +35,7 @@ use rand_chacha::ChaCha8Rng;
 /// high-cardinality generators (see the module docs for why). The first
 /// three entries — title, imdb_id, director — are the anchor trio present
 /// in every source schema.
-pub fn scale_catalog() -> &'static [CanonAttr] {
+pub(crate) fn scale_catalog() -> &'static [CanonAttr] {
     const SCALE_CATALOG: &[CanonAttr] = &[
         CanonAttr {
             name: "title",
@@ -130,7 +130,7 @@ pub struct ScaleConfig {
     /// pays off (see `quarter_budget_reaches_most_of_full_f1` in
     /// `tests/progressive.rs`).
     pub duplicate_skew: f64,
-    /// Number of canonical attributes (4 ..= [`scale_catalog`] length).
+    /// Number of canonical attributes (4 ..= `scale_catalog` length).
     pub n_attrs: usize,
     /// Number of heterogeneous sources (schemas), ≥ 2.
     pub n_sources: usize,
@@ -197,22 +197,6 @@ pub fn scale_preset(n_records: usize, seed: u64) -> ScaleConfig {
     }
 }
 
-/// 10⁴-record tier (the CI smoke tier).
-pub fn scale_10k() -> ScaleConfig {
-    scale_preset(10_000, 51)
-}
-
-/// 10⁵-record tier (the committed full-sweep ceiling).
-pub fn scale_100k() -> ScaleConfig {
-    scale_preset(100_000, 52)
-}
-
-/// 10⁶-record tier (generation-only in the benchmarks: resolving it
-/// end to end awaits blocking on the streaming path — ROADMAP item 2).
-pub fn scale_1m() -> ScaleConfig {
-    scale_preset(1_000_000, 53)
-}
-
 /// One streamed record: which source renders it, its schema-aligned
 /// values, and its ground-truth entity.
 #[derive(Debug, Clone, PartialEq)]
@@ -231,7 +215,7 @@ pub struct SourceSpec {
     /// Schema name (`"source_0"` …).
     pub name: String,
     /// Field display names with their canonical attribute ids, in schema
-    /// order. Canonical ids index into [`scale_catalog`].
+    /// order. Canonical ids index into `scale_catalog`.
     pub fields: Vec<(String, CanonAttrId)>,
     /// For each field, the position of its attribute in the generator's
     /// selected attribute list.
@@ -428,7 +412,7 @@ impl ScaleGenerator {
 
     /// Registers this generator's schemas on a dataset builder, returning
     /// the schema id for each source.
-    pub fn register_schemas(&self, builder: &mut DatasetBuilder) -> Vec<SchemaId> {
+    pub(crate) fn register_schemas(&self, builder: &mut DatasetBuilder) -> Vec<SchemaId> {
         self.sources
             .iter()
             .map(|s| builder.add_schema(s.name.clone(), s.fields.clone()))
@@ -457,7 +441,8 @@ impl ScaleGenerator {
     /// strategy). Exists to pin the derive-on-demand contract: both paths
     /// must produce identical datasets. O(n_entities · n_attrs) memory —
     /// do not use at the 10⁶ tier.
-    pub fn generate_materialized(&self) -> Dataset {
+    #[cfg(test)]
+    fn generate_materialized(&self) -> Dataset {
         let profiles: Vec<Vec<Value>> = (0..self.n_entities).map(|e| self.profile(e)).collect();
         let mut builder = DatasetBuilder::new(self.cfg.name.clone());
         let schemas = self.register_schemas(&mut builder);
@@ -572,11 +557,8 @@ mod tests {
 
     #[test]
     fn presets_have_documented_shape() {
-        for (cfg, n) in [
-            (scale_10k(), 10_000),
-            (scale_100k(), 100_000),
-            (scale_1m(), 1_000_000),
-        ] {
+        for n in [10_000, 100_000, 1_000_000] {
+            let cfg = scale_preset(n, 51);
             assert_eq!(cfg.n_records, n);
             assert_eq!(cfg.n_attrs, 12);
             assert_eq!(cfg.n_sources, 6);
@@ -588,7 +570,7 @@ mod tests {
     #[test]
     fn preset_generator_is_cheap_to_construct() {
         // Construction must not scale with n_records (streaming claim).
-        let g = ScaleGenerator::new(scale_1m());
+        let g = ScaleGenerator::new(scale_preset(1_000_000, 53));
         assert_eq!(g.n_entities(), 700_000);
         assert_eq!(g.sources().len(), 6);
         // Deriving a single record does not require the other 10⁶ − 1.

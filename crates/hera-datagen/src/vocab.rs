@@ -1,7 +1,7 @@
 //! Seeded vocabularies for synthetic value generation.
 
 /// First names for people-valued attributes.
-pub const FIRST_NAMES: &[&str] = &[
+pub(crate) const FIRST_NAMES: &[&str] = &[
     "James",
     "Mary",
     "Robert",
@@ -67,7 +67,7 @@ pub const FIRST_NAMES: &[&str] = &[
 ];
 
 /// Last names for people-valued attributes.
-pub const LAST_NAMES: &[&str] = &[
+pub(crate) const LAST_NAMES: &[&str] = &[
     "Smith",
     "Johnson",
     "Williams",
@@ -131,7 +131,7 @@ pub const LAST_NAMES: &[&str] = &[
 ];
 
 /// Words that movie titles are assembled from.
-pub const TITLE_WORDS: &[&str] = &[
+pub(crate) const TITLE_WORDS: &[&str] = &[
     "Shadow", "Empire", "Return", "Night", "Dawn", "Storm", "Silent", "Broken", "Golden", "Hidden",
     "Last", "First", "Dark", "Bright", "Lost", "Found", "Winter", "Summer", "Autumn", "Spring",
     "River", "Mountain", "Ocean", "Desert", "City", "Village", "Garden", "Bridge", "Tower",
@@ -142,7 +142,7 @@ pub const TITLE_WORDS: &[&str] = &[
 ];
 
 /// Movie genres.
-pub const GENRES: &[&str] = &[
+pub(crate) const GENRES: &[&str] = &[
     "Drama",
     "Comedy",
     "Thriller",
@@ -166,7 +166,7 @@ pub const GENRES: &[&str] = &[
 ];
 
 /// Spoken languages.
-pub const LANGUAGES: &[&str] = &[
+pub(crate) const LANGUAGES: &[&str] = &[
     "English",
     "French",
     "Spanish",
@@ -186,7 +186,7 @@ pub const LANGUAGES: &[&str] = &[
 ];
 
 /// Production countries.
-pub const COUNTRIES: &[&str] = &[
+pub(crate) const COUNTRIES: &[&str] = &[
     "USA",
     "United Kingdom",
     "France",
@@ -208,7 +208,7 @@ pub const COUNTRIES: &[&str] = &[
 ];
 
 /// Studios / production companies.
-pub const STUDIOS: &[&str] = &[
+pub(crate) const STUDIOS: &[&str] = &[
     "Paramount Pictures",
     "Warner Bros",
     "Universal Pictures",
@@ -232,7 +232,7 @@ pub const STUDIOS: &[&str] = &[
 ];
 
 /// Plot keywords.
-pub const KEYWORDS: &[&str] = &[
+pub(crate) const KEYWORDS: &[&str] = &[
     "revenge",
     "betrayal",
     "redemption",
@@ -264,13 +264,10 @@ pub const KEYWORDS: &[&str] = &[
     "identity",
 ];
 
-/// MPAA-style certificates.
-pub const CERTIFICATES: &[&str] = &["G", "PG", "PG-13", "R", "NC-17", "Unrated"];
-
 /// Per-canonical-attribute display-name aliases: sources pick one at
 /// random, so the same semantic attribute surfaces under different names
 /// in different schemas (the crux of heterogeneity).
-pub const ALIASES: &[(&str, &[&str])] = &[
+pub(crate) const ALIASES: &[(&str, &[&str])] = &[
     (
         "title",
         &["title", "name", "film", "movie_title", "primary_title"],
@@ -339,7 +336,6 @@ mod tests {
             COUNTRIES,
             STUDIOS,
             KEYWORDS,
-            CERTIFICATES,
         ] {
             assert!(!list.is_empty());
             let mut v: Vec<&str> = list.to_vec();

@@ -10,7 +10,7 @@
 //!   derived from a seed with a self-contained splitmix64 generator —
 //!   same seed, same plan, on every host.
 //! * **[`FaultInjector`]** — the handle threaded through every IO edge
-//!   (`hera-store` snapshot writes/reads, the `hera-obs` file sink). Each
+//!   (`hera_core::store` snapshot writes/reads, the `hera-obs` file sink). Each
 //!   edge names its failpoint ([`points`]) and asks the injector whether
 //!   *this* hit fires. A disabled injector ([`FaultInjector::disabled`],
 //!   the default everywhere) is a single `Option` branch — production
@@ -39,20 +39,20 @@ use std::time::Duration;
 /// A failpoint name is a stable identifier: plans reference edges by
 /// these strings, so renaming one is a format change.
 pub mod points {
-    /// `hera-store`: creating the `.tmp` sibling of a snapshot write.
+    /// `hera_core::store`: creating the `.tmp` sibling of a snapshot write.
     pub const STORE_WRITE_CREATE: &str = "store.write.create";
-    /// `hera-store`: writing the snapshot bytes (supports
+    /// `hera_core::store`: writing the snapshot bytes (supports
     /// [`FaultKind::Torn`](super::FaultKind::Torn) — a partial write
     /// followed by failure, simulating a crash mid-write).
     pub const STORE_WRITE_WRITE: &str = "store.write.write";
-    /// `hera-store`: fsyncing the `.tmp` file before the rename.
+    /// `hera_core::store`: fsyncing the `.tmp` file before the rename.
     pub const STORE_WRITE_SYNC: &str = "store.write.sync";
-    /// `hera-store`: renaming the `.tmp` file over the destination.
+    /// `hera_core::store`: renaming the `.tmp` file over the destination.
     pub const STORE_WRITE_RENAME: &str = "store.write.rename";
-    /// `hera-store`: fsyncing the parent directory after the rename (the
+    /// `hera_core::store`: fsyncing the parent directory after the rename (the
     /// crash-consistency step that makes the rename itself durable).
     pub const STORE_WRITE_DIRSYNC: &str = "store.write.dirsync";
-    /// `hera-store`: reading a snapshot file (supports
+    /// `hera_core::store`: reading a snapshot file (supports
     /// [`FaultKind::Corrupt`](super::FaultKind::Corrupt) — the read
     /// succeeds but a byte is flipped, simulating bit rot).
     pub const STORE_READ: &str = "store.read";
@@ -61,7 +61,7 @@ pub mod points {
     pub const OBS_SINK_WRITE: &str = "obs.sink.write";
 
     /// Every failpoint, for plan generators and documentation.
-    pub const ALL: [&str; 7] = [
+    pub(crate) const ALL: [&str; 7] = [
         STORE_WRITE_CREATE,
         STORE_WRITE_WRITE,
         STORE_WRITE_SYNC,
@@ -453,7 +453,7 @@ impl BackoffPolicy {
 
     /// The delay before attempt `attempt` (2-based; attempt 1 never
     /// waits).
-    pub fn delay_before(&self, attempt: u32) -> Duration {
+    pub(crate) fn delay_before(&self, attempt: u32) -> Duration {
         if attempt <= 1 {
             return Duration::ZERO;
         }

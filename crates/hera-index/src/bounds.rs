@@ -86,7 +86,7 @@ pub(crate) fn group_bounds(
 /// `group` must be sorted by similarity descending (the index order), so
 /// the first occurrence of each `(fid, fid)` key is its maximum; the
 /// output preserves that descending order.
-pub fn refined_field_set_into(group: &[ValuePair], out: &mut Vec<FieldPairSim>) {
+pub(crate) fn refined_field_set_into(group: &[ValuePair], out: &mut Vec<FieldPairSim>) {
     out.clear();
     // Hybrid dedupe: linear scan for the common small groups (index groups
     // typically hold a handful of entries — this is the hottest loop of

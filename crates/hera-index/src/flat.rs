@@ -46,7 +46,7 @@ impl FlatIndex {
 
     /// `binary_search_l(1, |V|, i)` of Algorithm 1: the half-open range of
     /// entries whose `rid₁ == i`.
-    pub fn rid1_range(&self, i: u32) -> std::ops::Range<usize> {
+    pub(crate) fn rid1_range(&self, i: u32) -> std::ops::Range<usize> {
         let lo = self.entries.partition_point(|e| e.a.rid < i);
         let hi = self.entries.partition_point(|e| e.a.rid <= i);
         lo..hi
@@ -54,7 +54,11 @@ impl FlatIndex {
 
     /// `binary_search_r(k, l, j)`: within a `rid₁` range, the sub-range
     /// with `rid₂ == j`.
-    pub fn rid2_range(&self, within: std::ops::Range<usize>, j: u32) -> std::ops::Range<usize> {
+    pub(crate) fn rid2_range(
+        &self,
+        within: std::ops::Range<usize>,
+        j: u32,
+    ) -> std::ops::Range<usize> {
         let slice = &self.entries[within.clone()];
         let lo = within.start + slice.partition_point(|e| e.b.rid < j);
         let hi = within.start + slice.partition_point(|e| e.b.rid <= j);
@@ -248,9 +252,10 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(64))]
         /// Flat and grouped indexes agree on every observable through a
         /// random sequence of merges and arrivals: records merged again
-        /// after a merge, either rid as the target, remaps that collapse
-        /// labels holding one value (within the winner too) and that
-        /// renumber the winner's labels, and new pairs filed into slots
+        /// after a merge, either rid as the target, remaps that pass the
+        /// winner's labels through (the merge contract) and collapse the
+        /// folded record's labels into the winner's label holding the same
+        /// value or into each other, and new pairs filed into slots
         /// earlier merges freed.
         #[test]
         fn differential_with_grouped(seed in any::<u64>(), n in 0usize..60) {
@@ -272,18 +277,12 @@ mod tests {
                     continue;
                 }
                 let (k, folded) = if rng.gen_bool(0.5) { (i, j) } else { (j, i) };
-                // One label per distinct value under k, the winner's
-                // values first — unless this merge renumbers them.
-                let mut old: Labels = records[k as usize].take().unwrap();
-                let loser = records[folded as usize].take().unwrap();
-                if rng.gen_bool(0.3) {
-                    old.splice(0..0, loser);
-                } else {
-                    old.extend(loser);
-                }
-                let mut merged: Labels = Vec::new();
-                let mut map = std::collections::HashMap::new();
-                for (label, value) in old {
+                // The winner's labels pass through; a folded value takes
+                // the first label under k holding it, else a fresh one.
+                let mut merged: Labels = records[k as usize].take().unwrap();
+                let mut map: std::collections::HashMap<Label, Label> =
+                    merged.iter().map(|&(l, _)| (l, l)).collect();
+                for (label, value) in records[folded as usize].take().unwrap() {
                     let at = merged.iter().position(|&(_, v)| v == value).unwrap_or_else(|| {
                         let nth = merged.len() as u32;
                         merged.push((Label::new(k, nth % 3, nth / 3), value));

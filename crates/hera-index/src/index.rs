@@ -207,7 +207,7 @@ impl ValuePairIndex {
     }
 
     /// Number of record-pair groups.
-    pub fn group_count(&self) -> usize {
+    pub(crate) fn group_count(&self) -> usize {
         self.groups.len() - self.free.len()
     }
 
@@ -220,16 +220,9 @@ impl ValuePairIndex {
 
     /// The refined field set `𝒱′ᵢⱼ` — all *similar field pairs* of the
     /// record pair with their field similarities (the verification step's
-    /// input, §IV-A Step 1).
-    pub fn similar_field_pairs(&self, i: u32, j: u32) -> Vec<FieldPairSim> {
-        let mut out = Vec::new();
-        self.similar_field_pairs_into(i, j, &mut out);
-        out
-    }
-
-    /// [`ValuePairIndex::similar_field_pairs`] into a caller buffer: `out`
-    /// is cleared and refilled, so the verifier's per-pair lookup reuses
-    /// one allocation across its whole run.
+    /// input, §IV-A Step 1), written into a caller buffer: `out` is
+    /// cleared and refilled, so the verifier's per-pair lookup reuses one
+    /// allocation across its whole run.
     pub fn similar_field_pairs_into(&self, i: u32, j: u32, out: &mut Vec<FieldPairSim>) {
         let group = self.group(i, j);
         refined_field_set_into(group, out);
@@ -361,13 +354,16 @@ impl ValuePairIndex {
 
     /// Merge maintenance (§III-B2): records `i` and `j` were merged into
     /// `k` (one of `i`/`j` per union–find). `remap` rewrites an old value
-    /// label of `i` or `j` into its new label under `k` (reflecting field
-    /// merges and value re-numbering); labels of other records are never
-    /// passed to it.
+    /// label of the folded record (the one of `i`/`j` that is not `k`)
+    /// into its new label under `k`, reflecting field merges and value
+    /// re-numbering. It must pass the labels of `k` through unchanged —
+    /// all that `SuperRecord::absorb`'s remap produces — so `k`'s own
+    /// groups are left as they are; debug builds check this. Labels of
+    /// other records are never passed to it.
     ///
     /// Effects, per the paper: the `(i, j)` group is **deleted** (its
-    /// values are now intra-record), every other group touching `i` or `j`
-    /// is relabeled and re-homed under `k`, and group order is restored.
+    /// values are now intra-record), every group of the folded record is
+    /// relabeled and re-homed under `k`, and group order is restored.
     ///
     /// Super-record merging dedupes equal values, so two old labels can
     /// remap to one new label; the resulting entries are exact duplicates
@@ -386,14 +382,17 @@ impl ValuePairIndex {
             self.total -= self.release(slot).len();
         }
 
-        // 2. k's own groups stay where they are; only a remap that
-        // renumbers k's labels changes them.
-        for &(_, slot) in &self.rows[k as usize] {
-            let group = &mut self.groups[slot as usize];
-            if relabel(group, k, k, &remap) {
-                self.total -= restore_group(group);
-            }
-        }
+        // 2. k's own groups stay where they are: the remap passes k's
+        // labels through.
+        debug_assert!(
+            self.rows[k as usize].iter().all(|&(_, slot)| {
+                self.groups[slot as usize].iter().all(|e| {
+                    let side = if e.a.rid == k { e.a } else { e.b };
+                    remap(side) == side
+                })
+            }),
+            "merge: the remap must pass labels of k through"
+        );
 
         // 3. re-home each of the folded record's groups under k.
         for (p, slot) in std::mem::take(&mut self.rows[folded as usize]) {
@@ -504,24 +503,6 @@ impl ValuePairIndex {
                 ("max_group", s.max_group as i64),
             ],
         );
-    }
-
-    /// The `k` partners of `rid` with the highest single-value-pair
-    /// similarity — a cheap "who could this record be?" query for
-    /// interactive use (each group is similarity-descending, so its head
-    /// is its best pair).
-    pub fn top_partners(&self, rid: u32, k: usize) -> Vec<(u32, f64)> {
-        let mut out: Vec<(u32, f64)> = self
-            .partners(rid)
-            .filter_map(|p| self.group(rid, p).first().map(|e| (p, e.sim)))
-            .collect();
-        out.sort_by(|a, b| {
-            b.1.partial_cmp(&a.1)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| a.0.cmp(&b.0))
-        });
-        out.truncate(k);
-        out
     }
 
     /// Full-index invariant check (tests/debug): rows strictly ascending
@@ -644,7 +625,7 @@ impl RankedCandidate {
 /// descending, then `Up` descending, then pair key ascending. All f64
 /// comparisons use `total_cmp`, so the order is a total order — equal
 /// inputs sort identically on every host, thread count, and run.
-pub fn rank_candidates(v: &mut [RankedCandidate]) {
+pub(crate) fn rank_candidates(v: &mut [RankedCandidate]) {
     v.sort_unstable_by(|x, y| {
         y.priority()
             .total_cmp(&x.priority())
@@ -676,21 +657,16 @@ fn sort_group(g: &mut [ValuePair]) {
 }
 
 /// Rewrites the `old` record's side of every entry through `remap`,
-/// which must move it to `k`, keeping each entry rid-normalized. Returns
-/// whether any label changed.
-fn relabel(group: &mut [ValuePair], old: u32, k: u32, remap: impl Fn(Label) -> Label) -> bool {
-    let mut changed = false;
+/// which must move it to `k`, keeping each entry rid-normalized.
+fn relabel(group: &mut [ValuePair], old: u32, k: u32, remap: impl Fn(Label) -> Label) {
     for e in group {
         let side = if e.a.rid == old { &mut e.a } else { &mut e.b };
-        let new = remap(*side);
-        debug_assert_eq!(new.rid, k, "remap must move labels to k");
-        changed |= new != *side;
-        *side = new;
+        *side = remap(*side);
+        debug_assert_eq!(side.rid, k, "remap must move labels to k");
         if e.a.rid > e.b.rid {
             std::mem::swap(&mut e.a, &mut e.b);
         }
     }
-    changed
 }
 
 /// Restores a relabeled or appended-to group's order and drops the exact
@@ -828,17 +804,48 @@ mod tests {
     #[test]
     fn merge_twice_keeps_prop3() {
         // Prop 3: after arbitrary merges, similar value pairs of merged
-        // super records remain reachable via the index.
+        // super records remain reachable via the index. Each remap passes
+        // the winner's labels through and, as `absorb` does, files a
+        // folded value equal to one of the winner's under the winner's
+        // label: r6's fids 1–3 equal r1's, r4's fids 1 and 4 equal r2's
+        // fids 1 and 2. Other folded values get fresh labels.
         let mut idx = fig4_index();
-        idx.merge(1, 6, 1, |l| Label::new(1, l.fid, l.vid + 1));
-        idx.merge(2, 4, 2, |l| Label::new(2, l.fid, l.vid + 1));
+        idx.merge(1, 6, 1, |l| match (l.rid, l.fid) {
+            (6, 1..=3) => Label::new(1, l.fid, 1),
+            (6, _) => Label::new(1, l.fid, 2),
+            _ => l,
+        });
+        idx.merge(2, 4, 2, |l| match (l.rid, l.fid) {
+            (4, 1) => Label::new(2, 1, 1),
+            (4, 4) => Label::new(2, 2, 1),
+            (4, _) => Label::new(2, l.fid, 2),
+            _ => l,
+        });
         idx.check_invariants().unwrap();
         // All evidence between super-record 1 = {r1, r6} and super-record
         // 2 = {r2, r4} is now in group (1,2): originally (1,4): 1 pair,
-        // (2,6): 1 pair, (4,6): 3 pairs — but the (1,4) pair and the
-        // (4,6) fid-3 pair collapse because this remap dedupes the equal
-        // bush@gmail values of r1 and r6 into one label → 4 pairs.
-        assert_eq!(idx.group(1, 2).len(), 4);
+        // (2,6): 1 pair, (4,6): 3 pairs. Each merge collapses one exact
+        // duplicate: the (4,6) fid-3 pair lands on the (1,4) pair once
+        // r6's bush@gmail is r1's label, and the (4,6) fid-4 pair lands on
+        // the (2,6) pair once r4's field 4 is r2's field 2 → 3 pairs.
+        let g = idx.group(1, 2);
+        let labels: Vec<(Label, Label)> = g.iter().map(|p| (p.a, p.b)).collect();
+        assert_eq!(
+            labels,
+            vec![
+                (Label::new(1, 3, 1), Label::new(2, 3, 2)),
+                (Label::new(1, 4, 2), Label::new(2, 2, 1)),
+                (Label::new(1, 5, 2), Label::new(2, 5, 2)),
+            ]
+        );
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "pass labels of k through")]
+    fn merge_rejects_a_remap_that_renumbers_the_winner() {
+        let mut idx = fig4_index();
+        idx.merge(1, 6, 1, |l| Label::new(1, l.fid, l.vid + 1));
     }
 
     #[test]
@@ -856,24 +863,6 @@ mod tests {
         assert_eq!(s.groups, 8);
         assert_eq!(s.records, 6);
         assert_eq!(s.max_group, 4); // the (1,6) group
-    }
-
-    #[test]
-    fn top_partners_ranked_by_best_pair() {
-        let idx = fig4_index();
-        // r4's best single-value partners: r6 and r2 tie at 1.0 (rid
-        // breaks the tie), then r5 (0.83), then r1 (1.0)… recount: groups
-        // of 4: (1,4)=1.0, (2,4)=1.0, (4,5)=0.83, (4,6)=1.0.
-        let top = idx.top_partners(4, 3);
-        assert_eq!(top.len(), 3);
-        assert!(top.iter().all(|&(_, s)| s >= 0.83));
-        assert!((top[0].1 - 1.0).abs() < 1e-12);
-        // Full list includes r5 last.
-        let all = idx.top_partners(4, 10);
-        assert_eq!(all.len(), 4);
-        assert_eq!(all[3], (5, 0.83));
-        // Unknown record: empty.
-        assert!(idx.top_partners(99, 3).is_empty());
     }
 
     #[test]

@@ -29,9 +29,9 @@ mod flat;
 mod index;
 mod union_find;
 
-pub use bounds::{refined_field_set_into, BoundMode, Bounds, BoundsScratch, FieldPairSim};
+pub use bounds::{BoundMode, Bounds, BoundsScratch, FieldPairSim};
 pub use flat::FlatIndex;
-pub use index::{rank_candidates, IndexStats, RankedCandidate, ValuePairIndex};
+pub use index::{IndexStats, RankedCandidate, ValuePairIndex};
 pub use union_find::{Grouping, UnionFind};
 
 pub use hera_join::ValuePair;

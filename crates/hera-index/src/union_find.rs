@@ -81,13 +81,6 @@ impl UnionFind {
         self.find(a) == self.find(b)
     }
 
-    /// Number of disjoint sets.
-    pub fn set_count(&self) -> usize {
-        (0..self.parent.len() as u32)
-            .filter(|&x| self.find_const(x) == x)
-            .count()
-    }
-
     /// Encodes the forest as a JSON array of parent pointers, verbatim.
     ///
     /// The parent array is serialized without canonicalization so a
@@ -224,7 +217,7 @@ mod tests {
     #[test]
     fn singletons() {
         let mut uf = UnionFind::new(4);
-        assert_eq!(uf.set_count(), 4);
+        assert_eq!(uf.clusters().len(), 4);
         assert!(!uf.connected(0, 1));
         assert_eq!(uf.find(3), 3);
     }
@@ -251,7 +244,7 @@ mod tests {
         let mut uf = UnionFind::new(3);
         uf.union(0, 1);
         assert_eq!(uf.union(0, 1), 0);
-        assert_eq!(uf.set_count(), 2);
+        assert_eq!(uf.clusters().len(), 2);
     }
 
     #[test]
@@ -298,7 +291,7 @@ mod tests {
                 prop_assert_eq!(uf.find(b), root);
                 prop_assert!(root <= a && root <= b || uf.connected(root, a));
             }
-            prop_assert_eq!(uf.set_count(), 20 - effective);
+            prop_assert_eq!(uf.clusters().len(), 20 - effective);
             // Every root is the minimum of its cluster.
             for cluster in uf.clusters() {
                 let root = uf.find(cluster[0]);

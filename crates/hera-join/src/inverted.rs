@@ -348,7 +348,11 @@ mod tests {
         // the length filter alone kills (0,2) and (1,2) (1 gram vs 7), and
         // "ab" is in neither 7-gram value's prefix.
         let config = JoinConfig::new(0.8);
-        let (without, shared) = join(&words, config.without_prefix_filter(), &metric);
+        let unfiltered = JoinConfig {
+            prefix_filter: false,
+            ..config
+        };
+        let (without, shared) = join(&words, unfiltered, &metric);
         let (with, filtered) = join(&words, config, &metric);
         assert_eq!(shared, 3);
         assert_eq!(filtered, 0);

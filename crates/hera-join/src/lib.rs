@@ -40,7 +40,7 @@
 //! The `join` span's `candidates` counts the distinct-value pairs that
 //! were scored — the probe's survivors plus the sweep's pairs (every pair,
 //! under [`JoinConfig::exhaustive`]; every compared field pair, under
-//! [`CandidateSource::Blocked`]). It is the same at every thread count.
+//! [`SimilarityJoin::join_blocked`]). It is the same at every thread count.
 //!
 //! Prefix filtering is **complete** when the verifying string metric is
 //! q-gram Jaccard with the same `q` and folding as the index (HERA's
@@ -61,7 +61,7 @@ mod numeric;
 mod source;
 
 pub use incremental::IncrementalJoin;
-pub use source::{CandidateSource, RecordPairSet};
+pub use source::RecordPairSet;
 
 use hera_sim::text::{folded_qgram_set, jaccard_of_sets, GramSketch};
 use hera_sim::ValueSimilarity;
@@ -119,12 +119,6 @@ impl JoinConfig {
     /// Switches to exhaustive verification.
     pub fn exhaustive(mut self) -> Self {
         self.all_pairs = true;
-        self
-    }
-
-    /// Disables the prefix filter but keeps share-a-gram candidates.
-    pub fn without_prefix_filter(mut self) -> Self {
-        self.prefix_filter = false;
         self
     }
 
@@ -233,28 +227,18 @@ impl<'m> SimilarityJoin<'m> {
         }))
     }
 
-    /// Joins a dataset through an explicit [`CandidateSource`]:
-    /// [`CandidateSource::AllPairs`] is exactly [`Self::join_dataset`];
-    /// [`CandidateSource::Blocked`] restricts the output to value pairs
-    /// whose records are in the allowed set, with bit-identical
-    /// similarities and the same output order (the blocked stream is a
-    /// subsequence of the all-pairs stream).
-    pub fn join_dataset_with(&self, ds: &Dataset, source: &CandidateSource) -> Vec<ValuePair> {
-        match source {
-            CandidateSource::AllPairs => self.join_dataset(ds),
-            CandidateSource::Blocked(allowed) => self.join_blocked(ds, allowed),
-        }
-    }
-
-    /// Record-pair-driven join: compares the field values of each allowed
-    /// record pair directly instead of generating candidates from the
-    /// value universe. Its cost follows the pair set a blocker emits, not
-    /// the value universe: no gram index is built or probed.
+    /// Joins a dataset through a blocker's allowed record pairs: the
+    /// output is [`Self::join_dataset`]'s restricted to value pairs whose
+    /// records are in `allowed`, with bit-identical similarities and the
+    /// same output order (the blocked stream is a subsequence of the
+    /// all-pairs stream).
     ///
-    /// Scoring is the all-pairs verification's ([`score`]), so every
-    /// emitted pair carries the same similarity the all-pairs join would
-    /// have produced for it.
-    fn join_blocked(&self, ds: &Dataset, allowed: &RecordPairSet) -> Vec<ValuePair> {
+    /// It compares the field values of each allowed record pair directly
+    /// instead of generating candidates from the value universe, so its
+    /// cost follows the pair set, not the value universe: no gram index is
+    /// built or probed. Scoring is the all-pairs verification's
+    /// (`score`).
+    pub fn join_blocked(&self, ds: &Dataset, allowed: &RecordPairSet) -> Vec<ValuePair> {
         let t0 = Instant::now();
         // 1. Intern distinct values; remember each record's labeled slots.
         let mut index_of: FxHashMap<&Value, u32> = FxHashMap::default();
@@ -616,13 +600,13 @@ mod tests {
         let every_pair: Vec<(u32, u32)> = (0..n)
             .flat_map(|a| (a + 1..n).map(move |b| (a, b)))
             .collect();
-        let blocked = CandidateSource::Blocked(RecordPairSet::from_pairs(every_pair));
+        let blocked = RecordPairSet::from_pairs(every_pair);
         for xi in [0.3, 0.5, 0.7, 0.9] {
             let join = SimilarityJoin::new(JoinConfig::new(xi), &metric);
             let oracle =
                 SimilarityJoin::new(JoinConfig::new(xi).exhaustive(), &metric).join_dataset(&ds);
             assert_eq!(join.join_dataset(&ds), oracle, "xi={xi}");
-            assert_eq!(join.join_dataset_with(&ds, &blocked), oracle, "xi={xi}");
+            assert_eq!(join.join_blocked(&ds, &blocked), oracle, "xi={xi}");
         }
     }
 
@@ -641,14 +625,11 @@ mod tests {
                     everything.push((a, b));
                 }
             }
-            let all = join.join_dataset_with(
-                &ds,
-                &CandidateSource::Blocked(RecordPairSet::from_pairs(everything)),
-            );
+            let all = join.join_blocked(&ds, &RecordPairSet::from_pairs(everything));
             assert_eq!(all, full, "xi={xi}");
             // Partial pair set: exactly the restriction, sims bit-equal.
             let some = RecordPairSet::from_pairs(vec![(0, 1), (2, 3)]);
-            let blocked = join.join_dataset_with(&ds, &CandidateSource::Blocked(some.clone()));
+            let blocked = join.join_blocked(&ds, &some);
             let expected: Vec<ValuePair> = full
                 .iter()
                 .copied()
@@ -663,19 +644,8 @@ mod tests {
         let metric = TypeDispatch::paper_default();
         let ds = motivating_example();
         let join = SimilarityJoin::new(JoinConfig::new(0.3), &metric);
-        let out = join.join_dataset_with(&ds, &CandidateSource::Blocked(RecordPairSet::default()));
+        let out = join.join_blocked(&ds, &RecordPairSet::default());
         assert!(out.is_empty());
-    }
-
-    #[test]
-    fn allpairs_source_is_join_dataset() {
-        let metric = TypeDispatch::paper_default();
-        let ds = motivating_example();
-        let join = SimilarityJoin::new(JoinConfig::new(0.5), &metric);
-        assert_eq!(
-            join.join_dataset_with(&ds, &CandidateSource::AllPairs),
-            join.join_dataset(&ds)
-        );
     }
 
     proptest! {

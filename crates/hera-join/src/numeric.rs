@@ -11,7 +11,7 @@ use hera_types::{Label, Value};
 /// numeric metric is): once `sim(vᵢ, vⱼ) < ξ` for some `j > i` in sorted
 /// order, all later `j` are at least as far from `vᵢ` and score no higher,
 /// so the sweep stops.
-pub fn numeric_pairs(
+pub(crate) fn numeric_pairs(
     distinct: &[(&Value, Vec<Label>)],
     metric: &dyn ValueSimilarity,
     xi: f64,

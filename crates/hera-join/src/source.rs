@@ -1,12 +1,12 @@
-//! Candidate sources: which record pairs the join is allowed to emit.
+//! Which record pairs the blocked join is allowed to emit.
 //!
 //! The classic join enumerates candidates implicitly from the value
 //! universe — every cross-record pair of similar values survives, which
 //! is an *all-pairs* policy over records. A blocking stage (see the
 //! `hera-block` crate) replaces that policy with an explicit, typically
-//! sub-quadratic, set of record pairs; the join then only compares
-//! values across allowed pairs. [`CandidateSource`] names the policy and
-//! [`RecordPairSet`] is the concrete allowed-pair set.
+//! sub-quadratic, set of record pairs, the [`RecordPairSet`];
+//! [`crate::SimilarityJoin::join_blocked`] then only compares values
+//! across allowed pairs.
 
 /// A deduplicated, sorted set of normalized record pairs (`a < b`).
 ///
@@ -58,20 +58,6 @@ impl RecordPairSet {
     pub fn iter(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
         self.pairs.iter().copied()
     }
-}
-
-/// Where the join's record-pair candidates come from.
-#[derive(Debug, Clone)]
-pub enum CandidateSource {
-    /// Implicit all-pairs enumeration through the value universe — the
-    /// paper's exact semantics (every similar value pair, whatever the
-    /// records).
-    AllPairs,
-    /// Only the given record pairs may produce output — the contract of
-    /// a blocking stage. The emitted value pairs are exactly the
-    /// all-pairs output restricted to allowed record pairs, with
-    /// bit-identical similarities.
-    Blocked(RecordPairSet),
 }
 
 #[cfg(test)]

@@ -52,11 +52,6 @@ impl BipartiteGraph {
         self.edges.clear();
     }
 
-    /// Number of edges.
-    pub fn edge_count(&self) -> usize {
-        self.edges.len()
-    }
-
     /// True if the graph has no edges.
     pub fn is_empty(&self) -> bool {
         self.edges.is_empty()
@@ -72,7 +67,7 @@ impl BipartiteGraph {
     /// Fills `out` with all edges in deterministic `(left, right)` order,
     /// replacing its previous contents. Allocation-free once `out` has
     /// grown to the working-set size.
-    pub fn edges_into(&self, out: &mut Vec<Edge>) {
+    pub(crate) fn edges_into(&self, out: &mut Vec<Edge>) {
         out.clear();
         out.extend(self.edges.iter().map(|(&(left, right), &weight)| Edge {
             left,
@@ -80,13 +75,6 @@ impl BipartiteGraph {
             weight,
         }));
         out.sort_unstable_by_key(|e| (e.left, e.right));
-    }
-
-    /// Distinct left node ids, ascending.
-    pub fn left_nodes(&self) -> Vec<u32> {
-        let mut ls = Vec::new();
-        self.left_nodes_into(&mut ls);
-        ls
     }
 
     /// Fills `out` with the distinct left node ids, ascending.
@@ -97,29 +85,12 @@ impl BipartiteGraph {
         out.dedup();
     }
 
-    /// Distinct right node ids, ascending.
-    pub fn right_nodes(&self) -> Vec<u32> {
-        let mut rs = Vec::new();
-        self.right_nodes_into(&mut rs);
-        rs
-    }
-
     /// Fills `out` with the distinct right node ids, ascending.
     pub fn right_nodes_into(&self, out: &mut Vec<u32>) {
         out.clear();
         out.extend(self.edges.keys().map(|&(_, r)| r));
         out.sort_unstable();
         out.dedup();
-    }
-
-    /// Number of distinct left nodes (`|X|`).
-    pub fn left_count(&self) -> usize {
-        self.left_nodes().len()
-    }
-
-    /// Number of distinct right nodes (`|Y|`).
-    pub fn right_count(&self) -> usize {
-        self.right_nodes().len()
     }
 
     /// Weight of edge `(left, right)` if present.
@@ -146,7 +117,7 @@ impl Matching {
     ///
     /// # Panics (debug)
     /// Debug-asserts the one-to-one property.
-    pub fn from_edges(mut edges: Vec<Edge>) -> Self {
+    pub(crate) fn from_edges(mut edges: Vec<Edge>) -> Self {
         edges.sort_unstable_by_key(|e| (e.left, e.right));
         #[cfg(debug_assertions)]
         {
@@ -178,11 +149,6 @@ impl Matching {
     pub fn is_empty(&self) -> bool {
         self.edges.is_empty()
     }
-
-    /// Looks up the partner of a left node.
-    pub fn right_of(&self, left: u32) -> Option<u32> {
-        self.edges.iter().find(|e| e.left == left).map(|e| e.right)
-    }
 }
 
 #[cfg(test)]
@@ -195,7 +161,7 @@ mod tests {
         g.add_edge(1, 2, 0.4);
         g.add_edge(1, 2, 0.7);
         g.add_edge(1, 2, 0.5);
-        assert_eq!(g.edge_count(), 1);
+        assert_eq!(g.edges().len(), 1);
         assert_eq!(g.weight(1, 2), Some(0.7));
     }
 
@@ -205,10 +171,11 @@ mod tests {
         g.add_edge(3, 10, 0.5);
         g.add_edge(1, 10, 0.5);
         g.add_edge(3, 11, 0.5);
-        assert_eq!(g.left_nodes(), vec![1, 3]);
-        assert_eq!(g.right_nodes(), vec![10, 11]);
-        assert_eq!(g.left_count(), 2);
-        assert_eq!(g.right_count(), 2);
+        let mut nodes = Vec::new();
+        g.left_nodes_into(&mut nodes);
+        assert_eq!(nodes, vec![1, 3]);
+        g.right_nodes_into(&mut nodes);
+        assert_eq!(nodes, vec![10, 11]);
     }
 
     #[test]
@@ -233,10 +200,9 @@ mod tests {
         ]);
         assert_eq!(m.len(), 2);
         assert!((m.weight - 0.75).abs() < 1e-12);
-        assert_eq!(m.right_of(2), Some(0));
-        assert_eq!(m.right_of(7), None);
         // Sorted by left.
-        assert_eq!(m.edges[0].left, 0);
+        assert_eq!((m.edges[0].left, m.edges[0].right), (0, 1));
+        assert_eq!((m.edges[1].left, m.edges[1].right), (2, 0));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Greedy maximal matching — a fast 2-approximation.
 
-use crate::graph::{BipartiteGraph, Edge, Matching};
+use crate::graph::{BipartiteGraph, Edge};
 use crate::scratch::MatchScratch;
 
 /// Builds a maximal matching by scanning edges in descending weight order
@@ -12,15 +12,9 @@ use crate::scratch::MatchScratch;
 /// * it is a ½-approximation of the optimum, making it a useful ablation
 ///   stand-in for Kuhn–Munkres.
 ///
-/// Ties are broken by `(left, right)` so results are deterministic.
-pub fn greedy_matching(graph: &BipartiteGraph) -> Matching {
-    let mut picked: Vec<Edge> = Vec::new();
-    greedy_matching_into(graph, &mut MatchScratch::new(), &mut picked);
-    Matching::from_edges(picked)
-}
-
-/// [`greedy_matching`] on caller-provided scratch: **appends** the picked
-/// edges to `out` in descending-weight pick order without allocating.
+/// Ties are broken by `(left, right)` so results are deterministic. The
+/// picked edges are **appended** to `out` in descending-weight pick
+/// order, on caller-provided scratch, without allocating.
 pub fn greedy_matching_into(
     graph: &BipartiteGraph,
     scratch: &mut MatchScratch,
@@ -42,6 +36,14 @@ pub fn greedy_matching_into(
             out.push(e);
         }
     }
+}
+
+/// [`greedy_matching_into`] as a [`crate::Matching`], for the tests.
+#[cfg(test)]
+pub(crate) fn greedy_matching(graph: &BipartiteGraph) -> crate::Matching {
+    let mut picked: Vec<Edge> = Vec::new();
+    greedy_matching_into(graph, &mut MatchScratch::new(), &mut picked);
+    crate::Matching::from_edges(picked)
 }
 
 #[cfg(test)]

@@ -1,8 +1,8 @@
 //! Kuhn–Munkres (Hungarian) algorithm for maximum-weight bipartite
 //! matching, `O(n³)`.
 
-use crate::graph::{BipartiteGraph, Edge, Matching};
-use crate::scratch::{KmScratch, MatchScratch};
+use crate::graph::{BipartiteGraph, Edge};
+use crate::scratch::KmScratch;
 
 /// Solves maximum-weight matching on `graph` exactly.
 ///
@@ -12,17 +12,13 @@ use crate::scratch::{KmScratch, MatchScratch};
 /// becomes the rows, missing edges get weight 0, and the potential-based
 /// `O(n³)` assignment solver runs on the resulting complete rectangular
 /// matrix. Zero-weight assignments (dummies / non-edges) are dropped from
-/// the returned [`Matching`], so only genuine field pairs appear.
-pub fn kuhn_munkres(graph: &BipartiteGraph) -> Matching {
-    kuhn_munkres_with(graph, &mut MatchScratch::new())
-}
-
-/// [`kuhn_munkres`] on caller-provided scratch: identical result, no
-/// per-call allocation of the cost matrix or potential arrays.
-pub fn kuhn_munkres_with(graph: &BipartiteGraph, scratch: &mut MatchScratch) -> Matching {
+/// the returned matching, so only genuine field pairs appear. The
+/// pipeline calls [`km_into`] per component; this form serves the tests.
+#[cfg(test)]
+pub(crate) fn kuhn_munkres(graph: &BipartiteGraph) -> crate::Matching {
     let mut edges: Vec<Edge> = Vec::new();
-    km_into(graph, &mut scratch.km, &mut edges);
-    Matching::from_edges(edges)
+    km_into(graph, &mut KmScratch::default(), &mut edges);
+    crate::Matching::from_edges(edges)
 }
 
 /// The scratch-backed solver core. **Appends** matched edges to `out` in

@@ -8,19 +8,16 @@
 //!
 //! 1. [`BipartiteGraph`] — build the graph from weighted `(left, right)`
 //!    pairs;
-//! 2. [`simplify`] — peel off *mapped edges* whose two endpoints both have
-//!    degree one (Theorem 1: they belong to some maximum matching, since
-//!    all weights are positive);
-//! 3. [`connected_components`] — split the simplified graph; a maximum
-//!    matching of a disjoint union is the union of per-component maximum
-//!    matchings;
-//! 4. [`kuhn_munkres`] — the Hungarian algorithm (`O(m³)`) per component,
-//!    with dummy padding to a complete square matrix as the paper
-//!    prescribes;
-//! 5. [`max_weight_matching`] — the composed solver returning a
-//!    [`Matching`];
-//! 6. [`greedy_matching`] — sort-by-weight maximal matching, used by the
-//!    index's *sound* lower bound and as an ablation baseline.
+//! 2. [`max_weight_matching_observed`] — the composed solver: it peels off
+//!    *mapped edges* whose two endpoints both have degree one (Theorem 1:
+//!    they belong to some maximum matching, since all weights are
+//!    positive), splits the simplified graph into connected components (a
+//!    maximum matching of a disjoint union is the union of per-component
+//!    maximum matchings), and runs the Hungarian algorithm (`O(m³)`) per
+//!    component, with dummy padding to a complete square matrix as the
+//!    paper prescribes; [`max_weight_matching`] returns its [`Matching`];
+//! 3. [`greedy_matching_into`] — sort-by-weight maximal matching, used by
+//!    the index's *sound* lower bound and as an ablation baseline.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -29,13 +26,14 @@ mod graph;
 mod greedy;
 mod hungarian;
 mod scratch;
-mod simplify;
 
 pub use graph::{BipartiteGraph, Edge, Matching};
-pub use greedy::{greedy_matching, greedy_matching_into};
-pub use hungarian::{kuhn_munkres, kuhn_munkres_with};
+#[cfg(test)]
+pub(crate) use greedy::greedy_matching;
+pub use greedy::greedy_matching_into;
+#[cfg(test)]
+pub(crate) use hungarian::kuhn_munkres;
 pub use scratch::MatchScratch;
-pub use simplify::{connected_components, simplify, simplify_with, Simplified};
 
 #[cfg(test)]
 mod outcome_tests {
@@ -83,7 +81,10 @@ pub fn max_weight_matching(graph: &BipartiteGraph) -> Matching {
 /// [`max_weight_matching`] on caller-provided scratch — same result, no
 /// per-call allocation inside the pipeline (the returned [`Matching`]
 /// still owns its edge list).
-pub fn max_weight_matching_with(graph: &BipartiteGraph, scratch: &mut MatchScratch) -> Matching {
+pub(crate) fn max_weight_matching_with(
+    graph: &BipartiteGraph,
+    scratch: &mut MatchScratch,
+) -> Matching {
     let mut edges: Vec<Edge> = Vec::new();
     let simplified_nodes = max_weight_matching_into(graph, scratch, &mut edges);
     let mut m = Matching::from_edges(edges);
@@ -108,7 +109,7 @@ pub struct MatchOutcome {
 
 /// [`max_weight_matching_observed`] returning only the simplified-node
 /// count — the original zero-allocation entry point.
-pub fn max_weight_matching_into(
+pub(crate) fn max_weight_matching_into(
     graph: &BipartiteGraph,
     scratch: &mut MatchScratch,
     out: &mut Vec<Edge>,
@@ -184,8 +185,7 @@ pub fn max_weight_matching_observed(
     let simplified_nodes = deg_l.len() + deg_r.len() - 2 * mapped_count;
 
     // Group contested edges into pooled component graphs, components in
-    // first-seen edge order (the same deterministic order
-    // `connected_components` yields).
+    // first-seen edge order.
     comp_of_root.clear();
     let mut n_comps = 0usize;
     for e in edges.iter() {
@@ -368,19 +368,10 @@ mod tests {
             assert_eq!(fresh.weight.to_bits(), reused.weight.to_bits());
             assert_eq!(fresh.simplified_nodes, reused.simplified_nodes);
 
-            let km_fresh = kuhn_munkres(gr);
-            let km_reused = kuhn_munkres_with(gr, &mut scratch);
-            assert_eq!(km_fresh.edges, km_reused.edges);
-
             let greedy_fresh = greedy_matching(gr);
             let mut picked = Vec::new();
             greedy_matching_into(gr, &mut scratch, &mut picked);
             assert_eq!(greedy_fresh.edges, Matching::from_edges(picked).edges);
-
-            let s = simplify(gr);
-            let (mapped, remaining) = simplify_with(gr, &mut scratch);
-            assert_eq!(s.mapped_edges, mapped);
-            assert_eq!(s.remaining.edges(), remaining.edges());
         }
     }
 

@@ -1,8 +1,7 @@
 //! Reusable working memory for the matching pipeline.
 //!
-//! Every solver in this crate has an `*_into`/`*_with` variant that
-//! borrows a [`MatchScratch`] instead of allocating its intermediate
-//! buffers (edge lists, degree maps, union–find arrays, component
+//! The matching pipeline and the greedy matcher borrow a [`MatchScratch`]
+//! instead of allocating their intermediate buffers (edge lists, degree maps, union–find arrays, component
 //! graphs, the Hungarian cost matrix and potentials). A caller that
 //! verifies many record pairs — HERA's hottest loop — reuses one scratch
 //! per worker and reaches zero steady-state allocation inside the
@@ -13,10 +12,9 @@
 use crate::graph::{BipartiteGraph, Edge};
 use rustc_hash::{FxHashMap, FxHashSet};
 
-/// Reusable buffers for [`kuhn_munkres_with`](crate::kuhn_munkres_with),
-/// [`greedy_matching_into`](crate::greedy_matching_into),
-/// [`simplify_with`](crate::simplify_with) and
-/// [`max_weight_matching_into`](crate::max_weight_matching_into).
+/// Reusable buffers for
+/// [`greedy_matching_into`](crate::greedy_matching_into) and
+/// [`max_weight_matching_observed`](crate::max_weight_matching_observed).
 ///
 /// Create one per worker thread and pass it to every call; the first few
 /// calls grow the buffers to the working-set size and later calls run
@@ -29,10 +27,6 @@ pub struct MatchScratch {
     pub(crate) deg_l: FxHashMap<u32, u32>,
     /// Right-node degrees.
     pub(crate) deg_r: FxHashMap<u32, u32>,
-    /// Mapped edges peeled off by simplification.
-    pub(crate) mapped: Vec<Edge>,
-    /// The simplified graph (only populated by `simplify_with`).
-    pub(crate) remaining: BipartiteGraph,
     /// `(side, node)` → union–find slot, for component decomposition.
     pub(crate) key_of: FxHashMap<(bool, u32), usize>,
     /// Union–find parent array over interned nodes.

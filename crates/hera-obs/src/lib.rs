@@ -6,7 +6,7 @@
 //! distinguished by their `"ev"` discriminator:
 //!
 //! * **Core events** (`run_start`, `span`, `merge`, `schema_decided`,
-//!   `gauge`, `round_end`, `run_end`) describe *what the algorithm
+//!   `round_end`, `run_end`) describe *what the algorithm
 //!   decided*: per-stage counter deltas, every merge `rid₁ ⊕ rid₂`, every
 //!   schema matching the voter promoted. Because the pipeline's decisions
 //!   are bit-identical at every thread count, the core journal is
@@ -47,7 +47,7 @@ use std::time::Duration;
 
 /// Event kinds that are *diagnostic*: host- and configuration-dependent
 /// lines that [`deterministic_view`] removes.
-pub const DIAGNOSTIC_EVENTS: [&str; 2] = ["timing", "diag"];
+pub(crate) const DIAGNOSTIC_EVENTS: [&str; 2] = ["timing", "diag"];
 
 /// Where journal lines go.
 enum Sink {
@@ -158,7 +158,7 @@ impl Recorder {
 
     /// Encodes every event and discards the bytes — the serialization
     /// path runs, nothing is stored. Used by the `HERA_TRACE=1` test mode.
-    pub fn to_null() -> Self {
+    pub(crate) fn to_null() -> Self {
         Self {
             sink: Some(Arc::new(Mutex::new(SinkState::new(Sink::Null)))),
             diagnostics: true,
@@ -339,19 +339,6 @@ impl Recorder {
         );
     }
 
-    /// A point-in-time measurement of a named quantity.
-    pub fn gauge(&self, name: &str, round: Option<usize>, value: i64) {
-        if self.sink.is_none() {
-            return;
-        }
-        let mut fields: Vec<(&str, Json)> = vec![("name", Json::Str(name.to_string()))];
-        if let Some(r) = round {
-            fields.push(("round", Json::Int(r as i64)));
-        }
-        fields.push(("value", Json::Int(value)));
-        self.emit("gauge", fields);
-    }
-
     /// End-of-round summary; mirrors to stderr when progress is on.
     pub fn round_end(&self, round: usize, merges: i64, index_size: i64, open_buckets: i64) {
         if self.progress {
@@ -511,13 +498,12 @@ mod tests {
         );
         rec.merge(1, 0, 5, 0.574, 4);
         rec.schema_decided(1, "S1.name", "S2.name", 0.57);
-        rec.gauge("index_entries", Some(1), 18);
         rec.round_end(1, 1, 18, 2);
         rec.timing("verify_candidates", Some(1), Duration::from_micros(1234));
         rec.run_end(&[("iterations", 1), ("merges", 1)]);
         let text = buf.contents();
         let summary = validate(&text).unwrap();
-        assert_eq!(summary.lines, 9);
+        assert_eq!(summary.lines, 8);
         assert_eq!(summary.count("span"), 2);
         assert_eq!(summary.count("merge"), 1);
         assert_eq!(summary.count("timing"), 1);

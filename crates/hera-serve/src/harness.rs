@@ -9,8 +9,8 @@
 //! failing seed replays (and shrinks, under proptest) exactly.
 //!
 //! The concurrency is still real. Ingests are fire-and-forget commands
-//! executing on the session thread, and [`ErService::stitch_async`] /
-//! [`ErService::resolve_async`] passes run there while the driver
+//! executing on the session thread, and `ErService::stitch_async` /
+//! `ErService::resolve_async` passes run there while the driver
 //! keeps issuing lookups against whatever view happens to be
 //! published. What the seed pins down is the *request order* — the
 //! service's own determinism guarantee (queue order = bookkeeping-lock

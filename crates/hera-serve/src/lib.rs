@@ -13,7 +13,7 @@
 //! are flagged provisional (see the [`service`] module docs).
 //!
 //! The service is durable: `checkpoint` writes one file — the session's
-//! own `hera-store` snapshot (atomic, CRC-checked, retried under a
+//! own snapshot (`hera_core::store`: atomic, CRC-checked, retried under a
 //! `hera-faults` backoff policy) — and [`ErServiceBuilder::restore`]
 //! brings the service back from it. With a journal attached
 //! ([`ErServiceBuilder::recorder`]), every protocol request lands an
@@ -51,6 +51,4 @@ pub use client::{ServeClient, TcpClient};
 pub use harness::{LoggedPass, LookupSample, RunLog, Schedule, ScheduledOp};
 pub use protocol::Request;
 pub use server::{serve_lines, serve_tcp};
-pub use service::{
-    ErService, ErServiceBuilder, IngestReply, LookupReply, ResolveHandle, StitchHandle, StitchReply,
-};
+pub use service::{ErService, ErServiceBuilder, IngestReply, LookupReply, StitchReply};

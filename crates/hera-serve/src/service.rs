@@ -191,7 +191,7 @@ pub struct StitchReply {
 /// pass runs on the session thread; [`StitchHandle::wait`] blocks until
 /// its view is published. Dropping the handle abandons the wait, not
 /// the pass.
-pub struct StitchHandle {
+pub(crate) struct StitchHandle {
     boundary: usize,
     rx: Receiver<StitchReply>,
 }
@@ -212,7 +212,7 @@ impl StitchHandle {
 }
 
 /// An in-flight budgeted resolve (from [`ErService::resolve_async`]).
-pub struct ResolveHandle {
+pub(crate) struct ResolveHandle {
     rx: Receiver<ProgressiveReport>,
 }
 
@@ -378,7 +378,7 @@ impl ErService {
 
     /// Dispatches a budgeted incremental resolve on the session and
     /// returns without waiting.
-    pub fn resolve_async(&self, budget: ResolveBudget) -> ResolveHandle {
+    pub(crate) fn resolve_async(&self, budget: ResolveBudget) -> ResolveHandle {
         let rx = self
             .state()
             .ask(|reply| SessionCmd::Resolve { budget, reply });
@@ -395,7 +395,7 @@ impl ErService {
     /// fixpoint and publishes its partition — and returns without
     /// waiting. Lookups keep answering from the previous published view
     /// until the pass swaps its generation in.
-    pub fn stitch_async(&self) -> StitchHandle {
+    pub(crate) fn stitch_async(&self) -> StitchHandle {
         Self::dispatch_stitch(&mut self.state())
     }
 

@@ -12,7 +12,7 @@ pub struct CosineTf;
 
 impl CosineTf {
     /// Similarity of two raw strings.
-    pub fn sim_str(&self, a: &str, b: &str) -> f64 {
+    pub(crate) fn sim_str(&self, a: &str, b: &str) -> f64 {
         let tf = |s: &str| -> FxHashMap<String, f64> {
             let mut m = FxHashMap::default();
             for t in word_tokens(s) {

@@ -5,7 +5,7 @@ use hera_types::Value;
 
 /// Levenshtein distance between two char sequences, computed with the
 /// classic two-row dynamic program (`O(|a|·|b|)` time, `O(min)` space).
-pub fn levenshtein(a: &str, b: &str) -> usize {
+pub(crate) fn levenshtein(a: &str, b: &str) -> usize {
     let a: Vec<char> = a.chars().collect();
     let b: Vec<char> = b.chars().collect();
     // Keep the shorter string as the row to minimize memory.
@@ -37,7 +37,7 @@ pub struct EditSimilarity;
 
 impl EditSimilarity {
     /// Similarity of two raw strings (after case folding).
-    pub fn sim_str(&self, a: &str, b: &str) -> f64 {
+    pub(crate) fn sim_str(&self, a: &str, b: &str) -> f64 {
         let (a, b) = (a.to_lowercase(), b.to_lowercase());
         let max_len = a.chars().count().max(b.chars().count());
         if max_len == 0 {

@@ -10,7 +10,7 @@ use hera_types::Value;
 /// The paper sets `q = 2` ("we set 2 q-grams"), which is this type's
 /// [`Default`]. Text is case-folded before gramming by default — required
 /// to reproduce Example 4's `simv(Electronic, electronics) = 0.9` — but
-/// folding can be disabled, which reproduces Example 3's case-sensitive
+/// `fold: false` disables it, which reproduces Example 3's case-sensitive
 /// `0.37` instead (the paper's two worked examples use inconsistent
 /// conventions). Non-string values are compared through their text
 /// rendering; nulls score 0.
@@ -32,14 +32,8 @@ impl QGramJaccard {
         Self { q, fold: true }
     }
 
-    /// Disables case folding (Example 3's convention).
-    pub fn case_sensitive(mut self) -> Self {
-        self.fold = false;
-        self
-    }
-
     /// Similarity of two raw strings.
-    pub fn sim_str(&self, a: &str, b: &str) -> f64 {
+    pub(crate) fn sim_str(&self, a: &str, b: &str) -> f64 {
         if self.fold {
             jaccard_of_sets(&folded_qgram_set(a, self.q), &folded_qgram_set(b, self.q))
         } else {
@@ -86,7 +80,10 @@ mod tests {
         assert_eq!(m.sim_str("Electronic", "Electronic"), 1.0);
         assert!((m.sim_str("Electronic", "electronics") - 0.9).abs() < 1e-9);
         // Example 3's 0.37 uses case-sensitive grams.
-        let cs = QGramJaccard::new(2).case_sensitive();
+        let cs = QGramJaccard {
+            fold: false,
+            ..QGramJaccard::new(2)
+        };
         assert!((cs.sim_str("2 Norman Street", "2 West Norman") - 7.0 / 19.0).abs() < 1e-9);
         assert!((cs.sim_str("Electronic", "electronics") - 8.0 / 11.0).abs() < 1e-9);
     }

@@ -8,7 +8,7 @@ use hera_types::Value;
 /// Matching window is `max(|a|, |b|) / 2 − 1`; transpositions are counted
 /// between matched characters in order. Returns 0 when either string is
 /// empty.
-pub fn jaro_str(a: &str, b: &str) -> f64 {
+pub(crate) fn jaro_str(a: &str, b: &str) -> f64 {
     let a: Vec<char> = a.chars().collect();
     let b: Vec<char> = b.chars().collect();
     if a.is_empty() || b.is_empty() {
@@ -93,7 +93,7 @@ impl JaroWinkler {
     }
 
     /// Similarity of two case-folded strings.
-    pub fn sim_str(&self, a: &str, b: &str) -> f64 {
+    pub(crate) fn sim_str(&self, a: &str, b: &str) -> f64 {
         let j = jaro_str(a, b);
         let prefix = a
             .chars()

@@ -36,7 +36,7 @@ pub mod text;
 
 pub use cosine::CosineTf;
 pub use dispatch::TypeDispatch;
-pub use edit::{levenshtein, EditSimilarity};
+pub use edit::EditSimilarity;
 pub use jaccard::QGramJaccard;
 pub use jaro::{Jaro, JaroWinkler};
 pub use monge_elkan::MongeElkan;

@@ -44,7 +44,7 @@ impl MongeElkan {
     }
 
     /// Similarity of two raw strings.
-    pub fn sim_str(&self, a: &str, b: &str) -> f64 {
+    pub(crate) fn sim_str(&self, a: &str, b: &str) -> f64 {
         let ta = word_tokens(a);
         let tb = word_tokens(b);
         if ta.is_empty() || tb.is_empty() {

@@ -29,7 +29,7 @@ impl NumericProximity {
     }
 
     /// Similarity of two raw numbers.
-    pub fn sim_num(&self, a: f64, b: f64) -> f64 {
+    pub(crate) fn sim_num(&self, a: f64, b: f64) -> f64 {
         let d = (a - b).abs();
         if !d.is_finite() {
             return 0.0;

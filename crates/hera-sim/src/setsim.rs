@@ -25,7 +25,7 @@ impl DiceQGram {
     }
 
     /// Similarity of two raw strings.
-    pub fn sim_str(&self, a: &str, b: &str) -> f64 {
+    pub(crate) fn sim_str(&self, a: &str, b: &str) -> f64 {
         let sa = folded_qgram_set(a, self.q);
         let sb = folded_qgram_set(b, self.q);
         if sa.is_empty() && sb.is_empty() {
@@ -76,7 +76,7 @@ impl OverlapQGram {
     }
 
     /// Similarity of two raw strings.
-    pub fn sim_str(&self, a: &str, b: &str) -> f64 {
+    pub(crate) fn sim_str(&self, a: &str, b: &str) -> f64 {
         let sa = folded_qgram_set(a, self.q);
         let sb = folded_qgram_set(b, self.q);
         let min = sa.len().min(sb.len());
@@ -114,7 +114,7 @@ pub struct TokenJaccard;
 
 impl TokenJaccard {
     /// Similarity of two raw strings.
-    pub fn sim_str(&self, a: &str, b: &str) -> f64 {
+    pub(crate) fn sim_str(&self, a: &str, b: &str) -> f64 {
         let norm = |s: &str| -> Vec<String> {
             let mut t: Vec<String> = word_tokens(s)
                 .into_iter()

@@ -109,7 +109,7 @@ impl SoftTfIdf {
 
     /// Similarity of two raw strings (symmetrized: average of both
     /// directions).
-    pub fn sim_str(&self, a: &str, b: &str) -> f64 {
+    pub(crate) fn sim_str(&self, a: &str, b: &str) -> f64 {
         let ta = word_tokens(a);
         let tb = word_tokens(b);
         if ta.is_empty() || tb.is_empty() {

@@ -61,7 +61,7 @@ fn into_set(mut grams: Vec<u64>) -> Vec<u64> {
 /// Strings shorter than `q` contribute a single gram covering the whole
 /// string (so `"a"` still has a signature and `sim("a","a") == 1`); the
 /// empty string has the empty set.
-pub fn qgram_set(s: &str, q: usize) -> Vec<u64> {
+pub(crate) fn qgram_set(s: &str, q: usize) -> Vec<u64> {
     let chars: Vec<char> = s.chars().collect();
     let mut grams = Vec::new();
     push_grams(&chars, q, |c| c, &mut grams);
@@ -126,7 +126,7 @@ pub fn jaccard_of_sets<T: Ord>(a: &[T], b: &[T]) -> f64 {
 }
 
 /// Splits folded text into whitespace-delimited word tokens.
-pub fn word_tokens(s: &str) -> Vec<String> {
+pub(crate) fn word_tokens(s: &str) -> Vec<String> {
     fold(s).split_whitespace().map(|t| t.to_owned()).collect()
 }
 
@@ -159,7 +159,7 @@ impl GramSketch {
     }
 
     /// Upper bound on `|A ∩ B|` given the two set cardinalities.
-    pub fn intersection_upper_bound(self, a_len: usize, other: Self, b_len: usize) -> usize {
+    pub(crate) fn intersection_upper_bound(self, a_len: usize, other: Self, b_len: usize) -> usize {
         let miss_a =
             ((self.lo & !other.lo).count_ones() + (self.hi & !other.hi).count_ones()) as usize;
         let miss_b =

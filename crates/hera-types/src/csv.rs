@@ -115,9 +115,6 @@ pub struct CsvImporter {
     entity_column: Option<String>,
     /// (source name, csv text) in registration order.
     sources: Vec<(String, String)>,
-    /// Optional canonical-class mapping: column name → class. Columns
-    /// not listed get classes by distinct name.
-    canon_by_name: FxHashMap<String, u32>,
 }
 
 impl CsvImporter {
@@ -136,20 +133,6 @@ impl CsvImporter {
         self
     }
 
-    /// Declares that columns with these names denote the same canonical
-    /// attribute class (e.g. `"title"`, `"name"`, `"film"` all map to
-    /// class 0). Unmapped column names each get their own class — exact
-    /// name equality across sources implies identity.
-    pub fn with_canonical_classes<S: Into<String>, I: IntoIterator<Item = (S, u32)>>(
-        mut self,
-        classes: I,
-    ) -> Self {
-        for (name, class) in classes {
-            self.canon_by_name.insert(name.into(), class);
-        }
-        self
-    }
-
     /// Adds one source's CSV text (header row + data rows).
     pub fn add_source(mut self, name: impl Into<String>, csv: impl Into<String>) -> Self {
         self.sources.push((name.into(), csv.into()));
@@ -159,14 +142,9 @@ impl CsvImporter {
     /// Parses everything into a dataset.
     pub fn build(self) -> Result<Dataset> {
         let mut builder = DatasetBuilder::new(self.name.clone());
-        // Canonical classes: explicit mapping wins, otherwise by name.
-        let mut next_class = self
-            .canon_by_name
-            .values()
-            .copied()
-            .max()
-            .map_or(0, |m| m + 1);
-        let mut class_of_name: FxHashMap<String, u32> = self.canon_by_name.clone();
+        // Canonical classes by distinct column name.
+        let mut next_class = 0u32;
+        let mut class_of_name: FxHashMap<String, u32> = FxHashMap::default();
         let mut entity_ids: FxHashMap<String, u32> = FxHashMap::default();
         let mut next_entity = 0u32;
 
@@ -299,19 +277,6 @@ mod tests {
         assert!(ds.truth.same_attr(name_a, name_b));
         let email = ds.attr_of_field(RecordId::new(0), 1);
         assert!(!ds.truth.same_attr(name_a, email));
-    }
-
-    #[test]
-    fn explicit_canonical_classes() {
-        let ds = CsvImporter::new("t")
-            .with_canonical_classes([("name", 0u32), ("full_name", 0u32)])
-            .add_source("A", "name\nx\n")
-            .add_source("B", "full_name\ny\n")
-            .build()
-            .unwrap();
-        let a = ds.attr_of_field(RecordId::new(0), 0);
-        let b = ds.attr_of_field(RecordId::new(1), 0);
-        assert!(ds.truth.same_attr(a, b));
     }
 
     #[test]

@@ -111,16 +111,29 @@ impl Json {
             Json::Arr(items) => write_seq(out, indent, depth, '[', ']', items, |out, item| {
                 item.write(out, indent, depth + 1);
             }),
-            Json::Obj(pairs) => write_seq(out, indent, depth, '{', '}', pairs, |out, (k, v)| {
-                write_escaped(out, k);
-                out.push(':');
-                if indent.is_some() {
-                    out.push(' ');
-                }
-                v.write(out, indent, depth + 1);
-            }),
+            Json::Obj(pairs) => write_object(out, indent, depth, pairs),
         }
     }
+}
+
+/// Renders compact JSON for an object given as borrowed `(key, value)`
+/// pairs: the bytes of `Json::Obj(pairs.to_vec()).to_string_compact()`,
+/// without copying the tree.
+pub fn compact_object(pairs: &[(String, Json)]) -> String {
+    let mut out = String::new();
+    write_object(&mut out, None, 0, pairs);
+    out
+}
+
+fn write_object(out: &mut String, indent: Option<usize>, depth: usize, pairs: &[(String, Json)]) {
+    write_seq(out, indent, depth, '{', '}', pairs, |out, (k, v)| {
+        write_escaped(out, k);
+        out.push(':');
+        if indent.is_some() {
+            out.push(' ');
+        }
+        v.write(out, indent, depth + 1);
+    })
 }
 
 fn type_error(expected: &str, got: &Json) -> HeraError {

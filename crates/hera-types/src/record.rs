@@ -39,11 +39,6 @@ impl Record {
         self.values.iter().filter(|v| !v.is_null()).count()
     }
 
-    /// Iterates `(field position, value)` over non-null fields.
-    pub fn present_fields(&self) -> impl Iterator<Item = (usize, &Value)> {
-        self.values.iter().enumerate().filter(|(_, v)| !v.is_null())
-    }
-
     /// Encodes as JSON: `{"id": .., "schema": .., "values": [..]}`.
     pub fn to_json(&self) -> Json {
         Json::Obj(vec![
@@ -85,7 +80,5 @@ mod tests {
         );
         assert_eq!(r.arity(), 3);
         assert_eq!(r.non_null_arity(), 2);
-        let present: Vec<usize> = r.present_fields().map(|(i, _)| i).collect();
-        assert_eq!(present, vec![0, 2]);
     }
 }

@@ -32,16 +32,6 @@ impl Schema {
     pub fn arity(&self) -> usize {
         self.attrs.len()
     }
-
-    /// Finds the position of an attribute by display name.
-    pub fn position_of(&self, name: &str) -> Option<usize> {
-        self.attrs.iter().position(|a| a.name == name)
-    }
-
-    /// Finds the position of an attribute by id.
-    pub fn position_of_attr(&self, attr: SourceAttrId) -> Option<usize> {
-        self.attrs.iter().position(|a| a.id == attr)
-    }
 }
 
 /// Interns schemas and hands out globally unique [`SourceAttrId`]s.
@@ -123,12 +113,6 @@ impl SchemaRegistry {
         self.schemas.iter()
     }
 
-    /// Total number of source attributes minted so far.
-    #[inline]
-    pub fn attr_count(&self) -> usize {
-        self.next_attr as usize
-    }
-
     /// The schema that owns `attr`.
     #[inline]
     pub fn attr_schema(&self, attr: SourceAttrId) -> SchemaId {
@@ -137,7 +121,7 @@ impl SchemaRegistry {
 
     /// The position of `attr` within its owning schema.
     #[inline]
-    pub fn attr_position(&self, attr: SourceAttrId) -> usize {
+    pub(crate) fn attr_position(&self, attr: SourceAttrId) -> usize {
         self.attr_pos[attr.index()] as usize
     }
 
@@ -246,12 +230,11 @@ mod tests {
     #[test]
     fn attr_ids_are_globally_unique() {
         let reg = registry_with_two();
-        assert_eq!(reg.attr_count(), 8);
         let s0 = reg.schema(SchemaId::new(0));
         let s1 = reg.schema(SchemaId::new(1));
         // Both schemas have an attribute called "name" — different ids.
-        let a0 = s0.attrs[s0.position_of("name").unwrap()].id;
-        let a1 = s1.attrs[s1.position_of("name").unwrap()].id;
+        let id_of = |s: &Schema| s.attrs.iter().find(|a| a.name == "name").unwrap().id;
+        let (a0, a1) = (id_of(s0), id_of(s1));
         assert_ne!(a0, a1);
     }
 
@@ -263,15 +246,6 @@ mod tests {
         assert_eq!(reg.attr_schema(tel), SchemaId::new(1));
         assert_eq!(reg.attr_position(tel), 1);
         assert_eq!(reg.attr_qualified_name(tel), "Customer II.Contact No.");
-    }
-
-    #[test]
-    fn position_of_attr() {
-        let reg = registry_with_two();
-        let s0 = reg.schema(SchemaId::new(0));
-        let email = s0.attrs[2].id;
-        assert_eq!(s0.position_of_attr(email), Some(2));
-        assert_eq!(s0.position_of("nonexistent"), None);
     }
 
     #[test]

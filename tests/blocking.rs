@@ -6,7 +6,7 @@
 //! dataset (so a silent recall regression fails tier-1; this is the
 //! repo's pair-completeness gate, qgram ≥ 0.95).
 
-use hera::join::{CandidateSource, JoinConfig, SimilarityJoin};
+use hera::join::{JoinConfig, SimilarityJoin};
 use hera::sim::TypeDispatch;
 use hera::types::RecordId;
 use hera::{Blocker, BlockingScheme, Hera, HeraConfig};
@@ -56,8 +56,7 @@ proptest::proptest! {
             .collect();
         for scheme in schemes() {
             let outcome = Blocker::new(scheme.clone()).block(&ds);
-            let blocked =
-                join.join_dataset_with(&ds, &CandidateSource::Blocked(outcome.pairs));
+            let blocked = join.join_blocked(&ds, &outcome.pairs);
             for p in &blocked {
                 let sim = full.get(&(p.a, p.b)).unwrap_or_else(|| {
                     panic!(
