@@ -67,6 +67,11 @@ struct Block {
     rest: u32,
 }
 
+/// A block is two rids in the key map, however many members it has: the
+/// compile-time twin of the "Compact streaming state" CI step, which
+/// refuses a block that is an optional member vector again.
+const _: () = assert!(std::mem::size_of::<Block>() == 8);
+
 impl Block {
     const PURGED: Self = Self {
         first: 0,

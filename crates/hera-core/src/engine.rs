@@ -327,7 +327,7 @@ impl Engine {
         let winner = self.supers.get_mut(&i).expect("winner super record exists");
         let field_matching: Vec<(u32, u32)> = matching.iter().map(|&(l, r, _)| (l, r)).collect();
         let started = Instant::now();
-        let remap = winner.absorb(&loser, &field_matching);
+        let remap = winner.absorb(loser, &field_matching);
         let absorbed = Instant::now();
         self.index.merge(i, j, k, |l| remap.apply(l));
         self.stats.absorb_time += absorbed - started;

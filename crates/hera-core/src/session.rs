@@ -8,9 +8,14 @@
 //! (incremental similarity join, value-pair index, super records,
 //! union–find, schema voter) under record insertions:
 //!
-//! * [`HeraSession::add_record`] joins the new record's values against
-//!   every live value, extends the index, and lifts the record into a
-//!   super record;
+//! * [`HeraSession::add_record`] lifts the new record into a super record
+//!   and queues it for the join;
+//! * one join pass takes the queued records in a batch: it registers
+//!   them in arrival order, joins each record's values against the live
+//!   values of the records before it on `HeraConfig::num_threads`
+//!   threads, and extends the index. `resolve`, `checkpoint`,
+//!   `frontier_len` and [`HeraSession::extend`] run it first, so what
+//!   they see is what joining each record on arrival gives;
 //! * [`HeraSession::resolve`] runs compare-and-merge to a fixpoint, but
 //!   only over groups touching records that changed since the last call
 //!   (the same dirty-tracking argument the batch driver uses);
@@ -27,11 +32,12 @@ use crate::voter::{DecidedMatching, SchemaVoter};
 use hera_block::StreamingBlocker;
 use hera_faults::{io_retryable, BackoffPolicy, Clock, FaultInjector, SystemClock};
 use hera_index::{Grouping, UnionFind, ValuePairIndex};
-use hera_join::IncrementalJoin;
+use hera_join::{Among, IncrementalJoin, ScanScratch, ValuePair};
 use hera_sim::{TypeDispatch, ValueSimilarity};
 use hera_types::json::Json;
 use hera_types::{HeraError, RecordId, Result, SchemaId, SchemaRegistry, Value};
 use rustc_hash::{FxHashMap, FxHashSet};
+use std::ops::Range;
 use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -55,6 +61,11 @@ const ROUND_CHUNK: usize = 64;
 /// value. Like [`ROUND_CHUNK`], a pure function of the ranked list —
 /// never of the budget.
 const ROUND_FOCUS: f64 = 0.5;
+
+/// Queued records one step of the join pass takes: what the pass holds
+/// beside the session — each record's candidate list and its pairs — is
+/// bounded by this many records, however many are queued.
+const JOIN_CHUNK: usize = 1024;
 
 /// Budget for one [`HeraSession::resolve_progressive`] call, in
 /// verification comparisons, applied merges, and/or wall-clock time.
@@ -223,8 +234,12 @@ pub struct HeraSession {
     /// journal events and survives checkpoint/restore.
     engine: Engine,
     /// Probe structures over the super records' values, relabeled on
-    /// every merge: its live `(label, value)` set is theirs.
+    /// every merge: its live `(label, value)` set is theirs once the
+    /// queued records are joined.
     join: IncrementalJoin,
+    /// Records the join has taken: rids below it are joined, the rest
+    /// are queued for the next join pass.
+    joined: u32,
     /// Records whose evidence changed since the last `resolve`.
     dirty: FxHashSet<u32>,
     /// Streaming blocker gating the incremental join's candidate
@@ -314,6 +329,7 @@ impl HeraSessionBuilder {
     pub fn build(self) -> HeraSession {
         HeraSession {
             join: IncrementalJoin::new(self.config.xi, 2, self.metric.clone()),
+            joined: 0,
             engine: Engine::empty(),
             blocker: StreamingBlocker::new(&self.config.blocking),
             config: self.config,
@@ -369,6 +385,8 @@ impl HeraSessionBuilder {
             return Err(HeraError::Corrupt("negative record_count".into()));
         }
         let record_count = record_count as usize;
+        session.joined = u32::try_from(record_count)
+            .map_err(|_| HeraError::Corrupt(format!("record_count {record_count} is too large")))?;
         let engine = &mut session.engine;
         engine.uf = UnionFind::from_json(snap.expect("union_find")?)?;
         if engine.uf.len() != record_count {
@@ -468,7 +486,10 @@ impl HeraSession {
     /// [`HeraError::CheckpointFailed`] — the in-memory session is
     /// untouched, so the caller may keep resolving and checkpoint again
     /// later.
+    ///
+    /// Queued records are joined first, so the snapshot holds no queue.
     pub fn checkpoint(&mut self, path: impl AsRef<Path>) -> Result<()> {
+        self.join_pending();
         let start = std::time::Instant::now();
         let snap = self.to_snapshot();
         let path = path.as_ref();
@@ -567,11 +588,16 @@ impl HeraSession {
             .collect()
     }
 
-    /// Ingests one record under a registered schema: its values join
-    /// against every live value and the index grows accordingly. Returns
-    /// the record id. Call [`HeraSession::resolve`] to fold new evidence
-    /// into entities (per record for lowest latency, or in batches for
-    /// throughput).
+    /// Ingests one record under a registered schema and returns its id.
+    /// The record is checked, lifted into a super record and queued: its
+    /// values join against the live values at the next join pass, which
+    /// [`HeraSession::resolve`] and its kin, [`HeraSession::checkpoint`],
+    /// [`HeraSession::frontier_len`] and [`HeraSession::extend`] run
+    /// first. Each queued record is joined against the records that
+    /// arrived before it, so the index, the frontier and every later
+    /// result are those of joining it on arrival. Call
+    /// [`HeraSession::resolve`] to fold new evidence into entities (per
+    /// record for lowest latency, or in batches for throughput).
     pub fn add_record(&mut self, schema: SchemaId, values: Vec<Value>) -> Result<RecordId> {
         let started = Instant::now();
         if schema.index() >= self.registry.len() {
@@ -585,59 +611,108 @@ impl HeraSession {
                 actual: values.len(),
             });
         }
-        // The super record keeps the values as they arrived, and the
-        // blocker and the join read them there: the join clones only what
-        // scoring reads, so ingest frees nothing the caller allocated.
+        // The super record keeps the values as they arrived; the join
+        // pass lends them to the blocker and the join from there.
         let rid = self
             .engine
             .push_record(values, self.registry.schema(schema));
-        let values = self.engine.supers[&rid]
-            .base_values()
-            .expect("a record just lifted has absorbed nothing");
-
-        // With blocking on, the record's co-blocked candidates bound the
-        // join's candidate universe. The blocker speaks in original rids;
-        // the join's labels carry union-find roots (relabeled on every
-        // merge), so the allow-list is the candidates' *current roots*.
-        let admission_started = Instant::now();
-        let allowed: Option<Vec<u32>> = self.blocker.as_mut().map(|b| {
-            let uf = &mut self.engine.uf;
-            let mut roots: Vec<u32> = b
-                .admit(rid, values)
-                .into_iter()
-                .map(|r| uf.find(r))
-                .collect();
-            roots.sort_unstable();
-            roots.dedup();
-            roots
-        });
-        let join_started = match allowed {
-            Some(_) => Instant::now(),
-            None => admission_started,
-        };
-
-        // Labels of previously merged records are already current (the
-        // join is relabeled on every merge). The whole record goes through
-        // the join's record-level door: the live values of the allowed
-        // roots — of every root, unblocked — are gathered once and each of
-        // the record's values is scanned against that one neighbourhood.
-        let new_pairs = match &allowed {
-            Some(rids) => self.join.insert_record_among(rid, values, rids),
-            None => self.join.insert_record(rid, values),
-        };
-        for p in &new_pairs {
-            self.dirty.insert(p.a.rid);
-            self.dirty.insert(p.b.rid);
-        }
-        self.engine.index.extend(new_pairs);
-        // Four clock reads a record: the join's share ends where the
-        // call does, and so takes in filing the pairs just above.
-        let done = Instant::now();
-        let stats = &mut self.engine.stats;
-        stats.ingest_time += done - started;
-        stats.admit_time += join_started - admission_started;
-        stats.join_insert_time += done - join_started;
+        self.engine.stats.ingest_time += started.elapsed();
         Ok(RecordId::new(rid))
+    }
+
+    /// Ingests `records` in order, as [`HeraSession::add_record`] does one
+    /// at a time, then runs the join pass: every record is joined when
+    /// this returns. Ids are dense, so the records take `len()` onward.
+    /// The first record that fails its check ends the call with that
+    /// error; the records before it stay ingested, and joined.
+    pub fn extend(
+        &mut self,
+        records: impl IntoIterator<Item = (SchemaId, Vec<Value>)>,
+    ) -> Result<()> {
+        let added = records
+            .into_iter()
+            .try_for_each(|(schema, values)| self.add_record(schema, values).map(drop));
+        self.join_pending();
+        added
+    }
+
+    /// The join pass: joins every queued record, [`JOIN_CHUNK`] at a
+    /// time in rid order. Its time accrues to the ingest timers.
+    fn join_pending(&mut self) {
+        let queued = self.len() as u32;
+        while self.joined < queued {
+            let end = queued.min(self.joined.saturating_add(JOIN_CHUNK as u32));
+            self.join_chunk(self.joined..end);
+            self.joined = end;
+        }
+    }
+
+    /// Joins the queued records `rids` in three steps. Only the second,
+    /// the scans, runs in parallel; each of the others is cheaper than
+    /// handing it to threads.
+    ///
+    /// 1. In rid order: each record's blocker admission, its candidates
+    ///    folded onto their current roots, and its values registered in
+    ///    the join.
+    /// 2. On `num_threads` workers, a scratch each: each record's values
+    ///    scanned against the records before it — its candidates under
+    ///    blocking, every earlier record without. The records after it
+    ///    are registered already and never gathered, so every scan sees
+    ///    what it would have seen on arrival: no record merges while a
+    ///    record is queued.
+    /// 3. In rid order: the records touched by each record's pairs marked
+    ///    dirty, and the pairs filed in the index.
+    fn join_chunk(&mut self, rids: Range<u32>) {
+        let started = Instant::now();
+        let mut admit_time = Duration::ZERO;
+        let mut scans: Vec<(u32, Range<u32>, Option<Vec<u32>>)> = Vec::with_capacity(rids.len());
+        for rid in rids {
+            let values = self.engine.supers[&rid]
+                .base_values()
+                .expect("a queued record has absorbed nothing");
+            // The blocker speaks in original rids; the join's labels carry
+            // union-find roots (relabeled on every merge), so the
+            // allow-list is the candidates' *current roots*.
+            let admission_started = Instant::now();
+            let allowed = self.blocker.as_mut().map(|b| {
+                let uf = &mut self.engine.uf;
+                let mut roots: Vec<u32> = b
+                    .admit(rid, values)
+                    .into_iter()
+                    .map(|r| uf.find(r))
+                    .collect();
+                roots.sort_unstable();
+                roots.dedup();
+                roots
+            });
+            if allowed.is_some() {
+                admit_time += admission_started.elapsed();
+            }
+            let entries = self.join.register_record(rid, values);
+            scans.push((rid, entries, allowed));
+        }
+        let join = &self.join;
+        let pairs: Vec<Vec<ValuePair>> = crate::parallel::par_map_with(
+            self.config.num_threads,
+            &scans,
+            ScanScratch::default,
+            |scratch, (rid, entries, allowed)| {
+                let among = allowed.as_deref().map_or(Among::Earlier, Among::Records);
+                join.pairs_of(*rid, entries.clone(), among, scratch)
+            },
+        );
+        for new_pairs in pairs {
+            for p in &new_pairs {
+                self.dirty.insert(p.a.rid);
+                self.dirty.insert(p.b.rid);
+            }
+            self.engine.index.extend(new_pairs);
+        }
+        let elapsed = started.elapsed();
+        let stats = &mut self.engine.stats;
+        stats.ingest_time += elapsed;
+        stats.admit_time += admit_time;
+        stats.join_insert_time += elapsed - admit_time;
     }
 
     /// Runs compare-and-merge to a fixpoint over the dirty region.
@@ -710,6 +785,9 @@ impl HeraSession {
         budget: ResolveBudget,
         mut on_merge: F,
     ) -> ProgressiveReport {
+        // The join pass is ingest: it runs before the call's clock and
+        // deadline start.
+        self.join_pending();
         let mut st = self.progressive_start(budget);
         while self.progressive_round(budget, &mut st, &mut on_merge) {}
         self.progressive_finish(budget, &mut st);
@@ -1013,8 +1091,10 @@ impl HeraSession {
     /// Candidate root pairs currently pending on the frontier: pairs in
     /// dirty-touching index groups whose upper bound clears `δ` — what
     /// the next [`HeraSession::resolve_progressive`] call will drain
-    /// first. Read-only and deterministic.
-    pub fn frontier_len(&self) -> usize {
+    /// first. Deterministic; it joins the queued records first, which is
+    /// all it changes.
+    pub fn frontier_len(&mut self) -> usize {
+        self.join_pending();
         let keys = self.engine.root_pairs(Some(&self.dirty));
         self.engine.rank(&self.config, &keys).0.len()
     }
@@ -1076,7 +1156,10 @@ impl HeraSession {
         &self.engine.stats
     }
 
-    /// Index size `|𝒱|` right now.
+    /// Index size `|𝒱|` as of the last join pass. Records queued since
+    /// are counted once a pass joins them: [`HeraSession::extend`],
+    /// [`HeraSession::resolve`], [`HeraSession::checkpoint`] and
+    /// [`HeraSession::frontier_len`] run one first.
     pub fn index_size(&self) -> usize {
         self.engine.index.len()
     }

@@ -466,6 +466,8 @@ mod tests {
 
     /// A blocked session's ingest timers as the session accumulates
     /// them: both named parts run, and together stay inside the whole.
+    /// The records are joined in the pass `resolve` runs first, so the
+    /// stats are read after it.
     #[test]
     fn session_ingest_timers_are_parts_of_ingest_time() {
         use crate::{HeraConfig, HeraSession};
@@ -479,6 +481,7 @@ mod tests {
                 .add_record(schemas[rec.schema.index()], rec.values.clone())
                 .unwrap();
         }
+        session.resolve();
         let s = session.stats();
         assert!(s.admit_time > Duration::ZERO && s.join_insert_time > Duration::ZERO);
         assert!(s.admit_time + s.join_insert_time <= s.ingest_time);

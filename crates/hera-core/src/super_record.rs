@@ -357,17 +357,18 @@ impl SuperRecord {
     /// * `other`'s unmatched fields are appended as new fields;
     /// * attribute provenance is unioned.
     ///
+    /// `other` is consumed: the values `self` keeps are moved, not copied.
+    ///
     /// Returns the label remap for index maintenance: every `(other.rid,
     /// fid, vid)` label maps to its new label under `self.rid` (labels of
     /// `self` are unchanged — appended values never displace existing
     /// ones). The remap also accepts `self` labels and returns them
     /// untouched, which is exactly the contract
     /// [`ValuePairIndex::merge`](hera_index::ValuePairIndex::merge) needs.
-    pub fn absorb(&mut self, other: &SuperRecord, matching: &[(u32, u32)]) -> LabelRemap {
+    pub fn absorb(&mut self, other: SuperRecord, matching: &[(u32, u32)]) -> LabelRemap {
         debug_assert_ne!(self.rid, other.rid);
         let winner = self.rid;
         let (fields, members) = self.merged_mut();
-        let mut map: FxHashMap<Label, Label> = FxHashMap::default();
         let matched_of_other: FxHashMap<u32, u32> = matching.iter().map(|&(s, o)| (o, s)).collect();
         debug_assert_eq!(
             matched_of_other.len(),
@@ -387,51 +388,101 @@ impl SuperRecord {
                 attr_home.entry(a).or_insert(fid as u32);
             }
         }
-
-        for (ofid, ofield) in other.fields().enumerate() {
-            let ofid = ofid as u32;
-            let target_fid = match matched_of_other.get(&ofid) {
-                Some(&sfid) => sfid,
-                None => match ofield.attrs.iter().find_map(|a| attr_home.get(a)) {
-                    Some(&sfid) => sfid,
-                    None => {
-                        // Genuinely new attribute: append as a new field.
-                        let new_fid = fields.len() as u32;
-                        fields.push(Field {
-                            values: Vec::new(),
-                            attrs: Vec::new(),
-                        });
-                        for &a in ofield.attrs {
-                            attr_home.entry(a).or_insert(new_fid);
-                        }
-                        new_fid
-                    }
-                },
-            };
-            let target = &mut fields[target_fid as usize];
-            for attr in ofield.attrs {
-                target.add_attr(*attr);
+        let mut fold = Fold {
+            fields,
+            attr_home,
+            matched_of_other,
+            map: FxHashMap::default(),
+            winner,
+            loser: other.rid,
+        };
+        match other.shape {
+            Shape::Base { values, attrs } => {
+                for ((ofid, v), a) in (0u32..).zip(values).zip(attrs.iter()) {
+                    let v = (!v.is_null()).then_some(v);
+                    fold.field(ofid, std::slice::from_ref(a), v);
+                }
+                members.push(other.rid);
             }
-            for (ovid, v) in ofield.values.iter().enumerate() {
-                let new_vid = match target.position_of_same(v) {
-                    Some(pos) => pos as u32, // dedupe: equal value exists
-                    None => {
-                        target.values.push(v.clone());
-                        (target.values.len() - 1) as u32
-                    }
-                };
-                map.insert(
-                    Label::new(other.rid, ofid, ovid as u32),
-                    Label::new(winner, target_fid, new_vid),
-                );
+            Shape::Merged {
+                fields,
+                members: other_members,
+            } => {
+                for (ofid, f) in (0u32..).zip(fields) {
+                    fold.field(ofid, &f.attrs, f.values);
+                }
+                members.extend(other_members);
             }
         }
-
-        members.extend(other.members());
         members.sort_unstable();
         members.dedup();
 
-        LabelRemap { winner, map }
+        LabelRemap {
+            winner,
+            map: fold.map,
+        }
+    }
+}
+
+/// One [`SuperRecord::absorb`] in progress: the winner's fields, where
+/// each of the loser's fields and values goes, and the remap so far.
+struct Fold<'a> {
+    fields: &'a mut Vec<Field>,
+    /// The winner's field of each source attribute it holds.
+    attr_home: FxHashMap<SourceAttrId, u32>,
+    /// The winner's field of each matched field of the loser.
+    matched_of_other: FxHashMap<u32, u32>,
+    map: FxHashMap<Label, Label>,
+    winner: u32,
+    loser: u32,
+}
+
+impl Fold<'_> {
+    /// Folds the loser's field `ofid` — source attributes `attrs`, values
+    /// `values` — into its matched field, else into the winner's field of
+    /// one of its attributes, else into a new field.
+    fn field(
+        &mut self,
+        ofid: u32,
+        attrs: &[SourceAttrId],
+        values: impl IntoIterator<Item = Value>,
+    ) {
+        let fields = &mut *self.fields;
+        let target_fid = match self.matched_of_other.get(&ofid) {
+            Some(&sfid) => sfid,
+            None => match attrs.iter().find_map(|a| self.attr_home.get(a)) {
+                Some(&sfid) => sfid,
+                None => {
+                    // Genuinely new attribute: append as a new field.
+                    let new_fid = fields.len() as u32;
+                    fields.push(Field {
+                        values: Vec::new(),
+                        attrs: Vec::new(),
+                    });
+                    for &a in attrs {
+                        self.attr_home.entry(a).or_insert(new_fid);
+                    }
+                    new_fid
+                }
+            },
+        };
+        let target = &mut fields[target_fid as usize];
+        for attr in attrs {
+            target.add_attr(*attr);
+        }
+        for (ovid, v) in (0u32..).zip(values) {
+            let new_vid = match target.position_of_same(&v) {
+                Some(pos) => pos as u32, // dedupe: equal value exists
+                None => {
+                    target.values.push(v);
+                    (target.values.len() - 1) as u32
+                }
+            };
+            self.map.insert(
+                Label::new(self.loser, ofid, ovid),
+                Label::new(self.winner, target_fid, new_vid),
+            );
+        }
     }
 }
 
@@ -508,7 +559,7 @@ mod tests {
         renamed.rid = 0;
         assert_ne!(ss[0], renamed, "same rid, other fields");
         let mut grown = ss[0].clone();
-        grown.absorb(&ss[5], &[(0, 0)]);
+        grown.absorb(ss[5].clone(), &[(0, 0)]);
         assert_ne!(materialised(&ss[0]), grown);
     }
 
@@ -538,7 +589,7 @@ mod tests {
         assert!(Arc::ptr_eq(&attrs(&r2), &attrs(&r3)));
         // A merged record stays merged.
         let mut merged = ss[0].clone();
-        merged.absorb(&ss[5], &[(0, 0), (1, 1), (2, 2), (4, 4)]);
+        merged.absorb(ss[5].clone(), &[(0, 0), (1, 1), (2, 2), (4, 4)]);
         let text = merged.to_json().to_string_compact();
         let back = decode(&text, &mut shared);
         assert!(!is_base(&back));
@@ -584,7 +635,7 @@ mod tests {
         // Tel unmatched, Con.Type→Con.Type(4).
         let ss = supers();
         let mut r1 = ss[0].clone();
-        let r6 = &ss[5];
+        let r6 = ss[5].clone();
         let remap = r1.absorb(r6, &[(0, 0), (1, 1), (2, 2), (4, 4)]);
         // 5 original + 1 appended (Tel) = 6 fields.
         assert_eq!(r1.size(), 6);
@@ -611,7 +662,7 @@ mod tests {
         let ds = motivating_example();
         let ss = supers();
         let mut r1 = ss[0].clone();
-        r1.absorb(&ss[5], &[(0, 0), (1, 1), (2, 2), (4, 4)]);
+        r1.absorb(ss[5].clone(), &[(0, 0), (1, 1), (2, 2), (4, 4)]);
         // e-mail field now carries Customer I.e-mail AND Customer
         // III.work mailbox.
         let attrs = r1.field(2).attrs;
@@ -628,7 +679,7 @@ mod tests {
     fn empty_matching_appends_everything() {
         let ss = supers();
         let mut a = ss[0].clone(); // 5 fields
-        let b = &ss[1]; // r2: Customer II, 3 fields
+        let b = ss[1].clone(); // r2: Customer II, 3 fields
         let remap = a.absorb(b, &[]);
         assert_eq!(a.size(), 8);
         assert_eq!(remap.apply(Label::new(1, 2, 0)), Label::new(0, 7, 0));
@@ -638,10 +689,10 @@ mod tests {
     fn chained_merges_accumulate_members() {
         let ss = supers();
         let mut a = ss[0].clone();
-        a.absorb(&ss[5], &[(0, 0), (1, 1), (2, 2), (4, 4)]);
+        a.absorb(ss[5].clone(), &[(0, 0), (1, 1), (2, 2), (4, 4)]);
         let mut b = ss[1].clone();
-        b.absorb(&ss[3], &[(0, 0)]);
-        a.absorb(&b, &[(0, 0)]);
+        b.absorb(ss[3].clone(), &[(0, 0)]);
+        a.absorb(b, &[(0, 0)]);
         assert_eq!(a.members(), [0, 1, 3, 5]);
     }
 
@@ -650,7 +701,7 @@ mod tests {
     fn remap_rejects_unknown_foreign_label() {
         let ss = supers();
         let mut a = ss[0].clone();
-        let remap = a.absorb(&ss[5], &[(0, 0)]);
+        let remap = a.absorb(ss[5].clone(), &[(0, 0)]);
         remap.apply(Label::new(3, 0, 0)); // rid 3 never merged
     }
 
@@ -687,7 +738,7 @@ mod tests {
                 }
             }
             let snapshot = loser.clone();
-            let remap = winner.absorb(&loser, &matching);
+            let remap = winner.absorb(loser, &matching);
             for (fid, field) in snapshot.fields().enumerate() {
                 for (vid, v) in field.values.iter().enumerate() {
                     let old = Label::new(snapshot.rid, fid as u32, vid as u32);
@@ -718,7 +769,7 @@ mod tests {
             let winner = all[rng.gen_range(0..3)].clone();
             let mut loser = all[rng.gen_range(3..5)].clone();
             if merged_loser {
-                loser.absorb(&all[5], &[(0, 0)]);
+                loser.absorb(all[5].clone(), &[(0, 0)]);
             }
             let mut matching: Vec<(u32, u32)> = Vec::new();
             for _ in 0..n_match {
@@ -730,8 +781,8 @@ mod tests {
             }
             let mut base = winner.clone();
             let mut merged = materialised(&winner);
-            let base_remap = base.absorb(&loser, &matching);
-            let merged_remap = merged.absorb(&loser, &matching);
+            let base_remap = base.absorb(loser.clone(), &matching);
+            let merged_remap = merged.absorb(loser, &matching);
             proptest::prop_assert!(!is_base(&base), "a merge builds the merged shape");
             proptest::prop_assert!(base.fields().eq(merged.fields()));
             proptest::prop_assert_eq!(base.members(), merged.members());

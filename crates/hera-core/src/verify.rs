@@ -285,11 +285,11 @@ mod tests {
         // r1 ⊕ r6 (0-based 0, 5): name, addr, mail, Con.Type match.
         let r6 = supers[5].clone();
         let mut r1 = supers.remove(0);
-        let remap16 = r1.absorb(&r6, &[(0, 0), (1, 1), (2, 2), (4, 4)]);
+        let remap16 = r1.absorb(r6, &[(0, 0), (1, 1), (2, 2), (4, 4)]);
         // r2 ⊕ r4 (0-based 1, 3): name matches; Contact No ↔ Tel.
         let r4 = supers[2].clone(); // index shifted after remove
         let mut r2 = supers[0].clone();
-        let remap24 = r2.absorb(&r4, &[(0, 0), (1, 3)]);
+        let remap24 = r2.absorb(r4, &[(0, 0), (1, 3)]);
 
         // Rebuild index over the merged world.
         let join = SimilarityJoin::new(JoinConfig::new(0.35), &metric);

@@ -4,25 +4,35 @@
 //! resolution needs the same result maintained under insertions: when a
 //! new record's values arrive, find every stored value within ξ and emit
 //! the new index entries. [`IncrementalJoin`] keeps every live value with
-//! its gram signature and answers through three doors that differ only in
-//! the records they gather:
+//! its gram signature, and an insert has two halves:
+//!
+//! - [`IncrementalJoin::register_record`] tokenizes a record's values and
+//!   registers them, the only half that changes the join;
+//! - [`IncrementalJoin::pairs_of`] scans registered entries against the
+//!   records an [`Among`] names, reading the join through `&self` with a
+//!   [`ScanScratch`] the caller owns. Scans of several records can
+//!   therefore run at once: a session registers the records that arrived
+//!   since its last pass in order, then scans each against
+//!   [`Among::Earlier`] or its blocker's candidates, in parallel.
+//!
+//! Three doors compose the halves for one record at a time, differing
+//! only in the records they gather:
 //!
 //! - [`IncrementalJoin::insert_record`] takes every live record but the
-//!   incoming one: the unblocked stream, "no blocking" read as one block
-//!   that holds every record;
+//!   incoming one: "no blocking" read as one block that holds every
+//!   record;
 //! - [`IncrementalJoin::insert_record_among`] takes the records a blocker
 //!   allows;
 //! - [`IncrementalJoin::insert_among`] is its one-value case.
 //!
-//! No door looks at a gram index; the filters do all the work, in one
-//! tail the three share:
+//! No scan looks at a gram index; the filters do all the work:
 //!
 //! 1. *Gather, once per record.* Two tables are dense, one by rid — the
 //!    live entry indices of each record — and one by entry index — the
 //!    hot row of each value: sketch, numeric flag, signature length. The
 //!    allowed records' rows are walked twice, to size one bucket per
 //!    signature length and to fill them: a counting sort into one
-//!    neighbourhood, in buffers the join owns and every gather refills.
+//!    neighbourhood, in scratch buffers every gather refills.
 //! 2. *Filter, once per value and length.* A stored length `|y|` can pair
 //!    with the incoming `|x|` only if `min(|x|, |y|) ≥ α(|x| + |y|)`, α
 //!    being the batch probe's required overlap `⌈ξ/(1+ξ)·(|x|+|y|)⌉`
@@ -40,7 +50,6 @@
 //!    otherwise. Both filters are sound for q-gram Jaccard, so the output
 //!    is what scoring every row would give. Two numbers skip the gram
 //!    filters and go to the metric.
-//! 4. *Register* the record's values, after all of them were scored.
 //!
 //! Every door therefore emits exactly the pairs the exhaustive batch join
 //! (`JoinConfig::exhaustive`) finds between the incoming record and the
@@ -88,6 +97,7 @@ use hera_sim::ValueSimilarity;
 use hera_types::{Label, Value};
 use rustc_hash::FxHashMap;
 use std::borrow::Cow;
+use std::ops::Range;
 
 /// What the filters read of a value.
 #[derive(Clone, Copy)]
@@ -98,15 +108,10 @@ struct Hot {
     is_num: bool,
 }
 
-/// A value that was tokenized and not yet registered. Its gram ids are
-/// already in the arena, from `start` on; registration only indexes them.
-/// The value itself is held only where [`keeps`] says scoring reads it.
-struct Pending {
-    label: Label,
-    value: Option<Value>,
-    start: u32,
-    hot: Hot,
-}
+/// A hot row is 24 bytes: the per-entry price the module docs state, and
+/// the compile-time twin of the "Compact streaming state" CI step, which
+/// refuses a signature held per entry as a `Vec<u64>` again.
+const _: () = assert!(std::mem::size_of::<Hot>() == 24);
 
 /// True iff [`score`] may read the value itself, not only its signature:
 /// a number (two numbers go to the metric), or any value when the metric
@@ -176,6 +181,29 @@ impl Neighbourhood {
     }
 }
 
+/// The buffers of one scan, owned by its caller: the gathered
+/// neighbourhood and the rows of it that passed the filters for the value
+/// scanned last. They carry no meaning between calls, so one per thread
+/// lets scans of several records run at once against one join.
+#[derive(Default)]
+pub struct ScanScratch {
+    neighbourhood: Neighbourhood,
+    survivors: Vec<Row>,
+}
+
+/// The records a scan gathers, the scanned record's own always left out.
+#[derive(Clone, Copy, Debug)]
+pub enum Among<'a> {
+    /// Every record.
+    Others,
+    /// Every record numbered below the scanned one: in a stream numbered
+    /// densely from zero, the records that arrived before it.
+    Earlier,
+    /// These records, in any order, repeated or not, held by the join or
+    /// not; each is gathered once.
+    Records(&'a [u32]),
+}
+
 /// Insert-only similarity join state. Owns its metric (`Arc`) so it can
 /// live inside long-running session state.
 ///
@@ -189,7 +217,7 @@ pub struct IncrementalJoin {
     /// True iff the metric's string leg is exactly q-gram Jaccard at our
     /// gram length — enables signature scoring + the gram filters.
     fast_grams: bool,
-    /// α for every pair of lengths registered or scanned so far.
+    /// α for every pair of lengths registered so far.
     alpha: RequiredOverlap,
     /// The dense id of every gram token tokenized so far, in first-seen
     /// order.
@@ -203,18 +231,16 @@ pub struct IncrementalJoin {
     offsets: Vec<u32>,
     hot: Vec<Hot>,
     retired: Vec<bool>,
-    /// Every entry's gram ids, ascending per entry, back to back; the ids
-    /// of values tokenized and not yet registered come last.
+    /// Every entry's gram ids, ascending per entry, back to back.
     grams: Vec<u32>,
     /// The values of the live entries [`keeps`] names, by entry index.
     kept: FxHashMap<u32, Value>,
     /// The live entry indices of each record, by rid; empty for a record
     /// that was folded into another or never seen.
     by_rid: Vec<Vec<u32>>,
-    /// The last gather, and the rows of it that passed the filters for
-    /// the value scanned last: buffers, with no meaning between calls.
-    neighbourhood: Neighbourhood,
-    survivors: Vec<Row>,
+    /// The scratch of the inserting doors, which scan one record at a
+    /// time.
+    scratch: ScanScratch,
     /// The value tokenized last, as tokens in text order and as sorted,
     /// distinct ids: buffers too.
     tokens: Vec<u64>,
@@ -244,8 +270,7 @@ impl IncrementalJoin {
             grams: Vec::new(),
             kept: FxHashMap::default(),
             by_rid: Vec::new(),
-            neighbourhood: Neighbourhood::default(),
-            survivors: Vec::new(),
+            scratch: ScanScratch::default(),
             tokens: Vec::new(),
             ids: Vec::new(),
         }
@@ -268,8 +293,8 @@ impl IncrementalJoin {
     /// unblocked streaming path. The pairs are normalized (`a.rid < b.rid`)
     /// and ordered by label per value, the values in field order.
     pub fn insert_record(&mut self, rid: u32, values: &[Value]) -> Vec<ValuePair> {
-        let incoming = self.tokenize_record(rid, values);
-        self.insert_tokenized(rid, incoming, None)
+        let entries = self.register_record(rid, values);
+        self.pairs_reusing(rid, entries, Among::Others)
     }
 
     /// [`IncrementalJoin::insert_record`] against the live values of the
@@ -285,38 +310,66 @@ impl IncrementalJoin {
         values: &[Value],
         rids: &[u32],
     ) -> Vec<ValuePair> {
-        let incoming = self.tokenize_record(rid, values);
-        self.insert_tokenized(rid, incoming, Some(rids))
+        let entries = self.register_record(rid, values);
+        self.pairs_reusing(rid, entries, Among::Records(rids))
     }
 
     /// [`IncrementalJoin::insert_record_among`] for one value under any
     /// label: the same gather and scan, paid for a single value.
     pub fn insert_among(&mut self, label: Label, value: Value, rids: &[u32]) -> Vec<ValuePair> {
-        let incoming = self.tokenize(label, Cow::Owned(value));
-        self.insert_tokenized(label.rid, incoming.into_iter().collect(), Some(rids))
+        let first = self.next_entry();
+        self.register_value(label, Cow::Owned(value));
+        let entries = first..self.next_entry();
+        self.pairs_reusing(label.rid, entries, Among::Records(rids))
     }
 
-    /// The doors' one tail: gathers the live values of the records
-    /// `among` — of every record when `None` — but `rid`'s own, scans each
-    /// incoming value against them, then registers the values.
-    fn insert_tokenized(
-        &mut self,
+    /// Registers the values of record `rid` — `values[fid]` under label
+    /// `(rid, fid, 0)`, nulls ignored — and returns the entry indices they
+    /// took: the half of an insert that changes the join.
+    /// [`IncrementalJoin::pairs_of`] is the other half.
+    pub fn register_record(&mut self, rid: u32, values: &[Value]) -> Range<u32> {
+        let first = self.next_entry();
+        for (fid, v) in (0u32..).zip(values) {
+            self.register_value(Label::new(rid, fid, 0), Cow::Borrowed(v));
+        }
+        first..self.next_entry()
+    }
+
+    /// The similar pairs of the entries `entries`, registered under record
+    /// `rid`, with the live values of the records `among` names — never
+    /// `rid`'s own: the half of an insert that reads the join, so scans of
+    /// several records may run at once, each with a scratch of its own.
+    /// The pairs are normalized (`a.rid < b.rid`) and ordered by label per
+    /// entry, the entries in order.
+    ///
+    /// Per entry the scan runs the filters that are sound for the gathered
+    /// rows — per length bucket the length window and the integer sketch
+    /// test under q-gram Jaccard, numeric rows let through for a number —
+    /// then, over what survived, the batch join's scoring dispatch.
+    pub fn pairs_of(
+        &self,
         rid: u32,
-        incoming: Vec<Pending>,
-        among: Option<&[u32]>,
+        entries: Range<u32>,
+        among: Among<'_>,
+        scratch: &mut ScanScratch,
     ) -> Vec<ValuePair> {
         let mut out = Vec::new();
-        if incoming.is_empty() {
+        if entries.is_empty() {
             return out;
         }
         let by_rid = &self.by_rid;
+        let hot = &self.hot;
+        let neighbourhood = &mut scratch.neighbourhood;
         match among {
-            None => {
+            Among::Others => {
                 let others = (0u32..).zip(by_rid).filter(|&(other, _)| other != rid);
-                let live = others.flat_map(|(_, row)| row).copied();
-                self.neighbourhood.gather(&self.hot, live);
+                neighbourhood.gather(hot, others.flat_map(|(_, row)| row).copied());
             }
-            Some(rids) => {
+            Among::Earlier => {
+                let earlier = &by_rid[..by_rid.len().min(rid as usize)];
+                neighbourhood.gather(hot, earlier.iter().flatten().copied());
+            }
+            Among::Records(rids) => {
                 // Each allowed record once: a repeat would repeat pairs.
                 let mut rids = Cow::Borrowed(rids);
                 if !rids.windows(2).all(|w| w[0] < w[1]) {
@@ -328,36 +381,34 @@ impl IncrementalJoin {
                 let live = rows
                     .filter_map(|&other| by_rid.get(other as usize))
                     .flatten();
-                self.neighbourhood.gather(&self.hot, live.copied());
+                neighbourhood.gather(hot, live.copied());
             }
         }
-        for value in &incoming {
-            self.scan(value, &mut out);
-        }
-        for value in incoming {
-            self.register_tokenized(value);
+        for idx in entries {
+            self.scan(idx, scratch, &mut out);
         }
         out
     }
 
-    /// Appends to `out` the normalized pairs of `incoming` with the rows
-    /// of the gathered neighbourhood that clear ξ, ordered by label: per
-    /// length bucket the filters that are sound there — the length window
-    /// and the integer sketch test under `fast_grams`, numeric rows let
-    /// through for a number — then, over what survived, [`score`], the
-    /// batch join's dispatch.
-    fn scan(&mut self, incoming: &Pending, out: &mut Vec<ValuePair>) {
+    /// [`IncrementalJoin::pairs_of`] with the doors' own scratch.
+    fn pairs_reusing(&mut self, rid: u32, entries: Range<u32>, among: Among<'_>) -> Vec<ValuePair> {
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let out = self.pairs_of(rid, entries, among, &mut scratch);
+        self.scratch = scratch;
+        out
+    }
+
+    /// Appends to `out` the normalized pairs of entry `idx` with the rows
+    /// of the gathered neighbourhood that clear ξ, ordered by label.
+    fn scan(&self, idx: u32, scratch: &mut ScanScratch, out: &mut Vec<ValuePair>) {
         let first = out.len();
-        let Pending {
-            label,
-            ref value,
-            start,
-            hot,
-        } = *incoming;
-        let value = value.as_ref();
+        let label = self.labels[idx as usize];
+        let hot = self.hot[idx as usize];
         let x_len = hot.len as usize;
-        let Neighbourhood { rows, starts, .. } = &self.neighbourhood;
-        let mut survivors = std::mem::take(&mut self.survivors);
+        let ScanScratch {
+            neighbourhood: Neighbourhood { rows, starts, .. },
+            survivors,
+        } = scratch;
         survivors.clear();
         if !self.fast_grams {
             survivors.extend_from_slice(rows);
@@ -380,23 +431,20 @@ impl IncrementalJoin {
                 }
             }
         }
-        let x = Side {
-            value,
-            is_num: hot.is_num,
-            sig: self.ids(start, hot.len),
-            sketch: hot.sketch,
-        };
-        for row in &survivors {
-            let idx = row.idx as usize;
-            assert!(!self.retired[idx], "a gathered row names a live entry");
-            let y = Side {
-                value: self.kept_value(row.idx, row.is_num),
-                is_num: row.is_num,
-                sig: self.ids(self.offsets[idx], self.hot[idx].len),
-                sketch: row.sketch,
-            };
-            if let Some(sim) = score(self.metric.as_ref(), self.fast_grams, self.xi, x, y) {
-                let other = self.labels[idx];
+        let x = self.side(idx);
+        for row in survivors.iter() {
+            assert!(
+                !self.retired[row.idx as usize],
+                "a gathered row names a live entry"
+            );
+            if let Some(sim) = score(
+                self.metric.as_ref(),
+                self.fast_grams,
+                self.xi,
+                x,
+                self.side(row.idx),
+            ) {
+                let other = self.labels[row.idx as usize];
                 let (a, b) = if label.rid < other.rid {
                     (label, other)
                 } else {
@@ -405,8 +453,18 @@ impl IncrementalJoin {
                 out.push(ValuePair { a, b, sim });
             }
         }
-        self.survivors = survivors;
         out[first..].sort_unstable_by_key(|p| (p.a, p.b));
+    }
+
+    /// Entry `idx` as [`score`] reads it.
+    fn side(&self, idx: u32) -> Side<'_, u32> {
+        let hot = self.hot[idx as usize];
+        Side {
+            value: self.kept_value(idx, hot.is_num),
+            is_num: hot.is_num,
+            sig: self.ids(self.offsets[idx as usize], hot.len),
+            sketch: hot.sketch,
+        }
     }
 
     /// The `len` gram ids at `start` in the arena.
@@ -424,25 +482,27 @@ impl IncrementalJoin {
         }
     }
 
+    /// The entry index the next registered value takes.
+    fn next_entry(&self) -> u32 {
+        u32::try_from(self.labels.len()).expect("the join holds fewer than 2^32 values")
+    }
+
     /// Registers a value for future calls without scoring it against
     /// anything: what a restored session does with every value of its
     /// super records. Pairs emitted later do not depend on the order
     /// values were registered in, labels being unique and the output
     /// sorted by label. Nulls are ignored, as on insert.
     pub fn register(&mut self, label: Label, value: &Value) {
-        if let Some(value) = self.tokenize(label, Cow::Borrowed(value)) {
-            self.register_tokenized(value);
-        }
+        self.register_value(label, Cow::Borrowed(value));
     }
 
-    /// Tokenizes a value for scanning and registration, its gram ids
-    /// appended to the arena in ascending order; `None` for a null, which
-    /// is neither scored nor stored. The value is owned past the call only
-    /// where [`keeps`] says scoring reads it, and cloned for that only if
-    /// it was borrowed.
-    fn tokenize(&mut self, label: Label, value: Cow<'_, Value>) -> Option<Pending> {
+    /// Tokenizes a value and registers it under `label`, its gram ids
+    /// appended to the arena in ascending order; a null is neither scored
+    /// nor stored. The value is owned past the call only where [`keeps`]
+    /// says scoring reads it, and cloned for that only if it was borrowed.
+    fn register_value(&mut self, label: Label, value: Cow<'_, Value>) {
         if value.is_null() {
-            return None;
+            return;
         }
         let Self {
             q,
@@ -464,7 +524,7 @@ impl IncrementalJoin {
         ids.dedup();
         let start = u32::try_from(grams.len()).expect("the arena holds fewer than 2^32 gram ids");
         grams.extend_from_slice(ids);
-        // Any two lengths ever tokenized sum to a covered length.
+        // Any two lengths ever registered sum to a covered length.
         self.alpha.cover(2 * ids.len());
         let hot = Hot {
             // From the tokens, so every filter decides as on the tokens.
@@ -472,40 +532,14 @@ impl IncrementalJoin {
             len: u32::try_from(ids.len()).expect("a signature holds fewer than 2^32 grams"),
             is_num: value.as_number().is_some(),
         };
-        Some(Pending {
-            label,
-            value: keeps(self.fast_grams, hot.is_num).then(|| value.into_owned()),
-            start,
-            hot,
-        })
-    }
-
-    /// Tokenizes record `rid`'s values under `(rid, fid, 0)`, nulls
-    /// skipped.
-    fn tokenize_record(&mut self, rid: u32, values: &[Value]) -> Vec<Pending> {
-        (0u32..)
-            .zip(values)
-            .filter_map(|(fid, v)| self.tokenize(Label::new(rid, fid, 0), Cow::Borrowed(v)))
-            .collect()
-    }
-
-    /// Registers a tokenized value, whose ids tokenizing put in the arena.
-    /// Its value is kept only where [`keeps`] says scoring reads it.
-    fn register_tokenized(&mut self, pending: Pending) {
-        let Pending {
-            label,
-            value,
-            start,
-            hot,
-        } = pending;
-        let idx = u32::try_from(self.labels.len()).expect("the join holds fewer than 2^32 values");
+        let idx = self.next_entry();
         self.row_mut(label.rid).push(idx);
         self.labels.push(label);
         self.offsets.push(start);
         self.hot.push(hot);
         self.retired.push(false);
-        if let Some(value) = value {
-            self.kept.insert(idx, value);
+        if keeps(self.fast_grams, hot.is_num) {
+            self.kept.insert(idx, value.into_owned());
         }
     }
 
@@ -1148,6 +1182,54 @@ mod tests {
                         prop_assert!(join.check_values(live.0.iter().map(|(l, v)| (*l, v))).is_ok());
                     }
                 }
+            }
+        }
+
+        /// The two halves of an insert, taken apart: a run of records is
+        /// registered first, and each is then scanned against the records
+        /// before it — every earlier record, or the earlier ones a list
+        /// names — from the last record back to the first, one scratch for
+        /// all. Every record's pairs are the bits the eager doors give when
+        /// the records arrive one at a time.
+        #[test]
+        fn deferred_scans_equal_eager_inserts(
+            records in proptest::collection::vec(
+                (
+                    proptest::collection::vec(any_value(), 0..5),
+                    proptest::collection::vec(0u32..14, 0..12),
+                ),
+                0..12,
+            ),
+            xi in prop_oneof![0.05f64..0.95, Just(0.5), Just(0.8)],
+            opaque in any::<bool>(),
+        ) {
+            let jaccard = TypeDispatch::paper_default();
+            let metric: Arc<dyn ValueSimilarity> = if opaque {
+                Arc::new(Opaque(jaccard))
+            } else {
+                Arc::new(jaccard)
+            };
+            let mut open = IncrementalJoin::new(xi, 2, metric.clone());
+            let mut blocked = IncrementalJoin::new(xi, 2, metric.clone());
+            let mut deferred = IncrementalJoin::new(xi, 2, metric);
+            let allowed: Vec<Vec<u32>> = (0u32..)
+                .zip(&records)
+                .map(|(rid, (_, rids))| rids.iter().copied().filter(|&r| r < rid).collect())
+                .collect();
+            let mut eager = Vec::new();
+            let mut entries = Vec::new();
+            for ((rid, (values, _)), rids) in (0u32..).zip(&records).zip(&allowed) {
+                eager.push((open.insert_record(rid, values), blocked.insert_record_among(rid, values, rids)));
+                entries.push(deferred.register_record(rid, values));
+            }
+            let mut scratch = ScanScratch::default();
+            for (rid, range) in (0..entries.len() as u32).zip(entries).rev() {
+                let (open, blocked) = &eager[rid as usize];
+                let all = deferred.pairs_of(rid, range.clone(), Among::Earlier, &mut scratch);
+                prop_assert_eq!(&all, open, "record {}, every earlier record", rid);
+                let among = Among::Records(&allowed[rid as usize]);
+                let some = deferred.pairs_of(rid, range, among, &mut scratch);
+                prop_assert_eq!(&some, blocked, "record {}, the allowed records", rid);
             }
         }
     }

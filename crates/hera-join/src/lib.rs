@@ -60,7 +60,7 @@ mod inverted;
 mod numeric;
 mod source;
 
-pub use incremental::IncrementalJoin;
+pub use incremental::{Among, IncrementalJoin, ScanScratch};
 pub use source::RecordPairSet;
 
 use hera_sim::text::{folded_qgram_set, jaccard_of_sets, GramSketch};

@@ -20,7 +20,9 @@
 //! audit line next to the session's own events.
 //!
 //! The service is concurrent: the session lives on one dedicated owner
-//! thread fed by one command queue, the published view is
+//! thread fed by one command queue — one session command per request, so
+//! the records of an `ingest` or `batch` request are joined as one batch
+//! ([`ErService::ingest_batch`]) — the published view is
 //! double-buffered (lookups answer from the last *published* generation
 //! while the next one builds, then swap atomically), and the TCP
 //! transport serves any number of simultaneous clients over one shared

@@ -241,6 +241,20 @@ struct ServiceState {
 }
 
 impl ServiceState {
+    /// Checks a record arriving as record `id` against its schema's
+    /// arity.
+    fn validate(&self, schema: SchemaId, values: &[Value], id: u32) -> Result<()> {
+        match self.schemas.get(schema.index()) {
+            None => Err(HeraError::UnknownId(format!("{schema}"))),
+            Some(&arity) if arity != values.len() => Err(HeraError::ArityMismatch {
+                record: id,
+                expected: arity,
+                actual: values.len(),
+            }),
+            Some(_) => Ok(()),
+        }
+    }
+
     /// Queues a command that carries a reply channel. A dead session
     /// thread shows at the receiver: the send fails, the reply sender
     /// drops with the command, and `recv` errors.
@@ -334,36 +348,64 @@ impl ErService {
         id
     }
 
-    /// Ingests one record: validates it (schema id, arity) here on the
-    /// front end so the fire-and-forget session command cannot fail,
-    /// then moves it to the session thread. Trips an automatic stitch
-    /// dispatch when the record count reaches a multiple of the
-    /// builder's `stitch_every`.
+    /// Ingests one record: [`ErService::ingest_batch`] of one.
     pub fn ingest(&self, schema: SchemaId, values: Vec<Value>) -> Result<IngestReply> {
+        let (mut replies, outcome) = self.ingest_batch(vec![(schema, values)]);
+        outcome?;
+        Ok(replies.pop().expect("an accepted record has a reply"))
+    }
+
+    /// Ingests the records of one request, in order, under one hold of
+    /// the bookkeeping lock, so they take consecutive ids. Each record is
+    /// validated here on the front end (schema id, arity), so the
+    /// fire-and-forget session command cannot fail, and the records move
+    /// to the session thread as **one** command, which ingests and joins
+    /// them as a batch. Where the record count reaches a multiple of the
+    /// builder's `stitch_every`, the command is split and an automatic
+    /// boundary pass is dispatched between the parts, so each pass covers
+    /// the records it would cover were they ingested one at a time.
+    ///
+    /// The first record that fails validation ends the batch: the records
+    /// before it are accepted and ingested. Returns the accepted records'
+    /// replies and the failure, if any.
+    pub fn ingest_batch(
+        &self,
+        records: Vec<(SchemaId, Vec<Value>)>,
+    ) -> (Vec<IngestReply>, Result<()>) {
         let mut st = self.state();
-        let id = st.records as u32;
-        match st.schemas.get(schema.index()) {
-            None => return Err(HeraError::UnknownId(format!("{schema}"))),
-            Some(&arity) if arity != values.len() => {
-                return Err(HeraError::ArityMismatch {
-                    record: id,
-                    expected: arity,
-                    actual: values.len(),
-                })
+        let mut replies = Vec::with_capacity(records.len());
+        let mut unsent = Vec::new();
+        for (schema, values) in records {
+            let id = st.records as u32;
+            if let Err(e) = st.validate(schema, &values, id) {
+                return (replies, Self::send_ingest(&st, unsent).and(Err(e)));
             }
-            Some(_) => {}
+            unsent.push((schema, values));
+            st.records += 1;
+            let stitched = self.stitch_every > 0 && st.records.is_multiple_of(self.stitch_every);
+            if stitched {
+                if let Err(e) = Self::send_ingest(&st, std::mem::take(&mut unsent)) {
+                    return (replies, Err(e));
+                }
+                // Fire-and-forget: dropping the handle abandons the wait,
+                // not the pass.
+                let _ = Self::dispatch_stitch(&mut st);
+            }
+            replies.push(IngestReply { id, stitched });
+        }
+        let sent = Self::send_ingest(&st, unsent);
+        (replies, sent)
+    }
+
+    /// Moves validated records to the session thread as one command;
+    /// none, no command.
+    fn send_ingest(st: &ServiceState, records: Vec<(SchemaId, Vec<Value>)>) -> Result<()> {
+        if records.is_empty() {
+            return Ok(());
         }
         st.tx
-            .send(SessionCmd::Ingest { schema, values })
-            .map_err(worker_gone)?;
-        st.records += 1;
-        let stitched = self.stitch_every > 0 && st.records.is_multiple_of(self.stitch_every);
-        if stitched {
-            // Fire-and-forget: dropping the handle abandons the wait,
-            // not the pass.
-            let _ = Self::dispatch_stitch(&mut st);
-        }
-        Ok(IngestReply { id, stitched })
+            .send(SessionCmd::Ingest { records })
+            .map_err(worker_gone)
     }
 
     /// Queues a boundary pass covering everything ingested so far. Runs
@@ -531,22 +573,19 @@ impl ErService {
                 }
             }
             Request::Batch { records } => {
-                let mut replies = Vec::with_capacity(records.len());
-                let mut failed = None;
-                for (schema, values) in records {
-                    match self.ingest(SchemaId::new(schema), values) {
-                        Ok(r) => replies.push(r),
-                        Err(e) => {
-                            failed = Some((replies.len(), e));
-                            break;
-                        }
+                let records = records
+                    .into_iter()
+                    .map(|(schema, values)| (SchemaId::new(schema), values))
+                    .collect();
+                let (replies, outcome) = self.ingest_batch(records);
+                match outcome {
+                    // A mid-batch failure keeps the accepted prefix and
+                    // reports where it stopped.
+                    Err(e) => {
+                        let at = replies.len();
+                        err(format!("record {at}: {e} ({at} accepted)"))
                     }
-                }
-                match failed {
-                    // Ingest is per-record: a mid-batch failure keeps the
-                    // accepted prefix and reports where it stopped.
-                    Some((at, e)) => err(format!("record {at}: {e} ({at} accepted)")),
-                    None => ingest_fields(&replies),
+                    Ok(()) => ingest_fields(&replies),
                 }
             }
             Request::Resolve { budget } => {

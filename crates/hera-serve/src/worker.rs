@@ -39,14 +39,13 @@ pub(crate) enum SessionCmd {
         /// Attribute names.
         attrs: Vec<String>,
     },
-    /// Ingest one record. Pre-validated by the front end (schema id and
-    /// arity checked against its schema list), so the session-side
-    /// `add_record` cannot fail; fire-and-forget.
+    /// Ingest the records of one request, in order, and join them: one
+    /// `HeraSession::extend`. Pre-validated by the front end (schema id
+    /// and arity checked against its schema list), so the session-side
+    /// ingest cannot fail; fire-and-forget.
     Ingest {
-        /// Schema the record arrives under.
-        schema: SchemaId,
-        /// The record's values.
-        values: Vec<Value>,
+        /// Each record's schema and values.
+        records: Vec<(SchemaId, Vec<Value>)>,
     },
     /// Run one budgeted progressive resolve.
     Resolve {
@@ -174,13 +173,11 @@ fn session_worker_loop(
             SessionCmd::Schema { name, attrs } => {
                 session.add_schema(name, attrs);
             }
-            SessionCmd::Ingest { schema, values } => {
+            SessionCmd::Ingest { records } => {
                 // The front end validated schema + arity under its
                 // bookkeeping lock, so failure here is a service-level
                 // bug, not bad client input.
-                session
-                    .add_record(schema, values)
-                    .expect("front-end-validated ingest");
+                session.extend(records).expect("front-end-validated ingest");
             }
             SessionCmd::Resolve { budget, reply } => {
                 reply.send(session.resolve_progressive(budget)).ok();

@@ -37,7 +37,7 @@ fn example2_super_record_merge() {
     let ds = motivating_example();
     let mut r1 = SuperRecord::from_record(&ds, ds.record(hera::RecordId::new(0)));
     let r6 = SuperRecord::from_record(&ds, ds.record(hera::RecordId::new(5)));
-    r1.absorb(&r6, &[(0, 0), (1, 1), (2, 2), (4, 4)]);
+    r1.absorb(r6, &[(0, 0), (1, 1), (2, 2), (4, 4)]);
     assert_eq!(r1.size(), 6);
     assert_eq!(r1.field(4).values.len(), 2); // Electronic + electronics
     assert_eq!(r1.field(0).values.len(), 1); // John deduped
@@ -56,18 +56,18 @@ fn example3_record_similarity() {
         .collect();
 
     let r6 = supers[5].clone();
-    supers[0].absorb(&r6, &[(0, 0), (1, 1), (2, 2), (4, 4)]);
+    supers[0].absorb(r6, &[(0, 0), (1, 1), (2, 2), (4, 4)]);
     let r4 = supers[3].clone();
-    supers[1].absorb(&r4, &[(0, 0), (1, 3)]);
+    supers[1].absorb(r4, &[(0, 0), (1, 3)]);
     let (remap16, remap24) = {
         // Recompute remaps on fresh copies for the index (absorb above
         // already mutated; rebuild cleanly).
         let mut a = SuperRecord::from_record(&ds, ds.record(hera::RecordId::new(0)));
         let b = SuperRecord::from_record(&ds, ds.record(hera::RecordId::new(5)));
-        let ra = a.absorb(&b, &[(0, 0), (1, 1), (2, 2), (4, 4)]);
+        let ra = a.absorb(b, &[(0, 0), (1, 1), (2, 2), (4, 4)]);
         let mut c = SuperRecord::from_record(&ds, ds.record(hera::RecordId::new(1)));
         let d = SuperRecord::from_record(&ds, ds.record(hera::RecordId::new(3)));
-        let rc = c.absorb(&d, &[(0, 0), (1, 3)]);
+        let rc = c.absorb(d, &[(0, 0), (1, 3)]);
         (ra, rc)
     };
 

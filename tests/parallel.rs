@@ -208,3 +208,162 @@ fn parallel_built_index_passes_invariants() {
     let r = Hera::builder(cfg).build().run(&ds).unwrap();
     assert!(r.stats.merges > 0);
 }
+
+// ---- The session's join pass ------------------------------------------
+//
+// `add_record` only lifts and queues a record; one join pass joins the
+// queued records, scanning them on `num_threads` workers. Whatever the
+// thread count and however many records wait, every observable must be
+// what joining each record on arrival gives — `extend` with one record,
+// the eager schedule.
+
+/// What a session shows at one point of a stream: the entities, the
+/// index size, the frontier, and the checkpoint, section by section, with
+/// the stats' wall-clock timers and thread count zeroed.
+fn observe(session: &mut hera::HeraSession, path: &std::path::Path, first: u32) -> Vec<String> {
+    let mut seen = Vec::new();
+    // The pass runs in whichever call comes first.
+    let frontier = |s: &mut hera::HeraSession| format!("frontier {}", s.frontier_len());
+    if first % 2 == 1 {
+        seen.push(frontier(session));
+    }
+    session.checkpoint(path).unwrap();
+    let snap = hera::Snapshot::read(path).unwrap();
+    for name in snap.names() {
+        let section = snap.get(name).unwrap();
+        let bytes = if name == "stats" {
+            let mut s = hera::RunStats::from_json(section).unwrap();
+            s.index_build_time = Default::default();
+            s.resolve_time = Default::default();
+            s.verify_time = Default::default();
+            s.candidate_time = Default::default();
+            s.ingest_time = Default::default();
+            s.admit_time = Default::default();
+            s.join_insert_time = Default::default();
+            s.absorb_time = Default::default();
+            s.merge_time = Default::default();
+            s.threads = 0;
+            s.to_json().to_string_compact()
+        } else {
+            section.to_string_compact()
+        };
+        seen.push(format!("{name} {bytes}"));
+    }
+    if first.is_multiple_of(2) {
+        seen.push(frontier(session));
+    }
+    seen.push(format!("index {}", session.index_size()));
+    seen.push(format!("labels {:?}", session.grouping()));
+    seen
+}
+
+/// Streams `ds` through a session at `threads`, resolving after every
+/// `k`-th record and after the last. Every other resolve point, the
+/// first included, is observed while records are still queued, and every
+/// point after its resolve. `eager` ingests through `extend` one record
+/// at a time.
+fn stream_observations(
+    ds: &hera::Dataset,
+    config: HeraConfig,
+    k: usize,
+    eager: bool,
+    tag: &str,
+) -> Vec<String> {
+    let path = std::env::temp_dir().join(format!(
+        "hera-parallel-join-pass-{}-{tag}.hera",
+        std::process::id()
+    ));
+    let mut session = hera::HeraSession::builder(config)
+        .recorder(Recorder::disabled())
+        .build();
+    let schemas = session.mirror_schemas(&ds.registry);
+    let mut seen = Vec::new();
+    for (i, rec) in ds.iter().enumerate() {
+        let record = (schemas[rec.schema.index()], rec.values.clone());
+        if eager {
+            session.extend([record]).unwrap();
+        } else {
+            session.add_record(record.0, record.1).unwrap();
+        }
+        if (i + 1) % k != 0 && i + 1 != ds.len() {
+            continue;
+        }
+        let point = (i / k) as u32;
+        if point.is_multiple_of(2) {
+            seen.extend(observe(&mut session, &path, point / 2));
+        }
+        session.resolve();
+        seen.extend(observe(&mut session, &path, point));
+    }
+    std::fs::remove_file(&path).ok();
+    seen
+}
+
+fn small_dataset(seed: u64, n_records: usize) -> hera::Dataset {
+    Generator::new(DatagenConfig {
+        name: "parallel-join-pass".into(),
+        seed,
+        n_records,
+        n_entities: n_records / 4 + 1,
+        n_attrs: 10,
+        n_sources: 3,
+        min_source_attrs: 5,
+        max_source_attrs: 8,
+        corruption: CorruptionConfig::moderate(),
+        domain: Default::default(),
+    })
+    .generate()
+}
+
+proptest::proptest! {
+    #![proptest_config(proptest::prelude::ProptestConfig::with_cases(12))]
+
+    /// Random datasets, blocked and unblocked, resolved every `k` records:
+    /// at 1, 2, 4 and 8 threads the deferred join pass shows the labels,
+    /// index size, frontier and checkpoint sections of the eager schedule,
+    /// with records queued and after each resolve.
+    #[test]
+    fn join_pass_matches_the_eager_schedule_at_every_thread_count(
+        seed in 0u64..10_000,
+        n_records in 30usize..90,
+        k in proptest::prop_oneof![proptest::strategy::Just(1usize), 2usize..80],
+        blocked in proptest::prelude::any::<bool>(),
+    ) {
+        let ds = small_dataset(seed, n_records);
+        let config = |threads| {
+            let c = HeraConfig::new(0.5, 0.5).with_threads(threads);
+            if blocked { c.with_blocking(BlockingScheme::token()) } else { c }
+        };
+        let eager = stream_observations(&ds, config(1), k, true, &format!("{seed}-eager"));
+        proptest::prop_assert!(eager.iter().any(|l| l.starts_with("index ") && l != "index 0"));
+        for threads in [1, 2, 4, 8] {
+            let deferred =
+                stream_observations(&ds, config(threads), k, false, &format!("{seed}-{threads}"));
+            proptest::prop_assert_eq!(&deferred, &eager, "{} threads", threads);
+        }
+    }
+}
+
+/// More records queued than one step of the pass takes: 2 500 scale
+/// records under token blocking and one resolve, at 1 and 2 threads,
+/// against the eager schedule.
+#[test]
+fn join_pass_over_several_chunks_matches_the_eager_schedule() {
+    let ds = ScaleGenerator::new(scale_preset(2500, 61)).generate();
+    let config = |threads| {
+        HeraConfig::new(0.5, 0.7)
+            .with_threads(threads)
+            .with_blocking(BlockingScheme::token())
+    };
+    let eager = stream_observations(&ds, config(1), ds.len(), true, "chunks-eager");
+    for threads in [1, 2] {
+        let deferred = stream_observations(
+            &ds,
+            config(threads),
+            ds.len(),
+            false,
+            &format!("chunks-{threads}"),
+        );
+        assert_eq!(deferred, eager, "{threads} threads");
+    }
+}

@@ -195,6 +195,73 @@ fn sharded_stitching_matches_single_shard_partition() {
     }
 }
 
+/// A batch is one session command, split only where the record count
+/// reaches a multiple of `stitch_every`: batches of 37 records with a
+/// pass every 45 flag exactly the records one-at-a-time ingest flags,
+/// and publish what a bare session reaches resolving after each 45th.
+/// A record that fails validation mid-batch ends the batch, the records
+/// before it accepted — in process and on the wire.
+#[test]
+fn batches_split_at_stitch_boundaries() {
+    let ds = dataset(93, 180);
+    let stitch_every = 45;
+    let (mut reference, ref_schemas) = reference_session(&ds);
+    for (i, rec) in ds.iter().enumerate() {
+        reference
+            .add_record(ref_schemas[rec.schema.index()], rec.values.clone())
+            .unwrap();
+        if (i + 1) % stitch_every == 0 {
+            reference.resolve();
+        }
+    }
+    reference.resolve();
+
+    for threads in [1, 2] {
+        let service = ErService::builder(HeraConfig::new(DELTA, XI).with_threads(threads), 1)
+            .stitch_every(stitch_every)
+            .build();
+        let schemas = mirror_schemas(&service, &ds);
+        let records: Vec<(SchemaId, Vec<hera::Value>)> = ds
+            .iter()
+            .map(|rec| (schemas[rec.schema.index()], rec.values.clone()))
+            .collect();
+        let mut ids = Vec::new();
+        for batch in records.chunks(37) {
+            let (replies, outcome) = service.ingest_batch(batch.to_vec());
+            outcome.unwrap();
+            for reply in replies {
+                let flagged = (reply.id as usize + 1).is_multiple_of(stitch_every);
+                assert_eq!(reply.stitched, flagged, "record {}", reply.id);
+                ids.push(reply.id);
+            }
+        }
+        assert_eq!(ids, (0..ds.len() as u32).collect::<Vec<_>>());
+        service.stitch();
+        assert_eq!(service.passes(), (ds.len() / stitch_every + 1) as u64);
+        assert_eq!(service.stitched_partition(), reference.clusters());
+
+        // Arity 1 fits no schema of this dataset.
+        let mut bad = records[..5].to_vec();
+        bad[3].1.truncate(1);
+        let (replies, outcome) = service.ingest_batch(bad);
+        assert_eq!(replies.len(), 3);
+        assert!(matches!(outcome, Err(HeraError::ArityMismatch { .. })));
+        assert_eq!(service.len(), ds.len() + 3);
+        let (reply, _) = service.handle(hera::serve::Request::Batch {
+            records: vec![
+                (records[0].0.index() as u32, records[0].1.clone()),
+                (99, Vec::new()),
+            ],
+        });
+        let error = reply.get("error").and_then(|e| e.as_str().ok()).unwrap();
+        assert!(
+            error.starts_with("record 1: ") && error.ends_with("(1 accepted)"),
+            "{error}"
+        );
+        assert_eq!(service.len(), ds.len() + 4);
+    }
+}
+
 /// `resolve` acts on the authoritative session, so it shapes the
 /// published partition: on a stream long enough for merge order to
 /// matter, the service lands on what a bare session reaches with the
