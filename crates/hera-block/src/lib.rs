@@ -14,9 +14,11 @@
 //! 2. records sharing a key form a *block*;
 //! 3. meta-blocking ([`MetaBlocking`]) purges oversized blocks and
 //!    prunes weakly co-blocked pairs (CBS weighting);
-//! 4. the surviving pairs come out as a
-//!    [`hera_join::RecordPairSet`] for
-//!    [`hera_join::SimilarityJoin::join_blocked`].
+//! 4. the surviving pairs come out sorted, each as `(a, b)` with `a < b`
+//!    ([`BlockingOutcome::pairs`]). A blocked `Hera::join` compares the
+//!    values of each with the session's incremental scan
+//!    (`hera_join::IncrementalJoin`): blocking decides *which* record
+//!    pairs are compared, one join compares them.
 //!
 //! Blocking trades recall for speed: the emitted pair set is measured by
 //! **pair completeness** (fraction of ground-truth duplicate pairs kept)
@@ -35,7 +37,6 @@ mod tokenize;
 pub use meta::MetaBlocking;
 pub use streaming::StreamingBlocker;
 
-use hera_join::RecordPairSet;
 use hera_types::parallel::par_map;
 use hera_types::Dataset;
 use rustc_hash::FxHashMap;
@@ -117,7 +118,6 @@ impl BlockingScheme {
             meta: MetaBlocking {
                 max_block_size: 150,
                 min_common_blocks: 1,
-                weighted: false,
             },
         })
     }
@@ -196,8 +196,9 @@ impl BlockingStats {
 /// Result of a blocking pass: the allowed record pairs plus counters.
 #[derive(Debug, Clone)]
 pub struct BlockingOutcome {
-    /// Record pairs the similarity join is allowed to compare.
-    pub pairs: RecordPairSet,
+    /// Record pairs the similarity join is allowed to compare: each
+    /// `(a, b)` with `a < b`, sorted, no pair twice.
+    pub pairs: Vec<(u32, u32)>,
     /// Funnel counters for reports and the `blocking` journal span.
     pub stats: BlockingStats,
 }
@@ -289,10 +290,7 @@ impl Blocker {
             ],
         );
         self.recorder.timing("blocking", None, t0.elapsed());
-        BlockingOutcome {
-            pairs: RecordPairSet::from_pairs(pairs),
-            stats,
-        }
+        BlockingOutcome { pairs, stats }
     }
 
     /// Blocking keys of every record, in record order — the extraction

@@ -12,8 +12,7 @@
 //!   while their evidence value per pair is lowest).
 //! * **CBS weighting + pruning** counts, for each surviving pair, the
 //!   number of common blocks (the CBS scheme) and keeps pairs with
-//!   weight `≥ min_common_blocks`; with `weighted` set, pairs must also
-//!   reach the collection-wide mean weight (weighted-edge pruning).
+//!   weight `≥ min_common_blocks`.
 
 use rustc_hash::FxHashMap;
 
@@ -25,9 +24,6 @@ pub struct MetaBlocking {
     /// Keep only record pairs sharing at least this many retained blocks
     /// (CBS weight threshold; 1 disables the filter).
     pub min_common_blocks: u32,
-    /// Additionally require each pair's CBS weight to reach the mean
-    /// weight over all co-blocked pairs (weighted-edge pruning).
-    pub weighted: bool,
 }
 
 impl Default for MetaBlocking {
@@ -35,7 +31,6 @@ impl Default for MetaBlocking {
         Self {
             max_block_size: 100,
             min_common_blocks: 2,
-            weighted: false,
         }
     }
 }
@@ -83,27 +78,9 @@ pub(crate) fn prune_blocks(
     }
     cooc.sort_unstable();
 
-    // Run-length pass 1: distinct pairs and (for weighted pruning) the
-    // mean CBS weight = total co-occurrences / distinct pairs.
-    let mut distinct = 0u64;
-    let mut i = 0;
-    while i < cooc.len() {
-        let mut j = i + 1;
-        while j < cooc.len() && cooc[j] == cooc[i] {
-            j += 1;
-        }
-        distinct += 1;
-        i = j;
-    }
-    c.pairs_considered = distinct;
-    let mean_weight = if distinct == 0 {
-        0.0
-    } else {
-        cooc.len() as f64 / distinct as f64
-    };
+    // One run-length pass: each run is one distinct pair, its length the
+    // pair's CBS weight; keep the pairs clearing the threshold.
     let threshold = meta.min_common_blocks.max(1) as u64;
-
-    // Run-length pass 2: keep pairs clearing the thresholds.
     let mut kept: Vec<(u32, u32)> = Vec::new();
     let mut i = 0;
     while i < cooc.len() {
@@ -111,8 +88,8 @@ pub(crate) fn prune_blocks(
         while j < cooc.len() && cooc[j] == cooc[i] {
             j += 1;
         }
-        let weight = (j - i) as u64;
-        if weight >= threshold && (!meta.weighted || weight as f64 >= mean_weight) {
+        c.pairs_considered += 1;
+        if (j - i) as u64 >= threshold {
             let key = cooc[i];
             kept.push(((key >> 32) as u32, (key & 0xFFFF_FFFF) as u32));
         }
@@ -147,7 +124,6 @@ mod tests {
         let meta = MetaBlocking {
             max_block_size: 3,
             min_common_blocks: 1,
-            weighted: false,
         };
         let blocks = map(&[&[0, 1, 2, 3, 4], &[5, 6]]);
         let (pairs, c) = prune_blocks(&blocks, &meta);
@@ -161,7 +137,6 @@ mod tests {
         let meta = MetaBlocking {
             max_block_size: 100,
             min_common_blocks: 2,
-            weighted: false,
         };
         // (1,2) share two blocks, (1,3) only one.
         let blocks = map(&[&[1, 2, 3], &[1, 2]]);
@@ -172,24 +147,10 @@ mod tests {
     }
 
     #[test]
-    fn weighted_pruning_uses_mean() {
-        let meta = MetaBlocking {
-            max_block_size: 100,
-            min_common_blocks: 1,
-            weighted: true,
-        };
-        // Weights: (1,2) → 3, (3,4) → 1; mean = 2 → only (1,2) survives.
-        let blocks = map(&[&[1, 2], &[1, 2], &[1, 2], &[3, 4]]);
-        let (pairs, _) = prune_blocks(&blocks, &meta);
-        assert_eq!(pairs, vec![(1, 2)]);
-    }
-
-    #[test]
     fn output_is_sorted_and_normalized() {
         let meta = MetaBlocking {
             max_block_size: 100,
             min_common_blocks: 1,
-            weighted: false,
         };
         let blocks = map(&[&[9, 3, 7], &[1, 2]]);
         let (pairs, _) = prune_blocks(&blocks, &meta);

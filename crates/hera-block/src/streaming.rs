@@ -2,9 +2,9 @@
 //! maintained under record insertions, for the session ingest path.
 //!
 //! The batch [`crate::Blocker`] sees the whole dataset at once: it can
-//! purge a block by its *final* size and prune pairs by collection-wide
-//! weights. A streaming session sees one record at a time, so
-//! [`StreamingBlocker`] keeps the block map live and answers, per
+//! purge a block by its *final* size and count a pair's common blocks
+//! over the whole collection. A streaming session sees one record at a
+//! time, so [`StreamingBlocker`] keeps the block map live and answers, per
 //! arriving record, *which earlier records share enough blocking
 //! evidence to be worth joining against*:
 //!
@@ -16,10 +16,7 @@
 //!   more permissive, never less complete);
 //! * a candidate must co-occur with the new record in at least
 //!   `min_common_blocks` retained blocks (the CBS rule, counted against
-//!   the blocks retained *at admission time*);
-//! * `MetaBlocking::weighted` needs the collection-wide mean edge
-//!   weight and therefore has no streaming analogue — it is ignored
-//!   here (documented divergence from the batch pass).
+//!   the blocks retained *at admission time*).
 //!
 //! An admission costs its visits: one counter bump per member of every
 //! retained block the record falls in. The counters are a table indexed
@@ -405,7 +402,6 @@ mod tests {
             meta: MetaBlocking {
                 max_block_size,
                 min_common_blocks,
-                weighted: false,
             },
         })
     }

@@ -5,7 +5,7 @@ use crate::engine::{Ctx, Engine, StageAgg};
 use crate::stats::RunStats;
 use crate::voter::DecidedMatching;
 use hera_index::{BoundsScratch, ValuePairIndex};
-use hera_join::{JoinConfig, SimilarityJoin};
+use hera_join::{Among, IncrementalJoin, JoinConfig, SimilarityJoin};
 use hera_sim::{TypeDispatch, ValueSimilarity};
 use hera_types::json::Json;
 use hera_types::{Dataset, HeraError, Result};
@@ -121,21 +121,73 @@ impl Hera {
     /// Runs the similarity join that feeds the index (Algorithm 2 line 1,
     /// buildable offline per Prop. 1). The result can be shared across
     /// [`Hera::run_with_pairs`] calls — δ-sweeps reuse one join.
+    ///
+    /// Without blocking this is [`SimilarityJoin::join_dataset`]. Under a
+    /// blocking scheme the blocker picks the record pairs and a session's
+    /// scan compares them: every record is registered in one
+    /// [`IncrementalJoin`], then scanned against its earlier co-blocked
+    /// records, on `num_threads` workers. The output is the all-pairs
+    /// join restricted to the blocker's record pairs — same labels, same
+    /// similarity bits, same order.
+    ///
+    /// # Panics
+    /// Under a blocking scheme, if ξ is 0: as in a session, the scan's
+    /// filters need ξ > 0.
     pub fn join(&self, ds: &Dataset) -> Vec<hera_join::ValuePair> {
-        let mut join_cfg = JoinConfig::new(self.config.xi);
-        join_cfg.num_threads = self.config.num_threads;
-        let join = SimilarityJoin::new(join_cfg, self.metric.as_ref())
-            .with_recorder(self.recorder.clone());
-        match &self.config.blocking {
-            hera_block::BlockingScheme::None => join.join_dataset(ds),
-            scheme => {
-                let outcome = hera_block::Blocker::new(scheme.clone())
+        let threads = self.config.num_threads;
+        let scheme = match &self.config.blocking {
+            hera_block::BlockingScheme::None => {
+                let config = JoinConfig::new(self.config.xi).with_threads(threads);
+                return SimilarityJoin::new(config, self.metric.as_ref())
                     .with_recorder(self.recorder.clone())
-                    .with_threads(self.config.num_threads)
-                    .block(ds);
-                join.join_blocked(ds, &outcome.pairs)
+                    .join_dataset(ds);
             }
+            scheme => scheme.clone(),
+        };
+        let blocked = hera_block::Blocker::new(scheme)
+            .with_recorder(self.recorder.clone())
+            .with_threads(threads)
+            .block(ds);
+        let started = Instant::now();
+        // Each record's earlier partners, ascending: the blocker's pairs
+        // are sorted, each `(a, b)` with `a < b`.
+        let mut earlier: Vec<Vec<u32>> = vec![Vec::new(); ds.len()];
+        for &(a, b) in &blocked.pairs {
+            earlier[b as usize].push(a);
         }
+        let mut join = IncrementalJoin::new(self.config.xi, 2, self.metric.clone());
+        let scans: Vec<_> = ds
+            .iter()
+            .zip(&earlier)
+            .map(|(rec, partners)| {
+                let rid = rec.id.raw();
+                let entries = join.register_record(rid, &rec.values);
+                (rid, entries, Among::Records(partners))
+            })
+            .collect();
+        let mut pairs = join.pairs_of_each(threads, &scans).concat();
+        pairs.sort_unstable_by(hera_join::output_order);
+        // The funnel counters are order-independent totals, so the span
+        // is part of the deterministic core journal. `candidates` counts
+        // the value pairs of the compared record pairs.
+        let values_of = |rid: u32| scans[rid as usize].1.len();
+        let candidates: usize = blocked
+            .pairs
+            .iter()
+            .map(|&(a, b)| values_of(a) * values_of(b))
+            .sum();
+        let rec = &self.recorder;
+        rec.span(
+            "join",
+            None,
+            &[
+                ("values", join.len() as i64),
+                ("candidates", candidates as i64),
+                ("pairs", pairs.len() as i64),
+            ],
+        );
+        rec.timing("join", None, started.elapsed());
+        pairs
     }
 
     /// Runs Algorithm 2 on a dataset.

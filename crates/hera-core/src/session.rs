@@ -32,7 +32,7 @@ use crate::voter::{DecidedMatching, SchemaVoter};
 use hera_block::StreamingBlocker;
 use hera_faults::{io_retryable, BackoffPolicy, Clock, FaultInjector, SystemClock};
 use hera_index::{Grouping, UnionFind, ValuePairIndex};
-use hera_join::{Among, IncrementalJoin, ScanScratch, ValuePair};
+use hera_join::{Among, IncrementalJoin};
 use hera_sim::{TypeDispatch, ValueSimilarity};
 use hera_types::json::Json;
 use hera_types::{HeraError, RecordId, Result, SchemaId, SchemaRegistry, Value};
@@ -691,16 +691,14 @@ impl HeraSession {
             let entries = self.join.register_record(rid, values);
             scans.push((rid, entries, allowed));
         }
-        let join = &self.join;
-        let pairs: Vec<Vec<ValuePair>> = crate::parallel::par_map_with(
-            self.config.num_threads,
-            &scans,
-            ScanScratch::default,
-            |scratch, (rid, entries, allowed)| {
+        let scans: Vec<_> = scans
+            .iter()
+            .map(|(rid, entries, allowed)| {
                 let among = allowed.as_deref().map_or(Among::Earlier, Among::Records);
-                join.pairs_of(*rid, entries.clone(), among, scratch)
-            },
-        );
+                (*rid, entries.clone(), among)
+            })
+            .collect();
+        let pairs = self.join.pairs_of_each(self.config.num_threads, &scans);
         for new_pairs in pairs {
             for p in &new_pairs {
                 self.dirty.insert(p.a.rid);

@@ -8,12 +8,14 @@
 //!
 //! - [`IncrementalJoin::register_record`] tokenizes a record's values and
 //!   registers them, the only half that changes the join;
-//! - [`IncrementalJoin::pairs_of`] scans registered entries against the
-//!   records an [`Among`] names, reading the join through `&self` with a
-//!   [`ScanScratch`] the caller owns. Scans of several records can
-//!   therefore run at once: a session registers the records that arrived
-//!   since its last pass in order, then scans each against
-//!   [`Among::Earlier`] or its blocker's candidates, in parallel.
+//! - [`IncrementalJoin::pairs_of_each`] scans the registered entries of
+//!   a batch of records, each against the records an [`Among`] names, on
+//!   worker threads that read the join through `&self`, a scratch each.
+//!   A session registers the records that arrived since its last pass in
+//!   order, then scans each against [`Among::Earlier`] or its blocker's
+//!   candidates; the batch blocked join (`Hera::join` under a blocking
+//!   scheme) registers every record, then scans each against its earlier
+//!   co-blocked records.
 //!
 //! Three doors compose the halves for one record at a time, differing
 //! only in the records they gather:
@@ -94,6 +96,7 @@ use crate::inverted::RequiredOverlap;
 use crate::{score, Side, ValuePair};
 use hera_sim::text::{folded_qgram_set, folded_qgrams_into, GramSketch};
 use hera_sim::ValueSimilarity;
+use hera_types::parallel::par_map_with;
 use hera_types::{Label, Value};
 use rustc_hash::FxHashMap;
 use std::borrow::Cow;
@@ -186,7 +189,7 @@ impl Neighbourhood {
 /// scanned last. They carry no meaning between calls, so one per thread
 /// lets scans of several records run at once against one join.
 #[derive(Default)]
-pub struct ScanScratch {
+struct ScanScratch {
     neighbourhood: Neighbourhood,
     survivors: Vec<Row>,
 }
@@ -326,7 +329,7 @@ impl IncrementalJoin {
     /// Registers the values of record `rid` — `values[fid]` under label
     /// `(rid, fid, 0)`, nulls ignored — and returns the entry indices they
     /// took: the half of an insert that changes the join.
-    /// [`IncrementalJoin::pairs_of`] is the other half.
+    /// [`IncrementalJoin::pairs_of_each`] is the other half.
     pub fn register_record(&mut self, rid: u32, values: &[Value]) -> Range<u32> {
         let first = self.next_entry();
         for (fid, v) in (0u32..).zip(values) {
@@ -335,18 +338,38 @@ impl IncrementalJoin {
         first..self.next_entry()
     }
 
-    /// The similar pairs of the entries `entries`, registered under record
-    /// `rid`, with the live values of the records `among` names — never
-    /// `rid`'s own: the half of an insert that reads the join, so scans of
-    /// several records may run at once, each with a scratch of its own.
-    /// The pairs are normalized (`a.rid < b.rid`) and ordered by label per
-    /// entry, the entries in order.
+    /// The half of an insert that reads the join, for a batch of records:
+    /// each `(rid, entries, among)` of `scans` is the entries `entries`,
+    /// registered under record `rid`, scanned against the live values of
+    /// the records `among` names — never `rid`'s own. The scans run on
+    /// `threads` workers ([`hera_types::parallel`], `0` auto-detects), a
+    /// scratch each, and each record's pairs come back in the order of
+    /// `scans`, the same for every `threads`: normalized (`a.rid <
+    /// b.rid`) and ordered by label per entry, the entries in order.
+    ///
+    /// This is the one place a batch of records is scanned at once; a
+    /// session's join pass and the batch blocked join both call it.
+    pub fn pairs_of_each(
+        &self,
+        threads: usize,
+        scans: &[(u32, Range<u32>, Among<'_>)],
+    ) -> Vec<Vec<ValuePair>> {
+        par_map_with(
+            threads,
+            scans,
+            ScanScratch::default,
+            |scratch, (rid, entries, among)| self.pairs_of(*rid, entries.clone(), *among, scratch),
+        )
+    }
+
+    /// One record's scan of [`IncrementalJoin::pairs_of_each`], in
+    /// `scratch`.
     ///
     /// Per entry the scan runs the filters that are sound for the gathered
     /// rows — per length bucket the length window and the integer sketch
     /// test under q-gram Jaccard, numeric rows let through for a number —
     /// then, over what survived, the batch join's scoring dispatch.
-    pub fn pairs_of(
+    fn pairs_of(
         &self,
         rid: u32,
         entries: Range<u32>,
@@ -1025,6 +1048,79 @@ mod tests {
         }
     }
 
+    /// The motivating example, every record registered; then each record
+    /// scanned in one batch, against the earlier records `partners`
+    /// names, on `threads` workers: the pairs of every scan, in the join's
+    /// output order.
+    fn scanned(
+        xi: f64,
+        metric: Arc<dyn ValueSimilarity>,
+        partners: impl Fn(u32) -> Vec<u32>,
+        threads: usize,
+    ) -> Vec<ValuePair> {
+        let ds = hera_types::motivating_example();
+        let mut join = IncrementalJoin::new(xi, 2, metric);
+        let registered: Vec<(u32, Range<u32>, Vec<u32>)> = ds
+            .iter()
+            .map(|rec| {
+                let rid = rec.id.raw();
+                (rid, join.register_record(rid, &rec.values), partners(rid))
+            })
+            .collect();
+        let scans: Vec<(u32, Range<u32>, Among<'_>)> = registered
+            .iter()
+            .map(|(rid, entries, partners)| (*rid, entries.clone(), Among::Records(partners)))
+            .collect();
+        let mut pairs = join.pairs_of_each(threads, &scans).concat();
+        pairs.sort_unstable_by(crate::output_order);
+        pairs
+    }
+
+    /// A batch scan against no partners yields nothing.
+    #[test]
+    fn batch_scan_of_no_partners_yields_nothing() {
+        let metric = Arc::new(TypeDispatch::paper_default());
+        assert!(scanned(0.3, metric, |_| Vec::new(), 2).is_empty());
+    }
+
+    /// Each record scanned against every earlier record is the exhaustive
+    /// join of the dataset — labels, similarity bits and order — under
+    /// q-gram Jaccard and under edit similarity, at one and two threads.
+    #[test]
+    fn batch_scan_of_every_earlier_record_is_exhaustive() {
+        let jaccard = TypeDispatch::paper_default();
+        let edit = jaccard
+            .clone()
+            .with_string_metric(Arc::new(hera_sim::EditSimilarity));
+        let metrics: [Arc<dyn ValueSimilarity>; 2] = [Arc::new(jaccard), Arc::new(edit)];
+        let ds = hera_types::motivating_example();
+        let bits = |pairs: &[ValuePair]| -> Vec<(Label, Label, u64)> {
+            pairs.iter().map(|p| (p.a, p.b, p.sim.to_bits())).collect()
+        };
+        for metric in metrics {
+            for xi in [0.3, 0.5, 0.7, 0.9] {
+                let config = JoinConfig::new(xi).exhaustive();
+                let oracle = SimilarityJoin::new(config, metric.as_ref()).join_dataset(&ds);
+                for threads in [1, 2] {
+                    let earlier = |rid: u32| (0..rid).collect();
+                    let got = scanned(xi, metric.clone(), earlier, threads);
+                    assert_eq!(bits(&got), bits(&oracle), "xi={xi}, {threads} threads");
+                }
+            }
+        }
+    }
+
+    /// A partner list out of order and with repeats scans like the sorted
+    /// one.
+    #[test]
+    fn batch_scan_takes_partners_in_any_order() {
+        let metric: Arc<dyn ValueSimilarity> = Arc::new(TypeDispatch::paper_default());
+        let sorted = scanned(0.3, metric.clone(), |rid| (0..rid).collect(), 1);
+        let shuffled = |rid: u32| (0..rid).rev().chain(0..rid).collect();
+        assert!(!sorted.is_empty());
+        assert_eq!(scanned(0.3, metric, shuffled, 2), sorted);
+    }
+
     /// A record's values are registered once all of them were scored,
     /// under `(rid, position, 0)`, nulls skipped; the next record pairs
     /// with each of them.
@@ -1189,8 +1285,9 @@ mod tests {
         /// registered first, and each is then scanned against the records
         /// before it — every earlier record, or the earlier ones a list
         /// names — from the last record back to the first, one scratch for
-        /// all. Every record's pairs are the bits the eager doors give when
-        /// the records arrive one at a time.
+        /// all, and in one batch on two workers. Every record's pairs are
+        /// the bits the eager doors give when the records arrive one at a
+        /// time.
         #[test]
         fn deferred_scans_equal_eager_inserts(
             records in proptest::collection::vec(
@@ -1223,7 +1320,7 @@ mod tests {
                 entries.push(deferred.register_record(rid, values));
             }
             let mut scratch = ScanScratch::default();
-            for (rid, range) in (0..entries.len() as u32).zip(entries).rev() {
+            for (rid, range) in (0..entries.len() as u32).zip(entries.clone()).rev() {
                 let (open, blocked) = &eager[rid as usize];
                 let all = deferred.pairs_of(rid, range.clone(), Among::Earlier, &mut scratch);
                 prop_assert_eq!(&all, open, "record {}, every earlier record", rid);
@@ -1231,6 +1328,18 @@ mod tests {
                 let some = deferred.pairs_of(rid, range, among, &mut scratch);
                 prop_assert_eq!(&some, blocked, "record {}, the allowed records", rid);
             }
+            let (open, blocked): (Vec<_>, Vec<_>) = eager.into_iter().unzip();
+            let earlier: Vec<_> = (0u32..)
+                .zip(&entries)
+                .map(|(rid, range)| (rid, range.clone(), Among::Earlier))
+                .collect();
+            prop_assert_eq!(deferred.pairs_of_each(2, &earlier), open, "one batch, every earlier record");
+            let listed: Vec<_> = (0u32..)
+                .zip(&entries)
+                .zip(&allowed)
+                .map(|((rid, range), rids)| (rid, range.clone(), Among::Records(rids)))
+                .collect();
+            prop_assert_eq!(deferred.pairs_of_each(2, &listed), blocked, "one batch, the allowed records");
         }
     }
 }

@@ -326,6 +326,31 @@ mod tests {
         (pairs, digits.unwrap().parse().unwrap())
     }
 
+    /// [`super::probe`] itself over `words`' signatures, the filters on or
+    /// off as `prefix_filter` says, verifying by q-gram Jaccard: the pairs
+    /// of word indices that reach ξ with their similarity bits, sorted,
+    /// and the number of pairs scored.
+    fn probed(
+        words: &[impl AsRef<str>],
+        xi: f64,
+        prefix_filter: bool,
+        threads: usize,
+    ) -> (Vec<(usize, usize, u64)>, usize) {
+        let sigs: Vec<Vec<u64>> = words
+            .iter()
+            .map(|w| folded_qgram_set(w.as_ref(), 2))
+            .collect();
+        let (mut pairs, scored) = super::probe(&sigs, xi, prefix_filter, threads, |i, j, out| {
+            let sim = jaccard_of_sets(&sigs[i], &sigs[j]);
+            if sim >= xi {
+                out.push((i, j, sim.to_bits()));
+            }
+            true
+        });
+        pairs.sort_unstable();
+        (pairs, scored)
+    }
+
     /// The record pairs of the join's output.
     fn rids(pairs: &[ValuePair]) -> Vec<(u32, u32)> {
         pairs.iter().map(|p| (p.a.rid, p.b.rid)).collect()
@@ -347,16 +372,15 @@ mod tests {
         // Share-a-gram scores (0,1), (0,2) and (1,2) via "ab"; at ξ = 0.8
         // the length filter alone kills (0,2) and (1,2) (1 gram vs 7), and
         // "ab" is in neither 7-gram value's prefix.
-        let config = JoinConfig::new(0.8);
-        let unfiltered = JoinConfig {
-            prefix_filter: false,
-            ..config
-        };
-        let (without, shared) = join(&words, unfiltered, &metric);
-        let (with, filtered) = join(&words, config, &metric);
+        let (without, shared) = probed(&words, 0.8, false, 1);
+        let (with, filtered) = probed(&words, 0.8, true, 1);
         assert_eq!(shared, 3);
         assert_eq!(filtered, 0);
         assert_eq!(with, without);
+        // The join filters under q-gram Jaccard.
+        let (pairs, candidates) = join(&words, JoinConfig::new(0.8), &metric);
+        assert!(pairs.is_empty());
+        assert_eq!(candidates, filtered);
     }
 
     #[test]
@@ -400,14 +424,14 @@ mod tests {
         /// The probe against the exhaustive oracle, on inputs with long
         /// posting lists, many equal lengths and empty signatures: the
         /// same pairs with the same similarity bits, and one `candidates`
-        /// count, at every thread count — under q-gram Jaccard with the
-        /// prefix filter on and off, and under edit similarity, where the
-        /// probe is share-a-gram whatever the config says.
+        /// count, at every thread count — through the join under q-gram
+        /// Jaccard, where the probe filters, and under edit similarity,
+        /// where it is share-a-gram; and the probe itself under q-gram
+        /// Jaccard with the filters on and off.
         #[test]
         fn probe_equals_exhaustive(
             words in proptest::collection::vec("[a-d ]{0,8}", 0..80),
             xi in prop_oneof![0.05f64..0.95, Just(0.5), Just(0.75), Just(0.8)],
-            prefix_filter in any::<bool>(),
             edit in any::<bool>(),
         ) {
             let mut metric = TypeDispatch::paper_default();
@@ -429,13 +453,34 @@ mod tests {
             };
             let mut counts = Vec::new();
             for threads in [1, 2, 8] {
-                let mut config = JoinConfig::new(xi).with_threads(threads);
-                config.prefix_filter = prefix_filter;
+                let config = JoinConfig::new(xi).with_threads(threads);
                 let (got, candidates) = join(&words, config, &metric);
                 prop_assert_eq!(bits(&got), bits(&expected), "{} threads", threads);
                 counts.push(candidates);
             }
             prop_assert!(counts.iter().all(|&c| c == counts[0]), "{:?}", counts);
+
+            // Word by word, duplicates apart: every pair of non-empty
+            // signatures at Jaccard ≥ ξ.
+            let mut similar = Vec::new();
+            for j in 0..words.len() {
+                for i in 0..j {
+                    let sim = jaccard_of_sets(&sigs[i], &sigs[j]);
+                    if !sigs[i].is_empty() && !sigs[j].is_empty() && sim >= xi {
+                        similar.push((i, j, sim.to_bits()));
+                    }
+                }
+            }
+            similar.sort_unstable();
+            for prefix_filter in [false, true] {
+                let mut counts = Vec::new();
+                for threads in [1, 2, 8] {
+                    let (got, scored) = probed(&words, xi, prefix_filter, threads);
+                    prop_assert_eq!(&got, &similar, "filter {}, {} threads", prefix_filter, threads);
+                    counts.push(scored);
+                }
+                prop_assert!(counts.iter().all(|&c| c == counts[0]), "{:?}", counts);
+            }
         }
     }
 }

@@ -39,18 +39,28 @@
 //!
 //! The `join` span's `candidates` counts the distinct-value pairs that
 //! were scored — the probe's survivors plus the sweep's pairs (every pair,
-//! under [`JoinConfig::exhaustive`]; every compared field pair, under
-//! [`SimilarityJoin::join_blocked`]). It is the same at every thread count.
+//! under [`JoinConfig::exhaustive`]). It is the same at every thread count.
 //!
 //! Prefix filtering is **complete** when the verifying string metric is
 //! q-gram Jaccard with the same `q` and folding as the index (HERA's
-//! default), and the join applies it only then
+//! default), and the join applies it exactly then
 //! ([`ValueSimilarity::qgram_compatible`]). Under any other metric the
 //! same probe runs over full signatures with the filters off: the
 //! candidates are share-a-gram. Use [`JoinConfig::all_pairs`] for
-//! metric-agnostic exactness; it is what [`IncrementalJoin`] computes
-//! between an incoming record and the records it gathers, under any
-//! metric, so streaming ingest finds a superset of the share-a-gram pairs.
+//! metric-agnostic exactness.
+//!
+//! # Under a blocking scheme
+//!
+//! A blocker (the `hera-block` crate) decides *which* record pairs are
+//! compared; [`IncrementalJoin`] compares them. It registers every record,
+//! then [`IncrementalJoin::pairs_of_each`] scans each record's values
+//! against the live values of the records an [`Among`] names — a session's
+//! earlier records or its blocker's candidates, or the batch blocked
+//! join's earlier co-blocked records. Under any metric a scan emits exactly
+//! the pairs [`JoinConfig::exhaustive`] finds between the scanned record
+//! and those records, so streaming ingest finds a superset of the
+//! share-a-gram pairs, and the blocked batch join is the all-pairs join
+//! restricted to the blocker's record pairs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -58,10 +68,8 @@
 mod incremental;
 mod inverted;
 mod numeric;
-mod source;
 
-pub use incremental::{Among, IncrementalJoin, ScanScratch};
-pub use source::RecordPairSet;
+pub use incremental::{Among, IncrementalJoin};
 
 use hera_sim::text::{folded_qgram_set, jaccard_of_sets, GramSketch};
 use hera_sim::ValueSimilarity;
@@ -89,10 +97,6 @@ pub struct JoinConfig {
     /// Gram length for the inverted index (match the verifying metric's
     /// `q`; the paper uses 2).
     pub q: usize,
-    /// Apply Jaccard prefix filtering. It takes effect only where it is
-    /// exact — verifying with q-gram Jaccard at the same `q`; under any
-    /// other metric candidates are share-a-gram regardless.
-    pub prefix_filter: bool,
     /// Skip all filtering and verify every distinct-value pair —
     /// metric-agnostic ground truth, quadratic cost.
     pub all_pairs: bool,
@@ -104,13 +108,12 @@ pub struct JoinConfig {
 }
 
 impl JoinConfig {
-    /// Paper defaults: ξ = 0.5, q = 2, prefix filtering on.
+    /// Paper defaults: ξ = 0.5, q = 2, the filtered probe.
     pub fn new(xi: f64) -> Self {
         assert!((0.0..=1.0).contains(&xi), "xi must be in [0,1]");
         Self {
             xi,
             q: 2,
-            prefix_filter: true,
             all_pairs: false,
             num_threads: 0,
         }
@@ -146,21 +149,8 @@ pub(crate) struct Side<'a, T> {
     pub(crate) sketch: GramSketch,
 }
 
-/// Views `values[i]` with signature `sigs[i]`, for every `i`.
-fn sides<'a>(values: impl Iterator<Item = &'a Value>, sigs: &'a [Vec<u64>]) -> Vec<Side<'a, u64>> {
-    values
-        .zip(sigs)
-        .map(|(value, sig)| Side {
-            value: Some(value),
-            is_num: value.as_number().is_some(),
-            sig,
-            sketch: GramSketch::of(sig),
-        })
-        .collect()
-}
-
-/// The join's one scoring decision, shared by the all-pairs, the blocked
-/// and the incremental verifier: `Some(sim)` iff `sim(a, b) ≥ ξ`.
+/// The join's one scoring decision, shared by the batch probe and the
+/// incremental scan: `Some(sim)` iff `sim(a, b) ≥ ξ`.
 ///
 /// Two numbers, or any pair under a metric whose string leg is not q-gram
 /// Jaccard at the join's `q` (`fast_grams` off), ask the black-box metric.
@@ -227,113 +217,6 @@ impl<'m> SimilarityJoin<'m> {
         }))
     }
 
-    /// Joins a dataset through a blocker's allowed record pairs: the
-    /// output is [`Self::join_dataset`]'s restricted to value pairs whose
-    /// records are in `allowed`, with bit-identical similarities and the
-    /// same output order (the blocked stream is a subsequence of the
-    /// all-pairs stream).
-    ///
-    /// It compares the field values of each allowed record pair directly
-    /// instead of generating candidates from the value universe, so its
-    /// cost follows the pair set, not the value universe: no gram index is
-    /// built or probed. Scoring is the all-pairs verification's
-    /// (`score`).
-    pub fn join_blocked(&self, ds: &Dataset, allowed: &RecordPairSet) -> Vec<ValuePair> {
-        let t0 = Instant::now();
-        // 1. Intern distinct values; remember each record's labeled slots.
-        let mut index_of: FxHashMap<&Value, u32> = FxHashMap::default();
-        let mut distinct: Vec<&Value> = Vec::new();
-        let mut slots: Vec<Vec<(u32, u32)>> = vec![Vec::new(); ds.len()]; // (fid, value index)
-        let mut total_values = 0usize;
-        for rec in ds.iter() {
-            for (fid, v) in rec.values.iter().enumerate() {
-                if v.is_null() {
-                    continue;
-                }
-                total_values += 1;
-                let vi = *index_of.entry(v).or_insert_with(|| {
-                    distinct.push(v);
-                    (distinct.len() - 1) as u32
-                });
-                slots[rec.id.raw() as usize].push((fid as u32, vi));
-            }
-        }
-
-        // 2. Signatures, exactly as the all-pairs verifier uses.
-        let fast_grams = self.metric.qgram_compatible() == Some(self.config.q);
-        let sigs: Vec<Vec<u64>> = if fast_grams {
-            distinct
-                .iter()
-                .map(|v| folded_qgram_set(&v.text(), self.config.q))
-                .collect()
-        } else {
-            vec![Vec::new(); distinct.len()]
-        };
-        let sides = sides(distinct.iter().copied(), &sigs);
-
-        // 3. Verify the field cross-product of every allowed record pair.
-        // Each (label, label) pair is visited at most once, so no dedup is
-        // needed. A foreign rid in the pair set has nothing to compare.
-        let slots_of = |rid: u32| slots.get(rid as usize).map_or(&[][..], Vec::as_slice);
-        let pairs = allowed.as_slice();
-        let out = par_map_blocks(
-            self.config.num_threads,
-            pairs,
-            || (),
-            |(), block| {
-                let mut out = Vec::new();
-                for &(ra, rb) in block {
-                    for &(fa, ia) in slots_of(ra) {
-                        for &(fb, ib) in slots_of(rb) {
-                            let (a, b) = (sides[ia as usize], sides[ib as usize]);
-                            if let Some(s) = score(self.metric, fast_grams, self.config.xi, a, b) {
-                                let (la, lb) = (Label::new(ra, fa, 0), Label::new(rb, fb, 0));
-                                push_pair(&mut out, la, lb, s);
-                            }
-                        }
-                    }
-                }
-                out
-            },
-        );
-        let comparisons: usize = pairs
-            .iter()
-            .map(|&(ra, rb)| slots_of(ra).len() * slots_of(rb).len())
-            .sum();
-
-        // `candidates` is the number of value comparisons attempted, so
-        // the funnel reads uniformly with the all-pairs path.
-        self.finish(out, total_values, distinct.len(), comparisons, t0)
-    }
-
-    /// Puts a join's output into its order — `(rid1, rid2, sim desc,
-    /// labels)`, a total order — and journals the `join` span. The funnel
-    /// counters are all order-independent totals, so the span is part of
-    /// the deterministic core journal; wall-clock is a separate
-    /// diagnostic line.
-    fn finish(
-        &self,
-        mut out: Vec<ValuePair>,
-        values: usize,
-        distinct: usize,
-        candidates: usize,
-        t0: Instant,
-    ) -> Vec<ValuePair> {
-        out.sort_unstable_by(output_order);
-        self.recorder.span(
-            "join",
-            None,
-            &[
-                ("values", values as i64),
-                ("distinct", distinct as i64),
-                ("candidates", candidates as i64),
-                ("pairs", out.len() as i64),
-            ],
-        );
-        self.recorder.timing("join", None, t0.elapsed());
-        out
-    }
-
     /// Joins an explicit labeled value collection.
     pub fn join(&self, values: &[(Label, Value)]) -> Vec<ValuePair> {
         self.join_refs(values.iter().map(|(label, v)| (*label, v)))
@@ -395,26 +278,33 @@ impl<'m> SimilarityJoin<'m> {
                 .iter()
                 .map(|(v, _)| folded_qgram_set(&v.text(), q))
                 .collect();
-            let sides = sides(distinct.iter().map(|(v, _)| *v), &sigs);
+            let sides: Vec<Side<'_, u64>> = distinct
+                .iter()
+                .zip(&sigs)
+                .map(|(&(value, _), sig)| Side {
+                    value: Some(value),
+                    is_num: value.as_number().is_some(),
+                    sig,
+                    sketch: GramSketch::of(sig),
+                })
+                .collect();
             // Two numbers the sweep paired are its to emit, not the probe's.
             let swept = numeric::numeric_pairs(&distinct, self.metric, xi);
             let is_swept = |i: usize, j: usize| {
                 let at = |&(a, b, _): &(usize, usize, f64)| (a, b).cmp(&(i, j));
                 sides[i].is_num && sides[j].is_num && swept.binary_search_by(at).is_ok()
             };
-            // The prefix filter only where it is exact: `fast_grams`.
-            let prefix_filter = self.config.prefix_filter && fast_grams;
+            // The prefix filter exactly where it is complete.
             let threads = self.config.num_threads;
-            let (mut out, scored) =
-                inverted::probe(&sigs, xi, prefix_filter, threads, |i, j, out| {
-                    if is_swept(i, j) {
-                        return false;
-                    }
-                    if let Some(s) = score(self.metric, fast_grams, xi, sides[i], sides[j]) {
-                        expand(out, i, j, s);
-                    }
-                    true
-                });
+            let (mut out, scored) = inverted::probe(&sigs, xi, fast_grams, threads, |i, j, out| {
+                if is_swept(i, j) {
+                    return false;
+                }
+                if let Some(s) = score(self.metric, fast_grams, xi, sides[i], sides[j]) {
+                    expand(out, i, j, s);
+                }
+                true
+            });
             for &(i, j, s) in &swept {
                 expand(&mut out, i, j, s);
             }
@@ -436,12 +326,29 @@ impl<'m> SimilarityJoin<'m> {
             }
         }
 
-        self.finish(out, total_values, distinct.len(), candidates, t0)
+        // The funnel counters are order-independent totals, so the span
+        // is part of the deterministic core journal; wall-clock is a
+        // separate diagnostic line.
+        out.sort_unstable_by(output_order);
+        self.recorder.span(
+            "join",
+            None,
+            &[
+                ("values", total_values as i64),
+                ("distinct", distinct.len() as i64),
+                ("candidates", candidates as i64),
+                ("pairs", out.len() as i64),
+            ],
+        );
+        self.recorder.timing("join", None, t0.elapsed());
+        out
     }
 }
 
-/// The join's output order: `(rid1, rid2, sim desc, labels)`.
-pub(crate) fn output_order(x: &ValuePair, y: &ValuePair) -> std::cmp::Ordering {
+/// The join's output order: `(rid1, rid2, sim desc, labels)`, a total
+/// order on one join's pairs. Every join sorts by it, so two joins that
+/// find the same pairs return the same vector.
+pub fn output_order(x: &ValuePair, y: &ValuePair) -> std::cmp::Ordering {
     (x.a.rid, x.b.rid)
         .cmp(&(y.a.rid, y.b.rid))
         .then_with(|| {
@@ -589,63 +496,19 @@ mod tests {
     /// The sketch bound only ever rejects pairs the exact score would
     /// reject too: the default join (signature path, bound on) must equal
     /// the exhaustive one, which asks the metric about every pair and
-    /// never looks at a signature — through the all-pairs and the blocked
-    /// verifier alike. (The probe's filters have their own oracle test in
-    /// `inverted.rs`.)
+    /// never looks at a signature. (The probe's filters have their own
+    /// oracle test in `inverted.rs`, the incremental scan its own in
+    /// `incremental.rs`.)
     #[test]
     fn sketch_bound_does_not_change_output() {
         let metric = TypeDispatch::paper_default();
         let ds = motivating_example();
-        let n = ds.len() as u32;
-        let every_pair: Vec<(u32, u32)> = (0..n)
-            .flat_map(|a| (a + 1..n).map(move |b| (a, b)))
-            .collect();
-        let blocked = RecordPairSet::from_pairs(every_pair);
         for xi in [0.3, 0.5, 0.7, 0.9] {
             let join = SimilarityJoin::new(JoinConfig::new(xi), &metric);
             let oracle =
                 SimilarityJoin::new(JoinConfig::new(xi).exhaustive(), &metric).join_dataset(&ds);
             assert_eq!(join.join_dataset(&ds), oracle, "xi={xi}");
-            assert_eq!(join.join_blocked(&ds, &blocked), oracle, "xi={xi}");
         }
-    }
-
-    #[test]
-    fn blocked_join_is_allpairs_restriction() {
-        let metric = TypeDispatch::paper_default();
-        let ds = motivating_example();
-        let n = ds.len() as u32;
-        for xi in [0.3, 0.5, 0.7] {
-            let join = SimilarityJoin::new(JoinConfig::new(xi), &metric);
-            let full = join.join_dataset(&ds);
-            // Full pair set: blocked output must equal the all-pairs output.
-            let mut everything = Vec::new();
-            for a in 0..n {
-                for b in a + 1..n {
-                    everything.push((a, b));
-                }
-            }
-            let all = join.join_blocked(&ds, &RecordPairSet::from_pairs(everything));
-            assert_eq!(all, full, "xi={xi}");
-            // Partial pair set: exactly the restriction, sims bit-equal.
-            let some = RecordPairSet::from_pairs(vec![(0, 1), (2, 3)]);
-            let blocked = join.join_blocked(&ds, &some);
-            let expected: Vec<ValuePair> = full
-                .iter()
-                .copied()
-                .filter(|p| some.contains(p.a.rid, p.b.rid))
-                .collect();
-            assert_eq!(blocked, expected, "xi={xi}");
-        }
-    }
-
-    #[test]
-    fn blocked_join_empty_set_yields_nothing() {
-        let metric = TypeDispatch::paper_default();
-        let ds = motivating_example();
-        let join = SimilarityJoin::new(JoinConfig::new(0.3), &metric);
-        let out = join.join_blocked(&ds, &RecordPairSet::default());
-        assert!(out.is_empty());
     }
 
     proptest! {

@@ -138,9 +138,8 @@ pub use hera_types::{
 /// ```
 ///
 /// A second door to one operation: the candidate-source enum beside
-/// `join_dataset` / `join_blocked`, a restore beside the builder's, an
-/// unreported read beside `read`, an allocating field-pair lookup beside
-/// the buffered one.
+/// `join_dataset`, a restore beside the builder's, an unreported read
+/// beside `read`, an allocating field-pair lookup beside the buffered one.
 ///
 /// ```compile_fail
 /// let _source = hera::join::CandidateSource::AllPairs;
@@ -166,6 +165,39 @@ pub use hera_types::{
 ///
 /// ```compile_fail
 /// let _ = hera::ValuePairIndex::default().similar_field_pairs(0, 1);
+/// ```
+///
+/// A second blocked join: a blocked `Hera::join` runs a session's
+/// co-blocked scan, so the batch join's own blocked verifier and the
+/// pair-set type it took are gone; a blocker hands over a sorted
+/// `Vec<(u32, u32)>`.
+///
+/// ```compile_fail
+/// fn join(join: &hera::SimilarityJoin<'_>, ds: &hera::Dataset) -> Vec<hera::ValuePair> {
+///     join.join_blocked(ds, &Default::default())
+/// }
+/// ```
+///
+/// ```compile_fail
+/// let _ = hera::join::RecordPairSet::default();
+/// ```
+///
+/// Switches no caller set: weighted-edge pruning beside the CBS floor, and
+/// the prefix filter's off position, which the join only ever takes where
+/// the filter is not complete.
+///
+/// ```compile_fail
+/// fn weighted(meta: hera::block::MetaBlocking) -> bool {
+///     let hera::block::MetaBlocking { weighted, .. } = meta;
+///     weighted
+/// }
+/// ```
+///
+/// ```compile_fail
+/// fn filtered(config: hera::join::JoinConfig) -> bool {
+///     let hera::join::JoinConfig { prefix_filter, .. } = config;
+///     prefix_filter
+/// }
 /// ```
 ///
 /// Capabilities whose only caller was their own unit test:

@@ -1,17 +1,18 @@
-//! Blocking-stage integration tests: the blocked join must be a strict
-//! restriction of the all-pairs join (bit-equal similarities, never a
-//! new pair), blocking must be deterministic across thread counts, the
+//! Blocking-stage integration tests: the blocked join must be the
+//! exhaustive all-pairs join restricted to the blocker's record pairs
+//! (the same pairs, bit-equal similarities, the same order), blocking
+//! must be deterministic across thread counts, the
 //! `BlockingScheme::None` default must leave the pipeline bit-identical,
 //! and each scheme must clear a measured recall floor on a seeded
 //! dataset (so a silent recall regression fails tier-1; this is the
 //! repo's pair-completeness gate, qgram ≥ 0.95).
 
-use hera::join::{JoinConfig, SimilarityJoin};
-use hera::sim::TypeDispatch;
+use hera::join::{JoinConfig, SimilarityJoin, ValuePair};
+use hera::sim::{EditSimilarity, TypeDispatch, ValueSimilarity};
 use hera::types::RecordId;
-use hera::{Blocker, BlockingScheme, Hera, HeraConfig};
+use hera::{Blocker, BlockingScheme, Hera, HeraConfig, Label};
 use hera_datagen::{scale_preset, CorruptionConfig, DatagenConfig, Generator, ScaleGenerator};
-use std::collections::HashMap;
+use std::sync::Arc;
 
 const XI: f64 = 0.5;
 
@@ -39,40 +40,65 @@ fn schemes() -> [BlockingScheme; 3] {
     ]
 }
 
-// Every scheme's blocked join emits a subset of the all-pairs join's
-// value pairs, with bit-equal similarities — blocking may only remove
-// work, never invent or rescore it.
+/// A join's pairs as labels and similarity bits, in its order.
+fn bits(pairs: &[ValuePair]) -> Vec<(Label, Label, u64)> {
+    pairs.iter().map(|p| (p.a, p.b, p.sim.to_bits())).collect()
+}
+
+/// Under every scheme, the blocked `Hera::join` equals the exhaustive
+/// all-pairs join — the metric asked about every value pair — filtered to
+/// the blocker's record pairs: same labels, same similarity bits, same
+/// order. Blocking may only remove work, never invent, rescore, drop or
+/// reorder a pair of a record pair it kept.
+fn assert_blocked_join_is_restricted_exhaustive(
+    ds: &hera::Dataset,
+    metric: Arc<dyn ValueSimilarity>,
+    threads: usize,
+) {
+    let all =
+        SimilarityJoin::new(JoinConfig::new(XI).exhaustive(), metric.as_ref()).join_dataset(ds);
+    for scheme in schemes() {
+        let kept = Blocker::new(scheme.clone()).block(ds).pairs;
+        let mut expected = all.clone();
+        expected.retain(|p| kept.binary_search(&(p.a.rid, p.b.rid)).is_ok());
+        let config = HeraConfig::new(0.5, XI)
+            .with_blocking(scheme.clone())
+            .with_threads(threads);
+        let blocked = Hera::builder(config)
+            .metric(metric.clone())
+            .recorder(hera::obs::Recorder::disabled())
+            .build()
+            .join(ds);
+        assert!(
+            !expected.is_empty(),
+            "{}: nothing to compare",
+            scheme.name()
+        );
+        assert_eq!(
+            bits(&blocked),
+            bits(&expected),
+            "{} under {}, {threads} threads",
+            scheme.name(),
+            metric.name()
+        );
+    }
+}
+
 proptest::proptest! {
     #![proptest_config(proptest::prelude::ProptestConfig::with_cases(12))]
     #[test]
-    fn blocked_join_is_a_restriction_of_all_pairs(seed in 0u64..10_000) {
-        let ds = dataset(seed, 240);
-        let metric = TypeDispatch::paper_default();
-        let join = SimilarityJoin::new(JoinConfig::new(XI), &metric);
-        let full: HashMap<_, _> = join
-            .join_dataset(&ds)
-            .into_iter()
-            .map(|p| ((p.a, p.b), p.sim))
-            .collect();
-        for scheme in schemes() {
-            let outcome = Blocker::new(scheme.clone()).block(&ds);
-            let blocked = join.join_blocked(&ds, &outcome.pairs);
-            for p in &blocked {
-                let sim = full.get(&(p.a, p.b)).unwrap_or_else(|| {
-                    panic!(
-                        "seed {seed} {}: blocked join invented pair {:?}-{:?}",
-                        scheme.name(), p.a, p.b
-                    )
-                });
-                assert_eq!(
-                    sim.to_bits(),
-                    p.sim.to_bits(),
-                    "seed {seed} {}: sim of {:?}-{:?} differs from all-pairs",
-                    scheme.name(), p.a, p.b
-                );
-            }
-        }
+    fn blocked_join_is_the_all_pairs_join_restricted(seed in 0u64..10_000, threads in 1usize..3) {
+        let metric = Arc::new(TypeDispatch::paper_default());
+        assert_blocked_join_is_restricted_exhaustive(&dataset(seed, 240), metric, threads);
     }
+}
+
+/// The same under edit similarity, which has no q-gram signature: the
+/// scan scores every value of the co-blocked records with the metric.
+#[test]
+fn blocked_join_is_the_all_pairs_join_restricted_under_edit_similarity() {
+    let metric = TypeDispatch::paper_default().with_string_metric(Arc::new(EditSimilarity));
+    assert_blocked_join_is_restricted_exhaustive(&dataset(5, 120), Arc::new(metric), 2);
 }
 
 /// Blocking emits the same pair set at every worker-thread count (600
@@ -87,8 +113,8 @@ fn blocking_is_deterministic_across_thread_counts() {
                 .with_threads(threads)
                 .block(&ds);
             assert_eq!(
-                base.pairs.as_slice(),
-                other.pairs.as_slice(),
+                base.pairs,
+                other.pairs,
                 "{} at {threads} threads",
                 scheme.name()
             );
@@ -167,7 +193,7 @@ fn schemes_clear_their_recall_floor_on_seeded_data() {
         let kept = outcome
             .pairs
             .iter()
-            .filter(|&(a, b)| ds.truth.same_entity(RecordId::new(a), RecordId::new(b)))
+            .filter(|&&(a, b)| ds.truth.same_entity(RecordId::new(a), RecordId::new(b)))
             .count();
         let pc = kept as f64 / truth_pairs as f64;
         let rr = outcome.stats.reduction_ratio();
