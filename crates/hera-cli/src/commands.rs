@@ -3,11 +3,12 @@
 use crate::args::Args;
 use hera_baselines::eval::{bcubed, PairMetrics};
 use hera_baselines::{CollectiveEr, CorrelationClustering, RSwoosh, Resolver};
-use hera_core::{chaos, BlockingScheme, Hera, HeraConfig, HeraSession, ResolveBudget};
+use hera_core::{chaos, BlockingScheme, Hera, HeraConfig, HeraResult, HeraSession, ResolveBudget};
 use hera_faults::{FaultInjector, FaultPlan};
 use hera_sim::TypeDispatch;
-use hera_types::{Dataset, HeraError, RecordId, SchemaId};
+use hera_types::{Dataset, RecordId};
 use std::fs;
+use std::path::Path;
 
 /// Help text.
 pub(crate) const USAGE: &str = "\
@@ -359,55 +360,103 @@ fn build_recorder(args: &Args) -> Result<hera_obs::Recorder, String> {
     Ok(recorder)
 }
 
-/// Ingests records `[from, to)` of `ds` one by one, resolving after
-/// each insert; with `checkpoint_every = Some(n)` also snapshots the
-/// session to `checkpoint_path` after every `n`-th ingested record.
-///
-/// A mid-run checkpoint that still fails after its retry policy
-/// ([`HeraError::CheckpointFailed`]) degrades gracefully: the failure is
-/// reported on stderr and resolution continues from in-memory state —
-/// only durability suffered, and the next periodic checkpoint will try
-/// again. Any other checkpoint error is fatal.
-fn ingest_range(
+/// The command line's recorder and a fresh session over `ds`'s schemas;
+/// `injector` reaches the trace sink and the snapshot IO.
+fn new_session(
+    args: &Args,
+    ds: &Dataset,
+    injector: FaultInjector,
+) -> Result<(HeraSession, hera_obs::Recorder), String> {
+    let recorder = build_recorder(args)?.with_faults(injector.clone());
+    let mut session = HeraSession::builder(build_config(args)?)
+        .recorder(recorder.clone())
+        .faults(injector)
+        .build();
+    session.mirror_schemas(&ds.registry);
+    Ok((session, recorder))
+}
+
+/// Streams records `records` of `ds` into `session` with
+/// [`chaos::stream`], the loop the chaos harness proves: each record
+/// added and resolved, and with `checkpoint = Some((k, path))` the
+/// session snapshotted after every `k`-th record. A snapshot that still
+/// fails after its retries is absorbed with a warning, so only a record
+/// the session refuses ends the stream.
+fn stream(
     session: &mut HeraSession,
     ds: &Dataset,
-    schemas: &[SchemaId],
-    from: usize,
-    to: usize,
-    checkpoint_every: Option<usize>,
-    checkpoint_path: Option<&str>,
+    records: std::ops::Range<usize>,
+    checkpoint: Option<(usize, &str)>,
 ) -> Result<(), String> {
-    for (i, rec) in ds.records.iter().enumerate().skip(from).take(to - from) {
-        session
-            .add_record(schemas[rec.schema.index()], rec.values.clone())
-            .map_err(|e| format!("ingesting record {i}: {e}"))?;
-        session.resolve();
-        if let (Some(n), Some(path)) = (checkpoint_every, checkpoint_path) {
-            if (i + 1) % n == 0 {
-                match session.checkpoint(path) {
-                    Ok(()) => {}
-                    Err(e @ HeraError::CheckpointFailed { .. }) => {
-                        eprintln!(
-                            "warning: {e}; continuing from in-memory state \
-                             (next checkpoint will retry)"
-                        );
-                    }
-                    Err(e) => return Err(format!("checkpointing to {path}: {e}")),
-                }
-            }
-        }
+    let schedule = chaos::StreamSchedule {
+        checkpoint: checkpoint.map(|(k, path)| (k, Path::new(path))),
+        ..Default::default()
+    };
+    let mut streamed = chaos::Streamed::default();
+    let result = chaos::stream(session, ds, records, &schedule, &mut streamed);
+    for e in &streamed.absorbed {
+        eprintln!("warning: {e}; continuing from in-memory state (next checkpoint will retry)");
     }
+    result.map_err(|e| format!("ingesting record {}: {e}", session.len()))
+}
+
+/// Ingests `ds`'s records from `session.len()` on with
+/// [`HeraSession::extend`], then spends one budgeted
+/// [`HeraSession::resolve_progressive`] call over the whole frontier —
+/// the highest-expected-value candidates first — and reports it.
+fn ingest_then_spend(
+    session: &mut HeraSession,
+    ds: &Dataset,
+    budget: ResolveBudget,
+) -> Result<(), String> {
+    let from = session.len();
+    let records = ds.records[from..]
+        .iter()
+        .map(|rec| (rec.schema, rec.values.clone()));
+    session
+        .extend(records)
+        .map_err(|e| format!("ingesting record {}: {e}", session.len()))?;
+    let report = session.resolve_progressive(budget);
+    report_progressive(&report);
     Ok(())
 }
 
-/// Shared tail of `resolve --streaming` and `restore-resolve`: stats,
-/// optional eval/matchings, and the labels CSV.
-fn report_session(args: &Args, ds: &Dataset, session: &mut HeraSession) -> Result<(), String> {
-    let stats = session.stats().clone();
+/// Writes `session` to `path`.
+fn write_checkpoint(session: &mut HeraSession, path: &str) -> Result<(), String> {
+    session
+        .checkpoint(path)
+        .map_err(|e| format!("checkpointing to {path}: {e}"))
+}
+
+/// What a session resolved, in the shape of a batch run's result.
+fn result_of(session: &HeraSession) -> HeraResult {
+    HeraResult {
+        entity_of: (0..session.len() as u32)
+            .map(|rid| session.entity_of(RecordId::new(rid)))
+            .collect(),
+        stats: session.stats().clone(),
+        schema_matchings: session.schema_matchings(),
+    }
+}
+
+/// The tail of `resolve` and `restore-resolve`, batch or streaming: the
+/// journal flushed, the run summary from [`hera_core::RunStats`] on
+/// stderr, `--eval` and `--matchings` below it, and the labels CSV.
+fn report(
+    args: &Args,
+    ds: &Dataset,
+    recorder: &hera_obs::Recorder,
+    result: &HeraResult,
+) -> Result<(), String> {
+    recorder.flush();
+    if let Some(path) = args.get("trace") {
+        eprintln!("trace journal written to {path}");
+    }
+    let stats = &result.stats;
     eprintln!(
         "resolved {} records into {} entities ({} iterations, {} merges, {} threads, {:?})",
-        session.len(),
-        session.clusters().len(),
+        result.entity_of.len(),
+        result.entity_count(),
         stats.iterations,
         stats.merges,
         stats.threads,
@@ -417,16 +466,27 @@ fn report_session(args: &Args, ds: &Dataset, session: &mut HeraSession) -> Resul
         "  ingest: {:?} · admit: {:?} · join insert: {:?}",
         stats.ingest_time, stats.admit_time, stats.join_insert_time
     );
+    eprintln!(
+        "  index: {:?} ({:.0} pairs/s) · verify: {:?} ({:.0} pairs/s)",
+        stats.index_build_time,
+        stats.index_pairs_per_sec(),
+        stats.verify_time,
+        stats.verify_pairs_per_sec()
+    );
+    eprintln!(
+        "  loop: {:?} · candidates: {:?} · absorb: {:?} · index merge: {:?}",
+        stats.resolve_time, stats.candidate_time, stats.absorb_time, stats.merge_time
+    );
     eprintln!("  metric calls: {}", stats.metric_sim_calls);
     if args.has("eval") {
-        let clusters = session.clusters();
+        let clusters = result.clusters();
         let m = PairMetrics::score(&clusters, &ds.truth);
         let (bp, br, bf) = bcubed(&clusters, &ds.truth);
         eprintln!("pairwise: {m}");
         eprintln!("b-cubed:  P={bp:.3} R={br:.3} F1={bf:.3}");
     }
     if args.has("matchings") {
-        for m in session.schema_matchings() {
+        for m in &result.schema_matchings {
             eprintln!(
                 "matching: {} ≈ {} (confidence {:.2})",
                 ds.registry.attr_qualified_name(m.attr),
@@ -436,11 +496,8 @@ fn report_session(args: &Args, ds: &Dataset, session: &mut HeraSession) -> Resul
         }
     }
     let mut csv = String::from("record_id,entity\n");
-    for rid in 0..session.len() {
-        csv.push_str(&format!(
-            "{rid},{}\n",
-            session.entity_of(RecordId::new(rid as u32))
-        ));
+    for (rid, &e) in result.entity_of.iter().enumerate() {
+        csv.push_str(&format!("{rid},{e}\n"));
     }
     write_out(args.get("labels"), &csv)
 }
@@ -457,25 +514,13 @@ fn resolve_streaming(args: &Args, ds: &Dataset) -> Result<(), String> {
     if every.is_some() && snap_path.is_none() {
         return Err("--checkpoint-every needs --checkpoint FILE.hera".into());
     }
-    let injector = fault_injector(args)?;
-    let recorder = build_recorder(args)?.with_faults(injector.clone());
-    let mut session = HeraSession::builder(build_config(args)?)
-        .recorder(recorder.clone())
-        .faults(injector)
-        .build();
-    let schemas = session.mirror_schemas(&ds.registry);
-    ingest_range(&mut session, ds, &schemas, 0, ds.len(), every, snap_path)?;
+    let (mut session, recorder) = new_session(args, ds, fault_injector(args)?)?;
+    stream(&mut session, ds, 0..ds.len(), every.zip(snap_path))?;
     if let Some(path) = snap_path {
-        session
-            .checkpoint(path)
-            .map_err(|e| format!("checkpointing to {path}: {e}"))?;
+        write_checkpoint(&mut session, path)?;
         eprintln!("checkpoint written to {path}");
     }
-    recorder.flush();
-    if let Some(path) = args.get("trace") {
-        eprintln!("trace journal written to {path}");
-    }
-    report_session(args, ds, &mut session)
+    report(args, ds, &recorder, &result_of(&session))
 }
 
 fn checkpoint(args: &Args) -> Result<(), String> {
@@ -491,15 +536,9 @@ fn checkpoint(args: &Args) -> Result<(), String> {
             ds.len()
         ));
     }
-    let recorder = build_recorder(args)?;
-    let mut session = HeraSession::builder(build_config(args)?)
-        .recorder(recorder.clone())
-        .build();
-    let schemas = session.mirror_schemas(&ds.registry);
-    ingest_range(&mut session, &ds, &schemas, 0, upto, None, None)?;
-    session
-        .checkpoint(out)
-        .map_err(|e| format!("checkpointing to {out}: {e}"))?;
+    let (mut session, recorder) = new_session(args, &ds, FaultInjector::disabled())?;
+    stream(&mut session, &ds, 0..upto, None)?;
+    write_checkpoint(&mut session, out)?;
     recorder.flush();
     eprintln!(
         "checkpointed {upto} of {} records ({} entities so far) to {out}",
@@ -531,46 +570,31 @@ fn restore_resolve(args: &Args) -> Result<(), String> {
             ds.registry.len()
         ));
     }
-    let schemas: Vec<SchemaId> = (0..ds.registry.len() as u32).map(SchemaId::new).collect();
     let from = session.len();
     eprintln!(
         "restored {snap} at record {from}; continuing through record {}",
         ds.len()
     );
     if let Some(budget) = budget_of(args)? {
-        // Budgeted continuation: ingest whatever the snapshot has not
-        // seen, then spend one budgeted call on the frontier — for a
-        // snapshot taken at budget exhaustion this picks up exactly
-        // where the previous slice stopped.
-        for (i, rec) in ds.records.iter().enumerate().skip(from) {
-            session
-                .add_record(schemas[rec.schema.index()], rec.values.clone())
-                .map_err(|e| format!("ingesting record {i}: {e}"))?;
-        }
-        let report = session.resolve_progressive(budget);
-        report_progressive(&report);
+        // Budgeted continuation: for a snapshot taken at budget
+        // exhaustion the budgeted call picks up exactly where the
+        // previous slice stopped.
+        ingest_then_spend(&mut session, &ds, budget)?;
         if let Some(path) = args.get("checkpoint") {
-            session
-                .checkpoint(path)
-                .map_err(|e| format!("checkpointing to {path}: {e}"))?;
+            write_checkpoint(&mut session, path)?;
             eprintln!("checkpoint written to {path}");
         }
     } else {
-        ingest_range(&mut session, &ds, &schemas, from, ds.len(), None, None)?;
+        stream(&mut session, &ds, from..ds.len(), None)?;
     }
-    recorder.flush();
-    if let Some(path) = args.get("trace") {
-        eprintln!("trace journal written to {path}");
-    }
-    report_session(args, &ds, &mut session)
+    report(args, &ds, &recorder, &result_of(&session))
 }
 
 /// `resolve --budget N [--budget-merges M]`: ingest everything into a
 /// session without intermediate resolution, then spend one budgeted
-/// [`HeraSession::resolve_progressive`] call over the whole frontier —
-/// the highest-expected-value candidates first. `--checkpoint FILE`
-/// snapshots the (possibly exhausted) session so `restore-resolve
-/// --budget` can spend the next slice.
+/// call over the whole frontier. `--checkpoint FILE` snapshots the
+/// (possibly exhausted) session so `restore-resolve --budget` can spend
+/// the next slice.
 fn resolve_budgeted(args: &Args, ds: &Dataset, budget: ResolveBudget) -> Result<(), String> {
     if args.get("checkpoint-every").is_some() {
         return Err(
@@ -579,34 +603,16 @@ fn resolve_budgeted(args: &Args, ds: &Dataset, budget: ResolveBudget) -> Result<
                 .into(),
         );
     }
-    let injector = fault_injector(args)?;
-    let recorder = build_recorder(args)?.with_faults(injector.clone());
-    let mut session = HeraSession::builder(build_config(args)?)
-        .recorder(recorder.clone())
-        .faults(injector)
-        .build();
-    let schemas = session.mirror_schemas(&ds.registry);
-    for (i, rec) in ds.records.iter().enumerate() {
-        session
-            .add_record(schemas[rec.schema.index()], rec.values.clone())
-            .map_err(|e| format!("ingesting record {i}: {e}"))?;
-    }
-    let report = session.resolve_progressive(budget);
-    report_progressive(&report);
+    let (mut session, recorder) = new_session(args, ds, fault_injector(args)?)?;
+    ingest_then_spend(&mut session, ds, budget)?;
     if let Some(path) = args.get("checkpoint") {
-        session
-            .checkpoint(path)
-            .map_err(|e| format!("checkpointing to {path}: {e}"))?;
+        write_checkpoint(&mut session, path)?;
         eprintln!(
             "checkpoint written to {path}; resume with \
              `hera-cli restore-resolve --snapshot {path} --input … --budget N`"
         );
     }
-    recorder.flush();
-    if let Some(path) = args.get("trace") {
-        eprintln!("trace journal written to {path}");
-    }
-    report_session(args, ds, &mut session)
+    report(args, ds, &recorder, &result_of(&session))
 }
 
 fn resolve(args: &Args) -> Result<(), String> {
@@ -629,55 +635,7 @@ fn resolve(args: &Args) -> Result<(), String> {
         .build()
         .run(&ds)
         .map_err(|e| e.to_string())?;
-    recorder.flush();
-    if let Some(path) = args.get("trace") {
-        eprintln!("trace journal written to {path}");
-    }
-    eprintln!(
-        "resolved {} records into {} entities ({} iterations, {} merges, {} threads, {:?})",
-        ds.len(),
-        result.entity_count(),
-        result.stats.iterations,
-        result.stats.merges,
-        result.stats.threads,
-        result.stats.total_time()
-    );
-    eprintln!(
-        "  index: {:?} ({:.0} pairs/s) · verify: {:?} ({:.0} pairs/s)",
-        result.stats.index_build_time,
-        result.stats.index_pairs_per_sec(),
-        result.stats.verify_time,
-        result.stats.verify_pairs_per_sec()
-    );
-    eprintln!(
-        "  loop: {:?} · candidates: {:?} · absorb: {:?} · index merge: {:?}",
-        result.stats.resolve_time,
-        result.stats.candidate_time,
-        result.stats.absorb_time,
-        result.stats.merge_time
-    );
-    eprintln!("  metric calls: {}", result.stats.metric_sim_calls);
-    if args.has("eval") {
-        let m = PairMetrics::score(&result.clusters(), &ds.truth);
-        let (bp, br, bf) = bcubed(&result.clusters(), &ds.truth);
-        eprintln!("pairwise: {m}");
-        eprintln!("b-cubed:  P={bp:.3} R={br:.3} F1={bf:.3}");
-    }
-    if args.has("matchings") {
-        for m in &result.schema_matchings {
-            eprintln!(
-                "matching: {} ≈ {} (confidence {:.2})",
-                ds.registry.attr_qualified_name(m.attr),
-                ds.registry.attr_qualified_name(m.partner),
-                m.confidence
-            );
-        }
-    }
-    let mut csv = String::from("record_id,entity\n");
-    for (rid, &e) in result.entity_of.iter().enumerate() {
-        csv.push_str(&format!("{rid},{e}\n"));
-    }
-    write_out(args.get("labels"), &csv)
+    report(args, &ds, &recorder, &result)
 }
 
 fn exchange(args: &Args) -> Result<(), String> {

@@ -1,13 +1,16 @@
 //! The chaos harness: streaming resolution under a deterministic fault
 //! plan, and the *no-torn-state* invariant check built on top of it.
 //!
-//! [`run_chaos`] drives a [`HeraSession`] over a dataset exactly the way
-//! the CLI's streaming mode does — ingest, resolve, checkpoint every `k`
-//! records — but with a [`FaultPlan`]'s injector threaded through every
-//! IO edge (snapshot writes and reads, the journal sink) and with an
-//! optional simulated *crash*: at a chosen record the in-memory session
-//! is dropped on the floor and the run recovers from its last good
-//! checkpoint, just as a restarted process would.
+//! [`stream`] is the streaming loop: it adds each record of a stretch of
+//! a dataset to a [`HeraSession`], resolves it and checkpoints every `k`
+//! records, absorbing a failed checkpoint. The CLI's `resolve
+//! --streaming`, `checkpoint` and `restore-resolve` run it, and so does
+//! the harness: [`run_chaos`] calls it with a [`FaultPlan`]'s injector
+//! threaded through every IO edge (snapshot writes and reads, the journal
+//! sink) and with an optional simulated *crash* between two calls: at a
+//! chosen record the in-memory session is dropped on the floor and the
+//! run recovers from its last good checkpoint, just as a restarted
+//! process would.
 //!
 //! [`check_no_torn_state`] is the invariant the chaos property test and
 //! `hera-cli faults replay` both assert: under *any* fault plan, a run
@@ -25,8 +28,9 @@
 
 use crate::config::HeraConfig;
 use crate::session::{HeraSession, ResolveBudget};
-use hera_faults::{BackoffPolicy, FaultInjector, FaultPlan, FiredFault, ManualClock};
+use hera_faults::{FaultInjector, FaultPlan, FiredFault, ManualClock};
 use hera_types::{Dataset, HeraError};
+use std::ops::Range;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -70,14 +74,15 @@ impl ChaosConfig {
         }
     }
 
-    fn resolve_step(&self, session: &mut HeraSession) {
-        match self.resolve_budget {
-            Some(b) => {
-                session.resolve_progressive(ResolveBudget::comparisons(b));
-            }
-            None => {
-                session.resolve();
-            }
+    /// The run's [`StreamSchedule`], checkpointing to `snapshot` (`None`
+    /// never checkpoints).
+    fn schedule<'a>(&self, snapshot: Option<&'a Path>) -> StreamSchedule<'a> {
+        StreamSchedule {
+            checkpoint: snapshot
+                .filter(|_| self.checkpoint_every > 0)
+                .map(|path| (self.checkpoint_every, path)),
+            strict_checkpoints: self.strict_checkpoints,
+            resolve_budget: self.resolve_budget,
         }
     }
 
@@ -115,26 +120,88 @@ impl ChaosReport {
     }
 }
 
-fn build_session(
-    cfg: &ChaosConfig,
-    injector: &FaultInjector,
-    recorder: &hera_obs::Recorder,
-) -> HeraSession {
-    HeraSession::builder(cfg.config.clone())
-        .faults(injector.clone())
-        .recorder(recorder.clone())
-        .retry(BackoffPolicy::checkpoint_default())
-        // Chaos runs never sleep for real: backoff delays are recorded,
-        // not slept, so 256 property cases stay fast.
-        .clock(Arc::new(ManualClock::new()))
-        .build()
-}
-
 /// Final entity label of every ingested record.
 fn labels_of(session: &HeraSession, n: usize) -> Vec<u32> {
     (0..n as u32)
         .map(|rid| session.entity_of(hera_types::RecordId::new(rid)))
         .collect()
+}
+
+/// When [`stream`] checkpoints, what a failed checkpoint does to it, and
+/// how it resolves each record.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct StreamSchedule<'a> {
+    /// `(k, path)`: checkpoint to `path` after every record whose
+    /// position in the dataset, counted from one, is a multiple of `k`.
+    /// `None` never checkpoints.
+    pub checkpoint: Option<(usize, &'a Path)>,
+    /// Stop at a failed checkpoint ([`HeraError::CheckpointFailed`])
+    /// instead of absorbing it.
+    pub strict_checkpoints: bool,
+    /// Resolve each record under this many comparisons
+    /// ([`HeraSession::resolve_progressive`]) instead of to the fixpoint;
+    /// deferred work stays on the frontier for the next record.
+    pub resolve_budget: Option<u64>,
+}
+
+/// What [`stream`] leaves behind besides the session. It accumulates: a
+/// run that streams in stretches (a crash and a restore between them)
+/// passes the same one to each.
+#[derive(Debug, Default)]
+pub struct Streamed {
+    /// Records covered by the last checkpoint that reached disk.
+    pub last_good: Option<usize>,
+    /// The checkpoint failures absorbed, in order.
+    pub absorbed: Vec<HeraError>,
+}
+
+/// Streams records `records` of `ds` into `session` the way a process
+/// fed one record at a time does: each record added, then resolved, and
+/// the session checkpointed as `schedule` says. This is the loop the
+/// CLI's streaming mode runs and the one the chaos harness attacks.
+///
+/// A checkpoint that still fails after the session's retry policy is
+/// absorbed into `streamed` — the in-memory session is intact, so
+/// resolution continues and only durability suffered — unless the
+/// schedule is strict. The first error that is not absorbed ends the
+/// stretch; `streamed` keeps what happened before it.
+///
+/// The session's schema ids are the dataset's: a fresh session that
+/// mirrored `ds.registry` ([`HeraSession::mirror_schemas`]) or one
+/// restored from a snapshot such a session wrote.
+pub fn stream(
+    session: &mut HeraSession,
+    ds: &Dataset,
+    records: Range<usize>,
+    schedule: &StreamSchedule<'_>,
+    streamed: &mut Streamed,
+) -> Result<(), HeraError> {
+    debug_assert_eq!(session.registry().len(), ds.registry.len());
+    for i in records {
+        let rec = &ds.records[i];
+        session.add_record(rec.schema, rec.values.clone())?;
+        match schedule.resolve_budget {
+            Some(b) => {
+                session.resolve_progressive(ResolveBudget::comparisons(b));
+            }
+            None => {
+                session.resolve();
+            }
+        }
+        let Some((k, path)) = schedule.checkpoint else {
+            continue;
+        };
+        if (i + 1).is_multiple_of(k) {
+            match session.checkpoint(path) {
+                Ok(()) => streamed.last_good = Some(i + 1),
+                Err(e @ HeraError::CheckpointFailed { .. }) if !schedule.strict_checkpoints => {
+                    streamed.absorbed.push(e);
+                }
+                Err(e) => return Err(e),
+            }
+        }
+    }
+    Ok(())
 }
 
 /// Streams `ds` through a session while `plan`'s injector attacks the IO
@@ -150,96 +217,67 @@ pub fn run_chaos(
     let (recorder, journal) = hera_obs::Recorder::to_memory();
     let recorder = recorder.deterministic().with_faults(injector.clone());
     let n = cfg.n_records(ds);
-
-    let mut session = build_session(cfg, &injector, &recorder);
-    let mut schemas = session.mirror_schemas(&ds.registry);
-    let mut checkpoint_failures = 0usize;
+    let schedule = cfg.schedule(Some(snapshot_path));
+    let mut streamed = Streamed::default();
     let mut restores = 0usize;
-    let mut last_good: Option<usize> = None;
-    let mut crashed = false;
-    let mut error: Option<HeraError> = None;
 
-    let mut i = 0usize;
-    while i < n {
-        if !crashed && cfg.crash_after == Some(i) {
-            // The crash: the in-memory session is abandoned (replaced
-            // below), exactly what a killed process loses.
-            crashed = true;
-            restores += 1;
-            match last_good {
-                Some(_) => {
-                    match HeraSession::builder(cfg.config.clone())
-                        .faults(injector.clone())
-                        .recorder(recorder.clone())
-                        .clock(Arc::new(ManualClock::new()))
-                        .restore(snapshot_path)
-                    {
-                        Ok(s) => {
-                            session = s;
-                            // Resume from whatever the snapshot covers.
-                            // That can exceed `last_good`: a checkpoint
-                            // that failed only at the directory sync had
-                            // already renamed a complete snapshot into
-                            // place, so disk is a *lower* bound, not an
-                            // exact match.
-                            i = session.len();
-                        }
-                        Err(e) => {
-                            // Recovery itself failed (e.g. a read fault):
-                            // the run stops with the typed error.
-                            error = Some(e);
-                            break;
-                        }
-                    }
-                }
-                None => {
-                    // Nothing durable yet: a restarted process replays the
-                    // stream from the beginning.
-                    session = build_session(cfg, &injector, &recorder);
-                    schemas = session.mirror_schemas(&ds.registry);
-                    i = 0;
-                }
+    // Chaos runs never sleep for real: backoff delays are recorded, not
+    // slept, so 256 property cases stay fast.
+    let builder = || {
+        HeraSession::builder(cfg.config.clone())
+            .faults(injector.clone())
+            .recorder(recorder.clone())
+            .clock(Arc::new(ManualClock::new()))
+    };
+    let fresh = || {
+        let mut session = builder().build();
+        session.mirror_schemas(&ds.registry);
+        session
+    };
+    let mut session = fresh();
+    let crash = cfg.crash_after.filter(|&c| c < n);
+    let mut result = stream(
+        &mut session,
+        ds,
+        0..crash.unwrap_or(n),
+        &schedule,
+        &mut streamed,
+    );
+    if result.is_ok() && crash.is_some() {
+        // The crash: the in-memory session is abandoned, exactly what a
+        // killed process loses.
+        restores += 1;
+        result = match streamed.last_good {
+            // Recovery can fail itself (e.g. a read fault): the run stops
+            // with the typed error.
+            Some(_) => builder()
+                .restore(snapshot_path)
+                .map(|restored| session = restored),
+            // Nothing durable yet: a restarted process replays the stream
+            // from the beginning.
+            None => {
+                session = fresh();
+                Ok(())
             }
-            continue;
-        }
-
-        let rec = &ds.records[i];
-        if let Err(e) = session.add_record(schemas[rec.schema.index()], rec.values.clone()) {
-            error = Some(e);
-            break;
-        }
-        cfg.resolve_step(&mut session);
-        i += 1;
-
-        if cfg.checkpoint_every > 0 && i.is_multiple_of(cfg.checkpoint_every) {
-            match session.checkpoint(snapshot_path) {
-                Ok(()) => last_good = Some(i),
-                Err(e @ HeraError::CheckpointFailed { .. }) if !cfg.strict_checkpoints => {
-                    // Graceful degradation: the in-memory session is
-                    // intact, so resolution continues; only durability
-                    // suffered.
-                    checkpoint_failures += 1;
-                    let _ = e;
-                }
-                Err(e) => {
-                    error = Some(e);
-                    break;
-                }
-            }
-        }
+        };
+        // Resume from whatever the snapshot covers. That can exceed
+        // `last_good`: a checkpoint that failed only at the directory
+        // sync had already renamed a complete snapshot into place, so
+        // disk is a *lower* bound, not an exact match.
+        let from = session.len();
+        result = result.and_then(|()| stream(&mut session, ds, from..n, &schedule, &mut streamed));
     }
 
-    let labels = if error.is_none() {
-        Some(labels_of(&session, n))
-    } else {
-        None
+    let (labels, error) = match result {
+        Ok(()) => (Some(labels_of(&session, n)), None),
+        Err(e) => (None, Some(e)),
     };
     ChaosReport {
         labels,
         error,
-        checkpoint_failures,
+        checkpoint_failures: streamed.absorbed.len(),
         restores,
-        last_good,
+        last_good: streamed.last_good,
         sink_degraded: recorder.degraded(),
         fired: injector.fired(),
         journal: journal.contents(),
@@ -344,16 +382,18 @@ pub fn check_no_torn_state(
                         report,
                     );
                 }
-                // The restored registry was mirrored from `ds` in dataset
-                // order, so session schema ids coincide with dataset ids.
-                for rec in &ds.records[got..n] {
-                    if let Err(e) = session.add_record(rec.schema, rec.values.clone()) {
-                        return fail(
-                            format!("fault-free continuation failed to ingest: {e}"),
-                            report,
-                        );
-                    }
-                    cfg.resolve_step(&mut session);
+                let continued = stream(
+                    &mut session,
+                    ds,
+                    got..n,
+                    &cfg.schedule(None),
+                    &mut Streamed::default(),
+                );
+                if let Err(e) = continued {
+                    return fail(
+                        format!("fault-free continuation failed to ingest: {e}"),
+                        report,
+                    );
                 }
                 let labels = labels_of(&session, n);
                 if labels != reference {

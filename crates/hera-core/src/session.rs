@@ -1246,6 +1246,36 @@ mod tests {
         assert_eq!(session.merge_count(), batch.stats.merges);
     }
 
+    /// The tier-1 twin of CI step "Base super records": every field of a
+    /// record that merged with nothing reads its value from the vector
+    /// the caller handed `add_record`, in place, and that vector's buffer
+    /// is the base-shaped super record's `base_values()`. A copy on
+    /// ingest or a per-field allocation on lifting moves the values.
+    #[test]
+    fn add_record_keeps_the_callers_vector() {
+        let mut session = HeraSession::builder(HeraConfig::paper_example()).build();
+        let schema = session.add_schema("S", ["name", "mail", "tel"]);
+        let values = vec![Value::from("john"), Value::Null, Value::from("831-432")];
+        let buffer = values.as_ptr();
+        let rid = session.add_record(schema, values).unwrap().raw();
+        let record = &session.engine.supers[&rid];
+        for (fid, field) in record.fields().enumerate() {
+            match field.values {
+                [] => assert_eq!(fid, 1, "only the null field is empty"),
+                [value] => assert!(
+                    std::ptr::eq(value, buffer.wrapping_add(fid)),
+                    "field {fid} reads a copy of its value"
+                ),
+                more => panic!("field {fid} holds {} values", more.len()),
+            }
+        }
+        let base = record.base_values().expect("the record is base-shaped");
+        assert!(
+            std::ptr::eq(base.as_ptr(), buffer),
+            "add_record copied the vector"
+        );
+    }
+
     #[test]
     fn arity_mismatch_rejected() {
         let mut session = HeraSession::builder(HeraConfig::paper_example()).build();

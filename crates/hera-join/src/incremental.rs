@@ -17,15 +17,11 @@
 //!   scheme) registers every record, then scans each against its earlier
 //!   co-blocked records.
 //!
-//! Three doors compose the halves for one record at a time, differing
-//! only in the records they gather:
-//!
-//! - [`IncrementalJoin::insert_record`] takes every live record but the
-//!   incoming one: "no blocking" read as one block that holds every
-//!   record;
-//! - [`IncrementalJoin::insert_record_among`] takes the records a blocker
-//!   allows;
-//! - [`IncrementalJoin::insert_among`] is its one-value case.
+//! With blocking off a session scans each record against every earlier
+//! one: "no blocking" read as one block that holds every record. One
+//! door composes the halves for a single value,
+//! `IncrementalJoin::insert_among`, kept only for the `benchmark/`
+//! package's replay; no library calls it.
 //!
 //! No scan looks at a gram index; the filters do all the work:
 //!
@@ -53,8 +49,8 @@
 //!    is what scoring every row would give. Two numbers skip the gram
 //!    filters and go to the metric.
 //!
-//! Every door therefore emits exactly the pairs the exhaustive batch join
-//! (`JoinConfig::exhaustive`) finds between the incoming record and the
+//! Every scan therefore emits exactly the pairs the exhaustive batch join
+//! (`JoinConfig::exhaustive`) finds between the scanned record and the
 //! records it gathered, under any metric: a metric that declares no gram
 //! compatibility has every gathered row scored.
 //!
@@ -197,8 +193,6 @@ struct ScanScratch {
 /// The records a scan gathers, the scanned record's own always left out.
 #[derive(Clone, Copy, Debug)]
 pub enum Among<'a> {
-    /// Every record.
-    Others,
     /// Every record numbered below the scanned one: in a stream numbered
     /// densely from zero, the records that arrived before it.
     Earlier,
@@ -241,8 +235,8 @@ pub struct IncrementalJoin {
     /// The live entry indices of each record, by rid; empty for a record
     /// that was folded into another or never seen.
     by_rid: Vec<Vec<u32>>,
-    /// The scratch of the inserting doors, which scan one record at a
-    /// time.
+    /// The scratch of `IncrementalJoin::insert_among`, which scans one
+    /// value at a time.
     scratch: ScanScratch,
     /// The value tokenized last, as tokens in text order and as sorted,
     /// distinct ids: buffers too.
@@ -290,40 +284,20 @@ impl IncrementalJoin {
         self.by_rid.iter().all(Vec::is_empty)
     }
 
-    /// Inserts the values of record `rid` — `values[fid]` under label
-    /// `(rid, fid, 0)`, nulls ignored — for future calls, and returns their
-    /// similar pairs against the live values of every other record: the
-    /// unblocked streaming path. The pairs are normalized (`a.rid < b.rid`)
-    /// and ordered by label per value, the values in field order.
-    pub fn insert_record(&mut self, rid: u32, values: &[Value]) -> Vec<ValuePair> {
-        let entries = self.register_record(rid, values);
-        self.pairs_reusing(rid, entries, Among::Others)
-    }
-
-    /// [`IncrementalJoin::insert_record`] against the live values of the
-    /// records `rids` only: the blocked streaming path. The cost follows
-    /// the co-blocked neighbourhood instead of the live-value universe.
-    ///
-    /// `rids` may come in any order, repeat a record, name `rid` itself
-    /// (values of one record never pair) or a record the join does not
-    /// hold; every pair is emitted once.
-    pub fn insert_record_among(
-        &mut self,
-        rid: u32,
-        values: &[Value],
-        rids: &[u32],
-    ) -> Vec<ValuePair> {
-        let entries = self.register_record(rid, values);
-        self.pairs_reusing(rid, entries, Among::Records(rids))
-    }
-
-    /// [`IncrementalJoin::insert_record_among`] for one value under any
-    /// label: the same gather and scan, paid for a single value.
+    /// Registers `value` under `label` and returns its similar pairs
+    /// against the live values of the records `rids`: one value's
+    /// register-and-scan, in the join's own scratch. Kept only because
+    /// the frozen `benchmark/` package calls it; removed with ROADMAP
+    /// item 1(a).
+    #[doc(hidden)]
     pub fn insert_among(&mut self, label: Label, value: Value, rids: &[u32]) -> Vec<ValuePair> {
         let first = self.next_entry();
         self.register_value(label, Cow::Owned(value));
         let entries = first..self.next_entry();
-        self.pairs_reusing(label.rid, entries, Among::Records(rids))
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let out = self.pairs_of(label.rid, entries, Among::Records(rids), &mut scratch);
+        self.scratch = scratch;
+        out
     }
 
     /// Registers the values of record `rid` — `values[fid]` under label
@@ -384,10 +358,6 @@ impl IncrementalJoin {
         let hot = &self.hot;
         let neighbourhood = &mut scratch.neighbourhood;
         match among {
-            Among::Others => {
-                let others = (0u32..).zip(by_rid).filter(|&(other, _)| other != rid);
-                neighbourhood.gather(hot, others.flat_map(|(_, row)| row).copied());
-            }
             Among::Earlier => {
                 let earlier = &by_rid[..by_rid.len().min(rid as usize)];
                 neighbourhood.gather(hot, earlier.iter().flatten().copied());
@@ -410,14 +380,6 @@ impl IncrementalJoin {
         for idx in entries {
             self.scan(idx, scratch, &mut out);
         }
-        out
-    }
-
-    /// [`IncrementalJoin::pairs_of`] with the doors' own scratch.
-    fn pairs_reusing(&mut self, rid: u32, entries: Range<u32>, among: Among<'_>) -> Vec<ValuePair> {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let out = self.pairs_of(rid, entries, among, &mut scratch);
-        self.scratch = scratch;
         out
     }
 
@@ -701,12 +663,25 @@ mod tests {
     }
 
     /// Record `rid`'s values under `(rid, fid, 0)`, nulls dropped: what
-    /// the batch join reads of a record the doors take whole.
+    /// the batch join reads of a record [`register_and_scan`] takes whole.
     fn labeled(rid: u32, values: &[Value]) -> impl Iterator<Item = (Label, Value)> + '_ {
         let labeled = (0u32..)
             .zip(values)
             .map(move |(fid, v)| (label(rid, fid), v.clone()));
         labeled.filter(|(_, v)| !v.is_null())
+    }
+
+    /// Record `rid` inserted the way a session's join pass inserts it:
+    /// its values registered, then scanned against the records `among`
+    /// names.
+    fn register_and_scan(
+        join: &mut IncrementalJoin,
+        rid: u32,
+        values: &[Value],
+        among: Among<'_>,
+    ) -> Vec<ValuePair> {
+        let entries = join.register_record(rid, values);
+        join.pairs_of_each(1, &[(rid, entries, among)]).concat()
     }
 
     use std::sync::Arc;
@@ -743,7 +718,7 @@ mod tests {
             let mut inc = IncrementalJoin::new(xi, 2, Arc::new(metric.clone()));
             let mut streamed: Vec<ValuePair> = Vec::new();
             for (rid, values) in (0u32..).zip(&records) {
-                streamed.extend(inc.insert_record(rid, values));
+                streamed.extend(register_and_scan(&mut inc, rid, values, Among::Earlier));
             }
             streamed.sort_unstable_by(crate::output_order);
             assert_eq!(streamed, batch, "xi = {xi}");
@@ -773,8 +748,8 @@ mod tests {
             assert!(!slow.fast_grams);
             let mut numbers = 0;
             for (rid, values) in (0u32..).zip(&records) {
-                let a = fast.insert_record(rid, values);
-                let b = slow.insert_record(rid, values);
+                let a = register_and_scan(&mut fast, rid, values, Among::Earlier);
+                let b = register_and_scan(&mut slow, rid, values, Among::Earlier);
                 assert_eq!(a, b, "xi = {xi}, inserting record {rid}");
                 // A string lives in its super record only, unless the
                 // metric may read it.
@@ -796,8 +771,13 @@ mod tests {
         let moved = (Label::new(0, 2, 0), Value::from("bush@gmail"));
         let build = || {
             let mut join = IncrementalJoin::new(0.5, 2, Arc::new(TypeDispatch::paper_default()));
-            join.insert_record(0, &[string.1.clone(), number.1.clone()]);
-            join.insert_record(1, std::slice::from_ref(&moved.1));
+            register_and_scan(
+                &mut join,
+                0,
+                &[string.1.clone(), number.1.clone()],
+                Among::Earlier,
+            );
+            register_and_scan(&mut join, 1, std::slice::from_ref(&moved.1), Among::Earlier);
             join.relabel(0, 1, |l| if l.rid == 1 { moved.0 } else { l });
             join
         };
@@ -862,7 +842,7 @@ mod tests {
         let metric = TypeDispatch::paper_default();
         let mut inc = IncrementalJoin::new(0.5, 2, Arc::new(metric.clone()));
         let same = || Value::from("same");
-        assert!(inc.insert_record(0, &[same(), same()]).is_empty());
+        assert!(register_and_scan(&mut inc, 0, &[same(), same()], Among::Earlier).is_empty());
         assert!(inc.insert_among(label(0, 2), same(), &[0]).is_empty());
         assert_eq!(inc.len(), 3);
     }
@@ -871,7 +851,7 @@ mod tests {
     fn nulls_are_ignored() {
         let metric = TypeDispatch::paper_default();
         let mut inc = IncrementalJoin::new(0.5, 2, Arc::new(metric.clone()));
-        assert!(inc.insert_record(0, &[Value::Null]).is_empty());
+        assert!(register_and_scan(&mut inc, 0, &[Value::Null], Among::Earlier).is_empty());
         assert!(inc.insert_among(label(1, 0), Value::Null, &[0]).is_empty());
         assert!(inc.is_empty());
     }
@@ -880,7 +860,7 @@ mod tests {
     fn relabel_redirects_future_pairs() {
         let metric = TypeDispatch::paper_default();
         let mut inc = IncrementalJoin::new(0.5, 2, Arc::new(metric.clone()));
-        inc.insert_record(5, &[Value::from("bush@gmail")]);
+        register_and_scan(&mut inc, 5, &[Value::from("bush@gmail")], Among::Earlier);
         // Record 5 merged into record 1, field shifted to 3.
         inc.relabel(1, 5, |l| {
             if l.rid == 5 {
@@ -889,7 +869,7 @@ mod tests {
                 l
             }
         });
-        let pairs = inc.insert_record(9, &[Value::from("bush@gmail")]);
+        let pairs = register_and_scan(&mut inc, 9, &[Value::from("bush@gmail")], Among::Earlier);
         assert_eq!(pairs.len(), 1);
         assert_eq!(pairs[0].a, Label::new(1, 3, 0));
         assert_eq!(pairs[0].b, label(9, 0));
@@ -901,9 +881,9 @@ mod tests {
         let metric =
             TypeDispatch::paper_default().with_numeric_metric(Arc::new(NumericProximity::new(5.0)));
         let mut inc = IncrementalJoin::new(0.5, 2, Arc::new(metric.clone()));
-        inc.insert_record(0, &[Value::from(1980i64)]);
-        inc.insert_record(1, &[Value::from(1990i64)]);
-        let pairs = inc.insert_record(2, &[Value::from(1981i64)]);
+        register_and_scan(&mut inc, 0, &[Value::from(1980i64)], Among::Earlier);
+        register_and_scan(&mut inc, 1, &[Value::from(1990i64)], Among::Earlier);
+        let pairs = register_and_scan(&mut inc, 2, &[Value::from(1981i64)], Among::Earlier);
         // 1981 vs 1980 → sim 0.8; vs 1990 → 0. Gram overlap of "1981" and
         // "1980"/"1990" also exists but numeric dispatch scores them.
         assert_eq!(pairs.len(), 1);
@@ -922,8 +902,18 @@ mod tests {
         let mut open = IncrementalJoin::new(0.5, 2, Arc::new(metric.clone()));
         let mut blocked = IncrementalJoin::new(0.5, 2, Arc::new(metric.clone()));
         for join in [&mut open, &mut blocked] {
-            join.insert_record(0, &[Value::from("john bush"), Value::from("bush@gmail")]);
-            join.insert_record(1, &[Value::from("j. bush"), Value::from("bush@gmail")]);
+            register_and_scan(
+                join,
+                0,
+                &[Value::from("john bush"), Value::from("bush@gmail")],
+                Among::Earlier,
+            );
+            register_and_scan(
+                join,
+                1,
+                &[Value::from("j. bush"), Value::from("bush@gmail")],
+                Among::Earlier,
+            );
             assert_eq!(join.len(), 4);
             // 1 folds into 0: the names stay apart as two values of
             // field 0, the equal mail values share label (0, 1, 0).
@@ -940,7 +930,7 @@ mod tests {
             ])
             .unwrap();
         }
-        let a = open.insert_record(2, &[Value::from("bush@gmail")]);
+        let a = register_and_scan(&mut open, 2, &[Value::from("bush@gmail")], Among::Earlier);
         let b = blocked.insert_among(label(2, 0), Value::from("bush@gmail"), &[0]);
         assert_eq!(a, b);
         assert_eq!(
@@ -962,13 +952,13 @@ mod tests {
         let metric =
             TypeDispatch::paper_default().with_numeric_metric(Arc::new(NumericProximity::new(5.0)));
         let mut inc = IncrementalJoin::new(0.5, 2, Arc::new(metric));
-        inc.insert_record(0, &[Value::from(1980i64)]);
-        inc.insert_record(1, &[Value::from(1981i64)]);
-        inc.insert_record(2, &[Value::from(1981i64)]);
+        register_and_scan(&mut inc, 0, &[Value::from(1980i64)], Among::Earlier);
+        register_and_scan(&mut inc, 1, &[Value::from(1981i64)], Among::Earlier);
+        register_and_scan(&mut inc, 2, &[Value::from(1981i64)], Among::Earlier);
         // 2 folds into 1; the two 1981s share a label, one is retired.
         inc.relabel(1, 2, |l| Label::new(1, l.fid, l.vid));
         assert_eq!(inc.len(), 2);
-        let pairs = inc.insert_record(3, &[Value::from(1982i64)]);
+        let pairs = register_and_scan(&mut inc, 3, &[Value::from(1982i64)], Among::Earlier);
         let partners: Vec<Label> = pairs.iter().map(|p| p.a).collect();
         assert_eq!(partners, vec![label(0, 0), label(1, 0)]);
     }
@@ -980,9 +970,9 @@ mod tests {
     fn registered_values_answer_like_inserted_ones() {
         let metric = TypeDispatch::paper_default();
         let mut live = IncrementalJoin::new(0.5, 2, Arc::new(metric.clone()));
-        live.insert_record(1, &[Value::from("electronics")]);
-        live.insert_record(2, &[Value::from(1984i64)]);
-        live.insert_record(0, &[Value::from("electronic")]);
+        register_and_scan(&mut live, 1, &[Value::from("electronics")], Among::Earlier);
+        register_and_scan(&mut live, 2, &[Value::from(1984i64)], Among::Earlier);
+        register_and_scan(&mut live, 0, &[Value::from("electronic")], Among::Earlier);
         live.relabel(0, 1, |l| {
             if l.rid == 1 {
                 Label::new(0, 7, l.vid)
@@ -998,8 +988,13 @@ mod tests {
         rebuilt.register(label(2, 1), &Value::Null);
         assert_eq!(rebuilt.len(), live.len());
 
-        let a = live.insert_record(9, &[Value::from("electronic")]);
-        let b = rebuilt.insert_record(9, &[Value::from("electronic")]);
+        let a = register_and_scan(&mut live, 9, &[Value::from("electronic")], Among::Earlier);
+        let b = register_and_scan(
+            &mut rebuilt,
+            9,
+            &[Value::from("electronic")],
+            Among::Earlier,
+        );
         assert_eq!(a, b);
         assert_eq!(a.len(), 2);
     }
@@ -1011,10 +1006,11 @@ mod tests {
         IncrementalJoin::new(0.0, 2, Arc::new(metric));
     }
 
-    /// The blocked doors take the allow-list as it comes: out of order,
-    /// with repeats, naming the incoming record itself or records the
-    /// join never saw. Every pair comes out once, as for the clean list —
-    /// and as from the unblocked door, which gathers every other record.
+    /// A blocked scan and the one-value door take the allow-list as it
+    /// comes: out of order, with repeats, naming the incoming record
+    /// itself or records the join never saw. Every pair comes out once,
+    /// as for the clean list — and as from the unblocked scan, which
+    /// gathers every earlier record.
     #[test]
     fn blocked_doors_accept_any_rid_list() {
         let metric = TypeDispatch::paper_default();
@@ -1029,11 +1025,15 @@ mod tests {
             join
         };
         let incoming = || vec![Value::Null, Value::from("electronic")];
-        let clean = seeded().insert_record_among(7, &incoming(), &[0, 1, 2]);
+        let clean = register_and_scan(&mut seeded(), 7, &incoming(), Among::Records(&[0, 1, 2]));
         let partners: Vec<Label> = clean.iter().map(|p| p.a).collect();
         assert_eq!(partners, vec![label(0, 0), label(1, 0), label(2, 0)]);
         assert!(clean.iter().all(|p| p.b == label(7, 1)));
-        assert_eq!(seeded().insert_record(7, &incoming()), clean, "unblocked");
+        assert_eq!(
+            register_and_scan(&mut seeded(), 7, &incoming(), Among::Earlier),
+            clean,
+            "unblocked"
+        );
         let cases: [(&str, &[u32]); 4] = [
             ("unsorted", &[2, 0, 1]),
             ("repeated", &[0, 0, 1, 2, 2, 1]),
@@ -1041,8 +1041,8 @@ mod tests {
             ("unknown records", &[0, 1, 2, 5, 900]),
         ];
         for (case, rids) in cases {
-            let by_record = seeded().insert_record_among(7, &incoming(), rids);
-            assert_eq!(by_record, clean, "insert_record_among, {case}");
+            let by_record = register_and_scan(&mut seeded(), 7, &incoming(), Among::Records(rids));
+            assert_eq!(by_record, clean, "by record, {case}");
             let by_value = seeded().insert_among(label(7, 1), Value::from("electronic"), rids);
             assert_eq!(by_value, clean, "insert_among, {case}");
         }
@@ -1121,17 +1121,17 @@ mod tests {
         assert_eq!(scanned(0.3, metric, shuffled, 2), sorted);
     }
 
-    /// A record's values are registered once all of them were scored,
-    /// under `(rid, position, 0)`, nulls skipped; the next record pairs
+    /// A record's values are registered under `(rid, position, 0)`, nulls
+    /// skipped, and never pair with each other; the next record pairs
     /// with each of them.
     #[test]
     fn record_door_registers_every_value() {
         let metric = TypeDispatch::paper_default();
         let mut join = IncrementalJoin::new(0.5, 2, Arc::new(metric));
         let first = vec![Value::from("same"), Value::Null, Value::from("same")];
-        assert!(join.insert_record_among(0, &first, &[]).is_empty());
+        assert!(register_and_scan(&mut join, 0, &first, Among::Records(&[])).is_empty());
         assert_eq!(join.len(), 2);
-        let pairs = join.insert_record_among(1, &[Value::from("same")], &[0]);
+        let pairs = register_and_scan(&mut join, 1, &[Value::from("same")], Among::Records(&[0]));
         let partners: Vec<Label> = pairs.iter().map(|p| p.a).collect();
         assert_eq!(partners, vec![label(0, 0), label(0, 2)]);
     }
@@ -1179,22 +1179,24 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
-        /// One stream of records with merges in between, through all
-        /// three doors and the batch oracle: on every record, the
-        /// record-level and the one-value blocked door agree with
-        /// `JoinConfig::exhaustive()` over the live values of the allowed
-        /// records, and the unblocked door with it over *all* live values
-        /// — same labels, same similarity bits, same order — under q-gram
-        /// Jaccard declared and hidden, and under edit similarity, where
-        /// no gram filter applies. The allow-lists come unsorted, with
-        /// repeats, the incoming record and unknown ones.
+        /// One stream of records with merges in between, through the
+        /// record scans, the one-value door and the batch oracle: on
+        /// every record, the blocked record scan and the one-value door
+        /// agree with `JoinConfig::exhaustive()` over the live values of
+        /// the allowed records, and the scan of every earlier record with
+        /// it over *all* live values — same labels, same similarity bits,
+        /// same order — under q-gram Jaccard declared and hidden, and
+        /// under edit similarity, where no gram filter applies. The
+        /// allow-lists come unsorted, with repeats, the incoming record
+        /// and unknown ones.
         ///
-        /// The joins gather into buffers they keep, so every other call
-        /// is cut down to one allowed record: neighbourhoods large and
-        /// small, of longer and shorter signatures, follow each other
-        /// with relabels in between, and the record door must still
-        /// answer like a join built afresh from the live values — a row
-        /// or a bucket bound left over from the call before would show.
+        /// Every other record is cut down to one allowed record:
+        /// neighbourhoods large and small, of longer and shorter
+        /// signatures, follow each other with relabels in between. The
+        /// record scan must still answer like a join built afresh from
+        /// the live values, and the one-value door, which gathers into
+        /// buffers it keeps, like the oracle — a row or a bucket bound
+        /// left over from the call before would show.
         #[test]
         fn doors_equal_exhaustive(
             records in proptest::collection::vec(
@@ -1250,20 +1252,20 @@ mod tests {
                     .collect();
                 let expected = new_pairs(&universe, rid);
 
-                let got = by_record.insert_record_among(rid, &values, &rids);
+                let got = register_and_scan(&mut by_record, rid, &values, Among::Records(&rids));
                 prop_assert_eq!(bits(&got), bits(&expected), "record {}, by record", rid);
                 let mut fresh = IncrementalJoin::new(xi, 2, metric.clone());
                 for (l, v) in &live.0 {
                     fresh.register(*l, v);
                 }
-                let afresh = fresh.insert_record_among(rid, &values, &rids);
+                let afresh = register_and_scan(&mut fresh, rid, &values, Among::Records(&rids));
                 prop_assert_eq!(bits(&got), bits(&afresh), "record {}, built afresh", rid);
                 let mut got = Vec::new();
                 for (l, v) in &incoming {
                     got.extend(by_value.insert_among(*l, v.clone(), &rids));
                 }
                 prop_assert_eq!(bits(&got), bits(&expected), "record {}, by value", rid);
-                let got = open.insert_record(rid, &values);
+                let got = register_and_scan(&mut open, rid, &values, Among::Earlier);
                 let expected = new_pairs(&everything, rid);
                 prop_assert_eq!(bits(&got), bits(&expected), "record {}, unblocked", rid);
 
@@ -1286,7 +1288,7 @@ mod tests {
         /// before it — every earlier record, or the earlier ones a list
         /// names — from the last record back to the first, one scratch for
         /// all, and in one batch on two workers. Every record's pairs are
-        /// the bits the eager doors give when the records arrive one at a
+        /// the bits an insert gives when the records arrive one at a
         /// time.
         #[test]
         fn deferred_scans_equal_eager_inserts(
@@ -1316,7 +1318,7 @@ mod tests {
             let mut eager = Vec::new();
             let mut entries = Vec::new();
             for ((rid, (values, _)), rids) in (0u32..).zip(&records).zip(&allowed) {
-                eager.push((open.insert_record(rid, values), blocked.insert_record_among(rid, values, rids)));
+                eager.push((register_and_scan(&mut open, rid, values, Among::Earlier), register_and_scan(&mut blocked, rid, values, Among::Records(rids))));
                 entries.push(deferred.register_record(rid, values));
             }
             let mut scratch = ScanScratch::default();

@@ -47,13 +47,14 @@ mod outcome_tests {
         gr.add_edge(0, 1, 0.8);
         gr.add_edge(1, 0, 0.8);
         gr.add_edge(5, 5, 0.7); // second isolated edge
+        let mut scratch = MatchScratch::new();
         let mut out = Vec::new();
-        let o = max_weight_matching_observed(&gr, &mut MatchScratch::new(), &mut out);
+        let o = max_weight_matching_observed(&gr, &mut scratch, &mut out);
         assert_eq!(o.mapped_edges, 2);
         assert_eq!(o.components, 1);
         assert_eq!(o.simplified_nodes, 4);
         assert_eq!(
-            max_weight_matching_into(&gr, &mut MatchScratch::new(), &mut Vec::new()),
+            max_weight_matching_observed(&gr, &mut scratch, &mut Vec::new()).simplified_nodes,
             o.simplified_nodes
         );
     }
@@ -75,20 +76,10 @@ mod outcome_tests {
 /// simplification (the paper's `m̄` statistic is the average of
 /// `simplified_nodes` over all verifications).
 pub fn max_weight_matching(graph: &BipartiteGraph) -> Matching {
-    max_weight_matching_with(graph, &mut MatchScratch::new())
-}
-
-/// [`max_weight_matching`] on caller-provided scratch — same result, no
-/// per-call allocation inside the pipeline (the returned [`Matching`]
-/// still owns its edge list).
-pub(crate) fn max_weight_matching_with(
-    graph: &BipartiteGraph,
-    scratch: &mut MatchScratch,
-) -> Matching {
     let mut edges: Vec<Edge> = Vec::new();
-    let simplified_nodes = max_weight_matching_into(graph, scratch, &mut edges);
+    let outcome = max_weight_matching_observed(graph, &mut MatchScratch::new(), &mut edges);
     let mut m = Matching::from_edges(edges);
-    m.simplified_nodes = simplified_nodes;
+    m.simplified_nodes = outcome.simplified_nodes;
     m
 }
 
@@ -105,16 +96,6 @@ pub struct MatchOutcome {
     /// Connected components the contested remainder split into (one
     /// Kuhn–Munkres invocation each).
     pub components: usize,
-}
-
-/// [`max_weight_matching_observed`] returning only the simplified-node
-/// count — the original zero-allocation entry point.
-pub(crate) fn max_weight_matching_into(
-    graph: &BipartiteGraph,
-    scratch: &mut MatchScratch,
-    out: &mut Vec<Edge>,
-) -> usize {
-    max_weight_matching_observed(graph, scratch, out).simplified_nodes
 }
 
 /// Fully scratch-backed pipeline: **appends** the matched edges to `out`
@@ -363,10 +344,12 @@ mod tests {
         let mut scratch = MatchScratch::new();
         for gr in &graphs {
             let fresh = max_weight_matching(gr);
-            let reused = max_weight_matching_with(gr, &mut scratch);
+            let mut edges = Vec::new();
+            let outcome = max_weight_matching_observed(gr, &mut scratch, &mut edges);
+            let reused = Matching::from_edges(edges);
             assert_eq!(fresh.edges, reused.edges);
             assert_eq!(fresh.weight.to_bits(), reused.weight.to_bits());
-            assert_eq!(fresh.simplified_nodes, reused.simplified_nodes);
+            assert_eq!(fresh.simplified_nodes, outcome.simplified_nodes);
 
             let greedy_fresh = greedy_matching(gr);
             let mut picked = Vec::new();

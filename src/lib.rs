@@ -182,6 +182,23 @@ pub use hera_types::{
 /// let _ = hera::join::RecordPairSet::default();
 /// ```
 ///
+/// The incremental join's record-level doors: a session's join pass
+/// registers a batch of records and scans each with `pairs_of_each`, so
+/// the register-and-scan of one record, against every other record or a
+/// blocker's, had only unit tests left to call it.
+///
+/// ```compile_fail
+/// fn insert(join: &mut hera::IncrementalJoin) -> Vec<hera::ValuePair> {
+///     join.insert_record(0, &[hera::Value::from("x")])
+/// }
+/// ```
+///
+/// ```compile_fail
+/// fn insert(join: &mut hera::IncrementalJoin) -> Vec<hera::ValuePair> {
+///     join.insert_record_among(1, &[hera::Value::from("x")], &[0])
+/// }
+/// ```
+///
 /// Switches no caller set: weighted-edge pruning beside the CBS floor, and
 /// the prefix filter's off position, which the join only ever takes where
 /// the filter is not complete.

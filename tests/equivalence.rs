@@ -179,7 +179,10 @@ fn batch_and_incremental_join_agree_under_edit_similarity() {
         let mut incremental = IncrementalJoin::new(xi, 2, Arc::new(metric.clone()));
         let mut streamed = Vec::new();
         for r in ds.iter() {
-            streamed.extend(incremental.insert_record(r.id.raw(), &r.values));
+            let rid = r.id.raw();
+            let entries = incremental.register_record(rid, &r.values);
+            let scan = [(rid, entries, hera::join::Among::Earlier)];
+            streamed.extend(incremental.pairs_of_each(1, &scan).concat());
         }
         let streamed = keyed(streamed);
         assert!(!batch.is_empty(), "xi={xi}");
