@@ -12,8 +12,9 @@
 //!    ([`BlockingScheme::Token`], [`BlockingScheme::QGram`],
 //!    [`BlockingScheme::MinHashLsh`]);
 //! 2. records sharing a key form a *block*;
-//! 3. meta-blocking ([`MetaBlocking`]) purges oversized blocks and
-//!    prunes weakly co-blocked pairs (CBS weighting);
+//! 3. meta-blocking purges oversized blocks and prunes weakly co-blocked
+//!    pairs (CBS weighting), under limits each scheme fixes — a scheme is
+//!    its name, with nothing to tune;
 //! 4. the surviving pairs come out sorted, each as `(a, b)` with `a < b`
 //!    ([`BlockingOutcome::pairs`]). A blocked `Hera::join` compares the
 //!    values of each with the session's incremental scan
@@ -34,138 +35,126 @@ mod minhash;
 mod streaming;
 mod tokenize;
 
-pub use meta::MetaBlocking;
 pub use streaming::StreamingBlocker;
 
 use hera_types::parallel::par_map;
-use hera_types::Dataset;
+use hera_types::{Dataset, Value};
+use meta::MetaBlocking;
 use rustc_hash::FxHashMap;
 
-/// Which blocking keys to derive from each record.
+/// Which blocking keys to derive from each record, and how meta-blocking
+/// prunes their blocks. Each scheme's keys and limits are constants, so
+/// a scheme round-trips whole through [`BlockingScheme::name`] and
+/// [`BlockingScheme::parse`].
 ///
 /// All schemes are schema-agnostic: keys are drawn from the bag of a
 /// record's values, never from field positions, so heterogeneous
 /// schemas block against each other naturally.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BlockingScheme {
     /// No blocking — the join enumerates candidates from the value
     /// universe exactly as before (the default; results are untouched).
     None,
     /// Word tokens of every value, plus one whole-value key per value
-    /// (ids, full titles, dates, and exact numbers stay discriminative
-    /// when word blocks grow past the purge limit).
-    Token(TokenParams),
-    /// Character q-grams of every value — robust to typos (one edit
-    /// perturbs at most `q` grams) at the price of more keys per record.
-    QGram(QGramParams),
-    /// MinHash-LSH banding over the record's token set: `bands` keys of
-    /// `rows` folded min-hashes each, passing pairs whose token-set
-    /// Jaccard clears the `1 − (1 − s^rows)^bands` S-curve.
-    MinHashLsh(LshParams),
+    /// (ids, titles, dates and exact numbers stay discriminative when word
+    /// blocks are purged). Purge > 100, CBS ≥ 2.
+    Token,
+    /// Character 5-grams of every value — robust to typos at the price of
+    /// more keys per record. Purge > 150, CBS ≥ 1: a shared 5-gram is
+    /// already selective (CBS ≥ 2 cost ~7 points of pair completeness).
+    QGram,
+    /// MinHash-LSH over the token set: 24 bands of 2 folded min-hashes,
+    /// the `1 − (1 − s²)²⁴` Jaccard S-curve. Purge > 100, CBS ≥ 1: a
+    /// band is already conjunctive evidence.
+    MinHashLsh,
 }
 
-/// Parameters of [`BlockingScheme::Token`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TokenParams {
-    /// Emit one whole-value key per value in addition to word tokens.
-    pub include_full_value: bool,
-    /// Meta-blocking pass over the produced blocks.
-    pub meta: MetaBlocking,
-}
-
-/// Parameters of [`BlockingScheme::QGram`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct QGramParams {
-    /// Gram length for blocking keys (independent of the join's `q`;
-    /// longer grams make rarer, more selective blocks).
-    pub q: usize,
-    /// Meta-blocking pass over the produced blocks.
-    pub meta: MetaBlocking,
-}
-
-/// Parameters of [`BlockingScheme::MinHashLsh`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LshParams {
-    /// Number of bands (keys per record).
-    pub bands: usize,
-    /// Min-hash rows folded into each band key.
-    pub rows: usize,
-    /// Seed of the min-hash family (fixed default; change to re-draw).
-    pub seed: u64,
-    /// Meta-blocking pass over the produced blocks.
-    pub meta: MetaBlocking,
-}
+/// Gram length of [`BlockingScheme::QGram`] keys (independent of the
+/// join's `q`; longer grams make rarer, more selective blocks).
+const QGRAM_Q: usize = 5;
+/// Bands of [`BlockingScheme::MinHashLsh`]: keys per record.
+const LSH_BANDS: usize = 24;
+/// Min-hash rows folded into each band key.
+const LSH_ROWS: usize = 2;
+/// Seed of the min-hash family.
+const LSH_SEED: u64 = 0x4845_5241; // "HERA"
 
 impl BlockingScheme {
-    /// Token blocking with default meta-blocking (purge > 100, CBS ≥ 2).
+    /// Token blocking.
     pub fn token() -> Self {
-        Self::Token(TokenParams {
-            include_full_value: true,
-            meta: MetaBlocking::default(),
-        })
+        Self::Token
     }
 
-    /// Q-gram blocking with `q = 5`, a looser purge (blocks ≤ 150), and
-    /// CBS pruning disabled (`min_common_blocks = 1`): a shared 5-gram
-    /// is already selective, and requiring two shared gram blocks drops
-    /// heavily-corrupted duplicates whose rarest gram survives in only
-    /// one small block (together those two defaults cost ~7 points of
-    /// pair completeness at 10⁵ records for a reduction ratio that is
-    /// already > 0.999).
+    /// Q-gram blocking.
     pub fn qgram() -> Self {
-        Self::QGram(QGramParams {
-            q: 5,
-            meta: MetaBlocking {
-                max_block_size: 150,
-                min_common_blocks: 1,
-            },
-        })
+        Self::QGram
     }
 
-    /// MinHash-LSH with 24 bands × 2 rows. Bands are already conjunctive
-    /// evidence, so CBS pruning is disabled (`min_common_blocks = 1`).
+    /// MinHash-LSH blocking.
     pub fn lsh() -> Self {
-        Self::MinHashLsh(LshParams {
-            bands: 24,
-            rows: 2,
-            seed: 0x4845_5241, // "HERA"
-            meta: MetaBlocking {
-                min_common_blocks: 1,
-                ..MetaBlocking::default()
-            },
-        })
+        Self::MinHashLsh
     }
 
     /// Short scheme name for journals, CLI, and reports.
     pub fn name(&self) -> &'static str {
         match self {
             Self::None => "none",
-            Self::Token(_) => "token",
-            Self::QGram(_) => "qgram",
-            Self::MinHashLsh(_) => "lsh",
+            Self::Token => "token",
+            Self::QGram => "qgram",
+            Self::MinHashLsh => "lsh",
         }
     }
 
-    /// Parses a CLI scheme name (`none`, `token`, `qgram`, `lsh`) into
-    /// the scheme with its default parameters.
+    /// Parses a scheme name (`none`, `token`, `qgram`, `lsh`).
     pub fn parse(s: &str) -> Result<Self, String> {
         match s {
             "none" => Ok(Self::None),
-            "token" => Ok(Self::token()),
-            "qgram" => Ok(Self::qgram()),
-            "lsh" => Ok(Self::lsh()),
+            "token" => Ok(Self::Token),
+            "qgram" => Ok(Self::QGram),
+            "lsh" => Ok(Self::MinHashLsh),
             other => Err(format!(
                 "unknown blocking scheme '{other}' (expected none, token, qgram, or lsh)"
             )),
         }
     }
+
+    /// The scheme's meta-blocking limits; `None` for no blocking.
+    pub(crate) fn meta(self) -> Option<MetaBlocking> {
+        let (max_block_size, min_common_blocks) = match self {
+            Self::None => return None,
+            Self::Token => (100, 2),
+            Self::QGram => (150, 1),
+            Self::MinHashLsh => (100, 1),
+        };
+        Some(MetaBlocking {
+            max_block_size,
+            min_common_blocks,
+        })
+    }
+}
+
+/// Blocking keys of a record's values under a scheme — the extraction
+/// the batch and the streaming blocker share. Sorted and deduplicated;
+/// empty for all-null records and for [`BlockingScheme::None`].
+pub(crate) fn keys_for(scheme: BlockingScheme, values: &[Value]) -> Vec<u64> {
+    match scheme {
+        BlockingScheme::None => Vec::new(),
+        BlockingScheme::Token => tokenize::word_value_tokens(values),
+        BlockingScheme::QGram => tokenize::qgram_tokens(values, QGRAM_Q),
+        BlockingScheme::MinHashLsh => minhash::band_tokens(
+            &tokenize::word_value_tokens(values),
+            LSH_BANDS,
+            LSH_ROWS,
+            LSH_SEED,
+        ),
+    }
 }
 
 /// Counters describing one blocking pass.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BlockingStats {
     /// Scheme name ([`BlockingScheme::name`]).
-    pub scheme: String,
+    pub scheme: &'static str,
     /// Records blocked.
     pub records: usize,
     /// Blocks holding at least two records (pair-producing blocks).
@@ -176,11 +165,14 @@ pub struct BlockingStats {
     pub pairs_considered: u64,
     /// Pairs surviving meta-blocking — the blocker's output size.
     pub pairs_emitted: u64,
-    /// Pairs dropped by edge pruning (`considered − emitted`).
-    pub pairs_pruned: u64,
 }
 
 impl BlockingStats {
+    /// Pairs dropped by edge pruning (`considered − emitted`).
+    pub fn pairs_pruned(&self) -> u64 {
+        self.pairs_considered - self.pairs_emitted
+    }
+
     /// Reduction ratio vs the quadratic pair space:
     /// `1 − emitted / (n·(n−1)/2)`. Zero for trivial (`n < 2`) inputs.
     pub fn reduction_ratio(&self) -> f64 {
@@ -212,6 +204,7 @@ pub struct BlockingOutcome {
 /// meta-blocking pass sorts its pair multiset before counting.
 pub struct Blocker {
     scheme: BlockingScheme,
+    meta: MetaBlocking,
     recorder: hera_obs::Recorder,
     num_threads: usize,
 }
@@ -224,12 +217,12 @@ impl Blocker {
     /// If the scheme is [`BlockingScheme::None`] — "no blocking" means
     /// the all-pairs join runs instead; there is no pair set to build.
     pub fn new(scheme: BlockingScheme) -> Self {
-        assert!(
-            scheme != BlockingScheme::None,
-            "BlockingScheme::None has no blocker stage; run the all-pairs join instead"
-        );
+        let meta = scheme
+            .meta()
+            .expect("BlockingScheme::None has no blocker stage; run the all-pairs join instead");
         Self {
             scheme,
+            meta,
             recorder: hera_obs::Recorder::disabled(),
             num_threads: 0,
         }
@@ -252,7 +245,11 @@ impl Blocker {
     /// Blocks a dataset into the candidate record-pair set.
     pub fn block(&self, ds: &Dataset) -> BlockingOutcome {
         let t0 = std::time::Instant::now();
-        let keys = self.record_keys(ds);
+        // Each record's keys, in record order, fanned out over
+        // [`hera_types::parallel`].
+        let keys = par_map(self.num_threads, &ds.records, |rec| {
+            keys_for(self.scheme, &rec.values)
+        });
 
         let mut blocks: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
         for (rid, toks) in keys.iter().enumerate() {
@@ -260,22 +257,11 @@ impl Blocker {
                 blocks.entry(t).or_default().push(rid as u32);
             }
         }
-        let meta = match &self.scheme {
-            BlockingScheme::None => unreachable!("rejected in Blocker::new"),
-            BlockingScheme::Token(p) => p.meta,
-            BlockingScheme::QGram(p) => p.meta,
-            BlockingScheme::MinHashLsh(p) => p.meta,
-        };
-        let (pairs, counters) = meta::prune_blocks(&blocks, &meta);
-
+        let (pairs, counters) = meta::prune_blocks(&blocks, self.meta);
         let stats = BlockingStats {
-            scheme: self.scheme.name().to_owned(),
+            scheme: self.scheme.name(),
             records: ds.len(),
-            blocks: counters.blocks,
-            blocks_purged: counters.blocks_purged,
-            pairs_considered: counters.pairs_considered,
-            pairs_emitted: counters.pairs_emitted,
-            pairs_pruned: counters.pairs_considered - counters.pairs_emitted,
+            ..counters
         };
         self.recorder.span(
             "blocking",
@@ -286,20 +272,11 @@ impl Blocker {
                 ("blocks_purged", stats.blocks_purged as i64),
                 ("pairs_considered", stats.pairs_considered as i64),
                 ("pairs_emitted", stats.pairs_emitted as i64),
-                ("pairs_pruned", stats.pairs_pruned as i64),
+                ("pairs_pruned", stats.pairs_pruned() as i64),
             ],
         );
         self.recorder.timing("blocking", None, t0.elapsed());
         BlockingOutcome { pairs, stats }
-    }
-
-    /// Blocking keys of every record, in record order — the extraction
-    /// the streaming blocker uses, fanned out over
-    /// [`hera_types::parallel`].
-    fn record_keys(&self, ds: &Dataset) -> Vec<Vec<u64>> {
-        par_map(self.num_threads, &ds.records, |rec| {
-            streaming::keys_for(&self.scheme, &rec.values)
-        })
     }
 }
 
@@ -331,10 +308,6 @@ mod tests {
         let outcome = Blocker::new(BlockingScheme::token()).block(&ds);
         assert!(!outcome.pairs.is_empty());
         assert_eq!(outcome.stats.records, ds.len());
-        assert_eq!(
-            outcome.stats.pairs_pruned,
-            outcome.stats.pairs_considered - outcome.stats.pairs_emitted
-        );
     }
 
     #[test]
@@ -347,11 +320,9 @@ mod tests {
             BlockingScheme::qgram(),
             BlockingScheme::lsh(),
         ] {
-            let reference = Blocker::new(scheme.clone()).with_threads(1).block(&ds);
+            let reference = Blocker::new(scheme).with_threads(1).block(&ds);
             for threads in 2..=8 {
-                let got = Blocker::new(scheme.clone())
-                    .with_threads(threads)
-                    .block(&ds);
+                let got = Blocker::new(scheme).with_threads(threads).block(&ds);
                 assert_eq!(got.pairs, reference.pairs, "{} @ {threads}", scheme.name());
                 assert_eq!(got.stats, reference.stats, "{} @ {threads}", scheme.name());
             }
@@ -361,13 +332,12 @@ mod tests {
     #[test]
     fn reduction_ratio_sane() {
         let stats = BlockingStats {
-            scheme: "token".into(),
+            scheme: "token",
             records: 100,
             blocks: 10,
             blocks_purged: 0,
             pairs_considered: 99,
             pairs_emitted: 99,
-            pairs_pruned: 0,
         };
         let rr = stats.reduction_ratio();
         assert!((rr - (1.0 - 99.0 / 4950.0)).abs() < 1e-12);

@@ -14,11 +14,12 @@
 //!   number of common blocks (the CBS scheme) and keeps pairs with
 //!   weight `≥ min_common_blocks`.
 
+use crate::BlockingStats;
 use rustc_hash::FxHashMap;
 
-/// Meta-blocking parameters, shared by every scheme.
+/// Meta-blocking limits, fixed per scheme by `BlockingScheme::meta`.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MetaBlocking {
+pub(crate) struct MetaBlocking {
     /// Purge blocks with more records than this before pair enumeration.
     pub max_block_size: usize,
     /// Keep only record pairs sharing at least this many retained blocks
@@ -26,38 +27,18 @@ pub struct MetaBlocking {
     pub min_common_blocks: u32,
 }
 
-impl Default for MetaBlocking {
-    fn default() -> Self {
-        Self {
-            max_block_size: 100,
-            min_common_blocks: 2,
-        }
-    }
-}
-
-/// Counters produced while pruning a block collection.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct PruneCounters {
-    /// Blocks holding ≥ 2 records (only those can produce pairs).
-    pub blocks: u64,
-    /// Of those, blocks dropped by the size purge.
-    pub blocks_purged: u64,
-    /// Distinct record pairs co-blocked in retained blocks.
-    pub pairs_considered: u64,
-    /// Pairs surviving edge pruning (the blocker's output).
-    pub pairs_emitted: u64,
-}
-
-/// Prunes a token → members block map into the surviving record pairs.
+/// Prunes a token → members block map into the surviving record pairs
+/// and the pass's funnel counters (the caller names the scheme and the
+/// record count).
 ///
 /// Deterministic regardless of map iteration order: the pair multiset is
 /// sorted before counting, and every counter is an order-independent
 /// total.
 pub(crate) fn prune_blocks(
     blocks: &FxHashMap<u64, Vec<u32>>,
-    meta: &MetaBlocking,
-) -> (Vec<(u32, u32)>, PruneCounters) {
-    let mut c = PruneCounters::default();
+    meta: MetaBlocking,
+) -> (Vec<(u32, u32)>, BlockingStats) {
+    let mut c = BlockingStats::default();
     // One entry per (pair, block) co-occurrence, packed for cheap sorting.
     let mut cooc: Vec<u64> = Vec::new();
     for members in blocks.values() {
@@ -114,7 +95,11 @@ mod tests {
     #[test]
     fn singleton_blocks_produce_nothing() {
         let blocks = map(&[&[1], &[2]]);
-        let (pairs, c) = prune_blocks(&blocks, &MetaBlocking::default());
+        let meta = MetaBlocking {
+            max_block_size: 100,
+            min_common_blocks: 2,
+        };
+        let (pairs, c) = prune_blocks(&blocks, meta);
         assert!(pairs.is_empty());
         assert_eq!(c.blocks, 0);
     }
@@ -126,7 +111,7 @@ mod tests {
             min_common_blocks: 1,
         };
         let blocks = map(&[&[0, 1, 2, 3, 4], &[5, 6]]);
-        let (pairs, c) = prune_blocks(&blocks, &meta);
+        let (pairs, c) = prune_blocks(&blocks, meta);
         assert_eq!(pairs, vec![(5, 6)]);
         assert_eq!(c.blocks, 2);
         assert_eq!(c.blocks_purged, 1);
@@ -140,7 +125,7 @@ mod tests {
         };
         // (1,2) share two blocks, (1,3) only one.
         let blocks = map(&[&[1, 2, 3], &[1, 2]]);
-        let (pairs, c) = prune_blocks(&blocks, &meta);
+        let (pairs, c) = prune_blocks(&blocks, meta);
         assert_eq!(pairs, vec![(1, 2)]);
         assert_eq!(c.pairs_considered, 3);
         assert_eq!(c.pairs_emitted, 1);
@@ -153,7 +138,7 @@ mod tests {
             min_common_blocks: 1,
         };
         let blocks = map(&[&[9, 3, 7], &[1, 2]]);
-        let (pairs, _) = prune_blocks(&blocks, &meta);
+        let (pairs, _) = prune_blocks(&blocks, meta);
         let mut sorted = pairs.clone();
         sorted.sort_unstable();
         sorted.dedup();

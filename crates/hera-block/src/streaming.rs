@@ -41,7 +41,8 @@
 //! admits future records against exactly the blocks the checkpointed
 //! one held.
 
-use crate::{minhash, tokenize, BlockingScheme, MetaBlocking};
+use crate::meta::MetaBlocking;
+use crate::{keys_for, BlockingScheme};
 use hera_types::json::Json;
 use hera_types::{HeraError, Result, Value};
 use rustc_hash::FxHashMap;
@@ -122,14 +123,14 @@ impl StreamingBlocker {
     /// unfiltered join path, bit-identical to not having a blocker at
     /// all.
     pub fn new(scheme: &BlockingScheme) -> Option<Self> {
-        let meta = match scheme {
-            BlockingScheme::None => return None,
-            BlockingScheme::Token(p) => p.meta,
-            BlockingScheme::QGram(p) => p.meta,
-            BlockingScheme::MinHashLsh(p) => p.meta,
-        };
-        Some(Self {
-            scheme: scheme.clone(),
+        Some(Self::with_meta(*scheme, scheme.meta()?))
+    }
+
+    /// An empty blocker under `meta` (the scheme's own limits, or a
+    /// test's smaller ones).
+    fn with_meta(scheme: BlockingScheme, meta: MetaBlocking) -> Self {
+        Self {
+            scheme,
             meta,
             blocks: FxHashMap::default(),
             spill: Vec::new(),
@@ -137,28 +138,7 @@ impl StreamingBlocker {
             records: 0,
             counts: Vec::new(),
             touched: Vec::new(),
-        })
-    }
-
-    /// The scheme this blocker runs.
-    pub fn scheme(&self) -> &BlockingScheme {
-        &self.scheme
-    }
-
-    /// Records admitted so far.
-    pub fn len(&self) -> u64 {
-        self.records
-    }
-
-    /// True before the first admission.
-    pub fn is_empty(&self) -> bool {
-        self.records == 0
-    }
-
-    /// Blocking keys of one record under this blocker's scheme — sorted
-    /// and deduplicated, a pure function of the values.
-    pub(crate) fn keys_of(&self, values: &[Value]) -> Vec<u64> {
-        keys_for(&self.scheme, values)
+        }
     }
 
     /// Admits record `rid` and returns the earlier records it may be
@@ -175,7 +155,7 @@ impl StreamingBlocker {
     /// spill row is allocated.
     pub fn admit(&mut self, rid: u32, values: &[Value]) -> Vec<u32> {
         self.records += 1;
-        let keys = self.keys_of(values);
+        let keys = keys_for(self.scheme, values);
         let floor = self.meta.min_common_blocks.max(1);
         let max_block_size = self.meta.max_block_size;
         let mut out = Vec::new();
@@ -183,10 +163,7 @@ impl StreamingBlocker {
             let block = match self.blocks.entry(k) {
                 Entry::Vacant(slot) => {
                     // A block's first member: nothing to count.
-                    slot.insert(match max_block_size {
-                        0 => Block::PURGED,
-                        _ => Block::solo(rid),
-                    });
+                    slot.insert(Block::solo(rid));
                     continue;
                 }
                 Entry::Occupied(slot) => slot.into_mut(),
@@ -298,18 +275,21 @@ impl StreamingBlocker {
     /// `scheme` is [`BlockingScheme::None`] (state exists but config says
     /// no blocking — the caller's config check should have caught this).
     pub fn from_json(scheme: &BlockingScheme, json: &Json) -> Result<Self> {
-        let mut blocker = Self::new(scheme).ok_or_else(|| {
-            HeraError::InvalidConfig(
-                "snapshot carries streaming-blocker state but the restore config disables \
-                 blocking"
-                    .into(),
-            )
-        })?;
+        let disabled = "snapshot carries streaming-blocker state but the restore config \
+                        disables blocking";
+        Self::new(scheme)
+            .ok_or_else(|| HeraError::InvalidConfig(disabled.into()))?
+            .load(json)
+    }
+
+    /// Loads the blocks of [`StreamingBlocker::to_json`] into this empty
+    /// blocker.
+    fn load(mut self, json: &Json) -> Result<Self> {
         let records = json.expect("records")?.as_i64()?;
         if records < 0 {
             return Err(HeraError::Corrupt("negative blocker record count".into()));
         }
-        blocker.records = records as u64;
+        self.records = records as u64;
         let parse_key = |j: &Json| -> Result<u64> {
             let s = j.as_str()?;
             u64::from_str_radix(s, 16)
@@ -321,7 +301,7 @@ impl StreamingBlocker {
             for m in b.expect("members")?.as_arr()? {
                 members.push(m.as_u32()?);
             }
-            if members.len() > blocker.meta.max_block_size {
+            if members.len() > self.meta.max_block_size {
                 return Err(HeraError::Corrupt(format!(
                     "live block {key:016x} exceeds max_block_size"
                 )));
@@ -333,9 +313,9 @@ impl StreamingBlocker {
             };
             let mut block = Block::solo(first);
             if !later.is_empty() {
-                block.rest = spill_row(&mut blocker.spill, &mut blocker.free, later.to_vec());
+                block.rest = spill_row(&mut self.spill, &mut self.free, later.to_vec());
             }
-            if blocker.blocks.insert(key, block).is_some() {
+            if self.blocks.insert(key, block).is_some() {
                 return Err(HeraError::Corrupt(format!(
                     "duplicate blocking key {key:016x}"
                 )));
@@ -343,13 +323,13 @@ impl StreamingBlocker {
         }
         for p in json.expect("purged")?.as_arr()? {
             let key = parse_key(p)?;
-            if blocker.blocks.insert(key, Block::PURGED).is_some() {
+            if self.blocks.insert(key, Block::PURGED).is_some() {
                 return Err(HeraError::Corrupt(format!(
                     "duplicate blocking key {key:016x}"
                 )));
             }
         }
-        Ok(blocker)
+        Ok(self)
     }
 }
 
@@ -372,22 +352,6 @@ fn spill_row(spill: &mut Vec<Vec<u32>>, free: &mut Vec<u32>, members: Vec<u32>) 
     }
 }
 
-/// Blocking keys of a record's values under a scheme — the shared
-/// extraction the batch blocker and the streaming blocker use. Sorted and deduplicated; empty for all-null records.
-pub(crate) fn keys_for(scheme: &BlockingScheme, values: &[Value]) -> Vec<u64> {
-    match scheme {
-        BlockingScheme::None => Vec::new(),
-        BlockingScheme::Token(p) => tokenize::word_value_tokens(values, p.include_full_value),
-        BlockingScheme::QGram(p) => tokenize::qgram_tokens(values, p.q),
-        BlockingScheme::MinHashLsh(p) => minhash::band_tokens(
-            &tokenize::word_value_tokens(values, true),
-            p.bands,
-            p.rows,
-            p.seed,
-        ),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -396,14 +360,19 @@ mod tests {
         texts.iter().map(|t| Value::from(*t)).collect()
     }
 
-    fn small_token(max_block_size: usize, min_common_blocks: u32) -> BlockingScheme {
-        BlockingScheme::Token(crate::TokenParams {
-            include_full_value: true,
-            meta: MetaBlocking {
-                max_block_size,
-                min_common_blocks,
-            },
-        })
+    /// A token blocker under limits small enough for a test to reach.
+    fn small_token(max_block_size: usize, min_common_blocks: u32) -> StreamingBlocker {
+        let meta = MetaBlocking {
+            max_block_size,
+            min_common_blocks,
+        };
+        StreamingBlocker::with_meta(BlockingScheme::Token, meta)
+    }
+
+    /// Decodes `dump` into a fresh blocker under `blocker`'s limits.
+    fn reload(blocker: &StreamingBlocker, dump: &str) -> Result<StreamingBlocker> {
+        let json = hera_types::json::parse(dump).unwrap();
+        StreamingBlocker::with_meta(blocker.scheme, blocker.meta).load(&json)
     }
 
     #[test]
@@ -414,18 +383,18 @@ mod tests {
     #[test]
     fn cbs_threshold_filters_single_block_coincidences() {
         // min_common_blocks = 2: sharing one token is not enough.
-        let mut b = StreamingBlocker::new(&small_token(100, 2)).unwrap();
+        let mut b = small_token(100, 2);
         assert!(b.admit(0, &vals(&["alice smith"])).is_empty());
         assert!(b.admit(1, &vals(&["bob smith"])).is_empty(), "one shared");
         let c = b.admit(2, &vals(&["alice smith"]));
         assert_eq!(c, vec![0], "shares alice+smith(+full) with 0 only");
-        assert_eq!(b.len(), 3);
+        assert_eq!(b.records, 3);
     }
 
     #[test]
     fn purged_blocks_stop_producing_candidates() {
         // max_block_size = 2: the third record sharing a key purges it.
-        let mut b = StreamingBlocker::new(&small_token(2, 1)).unwrap();
+        let mut b = small_token(2, 1);
         assert!(b.admit(0, &vals(&["common"])).is_empty());
         assert_eq!(b.admit(1, &vals(&["common"])), vec![0]);
         // This admission fills the block past 2 and purges it…
@@ -436,7 +405,7 @@ mod tests {
 
     #[test]
     fn admit_order_is_deterministic_and_sorted() {
-        let mut b = StreamingBlocker::new(&small_token(100, 1)).unwrap();
+        let mut b = small_token(100, 1);
         for rid in 0..20 {
             b.admit(rid, &vals(&["shared key"]));
         }
@@ -446,16 +415,14 @@ mod tests {
 
     #[test]
     fn json_roundtrip_preserves_future_admissions() {
-        let scheme = small_token(2, 1);
-        let mut live = StreamingBlocker::new(&scheme).unwrap();
+        let mut live = small_token(2, 1);
         for (rid, text) in [(0, "aa bb"), (1, "aa cc"), (2, "aa dd"), (3, "ee ff")] {
             live.admit(rid, &vals(&[text]));
         }
         let dump = live.to_json().to_string_compact();
-        let mut restored =
-            StreamingBlocker::from_json(&scheme, &hera_types::json::parse(&dump).unwrap()).unwrap();
+        let mut restored = reload(&live, &dump).unwrap();
         assert_eq!(restored.to_json().to_string_compact(), dump, "fixpoint");
-        assert_eq!(restored.len(), live.len());
+        assert_eq!(restored.records, live.records);
         let a = live.admit(9, &vals(&["aa bb ee"]));
         let b = restored.admit(9, &vals(&["aa bb ee"]));
         assert_eq!(a, b, "restored blocker admits identically");
@@ -465,7 +432,7 @@ mod tests {
     /// and leaves nothing behind for the next admission to count on.
     #[test]
     fn accumulator_is_clean_after_an_admission_that_returned_nothing() {
-        let mut b = StreamingBlocker::new(&small_token(100, 2)).unwrap();
+        let mut b = small_token(100, 2);
         b.admit(0, &vals(&["alice smith"]));
         b.admit(7, &vals(&["carol smith"]));
         assert!(b.admit(3, &vals(&["bob smith"])).is_empty());
@@ -530,8 +497,7 @@ mod tests {
             min_common_blocks in 1u32..4,
             cut in 0usize..40,
         ) {
-            let scheme = small_token(max_block_size, min_common_blocks);
-            let mut blocker = StreamingBlocker::new(&scheme).unwrap();
+            let mut blocker = small_token(max_block_size, min_common_blocks);
             let mut oracle = Oracle {
                 blocks: Default::default(),
                 meta: blocker.meta,
@@ -539,11 +505,10 @@ mod tests {
             for (step, (rid, a, b)) in stream.iter().enumerate() {
                 if step == cut {
                     let dump = blocker.to_json().to_string_compact();
-                    let json = hera_types::json::parse(&dump).unwrap();
-                    blocker = StreamingBlocker::from_json(&scheme, &json).unwrap();
+                    blocker = reload(&blocker, &dump).unwrap();
                 }
                 let values = vals(&[a.as_str(), b.as_str()]);
-                let expected = oracle.admit(*rid, &blocker.keys_of(&values));
+                let expected = oracle.admit(*rid, &keys_for(blocker.scheme, &values));
                 prop_assert_eq!(blocker.admit(*rid, &values), expected, "step {}", step);
                 prop_assert!(blocker.touched.is_empty());
                 prop_assert!(blocker.counts.iter().all(|&c| c == 0));
@@ -553,10 +518,7 @@ mod tests {
 
     #[test]
     fn from_json_rejects_none_scheme() {
-        let dump = StreamingBlocker::new(&small_token(10, 1))
-            .unwrap()
-            .to_json()
-            .to_string_compact();
+        let dump = small_token(10, 1).to_json().to_string_compact();
         let err = StreamingBlocker::from_json(
             &BlockingScheme::None,
             &hera_types::json::parse(&dump).unwrap(),
@@ -570,10 +532,10 @@ mod tests {
     /// wrote a live block without one; restore refuses it by key.
     #[test]
     fn from_json_rejects_a_live_block_with_no_members() {
-        let scheme = small_token(10, 1);
         let dump =
             r#"{"records":1,"blocks":[{"key":"00000000000000ab","members":[]}],"purged":[]}"#;
-        let err = StreamingBlocker::from_json(&scheme, &hera_types::json::parse(dump).unwrap())
+        let json = hera_types::json::parse(dump).unwrap();
+        let err = StreamingBlocker::from_json(&BlockingScheme::Token, &json)
             .err()
             .expect("a live block with no members must be rejected");
         assert!(matches!(err, HeraError::Corrupt(_)), "{err}");
@@ -586,8 +548,7 @@ mod tests {
     /// found inline or spilled.
     #[test]
     fn members_are_written_in_arrival_order_inline_or_spilled() {
-        let scheme = small_token(3, 1);
-        let mut b = StreamingBlocker::new(&scheme).unwrap();
+        let mut b = small_token(3, 1);
         b.admit(5, &vals(&["aa"]));
         b.admit(2, &vals(&["bb"]));
         b.admit(9, &vals(&["bb"]));
@@ -598,7 +559,7 @@ mod tests {
         b.admit(7, &vals(&["dd"]));
         assert_eq!(b.spill.len(), 2, "the purged block's row was taken again");
         let members = |b: &StreamingBlocker, text: &str| {
-            let key = format!("{:016x}", b.keys_of(&vals(&[text]))[0]);
+            let key = format!("{:016x}", keys_for(b.scheme, &vals(&[text]))[0]);
             let json = b.to_json();
             let blocks = json.get("blocks").unwrap().as_arr().unwrap();
             let block = blocks

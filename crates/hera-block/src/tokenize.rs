@@ -15,17 +15,14 @@ pub(crate) fn hash_token(bytes: &[u8]) -> u64 {
     h.finish()
 }
 
-/// Word tokens of a record's values (folded), optionally joined by one
-/// whole-value token per value. Sorted and deduplicated.
+/// Word tokens of a record's values (folded), joined by one whole-value
+/// token per value. Sorted and deduplicated.
 ///
 /// The whole-value tokens matter at scale: word vocabularies are small
 /// and their blocks get purged as oversized, while full renderings
 /// (external ids, complete titles, dates, exact numbers) stay rare and
 /// carry the discriminative signal.
-pub(crate) fn word_value_tokens(
-    values: &[hera_types::Value],
-    include_full_value: bool,
-) -> Vec<u64> {
+pub(crate) fn word_value_tokens(values: &[hera_types::Value]) -> Vec<u64> {
     let mut out = Vec::new();
     for v in values {
         if v.is_null() {
@@ -41,7 +38,7 @@ pub(crate) fn word_value_tokens(
         for w in folded.split_whitespace() {
             out.push(hash_token(w.as_bytes()));
         }
-        if include_full_value && !folded.is_empty() {
+        if !folded.is_empty() {
             out.push(hash_token(folded.as_bytes()));
         }
     }
@@ -74,41 +71,34 @@ mod tests {
     #[test]
     fn word_tokens_fold_split_and_dedup() {
         let vals = vec![Value::from("Norman Street"), Value::from("norman")];
-        let toks = word_value_tokens(&vals, false);
-        // {"norman", "street"} — the repeated word collapses.
-        assert_eq!(toks.len(), 2);
+        let toks = word_value_tokens(&vals);
+        // {"norman", "street", "norman street"} — the repeated word and
+        // the whole value "norman" collapse.
+        assert_eq!(toks.len(), 3);
         assert!(toks.contains(&hash_token(b"norman")));
         assert!(toks.contains(&hash_token(b"street")));
-    }
-
-    #[test]
-    fn full_value_token_added() {
-        let vals = vec![Value::from("Norman Street")];
-        let with = word_value_tokens(&vals, true);
-        let without = word_value_tokens(&vals, false);
-        assert_eq!(with.len(), without.len() + 1);
-        assert!(with.contains(&hash_token(b"norman street")));
+        assert!(toks.contains(&hash_token(b"norman street")));
     }
 
     #[test]
     fn nulls_and_empties_yield_no_tokens() {
-        assert!(word_value_tokens(&[Value::Null, Value::from("")], true).is_empty());
+        assert!(word_value_tokens(&[Value::Null, Value::from("")]).is_empty());
         assert!(qgram_tokens(&[Value::Null, Value::from("")], 3).is_empty());
     }
 
     #[test]
     fn numbers_tokenize_via_rendering() {
-        let toks = word_value_tokens(&[Value::from(1984i64)], true);
+        let toks = word_value_tokens(&[Value::from(1984i64)]);
         assert_eq!(toks, vec![hash_token(b"1984")]);
     }
 
     /// The allocate-and-fold form `word_value_tokens` replaced.
-    fn folded_copy_tokens(values: &[Value], include_full_value: bool) -> Vec<u64> {
+    fn folded_copy_tokens(values: &[Value]) -> Vec<u64> {
         let mut out = Vec::new();
         for v in values.iter().filter(|v| !v.is_null()) {
             let folded = hera_sim::text::fold(&v.to_text());
             out.extend(folded.split_whitespace().map(|w| hash_token(w.as_bytes())));
-            if include_full_value && !folded.is_empty() {
+            if !folded.is_empty() {
                 out.push(hash_token(folded.as_bytes()));
             }
         }
@@ -131,16 +121,12 @@ mod tests {
                 0..4,
             ),
             number in -50i64..50,
-            include_full_value in proptest::prelude::any::<bool>(),
         ) {
             let mut values: Vec<Value> = texts.iter().map(|t| Value::from(t.as_str())).collect();
             values.push(Value::from(number));
             values.push(Value::from(number as f64 / 4.0));
             values.push(Value::Null);
-            proptest::prop_assert_eq!(
-                word_value_tokens(&values, include_full_value),
-                folded_copy_tokens(&values, include_full_value)
-            );
+            proptest::prop_assert_eq!(word_value_tokens(&values), folded_copy_tokens(&values));
         }
     }
 

@@ -1,6 +1,7 @@
 //! Subcommand implementations.
 
 use crate::args::Args;
+use crate::args::Flag::{self, Repeated, Switch, Value};
 use hera_baselines::eval::{bcubed, PairMetrics};
 use hera_baselines::{CollectiveEr, CorrelationClustering, RSwoosh, Resolver};
 use hera_core::{chaos, BlockingScheme, Hera, HeraConfig, HeraResult, HeraSession, ResolveBudget};
@@ -131,42 +132,81 @@ chaos harness and checks the no-torn-state invariant — the exact repro
 path for a chaos-test failure (see DESIGN.md, Fault model).
 ";
 
-/// The bare `--switch`es the subcommands read with [`Args::has`]; every
-/// other flag takes a value.
-pub(crate) const SWITCHES: &[&str] = &[
-    "eval",
-    "matchings",
-    "no-retry",
-    "require-monotonic-rounds",
-    "streaming",
-    "strict-checkpoints",
-    "trace-deterministic",
-    "trace-stderr",
-];
-
-/// Routes a parsed command line.
-pub fn dispatch(args: &Args) -> Result<(), String> {
-    match args.command.as_str() {
-        "import" => import(args),
-        "generate" => generate(args),
-        "resolve" => resolve(args),
-        "checkpoint" => checkpoint(args),
-        "restore-resolve" => restore_resolve(args),
-        "exchange" => exchange(args),
-        "fuse" => fuse(args),
-        "baseline" => baseline(args),
-        "trace-check" => trace_check(args),
-        "serve" => serve(args),
-        "client" => client(args),
-        "faults gen" => faults_gen(args),
-        "faults replay" => faults_replay(args),
-        "faults" => Err("faults needs an action: `faults gen` or `faults replay`".into()),
-        "demo" => demo(),
-        other => Err(format!(
-            "unknown subcommand {other:?} (try `hera-cli help`)"
-        )),
-    }
+/// A subcommand: its name, the flags it reads — its own and those of
+/// the shared helpers it calls, one group each — and its body.
+#[derive(Debug)]
+pub(crate) struct Command {
+    /// The name on the command line (`faults gen` for a `faults` action).
+    pub name: &'static str,
+    /// Every flag the command reads; the parser refuses any other.
+    pub flags: &'static [&'static [Flag]],
+    /// Runs the command.
+    pub run: fn(&Args) -> Result<(), String>,
 }
+
+/// The subcommands, each with its own flags and then, one group each,
+/// the flags of the shared helpers it calls: [`build_config`],
+/// [`build_recorder`], [`fault_injector`], [`budget_of`] and [`report`].
+#[rustfmt::skip]
+pub(crate) const COMMANDS: &[Command] = {
+    const CONFIG: &[Flag] = &[Value("delta"), Value("xi"), Value("threads"), Value("blocking")];
+    const RECORDER: &[Flag] =
+        &[Value("trace"), Switch("trace-deterministic"), Switch("trace-stderr")];
+    const FAULTS: &[Flag] = &[Value("fault-plan")];
+    const BUDGET: &[Flag] = &[Value("budget"), Value("budget-merges")];
+    const REPORT: &[Flag] = &[Value("trace"), Switch("eval"), Switch("matchings"), Value("labels")];
+    type Run = fn(&Args) -> Result<(), String>;
+    const fn command(name: &'static str, run: Run, flags: &'static [&'static [Flag]]) -> Command {
+        Command { name, flags, run }
+    }
+    &[
+        command("import", import, &[
+            &[Repeated("source"), Value("entity-column"), Value("name"), Value("out")],
+        ]),
+        command("generate", generate, &[&[
+            Value("size"), Value("preset"), Value("seed"), Value("dup-ratio"), Value("sources"),
+            Value("attrs"), Value("corruption"), Value("out"),
+        ]]),
+        command("resolve", resolve, &[
+            &[Value("input"), Switch("streaming"), Value("checkpoint"), Value("checkpoint-every")],
+            CONFIG, RECORDER, FAULTS, BUDGET, REPORT,
+        ]),
+        command("checkpoint", checkpoint, &[
+            &[Value("input"), Value("out"), Value("upto")], CONFIG, RECORDER,
+        ]),
+        command("restore-resolve", restore_resolve, &[
+            &[Value("input"), Value("snapshot"), Value("checkpoint")],
+            CONFIG, RECORDER, BUDGET, REPORT,
+        ]),
+        command("exchange", exchange, &[
+            &[Value("input"), Value("fraction"), Value("seed"), Value("out")],
+        ]),
+        command("fuse", fuse, &[
+            &[Value("input"), Value("labels"), Value("fraction"), Value("seed"), Value("out")],
+        ]),
+        command("baseline", baseline, &[&[
+            Value("input"), Value("system"), Value("delta"), Value("xi"), Value("seed"),
+            Value("alpha"), Switch("eval"), Value("labels"),
+        ]]),
+        command("trace-check", trace_check, &[
+            &[Value("input"), Switch("require-monotonic-rounds")],
+        ]),
+        command("serve", serve, &[
+            &[Value("listen"), Value("restore"), Value("stitch-every"), Switch("no-retry")],
+            CONFIG, RECORDER, FAULTS,
+        ]),
+        command("client", client, &[&[Value("connect"), Repeated("line")]]),
+        command("faults gen", faults_gen, &[&[Value("seed"), Value("out")]]),
+        command("faults replay", faults_replay, &[
+            &[Value("input"), Value("plan"), Value("checkpoint-every"), Value("crash-after"),
+              Switch("strict-checkpoints"), Value("upto"), Value("resolve-budget")],
+            CONFIG,
+        ]),
+        command("faults", |_| Err("faults needs an action: `faults gen` or `faults replay`".into()),
+            &[]),
+        command("demo", demo, &[]),
+    ]
+};
 
 fn load_dataset(path: &str) -> Result<Dataset, String> {
     let json = fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
@@ -287,13 +327,11 @@ fn build_config(args: &Args) -> Result<HeraConfig, String> {
 /// The `--budget N` / `--budget-merges M` pair as a [`ResolveBudget`];
 /// `None` when neither flag is present (classic fixpoint resolution).
 fn budget_of(args: &Args) -> Result<Option<ResolveBudget>, String> {
-    let mut budget = ResolveBudget::unlimited();
-    if args.get("budget").is_some() {
-        budget.comparisons = Some(args.get_u64("budget", 0)?);
-    }
-    if args.get("budget-merges").is_some() {
-        budget.merges = Some(args.get_u64("budget-merges", 0)?);
-    }
+    let budget = ResolveBudget {
+        comparisons: args.get_opt_u64("budget")?,
+        merges: args.get_opt_u64("budget-merges")?,
+        ..ResolveBudget::unlimited()
+    };
     Ok(budget.is_bounded().then_some(budget))
 }
 
@@ -503,10 +541,7 @@ fn report(
 }
 
 fn resolve_streaming(args: &Args, ds: &Dataset) -> Result<(), String> {
-    let every = match args.get("checkpoint-every") {
-        Some(_) => Some(args.get_u64("checkpoint-every", 1)? as usize),
-        None => None,
-    };
+    let every = args.get_opt_u64("checkpoint-every")?.map(|k| k as usize);
     if every == Some(0) {
         return Err("--checkpoint-every expects a positive record count".into());
     }
@@ -526,10 +561,7 @@ fn resolve_streaming(args: &Args, ds: &Dataset) -> Result<(), String> {
 fn checkpoint(args: &Args) -> Result<(), String> {
     let ds = load_dataset(args.require("input")?)?;
     let out = args.require("out")?;
-    let upto = match args.get("upto") {
-        Some(_) => args.get_u64("upto", 0)? as usize,
-        None => ds.len(),
-    };
+    let upto = args.get_opt_u64("upto")?.map_or(ds.len(), |u| u as usize);
     if upto > ds.len() {
         return Err(format!(
             "--upto {upto} exceeds the dataset's {} records",
@@ -580,12 +612,12 @@ fn restore_resolve(args: &Args) -> Result<(), String> {
         // exhaustion the budgeted call picks up exactly where the
         // previous slice stopped.
         ingest_then_spend(&mut session, &ds, budget)?;
-        if let Some(path) = args.get("checkpoint") {
-            write_checkpoint(&mut session, path)?;
-            eprintln!("checkpoint written to {path}");
-        }
     } else {
         stream(&mut session, &ds, from..ds.len(), None)?;
+    }
+    if let Some(path) = args.get("checkpoint") {
+        write_checkpoint(&mut session, path)?;
+        eprintln!("checkpoint written to {path}");
     }
     report(args, &ds, &recorder, &result_of(&session))
 }
@@ -801,16 +833,10 @@ fn faults_replay(args: &Args) -> Result<(), String> {
         build_config(args)?,
         args.get_u64("checkpoint-every", 1)? as usize,
     );
-    if args.get("crash-after").is_some() {
-        cfg.crash_after = Some(args.get_u64("crash-after", 0)? as usize);
-    }
+    cfg.crash_after = args.get_opt_u64("crash-after")?.map(|n| n as usize);
     cfg.strict_checkpoints = args.has("strict-checkpoints");
-    if args.get("upto").is_some() {
-        cfg.upto = Some(args.get_u64("upto", 0)? as usize);
-    }
-    if args.get("resolve-budget").is_some() {
-        cfg.resolve_budget = Some(args.get_u64("resolve-budget", 0)?);
-    }
+    cfg.upto = args.get_opt_u64("upto")?.map(|n| n as usize);
+    cfg.resolve_budget = args.get_opt_u64("resolve-budget")?;
 
     let dir = std::env::temp_dir().join(format!("hera-faults-replay-{}", std::process::id()));
     fs::create_dir_all(&dir).map_err(|e| format!("creating {}: {e}", dir.display()))?;
@@ -945,7 +971,7 @@ fn client(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn demo() -> Result<(), String> {
+fn demo(_: &Args) -> Result<(), String> {
     let ds = hera_types::motivating_example();
     println!("The paper's Fig. 1 scenario: six customer records, three schemas.\n");
     for rec in ds.iter() {

@@ -30,7 +30,7 @@ fn main() -> ExitCode {
         let action = raw.remove(1);
         raw[0] = format!("faults {action}");
     }
-    let args = match Args::parse(raw, commands::SWITCHES) {
+    let args = match Args::parse(raw, commands::COMMANDS) {
         Ok(a) => a,
         Err(e) => {
             eprintln!("error: {e}");
@@ -38,12 +38,12 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    // `--source` legitimately repeats (multi-file import); anything else
-    // given twice is almost certainly a mistake — the last value wins.
-    for name in args.duplicated(&["source"]) {
+    // A `Repeated` flag (`import --source`, `client --line`) repeats;
+    // anything else given twice is almost certainly a mistake.
+    for name in args.duplicated() {
         eprintln!("warning: --{name} given more than once; the last value wins");
     }
-    match commands::dispatch(&args) {
+    match (args.command.run)(&args) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");

@@ -1,20 +1,27 @@
 //! The binary, driven end to end on one small generated dataset: a
 //! checkpoint restored and resumed, and streaming runs under fault plans,
-//! each label every record as the uninterrupted streaming run does.
+//! each label every record as the uninterrupted streaming run does; and
+//! a flag the subcommand does not read, refused.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-/// Runs `hera-cli args…` and returns its stderr; fails the test unless
-/// it exits 0.
-fn hera(args: &[&str]) -> String {
+/// Runs `hera-cli args…` and returns its exit code and stderr.
+fn run(args: &[&str]) -> (Option<i32>, String) {
     let out = Command::new(env!("CARGO_BIN_EXE_hera-cli"))
         .args(args)
         .output()
         .expect("hera-cli starts");
     let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
-    assert!(out.status.success(), "hera-cli {args:?} failed:\n{stderr}");
+    (out.status.code(), stderr)
+}
+
+/// Runs `hera-cli args…` and returns its stderr; fails the test unless
+/// it exits 0.
+fn hera(args: &[&str]) -> String {
+    let (code, stderr) = run(args);
+    assert_eq!(code, Some(0), "hera-cli {args:?} failed:\n{stderr}");
     stderr
 }
 
@@ -102,6 +109,71 @@ fn restore_resolve_continues_a_checkpoint_exactly() {
     ]);
     assert!(stderr.contains("at record 200"), "{stderr}");
     assert_eq!(fs::read_to_string(&labels).unwrap(), reference);
+}
+
+/// `restore-resolve --checkpoint FILE` without `--budget` snapshots the
+/// continued session, and a restore from that snapshot labels every
+/// record as the uninterrupted run does.
+#[test]
+fn restore_resolve_checkpoints_its_continuation() {
+    let dir = scratch("restore_resolve_checkpoint");
+    let (ds, reference) = dataset_and_reference(&dir);
+    let half = path(&dir, "half.hera");
+    hera(&[
+        "checkpoint",
+        "--input",
+        &ds,
+        "--upto",
+        "200",
+        "--out",
+        &half,
+    ]);
+    let whole = path(&dir, "whole.hera");
+    let stderr = hera(&[
+        "restore-resolve",
+        "--snapshot",
+        &half,
+        "--input",
+        &ds,
+        "--checkpoint",
+        &whole,
+    ]);
+    assert!(stderr.contains("checkpoint written to"), "{stderr}");
+    assert!(Path::new(&whole).exists(), "no snapshot at {whole}");
+    let labels = path(&dir, "from_whole.csv");
+    let stderr = hera(&[
+        "restore-resolve",
+        "--snapshot",
+        &whole,
+        "--input",
+        &ds,
+        "--labels",
+        &labels,
+    ]);
+    assert!(stderr.contains("at record 400"), "{stderr}");
+    assert_eq!(fs::read_to_string(&labels).unwrap(), reference);
+}
+
+/// A flag the subcommand does not read is an error naming it, with exit
+/// code 1, and nothing runs; the same command spelled right runs.
+#[test]
+fn a_mistyped_flag_is_refused() {
+    let dir = scratch("mistyped_flag");
+    let (ds, _) = dataset_and_reference(&dir);
+    let snapshot = path(&dir, "run.hera");
+    let mut args = vec!["resolve", "--input", &ds, "--streaming"];
+    args.extend(["--checkpoint", &snapshot, "--checkpoint-evry", "100"]);
+    let (code, stderr) = run(&args);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(stderr.contains("--checkpoint-evry"), "{stderr}");
+    assert!(
+        !Path::new(&snapshot).exists(),
+        "the refused run wrote {snapshot}"
+    );
+    let typo = args.len() - 2;
+    args[typo] = "--checkpoint-every";
+    hera(&args);
+    assert!(Path::new(&snapshot).exists(), "no snapshot at {snapshot}");
 }
 
 /// The plan `faults gen --seed 42` prints fails snapshot writes and

@@ -135,14 +135,14 @@ impl Hera {
     /// filters need ξ > 0.
     pub fn join(&self, ds: &Dataset) -> Vec<hera_join::ValuePair> {
         let threads = self.config.num_threads;
-        let scheme = match &self.config.blocking {
+        let scheme = match self.config.blocking {
             hera_block::BlockingScheme::None => {
                 let config = JoinConfig::new(self.config.xi).with_threads(threads);
                 return SimilarityJoin::new(config, self.metric.as_ref())
                     .with_recorder(self.recorder.clone())
                     .join_dataset(ds);
             }
-            scheme => scheme.clone(),
+            scheme => scheme,
         };
         let blocked = hera_block::Blocker::new(scheme)
             .with_recorder(self.recorder.clone())

@@ -26,10 +26,10 @@
 use crate::config::HeraConfig;
 use crate::engine::{Ctx, Engine};
 use crate::stats::RunStats;
-use crate::store::Snapshot;
+use crate::store::{Snapshot, WriteReport};
 use crate::super_record::SuperRecord;
 use crate::voter::{DecidedMatching, SchemaVoter};
-use hera_block::StreamingBlocker;
+use hera_block::{BlockingScheme, StreamingBlocker};
 use hera_faults::{io_retryable, BackoffPolicy, Clock, FaultInjector, SystemClock};
 use hera_index::{Grouping, UnionFind, ValuePairIndex};
 use hera_join::{Among, IncrementalJoin};
@@ -363,14 +363,14 @@ impl HeraSessionBuilder {
                 session.config.xi
             )));
         }
-        // Blocking is likewise universe-shaping: the scheme used at
-        // checkpoint time must be the scheme restored under (pre-blocking
-        // snapshots carry no key and mean "none").
+        // Blocking is likewise universe-shaping: the whole scheme, keys
+        // and limits, must be the one restored under, and a scheme is its
+        // name. Pre-blocking snapshots carry no key and mean "none".
         let snap_blocking = match snap.expect("config")?.get("blocking") {
             Some(j) => j.as_str()?,
             None => "none",
         };
-        if snap_blocking != session.config.blocking.name() {
+        if BlockingScheme::parse(snap_blocking).ok() != Some(session.config.blocking) {
             return Err(HeraError::InvalidConfig(format!(
                 "snapshot was taken with blocking '{snap_blocking}' but the restore config \
                  has '{}'; the join's candidate universe is blocking-dependent",
@@ -450,20 +450,25 @@ impl HeraSessionBuilder {
                 }
             }
         }
-        session.recorder.span(
-            "checkpoint_load",
-            None,
-            &[
-                ("bytes", report.payload_bytes as i64),
-                ("sections", report.sections as i64),
-            ],
-        );
+        journal_snapshot(&session.recorder, "checkpoint_load", report);
         session
             .recorder
             .timing("checkpoint_load", None, start.elapsed());
         session.recorder.flush();
         Ok(session)
     }
+}
+
+/// Journals a snapshot write or read: its section count on the core
+/// `stage` span, its payload size on a `diag` line (the wall-clock `*_us`
+/// stats take more or fewer digits from one run to the next).
+fn journal_snapshot(recorder: &hera_obs::Recorder, stage: &str, report: WriteReport) {
+    recorder.span(stage, None, &[("sections", report.sections as i64)]);
+    let bytes = Json::Int(report.payload_bytes as i64);
+    recorder.emit_diag(
+        "diag",
+        vec![("what", Json::Str(stage.into())), ("bytes", bytes)],
+    );
 }
 
 impl HeraSession {
@@ -503,14 +508,7 @@ impl HeraSession {
             attempts: e.attempts,
             cause: Box::new(e.error),
         })?;
-        self.recorder.span(
-            "checkpoint_save",
-            None,
-            &[
-                ("bytes", report.payload_bytes as i64),
-                ("sections", report.sections as i64),
-            ],
-        );
+        journal_snapshot(&self.recorder, "checkpoint_save", report);
         if attempts > 1 {
             // Host-dependent robustness detail, not part of the
             // deterministic core journal.
@@ -1431,6 +1429,49 @@ mod tests {
             resumed.schema_matchings().len(),
             straight.schema_matchings().len()
         );
+    }
+
+    /// Two sessions in the same state whose wall-clock timers take
+    /// different numbers of digits write snapshots of different sizes,
+    /// yet journal the same deterministic checkpoint and restore lines.
+    #[test]
+    fn checkpoint_journals_do_not_depend_on_the_timers() {
+        let journal = |micros: u64| {
+            let (recorder, sink) = hera_obs::Recorder::to_memory();
+            let builder = HeraSession::builder(HeraConfig::paper_example());
+            let mut session = populated_session(builder.recorder(recorder.clone()));
+            let stats = &mut session.engine.stats;
+            for timer in [
+                &mut stats.index_build_time,
+                &mut stats.resolve_time,
+                &mut stats.verify_time,
+                &mut stats.candidate_time,
+                &mut stats.absorb_time,
+                &mut stats.merge_time,
+                &mut stats.ingest_time,
+                &mut stats.admit_time,
+                &mut stats.join_insert_time,
+            ] {
+                *timer = Duration::from_micros(micros);
+            }
+            let path = std::env::temp_dir().join(format!(
+                "hera-session-timers-{}-{micros}.hera",
+                std::process::id()
+            ));
+            session.checkpoint(&path).unwrap();
+            HeraSession::builder(HeraConfig::paper_example())
+                .recorder(recorder)
+                .restore(&path)
+                .unwrap();
+            let bytes = std::fs::metadata(&path).unwrap().len();
+            std::fs::remove_file(&path).ok();
+            (hera_obs::deterministic_view(&sink.contents()), bytes)
+        };
+        let (short, short_bytes) = journal(1);
+        let (long, long_bytes) = journal(1_000_000);
+        assert_ne!(short_bytes, long_bytes, "the timers reach the snapshot");
+        assert!(short.contains("\"checkpoint_save\"") && short.contains("\"checkpoint_load\""));
+        assert_eq!(short, long);
     }
 
     #[test]

@@ -95,6 +95,12 @@ pub(crate) struct StitchedView {
     passes: u64,
 }
 
+/// A published generation is three rows of rids and a counter: the
+/// compile-time twin of the "Base super records" CI step, which refuses
+/// a map or a nested partition in the view again.
+const _: () = assert!(size_of::<Grouping>() == 3 * size_of::<Vec<u32>>());
+const _: () = assert!(size_of::<StitchedView>() == size_of::<Grouping>() + size_of::<u64>());
+
 impl StitchedView {
     /// Records this generation covers.
     pub(crate) fn len(&self) -> usize {

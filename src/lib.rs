@@ -199,21 +199,38 @@ pub use hera_types::{
 /// }
 /// ```
 ///
-/// Switches no caller set: weighted-edge pruning beside the CBS floor, and
-/// the prefix filter's off position, which the join only ever takes where
-/// the filter is not complete.
-///
-/// ```compile_fail
-/// fn weighted(meta: hera::block::MetaBlocking) -> bool {
-///     let hera::block::MetaBlocking { weighted, .. } = meta;
-///     weighted
-/// }
-/// ```
+/// Switches no caller set: the prefix filter's off position, which the
+/// join only ever takes where the filter is not complete.
 ///
 /// ```compile_fail
 /// fn filtered(config: hera::join::JoinConfig) -> bool {
 ///     let hera::join::JoinConfig { prefix_filter, .. } = config;
 ///     prefix_filter
+/// }
+/// ```
+///
+/// Blocking parameters no caller set: a scheme is its name, so the
+/// parameter structs, the public limits and the scheme's fields are gone.
+///
+/// ```compile_fail
+/// fn named(_: hera::block::TokenParams) {}
+/// ```
+///
+/// ```compile_fail
+/// fn named(_: hera::block::QGramParams) {}
+/// ```
+///
+/// ```compile_fail
+/// fn named(_: hera::block::LshParams) {}
+/// ```
+///
+/// ```compile_fail
+/// fn named(_: hera::block::MetaBlocking) {}
+/// ```
+///
+/// ```compile_fail
+/// fn has_params(scheme: hera::BlockingScheme) -> bool {
+///     matches!(scheme, hera::BlockingScheme::Token(_))
 /// }
 /// ```
 ///

@@ -58,11 +58,11 @@ fn assert_blocked_join_is_restricted_exhaustive(
     let all =
         SimilarityJoin::new(JoinConfig::new(XI).exhaustive(), metric.as_ref()).join_dataset(ds);
     for scheme in schemes() {
-        let kept = Blocker::new(scheme.clone()).block(ds).pairs;
+        let kept = Blocker::new(scheme).block(ds).pairs;
         let mut expected = all.clone();
         expected.retain(|p| kept.binary_search(&(p.a.rid, p.b.rid)).is_ok());
         let config = HeraConfig::new(0.5, XI)
-            .with_blocking(scheme.clone())
+            .with_blocking(scheme)
             .with_threads(threads);
         let blocked = Hera::builder(config)
             .metric(metric.clone())
@@ -107,11 +107,9 @@ fn blocked_join_is_the_all_pairs_join_restricted_under_edit_similarity() {
 fn blocking_is_deterministic_across_thread_counts() {
     let ds = dataset(77, 600);
     for scheme in schemes() {
-        let base = Blocker::new(scheme.clone()).with_threads(1).block(&ds);
+        let base = Blocker::new(scheme).with_threads(1).block(&ds);
         for threads in [2, 4, 8] {
-            let other = Blocker::new(scheme.clone())
-                .with_threads(threads)
-                .block(&ds);
+            let other = Blocker::new(scheme).with_threads(threads).block(&ds);
             assert_eq!(
                 base.pairs,
                 other.pairs,
@@ -129,7 +127,7 @@ fn blocking_is_deterministic_across_thread_counts() {
 fn blocked_pipeline_is_deterministic_across_thread_counts() {
     let ds = dataset(78, 400);
     for scheme in schemes() {
-        let config = HeraConfig::new(0.5, XI).with_blocking(scheme.clone());
+        let config = HeraConfig::new(0.5, XI).with_blocking(scheme);
         let base = Hera::builder(config.clone().with_threads(1))
             .build()
             .run(&ds)
@@ -189,7 +187,7 @@ fn schemes_clear_their_recall_floor_on_seeded_data() {
     assert!(truth_pairs > 0, "seeded dataset must contain duplicates");
     let floors = [("token", 0.65), ("qgram", 0.95), ("lsh", 0.70)];
     for scheme in schemes() {
-        let outcome = Blocker::new(scheme.clone()).block(&ds);
+        let outcome = Blocker::new(scheme).block(&ds);
         let kept = outcome
             .pairs
             .iter()

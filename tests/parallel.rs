@@ -111,7 +111,7 @@ fn parallel_join_is_bit_identical() {
             let (rec, buf) = Recorder::to_memory();
             let cfg = HeraConfig::new(0.5, xi)
                 .with_threads(threads)
-                .with_blocking(blocking.clone());
+                .with_blocking(blocking);
             let hera = Hera::builder(cfg).recorder(rec.deterministic()).build();
             (hera.join(ds), buf.contents())
         };

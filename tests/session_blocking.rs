@@ -195,7 +195,7 @@ fn restore_rejects_blocking_scheme_mismatch() {
     ] {
         let path = dir.join(format!("{}.hera", written.name()));
         let mut session =
-            HeraSession::builder(HeraConfig::new(DELTA, XI).with_blocking(written.clone())).build();
+            HeraSession::builder(HeraConfig::new(DELTA, XI).with_blocking(written)).build();
         let schemas = session.mirror_schemas(&ds.registry);
         for r in ds.iter().take(30) {
             session
@@ -205,7 +205,7 @@ fn restore_rejects_blocking_scheme_mismatch() {
         session.resolve();
         session.checkpoint(&path).unwrap();
 
-        let err = HeraSession::builder(HeraConfig::new(DELTA, XI).with_blocking(restored.clone()))
+        let err = HeraSession::builder(HeraConfig::new(DELTA, XI).with_blocking(restored))
             .restore(&path)
             .err()
             .unwrap_or_else(|| {
