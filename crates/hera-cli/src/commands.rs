@@ -9,7 +9,68 @@ use hera_faults::{FaultInjector, FaultPlan};
 use hera_sim::TypeDispatch;
 use hera_types::{Dataset, RecordId};
 use std::fs;
+use std::io::Write;
 use std::path::Path;
+
+/// `println!` for a command's output, through [`out`]: a reader that
+/// closed stdout ends the process quietly, any other write error returns
+/// from the calling command.
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        out(format_args!("{}\n", format_args!($($arg)*)))?
+    };
+}
+
+/// Exit status of a run whose stdout reader closed the pipe: 128 +
+/// SIGPIPE (13), what a shell reports for a filter a closed pipe killed.
+/// A `pipefail` pipeline then tells a cut-short run from a whole one, as
+/// it does for `cat` or `grep`.
+const CLOSED_STDOUT: i32 = 141;
+
+/// Stdout, noting whether its reader closed the pipe.
+#[derive(Default)]
+struct Stdout {
+    closed: bool,
+}
+
+impl Write for Stdout {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        let written = std::io::stdout().write(buf);
+        self.note(written)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        let flushed = std::io::stdout().flush();
+        self.note(flushed)
+    }
+}
+
+impl Stdout {
+    fn note<T>(&mut self, result: std::io::Result<T>) -> std::io::Result<T> {
+        if let Err(e) = &result {
+            self.closed |= e.kind() == std::io::ErrorKind::BrokenPipe;
+        }
+        result
+    }
+}
+
+/// The end of the output: stdout's reader is gone, so nothing the run
+/// still has to say can reach it. Exits with [`CLOSED_STDOUT`], without
+/// a message.
+fn closed_stdout() -> ! {
+    std::process::exit(CLOSED_STDOUT)
+}
+
+/// Writes `text` to stdout, the one way the binary does. A closed pipe
+/// ends the run ([`closed_stdout`]); another write error is returned.
+pub(crate) fn out(text: std::fmt::Arguments<'_>) -> Result<(), String> {
+    let mut stdout = Stdout::default();
+    match stdout.write_fmt(text) {
+        Ok(()) => Ok(()),
+        Err(_) if stdout.closed => closed_stdout(),
+        Err(e) => Err(format!("writing stdout: {e}")),
+    }
+}
 
 /// Help text.
 pub(crate) const USAGE: &str = "\
@@ -217,7 +278,7 @@ fn write_out(path: Option<&str>, content: &str) -> Result<(), String> {
     match path {
         Some(p) => fs::write(p, content).map_err(|e| format!("writing {p}: {e}")),
         None => {
-            println!("{content}");
+            outln!("{content}");
             Ok(())
         }
     }
@@ -791,14 +852,14 @@ fn trace_check(args: &Args) -> Result<(), String> {
     let path = args.require("input")?;
     let text = fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
     let summary = hera_obs::validate(&text).map_err(|e| format!("{path}: {e}"))?;
-    println!("{path}: {} journal lines, all valid", summary.lines);
+    outln!("{path}: {} journal lines, all valid", summary.lines);
     for (kind, n) in &summary.by_kind {
-        println!("  {kind}: {n}");
+        outln!("  {kind}: {n}");
     }
     let core_lines = hera_obs::deterministic_view(&text).lines().count();
-    println!("  ({core_lines} deterministic core lines)");
+    outln!("  ({core_lines} deterministic core lines)");
     match hera_obs::check_rounds_monotonic(&text) {
-        Ok(n) => println!("  rounds monotonic across {n} round-bearing line(s)"),
+        Ok(n) => outln!("  rounds monotonic across {n} round-bearing line(s)"),
         Err(e) if args.has("require-monotonic-rounds") => {
             return Err(format!("{path}: rounds not monotonic: {e}"));
         }
@@ -806,7 +867,7 @@ fn trace_check(args: &Args) -> Result<(), String> {
             // Crash-*replay* journals legitimately rewind (the writer
             // re-executes pre-crash rounds); anything else is a resumed
             // run that restarted its counter — a bug.
-            println!("  rounds NOT monotonic ({e}) — expected only for crash-replay journals");
+            outln!("  rounds NOT monotonic ({e}) — expected only for crash-replay journals");
         }
     }
     Ok(())
@@ -868,7 +929,7 @@ fn faults_replay(args: &Args) -> Result<(), String> {
         report.sink_degraded
     );
     if verdict.ok {
-        println!("no-torn-state invariant: OK");
+        outln!("no-torn-state invariant: OK");
         Ok(())
     } else {
         Err(format!(
@@ -917,8 +978,13 @@ fn serve(args: &Args) -> Result<(), String> {
         None => {
             // stdio mode: requests on stdin, responses on stdout.
             let stdin = std::io::stdin();
-            let mut stdout = std::io::stdout();
-            hera_serve::serve_lines(&service, stdin.lock(), &mut stdout)
+            let mut stdout = Stdout::default();
+            let served = hera_serve::serve_lines(&service, stdin.lock(), &mut stdout);
+            if stdout.closed {
+                recorder.flush();
+                closed_stdout();
+            }
+            served
         }
     }
     .map_err(|e| e.to_string())?;
@@ -966,31 +1032,31 @@ fn client(args: &Args) -> Result<(), String> {
         if responses.read_line(&mut reply).map_err(|e| e.to_string())? == 0 {
             return Err("server closed the connection".into());
         }
-        print!("{reply}");
+        out(format_args!("{reply}"))?;
     }
     Ok(())
 }
 
 fn demo(_: &Args) -> Result<(), String> {
     let ds = hera_types::motivating_example();
-    println!("The paper's Fig. 1 scenario: six customer records, three schemas.\n");
+    outln!("The paper's Fig. 1 scenario: six customer records, three schemas.\n");
     for rec in ds.iter() {
         let schema = ds.registry.schema(rec.schema);
-        println!("  r{} [{}] {:?}", rec.id.raw() + 1, schema.name, rec.values);
+        outln!("  r{} [{}] {:?}", rec.id.raw() + 1, schema.name, rec.values);
     }
     let result = Hera::builder(HeraConfig::paper_example())
         .build()
         .run(&ds)
         .map_err(|e| e.to_string())?;
-    println!(
+    outln!(
         "\nHERA (δ = ξ = 0.5) finds {} entities:",
         result.entity_count()
     );
     for cluster in result.clusters() {
         let names: Vec<String> = cluster.iter().map(|r| format!("r{}", r + 1)).collect();
-        println!("  {{{}}}", names.join(", "));
+        outln!("  {{{}}}", names.join(", "));
     }
     let m = PairMetrics::score(&result.clusters(), &ds.truth);
-    println!("\nagainst ground truth: {m}");
+    outln!("\nagainst ground truth: {m}");
     Ok(())
 }

@@ -20,8 +20,13 @@ use std::process::ExitCode;
 fn main() -> ExitCode {
     let mut raw: Vec<String> = std::env::args().skip(1).collect();
     if raw.is_empty() || raw[0] == "help" || raw[0] == "--help" {
-        print!("{}", commands::USAGE);
-        return ExitCode::SUCCESS;
+        return match commands::out(format_args!("{}", commands::USAGE)) {
+            Ok(()) => ExitCode::SUCCESS,
+            Err(e) => {
+                eprintln!("error: {e}");
+                ExitCode::FAILURE
+            }
+        };
     }
     // `faults` is a two-token command group (`faults replay`, `faults
     // gen`): fold the action into the command so the strict parser (no

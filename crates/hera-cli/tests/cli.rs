@@ -1,7 +1,8 @@
 //! The binary, driven end to end on one small generated dataset: a
 //! checkpoint restored and resumed, and streaming runs under fault plans,
-//! each label every record as the uninterrupted streaming run does; and
-//! a flag the subcommand does not read, refused.
+//! each label every record as the uninterrupted streaming run does; a
+//! restore under another δ and a flag the subcommand does not read,
+//! refused; and a closed stdout, taken as the end of the output.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -111,6 +112,43 @@ fn restore_resolve_continues_a_checkpoint_exactly() {
     assert_eq!(fs::read_to_string(&labels).unwrap(), reference);
 }
 
+/// A snapshot taken at the default δ refuses a continuation under
+/// another: `restore-resolve --delta 0.9` exits 1 naming δ, and writes
+/// no labels.
+#[test]
+fn restore_resolve_refuses_another_delta() {
+    let dir = scratch("restore_resolve_delta");
+    let (ds, _) = dataset_and_reference(&dir);
+    let snapshot = path(&dir, "half.hera");
+    hera(&[
+        "checkpoint",
+        "--input",
+        &ds,
+        "--upto",
+        "200",
+        "--out",
+        &snapshot,
+    ]);
+    let labels = path(&dir, "skewed.csv");
+    let (code, stderr) = run(&[
+        "restore-resolve",
+        "--snapshot",
+        &snapshot,
+        "--input",
+        &ds,
+        "--delta",
+        "0.9",
+        "--labels",
+        &labels,
+    ]);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(stderr.contains("delta=0.9"), "{stderr}");
+    assert!(
+        !Path::new(&labels).exists(),
+        "the refused run wrote {labels}"
+    );
+}
+
 /// `restore-resolve --checkpoint FILE` without `--budget` snapshots the
 /// continued session, and a restore from that snapshot labels every
 /// record as the uninterrupted run does.
@@ -204,4 +242,31 @@ fn streaming_absorbs_a_checkpoint_that_outlasts_its_retries() {
     let warnings = stderr.lines().filter(|l| l.starts_with("warning:")).count();
     assert_eq!(warnings, 1, "{stderr}");
     assert_eq!(labels, reference);
+}
+
+/// A reader that closes stdout after a few bytes ends the run: no panic,
+/// no backtrace, and the exit status a closed pipe gives a filter
+/// (128 + SIGPIPE), not the 101 of a panic.
+#[test]
+fn a_closed_stdout_ends_the_run_quietly() {
+    use std::io::Read;
+    use std::process::Stdio;
+    let mut child = Command::new(env!("CARGO_BIN_EXE_hera-cli"))
+        .args(["generate", "--preset", "dm1", "--seed", "1"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("hera-cli starts");
+    let mut head = [0u8; 10];
+    let mut stdout = child.stdout.take().expect("stdout is piped");
+    stdout.read_exact(&mut head).unwrap();
+    assert_eq!(&head[..1], b"{", "the dataset's JSON starts");
+    // The JSON is far larger than a pipe's buffer, so the writer is
+    // still writing when the read end closes here.
+    drop(stdout);
+    let out = child.wait_with_output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(141), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(!stderr.contains("Broken pipe"), "{stderr}");
 }

@@ -8,7 +8,7 @@ use hera_index::{BoundsScratch, ValuePairIndex};
 use hera_join::{Among, IncrementalJoin, JoinConfig, SimilarityJoin};
 use hera_sim::{TypeDispatch, ValueSimilarity};
 use hera_types::json::Json;
-use hera_types::{Dataset, HeraError, Result};
+use hera_types::{Dataset, HeraError, Label, Result};
 use rustc_hash::FxHashSet;
 use std::sync::Arc;
 use std::time::Instant;
@@ -165,7 +165,10 @@ impl Hera {
                 (rid, entries, Among::Records(partners))
             })
             .collect();
-        let mut pairs = join.pairs_of_each(threads, &scans).concat();
+        // Nothing merges during the join, so a label is still the record
+        // and field the dataset holds its value at.
+        let value = |l: Label| &ds.records[l.rid as usize].values[l.fid as usize];
+        let mut pairs = join.pairs_of_each(threads, &scans, value).concat();
         pairs.sort_unstable_by(hera_join::output_order);
         // The funnel counters are order-independent totals, so the span
         // is part of the deterministic core journal. `candidates` counts

@@ -349,7 +349,8 @@ impl HeraSessionBuilder {
     /// session's (same `xi`, same metric) for the continuation to be
     /// equivalent to an uninterrupted run; a differing `xi` is rejected
     /// with [`HeraError::InvalidConfig`] because the live-value join
-    /// universe depends on it.
+    /// universe depends on it, and so is a differing `delta` where the
+    /// snapshot records one, because every verification does.
     pub fn restore(self, path: impl AsRef<Path>) -> Result<HeraSession> {
         let start = std::time::Instant::now();
         let (snap, report) = Snapshot::read_report_with(&path, &self.faults)?;
@@ -362,6 +363,19 @@ impl HeraSessionBuilder {
                  the live-value join universe is xi-dependent",
                 session.config.xi
             )));
+        }
+        // δ decides every verification, so a continuation under another
+        // δ is a partition no uninterrupted run gives. Snapshots written
+        // before δ was recorded carry no key and restore as they did.
+        if let Some(snap_delta) = snap.expect("config")?.get("delta") {
+            let snap_delta = snap_delta.as_f64()?;
+            if snap_delta != session.config.delta {
+                return Err(HeraError::InvalidConfig(format!(
+                    "snapshot was taken at delta={snap_delta} but the restore config has \
+                     delta={}; the merge threshold δ decides every verification",
+                    session.config.delta
+                )));
+            }
         }
         // Blocking is likewise universe-shaping: the whole scheme, keys
         // and limits, must be the one restored under, and a scheme is its
@@ -534,6 +548,7 @@ impl HeraSession {
             "config",
             Json::Obj(vec![
                 ("xi".into(), Json::Float(self.config.xi)),
+                ("delta".into(), Json::Float(self.config.delta)),
                 (
                     "blocking".into(),
                     Json::Str(self.config.blocking.name().into()),
@@ -696,7 +711,13 @@ impl HeraSession {
                 (*rid, entries.clone(), among)
             })
             .collect();
-        let pairs = self.join.pairs_of_each(self.config.num_threads, &scans);
+        // The join scores survivors from values the super records lend:
+        // a queued record is its own root, an earlier one under the
+        // labels its merges gave it.
+        let supers = &self.engine.supers;
+        let pairs = self
+            .join
+            .pairs_of_each(self.config.num_threads, &scans, |l| supers[&l.rid].value(l));
         for new_pairs in pairs {
             for p in &new_pairs {
                 self.dirty.insert(p.a.rid);
@@ -1495,6 +1516,44 @@ mod tests {
             .err()
             .expect("xi mismatch must be rejected");
         assert!(matches!(err, HeraError::InvalidConfig(_)), "{err}");
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// A snapshot records δ, and a restore under another δ is refused
+    /// with the ξ check's typed error, naming δ; one with the key taken
+    /// out restores under any δ, as snapshots written before it did.
+    #[test]
+    fn restore_rejects_delta_mismatch_with_typed_error() {
+        let ds = motivating_example();
+        let path =
+            std::env::temp_dir().join(format!("hera-session-delta-{}.hera", std::process::id()));
+        let mut session = HeraSession::builder(HeraConfig::paper_example()).build();
+        let schemas = session.mirror_schemas(&ds.registry);
+        for rec in ds.iter() {
+            session
+                .add_record(schemas[rec.schema.index()], rec.values.clone())
+                .unwrap();
+        }
+        session.resolve();
+        session.checkpoint(&path).unwrap();
+
+        let skewed = || HeraConfig::new(0.9, 0.5); // different delta
+        let err = HeraSession::builder(skewed())
+            .restore(&path)
+            .err()
+            .expect("delta mismatch must be rejected");
+        assert!(matches!(err, HeraError::InvalidConfig(_)), "{err}");
+        assert!(err.to_string().contains("delta=0.5"), "{err}");
+
+        let mut snap = Snapshot::read(&path).unwrap();
+        let Some(Json::Obj(config)) = snap.get("config").cloned() else {
+            panic!("a config section");
+        };
+        let older: Vec<(String, Json)> = config.into_iter().filter(|(k, _)| k != "delta").collect();
+        snap.insert("config", Json::Obj(older));
+        snap.write(&path).unwrap();
+        let restored = HeraSession::builder(skewed()).restore(&path).unwrap();
+        assert_eq!(restored.len(), ds.len());
         std::fs::remove_file(&path).ok();
     }
 

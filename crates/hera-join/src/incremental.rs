@@ -3,19 +3,21 @@
 //! The batch join (Definition 7) runs once, offline. Streaming entity
 //! resolution needs the same result maintained under insertions: when a
 //! new record's values arrive, find every stored value within ξ and emit
-//! the new index entries. [`IncrementalJoin`] keeps every live value with
-//! its gram signature, and an insert has two halves:
+//! the new index entries. [`IncrementalJoin`] keeps what its filters read
+//! of every live value, and an insert has two halves:
 //!
 //! - [`IncrementalJoin::register_record`] tokenizes a record's values and
 //!   registers them, the only half that changes the join;
 //! - [`IncrementalJoin::pairs_of_each`] scans the registered entries of
 //!   a batch of records, each against the records an [`Among`] names, on
-//!   worker threads that read the join through `&self`, a scratch each.
+//!   worker threads that read the join through `&self`, a scratch each,
+//!   and scores the survivors from values its caller lends.
 //!   A session registers the records that arrived since its last pass in
 //!   order, then scans each against [`Among::Earlier`] or its blocker's
-//!   candidates; the batch blocked join (`Hera::join` under a blocking
-//!   scheme) registers every record, then scans each against its earlier
-//!   co-blocked records.
+//!   candidates, lending its super records; the batch blocked join
+//!   (`Hera::join` under a blocking scheme) registers every record, then
+//!   scans each against its earlier co-blocked records, lending the
+//!   dataset.
 //!
 //! With blocking off a session scans each record against every earlier
 //! one: "no blocking" read as one block that holds every record. One
@@ -27,27 +29,30 @@
 //!
 //! 1. *Gather, once per record.* Two tables are dense, one by rid — the
 //!    live entry indices of each record — and one by entry index — the
-//!    hot row of each value: sketch, numeric flag, signature length. The
-//!    allowed records' rows are walked twice, to size one bucket per
-//!    signature length and to fill them: a counting sort into one
-//!    neighbourhood, in scratch buffers every gather refills.
-//! 2. *Filter, once per value and length.* A stored length `|y|` can pair
+//!    hot row of each value: sketch, numeric flag, distinct-gram count.
+//!    The allowed records' rows are walked twice, to size one bucket per
+//!    count and to fill them: a counting sort into one neighbourhood, in
+//!    scratch buffers every gather refills.
+//! 2. *Filter, once per value and count.* A stored count `|y|` can pair
 //!    with the incoming `|x|` only if `min(|x|, |y|) ≥ α(|x| + |y|)`, α
 //!    being the batch probe's required overlap `⌈ξ/(1+ξ)·(|x|+|y|)⌉`
-//!    ([`RequiredOverlap`]); the lengths outside that window are skipped
-//!    whole. Inside it α is fixed per length, and a row survives the
+//!    ([`RequiredOverlap`]); the counts outside that window are skipped
+//!    whole. Inside it α is fixed per count, and a row survives the
 //!    integer sketch test [`GramSketch::may_share`] or is dropped without
 //!    its entry being touched. The loop over a bucket does nothing else:
 //!    what the incoming value is — a string, a number (whose numeric rows
 //!    survive regardless), a value under a metric that is not gram
 //!    compatible (every row survives) — is decided outside it.
 //! 3. *Score the survivors*, in one loop behind the filters, by the batch
-//!    join's own dispatch ([`score`]): the sketch bound again and the
-//!    exact Jaccard over the stored signatures when the metric declares
-//!    [`ValueSimilarity::qgram_compatible`], the black-box metric
-//!    otherwise. Both filters are sound for q-gram Jaccard, so the output
-//!    is what scoring every row would give. Two numbers skip the gram
-//!    filters and go to the metric.
+//!    join's own dispatch ([`score`]). Where the metric declares
+//!    [`ValueSimilarity::qgram_compatible`] and the pair is not two
+//!    numbers, the sketch bound runs first; only a pair it keeps has both
+//!    gram sets re-derived from the lent values, into the worker's
+//!    scratch (the scanned value's once per entry), for the exact
+//!    Jaccard. Two numbers, and every pair under a metric that is not
+//!    gram compatible, go to the metric with the lent values. Both
+//!    filters are sound for q-gram Jaccard, so the output is what scoring
+//!    every row would give.
 //!
 //! Every scan therefore emits exactly the pairs the exhaustive batch join
 //! (`JoinConfig::exhaustive`) finds between the scanned record and the
@@ -56,41 +61,35 @@
 //!
 //! The neighbourhood stays materialised. Testing each stored row of the
 //! allowed records against the record's values directly, through
-//! per-value length windows, was measured ≈ 0.05 s slower on the 5 000
+//! per-value count windows, was measured ≈ 0.05 s slower on the 5 000
 //! record blocked stream than gathering and scanning by bucket: skipping
 //! a whole out-of-window bucket per value is worth more than the copy.
 //!
 //! Labels mutate when records merge (the index relabels its entries);
 //! [`IncrementalJoin::relabel`] applies the same remap here so future
-//! insertions emit pairs against *current* labels. A merge that folds
-//! two equal values onto one label leaves one live entry, the one the
-//! merged super record kept, so the live `(label, value)` set is the
-//! super records' value set and no label is ever scored twice. The
-//! folded entry is retired, not reclaimed: its gram ids stay in the
-//! arena and its hot row in the table, unreachable.
+//! insertions emit pairs against *current* labels — the labels a lender
+//! finds the values under. A merge that folds two equal values onto one
+//! label leaves one live entry, the one the merged super record kept, so
+//! the live `(label, value)` set is the super records' value set and no
+//! label is ever scored twice. The folded entry is retired, not
+//! reclaimed: its columns stay, unreachable.
 //!
 //! # What a value costs
 //!
-//! The join stores what the scan and [`score`] read, and a string only
-//! where scoring reads one. Every gram token gets one dense `u32` id from
-//! a vocabulary the join owns, in first-seen order, and a signature is its
-//! ids in ascending order, back to back with every other in one arena:
-//! Jaccard over ids equals Jaccard over tokens bit for bit, ids and tokens
-//! naming the same grams. The 128-bit sketch is taken from the tokens, so
-//! every filter decision is the one the tokens would give. A live value
-//! costs 45 bytes in dense columns — its label (12), arena offset (4), hot
-//! row (24), retired flag (1) and place in its record's row (4) — plus 4
-//! bytes per gram. The value itself is kept only where scoring reads it —
-//! a number (two numbers go to the metric), and every value under a metric
-//! that is not gram compatible — in a 32-byte map slot beside its entry
-//! index. Under q-gram Jaccard a string therefore lives once, in its super
-//! record. The vocabulary adds one 16-byte map slot per distinct gram,
-//! shared by every value that holds it. Amortized `Vec` growth and map
-//! load come on top of all of these.
+//! The join stores what the filters read and nothing per gram: a live
+//! value costs 41 bytes in dense columns — its label (12), hot row (24:
+//! the 128-bit sketch, the distinct-gram count and the numeric flag),
+//! retired flag (1) and place in its record's row (4) — plus amortized
+//! `Vec` growth. Both the sketch and the count are taken from the value's
+//! folded q-gram tokens at registration, so every filter decides as on the
+//! tokens. The value itself lives once, where its caller keeps it (a super
+//! record, a dataset), and is borrowed only to score a survivor: Jaccard
+//! over the gram sets re-derived then is Jaccard over the tokens, bit for
+//! bit. Only the `benchmark/` replay door keeps values of its own.
 
 use crate::inverted::RequiredOverlap;
-use crate::{score, Side, ValuePair};
-use hera_sim::text::{folded_qgram_set, folded_qgrams_into, GramSketch};
+use crate::{score, scores_grams, Side, ValuePair};
+use hera_sim::text::{folded_qgrams_into, GramSketch};
 use hera_sim::ValueSimilarity;
 use hera_types::parallel::par_map_with;
 use hera_types::{Label, Value};
@@ -102,22 +101,28 @@ use std::ops::Range;
 #[derive(Clone, Copy)]
 struct Hot {
     sketch: GramSketch,
-    /// Signature length.
+    /// Distinct grams: the signature length the length filter reads.
     len: u32,
     is_num: bool,
 }
 
-/// A hot row is 24 bytes: the per-entry price the module docs state, and
-/// the compile-time twin of the "Compact streaming state" CI step, which
-/// refuses a signature held per entry as a `Vec<u64>` again.
-const _: () = assert!(std::mem::size_of::<Hot>() == 24);
+/// A live value is one cell in each per-entry column — label, hot row,
+/// retired flag and place in its record's row: 12 + 24 + 1 + 4 = 41
+/// bytes, the price the module docs state. The compile-time twin of the
+/// "Compact streaming state" CI step, which refuses per-value gram
+/// storage coming back.
+const _: () = {
+    use std::mem::size_of;
+    assert!(size_of::<Label>() == 12);
+    assert!(size_of::<Hot>() == 24);
+    assert!(size_of::<bool>() == 1);
+    assert!(size_of::<u32>() == 4);
+};
 
-/// True iff [`score`] may read the value itself, not only its signature:
-/// a number (two numbers go to the metric), or any value when the metric
-/// is not gram compatible. The join keeps a value exactly then.
-fn keeps(fast_grams: bool, is_num: bool) -> bool {
-    is_num || !fast_grams
-}
+/// The element type of each per-entry column, named: a column that
+/// changes type no longer compiles here.
+const _: fn(&IncrementalJoin) -> (Label, Hot, bool, u32) =
+    |j| (j.labels[0], j.hot[0], j.retired[0], j.by_rid[0][0]);
 
 /// One stored value as the scan sees it; its length is its bucket's.
 #[derive(Clone, Copy, Default)]
@@ -180,14 +185,50 @@ impl Neighbourhood {
     }
 }
 
+/// A value's folded q-gram set, re-derived into buffers that keep their
+/// capacity from one value to the next.
+#[derive(Default)]
+struct GramSet {
+    /// Sorted and distinct once [`GramSet::lift`] returns.
+    tokens: Vec<u64>,
+    /// A number's text, rendered here rather than into a new string.
+    text: String,
+}
+
+impl GramSet {
+    /// Fills the set with `value`'s folded q-gram tokens — the set
+    /// `folded_qgram_set(&value.text(), q)` returns — and returns it.
+    fn lift(&mut self, value: &Value, q: usize) -> &[u64] {
+        let Self { tokens, text } = self;
+        let rendered = match value {
+            Value::Str(s) => s.as_str(),
+            Value::Null => "",
+            number => {
+                use std::fmt::Write as _;
+                text.clear();
+                write!(text, "{number}").expect("a String takes any write");
+                text.as_str()
+            }
+        };
+        debug_assert_eq!(rendered, value.text());
+        folded_qgrams_into(rendered, q, tokens);
+        tokens.sort_unstable();
+        tokens.dedup();
+        tokens
+    }
+}
+
 /// The buffers of one scan, owned by its caller: the gathered
-/// neighbourhood and the rows of it that passed the filters for the value
-/// scanned last. They carry no meaning between calls, so one per thread
-/// lets scans of several records run at once against one join.
+/// neighbourhood, the rows of it that passed the filters for the value
+/// scanned last, and the gram sets of the scanned value and of the
+/// survivor scored last. They carry no meaning between calls, so one per
+/// thread lets scans of several records run at once against one join.
 #[derive(Default)]
 struct ScanScratch {
     neighbourhood: Neighbourhood,
     survivors: Vec<Row>,
+    scanned: GramSet,
+    partner: GramSet,
 }
 
 /// The records a scan gathers, the scanned record's own always left out.
@@ -212,36 +253,26 @@ pub struct IncrementalJoin {
     q: usize,
     metric: std::sync::Arc<dyn ValueSimilarity>,
     /// True iff the metric's string leg is exactly q-gram Jaccard at our
-    /// gram length — enables signature scoring + the gram filters.
+    /// gram length — enables gram-set scoring + the gram filters.
     fast_grams: bool,
     /// α for every pair of lengths registered so far.
     alpha: RequiredOverlap,
-    /// The dense id of every gram token tokenized so far, in first-seen
-    /// order.
-    vocab: FxHashMap<u64, u32>,
     /// Every value ever registered, as columns by entry index: its label,
-    /// where its gram ids start in `grams` (`hot[idx].len` of them), the
-    /// filters' view of it and whether a merge retired it — folded it onto
-    /// a label another entry already held. A retired entry's columns
+    /// the filters' view of it and whether a merge retired it — folded it
+    /// onto a label another entry already held. A retired entry's columns
     /// linger, unreachable.
     labels: Vec<Label>,
-    offsets: Vec<u32>,
     hot: Vec<Hot>,
     retired: Vec<bool>,
-    /// Every entry's gram ids, ascending per entry, back to back.
-    grams: Vec<u32>,
-    /// The values of the live entries [`keeps`] names, by entry index.
-    kept: FxHashMap<u32, Value>,
     /// The live entry indices of each record, by rid; empty for a record
     /// that was folded into another or never seen.
     by_rid: Vec<Vec<u32>>,
+    /// The values `IncrementalJoin::insert_among` was handed, by entry
+    /// index: what its scans score from. Nothing else writes it.
+    handed: FxHashMap<u32, Value>,
     /// The scratch of `IncrementalJoin::insert_among`, which scans one
-    /// value at a time.
+    /// value at a time; registration lifts values into its gram set.
     scratch: ScanScratch,
-    /// The value tokenized last, as tokens in text order and as sorted,
-    /// distinct ids: buffers too.
-    tokens: Vec<u64>,
-    ids: Vec<u32>,
 }
 
 impl IncrementalJoin {
@@ -259,17 +290,12 @@ impl IncrementalJoin {
             metric,
             fast_grams,
             alpha: RequiredOverlap::new(xi),
-            vocab: FxHashMap::default(),
             labels: Vec::new(),
-            offsets: Vec::new(),
             hot: Vec::new(),
             retired: Vec::new(),
-            grams: Vec::new(),
-            kept: FxHashMap::default(),
             by_rid: Vec::new(),
+            handed: FxHashMap::default(),
             scratch: ScanScratch::default(),
-            tokens: Vec::new(),
-            ids: Vec::new(),
         }
     }
 
@@ -286,16 +312,24 @@ impl IncrementalJoin {
 
     /// Registers `value` under `label` and returns its similar pairs
     /// against the live values of the records `rids`: one value's
-    /// register-and-scan, in the join's own scratch. Kept only because
-    /// the frozen `benchmark/` package calls it; removed with ROADMAP
-    /// item 1(a).
+    /// register-and-scan, in the join's own scratch. This door's scans
+    /// score from the values it was handed, which the join keeps, so
+    /// every value such a scan can reach must have come in through it.
+    /// Kept only because the frozen `benchmark/` package calls it;
+    /// removed with ROADMAP item 1(a).
     #[doc(hidden)]
     pub fn insert_among(&mut self, label: Label, value: Value, rids: &[u32]) -> Vec<ValuePair> {
         let first = self.next_entry();
-        self.register_value(label, Cow::Owned(value));
+        self.register(label, &value);
         let entries = first..self.next_entry();
+        if !entries.is_empty() {
+            self.handed.insert(first, value);
+        }
         let mut scratch = std::mem::take(&mut self.scratch);
-        let out = self.pairs_of(label.rid, entries, Among::Records(rids), &mut scratch);
+        let handed = &self.handed;
+        let value = |idx: u32| &handed[&idx];
+        let among = Among::Records(rids);
+        let out = self.pairs_of(label.rid, entries, among, &value, &mut scratch);
         self.scratch = scratch;
         out
     }
@@ -307,7 +341,7 @@ impl IncrementalJoin {
     pub fn register_record(&mut self, rid: u32, values: &[Value]) -> Range<u32> {
         let first = self.next_entry();
         for (fid, v) in (0u32..).zip(values) {
-            self.register_value(Label::new(rid, fid, 0), Cow::Borrowed(v));
+            self.register(Label::new(rid, fid, 0), v);
         }
         first..self.next_entry()
     }
@@ -321,33 +355,44 @@ impl IncrementalJoin {
     /// `scans`, the same for every `threads`: normalized (`a.rid <
     /// b.rid`) and ordered by label per entry, the entries in order.
     ///
+    /// `value` lends the value registered under a live label, as the
+    /// label reads now: the join keeps no values, and scores a pair that
+    /// passed its filters from the two `value` returns. It must return
+    /// the value registered there — what a session's super records or an
+    /// unmerged dataset hold.
+    ///
     /// This is the one place a batch of records is scanned at once; a
     /// session's join pass and the batch blocked join both call it.
-    pub fn pairs_of_each(
+    pub fn pairs_of_each<'v>(
         &self,
         threads: usize,
         scans: &[(u32, Range<u32>, Among<'_>)],
+        value: impl Fn(Label) -> &'v Value + Sync,
     ) -> Vec<Vec<ValuePair>> {
+        let value = |idx: u32| value(self.labels[idx as usize]);
         par_map_with(
             threads,
             scans,
             ScanScratch::default,
-            |scratch, (rid, entries, among)| self.pairs_of(*rid, entries.clone(), *among, scratch),
+            |scratch, (rid, entries, among)| {
+                self.pairs_of(*rid, entries.clone(), *among, &value, scratch)
+            },
         )
     }
 
     /// One record's scan of [`IncrementalJoin::pairs_of_each`], in
-    /// `scratch`.
+    /// `scratch`, `value` lending the value of an entry index.
     ///
     /// Per entry the scan runs the filters that are sound for the gathered
     /// rows — per length bucket the length window and the integer sketch
     /// test under q-gram Jaccard, numeric rows let through for a number —
     /// then, over what survived, the batch join's scoring dispatch.
-    fn pairs_of(
+    fn pairs_of<'v>(
         &self,
         rid: u32,
         entries: Range<u32>,
         among: Among<'_>,
+        value: &impl Fn(u32) -> &'v Value,
         scratch: &mut ScanScratch,
     ) -> Vec<ValuePair> {
         let mut out = Vec::new();
@@ -378,14 +423,20 @@ impl IncrementalJoin {
             }
         }
         for idx in entries {
-            self.scan(idx, scratch, &mut out);
+            self.scan(idx, value, scratch, &mut out);
         }
         out
     }
 
     /// Appends to `out` the normalized pairs of entry `idx` with the rows
     /// of the gathered neighbourhood that clear ξ, ordered by label.
-    fn scan(&self, idx: u32, scratch: &mut ScanScratch, out: &mut Vec<ValuePair>) {
+    fn scan<'v>(
+        &self,
+        idx: u32,
+        value: &impl Fn(u32) -> &'v Value,
+        scratch: &mut ScanScratch,
+        out: &mut Vec<ValuePair>,
+    ) {
         let first = out.len();
         let label = self.labels[idx as usize];
         let hot = self.hot[idx as usize];
@@ -393,6 +444,8 @@ impl IncrementalJoin {
         let ScanScratch {
             neighbourhood: Neighbourhood { rows, starts, .. },
             survivors,
+            scanned,
+            partner,
         } = scratch;
         survivors.clear();
         if !self.fast_grams {
@@ -416,19 +469,47 @@ impl IncrementalJoin {
                 }
             }
         }
-        let x = self.side(idx);
+        let x_value = value(idx);
+        // The scanned value's gram set is derived on its first survivor
+        // that is scored by grams, and kept for the others.
+        let mut scanned_lifted = false;
         for row in survivors.iter() {
             assert!(
                 !self.retired[row.idx as usize],
                 "a gathered row names a live entry"
             );
-            if let Some(sim) = score(
-                self.metric.as_ref(),
-                self.fast_grams,
-                self.xi,
-                x,
-                self.side(row.idx),
-            ) {
+            let by_grams = scores_grams(self.fast_grams, hot.is_num, row.is_num);
+            // The sketch bound first: a pair it rejects costs neither a
+            // lent value nor a gram set.
+            if by_grams {
+                let y_len = self.hot[row.idx as usize].len as usize;
+                if hot.sketch.jaccard_upper_bound(x_len, row.sketch, y_len) < self.xi {
+                    continue;
+                }
+            }
+            let y_value = value(row.idx);
+            let (x_grams, y_grams): (&[u64], &[u64]) = if by_grams {
+                if !scanned_lifted {
+                    scanned.lift(x_value, self.q);
+                    scanned_lifted = true;
+                }
+                (&scanned.tokens, partner.lift(y_value, self.q))
+            } else {
+                (&[], &[])
+            };
+            let x = Side {
+                value: x_value,
+                is_num: hot.is_num,
+                sig: x_grams,
+                sketch: hot.sketch,
+            };
+            let y = Side {
+                value: y_value,
+                is_num: row.is_num,
+                sig: y_grams,
+                sketch: row.sketch,
+            };
+            if let Some(sim) = score(self.metric.as_ref(), self.fast_grams, self.xi, x, y) {
                 let other = self.labels[row.idx as usize];
                 let (a, b) = if label.rid < other.rid {
                     (label, other)
@@ -441,32 +522,6 @@ impl IncrementalJoin {
         out[first..].sort_unstable_by_key(|p| (p.a, p.b));
     }
 
-    /// Entry `idx` as [`score`] reads it.
-    fn side(&self, idx: u32) -> Side<'_, u32> {
-        let hot = self.hot[idx as usize];
-        Side {
-            value: self.kept_value(idx, hot.is_num),
-            is_num: hot.is_num,
-            sig: self.ids(self.offsets[idx as usize], hot.len),
-            sketch: hot.sketch,
-        }
-    }
-
-    /// The `len` gram ids at `start` in the arena.
-    fn ids(&self, start: u32, len: u32) -> &[u32] {
-        &self.grams[start as usize..][..len as usize]
-    }
-
-    /// Entry `idx`'s value where the join [`keeps`] it, looked up only
-    /// then.
-    fn kept_value(&self, idx: u32, is_num: bool) -> Option<&Value> {
-        if keeps(self.fast_grams, is_num) {
-            self.kept.get(&idx)
-        } else {
-            None
-        }
-    }
-
     /// The entry index the next registered value takes.
     fn next_entry(&self) -> u32 {
         u32::try_from(self.labels.len()).expect("the join holds fewer than 2^32 values")
@@ -477,55 +532,26 @@ impl IncrementalJoin {
     /// super records. Pairs emitted later do not depend on the order
     /// values were registered in, labels being unique and the output
     /// sorted by label. Nulls are ignored, as on insert.
+    ///
+    /// The value is lifted — folded and tokenized into the join's gram
+    /// buffer, its sketch and distinct-gram count taken — and not kept.
     pub fn register(&mut self, label: Label, value: &Value) {
-        self.register_value(label, Cow::Borrowed(value));
-    }
-
-    /// Tokenizes a value and registers it under `label`, its gram ids
-    /// appended to the arena in ascending order; a null is neither scored
-    /// nor stored. The value is owned past the call only where [`keeps`]
-    /// says scoring reads it, and cloned for that only if it was borrowed.
-    fn register_value(&mut self, label: Label, value: Cow<'_, Value>) {
         if value.is_null() {
             return;
         }
-        let Self {
-            q,
-            vocab,
-            grams,
-            tokens,
-            ids,
-            ..
-        } = self;
-        folded_qgrams_into(&value.text(), *q, tokens);
-        // Every token its id, a token seen first the next one; sorted
-        // once, as ids.
-        ids.clear();
-        ids.extend(tokens.iter().map(|&token| {
-            let next = u32::try_from(vocab.len()).expect("fewer than 2^32 distinct grams");
-            *vocab.entry(token).or_insert(next)
-        }));
-        ids.sort_unstable();
-        ids.dedup();
-        let start = u32::try_from(grams.len()).expect("the arena holds fewer than 2^32 gram ids");
-        grams.extend_from_slice(ids);
-        // Any two lengths ever registered sum to a covered length.
-        self.alpha.cover(2 * ids.len());
+        let grams = self.scratch.scanned.lift(value, self.q);
+        // Any two counts ever registered sum to a covered length.
+        self.alpha.cover(2 * grams.len());
         let hot = Hot {
-            // From the tokens, so every filter decides as on the tokens.
-            sketch: GramSketch::of(tokens),
-            len: u32::try_from(ids.len()).expect("a signature holds fewer than 2^32 grams"),
+            sketch: GramSketch::of(grams),
+            len: u32::try_from(grams.len()).expect("a signature holds fewer than 2^32 grams"),
             is_num: value.as_number().is_some(),
         };
         let idx = self.next_entry();
         self.row_mut(label.rid).push(idx);
         self.labels.push(label);
-        self.offsets.push(start);
         self.hot.push(hot);
         self.retired.push(false);
-        if keeps(self.fast_grams, hot.is_num) {
-            self.kept.insert(idx, value.into_owned());
-        }
     }
 
     /// Record `rid`'s row of `by_rid`, the table grown to hold it.
@@ -544,7 +570,7 @@ impl IncrementalJoin {
     /// values — one entry stays live: the surviving record's own if it
     /// has one, else the moved-in entry with the smallest old label,
     /// which is the value `SuperRecord::absorb` keeps. The others are
-    /// retired, and a value kept for them dropped.
+    /// retired.
     pub fn relabel(&mut self, i: u32, j: u32, remap: impl Fn(Label) -> Label) {
         // (new label, moved in, old label, entry index): sorted, each
         // run of one new label starts with the entry that keeps it.
@@ -562,7 +588,6 @@ impl IncrementalJoin {
         for (new, _, _, idx) in moved {
             if held == Some(new) {
                 self.retired[idx as usize] = true;
-                self.kept.remove(&idx);
                 continue;
             }
             held = Some(new);
@@ -572,12 +597,10 @@ impl IncrementalJoin {
     }
 
     /// Checks that the live `(label, value)` set is exactly `expected`,
-    /// and that each live entry stores what tokenizing its value would
-    /// store: the numeric flag, the gram ids through the vocabulary, the
-    /// sketch, and the value itself — same variant, same text — exactly
-    /// where the join keeps one (a number, or any value under a metric
-    /// that is not gram compatible). A session passes the values of its
-    /// super records; the error names a label that differs.
+    /// and that each live entry's hot row is what lifting its value gives:
+    /// the numeric flag, the distinct-gram count and the sketch. A session
+    /// passes the values of its super records; the error names a label
+    /// that differs.
     pub fn check_values<'a>(
         &self,
         expected: impl IntoIterator<Item = (Label, &'a Value)>,
@@ -592,11 +615,23 @@ impl IncrementalJoin {
                 return Err(format!("two live join entries share label {label}"));
             }
         }
+        let mut lifted = GramSet::default();
         for (label, value) in expected {
             let Some(idx) = live.remove(&label) else {
                 return Err(format!("join holds no value at {label}"));
             };
-            if let Err(held) = self.check_entry(idx, value) {
+            let hot = self.hot[idx as usize];
+            let grams = lifted.lift(value, self.q);
+            let differs = if hot.is_num != value.as_number().is_some() {
+                Some(format!("numeric flag {}", hot.is_num))
+            } else if hot.len as usize != grams.len() {
+                Some(format!("{} distinct grams", hot.len))
+            } else if hot.sketch != GramSketch::of(grams) {
+                Some(format!("sketch {:?}", hot.sketch))
+            } else {
+                None
+            };
+            if let Some(held) = differs {
                 return Err(format!(
                     "join holds {held} at {label}, the super record {value:?}"
                 ));
@@ -609,47 +644,6 @@ impl IncrementalJoin {
             None => Ok(()),
         }
     }
-
-    /// What live entry `idx` stores that tokenizing `value` would not
-    /// give, named.
-    fn check_entry(&self, idx: u32, value: &Value) -> Result<(), String> {
-        let hot = self.hot[idx as usize];
-        let is_num = value.as_number().is_some();
-        if hot.is_num != is_num {
-            return Err(format!("numeric flag {}", hot.is_num));
-        }
-        let tokens = folded_qgram_set(&value.text(), self.q);
-        let ids: Option<Vec<u32>> = tokens.iter().map(|t| self.vocab.get(t).copied()).collect();
-        let ids = ids.map(|mut ids| {
-            ids.sort_unstable();
-            ids
-        });
-        let held = self.ids(self.offsets[idx as usize], hot.len);
-        if ids.as_deref() != Some(held) {
-            return Err(format!("gram ids {held:?}"));
-        }
-        if GramSketch::of(&tokens) != hot.sketch {
-            return Err(format!("sketch {:?}", hot.sketch));
-        }
-        match (self.kept.get(&idx), keeps(self.fast_grams, is_num)) {
-            (None, false) => Ok(()),
-            (None, true) => Err("no value".into()),
-            (Some(held), true)
-                if std::mem::discriminant(held) == std::mem::discriminant(value)
-                    && held.text() == value.text() =>
-            {
-                Ok(())
-            }
-            (Some(held), true) => Err(format!("{held:?}")),
-            (Some(held), false) => Err(format!("a second copy, {held:?}")),
-        }
-    }
-
-    /// How many values the join keeps beside their signatures.
-    #[cfg(test)]
-    fn kept_values(&self) -> usize {
-        self.kept.len()
-    }
 }
 
 #[cfg(test)]
@@ -657,13 +651,14 @@ mod tests {
     use super::*;
     use crate::{JoinConfig, SimilarityJoin};
     use hera_sim::TypeDispatch;
+    use std::collections::BTreeMap;
 
     fn label(rid: u32, fid: u32) -> Label {
         Label::new(rid, fid, 0)
     }
 
     /// Record `rid`'s values under `(rid, fid, 0)`, nulls dropped: what
-    /// the batch join reads of a record [`register_and_scan`] takes whole.
+    /// the batch join reads of a record [`Lent::insert`] takes whole.
     fn labeled(rid: u32, values: &[Value]) -> impl Iterator<Item = (Label, Value)> + '_ {
         let labeled = (0u32..)
             .zip(values)
@@ -671,17 +666,72 @@ mod tests {
         labeled.filter(|(_, v)| !v.is_null())
     }
 
-    /// Record `rid` inserted the way a session's join pass inserts it:
-    /// its values registered, then scanned against the records `among`
-    /// names.
-    fn register_and_scan(
-        join: &mut IncrementalJoin,
-        rid: u32,
-        values: &[Value],
-        among: Among<'_>,
-    ) -> Vec<ValuePair> {
-        let entries = join.register_record(rid, values);
-        join.pairs_of_each(1, &[(rid, entries, among)]).concat()
+    /// Moves the values of records `i` and `j` to their labels under
+    /// `remap`; a label two values fold onto keeps the one already there
+    /// (the two are equal).
+    fn remap_values(
+        values: &mut BTreeMap<Label, Value>,
+        i: u32,
+        j: u32,
+        remap: impl Fn(Label) -> Label,
+    ) {
+        let moved: Vec<Label> = values
+            .keys()
+            .copied()
+            .filter(|l| l.rid == i || l.rid == j)
+            .collect();
+        let moved: Vec<(Label, Value)> = moved
+            .into_iter()
+            .map(|old| (remap(old), values.remove(&old).unwrap()))
+            .collect();
+        for (new, value) in moved {
+            values.entry(new).or_insert(value);
+        }
+    }
+
+    /// A join beside the values it is lent, by current label: what a
+    /// session keeps in its super records, kept here in a map that
+    /// registering and relabeling keep in step with the join.
+    struct Lent {
+        join: IncrementalJoin,
+        values: BTreeMap<Label, Value>,
+    }
+
+    impl Lent {
+        fn new(xi: f64, metric: Arc<dyn ValueSimilarity>) -> Self {
+            Self {
+                join: IncrementalJoin::new(xi, 2, metric),
+                values: BTreeMap::new(),
+            }
+        }
+
+        /// Record `rid` inserted the way a session's join pass inserts
+        /// it: its values registered, then scanned against the records
+        /// `among` names.
+        fn insert(&mut self, rid: u32, values: &[Value], among: Among<'_>) -> Vec<ValuePair> {
+            let entries = self.join.register_record(rid, values);
+            self.values.extend(labeled(rid, values));
+            let lent = &self.values;
+            let scans = [(rid, entries, among)];
+            self.join.pairs_of_each(1, &scans, |l| &lent[&l]).concat()
+        }
+
+        fn register(&mut self, label: Label, value: &Value) {
+            self.join.register(label, value);
+            if !value.is_null() {
+                self.values.insert(label, value.clone());
+            }
+        }
+
+        fn relabel(&mut self, i: u32, j: u32, remap: impl Fn(Label) -> Label) {
+            self.join.relabel(i, j, &remap);
+            remap_values(&mut self.values, i, j, remap);
+        }
+
+        fn check(&self) -> Result<(), String> {
+            self.join
+                .check_values(self.values.iter().map(|(l, v)| (*l, v)))
+        }
     }
 
     use std::sync::Arc;
@@ -696,6 +746,35 @@ mod tests {
         }
         fn name(&self) -> &'static str {
             "opaque"
+        }
+    }
+
+    fn paper() -> Arc<dyn ValueSimilarity> {
+        Arc::new(TypeDispatch::paper_default())
+    }
+
+    /// A lift is the gram set the batch join tokenizes, for strings
+    /// folded byte-wise or through `fold`, and for numbers rendered
+    /// into the buffer; the buffers carry nothing from one value to the
+    /// next.
+    #[test]
+    fn lift_is_the_batch_gram_set() {
+        let mut set = GramSet::default();
+        let values = [
+            Value::from("Electronics"),
+            Value::from("ÉLAN vital"),
+            Value::from("a"),
+            Value::from(1984i64),
+            Value::from(-7i64),
+            Value::from(2.5f64),
+            Value::from(1e21f64),
+            Value::from(""),
+        ];
+        for q in [1, 2, 3] {
+            for value in &values {
+                let want = hera_sim::text::folded_qgram_set(&value.text(), q);
+                assert_eq!(set.lift(value, q), want.as_slice(), "{value:?}, q = {q}");
+            }
         }
     }
 
@@ -715,10 +794,10 @@ mod tests {
             .collect();
         for xi in [0.3, 0.5, 0.9] {
             let batch = SimilarityJoin::new(JoinConfig::new(xi), &metric).join(&values);
-            let mut inc = IncrementalJoin::new(xi, 2, Arc::new(metric.clone()));
+            let mut inc = Lent::new(xi, Arc::new(metric.clone()));
             let mut streamed: Vec<ValuePair> = Vec::new();
             for (rid, values) in (0u32..).zip(&records) {
-                streamed.extend(register_and_scan(&mut inc, rid, values, Among::Earlier));
+                streamed.extend(inc.insert(rid, values, Among::Earlier));
             }
             streamed.sort_unstable_by(crate::output_order);
             assert_eq!(streamed, batch, "xi = {xi}");
@@ -727,8 +806,8 @@ mod tests {
 
     /// Same metric values, but hidden behind a wrapper that does not
     /// declare `qgram_compatible` — forcing every gathered row through
-    /// `metric.sim`. The signature/sketch fast path must emit exactly the
-    /// same pair stream on every insert.
+    /// `metric.sim`. The gram-set fast path must emit exactly the same
+    /// pair stream on every insert.
     #[test]
     fn signature_fast_path_matches_metric_path() {
         let metric = TypeDispatch::paper_default();
@@ -742,27 +821,21 @@ mod tests {
             vec![Value::from("electronic")],
         ];
         for xi in [0.3, 0.7] {
-            let mut fast = IncrementalJoin::new(xi, 2, Arc::new(metric.clone()));
-            let mut slow = IncrementalJoin::new(xi, 2, Arc::new(Opaque(metric.clone())));
-            assert!(fast.fast_grams);
-            assert!(!slow.fast_grams);
-            let mut numbers = 0;
+            let mut fast = Lent::new(xi, Arc::new(metric.clone()));
+            let mut slow = Lent::new(xi, Arc::new(Opaque(metric.clone())));
+            assert!(fast.join.fast_grams);
+            assert!(!slow.join.fast_grams);
             for (rid, values) in (0u32..).zip(&records) {
-                let a = register_and_scan(&mut fast, rid, values, Among::Earlier);
-                let b = register_and_scan(&mut slow, rid, values, Among::Earlier);
+                let a = fast.insert(rid, values, Among::Earlier);
+                let b = slow.insert(rid, values, Among::Earlier);
                 assert_eq!(a, b, "xi = {xi}, inserting record {rid}");
-                // A string lives in its super record only, unless the
-                // metric may read it.
-                numbers += values.iter().filter(|v| v.as_number().is_some()).count();
-                assert_eq!(fast.kept_values(), numbers, "record {rid}");
-                assert_eq!(slow.kept_values(), slow.len(), "record {rid}");
             }
         }
     }
 
     /// A join holding a string, a number and a value a merge relabeled
-    /// passes the check against its values; altering, in turn, one gram
-    /// id, the sketch, the numeric flag and the kept number makes the
+    /// passes the check against its values; altering, in turn, the
+    /// distinct-gram count, the sketch and the numeric flag makes the
     /// check fail naming the altered value's label.
     #[test]
     fn check_values_refuses_a_tampered_join() {
@@ -770,20 +843,13 @@ mod tests {
         let number = (label(0, 1), Value::from(1984i64));
         let moved = (Label::new(0, 2, 0), Value::from("bush@gmail"));
         let build = || {
-            let mut join = IncrementalJoin::new(0.5, 2, Arc::new(TypeDispatch::paper_default()));
-            register_and_scan(
-                &mut join,
-                0,
-                &[string.1.clone(), number.1.clone()],
-                Among::Earlier,
-            );
-            register_and_scan(&mut join, 1, std::slice::from_ref(&moved.1), Among::Earlier);
-            join.relabel(0, 1, |l| if l.rid == 1 { moved.0 } else { l });
-            join
+            let mut lent = Lent::new(0.5, paper());
+            lent.insert(0, &[string.1.clone(), number.1.clone()], Among::Earlier);
+            lent.insert(1, std::slice::from_ref(&moved.1), Among::Earlier);
+            lent.relabel(0, 1, |l| if l.rid == 1 { moved.0 } else { l });
+            lent
         };
-        let expected = [&string, &number, &moved];
-        let check = |join: &IncrementalJoin| join.check_values(expected.map(|(l, v)| (*l, v)));
-        check(&build()).unwrap();
+        build().check().unwrap();
         let entry = |join: &IncrementalJoin, at: Label| {
             join.by_rid[0]
                 .iter()
@@ -793,14 +859,14 @@ mod tests {
         };
         type Tamper = fn(&mut IncrementalJoin, usize);
         // What is altered, at which label, how, and what the error shows.
-        let cases: [(&str, Label, Tamper, &str); 4] = [
+        let cases: [(&str, Label, Tamper, &str); 3] = [
             (
-                "gram id",
+                "distinct-gram count",
                 moved.0,
                 |join, idx| {
-                    join.grams[join.offsets[idx] as usize] += 1;
+                    join.hot[idx].len += 1;
                 },
-                "gram ids",
+                "distinct grams",
             ),
             (
                 "sketch",
@@ -818,20 +884,12 @@ mod tests {
                 },
                 "numeric flag",
             ),
-            (
-                "kept number",
-                number.0,
-                |join, idx| {
-                    *join.kept.get_mut(&(idx as u32)).unwrap() = Value::from(1985i64);
-                },
-                "Int(1985)",
-            ),
         ];
         for (what, at, tamper, shows) in cases {
-            let mut join = build();
-            let idx = entry(&join, at);
-            tamper(&mut join, idx);
-            let err = check(&join).expect_err(what);
+            let mut lent = build();
+            let idx = entry(&lent.join, at);
+            tamper(&mut lent.join, idx);
+            let err = lent.check().expect_err(what);
             assert!(err.contains(&at.to_string()), "{what}: {err}");
             assert!(err.contains(shows), "{what}: {err}");
         }
@@ -839,28 +897,29 @@ mod tests {
 
     #[test]
     fn same_record_values_never_pair() {
-        let metric = TypeDispatch::paper_default();
-        let mut inc = IncrementalJoin::new(0.5, 2, Arc::new(metric.clone()));
+        let mut inc = Lent::new(0.5, paper());
         let same = || Value::from("same");
-        assert!(register_and_scan(&mut inc, 0, &[same(), same()], Among::Earlier).is_empty());
-        assert!(inc.insert_among(label(0, 2), same(), &[0]).is_empty());
-        assert_eq!(inc.len(), 3);
+        assert!(inc.insert(0, &[same(), same()], Among::Earlier).is_empty());
+        assert!(inc.join.insert_among(label(0, 2), same(), &[0]).is_empty());
+        assert_eq!(inc.join.len(), 3);
     }
 
     #[test]
     fn nulls_are_ignored() {
-        let metric = TypeDispatch::paper_default();
-        let mut inc = IncrementalJoin::new(0.5, 2, Arc::new(metric.clone()));
-        assert!(register_and_scan(&mut inc, 0, &[Value::Null], Among::Earlier).is_empty());
-        assert!(inc.insert_among(label(1, 0), Value::Null, &[0]).is_empty());
-        assert!(inc.is_empty());
+        let mut inc = Lent::new(0.5, paper());
+        assert!(inc.insert(0, &[Value::Null], Among::Earlier).is_empty());
+        assert!(inc
+            .join
+            .insert_among(label(1, 0), Value::Null, &[0])
+            .is_empty());
+        assert!(inc.join.is_empty());
+        assert!(inc.join.handed.is_empty());
     }
 
     #[test]
     fn relabel_redirects_future_pairs() {
-        let metric = TypeDispatch::paper_default();
-        let mut inc = IncrementalJoin::new(0.5, 2, Arc::new(metric.clone()));
-        register_and_scan(&mut inc, 5, &[Value::from("bush@gmail")], Among::Earlier);
+        let mut inc = Lent::new(0.5, paper());
+        inc.insert(5, &[Value::from("bush@gmail")], Among::Earlier);
         // Record 5 merged into record 1, field shifted to 3.
         inc.relabel(1, 5, |l| {
             if l.rid == 5 {
@@ -869,7 +928,7 @@ mod tests {
                 l
             }
         });
-        let pairs = register_and_scan(&mut inc, 9, &[Value::from("bush@gmail")], Among::Earlier);
+        let pairs = inc.insert(9, &[Value::from("bush@gmail")], Among::Earlier);
         assert_eq!(pairs.len(), 1);
         assert_eq!(pairs[0].a, Label::new(1, 3, 0));
         assert_eq!(pairs[0].b, label(9, 0));
@@ -880,10 +939,10 @@ mod tests {
         use hera_sim::NumericProximity;
         let metric =
             TypeDispatch::paper_default().with_numeric_metric(Arc::new(NumericProximity::new(5.0)));
-        let mut inc = IncrementalJoin::new(0.5, 2, Arc::new(metric.clone()));
-        register_and_scan(&mut inc, 0, &[Value::from(1980i64)], Among::Earlier);
-        register_and_scan(&mut inc, 1, &[Value::from(1990i64)], Among::Earlier);
-        let pairs = register_and_scan(&mut inc, 2, &[Value::from(1981i64)], Among::Earlier);
+        let mut inc = Lent::new(0.5, Arc::new(metric));
+        inc.insert(0, &[Value::from(1980i64)], Among::Earlier);
+        inc.insert(1, &[Value::from(1990i64)], Among::Earlier);
+        let pairs = inc.insert(2, &[Value::from(1981i64)], Among::Earlier);
         // 1981 vs 1980 → sim 0.8; vs 1990 → 0. Gram overlap of "1981" and
         // "1980"/"1990" also exists but numeric dispatch scores them.
         assert_eq!(pairs.len(), 1);
@@ -894,44 +953,46 @@ mod tests {
     /// Records 0 and 1 both hold "bush@gmail" (and distinct names) and
     /// merge: the merged super record keeps one copy of the equal value,
     /// and so does the join. A third record holding it too is then
-    /// scored once per label, unblocked or blocked, where a join that
-    /// kept both entries emitted the `(0,1,0)` pair twice.
+    /// scored once per label, unblocked or through the one-value door,
+    /// where a join that kept both entries emitted the `(0,1,0)` pair
+    /// twice.
     #[test]
     fn values_folded_by_a_merge_are_scored_once() {
-        let metric = TypeDispatch::paper_default();
-        let mut open = IncrementalJoin::new(0.5, 2, Arc::new(metric.clone()));
-        let mut blocked = IncrementalJoin::new(0.5, 2, Arc::new(metric.clone()));
-        for join in [&mut open, &mut blocked] {
-            register_and_scan(
-                join,
-                0,
-                &[Value::from("john bush"), Value::from("bush@gmail")],
-                Among::Earlier,
-            );
-            register_and_scan(
-                join,
-                1,
-                &[Value::from("j. bush"), Value::from("bush@gmail")],
-                Among::Earlier,
-            );
-            assert_eq!(join.len(), 4);
-            // 1 folds into 0: the names stay apart as two values of
-            // field 0, the equal mail values share label (0, 1, 0).
-            join.relabel(0, 1, |l| match (l.rid, l.fid) {
-                (1, 0) => Label::new(0, 0, 1),
-                (1, 1) => Label::new(0, 1, 0),
-                _ => l,
-            });
-            assert_eq!(join.len(), 3, "len counts live entries");
-            join.check_values([
-                (Label::new(0, 0, 0), &Value::from("john bush")),
-                (Label::new(0, 0, 1), &Value::from("j. bush")),
-                (Label::new(0, 1, 0), &Value::from("bush@gmail")),
-            ])
-            .unwrap();
+        let records = [
+            [Value::from("john bush"), Value::from("bush@gmail")],
+            [Value::from("j. bush"), Value::from("bush@gmail")],
+        ];
+        // 1 folds into 0: the names stay apart as two values of field 0,
+        // the equal mail values share label (0, 1, 0).
+        let remap = |l: Label| match (l.rid, l.fid) {
+            (1, 0) => Label::new(0, 0, 1),
+            (1, 1) => Label::new(0, 1, 0),
+            _ => l,
+        };
+        let merged = [
+            (Label::new(0, 0, 0), &Value::from("john bush")),
+            (Label::new(0, 0, 1), &Value::from("j. bush")),
+            (Label::new(0, 1, 0), &Value::from("bush@gmail")),
+        ];
+        let mut open = Lent::new(0.5, paper());
+        for (rid, values) in (0u32..).zip(&records) {
+            open.insert(rid, values, Among::Earlier);
         }
-        let a = register_and_scan(&mut open, 2, &[Value::from("bush@gmail")], Among::Earlier);
-        let b = blocked.insert_among(label(2, 0), Value::from("bush@gmail"), &[0]);
+        assert_eq!(open.join.len(), 4);
+        open.relabel(0, 1, remap);
+        let mut by_value = IncrementalJoin::new(0.5, 2, paper());
+        for (rid, values) in (0u32..).zip(&records) {
+            for (l, v) in labeled(rid, values) {
+                by_value.insert_among(l, v, &[0]);
+            }
+        }
+        by_value.relabel(0, 1, remap);
+        for join in [&open.join, &by_value] {
+            assert_eq!(join.len(), 3, "len counts live entries");
+            join.check_values(merged).unwrap();
+        }
+        let a = open.insert(2, &[Value::from("bush@gmail")], Among::Earlier);
+        let b = by_value.insert_among(label(2, 0), Value::from("bush@gmail"), &[0]);
         assert_eq!(a, b);
         assert_eq!(
             a,
@@ -941,7 +1002,7 @@ mod tests {
                 sim: 1.0
             }]
         );
-        assert_eq!(open.len(), 4);
+        assert_eq!(open.join.len(), 4);
     }
 
     /// A numeric value retired by a merge is neither gathered nor scored:
@@ -951,14 +1012,14 @@ mod tests {
         use hera_sim::NumericProximity;
         let metric =
             TypeDispatch::paper_default().with_numeric_metric(Arc::new(NumericProximity::new(5.0)));
-        let mut inc = IncrementalJoin::new(0.5, 2, Arc::new(metric));
-        register_and_scan(&mut inc, 0, &[Value::from(1980i64)], Among::Earlier);
-        register_and_scan(&mut inc, 1, &[Value::from(1981i64)], Among::Earlier);
-        register_and_scan(&mut inc, 2, &[Value::from(1981i64)], Among::Earlier);
+        let mut inc = Lent::new(0.5, Arc::new(metric));
+        inc.insert(0, &[Value::from(1980i64)], Among::Earlier);
+        inc.insert(1, &[Value::from(1981i64)], Among::Earlier);
+        inc.insert(2, &[Value::from(1981i64)], Among::Earlier);
         // 2 folds into 1; the two 1981s share a label, one is retired.
         inc.relabel(1, 2, |l| Label::new(1, l.fid, l.vid));
-        assert_eq!(inc.len(), 2);
-        let pairs = register_and_scan(&mut inc, 3, &[Value::from(1982i64)], Among::Earlier);
+        assert_eq!(inc.join.len(), 2);
+        let pairs = inc.insert(3, &[Value::from(1982i64)], Among::Earlier);
         let partners: Vec<Label> = pairs.iter().map(|p| p.a).collect();
         assert_eq!(partners, vec![label(0, 0), label(1, 0)]);
     }
@@ -968,11 +1029,10 @@ mod tests {
     /// what the join that saw them arrive (and merge) emits.
     #[test]
     fn registered_values_answer_like_inserted_ones() {
-        let metric = TypeDispatch::paper_default();
-        let mut live = IncrementalJoin::new(0.5, 2, Arc::new(metric.clone()));
-        register_and_scan(&mut live, 1, &[Value::from("electronics")], Among::Earlier);
-        register_and_scan(&mut live, 2, &[Value::from(1984i64)], Among::Earlier);
-        register_and_scan(&mut live, 0, &[Value::from("electronic")], Among::Earlier);
+        let mut live = Lent::new(0.5, paper());
+        live.insert(1, &[Value::from("electronics")], Among::Earlier);
+        live.insert(2, &[Value::from(1984i64)], Among::Earlier);
+        live.insert(0, &[Value::from("electronic")], Among::Earlier);
         live.relabel(0, 1, |l| {
             if l.rid == 1 {
                 Label::new(0, 7, l.vid)
@@ -981,20 +1041,15 @@ mod tests {
             }
         });
 
-        let mut rebuilt = IncrementalJoin::new(0.5, 2, Arc::new(metric));
+        let mut rebuilt = Lent::new(0.5, paper());
         rebuilt.register(label(0, 0), &Value::from("electronic"));
         rebuilt.register(Label::new(0, 7, 0), &Value::from("electronics"));
         rebuilt.register(label(2, 0), &Value::from(1984i64));
         rebuilt.register(label(2, 1), &Value::Null);
-        assert_eq!(rebuilt.len(), live.len());
+        assert_eq!(rebuilt.join.len(), live.join.len());
 
-        let a = register_and_scan(&mut live, 9, &[Value::from("electronic")], Among::Earlier);
-        let b = register_and_scan(
-            &mut rebuilt,
-            9,
-            &[Value::from("electronic")],
-            Among::Earlier,
-        );
+        let a = live.insert(9, &[Value::from("electronic")], Among::Earlier);
+        let b = rebuilt.insert(9, &[Value::from("electronic")], Among::Earlier);
         assert_eq!(a, b);
         assert_eq!(a.len(), 2);
     }
@@ -1002,8 +1057,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "xi")]
     fn zero_xi_rejected() {
-        let metric = TypeDispatch::paper_default();
-        IncrementalJoin::new(0.0, 2, Arc::new(metric));
+        IncrementalJoin::new(0.0, 2, paper());
     }
 
     /// A blocked scan and the one-value door take the allow-list as it
@@ -1013,24 +1067,38 @@ mod tests {
     /// gathers every earlier record.
     #[test]
     fn blocked_doors_accept_any_rid_list() {
-        let metric = TypeDispatch::paper_default();
-        let seeded = || {
-            let mut join = IncrementalJoin::new(0.5, 2, Arc::new(metric.clone()));
-            join.register(label(0, 0), &Value::from("electronic"));
-            join.register(label(1, 0), &Value::from("electronics"));
-            join.register(label(2, 0), &Value::from("electronic"));
-            join.register(label(3, 0), &Value::from("unrelated stuff"));
+        let stored = [
+            (label(0, 0), "electronic"),
+            (label(1, 0), "electronics"),
+            (label(2, 0), "electronic"),
+            (label(3, 0), "unrelated stuff"),
             // An earlier value of the incoming record: never a partner.
-            join.register(label(7, 0), &Value::from("electronic"));
+            (label(7, 0), "electronic"),
+        ];
+        let seeded = || {
+            let mut lent = Lent::new(0.5, paper());
+            for (l, v) in stored {
+                lent.register(l, &Value::from(v));
+            }
+            lent
+        };
+        // The one-value door scores from the values it was handed, so
+        // its join is seeded through it, each value scanned against
+        // nothing.
+        let handed = || {
+            let mut join = IncrementalJoin::new(0.5, 2, paper());
+            for (l, v) in stored {
+                join.insert_among(l, Value::from(v), &[]);
+            }
             join
         };
         let incoming = || vec![Value::Null, Value::from("electronic")];
-        let clean = register_and_scan(&mut seeded(), 7, &incoming(), Among::Records(&[0, 1, 2]));
+        let clean = seeded().insert(7, &incoming(), Among::Records(&[0, 1, 2]));
         let partners: Vec<Label> = clean.iter().map(|p| p.a).collect();
         assert_eq!(partners, vec![label(0, 0), label(1, 0), label(2, 0)]);
         assert!(clean.iter().all(|p| p.b == label(7, 1)));
         assert_eq!(
-            register_and_scan(&mut seeded(), 7, &incoming(), Among::Earlier),
+            seeded().insert(7, &incoming(), Among::Earlier),
             clean,
             "unblocked"
         );
@@ -1041,17 +1109,17 @@ mod tests {
             ("unknown records", &[0, 1, 2, 5, 900]),
         ];
         for (case, rids) in cases {
-            let by_record = register_and_scan(&mut seeded(), 7, &incoming(), Among::Records(rids));
+            let by_record = seeded().insert(7, &incoming(), Among::Records(rids));
             assert_eq!(by_record, clean, "by record, {case}");
-            let by_value = seeded().insert_among(label(7, 1), Value::from("electronic"), rids);
+            let by_value = handed().insert_among(label(7, 1), Value::from("electronic"), rids);
             assert_eq!(by_value, clean, "insert_among, {case}");
         }
     }
 
     /// The motivating example, every record registered; then each record
     /// scanned in one batch, against the earlier records `partners`
-    /// names, on `threads` workers: the pairs of every scan, in the join's
-    /// output order.
+    /// names, on `threads` workers, lent the dataset's values: the pairs
+    /// of every scan, in the join's output order.
     fn scanned(
         xi: f64,
         metric: Arc<dyn ValueSimilarity>,
@@ -1071,7 +1139,8 @@ mod tests {
             .iter()
             .map(|(rid, entries, partners)| (*rid, entries.clone(), Among::Records(partners)))
             .collect();
-        let mut pairs = join.pairs_of_each(threads, &scans).concat();
+        let lent = |l: Label| &ds.records[l.rid as usize].values[l.fid as usize];
+        let mut pairs = join.pairs_of_each(threads, &scans, lent).concat();
         pairs.sort_unstable_by(crate::output_order);
         pairs
     }
@@ -1079,8 +1148,7 @@ mod tests {
     /// A batch scan against no partners yields nothing.
     #[test]
     fn batch_scan_of_no_partners_yields_nothing() {
-        let metric = Arc::new(TypeDispatch::paper_default());
-        assert!(scanned(0.3, metric, |_| Vec::new(), 2).is_empty());
+        assert!(scanned(0.3, paper(), |_| Vec::new(), 2).is_empty());
     }
 
     /// Each record scanned against every earlier record is the exhaustive
@@ -1114,11 +1182,10 @@ mod tests {
     /// one.
     #[test]
     fn batch_scan_takes_partners_in_any_order() {
-        let metric: Arc<dyn ValueSimilarity> = Arc::new(TypeDispatch::paper_default());
-        let sorted = scanned(0.3, metric.clone(), |rid| (0..rid).collect(), 1);
+        let sorted = scanned(0.3, paper(), |rid| (0..rid).collect(), 1);
         let shuffled = |rid: u32| (0..rid).rev().chain(0..rid).collect();
         assert!(!sorted.is_empty());
-        assert_eq!(scanned(0.3, metric, shuffled, 2), sorted);
+        assert_eq!(scanned(0.3, paper(), shuffled, 2), sorted);
     }
 
     /// A record's values are registered under `(rid, position, 0)`, nulls
@@ -1126,12 +1193,11 @@ mod tests {
     /// with each of them.
     #[test]
     fn record_door_registers_every_value() {
-        let metric = TypeDispatch::paper_default();
-        let mut join = IncrementalJoin::new(0.5, 2, Arc::new(metric));
+        let mut inc = Lent::new(0.5, paper());
         let first = vec![Value::from("same"), Value::Null, Value::from("same")];
-        assert!(register_and_scan(&mut join, 0, &first, Among::Records(&[])).is_empty());
-        assert_eq!(join.len(), 2);
-        let pairs = register_and_scan(&mut join, 1, &[Value::from("same")], Among::Records(&[0]));
+        assert!(inc.insert(0, &first, Among::Records(&[])).is_empty());
+        assert_eq!(inc.join.len(), 2);
+        let pairs = inc.insert(1, &[Value::from("same")], Among::Records(&[0]));
         let partners: Vec<Label> = pairs.iter().map(|p| p.a).collect();
         assert_eq!(partners, vec![label(0, 0), label(0, 2)]);
     }
@@ -1139,7 +1205,7 @@ mod tests {
     /// The live values of a stream with merges, as the super records
     /// would hold them: the oracle's input and the source of each remap.
     #[derive(Default)]
-    struct LiveValues(std::collections::BTreeMap<Label, Value>);
+    struct LiveValues(BTreeMap<Label, Value>);
 
     impl LiveValues {
         /// Folds record `j` into record `i` field by field: a value `i`
@@ -1219,9 +1285,9 @@ mod tests {
                 1 => Arc::new(Opaque(jaccard)),
                 _ => Arc::new(jaccard.with_string_metric(Arc::new(EditSimilarity))),
             };
-            let mut by_record = IncrementalJoin::new(xi, 2, metric.clone());
+            let mut by_record = Lent::new(xi, metric.clone());
             let mut by_value = IncrementalJoin::new(xi, 2, metric.clone());
-            let mut open = IncrementalJoin::new(xi, 2, metric.clone());
+            let mut open = Lent::new(xi, metric.clone());
             let oracle = SimilarityJoin::new(JoinConfig::new(xi).exhaustive(), metric.as_ref());
             let mut live = LiveValues::default();
             let mut roots: Vec<u32> = Vec::new();
@@ -1252,20 +1318,20 @@ mod tests {
                     .collect();
                 let expected = new_pairs(&universe, rid);
 
-                let got = register_and_scan(&mut by_record, rid, &values, Among::Records(&rids));
+                let got = by_record.insert(rid, &values, Among::Records(&rids));
                 prop_assert_eq!(bits(&got), bits(&expected), "record {}, by record", rid);
-                let mut fresh = IncrementalJoin::new(xi, 2, metric.clone());
+                let mut fresh = Lent::new(xi, metric.clone());
                 for (l, v) in &live.0 {
                     fresh.register(*l, v);
                 }
-                let afresh = register_and_scan(&mut fresh, rid, &values, Among::Records(&rids));
+                let afresh = fresh.insert(rid, &values, Among::Records(&rids));
                 prop_assert_eq!(bits(&got), bits(&afresh), "record {}, built afresh", rid);
                 let mut got = Vec::new();
                 for (l, v) in &incoming {
                     got.extend(by_value.insert_among(*l, v.clone(), &rids));
                 }
                 prop_assert_eq!(bits(&got), bits(&expected), "record {}, by value", rid);
-                let got = register_and_scan(&mut open, rid, &values, Among::Earlier);
+                let got = open.insert(rid, &values, Among::Earlier);
                 let expected = new_pairs(&everything, rid);
                 prop_assert_eq!(bits(&got), bits(&expected), "record {}, unblocked", rid);
 
@@ -1275,10 +1341,13 @@ mod tests {
                     let j = roots.swap_remove(picks.0 % roots.len());
                     let i = roots[picks.1 % roots.len()];
                     let remap = live.merge(i, j);
-                    for join in [&mut by_record, &mut by_value, &mut open] {
-                        join.relabel(i, j, |l| remap.get(&l).copied().unwrap_or(l));
-                        prop_assert!(join.check_values(live.0.iter().map(|(l, v)| (*l, v))).is_ok());
+                    let remap = |l| remap.get(&l).copied().unwrap_or(l);
+                    for lent in [&mut by_record, &mut open] {
+                        lent.relabel(i, j, remap);
+                        prop_assert!(lent.check().is_ok());
                     }
+                    by_value.relabel(i, j, remap);
+                    prop_assert!(by_value.check_values(live.0.iter().map(|(l, v)| (*l, v))).is_ok());
                 }
             }
         }
@@ -1308,8 +1377,8 @@ mod tests {
             } else {
                 Arc::new(jaccard)
             };
-            let mut open = IncrementalJoin::new(xi, 2, metric.clone());
-            let mut blocked = IncrementalJoin::new(xi, 2, metric.clone());
+            let mut open = Lent::new(xi, metric.clone());
+            let mut blocked = Lent::new(xi, metric.clone());
             let mut deferred = IncrementalJoin::new(xi, 2, metric);
             let allowed: Vec<Vec<u32>> = (0u32..)
                 .zip(&records)
@@ -1318,16 +1387,18 @@ mod tests {
             let mut eager = Vec::new();
             let mut entries = Vec::new();
             for ((rid, (values, _)), rids) in (0u32..).zip(&records).zip(&allowed) {
-                eager.push((register_and_scan(&mut open, rid, values, Among::Earlier), register_and_scan(&mut blocked, rid, values, Among::Records(rids))));
+                eager.push((open.insert(rid, values, Among::Earlier), blocked.insert(rid, values, Among::Records(rids))));
                 entries.push(deferred.register_record(rid, values));
             }
+            let lent = |l: Label| &records[l.rid as usize].0[l.fid as usize];
+            let by_entry = |idx: u32| lent(deferred.labels[idx as usize]);
             let mut scratch = ScanScratch::default();
             for (rid, range) in (0..entries.len() as u32).zip(entries.clone()).rev() {
                 let (open, blocked) = &eager[rid as usize];
-                let all = deferred.pairs_of(rid, range.clone(), Among::Earlier, &mut scratch);
+                let all = deferred.pairs_of(rid, range.clone(), Among::Earlier, &by_entry, &mut scratch);
                 prop_assert_eq!(&all, open, "record {}, every earlier record", rid);
                 let among = Among::Records(&allowed[rid as usize]);
-                let some = deferred.pairs_of(rid, range, among, &mut scratch);
+                let some = deferred.pairs_of(rid, range, among, &by_entry, &mut scratch);
                 prop_assert_eq!(&some, blocked, "record {}, the allowed records", rid);
             }
             let (open, blocked): (Vec<_>, Vec<_>) = eager.into_iter().unzip();
@@ -1335,13 +1406,13 @@ mod tests {
                 .zip(&entries)
                 .map(|(rid, range)| (rid, range.clone(), Among::Earlier))
                 .collect();
-            prop_assert_eq!(deferred.pairs_of_each(2, &earlier), open, "one batch, every earlier record");
+            prop_assert_eq!(deferred.pairs_of_each(2, &earlier, lent), open, "one batch, every earlier record");
             let listed: Vec<_> = (0u32..)
                 .zip(&entries)
                 .zip(&allowed)
                 .map(|((rid, range), rids)| (rid, range.clone(), Among::Records(rids)))
                 .collect();
-            prop_assert_eq!(deferred.pairs_of_each(2, &listed), blocked, "one batch, the allowed records");
+            prop_assert_eq!(deferred.pairs_of_each(2, &listed, lent), blocked, "one batch, the allowed records");
         }
     }
 }

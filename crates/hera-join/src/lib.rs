@@ -56,7 +56,8 @@
 //! then [`IncrementalJoin::pairs_of_each`] scans each record's values
 //! against the live values of the records an [`Among`] names — a session's
 //! earlier records or its blocker's candidates, or the batch blocked
-//! join's earlier co-blocked records. Under any metric a scan emits exactly
+//! join's earlier co-blocked records — scoring from values its caller
+//! lends, since it stores none. Under any metric a scan emits exactly
 //! the pairs [`JoinConfig::exhaustive`] finds between the scanned record
 //! and those records, so streaming ingest finds a superset of the
 //! share-a-gram pairs, and the blocked batch join is the all-pairs join
@@ -133,20 +134,24 @@ impl JoinConfig {
 }
 
 /// One value as the verifier sees it: the value, whether it is numeric,
-/// and its folded gram signature with the signature's 128-bit sketch
-/// (both empty where no gram scoring can happen). The signature's tokens
-/// are the hashed grams (`u64`, the batch join) or dense ids that name one
-/// gram each (`u32`, the incremental join); Jaccard reads only which
-/// tokens two signatures share, so both give the same bits.
-///
-/// `value` is `None` only where [`score`] never reads it: a string under a
-/// metric whose string leg is the signatures' Jaccard.
+/// and its folded gram signature — the sorted, distinct hashed grams —
+/// with the signature's 128-bit sketch. The signature is empty wherever
+/// [`score`] does not read it: the incremental join derives it only for a
+/// pair the gram path scores.
 #[derive(Clone, Copy)]
-pub(crate) struct Side<'a, T> {
-    pub(crate) value: Option<&'a Value>,
+pub(crate) struct Side<'a> {
+    pub(crate) value: &'a Value,
     pub(crate) is_num: bool,
-    pub(crate) sig: &'a [T],
+    pub(crate) sig: &'a [u64],
     pub(crate) sketch: GramSketch,
+}
+
+/// True iff [`score`] scores a pair from the two signatures: the metric's
+/// string leg is q-gram Jaccard at the join's `q` (`fast_grams`), and
+/// the pair is not two numbers.
+#[inline]
+pub(crate) fn scores_grams(fast_grams: bool, a_is_num: bool, b_is_num: bool) -> bool {
+    fast_grams && !(a_is_num && b_is_num)
 }
 
 /// The join's one scoring decision, shared by the batch probe and the
@@ -154,20 +159,19 @@ pub(crate) struct Side<'a, T> {
 ///
 /// Two numbers, or any pair under a metric whose string leg is not q-gram
 /// Jaccard at the join's `q` (`fast_grams` off), ask the black-box metric.
-/// Every other pair is scored from the stored signatures — the same value
-/// by the [`ValueSimilarity::qgram_compatible`] contract, without
-/// re-tokenizing — after the sketch's upper bound on that Jaccard: the
-/// bound is sound, so a reject can never drop a pair the exact
-/// intersection would keep.
+/// Every other pair is scored from the signatures — the same value by the
+/// [`ValueSimilarity::qgram_compatible`] contract, without re-tokenizing —
+/// after the sketch's upper bound on that Jaccard: the bound is sound, so
+/// a reject can never drop a pair the exact intersection would keep.
 #[inline]
-pub(crate) fn score<T: Ord>(
+pub(crate) fn score(
     metric: &dyn ValueSimilarity,
     fast_grams: bool,
     xi: f64,
-    a: Side<'_, T>,
-    b: Side<'_, T>,
+    a: Side<'_>,
+    b: Side<'_>,
 ) -> Option<f64> {
-    let s = if fast_grams && !(a.is_num && b.is_num) {
+    let s = if scores_grams(fast_grams, a.is_num, b.is_num) {
         if a.sketch
             .jaccard_upper_bound(a.sig.len(), b.sketch, b.sig.len())
             < xi
@@ -176,8 +180,7 @@ pub(crate) fn score<T: Ord>(
         }
         jaccard_of_sets(a.sig, b.sig)
     } else {
-        let held = "a side the metric scores holds its value";
-        metric.sim(a.value.expect(held), b.value.expect(held))
+        metric.sim(a.value, b.value)
     };
     (s >= xi).then_some(s)
 }
@@ -278,11 +281,11 @@ impl<'m> SimilarityJoin<'m> {
                 .iter()
                 .map(|(v, _)| folded_qgram_set(&v.text(), q))
                 .collect();
-            let sides: Vec<Side<'_, u64>> = distinct
+            let sides: Vec<Side<'_>> = distinct
                 .iter()
                 .zip(&sigs)
                 .map(|(&(value, _), sig)| Side {
-                    value: Some(value),
+                    value,
                     is_num: value.as_number().is_some(),
                     sig,
                     sketch: GramSketch::of(sig),

@@ -182,7 +182,8 @@ fn batch_and_incremental_join_agree_under_edit_similarity() {
             let rid = r.id.raw();
             let entries = incremental.register_record(rid, &r.values);
             let scan = [(rid, entries, hera::join::Among::Earlier)];
-            streamed.extend(incremental.pairs_of_each(1, &scan).concat());
+            let value = |l: Label| &ds.records[l.rid as usize].values[l.fid as usize];
+            streamed.extend(incremental.pairs_of_each(1, &scan, value).concat());
         }
         let streamed = keyed(streamed);
         assert!(!batch.is_empty(), "xi={xi}");

@@ -226,6 +226,70 @@ fn restore_rejects_blocking_scheme_mismatch() {
     std::fs::remove_dir(&dir).ok();
 }
 
+/// The frozen ledger's join door: a standalone `IncrementalJoin` fed
+/// value by value through `insert_among`, each record against the
+/// candidates `StreamingBlocker::admit` names, as the `benchmark/`
+/// package's stream replay feeds it. Nothing merges before the first
+/// `resolve`, so on a token-blocked scale stream the door must emit the
+/// very pairs — labels and similarity bits — that the session's join pass
+/// files in its index, as the session's snapshot records them.
+#[test]
+fn the_one_value_door_emits_what_the_join_pass_files() {
+    use hera::block::StreamingBlocker;
+    use hera::datagen::{scale_preset, ScaleGenerator};
+    use hera::{IncrementalJoin, Label, TypeDispatch, ValuePair, ValuePairIndex};
+    let ds = ScaleGenerator::new(scale_preset(600, 51)).generate();
+    let config = HeraConfig::new(DELTA, 0.5).with_blocking(BlockingScheme::token());
+    let bits = |pairs: &[ValuePair]| {
+        let mut bits: Vec<(Label, Label, u64)> =
+            pairs.iter().map(|p| (p.a, p.b, p.sim.to_bits())).collect();
+        bits.sort_unstable();
+        bits
+    };
+
+    let mut blocker = StreamingBlocker::new(&config.blocking).expect("token blocking streams");
+    let metric = std::sync::Arc::new(TypeDispatch::paper_default());
+    let mut join = IncrementalJoin::new(config.xi, 2, metric);
+    let mut replayed = Vec::new();
+    for (rid, r) in (0u32..).zip(&ds.records) {
+        let mut allowed = blocker.admit(rid, &r.values);
+        allowed.sort_unstable();
+        allowed.dedup();
+        for (fid, v) in (0u32..).zip(&r.values) {
+            if !v.is_null() {
+                replayed.extend(join.insert_among(Label::new(rid, fid, 0), v.clone(), &allowed));
+            }
+        }
+    }
+
+    let dir = std::env::temp_dir().join(format!("hera-one-value-door-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("joined.hera");
+    let mut session = HeraSession::builder(config)
+        .recorder(Recorder::disabled())
+        .build();
+    let schemas = session.mirror_schemas(&ds.registry);
+    for r in ds.iter() {
+        session
+            .add_record(schemas[r.schema.index()], r.values.clone())
+            .unwrap();
+    }
+    // The checkpoint runs the join pass first, and merges nothing.
+    session.checkpoint(&path).unwrap();
+    assert_eq!(session.merge_count(), 0);
+    let snapshot = Snapshot::read(&path).unwrap();
+    let index = ValuePairIndex::from_json(snapshot.get("index").unwrap(), ds.len()).unwrap();
+    let filed: Vec<ValuePair> = index
+        .record_pairs()
+        .flat_map(|(i, j)| index.group(i, j).iter().copied())
+        .collect();
+    std::fs::remove_dir_all(&dir).ok();
+
+    assert!(filed.len() > 1_000, "{} pairs filed", filed.len());
+    assert_eq!(session.index_size(), filed.len());
+    assert_eq!(bits(&replayed), bits(&filed));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
