@@ -21,31 +21,48 @@ macro_rules! outln {
     };
 }
 
-/// Exit status of a run whose stdout reader closed the pipe: 128 +
-/// SIGPIPE (13), what a shell reports for a filter a closed pipe killed.
-/// A `pipefail` pipeline then tells a cut-short run from a whole one, as
-/// it does for `cat` or `grep`.
-const CLOSED_STDOUT: i32 = 141;
+/// `eprintln!` for a command's report, through [`err`]: a reader that
+/// closed stderr ends the process quietly.
+macro_rules! errln {
+    ($($arg:tt)*) => {
+        err(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
 
-/// Stdout, noting whether its reader closed the pipe.
+/// Exit status of a run whose stdout or stderr reader closed the pipe:
+/// 128 + SIGPIPE (13), what a shell reports for a filter a closed pipe
+/// killed. A `pipefail` pipeline then tells a cut-short run from a whole
+/// one, as it does for `cat` or `grep`.
+const CLOSED_PIPE: i32 = 141;
+
+/// Stdout or stderr, noting whether its reader closed the pipe.
 #[derive(Default)]
-struct Stdout {
+struct Pipe {
+    stderr: bool,
     closed: bool,
 }
 
-impl Write for Stdout {
+impl Write for Pipe {
     fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        let written = std::io::stdout().write(buf);
+        let written = if self.stderr {
+            std::io::stderr().write(buf)
+        } else {
+            std::io::stdout().write(buf)
+        };
         self.note(written)
     }
 
     fn flush(&mut self) -> std::io::Result<()> {
-        let flushed = std::io::stdout().flush();
+        let flushed = if self.stderr {
+            std::io::stderr().flush()
+        } else {
+            std::io::stdout().flush()
+        };
         self.note(flushed)
     }
 }
 
-impl Stdout {
+impl Pipe {
     fn note<T>(&mut self, result: std::io::Result<T>) -> std::io::Result<T> {
         if let Err(e) = &result {
             self.closed |= e.kind() == std::io::ErrorKind::BrokenPipe;
@@ -54,21 +71,34 @@ impl Stdout {
     }
 }
 
-/// The end of the output: stdout's reader is gone, so nothing the run
-/// still has to say can reach it. Exits with [`CLOSED_STDOUT`], without
-/// a message.
-fn closed_stdout() -> ! {
-    std::process::exit(CLOSED_STDOUT)
+/// The end of the output: the reader of stdout or stderr is gone, so
+/// nothing the run still has to say can reach it. Exits with
+/// [`CLOSED_PIPE`], without a message.
+fn closed_pipe() -> ! {
+    std::process::exit(CLOSED_PIPE)
 }
 
 /// Writes `text` to stdout, the one way the binary does. A closed pipe
-/// ends the run ([`closed_stdout`]); another write error is returned.
+/// ends the run ([`closed_pipe`]); another write error is returned.
 pub(crate) fn out(text: std::fmt::Arguments<'_>) -> Result<(), String> {
-    let mut stdout = Stdout::default();
+    let mut stdout = Pipe::default();
     match stdout.write_fmt(text) {
         Ok(()) => Ok(()),
-        Err(_) if stdout.closed => closed_stdout(),
+        Err(_) if stdout.closed => closed_pipe(),
         Err(e) => Err(format!("writing stdout: {e}")),
+    }
+}
+
+/// Writes `text` to stderr, the one way the binary does. A closed pipe
+/// ends the run ([`closed_pipe`]); another write error drops the text,
+/// since stderr is where it would be reported.
+pub(crate) fn err(text: std::fmt::Arguments<'_>) {
+    let mut stderr = Pipe {
+        stderr: true,
+        closed: false,
+    };
+    if stderr.write_fmt(text).is_err() && stderr.closed {
+        closed_pipe();
     }
 }
 
@@ -301,7 +331,7 @@ fn import(args: &Args) -> Result<(), String> {
         importer = importer.add_source(name, text);
     }
     let ds = importer.build().map_err(|e| e.to_string())?;
-    eprintln!(
+    errln!(
         "imported {}: {} records under {} schemas ({} distinct attributes)",
         ds.name,
         ds.len(),
@@ -339,7 +369,7 @@ fn generate(args: &Args) -> Result<(), String> {
         cfg.validate()
             .map_err(|e| format!("generate --size: {e}"))?;
         let ds = hera_datagen::ScaleGenerator::new(cfg).generate();
-        eprintln!(
+        errln!(
             "generated {}: {} records, {} entities, {} sources",
             ds.name,
             ds.len(),
@@ -363,7 +393,7 @@ fn generate(args: &Args) -> Result<(), String> {
             .map_err(|_| format!("--seed expects an integer, got {seed:?}"))?;
     }
     let ds = hera_datagen::Generator::new(cfg).generate();
-    eprintln!(
+    errln!(
         "generated {}: {} records, {} entities, {} distinct attributes",
         ds.name,
         ds.len(),
@@ -407,15 +437,18 @@ fn report_progressive(report: &hera_core::ProgressiveReport) {
         } else {
             String::new()
         };
-        eprintln!(
+        errln!(
             "budget exhausted: {} comparison(s) spent{deferred}, {} merge(s) applied, \
              {} dirty root(s) left on the frontier",
-            report.comparisons_spent, report.merges, report.frontier
+            report.comparisons_spent,
+            report.merges,
+            report.frontier
         );
     } else {
-        eprintln!(
+        errln!(
             "fixpoint reached within budget: {} comparison(s) spent, {} merge(s) applied",
-            report.comparisons_spent, report.merges
+            report.comparisons_spent,
+            report.merges
         );
     }
 }
@@ -433,7 +466,7 @@ fn fault_injector(args: &Args) -> Result<FaultInjector, String> {
     match args.get("fault-plan") {
         Some(path) => {
             let plan = load_fault_plan(path)?;
-            eprintln!(
+            errln!(
                 "fault plan {path}: {} rule(s), seed {}",
                 plan.rules.len(),
                 plan.seed
@@ -494,7 +527,7 @@ fn stream(
     let mut streamed = chaos::Streamed::default();
     let result = chaos::stream(session, ds, records, &schedule, &mut streamed);
     for e in &streamed.absorbed {
-        eprintln!("warning: {e}; continuing from in-memory state (next checkpoint will retry)");
+        errln!("warning: {e}; continuing from in-memory state (next checkpoint will retry)");
     }
     result.map_err(|e| format!("ingesting record {}: {e}", session.len()))
 }
@@ -549,10 +582,10 @@ fn report(
 ) -> Result<(), String> {
     recorder.flush();
     if let Some(path) = args.get("trace") {
-        eprintln!("trace journal written to {path}");
+        errln!("trace journal written to {path}");
     }
     let stats = &result.stats;
-    eprintln!(
+    errln!(
         "resolved {} records into {} entities ({} iterations, {} merges, {} threads, {:?})",
         result.entity_of.len(),
         result.entity_count(),
@@ -561,32 +594,37 @@ fn report(
         stats.threads,
         stats.total_time()
     );
-    eprintln!(
+    errln!(
         "  ingest: {:?} · admit: {:?} · join insert: {:?}",
-        stats.ingest_time, stats.admit_time, stats.join_insert_time
+        stats.ingest_time,
+        stats.admit_time,
+        stats.join_insert_time
     );
-    eprintln!(
+    errln!(
         "  index: {:?} ({:.0} pairs/s) · verify: {:?} ({:.0} pairs/s)",
         stats.index_build_time,
         stats.index_pairs_per_sec(),
         stats.verify_time,
         stats.verify_pairs_per_sec()
     );
-    eprintln!(
+    errln!(
         "  loop: {:?} · candidates: {:?} · absorb: {:?} · index merge: {:?}",
-        stats.resolve_time, stats.candidate_time, stats.absorb_time, stats.merge_time
+        stats.resolve_time,
+        stats.candidate_time,
+        stats.absorb_time,
+        stats.merge_time
     );
-    eprintln!("  metric calls: {}", stats.metric_sim_calls);
+    errln!("  metric calls: {}", stats.metric_sim_calls);
     if args.has("eval") {
         let clusters = result.clusters();
         let m = PairMetrics::score(&clusters, &ds.truth);
         let (bp, br, bf) = bcubed(&clusters, &ds.truth);
-        eprintln!("pairwise: {m}");
-        eprintln!("b-cubed:  P={bp:.3} R={br:.3} F1={bf:.3}");
+        errln!("pairwise: {m}");
+        errln!("b-cubed:  P={bp:.3} R={br:.3} F1={bf:.3}");
     }
     if args.has("matchings") {
         for m in &result.schema_matchings {
-            eprintln!(
+            errln!(
                 "matching: {} ≈ {} (confidence {:.2})",
                 ds.registry.attr_qualified_name(m.attr),
                 ds.registry.attr_qualified_name(m.partner),
@@ -614,7 +652,7 @@ fn resolve_streaming(args: &Args, ds: &Dataset) -> Result<(), String> {
     stream(&mut session, ds, 0..ds.len(), every.zip(snap_path))?;
     if let Some(path) = snap_path {
         write_checkpoint(&mut session, path)?;
-        eprintln!("checkpoint written to {path}");
+        errln!("checkpoint written to {path}");
     }
     report(args, ds, &recorder, &result_of(&session))
 }
@@ -633,7 +671,7 @@ fn checkpoint(args: &Args) -> Result<(), String> {
     stream(&mut session, &ds, 0..upto, None)?;
     write_checkpoint(&mut session, out)?;
     recorder.flush();
-    eprintln!(
+    errln!(
         "checkpointed {upto} of {} records ({} entities so far) to {out}",
         ds.len(),
         session.clusters().len()
@@ -664,7 +702,7 @@ fn restore_resolve(args: &Args) -> Result<(), String> {
         ));
     }
     let from = session.len();
-    eprintln!(
+    errln!(
         "restored {snap} at record {from}; continuing through record {}",
         ds.len()
     );
@@ -678,7 +716,7 @@ fn restore_resolve(args: &Args) -> Result<(), String> {
     }
     if let Some(path) = args.get("checkpoint") {
         write_checkpoint(&mut session, path)?;
-        eprintln!("checkpoint written to {path}");
+        errln!("checkpoint written to {path}");
     }
     report(args, &ds, &recorder, &result_of(&session))
 }
@@ -700,7 +738,7 @@ fn resolve_budgeted(args: &Args, ds: &Dataset, budget: ResolveBudget) -> Result<
     ingest_then_spend(&mut session, ds, budget)?;
     if let Some(path) = args.get("checkpoint") {
         write_checkpoint(&mut session, path)?;
-        eprintln!(
+        errln!(
             "checkpoint written to {path}; resume with \
              `hera-cli restore-resolve --snapshot {path} --input … --budget N`"
         );
@@ -742,7 +780,7 @@ fn exchange(args: &Args) -> Result<(), String> {
         &[hera_types::CanonAttrId::new(0)],
     );
     let out = hera_baselines::exchange::chase(&ds, &plan, format!("{}-X", ds.name));
-    eprintln!(
+    errln!(
         "exchanged into {} target attributes; {} source values dropped",
         plan.target_attrs.len(),
         plan.dropped_value_count
@@ -797,7 +835,7 @@ fn fuse(args: &Args) -> Result<(), String> {
     );
     let fused =
         hera_baselines::exchange::fuse_entities(&ds, &labels, &plan, format!("{}-fused", ds.name));
-    eprintln!(
+    errln!(
         "fused {} records into {} entity records under {} target attributes",
         ds.len(),
         fused.len(),
@@ -829,7 +867,7 @@ fn baseline(args: &Args) -> Result<(), String> {
     };
     let metric = TypeDispatch::paper_default();
     let clusters = system.resolve(&ds, &metric);
-    eprintln!(
+    errln!(
         "{} resolved {} records into {} clusters",
         system.name(),
         ds.len(),
@@ -837,7 +875,7 @@ fn baseline(args: &Args) -> Result<(), String> {
     );
     if args.has("eval") {
         let m = PairMetrics::score(&clusters, &ds.truth);
-        eprintln!("pairwise: {m}");
+        errln!("pairwise: {m}");
     }
     let mut csv = String::from("record_id,entity\n");
     for (label, cluster) in clusters.iter().enumerate() {
@@ -876,7 +914,7 @@ fn trace_check(args: &Args) -> Result<(), String> {
 fn faults_gen(args: &Args) -> Result<(), String> {
     let seed = args.get_u64("seed", 1)?;
     let plan = FaultPlan::random(seed);
-    eprintln!(
+    errln!(
         "fault plan for seed {seed}: {} rule(s) over {:?}",
         plan.rules.len(),
         plan.rules
@@ -905,16 +943,16 @@ fn faults_replay(args: &Args) -> Result<(), String> {
     let _ = fs::remove_dir_all(&dir);
 
     let report = &verdict.report;
-    eprintln!(
+    errln!(
         "replayed {} records under plan seed {} ({} rule(s))",
         cfg.upto.map_or(ds.len(), |u| u.min(ds.len())),
         plan.seed,
         plan.rules.len()
     );
     for f in &report.fired {
-        eprintln!("  fired: {f}");
+        errln!("  fired: {f}");
     }
-    eprintln!(
+    errln!(
         "  outcome: {} · {} checkpoint failure(s) absorbed · {} recovery(ies) · sink degraded: {}",
         if report.completed() {
             "completed".to_string()
@@ -958,7 +996,7 @@ fn serve(args: &Args) -> Result<(), String> {
             .map_err(|e| format!("restoring {path}: {e}"))?,
         None => builder.build(),
     };
-    eprintln!(
+    errln!(
         "hera-serve: {} record(s) restored, stitch-every {}",
         service.len(),
         stitch_every
@@ -969,7 +1007,7 @@ fn serve(args: &Args) -> Result<(), String> {
         Some(addr) => {
             let listener =
                 std::net::TcpListener::bind(addr).map_err(|e| format!("binding {addr}: {e}"))?;
-            eprintln!(
+            errln!(
                 "listening on {}",
                 listener.local_addr().map_err(|e| e.to_string())?
             );
@@ -978,18 +1016,18 @@ fn serve(args: &Args) -> Result<(), String> {
         None => {
             // stdio mode: requests on stdin, responses on stdout.
             let stdin = std::io::stdin();
-            let mut stdout = Stdout::default();
+            let mut stdout = Pipe::default();
             let served = hera_serve::serve_lines(&service, stdin.lock(), &mut stdout);
             if stdout.closed {
                 recorder.flush();
-                closed_stdout();
+                closed_pipe();
             }
             served
         }
     }
     .map_err(|e| e.to_string())?;
     recorder.flush();
-    eprintln!(
+    errln!(
         "hera-serve: {} ({} record(s), {} stitched)",
         if shutdown { "shutdown" } else { "input closed" },
         service.len(),

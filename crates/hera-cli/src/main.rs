@@ -23,7 +23,7 @@ fn main() -> ExitCode {
         return match commands::out(format_args!("{}", commands::USAGE)) {
             Ok(()) => ExitCode::SUCCESS,
             Err(e) => {
-                eprintln!("error: {e}");
+                commands::err(format_args!("error: {e}\n"));
                 ExitCode::FAILURE
             }
         };
@@ -38,20 +38,21 @@ fn main() -> ExitCode {
     let args = match Args::parse(raw, commands::COMMANDS) {
         Ok(a) => a,
         Err(e) => {
-            eprintln!("error: {e}");
-            eprint!("{}", commands::USAGE);
+            commands::err(format_args!("error: {e}\n{}", commands::USAGE));
             return ExitCode::FAILURE;
         }
     };
     // A `Repeated` flag (`import --source`, `client --line`) repeats;
     // anything else given twice is almost certainly a mistake.
     for name in args.duplicated() {
-        eprintln!("warning: --{name} given more than once; the last value wins");
+        commands::err(format_args!(
+            "warning: --{name} given more than once; the last value wins\n"
+        ));
     }
     match (args.command.run)(&args) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
-            eprintln!("error: {e}");
+            commands::err(format_args!("error: {e}\n"));
             ExitCode::FAILURE
         }
     }

@@ -2,7 +2,8 @@
 //! checkpoint restored and resumed, and streaming runs under fault plans,
 //! each label every record as the uninterrupted streaming run does; a
 //! restore under another δ and a flag the subcommand does not read,
-//! refused; and a closed stdout, taken as the end of the output.
+//! refused; and a closed stdout or stderr, taken as the end of the
+//! output.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -269,4 +270,36 @@ fn a_closed_stdout_ends_the_run_quietly() {
     assert_eq!(out.status.code(), Some(141), "{stderr}");
     assert!(!stderr.contains("panicked"), "{stderr}");
     assert!(!stderr.contains("Broken pipe"), "{stderr}");
+}
+
+/// A reader that closed stderr before the run reports ends it the same
+/// way: the report has nowhere to go, so the run exits 141, not with the
+/// 101 of a panic — also when per-round progress lines go there first.
+#[test]
+fn a_closed_stderr_ends_the_run_quietly() {
+    use std::process::Stdio;
+    let dir = scratch("closed_stderr");
+    let ds = path(&dir, "ds.json");
+    hera(&["generate", "--size", "400", "--seed", "51", "--out", &ds]);
+    let labels = path(&dir, "labels.csv");
+    for progress in [&[][..], &["--trace-stderr"]] {
+        // A pipe with no reader left: `help` holds the read end as its
+        // stdin, never reads it, and exits.
+        let mut holder = Command::new(env!("CARGO_BIN_EXE_hera-cli"))
+            .arg("help")
+            .stdin(Stdio::piped())
+            .stdout(Stdio::null())
+            .spawn()
+            .expect("hera-cli starts");
+        let closed = holder.stdin.take().expect("stdin is piped");
+        assert!(holder.wait().unwrap().success());
+        let status = Command::new(env!("CARGO_BIN_EXE_hera-cli"))
+            .args(["resolve", "--input", &ds, "--labels", &labels, "--eval"])
+            .args(progress)
+            .stdout(Stdio::null())
+            .stderr(Stdio::from(closed))
+            .status()
+            .expect("hera-cli starts");
+        assert_eq!(status.code(), Some(141), "{progress:?}");
+    }
 }

@@ -353,11 +353,15 @@ impl BatchRound<'_, '_> {
             }
         }
         engine.stats.candidate_time += started.elapsed();
+        // The bounds have classified every key: the list goes before the
+        // stages run, whose verdicts and merges hold the round's peak.
+        let group_count = groups.len();
+        drop(groups);
         ctx.rec.span(
             "candidates",
             Some(mark.round),
             &[
-                ("groups", groups.len() as i64),
+                ("groups", group_count as i64),
                 ("pruned", (engine.stats.pruned - pruned_before) as i64),
                 ("direct", direct.len() as i64),
                 ("deferred", candidates.len() as i64),

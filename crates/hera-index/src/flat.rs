@@ -125,6 +125,7 @@ mod tests {
     use crate::ValuePairIndex;
     use proptest::prelude::*;
     use rand::{Rng, SeedableRng};
+    use std::collections::HashMap;
 
     fn vp(r1: u32, f1: u32, r2: u32, f2: u32, sim: f64) -> ValuePair {
         ValuePair {
@@ -239,13 +240,59 @@ mod tests {
                 );
             }
         }
+        let dump = grouped.to_json().to_string_compact();
         assert_eq!(
             ValuePairIndex::build(flat.entries().to_vec())
                 .to_json()
                 .to_string_compact(),
-            grouped.to_json().to_string_compact(),
+            dump,
             "{step}: to_json"
         );
+        let json = hera_types::json::parse(&dump).unwrap();
+        let restored = ValuePairIndex::from_json(&json, rids as usize).unwrap();
+        restored
+            .check_invariants()
+            .unwrap_or_else(|e| panic!("{step}: restored: {e}"));
+        assert_eq!(
+            restored.to_json().to_string_compact(),
+            dump,
+            "{step}: to_json → from_json → to_json"
+        );
+    }
+
+    /// Folds record `folded` into `k` in the model and returns the label
+    /// remap a merge passes the indexes: the winner's labels pass
+    /// through; a folded value takes the first label under `k` holding
+    /// it, else a fresh one.
+    fn fold(records: &mut [Option<Labels>], k: u32, folded: u32) -> HashMap<Label, Label> {
+        let mut merged: Labels = records[k as usize].take().unwrap();
+        let mut map: HashMap<Label, Label> = merged.iter().map(|&(l, _)| (l, l)).collect();
+        for (label, value) in records[folded as usize].take().unwrap() {
+            let at = merged
+                .iter()
+                .position(|&(_, v)| v == value)
+                .unwrap_or_else(|| {
+                    let nth = merged.len() as u32;
+                    merged.push((Label::new(k, nth % 3, nth / 3), value));
+                    merged.len() - 1
+                });
+            map.insert(label, merged[at].0);
+        }
+        records[k as usize] = Some(merged);
+        map
+    }
+
+    /// `rids` records of three labels each, holding values `0..5`.
+    fn model(rng: &mut impl Rng, rids: u32) -> Vec<Option<Labels>> {
+        (0..rids)
+            .map(|r| {
+                Some(
+                    (0..3)
+                        .map(|f| (Label::new(r, f, 0), rng.gen_range(0..5)))
+                        .collect(),
+                )
+            })
+            .collect()
     }
 
     proptest! {
@@ -261,9 +308,7 @@ mod tests {
         fn differential_with_grouped(seed in any::<u64>(), n in 0usize..60) {
             const RIDS: u32 = 8;
             let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
-            let mut records: Vec<Option<Labels>> = (0..RIDS)
-                .map(|r| Some((0..3).map(|f| (Label::new(r, f, 0), rng.gen_range(0..5))).collect()))
-                .collect();
+            let mut records = model(&mut rng, RIDS);
             let pairs = fresh_pairs(&mut rng, &records, &[], n);
             let mut flat = FlatIndex::build(pairs.clone());
             let mut grouped = ValuePairIndex::build(pairs);
@@ -277,20 +322,7 @@ mod tests {
                     continue;
                 }
                 let (k, folded) = if rng.gen_bool(0.5) { (i, j) } else { (j, i) };
-                // The winner's labels pass through; a folded value takes
-                // the first label under k holding it, else a fresh one.
-                let mut merged: Labels = records[k as usize].take().unwrap();
-                let mut map: std::collections::HashMap<Label, Label> =
-                    merged.iter().map(|&(l, _)| (l, l)).collect();
-                for (label, value) in records[folded as usize].take().unwrap() {
-                    let at = merged.iter().position(|&(_, v)| v == value).unwrap_or_else(|| {
-                        let nth = merged.len() as u32;
-                        merged.push((Label::new(k, nth % 3, nth / 3), value));
-                        merged.len() - 1
-                    });
-                    map.insert(label, merged[at].0);
-                }
-                records[k as usize] = Some(merged);
+                let map = fold(&mut records, k, folded);
                 flat.merge(i, j, k, |l| map[&l]);
                 grouped.merge(i, j, k, |l| map[&l]);
                 assert_same(&flat, &grouped, RIDS, &format!("merge {step}: {i}+{j}->{k}"));
@@ -300,6 +332,38 @@ mod tests {
                     flat = FlatIndex::build(flat.entries().iter().copied().chain(arrivals.clone()));
                     grouped.extend(arrivals);
                     assert_same(&flat, &grouped, RIDS, &format!("extend {step}"));
+                }
+            }
+        }
+
+        /// One hub absorbs nine records in turn, each time as the winner
+        /// or the folded side, with arrivals filed between the merges.
+        /// The records it shares with every one of them collect a
+        /// tombstone per merge, past half of their rows, and are
+        /// compacted; flat and grouped indexes still agree on every
+        /// observable.
+        #[test]
+        fn differential_through_a_hub(seed in any::<u64>()) {
+            const RIDS: u32 = 13;
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+            let mut records = model(&mut rng, RIDS);
+            let pairs = fresh_pairs(&mut rng, &records, &[], 400);
+            let mut flat = FlatIndex::build(pairs.clone());
+            let mut grouped = ValuePairIndex::build(pairs);
+            assert_same(&flat, &grouped, RIDS, "build");
+            let mut hub = 0;
+            for other in 1..10 {
+                let (k, folded) = if rng.gen_bool(0.5) { (hub, other) } else { (other, hub) };
+                let map = fold(&mut records, k, folded);
+                flat.merge(hub, other, k, |l| map[&l]);
+                grouped.merge(hub, other, k, |l| map[&l]);
+                hub = k;
+                assert_same(&flat, &grouped, RIDS, &format!("merge {other} -> {k}"));
+                if rng.gen_bool(0.5) {
+                    let arrivals = fresh_pairs(&mut rng, &records, flat.entries(), 6);
+                    flat = FlatIndex::build(flat.entries().iter().copied().chain(arrivals.clone()));
+                    grouped.extend(arrivals);
+                    assert_same(&flat, &grouped, RIDS, &format!("extend after {other}"));
                 }
             }
         }

@@ -1,4 +1,5 @@
-//! The production value-pair index: sorted partner rows over a group slab.
+//! The production value-pair index: tombstoned partner rows over a
+//! packed group store.
 
 use crate::bounds::{
     group_bounds, refined_field_set_into, BoundMode, Bounds, BoundsScratch, FieldPairSim,
@@ -7,45 +8,132 @@ use hera_join::ValuePair;
 use hera_types::json::Json;
 use hera_types::{HeraError, Label, Result};
 use rustc_hash::FxHashMap;
+use std::cmp::Ordering;
 
 /// The value-pair index of Definition 6.
 ///
 /// Logically a single sequence sorted by `(rid₁, rid₂, sim desc)`;
-/// physically an adjacency layout. `rows[rid]` lists the record's
-/// partners strictly ascending, each entry `(partner, slot)` naming the
-/// group the two records share, and the entry is stored in both records'
-/// rows. Groups live once, similarity-descending, in a slab of slots
-/// recycled through a free list. Record ids are dense (batch rids are
-/// dataset positions, session rids an arrival counter), so `rows` is
-/// indexed by rid directly.
+/// physically an adjacency layout over one packed store.
 ///
+/// * **Packed store** — [`Self::build`] sorts the join's output vector
+///   in place and keeps it: every group is a `(start, len)` range of that
+///   one buffer, similarity-descending, so building allocates no `Vec`
+///   per group. [`Self::extend`] files each new group as a run at the
+///   store's tail.
+/// * **Owned groups** — a group that gains entries after it was filed (a
+///   merge lands a folded record's group on it, or `extend` adds to it)
+///   moves into a `Vec` of exactly its new size. Its old range stays
+///   dead in the store until the index is dropped; a slot holds a range
+///   or an owned `Vec` in the same 24 bytes, recycled through a free
+///   list.
+/// * **Rows** — `rows[rid]` lists the record's partners strictly
+///   ascending, each entry `(partner, slot)` naming the group the two
+///   records share, and the entry is stored in both records' rows. Record
+///   ids are dense (batch rids are dataset positions, session rids an
+///   arrival counter), so `rows` is indexed by rid directly. A partner
+///   folded away by a merge leaves a *tombstone* in the rows it was in:
+///   the entry keeps its partner id, so the row stays sorted for binary
+///   search, and its slot reads `DEAD`. A row is compacted once its
+///   tombstones pass half of it.
 /// * **Lookup** — `group(i, j)` is one binary search in `rows[i]`.
-/// * **Key order** — walking `rows` ascending and, in each row, the
+/// * **Key order** — walking `rows` ascending and, in each row, the live
 ///   partners above the row's own rid visits the groups in ascending
 ///   `(rid₁, rid₂)` order: Definition 6's sequence, and the order
 ///   [`Self::record_pairs`] and [`Self::to_json`] emit.
 /// * **Merge maintenance** (§III-B2) — folding a record into `k` walks
-///   the folded record's row once. Each of its `O(|𝒱̂ᵢⱼ|)` groups is
-///   relabeled in place, dropped from its partner's row, and either
-///   appended to the existing `(k, partner)` group or filed under
-///   `(k, partner)` as it stands: two binary searches in rows plus a
-///   sort of that one small group, no set and no fresh `Vec`.
+///   `rows[k]` alongside the folded record's row, both ascending, and
+///   writes `k`'s new row in that one linear pass. Each of the folded
+///   record's `O(|𝒱̂ᵢⱼ|)` groups is relabeled where it lives. If `k`
+///   already shares a group with the partner, the two merge into one
+///   owned group and the folded record's entry in the partner's row is
+///   tombstoned in place: the row shifts no entry. Otherwise the group is
+///   filed under `(k, partner)` as it stands, and the partner's entry is
+///   renamed to `k` and rotated into place. No set, map or fresh row is
+///   built.
 #[derive(Debug, Clone, Default)]
 pub struct ValuePairIndex {
-    /// `rows[rid]`: `(partner, slot)`, strictly ascending by partner;
-    /// `(p, s) ∈ rows[r]` iff `(r, s) ∈ rows[p]`.
+    /// `rows[rid]`: `(partner, slot)`, strictly ascending by partner,
+    /// `slot == DEAD` for a tombstone; for live entries `(p, s) ∈ rows[r]`
+    /// iff `(r, s) ∈ rows[p]`.
     rows: Vec<Vec<(u32, u32)>>,
-    /// The group slab. A slot a row names holds a non-empty group; a
-    /// slot on the free list is empty and named by no row.
-    groups: Vec<Vec<ValuePair>>,
+    /// `dead[rid]`: the tombstones in `rows[rid]`, at most half of it.
+    dead: Vec<u32>,
+    /// The packed store: the groups filed as ranges, and dead ranges.
+    store: Vec<ValuePair>,
+    /// Where each slot's group lives. A slot a row names holds a
+    /// non-empty group; a slot on the free list holds an empty range and
+    /// is named by no row.
+    groups: Vec<Group>,
     free: Vec<u32>,
+    /// The row `merge` writes `k`'s new row into, kept between merges.
+    scratch: Vec<(u32, u32)>,
     /// Total entry count `|𝒱|`.
     total: usize,
 }
 
+/// The slot of a tombstoned row entry.
+const DEAD: u32 = u32::MAX;
+
+/// Where a group lives.
+#[derive(Debug, Clone)]
+enum Group {
+    /// `store[start..start + len]`.
+    Packed { start: u32, len: u32 },
+    /// A group that gained entries after it was filed.
+    Owned(Vec<ValuePair>),
+}
+
+/// A slot costs what the slab of `Vec`s it replaced did per group.
+const _: () = assert!(std::mem::size_of::<Group>() == std::mem::size_of::<Vec<ValuePair>>());
+
+/// A free slot.
+const EMPTY: Group = Group::Packed { start: 0, len: 0 };
+
+impl Group {
+    fn entries<'a>(&'a self, store: &'a [ValuePair]) -> &'a [ValuePair] {
+        match self {
+            Group::Packed { start, len } => &store[*start as usize..][..*len as usize],
+            Group::Owned(entries) => entries,
+        }
+    }
+
+    fn entries_mut<'a>(&'a mut self, store: &'a mut [ValuePair]) -> &'a mut [ValuePair] {
+        match self {
+            Group::Packed { start, len } => &mut store[*start as usize..][..*len as usize],
+            Group::Owned(entries) => entries,
+        }
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            Group::Packed { len, .. } => *len as usize,
+            Group::Owned(entries) => entries.len(),
+        }
+    }
+
+    /// Keeps the first `keep` entries; a packed group's tail goes dead.
+    fn truncate(&mut self, keep: usize) {
+        match self {
+            Group::Packed { len, .. } => *len = keep as u32,
+            Group::Owned(entries) => entries.truncate(keep),
+        }
+    }
+}
+
 /// Position of `partner` in a row, or where it would be inserted.
+/// Tombstones keep their partner, so they take part in the search.
 fn find(row: &[(u32, u32)], partner: u32) -> std::result::Result<usize, usize> {
     row.binary_search_by_key(&partner, |&(p, _)| p)
+}
+
+/// The live entries of a row.
+fn live(row: &[(u32, u32)]) -> impl Iterator<Item = &(u32, u32)> {
+    row.iter().filter(|&&(_, slot)| slot != DEAD)
+}
+
+/// The rid pair a value pair is filed under.
+fn key(p: &ValuePair) -> (u32, u32) {
+    (p.a.rid, p.b.rid)
 }
 
 impl ValuePairIndex {
@@ -54,30 +142,51 @@ impl ValuePairIndex {
     /// itself must be rid-normalized (`a.rid < b.rid`) — a non-normalized
     /// pair panics, exactly as it does on the incremental path.
     ///
-    /// Bulk path: pairs are sorted by group key (a no-op pass when the
-    /// input is already in join output order) and consumed as sorted
-    /// runs. Keys arrive ascending, so every row entry is a push at its
-    /// row's end — no search (a per-pair reference build is the tests'
-    /// differential oracle).
+    /// Bulk path: the pairs are collected into the vector handed in (a
+    /// `Vec`'s own buffer is reused, not copied), sorted by group key in
+    /// place (a no-op pass when the input is already in join output
+    /// order), and that vector becomes the packed store: each sorted run
+    /// is a group's range, sorted similarity-descending where it lies.
+    /// Rows are sized from a degree count, and keys arrive ascending, so
+    /// every row entry is a push at its row's end into room reserved for
+    /// it (a per-pair reference build is the tests' differential oracle).
     pub fn build(pairs: impl IntoIterator<Item = ValuePair>) -> Self {
-        let mut pairs: Vec<ValuePair> = pairs.into_iter().collect();
-        pairs.sort_unstable_by_key(|p| (p.a.rid, p.b.rid));
-        let records = pairs.iter().map(|p| p.b.rid as usize + 1).max();
+        let mut store: Vec<ValuePair> = pairs.into_iter().collect();
+        store.sort_unstable_by_key(key);
+        let mut degree: Vec<u32> = Vec::new();
+        let mut groups = 0usize;
+        for run in store.chunk_by(|x, y| key(x) == key(y)) {
+            let (i, j) = key(&run[0]);
+            assert!(i < j, "value pair must be rid-normalized");
+            if degree.len() <= j as usize {
+                degree.resize(j as usize + 1, 0);
+            }
+            degree[i as usize] += 1;
+            degree[j as usize] += 1;
+            groups += 1;
+        }
         let mut idx = Self {
-            rows: vec![Vec::new(); records.unwrap_or(0)],
-            total: pairs.len(),
+            rows: degree
+                .iter()
+                .map(|&d| Vec::with_capacity(d as usize))
+                .collect(),
+            dead: vec![0; degree.len()],
+            groups: Vec::with_capacity(groups),
+            total: store.len(),
             ..Self::default()
         };
-        for run in pairs.chunk_by(|x, y| (x.a.rid, x.b.rid) == (y.a.rid, y.b.rid)) {
-            let (i, j) = (run[0].a.rid, run[0].b.rid);
-            assert!(i < j, "value pair must be rid-normalized");
+        let mut start = 0u32;
+        for run in store.chunk_by_mut(|x, y| key(x) == key(y)) {
+            let (i, j) = key(&run[0]);
             let slot = idx.groups.len() as u32;
-            let mut group = run.to_vec();
-            sort_group(&mut group);
-            idx.groups.push(group);
+            sort_group(run);
+            let len = u32::try_from(run.len()).expect("a group fits a u32");
+            idx.groups.push(Group::Packed { start, len });
+            start = start.checked_add(len).expect("the store fits u32 offsets");
             idx.rows[i as usize].push((j, slot));
             idx.rows[j as usize].push((i, slot));
         }
+        idx.store = store;
         idx
     }
 
@@ -86,8 +195,20 @@ impl ValuePairIndex {
     #[cfg(test)]
     fn build_incremental(pairs: impl IntoIterator<Item = ValuePair>) -> Self {
         let mut idx = Self::default();
-        idx.extend(pairs);
+        for p in pairs {
+            idx.extend([p]);
+        }
         idx
+    }
+
+    /// The entries of the group in `slot`.
+    fn entries(&self, slot: u32) -> &[ValuePair] {
+        self.groups[slot as usize].entries(&self.store)
+    }
+
+    /// The entries of the group in `slot`, to reorder or relabel in place.
+    fn entries_mut(&mut self, slot: u32) -> &mut [ValuePair] {
+        self.groups[slot as usize].entries_mut(&mut self.store)
     }
 
     /// Files `slot` as the `(a, b)` group, which must not exist yet, in
@@ -100,23 +221,26 @@ impl ValuePairIndex {
         }
     }
 
-    /// Takes the `(a, b)` group out of both records' rows and returns
-    /// its slot, still holding the entries; `None` if there is no such
-    /// group.
-    fn unlink(&mut self, a: u32, b: u32) -> Option<u32> {
-        let row = &mut self.rows[a as usize];
-        let (_, slot) = row.remove(find(row, b).ok()?);
-        let row = &mut self.rows[b as usize];
-        let at = find(row, a).expect("rows are symmetric");
-        row.remove(at);
-        Some(slot)
+    /// Puts `group` in a slot — recycled from the free list when it has
+    /// any — and returns the slot.
+    fn file(&mut self, group: Group) -> u32 {
+        match self.free.pop() {
+            Some(slot) => {
+                self.groups[slot as usize] = group;
+                slot
+            }
+            None => {
+                self.groups.push(group);
+                self.groups.len() as u32 - 1
+            }
+        }
     }
 
     /// Empties an unlinked slot onto the free list and returns the
-    /// entries it held.
-    fn release(&mut self, slot: u32) -> Vec<ValuePair> {
+    /// number of entries it held.
+    fn release(&mut self, slot: u32) -> usize {
         self.free.push(slot);
-        std::mem::take(&mut self.groups[slot as usize])
+        std::mem::replace(&mut self.groups[slot as usize], EMPTY).len()
     }
 
     /// Grows `rows` to hold records `a` and `b`.
@@ -124,45 +248,45 @@ impl ValuePairIndex {
         let records = a.max(b) as usize + 1;
         if self.rows.len() < records {
             self.rows.resize_with(records, Vec::new);
+            self.dead.resize(records, 0);
         }
     }
 
-    /// The slot of the `(a, b)` group, linking an empty one — recycled
-    /// from the free list when it has any — if the pair has no group.
-    fn slot_of(&mut self, a: u32, b: u32) -> u32 {
-        self.cover(a, b);
-        let row = &self.rows[a as usize];
-        if let Ok(at) = find(row, b) {
-            return row[at].1;
-        }
-        let slot = self.free.pop().unwrap_or_else(|| {
-            self.groups.push(Vec::new());
-            self.groups.len() as u32 - 1
-        });
-        self.link(a, b, slot);
-        slot
-    }
-
-    /// Adds one pair at the end of its group (creating the group if
-    /// need be) and returns the group's slot; the caller restores the
-    /// group's order.
-    fn insert(&mut self, p: ValuePair) -> u32 {
-        assert!(p.a.rid < p.b.rid, "value pair must be rid-normalized");
-        let slot = self.slot_of(p.a.rid, p.b.rid);
-        self.groups[slot as usize].push(p);
-        self.total += 1;
-        slot
+    /// The slot of the live `(a, b)` group, if the pair has one.
+    fn slot(&self, a: u32, b: u32) -> Option<u32> {
+        let row = self.rows.get(a as usize)?;
+        let slot = row[find(row, b).ok()?].1;
+        (slot != DEAD).then_some(slot)
     }
 
     /// Adds freshly joined pairs to an existing index (streaming ER: a
     /// new record's similar value pairs arrive after the initial build).
-    /// Only the touched groups are re-sorted.
+    /// A pair of records with no group yet — every group of a session's
+    /// new record — is filed as a sorted run at the store's tail; an
+    /// existing group that gains pairs becomes owned and is re-sorted.
     pub fn extend(&mut self, pairs: impl IntoIterator<Item = ValuePair>) {
-        let mut touched: Vec<u32> = pairs.into_iter().map(|p| self.insert(p)).collect();
-        touched.sort_unstable();
-        touched.dedup();
-        for slot in touched {
-            sort_group(&mut self.groups[slot as usize]);
+        let mut fresh: Vec<ValuePair> = pairs.into_iter().collect();
+        fresh.sort_unstable_by_key(key);
+        for run in fresh.chunk_by_mut(|x, y| key(x) == key(y)) {
+            let (i, j) = key(&run[0]);
+            assert!(i < j, "value pair must be rid-normalized");
+            self.cover(i, j);
+            self.total += run.len();
+            if let Some(slot) = self.slot(i, j) {
+                let held = self.entries(slot);
+                let mut grown = Vec::with_capacity(held.len() + run.len());
+                grown.extend_from_slice(held);
+                grown.extend_from_slice(run);
+                sort_group(&mut grown);
+                self.groups[slot as usize] = Group::Owned(grown);
+            } else {
+                sort_group(run);
+                let start = u32::try_from(self.store.len()).expect("the store fits u32 offsets");
+                self.store.extend_from_slice(run);
+                let len = u32::try_from(run.len()).expect("a group fits a u32");
+                let slot = self.file(Group::Packed { start, len });
+                self.link(i, j, slot);
+            }
         }
     }
 
@@ -180,21 +304,14 @@ impl ValuePairIndex {
     /// similarity-descending. Empty slice if the records share no similar
     /// values.
     pub fn group(&self, i: u32, j: u32) -> &[ValuePair] {
-        let Some(row) = self.rows.get(i as usize) else {
-            return &[];
-        };
-        match find(row, j) {
-            Ok(at) => &self.groups[row[at].1 as usize],
-            Err(_) => &[],
-        }
+        self.slot(i, j).map_or(&[], |slot| self.entries(slot))
     }
 
-    /// The groups in key order — each row's partners above the row's
-    /// own rid — as `(key, slot)`.
+    /// The groups in key order — each row's live partners above the
+    /// row's own rid — as `(key, slot)`.
     fn keyed_slots(&self) -> impl Iterator<Item = ((u32, u32), u32)> + '_ {
         (0u32..).zip(&self.rows).flat_map(|(rid, row)| {
-            row[row.partition_point(|&(p, _)| p < rid)..]
-                .iter()
+            live(&row[row.partition_point(|&(p, _)| p < rid)..])
                 .map(move |&(p, slot)| ((rid, p), slot))
         })
     }
@@ -215,7 +332,7 @@ impl ValuePairIndex {
     /// ascending.
     pub fn partners(&self, rid: u32) -> impl Iterator<Item = u32> + '_ {
         let row = self.rows.get(rid as usize);
-        row.into_iter().flat_map(|r| r.iter().map(|&(p, _)| p))
+        row.into_iter().flat_map(|r| live(r).map(|&(p, _)| p))
     }
 
     /// The refined field set `𝒱′ᵢⱼ` — all *similar field pairs* of the
@@ -369,6 +486,12 @@ impl ValuePairIndex {
     /// remap to one new label; the resulting entries are exact duplicates
     /// (equal values ⇒ equal sims), adjacent under the group's total
     /// order, and one of them is kept.
+    ///
+    /// Cost: one linear walk of `rows[k]` and the folded row; per
+    /// re-homed group a relabel and sort of that group, one search in its
+    /// partner's row, and either a tombstone there (plus a linear merge
+    /// into `k`'s group) or a rotation of the entries between the folded
+    /// record and `k`.
     pub fn merge(&mut self, i: u32, j: u32, k: u32, remap: impl Fn(Label) -> Label) {
         assert!(
             k == i || k == j,
@@ -377,16 +500,11 @@ impl ValuePairIndex {
         let folded = if k == i { j } else { i };
         self.cover(i, j);
 
-        // 1. delete: intra-pairs between i and j.
-        if let Some(slot) = self.unlink(i, j) {
-            self.total -= self.release(slot).len();
-        }
-
-        // 2. k's own groups stay where they are: the remap passes k's
-        // labels through.
+        // k's own groups stay where they are: the remap passes k's labels
+        // through.
         debug_assert!(
-            self.rows[k as usize].iter().all(|&(_, slot)| {
-                self.groups[slot as usize].iter().all(|e| {
+            live(&self.rows[k as usize]).all(|&(_, slot)| {
+                self.entries(slot).iter().all(|e| {
                     let side = if e.a.rid == k { e.a } else { e.b };
                     remap(side) == side
                 })
@@ -394,26 +512,118 @@ impl ValuePairIndex {
             "merge: the remap must pass labels of k through"
         );
 
-        // 3. re-home each of the folded record's groups under k.
-        for (p, slot) in std::mem::take(&mut self.rows[folded as usize]) {
-            relabel(&mut self.groups[slot as usize], folded, k, &remap);
-            let row_p = &mut self.rows[p as usize];
-            let at = find(row_p, folded).expect("rows are symmetric");
-            row_p.remove(at);
-            let home = match find(&self.rows[k as usize], p) {
-                Ok(at) => {
-                    let home = self.rows[k as usize][at].1;
-                    let mut moved = self.release(slot);
-                    self.groups[home as usize].append(&mut moved);
-                    home
-                }
-                Err(_) => {
-                    self.link(k, p, slot);
-                    slot
-                }
+        // Walk k's row and the folded row together, partner-ascending,
+        // writing k's new row into the scratch row.
+        let ours = std::mem::take(&mut self.rows[k as usize]);
+        let theirs = std::mem::take(&mut self.rows[folded as usize]);
+        self.dead[k as usize] = 0;
+        self.dead[folded as usize] = 0;
+        let mut row = std::mem::take(&mut self.scratch);
+        row.reserve_exact(ours.len() + theirs.len());
+        let (mut ours_at, mut theirs_at) = (0, 0);
+        loop {
+            while ours.get(ours_at).is_some_and(|e| e.1 == DEAD) {
+                ours_at += 1;
+            }
+            while theirs.get(theirs_at).is_some_and(|e| e.1 == DEAD) {
+                theirs_at += 1;
+            }
+            let side = match (ours.get(ours_at), theirs.get(theirs_at)) {
+                (None, None) => break,
+                (Some(_), None) => Ordering::Less,
+                (None, Some(_)) => Ordering::Greater,
+                (Some(o), Some(t)) => o.0.cmp(&t.0),
             };
-            self.total -= restore_group(&mut self.groups[home as usize]);
+            if side == Ordering::Less {
+                let (p, slot) = ours[ours_at];
+                ours_at += 1;
+                if p == folded {
+                    // Delete: intra-pairs between i and j.
+                    self.total -= self.release(slot);
+                } else {
+                    row.push((p, slot));
+                }
+                continue;
+            }
+            let (p, slot) = theirs[theirs_at];
+            theirs_at += 1;
+            if p == k {
+                // The (i, j) group, deleted on k's side.
+                continue;
+            }
+            relabel(self.entries_mut(slot), folded, k, &remap);
+            if side == Ordering::Equal {
+                // Lands on the existing (k, p) group: the two become one,
+                // and folded's entry in p's row is tombstoned in place.
+                let home = ours[ours_at].1;
+                ours_at += 1;
+                self.total -= self.absorb(home, slot);
+                self.release(slot);
+                row.push((p, home));
+                let row_p = &mut self.rows[p as usize];
+                let at = find(row_p, folded).expect("rows are symmetric");
+                row_p[at].1 = DEAD;
+                let dead = &mut self.dead[p as usize];
+                *dead += 1;
+                if *dead as usize * 2 > row_p.len() {
+                    row_p.retain(|&(_, s)| s != DEAD);
+                    *dead = 0;
+                }
+            } else {
+                // Filed under (k, p) as it stands: folded's entry in p's
+                // row is renamed to k and rotated into place.
+                self.total -= self.restore(slot);
+                row.push((p, slot));
+                let row_p = &mut self.rows[p as usize];
+                let at = find(row_p, folded).expect("rows are symmetric");
+                row_p[at].0 = k;
+                if k < folded {
+                    let to = row_p[..at].partition_point(|&(q, _)| q < k);
+                    row_p[to..=at].rotate_right(1);
+                } else {
+                    let to = at + 1 + row_p[at + 1..].partition_point(|&(q, _)| q < k);
+                    row_p[at..to].rotate_left(1);
+                }
+            }
         }
+        self.rows[k as usize] = row;
+        self.scratch = ours;
+        self.scratch.clear();
+    }
+
+    /// Moves the (relabeled) group in `moved` into the one in `home`: the
+    /// union, in group order and without the exact duplicates a relabel
+    /// produced, becomes `home`'s owned group at exactly its size.
+    /// Returns the number of duplicates dropped; `moved` is left for the
+    /// caller to release.
+    fn absorb(&mut self, home: u32, moved: u32) -> usize {
+        sort_group(self.entries_mut(moved));
+        let (x, y) = (self.entries(home), self.entries(moved));
+        let mut len = 0;
+        merge_groups(x, y, |_| len += 1);
+        let mut merged = Vec::with_capacity(len);
+        merge_groups(x, y, |e| merged.push(e));
+        let dropped = x.len() + y.len() - len;
+        self.groups[home as usize] = Group::Owned(merged);
+        dropped
+    }
+
+    /// Restores a relabeled group's order where it lives and drops the
+    /// exact duplicates the relabeling produced — equal labels carry equal
+    /// sims, so they are adjacent once sorted. Returns the number dropped.
+    fn restore(&mut self, slot: u32) -> usize {
+        let group = self.entries_mut(slot);
+        sort_group(group);
+        let before = group.len();
+        let mut kept = 0;
+        for at in 0..before {
+            if kept == 0 || !same_labels(&group[kept - 1], &group[at]) {
+                group[kept] = group[at];
+                kept += 1;
+            }
+        }
+        self.groups[slot as usize].truncate(kept);
+        before - kept
     }
 
     /// Encodes the index as a flat JSON array of value pairs in group
@@ -424,7 +634,7 @@ impl ValuePairIndex {
     pub fn to_json(&self) -> Json {
         Json::Arr(
             self.keyed_slots()
-                .flat_map(|(_, slot)| &self.groups[slot as usize])
+                .flat_map(|(_, slot)| self.entries(slot))
                 .map(|p| {
                     Json::Obj(vec![
                         ("a".into(), p.a.to_json()),
@@ -441,39 +651,39 @@ impl ValuePairIndex {
     /// rid-normalized, not finite, or name a record the caller does not
     /// have with a typed error instead of panicking. Rows are indexed by
     /// rid, so the last check also keeps a corrupt rid from sizing an
-    /// allocation.
+    /// allocation. The checked pairs are [`Self::build`]'s input.
     pub fn from_json(json: &Json, records: usize) -> Result<Self> {
-        let mut idx = Self::default();
-        for p in json.as_arr()? {
-            let pair = ValuePair {
-                a: Label::from_json(p.expect("a")?)?,
-                b: Label::from_json(p.expect("b")?)?,
-                sim: p.expect("sim")?.as_f64()?,
-            };
-            if pair.a.rid >= pair.b.rid {
-                return Err(HeraError::Corrupt(format!(
-                    "index pair {}-{} not rid-normalized",
-                    pair.a, pair.b
-                )));
-            }
-            if pair.b.rid as usize >= records {
-                return Err(HeraError::Corrupt(format!(
-                    "index pair {}-{} names a record outside the {records} restored",
-                    pair.a, pair.b
-                )));
-            }
-            if !pair.sim.is_finite() {
-                return Err(HeraError::Corrupt(format!(
-                    "index pair {}-{} has non-finite sim",
-                    pair.a, pair.b
-                )));
-            }
-            idx.insert(pair);
-        }
-        for group in &mut idx.groups {
-            sort_group(group);
-        }
-        Ok(idx)
+        let pairs = json
+            .as_arr()?
+            .iter()
+            .map(|p| {
+                let pair = ValuePair {
+                    a: Label::from_json(p.expect("a")?)?,
+                    b: Label::from_json(p.expect("b")?)?,
+                    sim: p.expect("sim")?.as_f64()?,
+                };
+                if pair.a.rid >= pair.b.rid {
+                    return Err(HeraError::Corrupt(format!(
+                        "index pair {}-{} not rid-normalized",
+                        pair.a, pair.b
+                    )));
+                }
+                if pair.b.rid as usize >= records {
+                    return Err(HeraError::Corrupt(format!(
+                        "index pair {}-{} names a record outside the {records} restored",
+                        pair.a, pair.b
+                    )));
+                }
+                if !pair.sim.is_finite() {
+                    return Err(HeraError::Corrupt(format!(
+                        "index pair {}-{} has non-finite sim",
+                        pair.a, pair.b
+                    )));
+                }
+                Ok(pair)
+            })
+            .collect::<Result<Vec<ValuePair>>>()?;
+        Ok(Self::build(pairs))
     }
 
     /// Structural statistics for reports and tuning.
@@ -481,8 +691,10 @@ impl ValuePairIndex {
         IndexStats {
             entries: self.total,
             groups: self.group_count(),
-            records: self.rows.iter().filter(|row| !row.is_empty()).count(),
-            max_group: self.groups.iter().map(Vec::len).max().unwrap_or(0),
+            records: (0..self.rows.len())
+                .filter(|&rid| self.rows[rid].len() > self.dead[rid] as usize)
+                .count(),
+            max_group: self.groups.iter().map(Group::len).max().unwrap_or(0),
         }
     }
 
@@ -505,31 +717,57 @@ impl ValuePairIndex {
         );
     }
 
-    /// Full-index invariant check (tests/debug): rows strictly ascending
-    /// and symmetric on one slot, every slot either a live non-empty
-    /// group named by exactly one record pair or an empty free one,
-    /// entries normalized, filed under their own key, similarity-
-    /// descending and label-distinct, and both counts recounted.
+    /// Full-index invariant check (tests/debug): rows strictly ascending,
+    /// their tombstones counted and at most half of each row, and live
+    /// entries symmetric on one slot; every slot either a live non-empty
+    /// group named by exactly one record pair or an empty free one; live
+    /// packed ranges inside the store and disjoint; entries normalized,
+    /// filed under their own key, similarity-descending and
+    /// label-distinct; and both counts recounted.
     pub fn check_invariants(&self) -> std::result::Result<(), String> {
+        if self.dead.len() != self.rows.len() {
+            return Err(format!(
+                "{} dead counts for {} rows",
+                self.dead.len(),
+                self.rows.len()
+            ));
+        }
         for (rid, row) in (0u32..).zip(&self.rows) {
             if !row.windows(2).all(|w| w[0].0 < w[1].0) {
                 return Err(format!("row {rid} not strictly ascending"));
             }
-            for &(p, slot) in row {
+            let dead = row.iter().filter(|&&(_, slot)| slot == DEAD).count();
+            if dead != self.dead[rid as usize] as usize {
+                return Err(format!(
+                    "row {rid} holds {dead} tombstones but counts {}",
+                    self.dead[rid as usize]
+                ));
+            }
+            if dead * 2 > row.len() {
+                return Err(format!("row {rid} is more than half tombstones"));
+            }
+            for &(p, slot) in live(row) {
                 if p == rid {
                     return Err(format!("row {rid} names itself"));
                 }
-                let back = self.rows.get(p as usize).map_or(&[][..], Vec::as_slice);
-                if find(back, rid).map(|at| back[at].1) != Ok(slot) {
+                if self.slot(p, rid) != Some(slot) {
                     return Err(format!("partner rows miss group ({rid},{p}) slot {slot}"));
                 }
             }
         }
         let mut owners = vec![0usize; self.groups.len()];
-        let (mut count, mut live) = (0, 0);
+        let mut ranges: Vec<(usize, usize)> = Vec::new();
+        let (mut count, mut live_groups) = (0, 0);
         for ((i, j), slot) in self.keyed_slots() {
             owners[slot as usize] += 1;
-            let g = &self.groups[slot as usize];
+            if let Group::Packed { start, len } = self.groups[slot as usize] {
+                let (start, end) = (start as usize, start as usize + len as usize);
+                if end > self.store.len() {
+                    return Err(format!("group ({i},{j}) ends past the store"));
+                }
+                ranges.push((start, end));
+            }
+            let g = self.entries(slot);
             if g.is_empty() {
                 return Err(format!("group ({i},{j}) is empty"));
             }
@@ -549,10 +787,17 @@ impl ValuePairIndex {
                 return Err(format!("group ({i},{j}) repeats a label pair"));
             }
             count += g.len();
-            live += 1;
+            live_groups += 1;
+        }
+        ranges.sort_unstable();
+        if let Some(w) = ranges.windows(2).find(|w| w[0].1 > w[1].0) {
+            return Err(format!(
+                "packed ranges {}..{} and {}..{} overlap",
+                w[0].0, w[0].1, w[1].0, w[1].1
+            ));
         }
         for &slot in &self.free {
-            if !self.groups[slot as usize].is_empty() {
+            if self.groups[slot as usize].len() != 0 {
                 return Err(format!("free slot {slot} holds entries"));
             }
             if owners[slot as usize] != 0 {
@@ -566,9 +811,9 @@ impl ValuePairIndex {
                 owners[slot]
             ));
         }
-        if live != self.group_count() {
+        if live_groups != self.group_count() {
             return Err(format!(
-                "group_count {} != counted {live}",
+                "group_count {} != counted {live_groups}",
                 self.group_count()
             ));
         }
@@ -647,13 +892,43 @@ pub struct IndexStats {
     pub max_group: usize,
 }
 
+/// A group's total order: similarity descending, then label pair.
+fn group_order(x: &ValuePair, y: &ValuePair) -> Ordering {
+    y.sim
+        .partial_cmp(&x.sim)
+        .unwrap_or(Ordering::Equal)
+        .then_with(|| (x.a, x.b).cmp(&(y.a, y.b)))
+}
+
 fn sort_group(g: &mut [ValuePair]) {
-    g.sort_unstable_by(|x, y| {
-        y.sim
-            .partial_cmp(&x.sim)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then_with(|| (x.a, x.b).cmp(&(y.a, y.b)))
-    });
+    g.sort_unstable_by(group_order);
+}
+
+fn same_labels(x: &ValuePair, y: &ValuePair) -> bool {
+    (x.a, x.b) == (y.a, y.b)
+}
+
+/// Emits the union of two groups, each in group order, in group order
+/// and without repeating a label pair: equal labels carry equal sims, so
+/// a duplicate follows the entry it repeats.
+fn merge_groups(x: &[ValuePair], y: &[ValuePair], mut emit: impl FnMut(ValuePair)) {
+    let (mut at_x, mut at_y) = (0, 0);
+    let mut last: Option<ValuePair> = None;
+    while at_x < x.len() || at_y < y.len() {
+        let take_x = at_y == y.len()
+            || (at_x < x.len() && group_order(&x[at_x], &y[at_y]) != Ordering::Greater);
+        let e = if take_x {
+            at_x += 1;
+            x[at_x - 1]
+        } else {
+            at_y += 1;
+            y[at_y - 1]
+        };
+        if !last.is_some_and(|l| same_labels(&l, &e)) {
+            last = Some(e);
+            emit(e);
+        }
+    }
 }
 
 /// Rewrites the `old` record's side of every entry through `remap`,
@@ -667,16 +942,6 @@ fn relabel(group: &mut [ValuePair], old: u32, k: u32, remap: impl Fn(Label) -> L
             std::mem::swap(&mut e.a, &mut e.b);
         }
     }
-}
-
-/// Restores a relabeled or appended-to group's order and drops the exact
-/// duplicates the relabeling produced — equal labels carry equal sims,
-/// so they are adjacent once sorted. Returns the number dropped.
-fn restore_group(group: &mut Vec<ValuePair>) -> usize {
-    let before = group.len();
-    sort_group(group);
-    group.dedup_by(|x, y| (x.a, x.b) == (y.a, y.b));
-    before - group.len()
 }
 
 #[cfg(test)]
@@ -907,6 +1172,10 @@ mod tests {
         let mut idx = fig4_index();
         idx.extend(arrivals.clone());
         idx.check_invariants().unwrap();
+        // A new record's groups are runs at the store's tail, not owned
+        // `Vec`s.
+        assert_eq!(idx.store.len(), 17 + 5);
+        assert!(idx.groups.iter().all(|g| matches!(g, Group::Packed { .. })));
         assert_eq!(idx.partners(9).collect::<Vec<_>>(), vec![1, 2, 4, 6]);
         assert_eq!(idx.group(9, 4)[0].sim, 0.9);
         let mut all = fig4_pairs();
@@ -918,16 +1187,81 @@ mod tests {
 
         // The merge below frees the (1,6) slot and the slots of 6's
         // groups that land on a group 1 already has; later arrivals
-        // take those slots instead of growing the slab.
+        // take those slots instead of adding new ones.
         idx.merge(1, 6, 1, |l| {
             Label::new(1, l.fid, if l.rid == 6 { 2 } else { l.vid })
         });
         idx.check_invariants().unwrap();
-        let (slab, free) = (idx.groups.len(), idx.free.len());
+        let (slots, free) = (idx.groups.len(), idx.free.len());
         assert!(free >= 2, "{free} slots freed");
         idx.extend(vec![vp(3, 1, 1, 9, 1, 1, 0.5), vp(2, 1, 1, 5, 1, 1, 0.5)]);
         idx.check_invariants().unwrap();
-        assert_eq!((idx.groups.len(), idx.free.len()), (slab, free - 2));
+        assert_eq!((idx.groups.len(), idx.free.len()), (slots, free - 2));
+    }
+
+    #[test]
+    fn build_keeps_the_buffer_it_was_handed() {
+        // The join's output vector is the packed store: sorted in place,
+        // every group a range of it, no group copied out.
+        let pairs = fig4_pairs();
+        let buffer = pairs.as_ptr();
+        let idx = ValuePairIndex::build(pairs);
+        assert_eq!(idx.store.as_ptr(), buffer);
+        assert!(idx.groups.iter().all(|g| matches!(g, Group::Packed { .. })));
+        idx.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn a_merge_onto_existing_homes_shifts_no_partner_row() {
+        // Records 0 and 1 share partners 2–5, each of which has four more
+        // partners (6–9). Folding 1 into 0 lands every re-homed group on
+        // an existing (0, p) home: each partner row keeps its length and
+        // every entry in place, and only 1's entry turns into a
+        // tombstone.
+        let mut pairs = Vec::new();
+        for p in 2..=5 {
+            for r in [0, 1].into_iter().chain(6..=9) {
+                pairs.push(vp(r.min(p), 1, 0, r.max(p), 1, 0, 0.5 + 0.01 * r as f64));
+            }
+        }
+        let mut idx = ValuePairIndex::build(pairs);
+        let before: Vec<Vec<(u32, u32)>> = (2..=5).map(|p| idx.rows[p].clone()).collect();
+        idx.merge(0, 1, 0, |l| {
+            Label::new(0, l.fid, if l.rid == 1 { 1 } else { l.vid })
+        });
+        idx.check_invariants().unwrap();
+        for (p, before) in (2..=5).zip(before) {
+            let after = &idx.rows[p];
+            assert_eq!(after.len(), before.len(), "row {p} changed length");
+            for (at, (&was, &is)) in before.iter().zip(after).enumerate() {
+                let want = if was.0 == 1 { (1, DEAD) } else { was };
+                assert_eq!(is, want, "row {p} entry {at}");
+            }
+            assert_eq!(idx.group(0, p as u32).len(), 2);
+        }
+    }
+
+    #[test]
+    fn tombstones_past_half_a_row_compact_it() {
+        // Partner 9 shares a group with each of 0–5. Folding 1–4 into 0
+        // one by one tombstones 9's entries of 1–4: the fourth tombstone
+        // is past half of the six-entry row, which then keeps its live
+        // entries only.
+        let pairs: Vec<ValuePair> = (0..=5).map(|r| vp(r, 1, 0, 9, 1, 0, 0.9)).collect();
+        let mut idx = ValuePairIndex::build(pairs);
+        for folded in 1..=4 {
+            idx.merge(0, folded, 0, |l| Label::new(0, l.fid, l.vid));
+            idx.check_invariants().unwrap();
+            let dead = if folded < 4 { folded as usize } else { 0 };
+            assert_eq!(idx.dead[9] as usize, dead, "after folding {folded}");
+            assert_eq!(idx.rows[9].len(), if folded < 4 { 6 } else { 2 });
+        }
+        assert_eq!(idx.partners(9).collect::<Vec<_>>(), vec![0, 5]);
+        assert_eq!(
+            idx.group(0, 9).len(),
+            1,
+            "five equal entries collapsed to one"
+        );
     }
 
     #[test]

@@ -15,10 +15,10 @@
 //!   groups are re-homed under `k`, in `O(|𝒱̂ᵢⱼ| log |𝒱|)`.
 //!
 //! Two physical layouts implement the same logical structure:
-//! [`ValuePairIndex`] (sorted partner rows over a group slab, the
-//! production structure) and [`FlatIndex`] (the paper's literal flat
-//! sorted array probed by nested binary search, kept as the differential
-//! oracle and for the bench suite).
+//! [`ValuePairIndex`] (tombstoned partner rows over a packed group
+//! store, the production structure) and [`FlatIndex`] (the paper's
+//! literal flat sorted array probed by nested binary search, kept as the
+//! differential oracle and for the bench suite).
 //! [`UnionFind`] tracks record → super-record identity (Prop. 3).
 
 #![forbid(unsafe_code)]

@@ -248,7 +248,10 @@ impl Recorder {
             .to_string_compact();
             let _ = state.sink.append(&notice);
             state.sink.flush();
-            eprintln!(
+            // Best effort, as the progress lines: a closed stderr does
+            // not end the run from inside the recorder.
+            let _ = writeln!(
+                std::io::stderr(),
                 "[hera-obs] journal sink degraded ({reason}); \
                  further trace events are dropped"
             );
@@ -342,7 +345,12 @@ impl Recorder {
     /// End-of-round summary; mirrors to stderr when progress is on.
     pub fn round_end(&self, round: usize, merges: i64, index_size: i64, open_buckets: i64) {
         if self.progress {
-            eprintln!("[trace] round {round}: {merges} merges, index {index_size} pairs");
+            // Best effort: a closed stderr drops the line; what a closed
+            // pipe means is the binary's to decide.
+            let _ = writeln!(
+                std::io::stderr(),
+                "[trace] round {round}: {merges} merges, index {index_size} pairs"
+            );
         }
         if self.sink.is_none() {
             return;
