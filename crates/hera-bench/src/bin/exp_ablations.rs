@@ -9,7 +9,7 @@
 
 use hera_baselines::eval::PairMetrics;
 use hera_bench::{header, row, run_at_delta, shared_join, XI};
-use hera_core::{BoundMode, Hera, HeraConfig, InstanceVerifier, SuperRecord};
+use hera_core::{Ablation, BoundMode, Hera, HeraConfig, InstanceVerifier, SuperRecord};
 use hera_index::ValuePairIndex;
 use hera_sim::TypeDispatch;
 use std::time::Instant;
@@ -74,11 +74,11 @@ fn main() {
     // ---- A2: Kuhn–Munkres vs greedy matching inside HERA.
     println!("## A2: Kuhn–Munkres vs greedy field matching\n");
     header(&["matcher", "P", "R", "F1", "resolve time"]);
-    for (name, cfg) in [
-        ("Kuhn–Munkres", HeraConfig::new(0.5, XI)),
-        ("greedy", HeraConfig::new(0.5, XI).with_greedy_matching()),
+    for (name, ablation) in [
+        ("Kuhn–Munkres", Ablation::None),
+        ("greedy", Ablation::GreedyMatching),
     ] {
-        let result = Hera::builder(cfg)
+        let result = Hera::builder(HeraConfig::new(0.5, XI).with_ablation(ablation))
             .build()
             .run_with_pairs(&ds, pairs.clone())
             .unwrap();
@@ -102,11 +102,8 @@ fn main() {
         "matchings decided",
         "resolve time",
     ]);
-    for (name, cfg) in [
-        ("on", HeraConfig::new(0.5, XI)),
-        ("off", HeraConfig::new(0.5, XI).without_schema_voting()),
-    ] {
-        let result = Hera::builder(cfg)
+    for (name, ablation) in [("on", Ablation::None), ("off", Ablation::NoSchemaVoting)] {
+        let result = Hera::builder(HeraConfig::new(0.5, XI).with_ablation(ablation))
             .build()
             .run_with_pairs(&ds, pairs.clone())
             .unwrap();

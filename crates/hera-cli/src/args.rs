@@ -209,6 +209,7 @@ mod tests {
             "args.get_opt_u64(\"",
             "args.get_u64(\"",
             "args.require(\"",
+            "threshold(args, \"",
         ]);
         assert!(switches.contains(&"eval") && values.contains(&"checkpoint-every"));
         assert_eq!(declared(true), switches);

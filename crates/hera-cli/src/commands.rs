@@ -121,10 +121,9 @@ USAGE:
   hera-cli checkpoint --input FILE --out FILE.hera [--upto N] [--delta 0.5] [--xi 0.5]
                 [--threads N] [--blocking <none|token|qgram|lsh>]
   hera-cli restore-resolve --snapshot FILE.hera --input FILE [--labels FILE] [--eval]
-                [--matchings] [--delta 0.5] [--xi 0.5] [--threads N]
+                [--matchings] [--threads N]
                 [--budget N] [--budget-merges M] [--checkpoint FILE.hera]
                 [--trace FILE.jsonl] [--trace-stderr] [--trace-deterministic]
-                [--blocking <none|token|qgram|lsh>]
   hera-cli exchange --input FILE [--fraction 0.333] [--seed N] [--out FILE]
   hera-cli fuse     --input FILE --labels FILE [--fraction 1.0] [--seed N] [--out FILE]
   hera-cli baseline --input FILE --system <rswoosh|cc|cr> [--delta 0.5] [--xi 0.5] [--eval]
@@ -133,9 +132,9 @@ USAGE:
   hera-cli faults replay --input FILE --plan FILE.json [--checkpoint-every N]
                 [--crash-after N] [--strict-checkpoints] [--upto N] [--resolve-budget N]
                 [--delta 0.5] [--xi 0.5] [--threads N]
-  hera-cli serve    [--listen ADDR | (stdio default)] [--restore FILE.hera]
-                [--stitch-every N] [--delta 0.5] [--xi 0.5] [--threads N]
-                [--blocking <none|token|qgram|lsh>]
+  hera-cli serve    [--listen ADDR | (stdio default)]
+                [--restore FILE.hera | --delta 0.5 --xi 0.5 --blocking <none|token|qgram|lsh>]
+                [--stitch-every N] [--threads N]
                 [--trace FILE.jsonl] [--trace-deterministic]
                 [--fault-plan FILE.json] [--no-retry]
   hera-cli client   --connect ADDR [--line JSON]...   (stdin JSONL when no --line)
@@ -153,8 +152,7 @@ candidate generation at a measured pair-completeness cost. The default
 `none` keeps the exact all-pairs join. With `--streaming` (and in
 `checkpoint` / `restore-resolve`) the same schemes run *incrementally*:
 each arriving record joins only against its co-blocked candidates, and
-the blocker state rides along in snapshots (a snapshot restores only
-under the blocking scheme that produced it).
+the blocker state rides along in snapshots.
 
 `--trace FILE` writes a structured run journal (JSON Lines: per-stage
 spans, every merge, every decided schema matching — see DESIGN.md,
@@ -172,7 +170,10 @@ finishes; `--checkpoint-every N` (implies --streaming) additionally
 snapshots after every N records, so a crash loses at most N records of
 work. `checkpoint` stops after the first --upto records and writes the
 snapshot; `restore-resolve` loads a snapshot, ingests the records the
-snapshot has not seen yet, and reports like `resolve`. Restoring and
+snapshot has not seen yet, and reports like `resolve`. A snapshot records
+δ, ξ and the blocking scheme, and a restore runs under them: neither
+`restore-resolve` nor `serve --restore` takes `--delta`, `--xi` or
+`--blocking` (only `--threads`). Restoring and
 continuing is bit-identical to an uninterrupted streaming run — same
 entities, same stats, same core journal events (see DESIGN.md,
 Persistence). Snapshots are versioned and CRC-checked; corrupt or
@@ -236,11 +237,13 @@ pub(crate) struct Command {
 }
 
 /// The subcommands, each with its own flags and then, one group each,
-/// the flags of the shared helpers it calls: [`build_config`],
-/// [`build_recorder`], [`fault_injector`], [`budget_of`] and [`report`].
+/// the flags of the shared helpers it calls: [`build_config`] (or only
+/// its thread count, [`restore_config`]), [`build_recorder`],
+/// [`fault_injector`], [`budget_of`] and [`report`].
 #[rustfmt::skip]
 pub(crate) const COMMANDS: &[Command] = {
     const CONFIG: &[Flag] = &[Value("delta"), Value("xi"), Value("threads"), Value("blocking")];
+    const THREADS: &[Flag] = &[Value("threads")];
     const RECORDER: &[Flag] =
         &[Value("trace"), Switch("trace-deterministic"), Switch("trace-stderr")];
     const FAULTS: &[Flag] = &[Value("fault-plan")];
@@ -267,7 +270,7 @@ pub(crate) const COMMANDS: &[Command] = {
         ]),
         command("restore-resolve", restore_resolve, &[
             &[Value("input"), Value("snapshot"), Value("checkpoint")],
-            CONFIG, RECORDER, BUDGET, REPORT,
+            THREADS, RECORDER, BUDGET, REPORT,
         ]),
         command("exchange", exchange, &[
             &[Value("input"), Value("fraction"), Value("seed"), Value("out")],
@@ -404,15 +407,34 @@ fn generate(args: &Args) -> Result<(), String> {
     write_out(args.get("out"), &json)
 }
 
+/// A threshold flag (`--delta`, `--xi`): a number in [0, 1], 0.5 when
+/// absent.
+fn threshold(args: &Args, key: &str) -> Result<f64, String> {
+    let v = args.get_f64(key, 0.5)?;
+    if (0.0..=1.0).contains(&v) {
+        Ok(v)
+    } else {
+        Err(format!("--{key} expects a number in [0, 1], got {v}"))
+    }
+}
+
 fn build_config(args: &Args) -> Result<HeraConfig, String> {
-    let delta = args.get_f64("delta", 0.5)?;
-    let xi = args.get_f64("xi", 0.5)?;
-    let threads = args.get_u64("threads", 0)? as usize;
-    let mut config = HeraConfig::new(delta, xi).with_threads(threads);
+    let mut config = HeraConfig {
+        delta: threshold(args, "delta")?,
+        xi: threshold(args, "xi")?,
+        ..restore_config(args)?
+    };
     if let Some(scheme) = args.get("blocking") {
         config = config.with_blocking(BlockingScheme::parse(scheme)?);
     }
     Ok(config)
+}
+
+/// The config a restore starts from: the snapshot supplies every field
+/// but the thread count (see `HeraSessionBuilder::restore`).
+fn restore_config(args: &Args) -> Result<HeraConfig, String> {
+    let threads = args.get_u64("threads", 0)? as usize;
+    Ok(HeraConfig::paper_example().with_threads(threads))
 }
 
 /// The `--budget N` / `--budget-merges M` pair as a [`ResolveBudget`];
@@ -683,7 +705,7 @@ fn restore_resolve(args: &Args) -> Result<(), String> {
     let ds = load_dataset(args.require("input")?)?;
     let snap = args.require("snapshot")?;
     let recorder = build_recorder(args)?;
-    let mut session = HeraSession::builder(build_config(args)?)
+    let mut session = HeraSession::builder(restore_config(args)?)
         .recorder(recorder.clone())
         .restore(snap)
         .map_err(|e| format!("restoring {snap}: {e}"))?;
@@ -853,8 +875,7 @@ fn baseline(args: &Args) -> Result<(), String> {
             ds.registry.len()
         ));
     }
-    let delta = args.get_f64("delta", 0.5)?;
-    let xi = args.get_f64("xi", 0.5)?;
+    let (delta, xi) = (threshold(args, "delta")?, threshold(args, "xi")?);
     let system: Box<dyn Resolver> = match args.require("system")? {
         "rswoosh" => Box::new(RSwoosh::new(delta, xi)),
         "cc" => Box::new(CorrelationClustering::new(
@@ -979,7 +1000,22 @@ fn faults_replay(args: &Args) -> Result<(), String> {
 
 /// `serve` — run the long-lived ER service over stdio or TCP.
 fn serve(args: &Args) -> Result<(), String> {
-    let config = build_config(args)?;
+    let config = match args.get("restore") {
+        Some(_) => {
+            // The snapshot is the config: a flag it would override is
+            // refused rather than silently dropped.
+            let given = ["delta", "xi", "blocking"]
+                .into_iter()
+                .find(|&f| args.get(f).is_some());
+            if let Some(flag) = given {
+                return Err(format!(
+                    "serve --restore takes --{flag} from the snapshot; drop --{flag}"
+                ));
+            }
+            restore_config(args)?
+        }
+        None => build_config(args)?,
+    };
     let stitch_every = args.get_u64("stitch-every", 0)? as usize;
     let recorder = build_recorder(args)?;
     let injector = fault_injector(args)?;

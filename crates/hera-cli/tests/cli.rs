@@ -1,7 +1,8 @@
 //! The binary, driven end to end on one small generated dataset: a
-//! checkpoint restored and resumed, and streaming runs under fault plans,
-//! each label every record as the uninterrupted streaming run does; a
-//! restore under another δ and a flag the subcommand does not read,
+//! checkpoint restored and resumed, under the config it recorded, and
+//! streaming runs under fault plans, each label every record as the
+//! uninterrupted streaming run does; a config flag beside a restore, a
+//! threshold outside [0, 1] and a flag the subcommand does not read,
 //! refused; and a closed stdout or stderr, taken as the end of the
 //! output.
 
@@ -113,9 +114,9 @@ fn restore_resolve_continues_a_checkpoint_exactly() {
     assert_eq!(fs::read_to_string(&labels).unwrap(), reference);
 }
 
-/// A snapshot taken at the default δ refuses a continuation under
-/// another: `restore-resolve --delta 0.9` exits 1 naming δ, and writes
-/// no labels.
+/// A snapshot records its δ, so `restore-resolve` takes no `--delta`:
+/// the flag table refuses it with exit 1, naming the flag, and no labels
+/// are written.
 #[test]
 fn restore_resolve_refuses_another_delta() {
     let dir = scratch("restore_resolve_delta");
@@ -143,11 +144,118 @@ fn restore_resolve_refuses_another_delta() {
         &labels,
     ]);
     assert_eq!(code, Some(1), "{stderr}");
-    assert!(stderr.contains("delta=0.9"), "{stderr}");
+    assert!(
+        stderr.contains("restore-resolve takes no flag --delta"),
+        "{stderr}"
+    );
     assert!(
         !Path::new(&labels).exists(),
         "the refused run wrote {labels}"
     );
+}
+
+/// CI step "Checkpoint/restore smoke", off the defaults: a checkpoint
+/// taken under `--delta 0.9 --blocking token`, restored with no config
+/// flag, labels every record as the uninterrupted streaming run under
+/// those flags does.
+#[test]
+fn restore_resolve_adopts_the_snapshots_config() {
+    let dir = scratch("restore_resolve_adopts");
+    let (ds, default) = dataset_and_reference(&dir);
+    let config = ["--delta", "0.9", "--blocking", "token"];
+    let reference = path(&dir, "reference.csv");
+    let mut args = vec!["resolve", "--input", &ds, "--streaming"];
+    args.extend(config);
+    args.extend(["--labels", &reference]);
+    hera(&args);
+    let reference = fs::read_to_string(&reference).unwrap();
+    assert_ne!(reference, default, "the flags must change the labels");
+
+    let snapshot = path(&dir, "half.hera");
+    let mut args = vec!["checkpoint", "--input", &ds, "--upto", "200"];
+    args.extend(config);
+    args.extend(["--out", &snapshot]);
+    hera(&args);
+    let labels = path(&dir, "continued.csv");
+    hera(&[
+        "restore-resolve",
+        "--snapshot",
+        &snapshot,
+        "--input",
+        &ds,
+        "--labels",
+        &labels,
+    ]);
+    assert_eq!(fs::read_to_string(&labels).unwrap(), reference);
+}
+
+/// `serve --restore` takes its config from the snapshot: `--delta`,
+/// `--xi` or `--blocking` beside it exits 1 naming the flag, rather
+/// than being dropped; with `--threads` alone the service restores.
+#[test]
+fn serve_restore_refuses_config_flags() {
+    let dir = scratch("serve_restore_flags");
+    let (ds, _) = dataset_and_reference(&dir);
+    let snapshot = path(&dir, "half.hera");
+    hera(&[
+        "checkpoint",
+        "--input",
+        &ds,
+        "--upto",
+        "100",
+        "--out",
+        &snapshot,
+    ]);
+    for (flag, value) in [("--delta", "0.9"), ("--xi", "0.5"), ("--blocking", "none")] {
+        let (code, stderr) = run(&["serve", "--restore", &snapshot, flag, value]);
+        assert_eq!(code, Some(1), "{flag}: {stderr}");
+        assert!(stderr.contains(&format!("drop {flag}")), "{stderr}");
+    }
+    let stderr = hera(&["serve", "--restore", &snapshot, "--threads", "1"]);
+    assert!(stderr.contains("100 record(s) restored"), "{stderr}");
+}
+
+/// A threshold outside [0, 1], or not a number at all, is refused with
+/// exit 1 naming the flag — it never reaches the config's assertion.
+#[test]
+fn a_threshold_outside_the_unit_interval_is_refused() {
+    let dir = scratch("threshold_range");
+    let ds = path(&dir, "ds.json");
+    hera(&["generate", "--size", "50", "--seed", "51", "--out", &ds]);
+    let homogeneous = path(&dir, "exchanged.json");
+    hera(&["exchange", "--input", &ds, "--out", &homogeneous]);
+    let cases: [&[&str]; 5] = [
+        &["resolve", "--input", &ds, "--delta", "1.5"],
+        &["resolve", "--input", &ds, "--xi", "NaN"],
+        &["resolve", "--input", &ds, "--streaming", "--xi", "-0.1"],
+        &[
+            "checkpoint",
+            "--input",
+            &ds,
+            "--out",
+            "x.hera",
+            "--delta",
+            "inf",
+        ],
+        &[
+            "baseline",
+            "--input",
+            &homogeneous,
+            "--system",
+            "rswoosh",
+            "--delta",
+            "1.5",
+        ],
+    ];
+    for args in cases {
+        let (code, stderr) = run(args);
+        assert_eq!(code, Some(1), "{args:?}: {stderr}");
+        let flag = args[args.len() - 2];
+        assert!(
+            stderr.contains(&format!("{flag} expects a number in [0, 1]")),
+            "{args:?}: {stderr}"
+        );
+    }
 }
 
 /// `restore-resolve --checkpoint FILE` without `--budget` snapshots the

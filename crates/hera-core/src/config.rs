@@ -2,6 +2,81 @@
 
 use hera_block::BlockingScheme;
 use hera_index::BoundMode;
+use hera_types::json::Json;
+use hera_types::{HeraError, Result};
+
+/// Prior `p = Pr(x = x*)` of Theorem 2: the assumed probability that one
+/// field-matching prediction is correct (the §IV-B worked example's 0.8).
+pub(crate) const VOTE_PRIOR: f64 = 0.8;
+
+/// Error-probability gate ρ: a majority vote becomes a decided schema
+/// matching once `UP_error < ρ` (the §IV-B worked example's 0.6).
+pub(crate) const VOTE_ERROR_THRESHOLD: f64 = 0.6;
+
+/// Votes an attribute pair needs before it can be decided; guards the
+/// bound's small-`n` regime.
+pub(crate) const VOTE_MIN_N: u32 = 3;
+
+/// Safety cap on compare-and-merge rounds per run or resolve call.
+/// Rounds are chunked (the progressive scheduler verifies at most
+/// `ROUND_CHUNK` candidates per round), so the cap scales with frontier
+/// size over chunk, not with the paper's Table II `k`.
+pub(crate) const MAX_ITERATIONS: usize = 4096;
+
+/// The part of the method an ablation switches off (§VI's A2 and A3).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Ablation {
+    /// The full method: Kuhn–Munkres verification and the schema-based
+    /// method (§IV-B).
+    #[default]
+    None,
+    /// Greedy matching in place of Kuhn–Munkres after graph
+    /// simplification (A2's cheap arm).
+    GreedyMatching,
+    /// No schema-based method: no votes, no decided matchings (A3).
+    NoSchemaVoting,
+}
+
+/// The names a snapshot records for the bound modes and the ablations.
+const BOUND_MODES: &[(BoundMode, &str)] =
+    &[(BoundMode::Sound, "sound"), (BoundMode::Paper, "paper")];
+const ABLATIONS: &[(Ablation, &str)] = &[
+    (Ablation::None, "none"),
+    (Ablation::GreedyMatching, "greedy_matching"),
+    (Ablation::NoSchemaVoting, "no_schema_voting"),
+];
+
+/// The name `names` gives `value`.
+fn name_of<T: PartialEq>(names: &[(T, &str)], value: T) -> Json {
+    let (_, name) = names
+        .iter()
+        .find(|(v, _)| *v == value)
+        .expect("each table names every value");
+    Json::Str((*name).into())
+}
+
+/// Reads a name from `names` out of a JSON string; `None` for another name.
+fn named<T: Copy>(names: &'static [(T, &str)]) -> impl Fn(&Json) -> Result<Option<T>> {
+    move |j| {
+        let name = j.as_str()?;
+        Ok(names.iter().find(|(_, n)| *n == name).map(|&(v, _)| v))
+    }
+}
+
+/// Snapshot `config` key `key` as `read` makes it out: `default` when the
+/// key is absent, `Corrupt` when `read` makes nothing of it.
+fn recorded<T>(
+    config: &Json,
+    key: &str,
+    default: T,
+    read: impl Fn(&Json) -> Result<Option<T>>,
+) -> Result<T> {
+    let Some(j) = config.get(key) else {
+        return Ok(default);
+    };
+    let value = j.to_string_compact();
+    read(j)?.ok_or_else(|| HeraError::Corrupt(format!("snapshot config has {key}={value}")))
+}
 
 /// Tuning knobs for [`Hera`](crate::Hera) (Algorithm 2's inputs plus the
 /// engineering options the paper leaves implicit).
@@ -14,26 +89,8 @@ pub struct HeraConfig {
     pub xi: f64,
     /// Bound derivation for candidate generation (Algorithm 1 flavor).
     pub bound_mode: BoundMode,
-    /// Run the schema-based method (§IV-B). Disable for the A3 ablation.
-    pub schema_voting: bool,
-    /// Prior `p = Pr(x = x*)` of Theorem 2 — the assumed probability that
-    /// a single field-matching prediction is correct. The paper's worked
-    /// example uses 0.8.
-    pub vote_prior: f64,
-    /// Error-probability threshold ρ: a majority vote is promoted to a
-    /// decided schema matching once `UP_error < ρ`.
-    pub vote_error_threshold: f64,
-    /// Minimum number of votes before a matching can be decided (guards
-    /// the bound's small-`n` regime).
-    pub vote_min_n: u32,
-    /// Safety cap on compare-and-merge iterations. Rounds are chunked
-    /// (the progressive scheduler verifies at most `ROUND_CHUNK`
-    /// candidates per round), so the cap must scale with frontier size /
-    /// chunk, not with the paper's Table II `k`.
-    pub max_iterations: usize,
-    /// Run Kuhn–Munkres after graph simplification (true, the paper) or
-    /// fall back to greedy matching (the A2 ablation's cheap arm).
-    pub use_kuhn_munkres: bool,
+    /// The part of the method switched off, for the A2/A3 ablations.
+    pub ablation: Ablation,
     /// Run full index-invariant checks after every iteration (normalized
     /// keys, similarity-descending groups, partner symmetry, counts).
     /// Costs a full index scan per iteration — for tests and debugging.
@@ -57,8 +114,7 @@ pub struct HeraConfig {
 
 impl HeraConfig {
     /// Creates a config with the two thresholds of Algorithm 2 and paper
-    /// defaults everywhere else (ξ/δ both 0.5 in the worked example; prior
-    /// 0.8 and the 0.6 error threshold come from the §IV-B example).
+    /// defaults everywhere else (ξ/δ both 0.5 in the worked example).
     pub fn new(delta: f64, xi: f64) -> Self {
         assert!((0.0..=1.0).contains(&delta), "delta must be in [0,1]");
         assert!((0.0..=1.0).contains(&xi), "xi must be in [0,1]");
@@ -66,12 +122,7 @@ impl HeraConfig {
             delta,
             xi,
             bound_mode: BoundMode::Sound,
-            schema_voting: true,
-            vote_prior: 0.8,
-            vote_error_threshold: 0.6,
-            vote_min_n: 3,
-            max_iterations: 4096,
-            use_kuhn_munkres: true,
+            ablation: Ablation::None,
             validate_index: false,
             num_threads: 0,
             blocking: BlockingScheme::None,
@@ -89,15 +140,9 @@ impl HeraConfig {
         self
     }
 
-    /// Disables the schema-based method.
-    pub fn without_schema_voting(mut self) -> Self {
-        self.schema_voting = false;
-        self
-    }
-
-    /// Replaces Kuhn–Munkres with greedy matching in verification.
-    pub fn with_greedy_matching(mut self) -> Self {
-        self.use_kuhn_munkres = false;
+    /// Switches off one part of the method (see [`Ablation`]).
+    pub fn with_ablation(mut self, ablation: Ablation) -> Self {
+        self.ablation = ablation;
         self
     }
 
@@ -119,6 +164,38 @@ impl HeraConfig {
         self.blocking = blocking;
         self
     }
+
+    /// A snapshot's `config` section: every field that shapes a
+    /// decision. Threads and index validation change no outcome and are
+    /// the restoring caller's.
+    pub(crate) fn to_json(&self) -> Json {
+        Json::Obj(vec![
+            ("xi".into(), Json::Float(self.xi)),
+            ("delta".into(), Json::Float(self.delta)),
+            ("blocking".into(), Json::Str(self.blocking.name().into())),
+            ("bound_mode".into(), name_of(BOUND_MODES, self.bound_mode)),
+            ("ablation".into(), name_of(ABLATIONS, self.ablation)),
+        ])
+    }
+
+    /// This config with the decision-shaping fields a snapshot's `config`
+    /// section recorded; a key the section lacks (files written before
+    /// it was recorded) takes [`HeraConfig::paper_example`]'s value.
+    /// `num_threads` and `validate_index` stay this config's. A threshold
+    /// outside `[0, 1]` or a name no field value has is `Corrupt`.
+    pub(crate) fn adopt(&self, config: &Json) -> Result<Self> {
+        let paper = Self::paper_example();
+        let unit = |j: &Json| Ok(Some(j.as_f64()?).filter(|v| (0.0..=1.0).contains(v)));
+        let scheme = |j: &Json| Ok(BlockingScheme::parse(j.as_str()?).ok());
+        Ok(Self {
+            delta: recorded(config, "delta", paper.delta, unit)?,
+            xi: recorded(config, "xi", paper.xi, unit)?,
+            blocking: recorded(config, "blocking", paper.blocking, scheme)?,
+            bound_mode: recorded(config, "bound_mode", paper.bound_mode, named(BOUND_MODES))?,
+            ablation: recorded(config, "ablation", paper.ablation, named(ABLATIONS))?,
+            ..self.clone()
+        })
+    }
 }
 
 #[cfg(test)]
@@ -131,8 +208,7 @@ mod tests {
         assert_eq!(c.delta, 0.5);
         assert_eq!(c.xi, 0.5);
         assert_eq!(c.bound_mode, BoundMode::Sound);
-        assert!(c.schema_voting);
-        assert!(c.use_kuhn_munkres);
+        assert_eq!(c.ablation, Ablation::None);
     }
 
     #[test]
@@ -157,13 +233,39 @@ mod tests {
     #[test]
     fn builder_toggles() {
         let c = HeraConfig::paper_example()
-            .without_schema_voting()
-            .with_greedy_matching()
+            .with_ablation(Ablation::GreedyMatching)
             .with_bound_mode(BoundMode::Paper)
             .with_threads(4);
-        assert!(!c.schema_voting);
-        assert!(!c.use_kuhn_munkres);
+        assert_eq!(c.ablation, Ablation::GreedyMatching);
         assert_eq!(c.bound_mode, BoundMode::Paper);
         assert_eq!(c.num_threads, 4);
+    }
+
+    /// What the `config` section records is what adoption reads back,
+    /// for every ablation and bound mode; the adopting config keeps its
+    /// own threads and validation.
+    #[test]
+    fn adopt_reads_back_every_recorded_field() {
+        for ablation in [
+            Ablation::None,
+            Ablation::GreedyMatching,
+            Ablation::NoSchemaVoting,
+        ] {
+            for mode in [BoundMode::Sound, BoundMode::Paper] {
+                let recorded = HeraConfig::new(0.7, 0.6)
+                    .with_ablation(ablation)
+                    .with_bound_mode(mode)
+                    .with_blocking(BlockingScheme::token())
+                    .with_threads(2);
+                let restorer = HeraConfig::paper_example()
+                    .with_threads(5)
+                    .with_index_validation();
+                let c = restorer.adopt(&recorded.to_json()).unwrap();
+                assert_eq!((c.delta, c.xi), (0.7, 0.6));
+                assert_eq!((c.ablation, c.bound_mode), (ablation, mode));
+                assert_eq!(c.blocking, BlockingScheme::token());
+                assert_eq!((c.num_threads, c.validate_index), (5, true));
+            }
+        }
     }
 }

@@ -1,6 +1,6 @@
 //! The HERA driver — Algorithm 2 (§V).
 
-use crate::config::HeraConfig;
+use crate::config::{HeraConfig, MAX_ITERATIONS};
 use crate::engine::{Ctx, Engine, StageAgg};
 use crate::stats::RunStats;
 use crate::voter::DecidedMatching;
@@ -250,7 +250,7 @@ impl Hera {
         // first round scans every index group; later rounds only the
         // groups touching a record merged in the round before.
         let mut dirty: Option<FxHashSet<u32>> = None;
-        while engine.stats.iterations < cfg.max_iterations {
+        while engine.stats.iterations < MAX_ITERATIONS {
             let merged = BatchRound::run(&mut engine, &ctx, dirty.as_ref())?;
             if merged.is_empty() {
                 break;
@@ -468,6 +468,7 @@ impl BatchRound<'_, '_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Ablation;
     use hera_index::BoundMode;
     use hera_types::{motivating_example, CanonAttrId, DatasetBuilder, EntityId, Value};
 
@@ -569,7 +570,7 @@ mod tests {
     #[test]
     fn greedy_matching_mode_runs() {
         let ds = motivating_example();
-        let cfg = HeraConfig::paper_example().with_greedy_matching();
+        let cfg = HeraConfig::paper_example().with_ablation(Ablation::GreedyMatching);
         let result = Hera::builder(cfg).build().run(&ds).unwrap();
         assert_eq!(result.entity_count(), 2);
     }
@@ -577,7 +578,7 @@ mod tests {
     #[test]
     fn voting_disabled_still_resolves_example() {
         let ds = motivating_example();
-        let cfg = HeraConfig::paper_example().without_schema_voting();
+        let cfg = HeraConfig::paper_example().with_ablation(Ablation::NoSchemaVoting);
         let result = Hera::builder(cfg).build().run(&ds).unwrap();
         assert_eq!(result.entity_count(), 2);
         assert!(result.schema_matchings.is_empty());

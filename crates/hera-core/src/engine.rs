@@ -9,7 +9,7 @@
 //! counts, what a merge touches and in which order, and what a round
 //! journals are each written once.
 
-use crate::config::HeraConfig;
+use crate::config::{Ablation, HeraConfig, VOTE_ERROR_THRESHOLD, VOTE_MIN_N, VOTE_PRIOR};
 use crate::stats::RunStats;
 use crate::super_record::{LabelRemap, SharedAttrs, SuperRecord};
 use crate::verify::{InstanceVerifier, Verification, VerifyScratch};
@@ -44,9 +44,18 @@ impl<'a> Ctx<'a> {
             cfg,
             rec,
             registry,
-            verifier: InstanceVerifier::new(metric, cfg.xi, cfg.use_kuhn_munkres),
+            verifier: InstanceVerifier::new(
+                metric,
+                cfg.xi,
+                cfg.ablation != Ablation::GreedyMatching,
+            ),
             threads: crate::parallel::effective_threads(cfg.num_threads),
         }
+    }
+
+    /// Whether the schema-based method runs (off under the A3 ablation).
+    fn voting(&self) -> bool {
+        self.cfg.ablation != Ablation::NoSchemaVoting
     }
 }
 
@@ -201,7 +210,7 @@ impl Engine {
         let verdicts = {
             let (index, supers) = (&self.index, &self.supers);
             let (verifier, registry) = (&ctx.verifier, ctx.registry);
-            let voter = ctx.cfg.schema_voting.then_some(&self.voter);
+            let voter = ctx.voting().then_some(&self.voter);
             crate::parallel::par_map_with(
                 ctx.threads,
                 pairs,
@@ -248,7 +257,7 @@ impl Engine {
             &self.supers[&a],
             &self.supers[&b],
             ctx.registry,
-            ctx.cfg.schema_voting.then_some(&self.voter),
+            ctx.voting().then_some(&self.voter),
             &mut self.scratch,
         );
         self.stats.verify_time += started.elapsed();
@@ -272,7 +281,7 @@ impl Engine {
         (i, j): (u32, u32),
         v: &Verification,
     ) -> (LabelRemap, bool) {
-        let decided = ctx.cfg.schema_voting && self.vote(ctx, round, i, j, v.predicted());
+        let decided = ctx.voting() && self.vote(ctx, round, i, j, v.predicted());
         ctx.rec.merge(round, i, j, v.sim, v.matching.len());
         (self.merge(i, j, &v.matching), decided)
     }
@@ -296,9 +305,9 @@ impl Engine {
                 }
             }
         }
-        let cfg = ctx.cfg;
-        let (prior, rho, min_n) = (cfg.vote_prior, cfg.vote_error_threshold, cfg.vote_min_n);
-        let fresh = self.voter.decide(prior, rho, min_n);
+        let fresh = self
+            .voter
+            .decide(VOTE_PRIOR, VOTE_ERROR_THRESHOLD, VOTE_MIN_N);
         self.stats.schema_matchings_decided += fresh.len();
         // Name resolution only runs when a sink is attached.
         if ctx.rec.enabled() {

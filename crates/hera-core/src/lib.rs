@@ -46,7 +46,7 @@ mod verify;
 mod voter;
 
 pub use chaos::{check_no_torn_state, run_chaos, ChaosConfig, ChaosReport, ChaosVerdict};
-pub use config::HeraConfig;
+pub use config::{Ablation, HeraConfig};
 pub use driver::{Hera, HeraBuilder, HeraResult};
 pub use session::{HeraSession, HeraSessionBuilder, MergeEvent, ProgressiveReport, ResolveBudget};
 pub use stats::RunStats;

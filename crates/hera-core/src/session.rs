@@ -23,13 +23,13 @@
 //!   gets *better* at matching heterogeneous schemas as it ages — the
 //!   schema-based method's intended long-run behavior.
 
-use crate::config::HeraConfig;
+use crate::config::{HeraConfig, MAX_ITERATIONS};
 use crate::engine::{Ctx, Engine};
 use crate::stats::RunStats;
 use crate::store::{Snapshot, WriteReport};
 use crate::super_record::SuperRecord;
 use crate::voter::{DecidedMatching, SchemaVoter};
-use hera_block::{BlockingScheme, StreamingBlocker};
+use hera_block::StreamingBlocker;
 use hera_faults::{io_retryable, BackoffPolicy, Clock, FaultInjector, SystemClock};
 use hera_index::{Grouping, UnionFind, ValuePairIndex};
 use hera_join::{Among, IncrementalJoin};
@@ -182,7 +182,7 @@ pub struct ProgressiveReport {
     /// O(index-scan) computation this report deliberately skips).
     pub frontier: usize,
     /// True when the call stopped short of the fixpoint — a budget ran
-    /// out, or the `HeraConfig::max_iterations` round cap ended the
+    /// out, or the round cap (4096 rounds per call) ended the
     /// call with frontier work remaining. The session state is a clean
     /// boundary: checkpoint it and a restored session continues exactly
     /// where this call stopped.
@@ -193,7 +193,7 @@ pub struct ProgressiveReport {
 /// [`HeraSession::resolve_progressive_with`].
 struct ProgressiveState {
     report: ProgressiveReport,
-    /// Rounds run by this call (bounded by `HeraConfig::max_iterations`).
+    /// Rounds run by this call (bounded by `MAX_ITERATIONS`).
     iterations: usize,
     /// Root pairs already verified this call whose evidence is
     /// unchanged (neither side merged since, no new schema matchings
@@ -344,53 +344,22 @@ impl HeraSessionBuilder {
     }
 
     /// Builds a session whose algorithm state is loaded from a snapshot
-    /// written by [`HeraSession::checkpoint`]. The builder's config and
-    /// metric must be behaviorally compatible with the checkpointing
-    /// session's (same `xi`, same metric) for the continuation to be
-    /// equivalent to an uninterrupted run; a differing `xi` is rejected
-    /// with [`HeraError::InvalidConfig`] because the live-value join
-    /// universe depends on it, and so is a differing `delta` where the
-    /// snapshot records one, because every verification does.
-    pub fn restore(self, path: impl AsRef<Path>) -> Result<HeraSession> {
+    /// written by [`HeraSession::checkpoint`], under the config the
+    /// snapshot records: δ, ξ, blocking, bound mode and ablation are the
+    /// checkpointing session's (a key an older file lacks takes
+    /// [`HeraConfig::paper_example`]'s value), and only `num_threads` and
+    /// `validate_index` are taken from the builder's config. The metric is
+    /// not recorded: the builder's must be the checkpointing session's for
+    /// the continuation to be equivalent to an uninterrupted run. A
+    /// recorded threshold outside `[0, 1]` or an unknown scheme, bound
+    /// mode or ablation name is [`HeraError::Corrupt`].
+    pub fn restore(mut self, path: impl AsRef<Path>) -> Result<HeraSession> {
         let start = std::time::Instant::now();
         let (snap, report) = Snapshot::read_report_with(&path, &self.faults)?;
+        // The join and the blocker are built under the adopted ξ and
+        // scheme.
+        self.config = self.config.adopt(snap.expect("config")?)?;
         let mut session = self.build();
-
-        let snap_xi = snap.expect("config")?.expect("xi")?.as_f64()?;
-        if snap_xi != session.config.xi {
-            return Err(HeraError::InvalidConfig(format!(
-                "snapshot was taken at xi={snap_xi} but the restore config has xi={}; \
-                 the live-value join universe is xi-dependent",
-                session.config.xi
-            )));
-        }
-        // δ decides every verification, so a continuation under another
-        // δ is a partition no uninterrupted run gives. Snapshots written
-        // before δ was recorded carry no key and restore as they did.
-        if let Some(snap_delta) = snap.expect("config")?.get("delta") {
-            let snap_delta = snap_delta.as_f64()?;
-            if snap_delta != session.config.delta {
-                return Err(HeraError::InvalidConfig(format!(
-                    "snapshot was taken at delta={snap_delta} but the restore config has \
-                     delta={}; the merge threshold δ decides every verification",
-                    session.config.delta
-                )));
-            }
-        }
-        // Blocking is likewise universe-shaping: the whole scheme, keys
-        // and limits, must be the one restored under, and a scheme is its
-        // name. Pre-blocking snapshots carry no key and mean "none".
-        let snap_blocking = match snap.expect("config")?.get("blocking") {
-            Some(j) => j.as_str()?,
-            None => "none",
-        };
-        if BlockingScheme::parse(snap_blocking).ok() != Some(session.config.blocking) {
-            return Err(HeraError::InvalidConfig(format!(
-                "snapshot was taken with blocking '{snap_blocking}' but the restore config \
-                 has '{}'; the join's candidate universe is blocking-dependent",
-                session.config.blocking.name()
-            )));
-        }
 
         session.registry = SchemaRegistry::from_json(snap.expect("registry")?)?;
         session.registry.rebuild_lookups();
@@ -444,8 +413,9 @@ impl HeraSessionBuilder {
             }
             session.dirty.insert(rid);
         }
-        match snap.get("blocker") {
-            Some(j) => {
+        match (snap.get("blocker"), &session.blocker) {
+            (None, None) => {}
+            (Some(j), Some(_)) => {
                 let blocker = StreamingBlocker::from_json(&session.config.blocking, j)?;
                 // The blocker counts co-occurrence in a table indexed by
                 // rid: a member past the records would size it.
@@ -456,12 +426,9 @@ impl HeraSessionBuilder {
                 }
                 session.blocker = Some(blocker);
             }
-            None => {
-                if session.blocker.is_some() {
-                    return Err(HeraError::Corrupt(
-                        "snapshot config enables blocking but carries no blocker section".into(),
-                    ));
-                }
+            _ => {
+                let disagree = "snapshot config's blocking disagrees with its blocker section";
+                return Err(HeraError::Corrupt(disagree.into()));
             }
         }
         journal_snapshot(&session.recorder, "checkpoint_load", report);
@@ -544,17 +511,7 @@ impl HeraSession {
     /// order so identical sessions produce identical bytes.
     fn to_snapshot(&self) -> Snapshot {
         let mut snap = Snapshot::new();
-        snap.insert(
-            "config",
-            Json::Obj(vec![
-                ("xi".into(), Json::Float(self.config.xi)),
-                ("delta".into(), Json::Float(self.config.delta)),
-                (
-                    "blocking".into(),
-                    Json::Str(self.config.blocking.name().into()),
-                ),
-            ]),
-        );
+        snap.insert("config", self.config.to_json());
         if let Some(b) = &self.blocker {
             snap.insert("blocker", b.to_json());
         }
@@ -862,7 +819,7 @@ impl HeraSession {
         );
         let cfg = ctx.cfg;
         let epoch_of = |epochs: &FxHashMap<u32, u32>, r: u32| epochs.get(&r).copied().unwrap_or(0);
-        if self.dirty.is_empty() || st.iterations >= cfg.max_iterations {
+        if self.dirty.is_empty() || st.iterations >= MAX_ITERATIONS {
             return false;
         }
         // A merge budget or a wall-clock deadline met between rounds ends
@@ -1495,55 +1452,46 @@ mod tests {
         assert_eq!(short, long);
     }
 
-    #[test]
-    fn restore_rejects_xi_mismatch_with_typed_error() {
-        let ds = motivating_example();
+    /// Writes the motivating example, resolved under `config`, to a
+    /// snapshot at a path of `tag`'s.
+    fn resolved_snapshot(config: HeraConfig, tag: &str) -> std::path::PathBuf {
         let path =
-            std::env::temp_dir().join(format!("hera-session-xi-{}.hera", std::process::id()));
-        let mut session = HeraSession::builder(HeraConfig::paper_example()).build();
-        let schemas = session.mirror_schemas(&ds.registry);
-        for rec in ds.iter() {
-            session
-                .add_record(schemas[rec.schema.index()], rec.values.clone())
-                .unwrap();
-        }
-        session.resolve();
-        session.checkpoint(&path).unwrap();
+            std::env::temp_dir().join(format!("hera-session-{tag}-{}.hera", std::process::id()));
+        populated_session(HeraSession::builder(config))
+            .checkpoint(&path)
+            .unwrap();
+        path
+    }
 
-        let skewed = HeraConfig::new(0.5, 0.9); // different xi
-        let err = HeraSession::builder(skewed)
+    /// A restore takes ξ from the snapshot, whatever the builder says,
+    /// and its thread count from the builder.
+    #[test]
+    fn restore_adopts_the_snapshots_xi() {
+        let path = resolved_snapshot(HeraConfig::new(0.5, 0.7), "xi");
+        let restored = HeraSession::builder(HeraConfig::new(0.5, 0.9).with_threads(3))
             .restore(&path)
-            .err()
-            .expect("xi mismatch must be rejected");
-        assert!(matches!(err, HeraError::InvalidConfig(_)), "{err}");
+            .unwrap();
+        assert_eq!(restored.config.xi, 0.7);
+        assert_eq!(restored.config.num_threads, 3);
         std::fs::remove_file(&path).ok();
     }
 
-    /// A snapshot records δ, and a restore under another δ is refused
-    /// with the ξ check's typed error, naming δ; one with the key taken
-    /// out restores under any δ, as snapshots written before it did.
+    /// A restore takes δ, the bound mode and the ablation from the
+    /// snapshot; a file written before δ was recorded restores at the
+    /// paper example's δ, not at the builder's.
     #[test]
-    fn restore_rejects_delta_mismatch_with_typed_error() {
-        let ds = motivating_example();
-        let path =
-            std::env::temp_dir().join(format!("hera-session-delta-{}.hera", std::process::id()));
-        let mut session = HeraSession::builder(HeraConfig::paper_example()).build();
-        let schemas = session.mirror_schemas(&ds.registry);
-        for rec in ds.iter() {
-            session
-                .add_record(schemas[rec.schema.index()], rec.values.clone())
-                .unwrap();
-        }
-        session.resolve();
-        session.checkpoint(&path).unwrap();
-
-        let skewed = || HeraConfig::new(0.9, 0.5); // different delta
-        let err = HeraSession::builder(skewed())
+    fn restore_adopts_the_snapshots_delta_and_ablation() {
+        let recorded = HeraConfig::new(0.9, 0.5)
+            .with_bound_mode(hera_index::BoundMode::Paper)
+            .with_ablation(crate::Ablation::GreedyMatching);
+        let path = resolved_snapshot(recorded, "delta");
+        let restored = HeraSession::builder(HeraConfig::paper_example())
             .restore(&path)
-            .err()
-            .expect("delta mismatch must be rejected");
-        assert!(matches!(err, HeraError::InvalidConfig(_)), "{err}");
-        assert!(err.to_string().contains("delta=0.5"), "{err}");
+            .unwrap();
+        let c = &restored.config;
+        assert_eq!(c.delta, 0.9);
+        assert_eq!(c.bound_mode, hera_index::BoundMode::Paper);
+        assert_eq!(c.ablation, crate::Ablation::GreedyMatching);
 
         let mut snap = Snapshot::read(&path).unwrap();
         let Some(Json::Obj(config)) = snap.get("config").cloned() else {
@@ -1552,9 +1500,102 @@ mod tests {
         let older: Vec<(String, Json)> = config.into_iter().filter(|(k, _)| k != "delta").collect();
         snap.insert("config", Json::Obj(older));
         snap.write(&path).unwrap();
-        let restored = HeraSession::builder(skewed()).restore(&path).unwrap();
-        assert_eq!(restored.len(), ds.len());
+        let restored = HeraSession::builder(HeraConfig::new(0.9, 0.5))
+            .restore(&path)
+            .unwrap();
+        assert_eq!(restored.config.delta, 0.5);
+        assert_eq!(restored.len(), motivating_example().len());
         std::fs::remove_file(&path).ok();
+    }
+
+    /// A recorded threshold outside [0, 1], or a name no bound mode or
+    /// ablation has, is a corrupt snapshot — never a config assertion.
+    #[test]
+    fn restore_refuses_a_recorded_config_out_of_range_as_corrupt() {
+        let path = resolved_snapshot(HeraConfig::paper_example(), "corrupt-config");
+        let snap = Snapshot::read(&path).unwrap();
+        let Some(Json::Obj(config)) = snap.get("config").cloned() else {
+            panic!("a config section");
+        };
+        let edits = [
+            ("delta", Json::Float(1.5)),
+            ("xi", Json::Float(-0.25)),
+            ("bound_mode", Json::Str("loose".into())),
+            ("ablation", Json::Str("no_verification".into())),
+            ("blocking", Json::Str("tokens".into())),
+        ];
+        for (key, value) in edits {
+            let mut edited = config.clone();
+            edited.iter_mut().find(|(k, _)| k == key).unwrap().1 = value;
+            let mut snap = snap.clone();
+            snap.insert("config", Json::Obj(edited));
+            snap.write(&path).unwrap();
+            let err = HeraSession::builder(HeraConfig::paper_example())
+                .restore(&path)
+                .err()
+                .expect("an out-of-range config must be refused");
+            assert!(matches!(err, HeraError::Corrupt(_)), "{key}: {err}");
+            assert!(err.to_string().contains(key), "{key}: {err}");
+        }
+
+        // A scheme and its blocker section come together.
+        let recorded =
+            HeraConfig::paper_example().with_blocking(hera_block::BlockingScheme::token());
+        let path = resolved_snapshot(recorded, "corrupt-blocking");
+        let mut snap = Snapshot::read(&path).unwrap();
+        let Some(Json::Obj(mut config)) = snap.get("config").cloned() else {
+            panic!("a config section");
+        };
+        config.iter_mut().find(|(k, _)| k == "blocking").unwrap().1 = Json::Str("none".into());
+        snap.insert("config", Json::Obj(config));
+        snap.write(&path).unwrap();
+        let err = HeraSession::builder(HeraConfig::paper_example())
+            .restore(&path)
+            .err()
+            .expect("a blocker section without a scheme must be refused");
+        assert!(matches!(err, HeraError::Corrupt(_)), "{err}");
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// A call cut by the round cap reports exhaustion — a partial result
+    /// is never presented as a fixpoint — and later calls land on the
+    /// uncut run's answer. The round loop is driven past one round and
+    /// sealed as the cap seals a call.
+    #[test]
+    fn iteration_cap_reports_exhaustion() {
+        let ds = motivating_example();
+        let mut full = populated_session(HeraSession::builder(HeraConfig::paper_example()));
+        let full_merges = full.merge_count();
+
+        let mut s = HeraSession::builder(HeraConfig::paper_example()).build();
+        let schemas = s.mirror_schemas(&ds.registry);
+        for rec in ds.iter() {
+            s.add_record(schemas[rec.schema.index()], rec.values.clone())
+                .unwrap();
+        }
+        s.join_pending();
+        let budget = ResolveBudget::unlimited();
+        let mut st = s.progressive_start(budget);
+        assert!(
+            s.progressive_round(budget, &mut st, &mut |_| {}),
+            "the example needs more than one round"
+        );
+        s.progressive_finish(budget, &mut st);
+        let first = st.report;
+        assert!(
+            first.exhausted && first.frontier > 0,
+            "a one-round cut must leave frontier work, and the report must say so: {first:?}"
+        );
+        let mut merges = first.merges;
+        loop {
+            let r = s.resolve_progressive(budget);
+            merges += r.merges;
+            if !r.exhausted {
+                break;
+            }
+        }
+        assert_eq!(merges, full_merges);
+        assert_eq!(s.clusters(), full.clusters());
     }
 
     #[test]

@@ -119,8 +119,10 @@ impl ErServiceBuilder {
     /// Builds a service around the session snapshot at `path` — the one
     /// file [`ErService::checkpoint`] writes, which is the session's own
     /// (`HeraSessionBuilder::restore` opens it too). The restored
-    /// partition is published as the first generation. The builder's
-    /// config must match the checkpointing service's.
+    /// partition is published as the first generation. The service runs
+    /// under the config the snapshot records (δ, ξ, blocking, bound mode
+    /// and ablation); of the builder's config only the thread count and
+    /// index validation are used.
     pub fn restore(self, path: impl AsRef<Path>) -> Result<ErService> {
         let session = self.session().restore(path)?;
         Ok(self.assemble(session))

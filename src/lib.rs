@@ -45,8 +45,9 @@
 //! let mut session = HeraSession::builder(HeraConfig::new(0.5, 0.5)).build();
 //! // … add schemas/records, resolve …
 //! session.checkpoint("run.hera")?;
-//! // later, possibly in another process:
-//! let resumed = HeraSession::builder(HeraConfig::new(0.5, 0.5)).restore("run.hera")?;
+//! // later, possibly in another process, under the config the snapshot
+//! // recorded (the builder contributes its thread count):
+//! let resumed = HeraSession::builder(HeraConfig::paper_example()).restore("run.hera")?;
 //! # drop(resumed);
 //! # Ok::<(), hera::HeraError>(())
 //! ```
@@ -78,8 +79,8 @@ pub use hera_baselines::{
 };
 pub use hera_block::{Blocker, BlockingScheme};
 pub use hera_core::{
-    check_no_torn_state, run_chaos, BoundMode, ChaosConfig, ChaosReport, ChaosVerdict, Hera,
-    HeraBuilder, HeraConfig, HeraResult, HeraSession, HeraSessionBuilder, InstanceVerifier,
+    check_no_torn_state, run_chaos, Ablation, BoundMode, ChaosConfig, ChaosReport, ChaosVerdict,
+    Hera, HeraBuilder, HeraConfig, HeraResult, HeraSession, HeraSessionBuilder, InstanceVerifier,
     MergeEvent, ProgressiveReport, ResolveBudget, RunStats, SchemaVoter, Snapshot, SuperRecord,
     Verification,
 };
@@ -283,6 +284,54 @@ pub use hera_types::{
 /// ```compile_fail
 /// fn nodes(graph: &hera_matching::BipartiteGraph) -> usize {
 ///     graph.left_count() + graph.right_count()
+/// }
+/// ```
+///
+/// Config knobs no run set: the voter's prior, gate and minimum vote
+/// count and the round cap are constants, and the two ablation switches
+/// are one `Ablation`, so a snapshot can record every knob there is.
+///
+/// ```compile_fail
+/// let _ = hera::HeraConfig::new(0.5, 0.5).without_schema_voting();
+/// ```
+///
+/// ```compile_fail
+/// let _ = hera::HeraConfig::new(0.5, 0.5).with_greedy_matching();
+/// ```
+///
+/// ```compile_fail
+/// fn knob(config: &hera::HeraConfig) -> f64 {
+///     config.vote_prior
+/// }
+/// ```
+///
+/// ```compile_fail
+/// fn knob(config: &hera::HeraConfig) -> f64 {
+///     config.vote_error_threshold
+/// }
+/// ```
+///
+/// ```compile_fail
+/// fn knob(config: &hera::HeraConfig) -> u32 {
+///     config.vote_min_n
+/// }
+/// ```
+///
+/// ```compile_fail
+/// fn knob(config: &hera::HeraConfig) -> usize {
+///     config.max_iterations
+/// }
+/// ```
+///
+/// ```compile_fail
+/// fn knob(config: &hera::HeraConfig) -> bool {
+///     config.schema_voting
+/// }
+/// ```
+///
+/// ```compile_fail
+/// fn knob(config: &hera::HeraConfig) -> bool {
+///     config.use_kuhn_munkres
 /// }
 /// ```
 ///

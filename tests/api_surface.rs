@@ -36,6 +36,7 @@ mod flat_names {
     use hera::run_chaos;
     use hera::table1_dataset;
     use hera::v_measure;
+    use hera::Ablation;
     use hera::BackoffPolicy;
     use hera::Blocker;
     use hera::BlockingScheme;

@@ -3,13 +3,11 @@
 //! joins each arriving record only against its co-blocked candidates;
 //! with `BlockingScheme::None` the ingest path is bit-identical to the
 //! historical unfiltered one. Blocker state checkpoints and restores
-//! with the session, and a snapshot refuses to restore under a
-//! different scheme.
+//! with the session, and a snapshot restores under the scheme it
+//! recorded.
 
 use hera::core::HeraSession;
-use hera::{
-    BlockingScheme, HeraConfig, HeraError, JournalBuffer, PairMetrics, Recorder, SchemaId, Snapshot,
-};
+use hera::{BlockingScheme, HeraConfig, JournalBuffer, PairMetrics, Recorder, SchemaId, Snapshot};
 use hera_datagen::{CorruptionConfig, DatagenConfig, Generator};
 use proptest::prelude::*;
 
@@ -179,24 +177,26 @@ fn blocker_state_survives_checkpoint_restore() {
 }
 
 /// The candidate universe depends on the blocking scheme, so a snapshot
-/// only restores under the scheme that produced it: every mismatch —
-/// including blocking-on → blocking-off and the reverse — is a typed
-/// `InvalidConfig`, never a silently different continuation.
+/// restores under the scheme that produced it, whatever the restoring
+/// builder names — blocking-on → blocking-off and the reverse included —
+/// and the continuation is the uninterrupted run under the recorded
+/// scheme.
 #[test]
-fn restore_rejects_blocking_scheme_mismatch() {
+fn restore_adopts_the_recorded_blocking_scheme() {
     let ds = dataset(45, 60);
-    let dir = std::env::temp_dir().join(format!("hera-blocker-mismatch-{}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!("hera-blocker-adopt-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
+    let schemas: Vec<SchemaId> = (0..ds.registry.len() as u32).map(SchemaId::new).collect();
 
     for (written, restored) in [
         (BlockingScheme::token(), BlockingScheme::None),
         (BlockingScheme::token(), BlockingScheme::qgram()),
         (BlockingScheme::None, BlockingScheme::token()),
     ] {
+        let config = |scheme| HeraConfig::new(DELTA, XI).with_blocking(scheme);
         let path = dir.join(format!("{}.hera", written.name()));
-        let mut session =
-            HeraSession::builder(HeraConfig::new(DELTA, XI).with_blocking(written)).build();
-        let schemas = session.mirror_schemas(&ds.registry);
+        let mut session = HeraSession::builder(config(written)).build();
+        session.mirror_schemas(&ds.registry);
         for r in ds.iter().take(30) {
             session
                 .add_record(schemas[r.schema.index()], r.values.clone())
@@ -205,21 +205,22 @@ fn restore_rejects_blocking_scheme_mismatch() {
         session.resolve();
         session.checkpoint(&path).unwrap();
 
-        let err = HeraSession::builder(HeraConfig::new(DELTA, XI).with_blocking(restored))
+        let mut resumed = HeraSession::builder(config(restored))
             .restore(&path)
-            .err()
-            .unwrap_or_else(|| {
-                panic!(
-                    "restore of a '{}' snapshot under '{}' must fail",
-                    written.name(),
-                    restored.name()
-                )
-            });
-        assert!(
-            matches!(err, HeraError::InvalidConfig(_)),
-            "{} -> {}: {err}",
-            written.name(),
-            restored.name()
+            .unwrap();
+        for r in ds.iter().skip(30) {
+            resumed
+                .add_record(schemas[r.schema.index()], r.values.clone())
+                .unwrap();
+        }
+        resumed.resolve();
+        let (mut whole, _) = run_stream(config(written), &ds, 30);
+        let what = format!("{} restored under {}", written.name(), restored.name());
+        assert_eq!(partition(&mut whole), partition(&mut resumed), "{what}");
+        assert_eq!(
+            whole.stats().comparisons,
+            resumed.stats().comparisons,
+            "{what}"
         );
         std::fs::remove_file(&path).ok();
     }

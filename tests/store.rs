@@ -6,7 +6,7 @@
 //! truncated, and version-skewed snapshot files fail with typed errors
 //! instead of poisoning a session. See DESIGN.md ("Persistence").
 
-use hera::{HeraConfig, HeraError, HeraSession, Recorder, RunStats, SchemaId};
+use hera::{Ablation, HeraConfig, HeraError, HeraSession, Recorder, RunStats, SchemaId};
 use hera_datagen::{CorruptionConfig, DatagenConfig, Generator};
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -404,18 +404,82 @@ fn blocker_member_naming_an_unknown_record_is_rejected_as_corrupt() {
     std::fs::remove_file(&path).ok();
 }
 
-/// Restoring under a different ξ is refused — the live-value universe
-/// was filtered by the snapshot's ξ, so continuing under another
-/// threshold would silently diverge from a from-scratch run.
+/// The entity of every record.
+fn labels_of(session: &HeraSession) -> Vec<u32> {
+    (0..session.len() as u32)
+        .map(|r| session.entity_of(hera::RecordId::new(r)))
+        .collect()
+}
+
+/// Streams all of `ds` under `config` without interruption.
+fn straight_run(config: HeraConfig, ds: &hera::Dataset) -> HeraSession {
+    let mut session = HeraSession::builder(config).build();
+    session.mirror_schemas(&ds.registry);
+    ingest(&mut session, ds, 0, ds.len());
+    session
+}
+
+/// A restore under another ξ continues at the snapshot's ξ — the
+/// live-value universe was filtered by it — and lands where the
+/// uninterrupted run at that ξ does.
 #[test]
-fn xi_skew_is_refused_as_invalid_config() {
-    let path = real_snapshot("xi-skew");
-    match HeraSession::builder(HeraConfig::new(0.5, 0.9)).restore(&path) {
-        Err(HeraError::InvalidConfig(msg)) => {
-            assert!(msg.contains('ξ') || msg.contains("xi"), "message: {msg}")
-        }
-        Err(other) => panic!("expected InvalidConfig, got {other}"),
-        Ok(_) => panic!("ξ-skewed restore accepted"),
-    }
+fn xi_skew_restores_at_the_snapshots_xi() {
+    let ds = dataset(4242, 40, 8, 1);
+    let path = real_snapshot_under(HeraConfig::new(0.5, 0.7), "xi-skew");
+    let mut resumed = HeraSession::builder(HeraConfig::new(0.5, 0.9))
+        .restore(&path)
+        .unwrap();
+    ingest(&mut resumed, &ds, 20, ds.len());
+    let straight = straight_run(HeraConfig::new(0.5, 0.7), &ds);
+    assert_eq!(labels_of(&resumed), labels_of(&straight));
+    assert_eq!(
+        deterministic_stats(resumed.stats()),
+        deterministic_stats(straight.stats())
+    );
     std::fs::remove_file(&path).ok();
+}
+
+/// A snapshot taken mid-stream under δ = 0.7 and greedy matching,
+/// restored through a default builder, continues under what it recorded:
+/// the labels, stats and decided matchings are the uninterrupted ablated
+/// run's, whose labels are not the default run's. Greedy matching
+/// changes no verdict on these records, so a second case runs without
+/// the schema-based method, whose decided matchings show.
+#[test]
+fn restore_adopts_the_recorded_delta_and_ablation() {
+    for (ablation, delta, ds) in [
+        (Ablation::GreedyMatching, 0.7, dataset(4242, 40, 8, 1)),
+        (Ablation::NoSchemaVoting, 0.6, dataset(4242, 80, 12, 1)),
+    ] {
+        let ablated = || HeraConfig::new(delta, 0.5).with_ablation(ablation);
+        let what = format!("{ablation:?} at delta {delta}");
+        let cut = ds.len() / 2;
+        let mut first = HeraSession::builder(ablated()).build();
+        first.mirror_schemas(&ds.registry);
+        ingest(&mut first, &ds, 0, cut);
+        let path = snap_path("ablation");
+        first.checkpoint(&path).unwrap();
+        let mut resumed = restore(&path).unwrap();
+        ingest(&mut resumed, &ds, cut, ds.len());
+        std::fs::remove_file(&path).ok();
+
+        let straight = straight_run(ablated(), &ds);
+        assert_eq!(labels_of(&resumed), labels_of(&straight), "{what}");
+        assert_eq!(
+            deterministic_stats(resumed.stats()),
+            deterministic_stats(straight.stats()),
+            "{what}"
+        );
+        assert_eq!(
+            resumed.schema_matchings().len(),
+            straight.schema_matchings().len(),
+            "{what}"
+        );
+        let default = straight_run(HeraConfig::new(0.5, 0.5), &ds);
+        assert_ne!(
+            labels_of(&straight),
+            labels_of(&default),
+            "{what}: the ablated run must differ from the default one for adoption to show"
+        );
+    }
 }
