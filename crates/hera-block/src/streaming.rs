@@ -260,31 +260,20 @@ impl StreamingBlocker {
         ])
     }
 
-    /// Decodes a blocker checkpointed by [`StreamingBlocker::to_json`],
-    /// under the restoring session's `scheme` (must match the
-    /// checkpointing session's for the continuation to be equivalent).
+    /// Loads the blocks of a blocker checkpointed by
+    /// [`StreamingBlocker::to_json`] into this empty one, which must have
+    /// the checkpointing blocker's scheme for the continuation to be
+    /// equivalent.
     ///
     /// Member rids are taken as they come — a standalone blocker may
     /// number its records sparsely; a caller that knows how many records
     /// there are checks [`StreamingBlocker::max_member`] against it.
     ///
     /// # Errors
-    /// [`HeraError::Corrupt`] on malformed keys, on a live block with no
-    /// members (admission adds a member before it can purge, so no
-    /// blocker ever wrote one), and [`HeraError::InvalidConfig`] when
-    /// `scheme` is [`BlockingScheme::None`] (state exists but config says
-    /// no blocking — the caller's config check should have caught this).
-    pub fn from_json(scheme: &BlockingScheme, json: &Json) -> Result<Self> {
-        let disabled = "snapshot carries streaming-blocker state but the restore config \
-                        disables blocking";
-        Self::new(scheme)
-            .ok_or_else(|| HeraError::InvalidConfig(disabled.into()))?
-            .load(json)
-    }
-
-    /// Loads the blocks of [`StreamingBlocker::to_json`] into this empty
-    /// blocker.
-    fn load(mut self, json: &Json) -> Result<Self> {
+    /// [`HeraError::Corrupt`] on malformed keys and on a live block with
+    /// no members (admission adds a member before it can purge, so no
+    /// blocker ever wrote one).
+    pub fn load(mut self, json: &Json) -> Result<Self> {
         let records = json.expect("records")?.as_i64()?;
         if records < 0 {
             return Err(HeraError::Corrupt("negative blocker record count".into()));
@@ -516,26 +505,16 @@ mod tests {
         }
     }
 
-    #[test]
-    fn from_json_rejects_none_scheme() {
-        let dump = small_token(10, 1).to_json().to_string_compact();
-        let err = StreamingBlocker::from_json(
-            &BlockingScheme::None,
-            &hera_types::json::parse(&dump).unwrap(),
-        )
-        .err()
-        .expect("None scheme must be rejected");
-        assert!(matches!(err, HeraError::InvalidConfig(_)), "{err}");
-    }
-
     /// Admission adds a member before it can purge, so no blocker ever
     /// wrote a live block without one; restore refuses it by key.
     #[test]
-    fn from_json_rejects_a_live_block_with_no_members() {
+    fn load_rejects_a_live_block_with_no_members() {
         let dump =
             r#"{"records":1,"blocks":[{"key":"00000000000000ab","members":[]}],"purged":[]}"#;
         let json = hera_types::json::parse(dump).unwrap();
-        let err = StreamingBlocker::from_json(&BlockingScheme::Token, &json)
+        let err = StreamingBlocker::new(&BlockingScheme::Token)
+            .unwrap()
+            .load(&json)
             .err()
             .expect("a live block with no members must be rejected");
         assert!(matches!(err, HeraError::Corrupt(_)), "{err}");

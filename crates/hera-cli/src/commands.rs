@@ -184,8 +184,10 @@ everything, then spend at most N pair comparisons on the
 highest-expected-value candidates first (ranked by the value-pair
 index's Up/Low bounds — see DESIGN.md, Progressive resolution).
 `--budget-merges M` caps applied merges instead (or as well). An
-unlimited budget is bit-identical to plain `resolve`; a budgeted run's
-merges are a prefix of a bigger-budget run's. Combine with
+unlimited budget equals the session's `resolve()`, as
+`tests/progressive.rs` checks, not batch `resolve` (on D_m4 batch
+finds 570 entities, the session 567); a budgeted run's merges are a
+prefix of a bigger-budget run's. Combine with
 `--checkpoint FILE.hera` to snapshot the exhausted frontier, then
 `restore-resolve --snapshot FILE.hera --input FILE --budget N` to spend
 the next slice — the resumed run continues exactly where the previous

@@ -413,10 +413,11 @@ impl HeraSessionBuilder {
             }
             session.dirty.insert(rid);
         }
-        match (snap.get("blocker"), &session.blocker) {
+        match (snap.get("blocker"), session.blocker.take()) {
             (None, None) => {}
-            (Some(j), Some(_)) => {
-                let blocker = StreamingBlocker::from_json(&session.config.blocking, j)?;
+            (Some(j), Some(empty)) => {
+                // The blocker was built from the recorded scheme.
+                let blocker = empty.load(j)?;
                 // The blocker counts co-occurrence in a table indexed by
                 // rid: a member past the records would size it.
                 if let Some(rid) = blocker.max_member().filter(|&m| m as usize >= record_count) {
@@ -632,6 +633,9 @@ impl HeraSession {
     ///    record is queued.
     /// 3. In rid order: the records touched by each record's pairs marked
     ///    dirty, and the pairs filed in the index.
+    ///
+    /// The chunk journals its admission time (under blocking) and the
+    /// rest of its wall time as the `admit` and `join_pass` timing lines.
     fn join_chunk(&mut self, rids: Range<u32>) {
         let started = Instant::now();
         let mut admit_time = Duration::ZERO;
@@ -683,6 +687,11 @@ impl HeraSession {
             self.engine.index.extend(new_pairs);
         }
         let elapsed = started.elapsed();
+        if self.blocker.is_some() {
+            self.recorder.timing("admit", None, admit_time);
+        }
+        self.recorder
+            .timing("join_pass", None, elapsed - admit_time);
         let stats = &mut self.engine.stats;
         stats.ingest_time += elapsed;
         stats.admit_time += admit_time;
@@ -1450,6 +1459,45 @@ mod tests {
         assert_ne!(short_bytes, long_bytes, "the timers reach the snapshot");
         assert!(short.contains("\"checkpoint_save\"") && short.contains("\"checkpoint_load\""));
         assert_eq!(short, long);
+    }
+
+    /// A blocked session's join pass journals its admission and the rest
+    /// of its time as `admit` and `join_pass` timing lines. They sum to
+    /// no more than the wall time of the call that ran the pass, and the
+    /// deterministic view leaves them out.
+    #[test]
+    fn a_blocked_join_pass_journals_admit_and_join_pass() {
+        let (recorder, sink) = hera_obs::Recorder::to_memory();
+        let config = HeraConfig::paper_example().with_blocking(hera_block::BlockingScheme::token());
+        let ds = motivating_example();
+        let mut session = HeraSession::builder(config).recorder(recorder).build();
+        let schemas = session.mirror_schemas(&ds.registry);
+        for rec in ds.iter() {
+            session
+                .add_record(schemas[rec.schema.index()], rec.values.clone())
+                .unwrap();
+        }
+        let started = Instant::now();
+        session.resolve();
+        let wall = started.elapsed().as_micros() as i64;
+        let journal = sink.contents();
+        let mut seen = [0, 0];
+        let mut sum = 0;
+        for line in journal.lines() {
+            let doc = hera_types::json::parse(line).unwrap();
+            if doc.expect("ev").unwrap().as_str().unwrap() != "timing" {
+                continue;
+            }
+            let stage = doc.expect("stage").unwrap().as_str().unwrap();
+            if let Some(at) = ["admit", "join_pass"].iter().position(|&s| s == stage) {
+                seen[at] += 1;
+                sum += doc.expect("wall_us").unwrap().as_i64().unwrap();
+            }
+        }
+        assert_eq!(seen, [1, 1], "one chunk, one line per stage:\n{journal}");
+        assert!(sum <= wall, "{sum} us journaled in a {wall} us call");
+        let view = hera_obs::deterministic_view(&journal);
+        assert!(!view.contains("\"admit\"") && !view.contains("join_pass"));
     }
 
     /// Writes the motivating example, resolved under `config`, to a

@@ -340,8 +340,9 @@ mod tests {
         /// or the folded side, with arrivals filed between the merges.
         /// The records it shares with every one of them collect a
         /// tombstone per merge, past half of their rows, and are
-        /// compacted; flat and grouped indexes still agree on every
-        /// observable.
+        /// compacted; the groups the hub gains leave dead ranges that
+        /// pass the grouped store's threshold, which compacts; flat and
+        /// grouped indexes still agree on every observable.
         #[test]
         fn differential_through_a_hub(seed in any::<u64>()) {
             const RIDS: u32 = 13;
@@ -352,11 +353,14 @@ mod tests {
             let mut grouped = ValuePairIndex::build(pairs);
             assert_same(&flat, &grouped, RIDS, "build");
             let mut hub = 0;
+            let mut compactions = 0;
             for other in 1..10 {
                 let (k, folded) = if rng.gen_bool(0.5) { (hub, other) } else { (other, hub) };
                 let map = fold(&mut records, k, folded);
                 flat.merge(hub, other, k, |l| map[&l]);
+                let before = grouped.store_len();
                 grouped.merge(hub, other, k, |l| map[&l]);
+                compactions += usize::from(grouped.store_len() < before);
                 hub = k;
                 assert_same(&flat, &grouped, RIDS, &format!("merge {other} -> {k}"));
                 if rng.gen_bool(0.5) {
@@ -366,6 +370,7 @@ mod tests {
                     assert_same(&flat, &grouped, RIDS, &format!("extend after {other}"));
                 }
             }
+            prop_assert!(compactions > 0, "the store never compacted");
         }
     }
 }

@@ -9,6 +9,7 @@ use hera_types::json::Json;
 use hera_types::{HeraError, Label, Result};
 use rustc_hash::FxHashMap;
 use std::cmp::Ordering;
+use std::ops::Range;
 
 /// The value-pair index of Definition 6.
 ///
@@ -19,13 +20,17 @@ use std::cmp::Ordering;
 ///   in place and keeps it: every group is a `(start, len)` range of that
 ///   one buffer, similarity-descending, so building allocates no `Vec`
 ///   per group. [`Self::extend`] files each new group as a run at the
-///   store's tail.
-/// * **Owned groups** — a group that gains entries after it was filed (a
-///   merge lands a folded record's group on it, or `extend` adds to it)
-///   moves into a `Vec` of exactly its new size. Its old range stays
-///   dead in the store until the index is dropped; a slot holds a range
-///   or an owned `Vec` in the same 24 bytes, recycled through a free
+///   store's tail. A slot is that range, 8 bytes, recycled through a free
 ///   list.
+/// * **Grown groups** — a group that gains entries after it was filed (a
+///   merge lands a folded record's group on it, or `extend` adds to it)
+///   is built at the store's tail and stays there; its old range goes
+///   dead, its first entry marked with the run's length. A merge that
+///   adds no entry to a group leaves it where it is.
+/// * **Compaction** — once the dead entries pass a quarter of the live
+///   ones, `merge` and `extend` slide the live ranges down in store
+///   order and truncate the store, so the store never holds more than
+///   5/4 of [`Self::len`] between calls.
 /// * **Rows** — `rows[rid]` lists the record's partners strictly
 ///   ascending, each entry `(partner, slot)` naming the group the two
 ///   records share, and the entry is stored in both records' rows. Record
@@ -45,7 +50,7 @@ use std::cmp::Ordering;
 ///   writes `k`'s new row in that one linear pass. Each of the folded
 ///   record's `O(|𝒱̂ᵢⱼ|)` groups is relabeled where it lives. If `k`
 ///   already shares a group with the partner, the two merge into one
-///   owned group and the folded record's entry in the partner's row is
+///   grown group and the folded record's entry in the partner's row is
 ///   tombstoned in place: the row shifts no entry. Otherwise the group is
 ///   filed under `(k, partner)` as it stands, and the partner's entry is
 ///   renamed to `k` and rotated into place. No set, map or fresh row is
@@ -71,53 +76,33 @@ pub struct ValuePairIndex {
     total: usize,
 }
 
-/// The slot of a tombstoned row entry.
+/// The slot of a tombstoned row entry, and the `a.rid` of the first
+/// entry of a dead store run, whose `b.rid` is then the run's length.
 const DEAD: u32 = u32::MAX;
 
-/// Where a group lives.
-#[derive(Debug, Clone)]
-enum Group {
-    /// `store[start..start + len]`.
-    Packed { start: u32, len: u32 },
-    /// A group that gained entries after it was filed.
-    Owned(Vec<ValuePair>),
+/// The store compacts once its dead entries pass `1 / DEAD_SHARE` of its
+/// live ones.
+const DEAD_SHARE: usize = 4;
+
+/// Where a group lives: `store[start..start + len]`. A free slot holds
+/// an empty range.
+#[derive(Debug, Clone, Copy, Default)]
+struct Group {
+    start: u32,
+    len: u32,
 }
 
-/// A slot costs what the slab of `Vec`s it replaced did per group.
-const _: () = assert!(std::mem::size_of::<Group>() == std::mem::size_of::<Vec<ValuePair>>());
-
-/// A free slot.
-const EMPTY: Group = Group::Packed { start: 0, len: 0 };
+const _: () = assert!(std::mem::size_of::<Group>() == 8);
 
 impl Group {
-    fn entries<'a>(&'a self, store: &'a [ValuePair]) -> &'a [ValuePair] {
-        match self {
-            Group::Packed { start, len } => &store[*start as usize..][..*len as usize],
-            Group::Owned(entries) => entries,
-        }
+    fn range(self) -> Range<usize> {
+        self.start as usize..self.start as usize + self.len as usize
     }
+}
 
-    fn entries_mut<'a>(&'a mut self, store: &'a mut [ValuePair]) -> &'a mut [ValuePair] {
-        match self {
-            Group::Packed { start, len } => &mut store[*start as usize..][..*len as usize],
-            Group::Owned(entries) => entries,
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            Group::Packed { len, .. } => *len as usize,
-            Group::Owned(entries) => entries.len(),
-        }
-    }
-
-    /// Keeps the first `keep` entries; a packed group's tail goes dead.
-    fn truncate(&mut self, keep: usize) {
-        match self {
-            Group::Packed { len, .. } => *len = keep as u32,
-            Group::Owned(entries) => entries.truncate(keep),
-        }
-    }
+/// A store offset or length as a slot holds it.
+fn offset(at: usize) -> u32 {
+    u32::try_from(at).expect("the store fits u32 offsets")
 }
 
 /// Position of `partner` in a row, or where it would be inserted.
@@ -175,14 +160,16 @@ impl ValuePairIndex {
             total: store.len(),
             ..Self::default()
         };
-        let mut start = 0u32;
+        let mut start = 0;
         for run in store.chunk_by_mut(|x, y| key(x) == key(y)) {
             let (i, j) = key(&run[0]);
             let slot = idx.groups.len() as u32;
             sort_group(run);
-            let len = u32::try_from(run.len()).expect("a group fits a u32");
-            idx.groups.push(Group::Packed { start, len });
-            start = start.checked_add(len).expect("the store fits u32 offsets");
+            idx.groups.push(Group {
+                start: offset(start),
+                len: offset(run.len()),
+            });
+            start += run.len();
             idx.rows[i as usize].push((j, slot));
             idx.rows[j as usize].push((i, slot));
         }
@@ -201,14 +188,20 @@ impl ValuePairIndex {
         idx
     }
 
+    /// The store's length, dead runs included.
+    #[cfg(test)]
+    pub(crate) fn store_len(&self) -> usize {
+        self.store.len()
+    }
+
     /// The entries of the group in `slot`.
     fn entries(&self, slot: u32) -> &[ValuePair] {
-        self.groups[slot as usize].entries(&self.store)
+        &self.store[self.groups[slot as usize].range()]
     }
 
     /// The entries of the group in `slot`, to reorder or relabel in place.
     fn entries_mut(&mut self, slot: u32) -> &mut [ValuePair] {
-        self.groups[slot as usize].entries_mut(&mut self.store)
+        &mut self.store[self.groups[slot as usize].range()]
     }
 
     /// Files `slot` as the `(a, b)` group, which must not exist yet, in
@@ -237,10 +230,82 @@ impl ValuePairIndex {
     }
 
     /// Empties an unlinked slot onto the free list and returns the
-    /// number of entries it held.
+    /// number of entries it held; its range goes dead.
     fn release(&mut self, slot: u32) -> usize {
         self.free.push(slot);
-        std::mem::replace(&mut self.groups[slot as usize], EMPTY).len()
+        let group = std::mem::take(&mut self.groups[slot as usize]);
+        self.bury(group.range());
+        group.len as usize
+    }
+
+    /// Marks the entries in `range` dead: the first becomes the head of a
+    /// dead run that [`Self::compact_if_due`] skips whole.
+    fn bury(&mut self, range: Range<usize>) {
+        if !range.is_empty() {
+            let head = &mut self.store[range.start];
+            head.a.rid = DEAD;
+            head.b.rid = offset(range.len());
+        }
+    }
+
+    /// Makes the entries staged at the store's tail, from `at` on, the
+    /// group in `slot`, which they outgrow: the group moves to them, and
+    /// its old range goes dead.
+    fn settle(&mut self, slot: u32, at: usize) {
+        self.bury(self.groups[slot as usize].range());
+        self.groups[slot as usize] = Group {
+            start: offset(at),
+            len: offset(self.store.len() - at),
+        };
+    }
+
+    /// Keeps the first `keep` entries of the group in `slot`; the rest go
+    /// dead.
+    fn shrink(&mut self, slot: u32, keep: usize) {
+        let range = self.groups[slot as usize].range();
+        self.groups[slot as usize].len = offset(keep);
+        self.bury(range.start + keep..range.end);
+    }
+
+    /// Compacts the store once its dead entries pass `1 / DEAD_SHARE` of
+    /// the live ones, in two passes that allocate nothing. The first
+    /// turns each live range's first entry into a head like a dead
+    /// run's — its slot in `a.rid`, its length in `b.rid` — and keeps the
+    /// entry's key in the slot meanwhile. The second walks the store from
+    /// the front by those heads, restores each live range's first entry
+    /// and gives its slot the start the range will have, and slides each
+    /// span of live ranges between two dead runs down in one move. Live
+    /// ranges keep their order and their slots.
+    fn compact_if_due(&mut self) {
+        if (self.store.len() - self.total) * DEAD_SHARE <= self.total {
+            return;
+        }
+        for (slot, group) in (0u32..).zip(&mut self.groups) {
+            if group.len > 0 {
+                let head = &mut self.store[group.start as usize];
+                group.start = std::mem::replace(&mut head.a.rid, slot);
+                std::mem::swap(&mut group.len, &mut head.b.rid);
+            }
+        }
+        // `store[span..from]` holds the live ranges walked since the last
+        // dead run, bound for `to..`.
+        let (mut span, mut from, mut to) = (0, 0, 0);
+        while from < self.store.len() {
+            let head = &mut self.store[from];
+            let len = head.b.rid as usize;
+            if head.a.rid == DEAD {
+                self.store.copy_within(span..from, to);
+                to += from - span;
+                span = from + len;
+            } else {
+                let group = &mut self.groups[head.a.rid as usize];
+                head.a.rid = std::mem::replace(&mut group.start, offset(to + from - span));
+                std::mem::swap(&mut group.len, &mut head.b.rid);
+            }
+            from += len;
+        }
+        self.store.copy_within(span..from, to);
+        self.store.truncate(to + from - span);
     }
 
     /// Grows `rows` to hold records `a` and `b`.
@@ -263,7 +328,8 @@ impl ValuePairIndex {
     /// new record's similar value pairs arrive after the initial build).
     /// A pair of records with no group yet — every group of a session's
     /// new record — is filed as a sorted run at the store's tail; an
-    /// existing group that gains pairs becomes owned and is re-sorted.
+    /// existing group that gains pairs is re-sorted with them at the tail,
+    /// where it stays. Ends with the store's compaction check.
     pub fn extend(&mut self, pairs: impl IntoIterator<Item = ValuePair>) {
         let mut fresh: Vec<ValuePair> = pairs.into_iter().collect();
         fresh.sort_unstable_by_key(key);
@@ -272,22 +338,24 @@ impl ValuePairIndex {
             assert!(i < j, "value pair must be rid-normalized");
             self.cover(i, j);
             self.total += run.len();
+            let at = self.store.len();
             if let Some(slot) = self.slot(i, j) {
-                let held = self.entries(slot);
-                let mut grown = Vec::with_capacity(held.len() + run.len());
-                grown.extend_from_slice(held);
-                grown.extend_from_slice(run);
-                sort_group(&mut grown);
-                self.groups[slot as usize] = Group::Owned(grown);
+                self.store
+                    .extend_from_within(self.groups[slot as usize].range());
+                self.store.extend_from_slice(run);
+                sort_group(&mut self.store[at..]);
+                self.settle(slot, at);
             } else {
                 sort_group(run);
-                let start = u32::try_from(self.store.len()).expect("the store fits u32 offsets");
                 self.store.extend_from_slice(run);
-                let len = u32::try_from(run.len()).expect("a group fits a u32");
-                let slot = self.file(Group::Packed { start, len });
+                let slot = self.file(Group {
+                    start: offset(at),
+                    len: offset(run.len()),
+                });
                 self.link(i, j, slot);
             }
         }
+        self.compact_if_due();
     }
 
     /// `|𝒱|` — number of indexed value pairs (Table II's `|S|`).
@@ -491,7 +559,9 @@ impl ValuePairIndex {
     /// re-homed group a relabel and sort of that group, one search in its
     /// partner's row, and either a tombstone there (plus a linear merge
     /// into `k`'s group) or a rotation of the entries between the folded
-    /// record and `k`.
+    /// record and `k`. The store's compaction check ends the call; a
+    /// compaction makes two passes over the store and one over the slots,
+    /// and follows at least `len() / DEAD_SHARE` dead entries.
     pub fn merge(&mut self, i: u32, j: u32, k: u32, remap: impl Fn(Label) -> Label) {
         assert!(
             k == i || k == j,
@@ -589,23 +659,28 @@ impl ValuePairIndex {
         self.rows[k as usize] = row;
         self.scratch = ours;
         self.scratch.clear();
+        self.compact_if_due();
     }
 
     /// Moves the (relabeled) group in `moved` into the one in `home`: the
     /// union, in group order and without the exact duplicates a relabel
-    /// produced, becomes `home`'s owned group at exactly its size.
-    /// Returns the number of duplicates dropped; `moved` is left for the
-    /// caller to release.
+    /// produced, is staged at the store's tail, where it stays as `home`'s
+    /// group unless it adds nothing to it. Returns the number of
+    /// duplicates dropped; `moved` is left for the caller to release.
     fn absorb(&mut self, home: u32, moved: u32) -> usize {
         sort_group(self.entries_mut(moved));
-        let (x, y) = (self.entries(home), self.entries(moved));
-        let mut len = 0;
-        merge_groups(x, y, |_| len += 1);
-        let mut merged = Vec::with_capacity(len);
-        merge_groups(x, y, |e| merged.push(e));
-        let dropped = x.len() + y.len() - len;
-        self.groups[home as usize] = Group::Owned(merged);
-        dropped
+        let (x, y) = (self.groups[home as usize], self.groups[moved as usize]);
+        let at = self.store.len();
+        merge_groups(&mut self.store, x.range(), y.range());
+        let len = self.store.len() - at;
+        if len == x.len as usize {
+            // Every moved entry repeats one of home's: the union is home's
+            // group as it stands, where it stands.
+            self.store.truncate(at);
+        } else {
+            self.settle(home, at);
+        }
+        (x.len + y.len) as usize - len
     }
 
     /// Restores a relabeled group's order where it lives and drops the
@@ -622,7 +697,7 @@ impl ValuePairIndex {
                 kept += 1;
             }
         }
-        self.groups[slot as usize].truncate(kept);
+        self.shrink(slot, kept);
         before - kept
     }
 
@@ -694,7 +769,7 @@ impl ValuePairIndex {
             records: (0..self.rows.len())
                 .filter(|&rid| self.rows[rid].len() > self.dead[rid] as usize)
                 .count(),
-            max_group: self.groups.iter().map(Group::len).max().unwrap_or(0),
+            max_group: self.groups.iter().map(|g| g.len).max().unwrap_or(0) as usize,
         }
     }
 
@@ -720,10 +795,12 @@ impl ValuePairIndex {
     /// Full-index invariant check (tests/debug): rows strictly ascending,
     /// their tombstones counted and at most half of each row, and live
     /// entries symmetric on one slot; every slot either a live non-empty
-    /// group named by exactly one record pair or an empty free one; live
-    /// packed ranges inside the store and disjoint; entries normalized,
-    /// filed under their own key, similarity-descending and
-    /// label-distinct; and both counts recounted.
+    /// group named by exactly one record pair or an empty free one; no
+    /// slot past the store's end; live ranges and dead runs tiling the
+    /// store, which holds at most `1 / DEAD_SHARE` as many dead entries
+    /// as live ones; entries normalized, filed under their own key,
+    /// similarity-descending and label-distinct; and both counts
+    /// recounted.
     pub fn check_invariants(&self) -> std::result::Result<(), String> {
         if self.dead.len() != self.rows.len() {
             return Err(format!(
@@ -755,18 +832,15 @@ impl ValuePairIndex {
                 }
             }
         }
+        if let Some(slot) =
+            (0..self.groups.len()).find(|&slot| self.groups[slot].range().end > self.store.len())
+        {
+            return Err(format!("slot {slot} reaches past the store"));
+        }
         let mut owners = vec![0usize; self.groups.len()];
-        let mut ranges: Vec<(usize, usize)> = Vec::new();
         let (mut count, mut live_groups) = (0, 0);
         for ((i, j), slot) in self.keyed_slots() {
             owners[slot as usize] += 1;
-            if let Group::Packed { start, len } = self.groups[slot as usize] {
-                let (start, end) = (start as usize, start as usize + len as usize);
-                if end > self.store.len() {
-                    return Err(format!("group ({i},{j}) ends past the store"));
-                }
-                ranges.push((start, end));
-            }
             let g = self.entries(slot);
             if g.is_empty() {
                 return Err(format!("group ({i},{j}) is empty"));
@@ -789,15 +863,40 @@ impl ValuePairIndex {
             count += g.len();
             live_groups += 1;
         }
-        ranges.sort_unstable();
-        if let Some(w) = ranges.windows(2).find(|w| w[0].1 > w[1].0) {
+        // Live ranges and dead runs tile the store, so the live ranges are
+        // disjoint and every one of them is met.
+        let (mut at, mut ranges) = (0, 0);
+        while at < self.store.len() {
+            let head = &self.store[at];
+            let live = self.slot(head.a.rid, head.b.rid);
+            if let Some(slot) = live.filter(|&s| self.groups[s as usize].start as usize == at) {
+                at += self.groups[slot as usize].len as usize;
+                ranges += 1;
+            } else if head.a.rid == DEAD && head.b.rid > 0 {
+                at += head.b.rid as usize;
+            } else {
+                return Err(format!(
+                    "store entry {at} starts neither a live range nor a dead run"
+                ));
+            }
+        }
+        if at != self.store.len() {
+            return Err("a dead run ends past the store".into());
+        }
+        if ranges != live_groups {
             return Err(format!(
-                "packed ranges {}..{} and {}..{} overlap",
-                w[0].0, w[0].1, w[1].0, w[1].1
+                "the store holds {ranges} live ranges for {live_groups} groups"
+            ));
+        }
+        let dead = self.store.len().saturating_sub(self.total);
+        if dead * DEAD_SHARE > self.total {
+            return Err(format!(
+                "the store holds {dead} dead entries for {} live ones",
+                self.total
             ));
         }
         for &slot in &self.free {
-            if self.groups[slot as usize].len() != 0 {
+            if self.groups[slot as usize].len != 0 {
                 return Err(format!("free slot {slot} holds entries"));
             }
             if owners[slot as usize] != 0 {
@@ -908,25 +1007,20 @@ fn same_labels(x: &ValuePair, y: &ValuePair) -> bool {
     (x.a, x.b) == (y.a, y.b)
 }
 
-/// Emits the union of two groups, each in group order, in group order
-/// and without repeating a label pair: equal labels carry equal sims, so
-/// a duplicate follows the entry it repeats.
-fn merge_groups(x: &[ValuePair], y: &[ValuePair], mut emit: impl FnMut(ValuePair)) {
-    let (mut at_x, mut at_y) = (0, 0);
-    let mut last: Option<ValuePair> = None;
-    while at_x < x.len() || at_y < y.len() {
-        let take_x = at_y == y.len()
-            || (at_x < x.len() && group_order(&x[at_x], &y[at_y]) != Ordering::Greater);
-        let e = if take_x {
-            at_x += 1;
-            x[at_x - 1]
-        } else {
-            at_y += 1;
-            y[at_y - 1]
-        };
-        if !last.is_some_and(|l| same_labels(&l, &e)) {
-            last = Some(e);
-            emit(e);
+/// Appends to `store` the union of its ranges `x` and `y`, each in group
+/// order, in group order and without repeating a label pair: equal labels
+/// carry equal sims, so a duplicate follows the entry it repeats.
+fn merge_groups(store: &mut Vec<ValuePair>, mut x: Range<usize>, mut y: Range<usize>) {
+    let tail = store.len();
+    store.reserve(x.len() + y.len());
+    while !x.is_empty() || !y.is_empty() {
+        let take_x = y.is_empty()
+            || (!x.is_empty()
+                && group_order(&store[x.start], &store[y.start]) != Ordering::Greater);
+        let at = if take_x { x.next() } else { y.next() };
+        let e = store[at.expect("a range with entries left")];
+        if !store[tail..].last().is_some_and(|l| same_labels(l, &e)) {
+            store.push(e);
         }
     }
 }
@@ -1172,10 +1266,8 @@ mod tests {
         let mut idx = fig4_index();
         idx.extend(arrivals.clone());
         idx.check_invariants().unwrap();
-        // A new record's groups are runs at the store's tail, not owned
-        // `Vec`s.
+        // A new record's groups are runs at the store's tail.
         assert_eq!(idx.store.len(), 17 + 5);
-        assert!(idx.groups.iter().all(|g| matches!(g, Group::Packed { .. })));
         assert_eq!(idx.partners(9).collect::<Vec<_>>(), vec![1, 2, 4, 6]);
         assert_eq!(idx.group(9, 4)[0].sim, 0.9);
         let mut all = fig4_pairs();
@@ -1207,7 +1299,6 @@ mod tests {
         let buffer = pairs.as_ptr();
         let idx = ValuePairIndex::build(pairs);
         assert_eq!(idx.store.as_ptr(), buffer);
-        assert!(idx.groups.iter().all(|g| matches!(g, Group::Packed { .. })));
         idx.check_invariants().unwrap();
     }
 
@@ -1262,6 +1353,79 @@ mod tests {
             1,
             "five equal entries collapsed to one"
         );
+    }
+
+    #[test]
+    fn folding_a_dense_index_into_one_root_keeps_the_store_bounded() {
+        // Forty records, each pair sharing up to three value pairs. Every
+        // merge folds one more record into root 0: its shared groups land
+        // on the root's and grow, the root's old ranges go dead, and the
+        // store must stay within 5/4 of the live entries after each merge
+        // by compacting.
+        use rand::{Rng, SeedableRng};
+        const RIDS: u32 = 40;
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(46);
+        let mut pairs = Vec::new();
+        for i in 0..RIDS {
+            for j in i + 1..RIDS {
+                for f in 0..rng.gen_range(0..4) {
+                    let sim = rng.gen_range(1..=10) as f64 / 10.0;
+                    pairs.push(vp(i, f, 0, j, rng.gen_range(0..3), 0, sim));
+                }
+            }
+        }
+        let mut idx = ValuePairIndex::build(pairs);
+        let mut compactions = 0;
+        for folded in 1..RIDS {
+            let before = idx.store.len();
+            idx.merge(0, folded, 0, |l| {
+                if l.rid == folded {
+                    Label::new(0, l.fid, folded)
+                } else {
+                    l
+                }
+            });
+            idx.check_invariants()
+                .unwrap_or_else(|e| panic!("after folding {folded}: {e}"));
+            assert!(
+                idx.store.len() * 4 <= idx.len() * 5,
+                "after folding {folded}: {} store entries for {} live ones",
+                idx.store.len(),
+                idx.len()
+            );
+            compactions += usize::from(idx.store.len() < before);
+        }
+        assert!(compactions > 1, "{compactions} compactions");
+        assert_eq!(idx.partners(0).count(), 0);
+        assert_eq!(idx.len(), 0);
+        assert!(idx.store.is_empty());
+    }
+
+    #[test]
+    fn a_group_moves_to_the_tail_only_when_it_grows() {
+        // Records 0 and 1 share one value with 2, and the merge collapses
+        // 1's label into 0's: the merged (0,2) group is the one it was,
+        // left where it was. The folded (1,2) range goes dead, and the
+        // (3,4) group keeps it below the compaction threshold.
+        let mut pairs = vec![vp(0, 1, 0, 2, 1, 0, 0.9), vp(1, 1, 0, 2, 1, 0, 0.9)];
+        pairs.extend((0..8).map(|f| vp(3, f, 0, 4, f, 0, 0.5)));
+        let mut idx = ValuePairIndex::build(pairs);
+        idx.merge(0, 1, 0, |l| Label::new(0, l.fid, l.vid));
+        assert_eq!(idx.groups[idx.slot(0, 2).unwrap() as usize].start, 0);
+        assert_eq!((idx.store[1].a.rid, idx.store[1].b.rid), (DEAD, 1));
+        assert_eq!(idx.store.len(), 10);
+        idx.check_invariants().unwrap();
+
+        // A group that grows past its range moves to the tail, and its
+        // old range goes dead.
+        let mut idx = fig4_index();
+        let head = idx.slot(1, 4).unwrap();
+        idx.extend([vp(1, 9, 1, 4, 9, 1, 0.95)]);
+        assert_eq!(idx.groups[head as usize].start, 17);
+        assert_eq!(idx.store.len(), 19);
+        assert_eq!((idx.store[0].a.rid, idx.store[0].b.rid), (DEAD, 1));
+        idx.check_invariants().unwrap();
+        assert_eq!(idx.group(1, 4).len(), 2);
     }
 
     #[test]
