@@ -211,8 +211,11 @@ lookups never wait on a pass, and the TCP listener serves any number of
 simultaneous clients — answers are a pure function of the request
 order. The `checkpoint` request writes one session snapshot file (safe
 to race with live ingest); `serve --restore FILE.hera` brings the
-service back from it. `client` forwards request lines to a running
-server and prints the responses.
+service back from it. A request line that does not parse, is not
+UTF-8 or is longer than 64 MiB (67108864 bytes; a 100-record batch is
+tens of kilobytes) gets an `{\"ok\":false,…}` reply and the next line is
+served. `client` forwards request lines to a running server and prints
+the responses.
 
 `resolve --fault-plan FILE` runs under a deterministic fault-injection
 plan (hera-faults JSON): named failpoints on the snapshot write/read

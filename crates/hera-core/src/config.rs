@@ -2,6 +2,7 @@
 
 use hera_block::BlockingScheme;
 use hera_index::BoundMode;
+use hera_sim::{TypeDispatch, ValueSimilarity};
 use hera_types::json::Json;
 use hera_types::{HeraError, Result};
 
@@ -166,24 +167,43 @@ impl HeraConfig {
     }
 
     /// A snapshot's `config` section: every field that shapes a
-    /// decision. Threads and index validation change no outcome and are
-    /// the restoring caller's.
-    pub(crate) fn to_json(&self) -> Json {
+    /// decision, and the fingerprint of `metric`, the session's value
+    /// similarity. Threads and index validation change no outcome and
+    /// are the restoring caller's.
+    pub(crate) fn to_json(&self, metric: &dyn ValueSimilarity) -> Json {
         Json::Obj(vec![
             ("xi".into(), Json::Float(self.xi)),
             ("delta".into(), Json::Float(self.delta)),
             ("blocking".into(), Json::Str(self.blocking.name().into())),
             ("bound_mode".into(), name_of(BOUND_MODES, self.bound_mode)),
             ("ablation".into(), name_of(ABLATIONS, self.ablation)),
+            ("metric".into(), Json::Str(metric.fingerprint())),
         ])
     }
 
     /// This config with the decision-shaping fields a snapshot's `config`
     /// section recorded; a key the section lacks (files written before
-    /// it was recorded) takes [`HeraConfig::paper_example`]'s value.
+    /// it was recorded) takes [`HeraConfig::paper_example`]'s value, and
+    /// a missing metric is [`TypeDispatch::paper_default`].
     /// `num_threads` and `validate_index` stay this config's. A threshold
-    /// outside `[0, 1]` or a name no field value has is `Corrupt`.
-    pub(crate) fn adopt(&self, config: &Json) -> Result<Self> {
+    /// outside `[0, 1]` or a name no field value has is `Corrupt`; a
+    /// recorded metric whose fingerprint is not `metric`'s is
+    /// `InvalidConfig`, since the session would go on scoring values
+    /// differently from the one that wrote the file.
+    pub(crate) fn adopt(&self, config: &Json, metric: &dyn ValueSimilarity) -> Result<Self> {
+        let text = |j: &Json| Ok(Some(j.as_str()?.to_owned()));
+        let recorded_metric = recorded(
+            config,
+            "metric",
+            TypeDispatch::paper_default().fingerprint(),
+            text,
+        )?;
+        let metric = metric.fingerprint();
+        if recorded_metric != metric {
+            return Err(HeraError::InvalidConfig(format!(
+                "snapshot was written under metric {recorded_metric}, the restoring builder's is {metric}"
+            )));
+        }
         let paper = Self::paper_example();
         let unit = |j: &Json| Ok(Some(j.as_f64()?).filter(|v| (0.0..=1.0).contains(v)));
         let scheme = |j: &Json| Ok(BlockingScheme::parse(j.as_str()?).ok());
@@ -260,7 +280,8 @@ mod tests {
                 let restorer = HeraConfig::paper_example()
                     .with_threads(5)
                     .with_index_validation();
-                let c = restorer.adopt(&recorded.to_json()).unwrap();
+                let paper = TypeDispatch::paper_default();
+                let c = restorer.adopt(&recorded.to_json(&paper), &paper).unwrap();
                 assert_eq!((c.delta, c.xi), (0.7, 0.6));
                 assert_eq!((c.ablation, c.bound_mode), (ablation, mode));
                 assert_eq!(c.blocking, BlockingScheme::token());

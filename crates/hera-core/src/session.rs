@@ -348,9 +348,12 @@ impl HeraSessionBuilder {
     /// snapshot records: δ, ξ, blocking, bound mode and ablation are the
     /// checkpointing session's (a key an older file lacks takes
     /// [`HeraConfig::paper_example`]'s value), and only `num_threads` and
-    /// `validate_index` are taken from the builder's config. The metric is
-    /// not recorded: the builder's must be the checkpointing session's for
-    /// the continuation to be equivalent to an uninterrupted run. A
+    /// `validate_index` are taken from the builder's config. The metric
+    /// is the builder's, and the snapshot records the checkpointing
+    /// metric's [`ValueSimilarity::fingerprint`] (an older file, the
+    /// paper default's): a builder whose metric has another fingerprint
+    /// is refused with [`HeraError::InvalidConfig`] naming both, since
+    /// its continuation would not be the uninterrupted run's. A
     /// recorded threshold outside `[0, 1]` or an unknown scheme, bound
     /// mode or ablation name is [`HeraError::Corrupt`].
     pub fn restore(mut self, path: impl AsRef<Path>) -> Result<HeraSession> {
@@ -358,7 +361,9 @@ impl HeraSessionBuilder {
         let (snap, report) = Snapshot::read_report_with(&path, &self.faults)?;
         // The join and the blocker are built under the adopted ξ and
         // scheme.
-        self.config = self.config.adopt(snap.expect("config")?)?;
+        self.config = self
+            .config
+            .adopt(snap.expect("config")?, self.metric.as_ref())?;
         let mut session = self.build();
 
         session.registry = SchemaRegistry::from_json(snap.expect("registry")?)?;
@@ -512,7 +517,7 @@ impl HeraSession {
     /// order so identical sessions produce identical bytes.
     fn to_snapshot(&self) -> Snapshot {
         let mut snap = Snapshot::new();
-        snap.insert("config", self.config.to_json());
+        snap.insert("config", self.config.to_json(self.metric.as_ref()));
         if let Some(b) = &self.blocker {
             snap.insert("blocker", b.to_json());
         }

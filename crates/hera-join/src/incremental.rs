@@ -646,11 +646,71 @@ impl IncrementalJoin {
     }
 }
 
+/// Metrics the crate's tests swap in for the paper default.
+#[cfg(test)]
+pub(crate) mod test_metrics {
+    use hera_sim::{NumericProximity, ValueSimilarity};
+    use hera_types::{Value, ValueKind};
+
+    /// Routes by kind as `TypeDispatch` does, through legs a test picks:
+    /// number × number to `number`, any other pair of non-nulls to
+    /// `string`, nulls to 0. Numbers go to a [`NumericProximity`]
+    /// because the batch join's numeric sweep assumes a metric monotone
+    /// in |a − b|.
+    #[derive(Clone)]
+    pub(crate) struct ByKind<S> {
+        string: S,
+        number: NumericProximity,
+    }
+
+    impl<S: ValueSimilarity> ByKind<S> {
+        /// `string` for text, numeric proximity at `scale` for numbers.
+        pub(crate) fn new(string: S, scale: f64) -> Self {
+            let number = NumericProximity::new(scale);
+            Self { string, number }
+        }
+    }
+
+    impl<S: ValueSimilarity> ValueSimilarity for ByKind<S> {
+        fn sim(&self, a: &Value, b: &Value) -> f64 {
+            let num = |v: &Value| matches!(v.kind(), ValueKind::Int | ValueKind::Float);
+            if a.is_null() || b.is_null() {
+                0.0
+            } else if num(a) && num(b) {
+                self.number.sim(a, b)
+            } else {
+                self.string.sim(a, b)
+            }
+        }
+        fn name(&self) -> &'static str {
+            "by-kind"
+        }
+        fn qgram_compatible(&self) -> Option<usize> {
+            self.string.qgram_compatible()
+        }
+    }
+
+    /// A metric that keeps what it computes to itself: no
+    /// `qgram_compatible`, so every row goes to `sim`.
+    #[derive(Clone)]
+    pub(crate) struct Opaque<M>(pub M);
+
+    impl<M: ValueSimilarity> ValueSimilarity for Opaque<M> {
+        fn sim(&self, a: &Value, b: &Value) -> f64 {
+            self.0.sim(a, b)
+        }
+        fn name(&self) -> &'static str {
+            "opaque"
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::test_metrics::{ByKind, Opaque};
     use super::*;
     use crate::{JoinConfig, SimilarityJoin};
-    use hera_sim::TypeDispatch;
+    use hera_sim::{EditSimilarity, QGramJaccard, TypeDispatch};
     use std::collections::BTreeMap;
 
     fn label(rid: u32, fid: u32) -> Label {
@@ -735,19 +795,6 @@ mod tests {
     }
 
     use std::sync::Arc;
-
-    /// A metric that keeps what it computes to itself: no
-    /// `qgram_compatible`, so every row goes to `sim`.
-    #[derive(Clone)]
-    struct Opaque(TypeDispatch);
-    impl ValueSimilarity for Opaque {
-        fn sim(&self, a: &Value, b: &Value) -> f64 {
-            self.0.sim(a, b)
-        }
-        fn name(&self) -> &'static str {
-            "opaque"
-        }
-    }
 
     fn paper() -> Arc<dyn ValueSimilarity> {
         Arc::new(TypeDispatch::paper_default())
@@ -936,9 +983,7 @@ mod tests {
 
     #[test]
     fn numeric_neighbours_are_found() {
-        use hera_sim::NumericProximity;
-        let metric =
-            TypeDispatch::paper_default().with_numeric_metric(Arc::new(NumericProximity::new(5.0)));
+        let metric = ByKind::new(QGramJaccard::default(), 5.0);
         let mut inc = Lent::new(0.5, Arc::new(metric));
         inc.insert(0, &[Value::from(1980i64)], Among::Earlier);
         inc.insert(1, &[Value::from(1990i64)], Among::Earlier);
@@ -1009,9 +1054,7 @@ mod tests {
     /// the live neighbours around it still are, each once.
     #[test]
     fn retired_numeric_values_are_skipped() {
-        use hera_sim::NumericProximity;
-        let metric =
-            TypeDispatch::paper_default().with_numeric_metric(Arc::new(NumericProximity::new(5.0)));
+        let metric = ByKind::new(QGramJaccard::default(), 5.0);
         let mut inc = Lent::new(0.5, Arc::new(metric));
         inc.insert(0, &[Value::from(1980i64)], Among::Earlier);
         inc.insert(1, &[Value::from(1981i64)], Among::Earlier);
@@ -1157,9 +1200,7 @@ mod tests {
     #[test]
     fn batch_scan_of_every_earlier_record_is_exhaustive() {
         let jaccard = TypeDispatch::paper_default();
-        let edit = jaccard
-            .clone()
-            .with_string_metric(Arc::new(hera_sim::EditSimilarity));
+        let edit = ByKind::new(EditSimilarity, 1.0);
         let metrics: [Arc<dyn ValueSimilarity>; 2] = [Arc::new(jaccard), Arc::new(edit)];
         let ds = hera_types::motivating_example();
         let bits = |pairs: &[ValuePair]| -> Vec<(Label, Label, u64)> {
@@ -1277,13 +1318,11 @@ mod tests {
             xi in prop_oneof![0.05f64..0.95, Just(0.5), Just(0.75), Just(0.8)],
             metric_kind in 0usize..3,
         ) {
-            use hera_sim::{EditSimilarity, NumericProximity};
-            let jaccard = TypeDispatch::paper_default()
-                .with_numeric_metric(Arc::new(NumericProximity::new(5.0)));
+            let jaccard = ByKind::new(QGramJaccard::default(), 5.0);
             let metric: Arc<dyn ValueSimilarity> = match metric_kind {
                 0 => Arc::new(jaccard),
                 1 => Arc::new(Opaque(jaccard)),
-                _ => Arc::new(jaccard.with_string_metric(Arc::new(EditSimilarity))),
+                _ => Arc::new(ByKind::new(EditSimilarity, 5.0)),
             };
             let mut by_record = Lent::new(xi, metric.clone());
             let mut by_value = IncrementalJoin::new(xi, 2, metric.clone());

@@ -296,12 +296,12 @@ pub(crate) fn probe<U: Send>(
 
 #[cfg(test)]
 mod tests {
+    use crate::incremental::test_metrics::ByKind;
     use crate::{JoinConfig, SimilarityJoin, ValuePair};
     use hera_sim::text::{folded_qgram_set, intersection_size, jaccard_of_sets};
     use hera_sim::{EditSimilarity, TypeDispatch, ValueSimilarity};
     use hera_types::{Label, Value};
     use proptest::prelude::*;
-    use std::sync::Arc;
 
     /// Joins `words`, one record per word, and returns the pairs with the
     /// `join` span's `candidates`.
@@ -434,12 +434,11 @@ mod tests {
             xi in prop_oneof![0.05f64..0.95, Just(0.5), Just(0.75), Just(0.8)],
             edit in any::<bool>(),
         ) {
-            let mut metric = TypeDispatch::paper_default();
-            if edit {
-                metric = metric.with_string_metric(Arc::new(EditSimilarity));
-            }
+            let jaccard = TypeDispatch::paper_default();
+            let edit_router = ByKind::new(EditSimilarity, 1.0);
+            let metric: &dyn ValueSimilarity = if edit { &edit_router } else { &jaccard };
             let sigs: Vec<Vec<u64>> = words.iter().map(|w| folded_qgram_set(w, 2)).collect();
-            let (mut expected, _) = join(&words, JoinConfig::new(xi).exhaustive(), &metric);
+            let (mut expected, _) = join(&words, JoinConfig::new(xi).exhaustive(), metric);
             if edit {
                 // Edit similarity can pair values without a common gram;
                 // share-a-gram candidates cannot.
@@ -454,7 +453,7 @@ mod tests {
             let mut counts = Vec::new();
             for threads in [1, 2, 8] {
                 let config = JoinConfig::new(xi).with_threads(threads);
-                let (got, candidates) = join(&words, config, &metric);
+                let (got, candidates) = join(&words, config, metric);
                 prop_assert_eq!(bits(&got), bits(&expected), "{} threads", threads);
                 counts.push(candidates);
             }

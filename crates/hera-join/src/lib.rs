@@ -374,6 +374,7 @@ fn push_pair(out: &mut Vec<ValuePair>, a: Label, b: Label, sim: f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::incremental::test_metrics::ByKind;
     use hera_sim::TypeDispatch;
     use hera_types::motivating_example;
     use proptest::prelude::*;
@@ -442,8 +443,7 @@ mod tests {
 
     #[test]
     fn numeric_values_join() {
-        let metric = TypeDispatch::paper_default()
-            .with_numeric_metric(std::sync::Arc::new(hera_sim::NumericProximity::new(5.0)));
+        let metric = ByKind::new(hera_sim::QGramJaccard::default(), 5.0);
         let join = SimilarityJoin::new(JoinConfig::new(0.5), &metric);
         let vals = labeled(&[
             (0, 0, Value::from(1984i64)),

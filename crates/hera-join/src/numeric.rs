@@ -42,8 +42,7 @@ pub(crate) fn numeric_pairs(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hera_sim::{NumericProximity, TypeDispatch};
-    use std::sync::Arc;
+    use hera_sim::NumericProximity;
 
     fn dv(vals: &[Value]) -> Vec<(Value, Vec<Label>)> {
         vals.iter()
@@ -53,8 +52,7 @@ mod tests {
     }
 
     fn run(vals: &[Value], scale: f64, xi: f64) -> Vec<(usize, usize)> {
-        let metric = TypeDispatch::paper_default()
-            .with_numeric_metric(Arc::new(NumericProximity::new(scale)));
+        let metric = NumericProximity::new(scale);
         let owned = dv(vals);
         let borrowed: Vec<(&Value, Vec<Label>)> =
             owned.iter().map(|(v, l)| (v, l.clone())).collect();
@@ -95,8 +93,7 @@ mod tests {
     #[test]
     fn exhaustive_equivalence_on_dense_cluster() {
         let vals: Vec<Value> = (0..20).map(|i| Value::from(i as f64 * 0.3)).collect();
-        let metric =
-            TypeDispatch::paper_default().with_numeric_metric(Arc::new(NumericProximity::new(1.0)));
+        let metric = NumericProximity::new(1.0);
         let owned = dv(&vals);
         let borrowed: Vec<(&Value, Vec<Label>)> =
             owned.iter().map(|(v, l)| (v, l.clone())).collect();

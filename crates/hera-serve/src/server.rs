@@ -24,10 +24,15 @@ use crate::protocol::{err, write_line, Request};
 use crate::service::ErService;
 use hera_types::json::parse;
 use hera_types::{HeraError, Result};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
+
+/// Longest request line [`serve_lines`] keeps, newline excluded: 64 MiB,
+/// thousands of times a 100-record `batch` line. A longer line is read
+/// to its newline without being kept and gets an error reply.
+const MAX_LINE_BYTES: usize = 64 << 20;
 
 /// Serves line-delimited JSON requests from `input`, writing one
 /// response line each to `output`, until the stream ends or a
@@ -36,21 +41,47 @@ use std::sync::{Arc, Mutex};
 /// hung up" from "stop the server").
 ///
 /// Malformed lines — including a final partial line from a client that
-/// died mid-request — get an error response and the loop continues;
-/// blank lines are ignored. A failed reply write (broken pipe) surfaces
-/// as `HeraError::Io`, never a panic.
+/// died mid-request, a line that is not UTF-8 and a line longer than
+/// 64 MiB — get an error response and the loop continues; blank lines
+/// are ignored. A failed read or reply write (broken pipe) surfaces as
+/// `HeraError::Io`, never a panic.
 pub fn serve_lines<R: BufRead, W: Write>(
     service: &ErService,
     input: R,
     output: &mut W,
 ) -> Result<bool> {
+    serve_capped(service, input, output, MAX_LINE_BYTES)
+}
+
+/// [`serve_lines`] with lines longer than `cap` bytes refused.
+fn serve_capped<R: BufRead, W: Write>(
+    service: &ErService,
+    mut input: R,
+    output: &mut W,
+    cap: usize,
+) -> Result<bool> {
     let io_err = |e: std::io::Error| HeraError::Io(e.to_string());
-    for line in input.lines() {
-        let line = line.map_err(io_err)?;
-        if line.trim().is_empty() {
-            continue;
+    let mut line = Vec::new();
+    loop {
+        line.clear();
+        let mut limited = (&mut input).take(cap as u64 + 1);
+        if limited.read_until(b'\n', &mut line).map_err(io_err)? == 0 {
+            return Ok(false);
         }
-        let (response, keep_going) = match parse(&line).and_then(|j| Request::from_json(&j)) {
+        let request = if line.last() == Some(&b'\n') || line.len() <= cap {
+            let text = line.strip_suffix(b"\n").unwrap_or(&line);
+            let text = text.strip_suffix(b"\r").unwrap_or(text);
+            match std::str::from_utf8(text) {
+                Ok(text) if text.trim().is_empty() => continue,
+                Ok(text) => parse(text).and_then(|j| Request::from_json(&j)),
+                Err(e) => Err(HeraError::Serialization(format!("request line: {e}"))),
+            }
+        } else {
+            skip_line(&mut input).map_err(io_err)?;
+            let long = format!("request line longer than {cap} bytes");
+            Err(HeraError::Serialization(long))
+        };
+        let (response, keep_going) = match request {
             Ok(request) => service.handle(request),
             Err(e) => (err(e), true),
         };
@@ -59,7 +90,25 @@ pub fn serve_lines<R: BufRead, W: Write>(
             return Ok(true);
         }
     }
-    Ok(false)
+}
+
+/// Consumes `input` through the next newline (or to its end) without
+/// keeping what it reads.
+fn skip_line(input: &mut impl BufRead) -> std::io::Result<()> {
+    loop {
+        let buf = input.fill_buf()?;
+        if buf.is_empty() {
+            return Ok(());
+        }
+        let (used, done) = match buf.iter().position(|&b| b == b'\n') {
+            Some(at) => (at + 1, true),
+            None => (buf.len(), false),
+        };
+        input.consume(used);
+        if done {
+            return Ok(());
+        }
+    }
 }
 
 /// Live-connection registry: socket clones the shutdown path uses to
@@ -231,6 +280,56 @@ mod tests {
         for call in &log.0 {
             let newlines = call.iter().filter(|&&b| b == b'\n').count();
             assert_eq!((newlines, call.last()), (1, Some(&b'\n')), "{call:?}");
+        }
+    }
+
+    /// The reply lines `serve` writes for `input`, which sends no
+    /// shutdown.
+    fn replies(
+        serve: impl Fn(&ErService, &[u8], &mut Vec<u8>) -> Result<bool>,
+        input: &[u8],
+    ) -> Vec<String> {
+        let service = ErService::builder(HeraConfig::new(0.5, 0.5), 1).build();
+        let mut out = Vec::new();
+        assert!(!serve(&service, input, &mut out).unwrap());
+        String::from_utf8(out)
+            .unwrap()
+            .lines()
+            .map(str::to_owned)
+            .collect()
+    }
+
+    /// A line that is not UTF-8 gets an error reply, and the request
+    /// after it is served.
+    #[test]
+    fn a_line_that_is_not_utf8_gets_an_error_reply() {
+        let input = b"{\"cmd\":\"stats\"}\n\xff\n{\"cmd\":\"stats\"}\n";
+        let got = replies(|s, i, o| serve_lines(s, i, o), input);
+        assert_eq!(got.len(), 3, "{got:?}");
+        assert!(got[0].starts_with(r#"{"ok":true"#), "{got:?}");
+        assert!(
+            got[1].starts_with(r#"{"ok":false"#) && got[1].contains("utf-8"),
+            "{got:?}"
+        );
+        assert!(got[2].starts_with(r#"{"ok":true"#), "{got:?}");
+    }
+
+    /// A line past the cap is read to its newline without being kept and
+    /// gets an error reply — a long one, and one a byte past — while
+    /// lines of exactly the cap around it are served, the last one
+    /// without a newline.
+    #[test]
+    fn a_line_past_the_cap_gets_an_error_reply() {
+        let stats = r#"{"cmd":"stats"}"#;
+        let cap = stats.len();
+        for oversized in ["x".repeat(5 * cap), format!("{stats} ")] {
+            let input = format!("{stats}\n{oversized}\n{stats}");
+            let got = replies(|s, i, o| serve_capped(s, i, o, cap), input.as_bytes());
+            assert_eq!(got.len(), 3, "{got:?}");
+            assert!(got[0].starts_with(r#"{"ok":true"#), "{got:?}");
+            let refusal = format!("longer than {cap} bytes");
+            assert!(got[1].contains(&refusal), "{got:?}");
+            assert!(got[2].starts_with(r#"{"ok":true"#), "{got:?}");
         }
     }
 

@@ -2,74 +2,29 @@
 
 use crate::{NumericProximity, QGramJaccard, ValueSimilarity};
 use hera_types::{Value, ValueKind};
-use std::sync::Arc;
 
-/// Dispatches to a per-kind metric:
+/// The paper's `simv` over the whole [`Value`] domain, routed by kind:
 ///
-/// * string × string → the configured string metric (default:
-///   [`QGramJaccard`] with q = 2, the paper's choice);
-/// * number × number → the configured numeric metric (default:
-///   [`NumericProximity`] with scale 1);
-/// * string × number → the string metric over text renderings (a year
+/// * string × string → [`QGramJaccard::default`]: 2-grams over
+///   case-folded text, the paper's choice;
+/// * number × number → [`NumericProximity::default`]: scale 1;
+/// * string × number → the string leg over text renderings (a year
 ///   stored as `"1984"` in one source and `1984` in another should still
 ///   match);
 /// * anything × null → 0.
 ///
-/// This is the "black box" handed to the index builder, the verifier, and
-/// the baselines, so every system in the evaluation scores values
-/// identically.
-#[derive(Clone)]
-pub struct TypeDispatch {
-    string_metric: Arc<dyn ValueSimilarity>,
-    numeric_metric: Arc<dyn ValueSimilarity>,
-}
-
-impl std::fmt::Debug for TypeDispatch {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TypeDispatch")
-            .field("string", &self.string_metric.name())
-            .field("numeric", &self.numeric_metric.name())
-            .finish()
-    }
-}
+/// It has no settable part. This is the "black box" handed to the index
+/// builder, the verifier, and the baselines, so every system in the
+/// evaluation scores values identically; another metric is another
+/// [`ValueSimilarity`] handed to the builder in its place.
+#[derive(Debug, Clone, Default)]
+pub struct TypeDispatch;
 
 impl TypeDispatch {
-    /// Composes explicit per-kind metrics.
-    pub fn new(
-        string_metric: Arc<dyn ValueSimilarity>,
-        numeric_metric: Arc<dyn ValueSimilarity>,
-    ) -> Self {
-        Self {
-            string_metric,
-            numeric_metric,
-        }
-    }
-
     /// The paper's configuration: 2-gram Jaccard for strings, exact-ish
     /// numeric proximity for numbers.
     pub fn paper_default() -> Self {
-        Self::new(
-            Arc::new(QGramJaccard::default()),
-            Arc::new(NumericProximity::default()),
-        )
-    }
-
-    /// Replaces the string metric.
-    pub fn with_string_metric(mut self, m: Arc<dyn ValueSimilarity>) -> Self {
-        self.string_metric = m;
-        self
-    }
-
-    /// Replaces the numeric metric.
-    pub fn with_numeric_metric(mut self, m: Arc<dyn ValueSimilarity>) -> Self {
-        self.numeric_metric = m;
-        self
-    }
-}
-
-impl Default for TypeDispatch {
-    fn default() -> Self {
-        Self::paper_default()
+        Self
     }
 }
 
@@ -82,9 +37,9 @@ impl ValueSimilarity for TypeDispatch {
         let a_num = matches!(ka, ValueKind::Int | ValueKind::Float);
         let b_num = matches!(kb, ValueKind::Int | ValueKind::Float);
         if a_num && b_num {
-            self.numeric_metric.sim(a, b)
+            NumericProximity::default().sim(a, b)
         } else {
-            self.string_metric.sim(a, b)
+            QGramJaccard::default().sim(a, b)
         }
     }
 
@@ -92,10 +47,18 @@ impl ValueSimilarity for TypeDispatch {
         "type-dispatch"
     }
 
-    /// Gram-compatible iff the string leg is; numeric pairs still go
-    /// through [`ValueSimilarity::sim`] (the join checks kinds).
+    fn fingerprint(&self) -> String {
+        format!(
+            "type-dispatch(string={},numeric={})",
+            QGramJaccard::default().fingerprint(),
+            NumericProximity::default().fingerprint()
+        )
+    }
+
+    /// The string leg's gram length; numeric pairs still go through
+    /// [`ValueSimilarity::sim`] (the join checks kinds).
     fn qgram_compatible(&self) -> Option<usize> {
-        self.string_metric.qgram_compatible()
+        QGramJaccard::default().qgram_compatible()
     }
 }
 
@@ -119,20 +82,16 @@ mod tests {
         assert_eq!(m.sim(&Value::from("1984"), &Value::from(1984i64)), 1.0);
         // nulls → 0
         assert_eq!(m.sim(&Value::Null, &Value::from("x")), 0.0);
+        assert_eq!(m.qgram_compatible(), Some(2));
     }
 
+    /// The fingerprint names both legs with their parameters.
     #[test]
-    fn metric_swapping() {
-        let m = TypeDispatch::paper_default()
-            .with_numeric_metric(Arc::new(NumericProximity::new(10.0)));
-        assert!((m.sim(&Value::from(1984i64), &Value::from(1985i64)) - 0.9).abs() < 1e-12);
-    }
-
-    #[test]
-    fn debug_names_components() {
-        let dbg = format!("{:?}", TypeDispatch::paper_default());
-        assert!(dbg.contains("qgram-jaccard"));
-        assert!(dbg.contains("numeric"));
+    fn fingerprint_composes_the_legs() {
+        assert_eq!(
+            TypeDispatch::paper_default().fingerprint(),
+            "type-dispatch(string=qgram-jaccard(q=2,fold=true),numeric=numeric(scale=1))"
+        );
     }
 
     proptest! {

@@ -64,6 +64,10 @@ impl ValueSimilarity for QGramJaccard {
         "qgram-jaccard"
     }
 
+    fn fingerprint(&self) -> String {
+        format!("qgram-jaccard(q={},fold={})", self.q, self.fold)
+    }
+
     fn qgram_compatible(&self) -> Option<usize> {
         self.fold.then_some(self.q)
     }
@@ -107,6 +111,17 @@ mod tests {
         let m = QGramJaccard::default();
         assert_eq!(m.sim(&Value::Null, &Value::from("x")), 0.0);
         assert_eq!(m.sim(&Value::Null, &Value::Null), 0.0);
+    }
+
+    /// Gram lengths, and folding, that score pairs differently are told
+    /// apart.
+    #[test]
+    fn fingerprint_names_q_and_fold() {
+        let (two, three) = (QGramJaccard::new(2), QGramJaccard::new(3));
+        assert_ne!(two.fingerprint(), three.fingerprint());
+        assert_eq!(two.fingerprint(), QGramJaccard::default().fingerprint());
+        let cs = QGramJaccard { fold: false, ..two };
+        assert_ne!(cs.fingerprint(), two.fingerprint());
     }
 
     #[test]

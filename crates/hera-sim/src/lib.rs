@@ -1,14 +1,15 @@
-//! Pluggable value-similarity metrics (`simv` in the paper).
+//! Value similarity (`simv` in the paper) behind one black-box trait.
 //!
 //! HERA "could handle records with various data types … and view the
 //! similarity metric of corresponding data type as a black-box" (§I). This
-//! crate is that black box: a [`ValueSimilarity`] trait with the paper's
-//! default instantiation — **Jaccard over 2-grams** ([`QGramJaccard`]) — and
-//! the alternatives the paper names (edit distance, Soft TF-IDF) plus a few
-//! standard extras (Jaro/Jaro-Winkler, token cosine, numeric proximity).
-//!
-//! [`TypeDispatch`] composes per-kind metrics into one `simv` covering the
-//! whole [`Value`] domain; it is what `hera-core` uses by default.
+//! crate is that black box: the [`ValueSimilarity`] trait, and the one
+//! instance of it the paper runs — **Jaccard over 2-grams** for strings
+//! ([`QGramJaccard`]) and proximity for numbers ([`NumericProximity`]),
+//! composed per value kind by [`TypeDispatch`]. Every shipped path (the
+//! driver, a session, the service, the baselines, the benchmarks) runs
+//! [`TypeDispatch::paper_default`]; a caller that wants another metric
+//! implements the trait and hands it to the builder. [`EditSimilarity`]
+//! is the non-gram metric the join's tests exercise that door with.
 //!
 //! All metrics guarantee:
 //! * range: `sim(a, b) ∈ [0, 1]`,
@@ -23,26 +24,16 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod cosine;
 mod dispatch;
 mod edit;
 mod jaccard;
-mod jaro;
-mod monge_elkan;
 mod numeric;
-mod setsim;
-mod softtfidf;
 pub mod text;
 
-pub use cosine::CosineTf;
 pub use dispatch::TypeDispatch;
 pub use edit::EditSimilarity;
 pub use jaccard::QGramJaccard;
-pub use jaro::{Jaro, JaroWinkler};
-pub use monge_elkan::MongeElkan;
 pub use numeric::NumericProximity;
-pub use setsim::{DiceQGram, OverlapQGram, TokenJaccard};
-pub use softtfidf::SoftTfIdf;
 
 use hera_types::Value;
 
@@ -54,6 +45,16 @@ pub trait ValueSimilarity: Send + Sync {
     /// Short metric name for reports.
     fn name(&self) -> &'static str;
 
+    /// The metric with its parameters, e.g. `qgram-jaccard(q=2,fold=true)`:
+    /// two metrics that may score a pair differently must have different
+    /// fingerprints. A session's snapshot records it, and a restore under
+    /// a metric with another fingerprint is refused. Defaults to
+    /// [`ValueSimilarity::name`], which is enough for a metric without
+    /// parameters.
+    fn fingerprint(&self) -> String {
+        self.name().to_owned()
+    }
+
     /// Declares that this metric's *string* comparison is exactly Jaccard
     /// over case-folded q-grams of the text rendering, returning the gram
     /// length. Consumers (the similarity join) may then score string
@@ -63,25 +64,6 @@ pub trait ValueSimilarity: Send + Sync {
     /// return `None` (the default).
     fn qgram_compatible(&self) -> Option<usize> {
         None
-    }
-}
-
-/// Exact equality metric: 1 if [`Value::same`] holds, else 0. Useful as a
-/// strict baseline and for key-like attributes.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ExactMatch;
-
-impl ValueSimilarity for ExactMatch {
-    fn sim(&self, a: &Value, b: &Value) -> f64 {
-        if a.same(b) {
-            1.0
-        } else {
-            0.0
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "exact"
     }
 }
 
@@ -128,31 +110,6 @@ pub(crate) mod test_support {
         }
         if a.is_null() || b.is_null() {
             assert_eq!(s_ab, 0.0, "{}: null must score 0", m.name());
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn exact_match() {
-        let m = ExactMatch;
-        assert_eq!(m.sim(&Value::from("a"), &Value::from("a")), 1.0);
-        assert_eq!(m.sim(&Value::from("a"), &Value::from("b")), 0.0);
-        assert_eq!(m.sim(&Value::Null, &Value::Null), 0.0);
-        assert_eq!(m.sim(&Value::from(3i64), &Value::from(3.0)), 1.0);
-        assert_eq!(m.name(), "exact");
-    }
-
-    proptest::proptest! {
-        #[test]
-        fn exact_invariants(
-            a in test_support::any_value(),
-            b in test_support::any_value()
-        ) {
-            test_support::check_invariants(&ExactMatch, &a, &b);
         }
     }
 }

@@ -65,6 +65,10 @@ impl ValueSimilarity for NumericProximity {
     fn name(&self) -> &'static str {
         "numeric"
     }
+
+    fn fingerprint(&self) -> String {
+        format!("numeric(scale={})", self.scale)
+    }
 }
 
 #[cfg(test)]
@@ -94,6 +98,13 @@ mod tests {
         let m = NumericProximity::new(2.0);
         assert_eq!(m.sim(&Value::from(3i64), &Value::from(3.0)), 1.0);
         assert!((m.sim(&Value::from(3i64), &Value::from(4.0)) - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn fingerprint_names_the_scale() {
+        let (one, five) = (NumericProximity::new(1.0), NumericProximity::new(5.0));
+        assert_ne!(one.fingerprint(), five.fingerprint());
+        assert_eq!(one.fingerprint(), NumericProximity::default().fingerprint());
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Text normalization, q-gram extraction, and tokenization.
+//! Text normalization and q-gram extraction.
 //!
 //! The paper's worked examples (Example 3/4) imply the following q-gram
 //! convention, which we reproduce exactly:
@@ -123,11 +123,6 @@ pub fn jaccard_of_sets<T: Ord>(a: &[T], b: &[T]) -> f64 {
     let inter = intersection_size(a, b);
     let union = a.len() + b.len() - inter;
     inter as f64 / union as f64
-}
-
-/// Splits folded text into whitespace-delimited word tokens.
-pub(crate) fn word_tokens(s: &str) -> Vec<String> {
-    fold(s).split_whitespace().map(|t| t.to_owned()).collect()
 }
 
 /// A 128-bit occupancy sketch of a gram-token set: bit `t mod 128` is set
@@ -262,12 +257,6 @@ mod tests {
     fn intersection_size_basic() {
         assert_eq!(intersection_size(&[1, 3, 5], &[2, 3, 5, 7]), 2);
         assert_eq!(intersection_size(&[], &[1]), 0);
-    }
-
-    #[test]
-    fn word_tokens_fold_and_split() {
-        assert_eq!(word_tokens("Product  Manager"), vec!["product", "manager"]);
-        assert!(word_tokens("   ").is_empty());
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! | module | crate | contents |
 //! |---|---|---|
 //! | [`types`] | `hera-types` | records, schemas, values, datasets, ground truth, JSON |
-//! | [`sim`] | `hera-sim` | pluggable value-similarity metrics (q-gram Jaccard, edit, Jaro-Winkler, cosine, Soft TF-IDF, numeric) |
+//! | [`sim`] | `hera-sim` | the value-similarity black box and the paper's instance of it (2-gram Jaccard for text, numeric proximity, routed by kind); edit similarity |
 //! | [`join`] | `hera-join` | similarity self-join (inverted q-gram index + prefix filter), batch and incremental |
 //! | [`block`] | `hera-block` | blocking & meta-blocking: token / q-gram / MinHash-LSH candidate generation |
 //! | [`obs`] | `hera-obs` | structured run journal: spans, counters, merge/promotion events (JSON Lines) |
@@ -96,11 +96,7 @@ pub use hera_serve::{
     ErService, ErServiceBuilder, IngestReply, LoggedPass, LookupReply, LookupSample, RunLog,
     Schedule, ScheduledOp, ServeClient, TcpClient,
 };
-pub use hera_sim::{
-    CosineTf, DiceQGram, EditSimilarity, ExactMatch, Jaro, JaroWinkler, MongeElkan,
-    NumericProximity, OverlapQGram, QGramJaccard, SoftTfIdf, TokenJaccard, TypeDispatch,
-    ValueSimilarity,
-};
+pub use hera_sim::{EditSimilarity, NumericProximity, QGramJaccard, TypeDispatch, ValueSimilarity};
 pub use hera_types::{
     motivating_example, CanonAttrId, CsvImporter, Dataset, DatasetBuilder, EntityId, GroundTruth,
     HeraError, Label, Record, RecordId, Result, Schema, SchemaId, SchemaRegistry, SourceAttr,
@@ -285,6 +281,19 @@ pub use hera_types::{
 /// fn nodes(graph: &hera_matching::BipartiteGraph) -> usize {
 ///     graph.left_count() + graph.right_count()
 /// }
+/// ```
+///
+/// Metrics no shipped path ran, and the setters that swapped a leg of
+/// the paper's stack: every path runs `TypeDispatch::paper_default`, and
+/// another metric is a `ValueSimilarity` handed to the builder whole.
+///
+/// ```compile_fail
+/// fn named(_: hera::SoftTfIdf) {}
+/// ```
+///
+/// ```compile_fail
+/// let _ = hera::TypeDispatch::paper_default()
+///     .with_string_metric(std::sync::Arc::new(hera::EditSimilarity));
 /// ```
 ///
 /// Config knobs no run set: the voter's prior, gate and minimum vote

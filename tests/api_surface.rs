@@ -48,18 +48,15 @@ mod flat_names {
     use hera::Clock;
     use hera::CollectiveEr;
     use hera::CorrelationClustering;
-    use hera::CosineTf;
     use hera::CsvImporter;
     use hera::DatagenConfig;
     use hera::Dataset;
     use hera::DatasetBuilder;
-    use hera::DiceQGram;
     use hera::Domain;
     use hera::EditSimilarity;
     use hera::EntityId;
     use hera::ErService;
     use hera::ErServiceBuilder;
-    use hera::ExactMatch;
     use hera::ExchangePlan;
     use hera::FaultInjector;
     use hera::FaultKind;
@@ -79,8 +76,6 @@ mod flat_names {
     use hera::IncrementalJoin;
     use hera::IngestReply;
     use hera::InstanceVerifier;
-    use hera::Jaro;
-    use hera::JaroWinkler;
     use hera::JoinConfig;
     use hera::JournalBuffer;
     use hera::Label;
@@ -89,10 +84,8 @@ mod flat_names {
     use hera::LookupSample;
     use hera::ManualClock;
     use hera::MergeEvent;
-    use hera::MongeElkan;
     use hera::NestLoopVerifier;
     use hera::NumericProximity;
-    use hera::OverlapQGram;
     use hera::PairMetrics;
     use hera::ProgressiveReport;
     use hera::QGramJaccard;
@@ -115,14 +108,12 @@ mod flat_names {
     use hera::ServeClient;
     use hera::SimilarityJoin;
     use hera::Snapshot;
-    use hera::SoftTfIdf;
     use hera::SourceAttr;
     use hera::SourceAttrId;
     use hera::SuperRecord;
     use hera::SystemClock;
     use hera::TcpClient;
     use hera::Tgd;
-    use hera::TokenJaccard;
     use hera::TypeDispatch;
     use hera::UnionFind;
     use hera::Value;
@@ -178,6 +169,7 @@ fn ledger_methods_exist() {
     let _ = hera::ErServiceBuilder::workers;
     let _ = hera::ErServiceBuilder::build;
     let _ = hera::IncrementalJoin::new;
+    let _: fn() -> hera::TypeDispatch = hera::TypeDispatch::paper_default;
     let _ = hera::IncrementalJoin::insert_among;
     let _ = hera::ValuePairIndex::bounds;
     let _ = hera::ValuePairIndex::stats;

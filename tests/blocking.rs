@@ -7,6 +7,9 @@
 //! dataset (so a silent recall regression fails tier-1; this is the
 //! repo's pair-completeness gate, qgram ≥ 0.95).
 
+mod common;
+
+use common::ByKind;
 use hera::join::{JoinConfig, SimilarityJoin, ValuePair};
 use hera::sim::{EditSimilarity, TypeDispatch, ValueSimilarity};
 use hera::types::RecordId;
@@ -97,7 +100,7 @@ proptest::proptest! {
 /// scan scores every value of the co-blocked records with the metric.
 #[test]
 fn blocked_join_is_the_all_pairs_join_restricted_under_edit_similarity() {
-    let metric = TypeDispatch::paper_default().with_string_metric(Arc::new(EditSimilarity));
+    let metric = ByKind::new(EditSimilarity, 1.0);
     assert_blocked_join_is_restricted_exhaustive(&dataset(5, 120), Arc::new(metric), 2);
 }
 

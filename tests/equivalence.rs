@@ -3,6 +3,9 @@
 //! grouped index vs the paper-literal flat index, and Algorithm-1 bounds
 //! vs the exact similarity.
 
+mod common;
+
+use common::ByKind;
 use hera::sim::ValueSimilarity;
 use hera::types::{Label, Value};
 use hera::{
@@ -151,7 +154,7 @@ fn join_prefix_filter_is_lossless() {
 #[test]
 fn batch_and_incremental_join_agree_under_edit_similarity() {
     let ds = dataset(6);
-    let metric = TypeDispatch::paper_default().with_string_metric(Arc::new(EditSimilarity));
+    let metric = ByKind::new(EditSimilarity, 1.0);
     assert_eq!(metric.qgram_compatible(), None);
     let values: Vec<(Label, Value)> = ds
         .iter()

@@ -6,7 +6,13 @@
 //! truncated, and version-skewed snapshot files fail with typed errors
 //! instead of poisoning a session. See DESIGN.md ("Persistence").
 
-use hera::{Ablation, HeraConfig, HeraError, HeraSession, Recorder, RunStats, SchemaId};
+mod common;
+
+use common::ByKind;
+use hera::{
+    Ablation, EditSimilarity, HeraConfig, HeraError, HeraSession, Recorder, RunStats, SchemaId,
+    TypeDispatch, ValueSimilarity,
+};
 use hera_datagen::{CorruptionConfig, DatagenConfig, Generator};
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -401,6 +407,45 @@ fn blocker_member_naming_an_unknown_record_is_rejected_as_corrupt() {
             Ok(_) => panic!("blocker member naming record {unknown} accepted"),
         }
     }
+    std::fs::remove_file(&path).ok();
+}
+
+/// A snapshot names the metric it was written under, and a builder
+/// holding another one is refused: under edit similarity the restored
+/// session would go on joining values the checkpointing session never
+/// paired. A file without the key was written under the paper default.
+#[test]
+fn restore_under_another_metric_is_refused() {
+    let path = real_snapshot("metric-skew");
+    let edit = ByKind::new(EditSimilarity, 1.0);
+    let (ours, theirs) = (
+        TypeDispatch::paper_default().fingerprint(),
+        edit.fingerprint(),
+    );
+    let refused = |path: &PathBuf| {
+        let builder = HeraSession::builder(HeraConfig::new(0.5, 0.5));
+        match builder
+            .metric(std::sync::Arc::new(edit.clone()))
+            .restore(path)
+        {
+            Err(HeraError::InvalidConfig(msg)) => msg,
+            other => panic!("expected InvalidConfig, got {:?}", other.map(|s| s.len())),
+        }
+    };
+    let msg = refused(&path);
+    assert!(msg.contains(&ours) && msg.contains(&theirs), "{msg}");
+    assert!(restore(&path).is_ok());
+
+    let mut snap = hera::Snapshot::read(&path).unwrap();
+    let Some(hera::types::json::Json::Obj(mut config)) = snap.get("config").cloned() else {
+        panic!("config section is an object");
+    };
+    assert_eq!(config.iter().filter(|(k, _)| k == "metric").count(), 1);
+    config.retain(|(k, _)| k != "metric");
+    snap.insert("config", hera::types::json::Json::Obj(config));
+    snap.write(&path).unwrap();
+    assert!(refused(&path).contains(&ours));
+    assert!(restore(&path).is_ok());
     std::fs::remove_file(&path).ok();
 }
 
