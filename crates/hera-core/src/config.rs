@@ -92,12 +92,6 @@ pub struct HeraConfig {
     pub bound_mode: BoundMode,
     /// The part of the method switched off, for the A2/A3 ablations.
     pub ablation: Ablation,
-    /// Run full index-invariant checks after every iteration (normalized
-    /// keys, similarity-descending groups, partner symmetry, counts).
-    /// Costs a full index scan per iteration — for tests and debugging.
-    /// A broken invariant ends a batch run with `HeraError::Corrupt`
-    /// and panics a streaming session's `resolve` with the same message.
-    pub validate_index: bool,
     /// Worker threads for the parallel stages (blocking-key extraction,
     /// join verification and candidate verification). `0` auto-detects
     /// the available cores.
@@ -124,7 +118,6 @@ impl HeraConfig {
             xi,
             bound_mode: BoundMode::Sound,
             ablation: Ablation::None,
-            validate_index: false,
             num_threads: 0,
             blocking: BlockingScheme::None,
         }
@@ -147,12 +140,6 @@ impl HeraConfig {
         self
     }
 
-    /// Enables per-iteration index-invariant validation (tests/debug).
-    pub fn with_index_validation(mut self) -> Self {
-        self.validate_index = true;
-        self
-    }
-
     /// Sets the worker-thread count for the parallel stages (`0` = auto).
     pub fn with_threads(mut self, num_threads: usize) -> Self {
         self.num_threads = num_threads;
@@ -168,8 +155,8 @@ impl HeraConfig {
 
     /// A snapshot's `config` section: every field that shapes a
     /// decision, and the fingerprint of `metric`, the session's value
-    /// similarity. Threads and index validation change no outcome and
-    /// are the restoring caller's.
+    /// similarity. The thread count changes no outcome and is the
+    /// restoring caller's.
     pub(crate) fn to_json(&self, metric: &dyn ValueSimilarity) -> Json {
         Json::Obj(vec![
             ("xi".into(), Json::Float(self.xi)),
@@ -185,11 +172,11 @@ impl HeraConfig {
     /// section recorded; a key the section lacks (files written before
     /// it was recorded) takes [`HeraConfig::paper_example`]'s value, and
     /// a missing metric is [`TypeDispatch::paper_default`].
-    /// `num_threads` and `validate_index` stay this config's. A threshold
-    /// outside `[0, 1]` or a name no field value has is `Corrupt`; a
-    /// recorded metric whose fingerprint is not `metric`'s is
-    /// `InvalidConfig`, since the session would go on scoring values
-    /// differently from the one that wrote the file.
+    /// `num_threads` stays this config's. A threshold outside `[0, 1]` or
+    /// a name no field value has is `Corrupt`; a recorded metric whose
+    /// fingerprint is not `metric`'s is `InvalidConfig`, since the
+    /// session would go on scoring values differently from the one that
+    /// wrote the file.
     pub(crate) fn adopt(&self, config: &Json, metric: &dyn ValueSimilarity) -> Result<Self> {
         let text = |j: &Json| Ok(Some(j.as_str()?.to_owned()));
         let recorded_metric = recorded(
@@ -213,7 +200,7 @@ impl HeraConfig {
             blocking: recorded(config, "blocking", paper.blocking, scheme)?,
             bound_mode: recorded(config, "bound_mode", paper.bound_mode, named(BOUND_MODES))?,
             ablation: recorded(config, "ablation", paper.ablation, named(ABLATIONS))?,
-            ..self.clone()
+            num_threads: self.num_threads,
         })
     }
 }
@@ -263,7 +250,7 @@ mod tests {
 
     /// What the `config` section records is what adoption reads back,
     /// for every ablation and bound mode; the adopting config keeps its
-    /// own threads and validation.
+    /// own threads.
     #[test]
     fn adopt_reads_back_every_recorded_field() {
         for ablation in [
@@ -277,15 +264,13 @@ mod tests {
                     .with_bound_mode(mode)
                     .with_blocking(BlockingScheme::token())
                     .with_threads(2);
-                let restorer = HeraConfig::paper_example()
-                    .with_threads(5)
-                    .with_index_validation();
+                let restorer = HeraConfig::paper_example().with_threads(5);
                 let paper = TypeDispatch::paper_default();
                 let c = restorer.adopt(&recorded.to_json(&paper), &paper).unwrap();
                 assert_eq!((c.delta, c.xi), (0.7, 0.6));
                 assert_eq!((c.ablation, c.bound_mode), (ablation, mode));
                 assert_eq!(c.blocking, BlockingScheme::token());
-                assert_eq!((c.num_threads, c.validate_index), (5, true));
+                assert_eq!(c.num_threads, 5);
             }
         }
     }

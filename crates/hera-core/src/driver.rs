@@ -1,11 +1,11 @@
 //! The HERA driver — Algorithm 2 (§V).
 
 use crate::config::{HeraConfig, MAX_ITERATIONS};
-use crate::engine::{Ctx, Engine, StageAgg};
+use crate::engine::{incremental_join, Ctx, Engine, StageAgg};
 use crate::stats::RunStats;
 use crate::voter::DecidedMatching;
 use hera_index::{BoundsScratch, ValuePairIndex};
-use hera_join::{Among, IncrementalJoin, JoinConfig, SimilarityJoin};
+use hera_join::{Among, JoinConfig, SimilarityJoin};
 use hera_sim::{TypeDispatch, ValueSimilarity};
 use hera_types::json::Json;
 use hera_types::{Dataset, HeraError, Label, Result};
@@ -125,10 +125,10 @@ impl Hera {
     /// Without blocking this is [`SimilarityJoin::join_dataset`]. Under a
     /// blocking scheme the blocker picks the record pairs and a session's
     /// scan compares them: every record is registered in one
-    /// [`IncrementalJoin`], then scanned against its earlier co-blocked
-    /// records, on `num_threads` workers. The output is the all-pairs
-    /// join restricted to the blocker's record pairs — same labels, same
-    /// similarity bits, same order.
+    /// [`hera_join::IncrementalJoin`], then scanned against its earlier
+    /// co-blocked records, on `num_threads` workers. The output is the
+    /// all-pairs join restricted to the blocker's record pairs — same
+    /// labels, same similarity bits, same order.
     ///
     /// # Panics
     /// Under a blocking scheme, if ξ is 0: as in a session, the scan's
@@ -155,7 +155,7 @@ impl Hera {
         for &(a, b) in &blocked.pairs {
             earlier[b as usize].push(a);
         }
-        let mut join = IncrementalJoin::new(self.config.xi, 2, self.metric.clone());
+        let mut join = incremental_join(self.config.xi, &self.metric);
         let scans: Vec<_> = ds
             .iter()
             .zip(&earlier)
@@ -390,7 +390,7 @@ impl BatchRound<'_, '_> {
         round.stage(false, &verify_list);
 
         let merged = round.merged;
-        engine.end_round(ctx, &mark).map_err(HeraError::Corrupt)?;
+        engine.end_round(ctx, &mark);
         Ok(merged)
     }
 
@@ -584,12 +584,38 @@ mod tests {
         assert!(result.schema_matchings.is_empty());
     }
 
+    /// In this crate's tests `Engine::end_round` checks the index
+    /// invariants after every round and panics on a broken one.
     #[test]
     fn index_invariants_hold_throughout_run() {
         let ds = motivating_example();
-        let cfg = HeraConfig::paper_example().with_index_validation();
-        let result = Hera::builder(cfg).build().run(&ds).unwrap();
+        let result = Hera::builder(HeraConfig::paper_example())
+            .build()
+            .run(&ds)
+            .unwrap();
         assert_eq!(result.entity_count(), 2);
+    }
+
+    /// The same per-round check through a whole run on four workers,
+    /// over a generated dataset big enough that every stage fans out.
+    #[test]
+    fn parallel_run_keeps_index_invariants() {
+        let ds = hera_datagen::Generator::new(hera_datagen::DatagenConfig {
+            name: "parallel-test".into(),
+            seed: 4242,
+            n_records: 400,
+            n_entities: 60,
+            n_attrs: 12,
+            n_sources: 4,
+            min_source_attrs: 6,
+            max_source_attrs: 10,
+            corruption: hera_datagen::CorruptionConfig::moderate(),
+            domain: Default::default(),
+        })
+        .generate();
+        let cfg = HeraConfig::new(0.5, 0.5).with_threads(4);
+        let result = Hera::builder(cfg).build().run(&ds).unwrap();
+        assert!(result.stats.merges > 0);
     }
 
     #[test]

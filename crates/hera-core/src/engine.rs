@@ -15,11 +15,22 @@ use crate::super_record::{LabelRemap, SharedAttrs, SuperRecord};
 use crate::verify::{InstanceVerifier, Verification, VerifyScratch};
 use crate::voter::SchemaVoter;
 use hera_index::{Bounds, BoundsScratch, RankedCandidate, UnionFind, ValuePairIndex};
+use hera_join::IncrementalJoin;
 use hera_obs::Recorder;
 use hera_sim::ValueSimilarity;
 use hera_types::{Dataset, Schema, SchemaRegistry, Value};
 use rustc_hash::{FxHashMap, FxHashSet};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// The incremental join a session ingests through and a blocked batch
+/// join scans with: threshold `xi`, and text grammed at the length the
+/// metric declares ([`ValueSimilarity::qgram_compatible`], 2 when it
+/// declares none), the length the batch [`hera_join::SimilarityJoin`]
+/// grams at.
+pub(crate) fn incremental_join(xi: f64, metric: &Arc<dyn ValueSimilarity>) -> IncrementalJoin {
+    IncrementalJoin::new(xi, metric.qgram_compatible().unwrap_or(2), metric.clone())
+}
 
 /// What a schedule lends the engine for one call: the configuration,
 /// the journal, the schema registry and the verifier built from the
@@ -363,15 +374,11 @@ impl Engine {
         (self.stats.merges - mark.merges) as i64
     }
 
-    /// Closes a round: records its metric calls, journals `round_end`
-    /// and the round's share of the loop timers and, under
-    /// [`HeraConfig::validate_index`], checks the index invariants — the
-    /// error names the broken one.
-    pub(crate) fn end_round(
-        &mut self,
-        ctx: &Ctx<'_>,
-        mark: &RoundMark,
-    ) -> std::result::Result<(), String> {
+    /// Closes a round: records its metric calls and journals `round_end`
+    /// and the round's share of the loop timers. In the crate's own tests
+    /// it also checks the index invariants, and panics naming the broken
+    /// one.
+    pub(crate) fn end_round(&mut self, ctx: &Ctx<'_>, mark: &RoundMark) {
         self.stats
             .metric_calls_by_round
             .push(self.stats.metric_sim_calls - mark.metric_calls);
@@ -389,13 +396,11 @@ impl Engine {
             ctx.rec
                 .timing(stage, Some(mark.round), now[k] - mark.loop_times[k]);
         }
-        if ctx.cfg.validate_index {
+        #[cfg(test)]
+        if let Err(broken) = self.index.check_invariants() {
             let round = mark.round;
-            self.index
-                .check_invariants()
-                .map_err(|e| format!("index invariant broken after iteration {round}: {e}"))?;
+            panic!("index invariant broken after iteration {round}: {broken}");
         }
-        Ok(())
     }
 
     /// Seals the counters at the end of a run or a resolve call that

@@ -1,9 +1,8 @@
 //! The paper-literal flat index: one sorted array, probed by two nested
 //! binary searches (Definition 6 / Algorithm 1 lines 4–5).
 //!
-//! Kept alongside [`ValuePairIndex`](crate::ValuePairIndex) for
-//! differential testing and for benchmarking the paper's exact memory
-//! layout. Queries match the production index entry-for-entry; merge
+//! The oracle [`ValuePairIndex`](crate::ValuePairIndex) is tested
+//! against. Queries match the production index entry-for-entry; merge
 //! maintenance is the naive relabel-and-resort (`O(|𝒱| log |𝒱|)`), which
 //! is the cost the grouped index's re-homing avoids.
 
@@ -12,7 +11,7 @@ use hera_types::Label;
 
 /// Flat sorted value-pair index.
 #[derive(Debug, Clone, Default)]
-pub struct FlatIndex {
+struct FlatIndex {
     /// Sorted by `(rid₁, rid₂, sim desc, labels)`. Each position is the
     /// entry's `pid` (the paper numbers them from 1; we are 0-based).
     entries: Vec<ValuePair>,
@@ -20,7 +19,7 @@ pub struct FlatIndex {
 
 impl FlatIndex {
     /// Builds from a similarity-join result.
-    pub fn build(pairs: impl IntoIterator<Item = ValuePair>) -> Self {
+    fn build(pairs: impl IntoIterator<Item = ValuePair>) -> Self {
         let mut entries: Vec<ValuePair> = pairs.into_iter().collect();
         for p in &entries {
             assert!(p.a.rid < p.b.rid, "value pair must be rid-normalized");
@@ -30,23 +29,13 @@ impl FlatIndex {
     }
 
     /// `|𝒱|`.
-    pub fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.entries.len()
-    }
-
-    /// True if empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Entry at `pid` (0-based).
-    pub fn entry(&self, pid: usize) -> &ValuePair {
-        &self.entries[pid]
     }
 
     /// `binary_search_l(1, |V|, i)` of Algorithm 1: the half-open range of
     /// entries whose `rid₁ == i`.
-    pub(crate) fn rid1_range(&self, i: u32) -> std::ops::Range<usize> {
+    fn rid1_range(&self, i: u32) -> std::ops::Range<usize> {
         let lo = self.entries.partition_point(|e| e.a.rid < i);
         let hi = self.entries.partition_point(|e| e.a.rid <= i);
         lo..hi
@@ -54,11 +43,7 @@ impl FlatIndex {
 
     /// `binary_search_r(k, l, j)`: within a `rid₁` range, the sub-range
     /// with `rid₂ == j`.
-    pub(crate) fn rid2_range(
-        &self,
-        within: std::ops::Range<usize>,
-        j: u32,
-    ) -> std::ops::Range<usize> {
+    fn rid2_range(&self, within: std::ops::Range<usize>, j: u32) -> std::ops::Range<usize> {
         let slice = &self.entries[within.clone()];
         let lo = within.start + slice.partition_point(|e| e.b.rid < j);
         let hi = within.start + slice.partition_point(|e| e.b.rid <= j);
@@ -66,7 +51,7 @@ impl FlatIndex {
     }
 
     /// `𝒱ᵢⱼ` via the two nested binary searches, similarity-descending.
-    pub fn group(&self, i: u32, j: u32) -> &[ValuePair] {
+    fn group(&self, i: u32, j: u32) -> &[ValuePair] {
         let (i, j) = if i < j { (i, j) } else { (j, i) };
         let r1 = self.rid1_range(i);
         let r2 = self.rid2_range(r1, j);
@@ -76,7 +61,7 @@ impl FlatIndex {
     /// Merge maintenance, paper-naive: delete intra `(i, j)` pairs,
     /// rewrite labels of both rids through `remap`, resort the whole
     /// array.
-    pub fn merge(&mut self, i: u32, j: u32, k: u32, remap: impl Fn(Label) -> Label) {
+    fn merge(&mut self, i: u32, j: u32, k: u32, remap: impl Fn(Label) -> Label) {
         assert!(
             k == i || k == j,
             "merge target must be one of the merged rids"
@@ -101,7 +86,7 @@ impl FlatIndex {
     }
 
     /// All entries (pid order).
-    pub fn entries(&self) -> &[ValuePair] {
+    fn entries(&self) -> &[ValuePair] {
         &self.entries
     }
 }
@@ -150,6 +135,34 @@ mod tests {
         assert_eq!(g.len(), 2);
         assert!(g[0].sim >= g[1].sim);
         assert!(idx.group(2, 9).is_empty());
+    }
+
+    /// Grouped and flat indexes agree on every group of a generated
+    /// dataset's join.
+    #[test]
+    fn grouped_equals_flat_index() {
+        let ds = hera_datagen::Generator::new(hera_datagen::DatagenConfig {
+            name: "equiv".into(),
+            seed: 4,
+            n_records: 80,
+            n_entities: 15,
+            n_attrs: 10,
+            n_sources: 3,
+            min_source_attrs: 5,
+            max_source_attrs: 8,
+            corruption: hera_datagen::CorruptionConfig::moderate(),
+            domain: Default::default(),
+        })
+        .generate();
+        let metric = hera_sim::TypeDispatch::paper_default();
+        let join = hera_join::SimilarityJoin::new(hera_join::JoinConfig::new(0.5), &metric);
+        let pairs = join.join_dataset(&ds);
+        let grouped = ValuePairIndex::build(pairs.clone());
+        let flat = FlatIndex::build(pairs);
+        assert_eq!(grouped.len(), flat.len());
+        for (i, j) in grouped.record_pairs() {
+            assert_eq!(grouped.group(i, j), flat.group(i, j), "group ({i},{j})");
+        }
     }
 
     #[test]

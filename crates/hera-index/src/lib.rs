@@ -14,23 +14,22 @@
 //!   are deleted, labels are rewritten through the caller's remap, and
 //!   groups are re-homed under `k`, in `O(|𝒱̂ᵢⱼ| log |𝒱|)`.
 //!
-//! Two physical layouts implement the same logical structure:
-//! [`ValuePairIndex`] (tombstoned partner rows over a packed group
-//! store, the production structure) and [`FlatIndex`] (the paper's
-//! literal flat sorted array probed by nested binary search, kept as the
-//! differential oracle and for the bench suite).
+//! [`ValuePairIndex`] implements it as tombstoned partner rows over a
+//! packed group store. The paper's literal layout, one flat sorted array
+//! probed by two nested binary searches, lives in the crate's tests as
+//! the differential oracle the index is checked against.
 //! [`UnionFind`] tracks record → super-record identity (Prop. 3).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod bounds;
+#[cfg(test)]
 mod flat;
 mod index;
 mod union_find;
 
 pub use bounds::{BoundMode, Bounds, BoundsScratch, FieldPairSim};
-pub use flat::FlatIndex;
 pub use index::{IndexStats, RankedCandidate, ValuePairIndex};
 pub use union_find::{Grouping, UnionFind};
 

@@ -54,10 +54,10 @@
 //!    filters are sound for q-gram Jaccard, so the output is what scoring
 //!    every row would give.
 //!
-//! Every scan therefore emits exactly the pairs the exhaustive batch join
-//! (`JoinConfig::exhaustive`) finds between the scanned record and the
-//! records it gathered, under any metric: a metric that declares no gram
-//! compatibility has every gathered row scored.
+//! Every scan therefore emits exactly the pairs an all-pairs join (the
+//! metric asked about every pair of values) finds between the scanned
+//! record and the records it gathered, under any metric: a metric that
+//! declares no gram compatibility has every gathered row scored.
 //!
 //! The neighbourhood stays materialised. Testing each stored row of the
 //! allowed records against the record's values directly, through
@@ -718,7 +718,7 @@ mod tests {
     }
 
     /// Record `rid`'s values under `(rid, fid, 0)`, nulls dropped: what
-    /// the batch join reads of a record [`Lent::insert`] takes whole.
+    /// the batch join reads of a record [`Lent::ingest`] takes whole.
     fn labeled(rid: u32, values: &[Value]) -> impl Iterator<Item = (Label, Value)> + '_ {
         let labeled = (0u32..)
             .zip(values)
@@ -768,7 +768,7 @@ mod tests {
         /// Record `rid` inserted the way a session's join pass inserts
         /// it: its values registered, then scanned against the records
         /// `among` names.
-        fn insert(&mut self, rid: u32, values: &[Value], among: Among<'_>) -> Vec<ValuePair> {
+        fn ingest(&mut self, rid: u32, values: &[Value], among: Among<'_>) -> Vec<ValuePair> {
             let entries = self.join.register_record(rid, values);
             self.values.extend(labeled(rid, values));
             let lent = &self.values;
@@ -844,7 +844,7 @@ mod tests {
             let mut inc = Lent::new(xi, Arc::new(metric.clone()));
             let mut streamed: Vec<ValuePair> = Vec::new();
             for (rid, values) in (0u32..).zip(&records) {
-                streamed.extend(inc.insert(rid, values, Among::Earlier));
+                streamed.extend(inc.ingest(rid, values, Among::Earlier));
             }
             streamed.sort_unstable_by(crate::output_order);
             assert_eq!(streamed, batch, "xi = {xi}");
@@ -873,8 +873,8 @@ mod tests {
             assert!(fast.join.fast_grams);
             assert!(!slow.join.fast_grams);
             for (rid, values) in (0u32..).zip(&records) {
-                let a = fast.insert(rid, values, Among::Earlier);
-                let b = slow.insert(rid, values, Among::Earlier);
+                let a = fast.ingest(rid, values, Among::Earlier);
+                let b = slow.ingest(rid, values, Among::Earlier);
                 assert_eq!(a, b, "xi = {xi}, inserting record {rid}");
             }
         }
@@ -891,8 +891,8 @@ mod tests {
         let moved = (Label::new(0, 2, 0), Value::from("bush@gmail"));
         let build = || {
             let mut lent = Lent::new(0.5, paper());
-            lent.insert(0, &[string.1.clone(), number.1.clone()], Among::Earlier);
-            lent.insert(1, std::slice::from_ref(&moved.1), Among::Earlier);
+            lent.ingest(0, &[string.1.clone(), number.1.clone()], Among::Earlier);
+            lent.ingest(1, std::slice::from_ref(&moved.1), Among::Earlier);
             lent.relabel(0, 1, |l| if l.rid == 1 { moved.0 } else { l });
             lent
         };
@@ -946,7 +946,7 @@ mod tests {
     fn same_record_values_never_pair() {
         let mut inc = Lent::new(0.5, paper());
         let same = || Value::from("same");
-        assert!(inc.insert(0, &[same(), same()], Among::Earlier).is_empty());
+        assert!(inc.ingest(0, &[same(), same()], Among::Earlier).is_empty());
         assert!(inc.join.insert_among(label(0, 2), same(), &[0]).is_empty());
         assert_eq!(inc.join.len(), 3);
     }
@@ -954,7 +954,7 @@ mod tests {
     #[test]
     fn nulls_are_ignored() {
         let mut inc = Lent::new(0.5, paper());
-        assert!(inc.insert(0, &[Value::Null], Among::Earlier).is_empty());
+        assert!(inc.ingest(0, &[Value::Null], Among::Earlier).is_empty());
         assert!(inc
             .join
             .insert_among(label(1, 0), Value::Null, &[0])
@@ -966,7 +966,7 @@ mod tests {
     #[test]
     fn relabel_redirects_future_pairs() {
         let mut inc = Lent::new(0.5, paper());
-        inc.insert(5, &[Value::from("bush@gmail")], Among::Earlier);
+        inc.ingest(5, &[Value::from("bush@gmail")], Among::Earlier);
         // Record 5 merged into record 1, field shifted to 3.
         inc.relabel(1, 5, |l| {
             if l.rid == 5 {
@@ -975,7 +975,7 @@ mod tests {
                 l
             }
         });
-        let pairs = inc.insert(9, &[Value::from("bush@gmail")], Among::Earlier);
+        let pairs = inc.ingest(9, &[Value::from("bush@gmail")], Among::Earlier);
         assert_eq!(pairs.len(), 1);
         assert_eq!(pairs[0].a, Label::new(1, 3, 0));
         assert_eq!(pairs[0].b, label(9, 0));
@@ -985,9 +985,9 @@ mod tests {
     fn numeric_neighbours_are_found() {
         let metric = ByKind::new(QGramJaccard::default(), 5.0);
         let mut inc = Lent::new(0.5, Arc::new(metric));
-        inc.insert(0, &[Value::from(1980i64)], Among::Earlier);
-        inc.insert(1, &[Value::from(1990i64)], Among::Earlier);
-        let pairs = inc.insert(2, &[Value::from(1981i64)], Among::Earlier);
+        inc.ingest(0, &[Value::from(1980i64)], Among::Earlier);
+        inc.ingest(1, &[Value::from(1990i64)], Among::Earlier);
+        let pairs = inc.ingest(2, &[Value::from(1981i64)], Among::Earlier);
         // 1981 vs 1980 → sim 0.8; vs 1990 → 0. Gram overlap of "1981" and
         // "1980"/"1990" also exists but numeric dispatch scores them.
         assert_eq!(pairs.len(), 1);
@@ -1021,7 +1021,7 @@ mod tests {
         ];
         let mut open = Lent::new(0.5, paper());
         for (rid, values) in (0u32..).zip(&records) {
-            open.insert(rid, values, Among::Earlier);
+            open.ingest(rid, values, Among::Earlier);
         }
         assert_eq!(open.join.len(), 4);
         open.relabel(0, 1, remap);
@@ -1036,7 +1036,7 @@ mod tests {
             assert_eq!(join.len(), 3, "len counts live entries");
             join.check_values(merged).unwrap();
         }
-        let a = open.insert(2, &[Value::from("bush@gmail")], Among::Earlier);
+        let a = open.ingest(2, &[Value::from("bush@gmail")], Among::Earlier);
         let b = by_value.insert_among(label(2, 0), Value::from("bush@gmail"), &[0]);
         assert_eq!(a, b);
         assert_eq!(
@@ -1056,13 +1056,13 @@ mod tests {
     fn retired_numeric_values_are_skipped() {
         let metric = ByKind::new(QGramJaccard::default(), 5.0);
         let mut inc = Lent::new(0.5, Arc::new(metric));
-        inc.insert(0, &[Value::from(1980i64)], Among::Earlier);
-        inc.insert(1, &[Value::from(1981i64)], Among::Earlier);
-        inc.insert(2, &[Value::from(1981i64)], Among::Earlier);
+        inc.ingest(0, &[Value::from(1980i64)], Among::Earlier);
+        inc.ingest(1, &[Value::from(1981i64)], Among::Earlier);
+        inc.ingest(2, &[Value::from(1981i64)], Among::Earlier);
         // 2 folds into 1; the two 1981s share a label, one is retired.
         inc.relabel(1, 2, |l| Label::new(1, l.fid, l.vid));
         assert_eq!(inc.join.len(), 2);
-        let pairs = inc.insert(3, &[Value::from(1982i64)], Among::Earlier);
+        let pairs = inc.ingest(3, &[Value::from(1982i64)], Among::Earlier);
         let partners: Vec<Label> = pairs.iter().map(|p| p.a).collect();
         assert_eq!(partners, vec![label(0, 0), label(1, 0)]);
     }
@@ -1073,9 +1073,9 @@ mod tests {
     #[test]
     fn registered_values_answer_like_inserted_ones() {
         let mut live = Lent::new(0.5, paper());
-        live.insert(1, &[Value::from("electronics")], Among::Earlier);
-        live.insert(2, &[Value::from(1984i64)], Among::Earlier);
-        live.insert(0, &[Value::from("electronic")], Among::Earlier);
+        live.ingest(1, &[Value::from("electronics")], Among::Earlier);
+        live.ingest(2, &[Value::from(1984i64)], Among::Earlier);
+        live.ingest(0, &[Value::from("electronic")], Among::Earlier);
         live.relabel(0, 1, |l| {
             if l.rid == 1 {
                 Label::new(0, 7, l.vid)
@@ -1091,8 +1091,8 @@ mod tests {
         rebuilt.register(label(2, 1), &Value::Null);
         assert_eq!(rebuilt.join.len(), live.join.len());
 
-        let a = live.insert(9, &[Value::from("electronic")], Among::Earlier);
-        let b = rebuilt.insert(9, &[Value::from("electronic")], Among::Earlier);
+        let a = live.ingest(9, &[Value::from("electronic")], Among::Earlier);
+        let b = rebuilt.ingest(9, &[Value::from("electronic")], Among::Earlier);
         assert_eq!(a, b);
         assert_eq!(a.len(), 2);
     }
@@ -1136,12 +1136,12 @@ mod tests {
             join
         };
         let incoming = || vec![Value::Null, Value::from("electronic")];
-        let clean = seeded().insert(7, &incoming(), Among::Records(&[0, 1, 2]));
+        let clean = seeded().ingest(7, &incoming(), Among::Records(&[0, 1, 2]));
         let partners: Vec<Label> = clean.iter().map(|p| p.a).collect();
         assert_eq!(partners, vec![label(0, 0), label(1, 0), label(2, 0)]);
         assert!(clean.iter().all(|p| p.b == label(7, 1)));
         assert_eq!(
-            seeded().insert(7, &incoming(), Among::Earlier),
+            seeded().ingest(7, &incoming(), Among::Earlier),
             clean,
             "unblocked"
         );
@@ -1152,7 +1152,7 @@ mod tests {
             ("unknown records", &[0, 1, 2, 5, 900]),
         ];
         for (case, rids) in cases {
-            let by_record = seeded().insert(7, &incoming(), Among::Records(rids));
+            let by_record = seeded().ingest(7, &incoming(), Among::Records(rids));
             assert_eq!(by_record, clean, "by record, {case}");
             let by_value = handed().insert_among(label(7, 1), Value::from("electronic"), rids);
             assert_eq!(by_value, clean, "insert_among, {case}");
@@ -1208,8 +1208,7 @@ mod tests {
         };
         for metric in metrics {
             for xi in [0.3, 0.5, 0.7, 0.9] {
-                let config = JoinConfig::new(xi).exhaustive();
-                let oracle = SimilarityJoin::new(config, metric.as_ref()).join_dataset(&ds);
+                let oracle = crate::all_pairs_of(&ds, xi, metric.as_ref());
                 for threads in [1, 2] {
                     let earlier = |rid: u32| (0..rid).collect();
                     let got = scanned(xi, metric.clone(), earlier, threads);
@@ -1236,9 +1235,9 @@ mod tests {
     fn record_door_registers_every_value() {
         let mut inc = Lent::new(0.5, paper());
         let first = vec![Value::from("same"), Value::Null, Value::from("same")];
-        assert!(inc.insert(0, &first, Among::Records(&[])).is_empty());
+        assert!(inc.ingest(0, &first, Among::Records(&[])).is_empty());
         assert_eq!(inc.join.len(), 2);
-        let pairs = inc.insert(1, &[Value::from("same")], Among::Records(&[0]));
+        let pairs = inc.ingest(1, &[Value::from("same")], Among::Records(&[0]));
         let partners: Vec<Label> = pairs.iter().map(|p| p.a).collect();
         assert_eq!(partners, vec![label(0, 0), label(0, 2)]);
     }
@@ -1289,7 +1288,7 @@ mod tests {
         /// One stream of records with merges in between, through the
         /// record scans, the one-value door and the batch oracle: on
         /// every record, the blocked record scan and the one-value door
-        /// agree with `JoinConfig::exhaustive()` over the live values of
+        /// agree with the all-pairs join over the live values of
         /// the allowed records, and the scan of every earlier record with
         /// it over *all* live values — same labels, same similarity bits,
         /// same order — under q-gram Jaccard declared and hidden, and
@@ -1327,7 +1326,6 @@ mod tests {
             let mut by_record = Lent::new(xi, metric.clone());
             let mut by_value = IncrementalJoin::new(xi, 2, metric.clone());
             let mut open = Lent::new(xi, metric.clone());
-            let oracle = SimilarityJoin::new(JoinConfig::new(xi).exhaustive(), metric.as_ref());
             let mut live = LiveValues::default();
             let mut roots: Vec<u32> = Vec::new();
             let bits = |pairs: &[ValuePair]| -> Vec<(Label, Label, u64)> {
@@ -1336,7 +1334,8 @@ mod tests {
             // The new record's pairs among `universe`, the ones an insert
             // emits, value by value in label order.
             let new_pairs = |universe: &[(Label, Value)], rid: u32| {
-                let mut pairs = oracle.join(universe);
+                let values = universe.iter().map(|(l, v)| (*l, v));
+                let mut pairs = crate::all_pairs(values, xi, metric.as_ref());
                 pairs.retain(|p| p.b.rid == rid);
                 pairs.sort_unstable_by_key(|p| (p.b.fid, p.a));
                 pairs
@@ -1357,20 +1356,20 @@ mod tests {
                     .collect();
                 let expected = new_pairs(&universe, rid);
 
-                let got = by_record.insert(rid, &values, Among::Records(&rids));
+                let got = by_record.ingest(rid, &values, Among::Records(&rids));
                 prop_assert_eq!(bits(&got), bits(&expected), "record {}, by record", rid);
                 let mut fresh = Lent::new(xi, metric.clone());
                 for (l, v) in &live.0 {
                     fresh.register(*l, v);
                 }
-                let afresh = fresh.insert(rid, &values, Among::Records(&rids));
+                let afresh = fresh.ingest(rid, &values, Among::Records(&rids));
                 prop_assert_eq!(bits(&got), bits(&afresh), "record {}, built afresh", rid);
                 let mut got = Vec::new();
                 for (l, v) in &incoming {
                     got.extend(by_value.insert_among(*l, v.clone(), &rids));
                 }
                 prop_assert_eq!(bits(&got), bits(&expected), "record {}, by value", rid);
-                let got = open.insert(rid, &values, Among::Earlier);
+                let got = open.ingest(rid, &values, Among::Earlier);
                 let expected = new_pairs(&everything, rid);
                 prop_assert_eq!(bits(&got), bits(&expected), "record {}, unblocked", rid);
 
@@ -1426,7 +1425,7 @@ mod tests {
             let mut eager = Vec::new();
             let mut entries = Vec::new();
             for ((rid, (values, _)), rids) in (0u32..).zip(&records).zip(&allowed) {
-                eager.push((open.insert(rid, values, Among::Earlier), blocked.insert(rid, values, Among::Records(rids))));
+                eager.push((open.ingest(rid, values, Among::Earlier), blocked.ingest(rid, values, Among::Records(rids))));
                 entries.push(deferred.register_record(rid, values));
             }
             let lent = |l: Label| &records[l.rid as usize].0[l.fid as usize];

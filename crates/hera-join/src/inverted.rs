@@ -438,7 +438,9 @@ mod tests {
             let edit_router = ByKind::new(EditSimilarity, 1.0);
             let metric: &dyn ValueSimilarity = if edit { &edit_router } else { &jaccard };
             let sigs: Vec<Vec<u64>> = words.iter().map(|w| folded_qgram_set(w, 2)).collect();
-            let (mut expected, _) = join(&words, JoinConfig::new(xi).exhaustive(), metric);
+            let values: Vec<Value> = words.iter().map(|w| Value::from(w.as_str())).collect();
+            let labels = (0u32..).map(|rid| Label::new(rid, 0, 0));
+            let mut expected = crate::all_pairs(labels.zip(&values), xi, metric);
             if edit {
                 // Edit similarity can pair values without a common gram;
                 // share-a-gram candidates cannot.

@@ -38,16 +38,16 @@
 //!    scored once, by the sweep.
 //!
 //! The `join` span's `candidates` counts the distinct-value pairs that
-//! were scored — the probe's survivors plus the sweep's pairs (every pair,
-//! under [`JoinConfig::exhaustive`]). It is the same at every thread count.
+//! were scored — the probe's survivors plus the sweep's pairs. It is the
+//! same at every thread count.
 //!
-//! Prefix filtering is **complete** when the verifying string metric is
-//! q-gram Jaccard with the same `q` and folding as the index (HERA's
-//! default), and the join applies it exactly then
-//! ([`ValueSimilarity::qgram_compatible`]). Under any other metric the
-//! same probe runs over full signatures with the filters off: the
-//! candidates are share-a-gram. Use [`JoinConfig::all_pairs`] for
-//! metric-agnostic exactness.
+//! The join grams text at the length the metric declares through
+//! [`ValueSimilarity::qgram_compatible`]: a metric whose string leg is
+//! folded q-gram Jaccard (HERA's default, `q = 2`) declares its `q`, and
+//! then the prefix filter is **complete** and every string pair is scored
+//! from the signatures. Under any other metric the same probe runs over
+//! full 2-gram signatures with the filters off: the candidates are
+//! share-a-gram, so a string pair with no gram in common is never scored.
 //!
 //! # Under a blocking scheme
 //!
@@ -58,10 +58,11 @@
 //! earlier records or its blocker's candidates, or the batch blocked
 //! join's earlier co-blocked records — scoring from values its caller
 //! lends, since it stores none. Under any metric a scan emits exactly
-//! the pairs [`JoinConfig::exhaustive`] finds between the scanned record
-//! and those records, so streaming ingest finds a superset of the
-//! share-a-gram pairs, and the blocked batch join is the all-pairs join
-//! restricted to the blocker's record pairs.
+//! the pairs an all-pairs join (the metric asked about every pair of
+//! values) finds between the scanned record and those records, so
+//! streaming ingest finds a superset of the share-a-gram pairs, and the
+//! blocked batch join is the all-pairs join restricted to the blocker's
+//! record pairs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -74,7 +75,6 @@ pub use incremental::{Among, IncrementalJoin};
 
 use hera_sim::text::{folded_qgram_set, jaccard_of_sets, GramSketch};
 use hera_sim::ValueSimilarity;
-use hera_types::parallel::par_map_blocks;
 use hera_types::{Dataset, Label, Value};
 use rustc_hash::FxHashMap;
 use std::time::Instant;
@@ -90,17 +90,13 @@ pub struct ValuePair {
     pub sim: f64,
 }
 
-/// Similarity-join configuration.
+/// Similarity-join configuration. The gram length is the metric's
+/// ([`ValueSimilarity::qgram_compatible`]), or 2 for a metric that
+/// declares none.
 #[derive(Debug, Clone, Copy)]
 pub struct JoinConfig {
     /// Value-similarity threshold ξ (Definition 7).
     pub xi: f64,
-    /// Gram length for the inverted index (match the verifying metric's
-    /// `q`; the paper uses 2).
-    pub q: usize,
-    /// Skip all filtering and verify every distinct-value pair —
-    /// metric-agnostic ground truth, quadratic cost.
-    pub all_pairs: bool,
     /// Worker threads for the probe and verification
     /// ([`hera_types::parallel`]): `0` auto-detects from the machine, `1`
     /// forces the sequential path. The output is bit-identical for every
@@ -109,21 +105,10 @@ pub struct JoinConfig {
 }
 
 impl JoinConfig {
-    /// Paper defaults: ξ = 0.5, q = 2, the filtered probe.
+    /// Threshold ξ, worker count auto-detected.
     pub fn new(xi: f64) -> Self {
         assert!((0.0..=1.0).contains(&xi), "xi must be in [0,1]");
-        Self {
-            xi,
-            q: 2,
-            all_pairs: false,
-            num_threads: 0,
-        }
-    }
-
-    /// Switches to exhaustive verification.
-    pub fn exhaustive(mut self) -> Self {
-        self.all_pairs = true;
-        self
+        Self { xi, num_threads: 0 }
     }
 
     /// Sets the worker count (`0` = auto-detect).
@@ -146,8 +131,8 @@ pub(crate) struct Side<'a> {
     pub(crate) sketch: GramSketch,
 }
 
-/// True iff [`score`] scores a pair from the two signatures: the metric's
-/// string leg is q-gram Jaccard at the join's `q` (`fast_grams`), and
+/// True iff [`score`] scores a pair from the two signatures: the metric
+/// declares a gram length, which the join grams at (`fast_grams`), and
 /// the pair is not two numbers.
 #[inline]
 pub(crate) fn scores_grams(fast_grams: bool, a_is_num: bool, b_is_num: bool) -> bool {
@@ -157,8 +142,8 @@ pub(crate) fn scores_grams(fast_grams: bool, a_is_num: bool, b_is_num: bool) -> 
 /// The join's one scoring decision, shared by the batch probe and the
 /// incremental scan: `Some(sim)` iff `sim(a, b) ≥ ξ`.
 ///
-/// Two numbers, or any pair under a metric whose string leg is not q-gram
-/// Jaccard at the join's `q` (`fast_grams` off), ask the black-box metric.
+/// Two numbers, or any pair under a metric that declares no gram length
+/// (`fast_grams` off), ask the black-box metric.
 /// Every other pair is scored from the signatures — the same value by the
 /// [`ValueSimilarity::qgram_compatible`] contract, without re-tokenizing —
 /// after the sketch's upper bound on that Jaccard: the bound is sound, so
@@ -212,12 +197,7 @@ impl<'m> SimilarityJoin<'m> {
     /// Joins all values of a dataset: every field of every record
     /// contributes one labeled value (`vid = 0`, base records).
     pub fn join_dataset(&self, ds: &Dataset) -> Vec<ValuePair> {
-        self.join_refs(ds.iter().flat_map(|rec| {
-            let values = rec.values.iter().enumerate();
-            values
-                .filter(|(_, v)| !v.is_null())
-                .map(|(fid, v)| (Label::new(rec.id.raw(), fid as u32, 0), v))
-        }))
+        self.join_refs(dataset_values(ds))
     }
 
     /// Joins an explicit labeled value collection.
@@ -243,7 +223,7 @@ impl<'m> SimilarityJoin<'m> {
 
         // 2. Pairs *across* distinct values `i < j`: scored once, expanded
         // to label pairs on the spot.
-        let JoinConfig { xi, q, .. } = self.config;
+        let xi = self.config.xi;
         let expand = |out: &mut Vec<ValuePair>, i: usize, j: usize, s: f64| {
             for &a in &distinct[i].1 {
                 for &b in &distinct[j].1 {
@@ -251,76 +231,54 @@ impl<'m> SimilarityJoin<'m> {
                 }
             }
         };
-        let n = distinct.len();
-        let (mut out, candidates) = if self.config.all_pairs {
-            // The oracle: no signature, no filter, the metric on every pair.
-            let every_pair: Vec<(usize, usize)> = (0..n)
-                .flat_map(|i| (i + 1..n).map(move |j| (i, j)))
-                .collect();
-            let out = par_map_blocks(
-                self.config.num_threads,
-                &every_pair,
-                || (),
-                |(), block| {
-                    let mut out = Vec::new();
-                    for &(i, j) in block {
-                        let s = self.metric.sim(distinct[i].0, distinct[j].0);
-                        if s >= xi {
-                            expand(&mut out, i, j, s);
-                        }
-                    }
-                    out
-                },
-            );
-            (out, every_pair.len())
-        } else {
-            // Gram signatures are computed once and reused by the probe
-            // *and* (when the metric declares gram compatibility) scoring.
-            let fast_grams = self.metric.qgram_compatible() == Some(q);
-            let sigs: Vec<Vec<u64>> = distinct
-                .iter()
-                .map(|(v, _)| folded_qgram_set(&v.text(), q))
-                .collect();
-            let sides: Vec<Side<'_>> = distinct
-                .iter()
-                .zip(&sigs)
-                .map(|(&(value, _), sig)| Side {
-                    value,
-                    is_num: value.as_number().is_some(),
-                    sig,
-                    sketch: GramSketch::of(sig),
-                })
-                .collect();
-            // Two numbers the sweep paired are its to emit, not the probe's.
-            let swept = numeric::numeric_pairs(&distinct, self.metric, xi);
-            let is_swept = |i: usize, j: usize| {
-                let at = |&(a, b, _): &(usize, usize, f64)| (a, b).cmp(&(i, j));
-                sides[i].is_num && sides[j].is_num && swept.binary_search_by(at).is_ok()
-            };
-            // The prefix filter exactly where it is complete.
-            let threads = self.config.num_threads;
-            let (mut out, scored) = inverted::probe(&sigs, xi, fast_grams, threads, |i, j, out| {
-                if is_swept(i, j) {
-                    return false;
-                }
-                if let Some(s) = score(self.metric, fast_grams, xi, sides[i], sides[j]) {
-                    expand(out, i, j, s);
-                }
-                true
-            });
-            for &(i, j, s) in &swept {
-                expand(&mut out, i, j, s);
-            }
-            (out, scored + swept.len())
+        // Gram signatures are computed once and reused by the probe *and*
+        // (when the metric declares gram compatibility) scoring.
+        let declared = self.metric.qgram_compatible();
+        let fast_grams = declared.is_some();
+        let q = declared.unwrap_or(2);
+        let sigs: Vec<Vec<u64>> = distinct
+            .iter()
+            .map(|(v, _)| folded_qgram_set(&v.text(), q))
+            .collect();
+        let sides: Vec<Side<'_>> = distinct
+            .iter()
+            .zip(&sigs)
+            .map(|(&(value, _), sig)| Side {
+                value,
+                is_num: value.as_number().is_some(),
+                sig,
+                sketch: GramSketch::of(sig),
+            })
+            .collect();
+        // Two numbers the sweep paired are its to emit, not the probe's.
+        let swept = numeric::numeric_pairs(&distinct, self.metric, xi);
+        let is_swept = |i: usize, j: usize| {
+            let at = |&(a, b, _): &(usize, usize, f64)| (a, b).cmp(&(i, j));
+            sides[i].is_num && sides[j].is_num && swept.binary_search_by(at).is_ok()
         };
+        // The prefix filter exactly where it is complete.
+        let threads = self.config.num_threads;
+        let (mut out, scored) = inverted::probe(&sigs, xi, fast_grams, threads, |i, j, out| {
+            if is_swept(i, j) {
+                return false;
+            }
+            if let Some(s) = score(self.metric, fast_grams, xi, sides[i], sides[j]) {
+                expand(out, i, j, s);
+            }
+            true
+        });
+        for &(i, j, s) in &swept {
+            expand(&mut out, i, j, s);
+        }
+        let candidates = scored + swept.len();
 
-        // 3. Pairs *within* one distinct-value group: sim(v, v).
-        for (v, labels) in &distinct {
+        // 3. Pairs *within* one distinct-value group: sim(v, v), scored
+        // as any other pair.
+        for ((_, labels), &side) in distinct.iter().zip(&sides) {
             if labels.len() < 2 {
                 continue;
             }
-            let s = self.metric.sim(v, v);
-            if s >= xi {
+            if let Some(s) = score(self.metric, fast_grams, xi, side, side) {
                 for (i, &la) in labels.iter().enumerate() {
                     for &lb in &labels[i + 1..] {
                         push_pair(&mut out, la, lb, s);
@@ -360,6 +318,59 @@ pub fn output_order(x: &ValuePair, y: &ValuePair) -> std::cmp::Ordering {
                 .unwrap_or(std::cmp::Ordering::Equal)
         })
         .then_with(|| (x.a, x.b).cmp(&(y.a, y.b)))
+}
+
+/// Every non-null value of a dataset under its base label
+/// `(rid, fid, 0)`.
+fn dataset_values(ds: &Dataset) -> impl Iterator<Item = (Label, &Value)> {
+    ds.iter().flat_map(|rec| {
+        let values = rec.values.iter().enumerate();
+        values
+            .filter(|(_, v)| !v.is_null())
+            .map(|(fid, v)| (Label::new(rec.id.raw(), fid as u32, 0), v))
+    })
+}
+
+/// The all-pairs join, the oracle of the crate's tests: the metric asked
+/// about every pair of distinct values, a value with itself included, with
+/// no signature and no filter; sorted by [`output_order`].
+#[cfg(test)]
+pub(crate) fn all_pairs<'a>(
+    values: impl IntoIterator<Item = (Label, &'a Value)>,
+    xi: f64,
+    metric: &dyn ValueSimilarity,
+) -> Vec<ValuePair> {
+    let mut distinct: std::collections::BTreeMap<&Value, Vec<Label>> = Default::default();
+    for (label, v) in values {
+        if !v.is_null() {
+            distinct.entry(v).or_default().push(label);
+        }
+    }
+    let distinct: Vec<(&Value, Vec<Label>)> = distinct.into_iter().collect();
+    let mut out = Vec::new();
+    for (i, (u, us)) in distinct.iter().enumerate() {
+        for (j, (v, vs)) in distinct.iter().enumerate().skip(i) {
+            let s = metric.sim(u, v);
+            if s < xi {
+                continue;
+            }
+            for (k, &a) in us.iter().enumerate() {
+                let partners = if i == j { &vs[k + 1..] } else { &vs[..] };
+                for &b in partners {
+                    push_pair(&mut out, a, b, s);
+                }
+            }
+        }
+    }
+    out.sort_unstable_by(output_order);
+    out
+}
+
+/// [`all_pairs`] over a dataset's values, as [`SimilarityJoin::join_dataset`]
+/// labels them.
+#[cfg(test)]
+pub(crate) fn all_pairs_of(ds: &Dataset, xi: f64, metric: &dyn ValueSimilarity) -> Vec<ValuePair> {
+    all_pairs(dataset_values(ds), xi, metric)
 }
 
 /// Normalizes (smaller rid first) and drops intra-record pairs.
@@ -434,8 +445,7 @@ mod tests {
         let ds = motivating_example();
         for xi in [0.3, 0.5, 0.7, 0.9] {
             let fast = SimilarityJoin::new(JoinConfig::new(xi), &metric).join_dataset(&ds);
-            let slow =
-                SimilarityJoin::new(JoinConfig::new(xi).exhaustive(), &metric).join_dataset(&ds);
+            let slow = all_pairs_of(&ds, xi, &metric);
             assert_eq!(fast.len(), slow.len(), "xi={xi}");
             assert_eq!(fast, slow, "xi={xi}");
         }
@@ -508,8 +518,7 @@ mod tests {
         let ds = motivating_example();
         for xi in [0.3, 0.5, 0.7, 0.9] {
             let join = SimilarityJoin::new(JoinConfig::new(xi), &metric);
-            let oracle =
-                SimilarityJoin::new(JoinConfig::new(xi).exhaustive(), &metric).join_dataset(&ds);
+            let oracle = all_pairs_of(&ds, xi, &metric);
             assert_eq!(join.join_dataset(&ds), oracle, "xi={xi}");
         }
     }
@@ -533,7 +542,7 @@ mod tests {
             }
             let metric = TypeDispatch::paper_default();
             let fast = SimilarityJoin::new(JoinConfig::new(xi), &metric).join(&vals);
-            let slow = SimilarityJoin::new(JoinConfig::new(xi).exhaustive(), &metric).join(&vals);
+            let slow = all_pairs(vals.iter().map(|(l, v)| (*l, v)), xi, &metric);
             prop_assert_eq!(fast, slow);
         }
 

@@ -195,10 +195,11 @@ pub fn max_weight_matching_observed(
     }
 }
 
-/// Exhaustive maximum-weight matching by branch-and-bound enumeration.
-/// Exponential; used as a test oracle and exposed for the correctness
-/// benches. Panics if the graph has more than 20 edges.
-pub fn brute_force_matching(graph: &BipartiteGraph) -> Matching {
+/// Exhaustive maximum-weight matching by branch-and-bound enumeration:
+/// the oracle of the crate's tests. Exponential; panics if the graph has
+/// more than 20 edges.
+#[cfg(test)]
+pub(crate) fn brute_force_matching(graph: &BipartiteGraph) -> Matching {
     let edges = graph.edges();
     assert!(
         edges.len() <= 20,

@@ -89,7 +89,7 @@ pub use hera_faults::{
     io_retryable, retry, BackoffPolicy, Clock, FaultInjector, FaultKind, FaultPlan, FaultRule,
     FiredFault, ManualClock, RetryError, SystemClock,
 };
-pub use hera_index::{FlatIndex, UnionFind, ValuePair, ValuePairIndex};
+pub use hera_index::{UnionFind, ValuePair, ValuePairIndex};
 pub use hera_join::{IncrementalJoin, JoinConfig, SimilarityJoin};
 pub use hera_obs::{JournalBuffer, Recorder};
 pub use hera_serve::{
@@ -341,6 +341,53 @@ pub use hera_types::{
 /// ```compile_fail
 /// fn knob(config: &hera::HeraConfig) -> bool {
 ///     config.use_kuhn_munkres
+/// }
+/// ```
+///
+/// Test oracles and a debug switch: the paper-literal flat index, the
+/// brute-force matcher and the all-pairs join live in the tests that
+/// check the production structures against them, and the per-round
+/// invariant checks run in hera-core's own tests instead of behind a
+/// config field that made a library `resolve` panic.
+///
+/// ```compile_fail
+/// fn named(_: hera::FlatIndex) {}
+/// ```
+///
+/// ```compile_fail
+/// fn named(_: hera_index::FlatIndex) {}
+/// ```
+///
+/// ```compile_fail
+/// let _ = hera_matching::brute_force_matching(&hera_matching::BipartiteGraph::new());
+/// ```
+///
+/// ```compile_fail
+/// let _ = hera::HeraConfig::new(0.5, 0.5).with_index_validation();
+/// ```
+///
+/// ```compile_fail
+/// fn knob(config: &hera::HeraConfig) -> bool {
+///     config.validate_index
+/// }
+/// ```
+///
+/// ```compile_fail
+/// let _ = hera::JoinConfig::new(0.5).exhaustive();
+/// ```
+///
+/// ```compile_fail
+/// fn knob(config: &hera::JoinConfig) -> bool {
+///     config.all_pairs
+/// }
+/// ```
+///
+/// The join's gram length is the metric's
+/// (`ValueSimilarity::qgram_compatible`), not a config field.
+///
+/// ```compile_fail
+/// fn knob(config: &hera::JoinConfig) -> usize {
+///     config.q
 /// }
 /// ```
 ///

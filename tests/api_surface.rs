@@ -63,7 +63,6 @@ mod flat_names {
     use hera::FaultPlan;
     use hera::FaultRule;
     use hera::FiredFault;
-    use hera::FlatIndex;
     use hera::Generator;
     use hera::GroundTruth;
     use hera::Hera;
@@ -168,7 +167,8 @@ fn ledger_methods_exist() {
     let _ = hera::ErService::builder;
     let _ = hera::ErServiceBuilder::workers;
     let _ = hera::ErServiceBuilder::build;
-    let _ = hera::IncrementalJoin::new;
+    let _: fn(f64, usize, std::sync::Arc<dyn hera::ValueSimilarity>) -> hera::IncrementalJoin =
+        hera::IncrementalJoin::new;
     let _: fn() -> hera::TypeDispatch = hera::TypeDispatch::paper_default;
     let _ = hera::IncrementalJoin::insert_among;
     let _ = hera::ValuePairIndex::bounds;

@@ -1,5 +1,5 @@
 //! Blocking-stage integration tests: the blocked join must be the
-//! exhaustive all-pairs join restricted to the blocker's record pairs
+//! all-pairs join restricted to the blocker's record pairs
 //! (the same pairs, bit-equal similarities, the same order), blocking
 //! must be deterministic across thread counts, the
 //! `BlockingScheme::None` default must leave the pipeline bit-identical,
@@ -9,8 +9,8 @@
 
 mod common;
 
-use common::ByKind;
-use hera::join::{JoinConfig, SimilarityJoin, ValuePair};
+use common::{all_pairs, ByKind};
+use hera::join::ValuePair;
 use hera::sim::{EditSimilarity, TypeDispatch, ValueSimilarity};
 use hera::types::RecordId;
 use hera::{Blocker, BlockingScheme, Hera, HeraConfig, Label};
@@ -48,18 +48,17 @@ fn bits(pairs: &[ValuePair]) -> Vec<(Label, Label, u64)> {
     pairs.iter().map(|p| (p.a, p.b, p.sim.to_bits())).collect()
 }
 
-/// Under every scheme, the blocked `Hera::join` equals the exhaustive
-/// all-pairs join — the metric asked about every value pair — filtered to
+/// Under every scheme, the blocked `Hera::join` equals the all-pairs
+/// join — the metric asked about every value pair — filtered to
 /// the blocker's record pairs: same labels, same similarity bits, same
 /// order. Blocking may only remove work, never invent, rescore, drop or
 /// reorder a pair of a record pair it kept.
-fn assert_blocked_join_is_restricted_exhaustive(
+fn assert_blocked_join_is_restricted_all_pairs(
     ds: &hera::Dataset,
     metric: Arc<dyn ValueSimilarity>,
     threads: usize,
 ) {
-    let all =
-        SimilarityJoin::new(JoinConfig::new(XI).exhaustive(), metric.as_ref()).join_dataset(ds);
+    let all = all_pairs(ds, XI, metric.as_ref());
     for scheme in schemes() {
         let kept = Blocker::new(scheme).block(ds).pairs;
         let mut expected = all.clone();
@@ -92,7 +91,7 @@ proptest::proptest! {
     #[test]
     fn blocked_join_is_the_all_pairs_join_restricted(seed in 0u64..10_000, threads in 1usize..3) {
         let metric = Arc::new(TypeDispatch::paper_default());
-        assert_blocked_join_is_restricted_exhaustive(&dataset(seed, 240), metric, threads);
+        assert_blocked_join_is_restricted_all_pairs(&dataset(seed, 240), metric, threads);
     }
 }
 
@@ -101,7 +100,7 @@ proptest::proptest! {
 #[test]
 fn blocked_join_is_the_all_pairs_join_restricted_under_edit_similarity() {
     let metric = ByKind::new(EditSimilarity, 1.0);
-    assert_blocked_join_is_restricted_exhaustive(&dataset(5, 120), Arc::new(metric), 2);
+    assert_blocked_join_is_restricted_all_pairs(&dataset(5, 120), Arc::new(metric), 2);
 }
 
 /// Blocking emits the same pair set at every worker-thread count (600

@@ -1,7 +1,9 @@
 //! Helpers shared by the workspace tests.
 
+use hera::join::ValuePair;
 use hera::sim::{NumericProximity, ValueSimilarity};
-use hera::types::{Value, ValueKind};
+use hera::types::{Dataset, Label, Value, ValueKind};
+use std::collections::BTreeMap;
 
 /// Routes by kind as `TypeDispatch` does, through legs a test picks:
 /// number × number to `number`, any other pair of non-nulls to
@@ -38,4 +40,43 @@ impl<S: ValueSimilarity> ValueSimilarity for ByKind<S> {
     fn qgram_compatible(&self) -> Option<usize> {
         self.string.qgram_compatible()
     }
+}
+
+/// The all-pairs join of a dataset, the oracle the joins are tested
+/// against: every non-null value under its base label `(rid, fid, 0)`,
+/// the metric asked about every pair of distinct values, a value with
+/// itself included, with no signature and no filter; sorted by
+/// [`output_order`](hera::join::output_order).
+#[allow(dead_code)] // not every test binary that includes this module joins
+pub fn all_pairs(ds: &Dataset, xi: f64, metric: &dyn ValueSimilarity) -> Vec<ValuePair> {
+    let mut distinct: BTreeMap<&Value, Vec<Label>> = BTreeMap::new();
+    for rec in ds.iter() {
+        for (fid, v) in (0u32..).zip(&rec.values) {
+            if !v.is_null() {
+                let label = Label::new(rec.id.raw(), fid, 0);
+                distinct.entry(v).or_default().push(label);
+            }
+        }
+    }
+    let distinct: Vec<(&Value, Vec<Label>)> = distinct.into_iter().collect();
+    let mut out = Vec::new();
+    for (i, (u, us)) in distinct.iter().enumerate() {
+        for (j, (v, vs)) in distinct.iter().enumerate().skip(i) {
+            let sim = metric.sim(u, v);
+            if sim < xi {
+                continue;
+            }
+            for (k, &a) in us.iter().enumerate() {
+                let partners = if i == j { &vs[k + 1..] } else { &vs[..] };
+                for &b in partners {
+                    if a.rid != b.rid {
+                        let (a, b) = if a.rid < b.rid { (a, b) } else { (b, a) };
+                        out.push(ValuePair { a, b, sim });
+                    }
+                }
+            }
+        }
+    }
+    out.sort_unstable_by(hera::join::output_order);
+    out
 }

@@ -1,18 +1,22 @@
 //! Differential / equivalence tests across independent implementations of
-//! the same quantity: the indexed verifier vs the nest-loop verifier, the
-//! grouped index vs the paper-literal flat index, and Algorithm-1 bounds
-//! vs the exact similarity.
+//! the same quantity: the indexed verifier vs the nest-loop verifier,
+//! Algorithm-1 bounds vs the exact similarity, and the filtered, blocked
+//! and incremental joins vs the all-pairs join of `common`. (The grouped
+//! index is checked against the paper-literal flat index inside
+//! hera-index, where that oracle lives.)
 
 mod common;
 
-use common::ByKind;
+use common::{all_pairs, ByKind};
 use hera::sim::ValueSimilarity;
-use hera::types::{Label, Value};
+use hera::types::{Label, Value, ValueKind};
 use hera::{
-    BoundMode, EditSimilarity, FlatIndex, IncrementalJoin, InstanceVerifier, JoinConfig,
-    NestLoopVerifier, SimilarityJoin, SuperRecord, TypeDispatch, ValuePairIndex,
+    BlockingScheme, BoundMode, EditSimilarity, Hera, HeraConfig, IncrementalJoin, InstanceVerifier,
+    JoinConfig, NestLoopVerifier, QGramJaccard, SimilarityJoin, SuperRecord, TypeDispatch,
+    ValuePair, ValuePairIndex,
 };
 use hera_datagen::{CorruptionConfig, DatagenConfig, Generator};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 fn dataset(seed: u64) -> hera::Dataset {
@@ -63,20 +67,6 @@ fn indexed_equals_nestloop_on_generated_data() {
                 "seed {seed} pair ({i},{j}): indexed {a} vs nest-loop {b}"
             );
         }
-    }
-}
-
-/// Grouped and flat indexes must agree on every group of real data.
-#[test]
-fn grouped_equals_flat_index() {
-    let ds = dataset(4);
-    let metric = TypeDispatch::paper_default();
-    let pairs = SimilarityJoin::new(JoinConfig::new(0.5), &metric).join_dataset(&ds);
-    let grouped = ValuePairIndex::build(pairs.clone());
-    let flat = FlatIndex::build(pairs);
-    assert_eq!(grouped.len(), flat.len());
-    for (i, j) in grouped.record_pairs() {
-        assert_eq!(grouped.group(i, j), flat.group(i, j), "group ({i},{j})");
     }
 }
 
@@ -132,14 +122,14 @@ fn bounds_bracket_exact_similarity() {
 }
 
 /// The similarity join's prefix filter loses nothing against the
-/// exhaustive join on generated data.
+/// all-pairs join on generated data.
 #[test]
 fn join_prefix_filter_is_lossless() {
     let ds = dataset(6);
     let metric = TypeDispatch::paper_default();
     for xi in [0.4, 0.6, 0.8] {
         let fast = SimilarityJoin::new(JoinConfig::new(xi), &metric).join_dataset(&ds);
-        let slow = SimilarityJoin::new(JoinConfig::new(xi).exhaustive(), &metric).join_dataset(&ds);
+        let slow = all_pairs(&ds, xi, &metric);
         assert_eq!(fast.len(), slow.len(), "xi={xi}");
         assert_eq!(fast, slow, "xi={xi}");
     }
@@ -149,7 +139,7 @@ fn join_prefix_filter_is_lossless() {
 /// other string metric the batch join generates share-a-gram candidates,
 /// while streaming ingest scores every live value the filters cannot rule
 /// out — under edit similarity, every one. Streamed record by record, the
-/// incremental join then finds exactly the exhaustive join's value pairs,
+/// incremental join then finds exactly the all-pairs join's value pairs,
 /// similarities bit for bit, and so a superset of the batch join's.
 #[test]
 fn batch_and_incremental_join_agree_under_edit_similarity() {
@@ -177,7 +167,6 @@ fn batch_and_incremental_join_agree_under_edit_similarity() {
     // or above. On this dataset only the lowest ξ has any.
     let mut added = Vec::new();
     for xi in [0.4, 0.6, 0.8] {
-        let exhaustive = SimilarityJoin::new(JoinConfig::new(xi).exhaustive(), &metric);
         let batch = keyed(SimilarityJoin::new(JoinConfig::new(xi), &metric).join(&values));
         let mut incremental = IncrementalJoin::new(xi, 2, Arc::new(metric.clone()));
         let mut streamed = Vec::new();
@@ -190,7 +179,7 @@ fn batch_and_incremental_join_agree_under_edit_similarity() {
         }
         let streamed = keyed(streamed);
         assert!(!batch.is_empty(), "xi={xi}");
-        assert_eq!(streamed, keyed(exhaustive.join(&values)), "xi={xi}");
+        assert_eq!(streamed, keyed(all_pairs(&ds, xi, &metric)), "xi={xi}");
         assert!(
             batch.iter().all(|p| streamed.binary_search(p).is_ok()),
             "xi={xi}: a batch pair the stream lost"
@@ -198,4 +187,70 @@ fn batch_and_incremental_join_agree_under_edit_similarity() {
         added.push(streamed.len() - batch.len());
     }
     assert_eq!(added, [15, 0, 0]);
+}
+
+/// Counts the calls its inner metric gets on a pair that is not two
+/// numbers: the calls the join's gram path would have made for it.
+struct CountStrings<M> {
+    inner: M,
+    calls: AtomicUsize,
+}
+
+impl<M: ValueSimilarity> ValueSimilarity for CountStrings<M> {
+    fn sim(&self, a: &Value, b: &Value) -> f64 {
+        let num = |v: &Value| matches!(v.kind(), ValueKind::Int | ValueKind::Float);
+        if !(num(a) && num(b)) {
+            self.calls.fetch_add(1, Ordering::Relaxed);
+        }
+        self.inner.sim(a, b)
+    }
+    fn name(&self) -> &'static str {
+        "count-strings"
+    }
+    fn qgram_compatible(&self) -> Option<usize> {
+        self.inner.qgram_compatible()
+    }
+}
+
+/// The join grams at the length the metric declares. Under 3-gram
+/// Jaccard, `Hera::join` scores every text pair from 3-gram signatures,
+/// blocked and unblocked, so the metric is asked about no string pair,
+/// and the pairs are the all-pairs join's (restricted to the blocker's
+/// record pairs when blocked), similarity bits included.
+#[test]
+fn a_declared_gram_length_is_the_joins() {
+    let ds = dataset(6);
+    let metric = ByKind::new(QGramJaccard::new(3), 1.0);
+    assert_eq!(metric.qgram_compatible(), Some(3));
+    let xi = 0.5;
+    let all = all_pairs(&ds, xi, &metric);
+    let bits = |pairs: &[ValuePair]| -> Vec<(Label, Label, u64)> {
+        pairs.iter().map(|p| (p.a, p.b, p.sim.to_bits())).collect()
+    };
+    for scheme in [BlockingScheme::None, BlockingScheme::token()] {
+        let counted = Arc::new(CountStrings {
+            inner: metric.clone(),
+            calls: AtomicUsize::new(0),
+        });
+        let config = HeraConfig::new(0.5, xi).with_blocking(scheme);
+        let joined = Hera::builder(config)
+            .metric(counted.clone())
+            .recorder(hera::obs::Recorder::disabled())
+            .build()
+            .join(&ds);
+        let calls = counted.calls.load(Ordering::Relaxed);
+        assert_eq!(
+            calls,
+            0,
+            "{}: string pairs the metric scored",
+            scheme.name()
+        );
+        let mut expected = all.clone();
+        if scheme != BlockingScheme::None {
+            let kept = hera::Blocker::new(scheme).block(&ds).pairs;
+            expected.retain(|p| kept.binary_search(&(p.a.rid, p.b.rid)).is_ok());
+        }
+        assert!(!expected.is_empty(), "{}", scheme.name());
+        assert_eq!(bits(&joined), bits(&expected), "{}", scheme.name());
+    }
 }
