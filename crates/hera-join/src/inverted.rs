@@ -5,9 +5,11 @@
 //! to its caller's verifier the moment the pair survives the filters — no
 //! candidate list is ever materialised, sorted or deduplicated.
 //!
-//! * **Token order.** Tokens are ranked once by ascending `(document
-//!   frequency, token)`; every signature is rewritten as ascending ranks
-//!   in one arena, so a value's *prefix* is its rarest tokens.
+//! * **Token order.** [`Signatures`] holds every value's distinct grams
+//!   once, in one `u32` arena: dense token ids, renamed in place to ranks
+//!   by ascending `(document frequency, token)` and sorted per value, so
+//!   a value's *prefix* is its rarest tokens. The probe reads signatures
+//!   there and copies none.
 //! * **Length order.** Values are processed in `(signature length, index)`
 //!   order, their position in that order being their `ord`; a value is
 //!   probed against the values *before* it only, all of them no longer
@@ -28,8 +30,12 @@
 //! With `prefix_filter` off the same probe runs over full signatures with
 //! both filters disabled: every pair sharing a gram survives.
 
-use hera_types::parallel::par_map_blocks;
+use crate::HotRow;
+use hera_sim::text::{folded_qgrams_into, GramSketch};
+use hera_types::parallel::par_map_block_outputs;
+use hera_types::Value;
 use rustc_hash::FxHashMap;
+use std::mem::size_of;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// `⌈share · len⌉`, guarded against fp rounding inflating the ceiling
@@ -68,47 +74,36 @@ impl RequiredOverlap {
     }
 }
 
-/// The signatures as ranks, the processing order and the posting lists.
-struct Index {
-    /// Signature of the value at `ord`: `ranks[starts[ord]..starts[ord + 1]]`,
-    /// ascending (rarest token first).
-    starts: Vec<u32>,
-    ranks: Vec<u32>,
-    /// `ord` → the caller's index of that value. Values with an empty
-    /// signature have no `ord`.
-    order: Vec<u32>,
-    /// Posting list of token rank `t`: `postings[offsets[t]..offsets[t + 1]]`,
-    /// `(ord, position of t in that signature)`, ascending in `ord`.
-    offsets: Vec<u32>,
-    postings: Vec<(u32, u32)>,
+/// The gram signatures of a join's distinct values, held once: every
+/// value's distinct folded grams as ascending token *ranks* in one `u32`
+/// arena, and one [`HotRow`] per value naming its range there.
+pub(crate) struct Signatures {
+    /// Value `i`'s sketch, arena range and numeric flag.
+    pub(crate) hot: Vec<HotRow>,
+    /// Every signature, value after value.
+    pub(crate) ranks: Vec<u32>,
+    /// Distinct tokens across all signatures; the ranks are `0..tokens`.
+    tokens: usize,
 }
 
-impl Index {
-    fn sig(&self, ord: usize) -> &[u32] {
-        &self.ranks[self.starts[ord] as usize..self.starts[ord + 1] as usize]
-    }
-
-    /// Ranks the tokens, orders the values, and indexes `index_prefix(len)`
-    /// tokens of every signature.
-    fn build(sigs: &[Vec<u64>], index_prefix: impl Fn(usize) -> usize) -> Self {
-        let total: usize = sigs.iter().map(Vec::len).sum();
-        assert!(
-            u32::try_from(total).is_ok(),
-            "the join indexes fewer than 2^32 grams"
-        );
-
-        // Dense token ids in first-seen order, with document frequencies.
+impl Signatures {
+    /// Tokenizes each value's text at gram length `q` into one reused
+    /// buffer, takes the sketch from it, and pushes the value's distinct
+    /// grams into the arena as dense token ids; then renames the ids in
+    /// place to ranks by ascending `(document frequency, token)`, so a
+    /// signature's prefix is its rarest grams.
+    pub(crate) fn build(values: &[&Value], q: usize) -> Self {
+        let mut grams: Vec<u64> = Vec::new();
         let mut id_of: FxHashMap<u64, u32> = FxHashMap::default();
         let mut tokens: Vec<(u32, u64)> = Vec::new(); // id → (df, token)
-        let mut order: Vec<u32> = (0..sigs.len() as u32)
-            .filter(|&i| !sigs[i as usize].is_empty())
-            .collect();
-        order.sort_by_key(|&i| sigs[i as usize].len()); // stable: (len, index)
-        let mut starts = Vec::with_capacity(order.len() + 1);
-        let mut ranks = Vec::with_capacity(total);
-        for &i in &order {
-            starts.push(ranks.len() as u32);
-            for &t in &sigs[i as usize] {
+        let mut hot = Vec::with_capacity(values.len());
+        let mut ranks: Vec<u32> = Vec::new();
+        for v in values {
+            folded_qgrams_into(&v.text(), q, &mut grams);
+            grams.sort_unstable();
+            grams.dedup();
+            let start = ranks.len();
+            for &t in &grams {
                 let id = *id_of.entry(t).or_insert_with(|| {
                     tokens.push((0, t));
                     (tokens.len() - 1) as u32
@@ -116,39 +111,98 @@ impl Index {
                 tokens[id as usize].0 += 1;
                 ranks.push(id);
             }
+            let is_num = v.as_number().is_some();
+            hot.push(HotRow::new(
+                GramSketch::of(&grams),
+                start,
+                grams.len(),
+                is_num,
+            ));
         }
-        starts.push(ranks.len() as u32);
+        drop(id_of);
+        ranks.shrink_to_fit();
 
         // Rank = position in ascending (df, token) order.
         let mut by_rank: Vec<u32> = (0..tokens.len() as u32).collect();
         by_rank.sort_unstable_by_key(|&id| tokens[id as usize]);
-        let mut rank_of = vec![0u32; tokens.len()];
+        drop(tokens);
+        let mut rank_of = vec![0u32; by_rank.len()];
         for (rank, &id) in by_rank.iter().enumerate() {
             rank_of[id as usize] = rank as u32;
         }
-        for slot in &mut ranks {
-            *slot = rank_of[*slot as usize];
+        for row in &hot {
+            let sig = &mut ranks[row.span()];
+            for t in sig.iter_mut() {
+                *t = rank_of[*t as usize];
+            }
+            sig.sort_unstable();
         }
-        for w in starts.windows(2) {
-            ranks[w[0] as usize..w[1] as usize].sort_unstable();
+        Self {
+            hot,
+            ranks,
+            tokens: rank_of.len(),
         }
+    }
+
+    /// Value `i`'s signature: its distinct grams as ascending ranks.
+    #[inline]
+    pub(crate) fn sig(&self, i: usize) -> &[u32] {
+        &self.ranks[self.hot[i].span()]
+    }
+
+    /// Heap bytes of the arena and of the hot rows.
+    pub(crate) fn heap_bytes(&self) -> (usize, usize) {
+        (
+            self.ranks.capacity() * size_of::<u32>(),
+            self.hot.capacity() * size_of::<HotRow>(),
+        )
+    }
+}
+
+/// The processing order and the posting lists of one probe. Signatures
+/// are read through [`Signatures`], never copied.
+struct Postings {
+    /// `ord` → index of the value probed at that place. Values with an
+    /// empty signature have no `ord`.
+    order: Vec<u32>,
+    /// Signature length by `ord`, ascending.
+    lens: Vec<u32>,
+    /// Posting list of token rank `t`: `postings[offsets[t]..offsets[t + 1]]`,
+    /// `(ord, position of t in that signature)`, ascending in `ord`.
+    offsets: Vec<u32>,
+    postings: Vec<(u32, u32)>,
+}
+
+impl Postings {
+    /// Orders the values and indexes `index_prefix(len)` ranks of every
+    /// signature.
+    fn build(sigs: &Signatures, index_prefix: impl Fn(usize) -> usize) -> Self {
+        assert!(
+            u32::try_from(sigs.ranks.len()).is_ok(),
+            "the join indexes fewer than 2^32 grams"
+        );
+        let mut order: Vec<u32> = (0..sigs.hot.len() as u32)
+            .filter(|&i| sigs.hot[i as usize].len() > 0)
+            .collect();
+        order.sort_by_key(|&i| sigs.hot[i as usize].len()); // stable: (len, index)
+        let lens: Vec<u32> = order.iter().map(|&i| sigs.hot[i as usize].len()).collect();
 
         // CSR by counting: sizes, offsets, then a fill in `ord` order.
         let prefixes = || {
-            starts.windows(2).map(|w| {
-                let sig = &ranks[w[0] as usize..w[1] as usize];
+            order.iter().map(|&i| {
+                let sig = sigs.sig(i as usize);
                 &sig[..index_prefix(sig.len())]
             })
         };
-        let mut offsets = vec![0u32; tokens.len() + 1];
+        let mut offsets = vec![0u32; sigs.tokens + 1];
         for &t in prefixes().flatten() {
             offsets[t as usize + 1] += 1;
         }
-        for t in 0..tokens.len() {
+        for t in 0..sigs.tokens {
             offsets[t + 1] += offsets[t];
         }
         let mut next = offsets.clone();
-        let mut postings = vec![(0, 0); offsets[tokens.len()] as usize];
+        let mut postings = vec![(0, 0); offsets[sigs.tokens] as usize];
         for (ord, prefix) in prefixes().enumerate() {
             for (pos, &t) in prefix.iter().enumerate() {
                 postings[next[t as usize] as usize] = (ord as u32, pos as u32);
@@ -156,13 +210,31 @@ impl Index {
             }
         }
         Self {
-            starts,
-            ranks,
             order,
+            lens,
             offsets,
             postings,
         }
     }
+
+    /// Heap bytes of the order, the lengths and the posting lists.
+    fn heap_bytes(&self) -> usize {
+        (self.order.capacity() + self.lens.capacity() + self.offsets.capacity()) * size_of::<u32>()
+            + self.postings.capacity() * size_of::<(u32, u32)>()
+    }
+}
+
+/// What [`probe`] returns.
+pub(crate) struct Probed<U> {
+    /// The verifier's outputs, one vector per block of probes, the
+    /// blocks in probe order; where the cuts fall depends on the thread
+    /// count, their concatenation does not.
+    pub(crate) blocks: Vec<Vec<U>>,
+    /// Pairs scored: the same for every thread count.
+    pub(crate) scored: usize,
+    /// Heap bytes of the posting lists and the probe order, freed
+    /// before `probe` returns.
+    pub(crate) postings_bytes: usize,
 }
 
 /// A pair that can no longer reach the required overlap.
@@ -207,18 +279,15 @@ impl Accumulator {
 /// order and calls `verify(i, j, out)` — `i < j` indexing `sigs` — for
 /// each pair that survives the filters (see the module docs), exactly
 /// once per pair. `verify` appends what the pair yields to `out` and
-/// returns whether it scored the pair.
-///
-/// Returns the outputs, concatenated in probe order, and the number of
-/// pairs scored; both are the same for every `threads`. Empty signatures
-/// pair with nothing.
+/// returns whether it scored the pair. Empty signatures pair with
+/// nothing.
 pub(crate) fn probe<U: Send>(
-    sigs: &[Vec<u64>],
+    sigs: &Signatures,
     xi: f64,
     prefix_filter: bool,
     threads: usize,
     verify: impl Fn(usize, usize, &mut Vec<U>) -> bool + Sync,
-) -> (Vec<U>, usize) {
+) -> Probed<U> {
     let mut alpha = RequiredOverlap::new(xi);
     let overlap_share = alpha.share;
     let prefix = |len: usize, share: f64| {
@@ -228,16 +297,16 @@ pub(crate) fn probe<U: Send>(
             len
         }
     };
-    let index = Index::build(sigs, |len| prefix(len, 2.0 * overlap_share));
-    let n = index.order.len();
-    let lens: Vec<u32> = (0..n).map(|ord| index.sig(ord).len() as u32).collect();
+    let index = Postings::build(sigs, |len| prefix(len, 2.0 * overlap_share));
+    let lens = &index.lens;
+    let n = lens.len();
     alpha.cover(2 * lens.last().copied().unwrap_or(0) as usize);
 
     // A probe visits postings of lower `ord` only, so its cost grows with
     // `ord`: hand the work out heaviest first.
     let heavy_first: Vec<u32> = (0..n as u32).rev().collect();
     let scored = AtomicUsize::new(0);
-    let out = par_map_blocks(
+    let blocks = par_map_block_outputs(
         threads,
         &heavy_first,
         || Accumulator::new(n),
@@ -245,7 +314,8 @@ pub(crate) fn probe<U: Send>(
             let mut out = Vec::new();
             let mut block_scored = 0;
             for &x in block {
-                let sig = index.sig(x as usize);
+                let x_at = index.order[x as usize];
+                let sig = sigs.sig(x_at as usize);
                 let x_len = sig.len();
                 // Length filter: nothing shorter than ⌈ξ·|x|⌉ can pair.
                 let first = if prefix_filter {
@@ -279,8 +349,8 @@ pub(crate) fn probe<U: Send>(
                 }
                 for &y in &acc.touched {
                     if acc.slots[y as usize].1 != DEAD {
-                        let (i, j) = (index.order[y as usize], index.order[x as usize]);
-                        let (i, j) = (i.min(j) as usize, i.max(j) as usize);
+                        let y_at = index.order[y as usize];
+                        let (i, j) = (y_at.min(x_at) as usize, y_at.max(x_at) as usize);
                         block_scored += usize::from(verify(i, j, &mut out));
                     }
                 }
@@ -291,14 +361,19 @@ pub(crate) fn probe<U: Send>(
             out
         },
     );
-    (out, scored.into_inner())
+    Probed {
+        blocks,
+        scored: scored.into_inner(),
+        postings_bytes: index.heap_bytes() + heavy_first.capacity() * size_of::<u32>(),
+    }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::Signatures;
     use crate::incremental::test_metrics::ByKind;
     use crate::{JoinConfig, SimilarityJoin, ValuePair};
-    use hera_sim::text::{folded_qgram_set, intersection_size, jaccard_of_sets};
+    use hera_sim::text::{folded_qgram_set, intersection_size, jaccard_of_sets, GramSketch};
     use hera_sim::{EditSimilarity, TypeDispatch, ValueSimilarity};
     use hera_types::{Label, Value};
     use proptest::prelude::*;
@@ -326,29 +401,63 @@ mod tests {
         (pairs, digits.unwrap().parse().unwrap())
     }
 
-    /// [`super::probe`] itself over `words`' signatures, the filters on or
-    /// off as `prefix_filter` says, verifying by q-gram Jaccard: the pairs
-    /// of word indices that reach ξ with their similarity bits, sorted,
-    /// and the number of pairs scored.
+    /// [`super::probe`] itself over `words`' signatures in the rank
+    /// arena, the filters on or off as `prefix_filter` says, verifying by
+    /// Jaccard over the rank slices: the pairs of word indices that reach
+    /// ξ with their similarity bits, sorted, and the number of pairs
+    /// scored.
     fn probed(
         words: &[impl AsRef<str>],
         xi: f64,
         prefix_filter: bool,
         threads: usize,
     ) -> (Vec<(usize, usize, u64)>, usize) {
-        let sigs: Vec<Vec<u64>> = words
-            .iter()
-            .map(|w| folded_qgram_set(w.as_ref(), 2))
-            .collect();
-        let (mut pairs, scored) = super::probe(&sigs, xi, prefix_filter, threads, |i, j, out| {
-            let sim = jaccard_of_sets(&sigs[i], &sigs[j]);
+        let values: Vec<Value> = words.iter().map(|w| Value::from(w.as_ref())).collect();
+        let refs: Vec<&Value> = values.iter().collect();
+        let sigs = Signatures::build(&refs, 2);
+        let probed = super::probe(&sigs, xi, prefix_filter, threads, |i, j, out| {
+            let sim = jaccard_of_sets(sigs.sig(i), sigs.sig(j));
             if sim >= xi {
                 out.push((i, j, sim.to_bits()));
             }
             true
         });
+        let mut pairs = probed.blocks.concat();
         pairs.sort_unstable();
-        (pairs, scored)
+        (pairs, probed.scored)
+    }
+
+    /// The arena holds each word's distinct grams once, renamed to ranks:
+    /// a slice has its word's gram count, the renaming keeps Jaccard's
+    /// bits, and the sketch and numeric flag are the hot row's.
+    #[test]
+    fn the_arena_is_a_renaming_of_the_gram_sets() {
+        let values = [
+            Value::from("electronic"),
+            Value::from("electronics"),
+            Value::from(""),
+            Value::from(1984i64),
+            Value::from("Σίσυφος"),
+            Value::from("ab"),
+        ];
+        let refs: Vec<&Value> = values.iter().collect();
+        let sigs = Signatures::build(&refs, 2);
+        let grams: Vec<Vec<u64>> = values
+            .iter()
+            .map(|v| folded_qgram_set(&v.text(), 2))
+            .collect();
+        assert_eq!(sigs.ranks.len(), grams.iter().map(Vec::len).sum::<usize>());
+        for (i, g) in grams.iter().enumerate() {
+            let sig = sigs.sig(i);
+            assert_eq!(sig.len(), g.len());
+            assert!(sig.windows(2).all(|w| w[0] < w[1]), "ascending, distinct");
+            assert_eq!(sigs.hot[i].sketch, GramSketch::of(g));
+            assert_eq!(sigs.hot[i].is_num(), values[i].as_number().is_some());
+            for (j, h) in grams.iter().enumerate() {
+                let (a, b) = (jaccard_of_sets(sig, sigs.sig(j)), jaccard_of_sets(g, h));
+                assert_eq!(a.to_bits(), b.to_bits(), "{i} {j}");
+            }
+        }
     }
 
     /// The record pairs of the join's output.

@@ -1,7 +1,7 @@
 //! Sorted-sweep pair generation for numeric values.
 
 use hera_sim::ValueSimilarity;
-use hera_types::{Label, Value};
+use hera_types::Value;
 
 /// Finds the pairs `(i, j, sim)` of numeric distinct values, `i < j`, with
 /// `sim = metric.sim(vᵢ, vⱼ) ≥ ξ` by a forward sweep over the sorted
@@ -12,14 +12,13 @@ use hera_types::{Label, Value};
 /// order, all later `j` are at least as far from `vᵢ` and score no higher,
 /// so the sweep stops.
 pub(crate) fn numeric_pairs(
-    distinct: &[(&Value, Vec<Label>)],
+    distinct: &[&Value],
     metric: &dyn ValueSimilarity,
     xi: f64,
-) -> Vec<(usize, usize, f64)> {
-    let mut nums: Vec<(f64, usize)> = distinct
-        .iter()
-        .enumerate()
-        .filter_map(|(i, (v, _))| v.as_number().map(|x| (x, i)))
+) -> Vec<(u32, u32, f64)> {
+    let mut nums: Vec<(f64, u32)> = (0u32..)
+        .zip(distinct)
+        .filter_map(|(i, v)| v.as_number().map(|x| (x, i)))
         .collect();
     nums.sort_unstable_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
 
@@ -27,7 +26,7 @@ pub(crate) fn numeric_pairs(
     for (at, &(_, a)) in nums.iter().enumerate() {
         for &(_, b) in &nums[at + 1..] {
             let (i, j) = (a.min(b), a.max(b));
-            let s = metric.sim(distinct[i].0, distinct[j].0);
+            let s = metric.sim(distinct[i as usize], distinct[j as usize]);
             if s >= xi {
                 out.push((i, j, s));
             } else {
@@ -44,19 +43,10 @@ mod tests {
     use super::*;
     use hera_sim::NumericProximity;
 
-    fn dv(vals: &[Value]) -> Vec<(Value, Vec<Label>)> {
-        vals.iter()
-            .enumerate()
-            .map(|(i, v)| (v.clone(), vec![Label::new(i as u32, 0, 0)]))
-            .collect()
-    }
-
-    fn run(vals: &[Value], scale: f64, xi: f64) -> Vec<(usize, usize)> {
+    fn run(vals: &[Value], scale: f64, xi: f64) -> Vec<(u32, u32)> {
         let metric = NumericProximity::new(scale);
-        let owned = dv(vals);
-        let borrowed: Vec<(&Value, Vec<Label>)> =
-            owned.iter().map(|(v, l)| (v, l.clone())).collect();
-        let pairs = numeric_pairs(&borrowed, &metric, xi);
+        let refs: Vec<&Value> = vals.iter().collect();
+        let pairs = numeric_pairs(&refs, &metric, xi);
         pairs.into_iter().map(|(i, j, _)| (i, j)).collect()
     }
 
@@ -94,16 +84,14 @@ mod tests {
     fn exhaustive_equivalence_on_dense_cluster() {
         let vals: Vec<Value> = (0..20).map(|i| Value::from(i as f64 * 0.3)).collect();
         let metric = NumericProximity::new(1.0);
-        let owned = dv(&vals);
-        let borrowed: Vec<(&Value, Vec<Label>)> =
-            owned.iter().map(|(v, l)| (v, l.clone())).collect();
-        let sweep = numeric_pairs(&borrowed, &metric, 0.4);
+        let refs: Vec<&Value> = vals.iter().collect();
+        let sweep = numeric_pairs(&refs, &metric, 0.4);
         let mut oracle = Vec::new();
         for i in 0..vals.len() {
             for j in i + 1..vals.len() {
                 let s = metric.sim(&vals[i], &vals[j]);
                 if s >= 0.4 {
-                    oracle.push((i, j, s));
+                    oracle.push((i as u32, j as u32, s));
                 }
             }
         }

@@ -5,18 +5,21 @@
 //! verification in the compare-and-merge rounds (`hera-core`) are all
 //! *maps over an immutable snapshot*: each work item is processed against
 //! state frozen at the start of the stage, and all mutation happens
-//! afterwards, sequentially, in a fixed order. [`par_map_blocks`] is that
-//! map; [`par_map`] and [`par_map_with`] are its per-item forms.
+//! afterwards, sequentially, in a fixed order. [`par_map_block_outputs`]
+//! is that map; [`par_map_blocks`] concatenates its outputs, and
+//! [`par_map`] and [`par_map_with`] are its per-item forms.
 //!
 //! **Determinism.** The input is cut into contiguous blocks that workers
-//! claim off a shared counter, and the blocks' outputs are concatenated
-//! in input order. Where the cuts fall depends on the thread count, so a
+//! claim off a shared counter, and the blocks' outputs come back in input
+//! order. Where the cuts fall depends on the thread count, so a
 //! caller's closure must be a homomorphism over concatenation —
 //! `f(a ++ b) == f(a) ++ f(b)`, which any per-item loop is — and its
 //! per-worker state must be scratch that never changes a result. Then
 //! threads only change *when* an output is computed, never *what* it is
-//! computed from, and the returned vector is identical for every thread
-//! count, block size and schedule.
+//! computed from, and the concatenated output is identical for every
+//! thread count, block size and schedule. (The cuts themselves are not:
+//! a caller of [`par_map_block_outputs`] reads its blocks as one
+//! sequence.)
 //!
 //! **Thread rule.** A requested count of `0` means all available cores
 //! ([`effective_threads`]); anything else is taken literally. Inputs
@@ -51,16 +54,24 @@ pub fn effective_threads(requested: usize) -> usize {
 }
 
 /// Maps `f` over contiguous blocks of `items` on up to `threads` scoped
-/// workers (`0` = all cores) and returns the blocks' outputs concatenated
-/// **in input order**.
+/// workers (`0` = all cores) and returns each block's output, the blocks
+/// **in input order**: a caller can consume them one by one and drop
+/// each as it goes, where [`par_map_blocks`] holds them all and their
+/// concatenation at once.
 ///
 /// `init` builds one fresh state per worker (one in total on the inline
-/// path); `f` gets `&mut` access to its worker's state alongside each
-/// block it claims, and may emit any number of outputs per block — a
-/// caller whose items are cheap pays for one output buffer per block, not
-/// one per item. See the module docs for what `f` and the state must
-/// satisfy for the result to be independent of the thread count.
-pub fn par_map_blocks<T, U, S, I, F>(threads: usize, items: &[T], init: I, f: F) -> Vec<U>
+/// path, which returns one block); `f` gets `&mut` access to its worker's
+/// state alongside each block it claims, and may emit any number of
+/// outputs per block — a caller whose items are cheap pays for one output
+/// buffer per block, not one per item. Where the cuts fall depends on the
+/// thread count; see the module docs for what `f` and the state must
+/// satisfy for the concatenated outputs to be independent of it.
+pub fn par_map_block_outputs<T, U, S, I, F>(
+    threads: usize,
+    items: &[T],
+    init: I,
+    f: F,
+) -> Vec<Vec<U>>
 where
     T: Sync,
     U: Send,
@@ -73,7 +84,7 @@ where
         n => effective_threads(threads).min(n),
     };
     if threads == 1 {
-        return f(&mut init(), items);
+        return vec![f(&mut init(), items)];
     }
     let block = items.len().div_ceil(threads * BLOCKS_PER_THREAD);
     let next = AtomicUsize::new(0);
@@ -101,8 +112,24 @@ where
         .into_inner()
         .expect("the scope joined every worker");
     blocks.sort_unstable_by_key(|&(start, _)| start);
-    let mut result = Vec::with_capacity(blocks.iter().map(|(_, out)| out.len()).sum());
-    for (_, out) in blocks {
+    blocks.into_iter().map(|(_, out)| out).collect()
+}
+
+/// [`par_map_block_outputs`] concatenated: the blocks' outputs in input
+/// order, as one vector.
+pub fn par_map_blocks<T, U, S, I, F>(threads: usize, items: &[T], init: I, f: F) -> Vec<U>
+where
+    T: Sync,
+    U: Send,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, &[T]) -> Vec<U> + Sync,
+{
+    let mut blocks = par_map_block_outputs(threads, items, init, f);
+    if blocks.len() == 1 {
+        return blocks.pop().expect("one block");
+    }
+    let mut result = Vec::with_capacity(blocks.iter().map(Vec::len).sum());
+    for out in blocks {
         result.extend(out);
     }
     result
@@ -243,7 +270,11 @@ mod tests {
                 kept.flat_map(|&x| vec![x ^ 1; copies]).collect()
             };
             let seq = f(&mut 0, &items);
-            prop_assert_eq!(par_map_blocks(threads, &items, || 0usize, f), seq);
+            prop_assert_eq!(&par_map_blocks(threads, &items, || 0usize, f), &seq);
+            // Apart, the blocks are the same outputs, in input order.
+            let blocks = par_map_block_outputs(threads, &items, || 0usize, f);
+            prop_assert!(!blocks.is_empty());
+            prop_assert_eq!(blocks.concat(), seq);
         }
 
         /// A panic in the closure comes out of the call, inline or threaded.

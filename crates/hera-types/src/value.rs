@@ -186,19 +186,19 @@ impl Ord for Value {
 }
 
 impl std::hash::Hash for Value {
+    /// Agrees with `==`: a number hashes as its `f64` view, so `Int(2)`
+    /// and `Float(2.0)` collide, and `+ 0.0` turns `-0.0` into `0.0`,
+    /// so `Float(-0.0)`, `Float(0.0)` and `Int(0)` do too.
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
         match self {
             Value::Str(s) => {
                 0u8.hash(state);
                 s.hash(state);
             }
-            Value::Int(i) => {
+            Value::Int(_) | Value::Float(_) => {
+                let x = self.as_number().expect("a number has an f64 view");
                 1u8.hash(state);
-                (*i as f64).to_bits().hash(state);
-            }
-            Value::Float(f) => {
-                1u8.hash(state);
-                f.to_bits().hash(state);
+                (x + 0.0).to_bits().hash(state);
             }
             Value::Null => 2u8.hash(state),
         }
@@ -335,5 +335,40 @@ mod tests {
             s.finish()
         };
         assert_eq!(h(&Value::Int(2)), h(&Value::Float(2.0)));
+        assert_eq!(h(&Value::Int(0)), h(&Value::Float(-0.0)));
+        assert_eq!(h(&Value::Float(0.0)), h(&Value::Float(-0.0)));
+    }
+
+    fn hash_of(v: &Value) -> u64 {
+        use std::hash::{Hash, Hasher};
+        let mut s = rustc_hash::FxHasher::default();
+        v.hash(&mut s);
+        s.finish()
+    }
+
+    /// A number drawn from a small pool, so that equal pairs are common:
+    /// ints, floats with and without a fraction, and both zeros.
+    fn number() -> impl proptest::strategy::Strategy<Value = Value> {
+        use proptest::prelude::*;
+        prop_oneof![
+            (-3i64..=3).prop_map(Value::Int),
+            (-3i64..=3).prop_map(|i| Value::Float(i as f64)),
+            (-6i64..=6).prop_map(|i| Value::Float(i as f64 / 2.0)),
+            Just(Value::Float(-0.0)),
+            Just(Value::Float(0.0)),
+            any::<i64>().prop_map(Value::Int),
+            any::<f64>().prop_map(Value::Float),
+        ]
+    }
+
+    proptest::proptest! {
+        /// `a == b ⇒ hash(a) == hash(b)`, the contract a `HashMap<&Value, _>`
+        /// leans on, over ints, floats and ±0.0.
+        #[test]
+        fn equal_numbers_hash_equal(a in number(), b in number()) {
+            if a == b {
+                proptest::prop_assert_eq!(hash_of(&a), hash_of(&b), "{:?} == {:?}", a, b);
+            }
+        }
     }
 }

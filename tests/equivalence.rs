@@ -254,3 +254,45 @@ fn a_declared_gram_length_is_the_joins() {
         assert_eq!(bits(&joined), bits(&expected), "{}", scheme.name());
     }
 }
+
+/// The batch join's funnel on the two inputs the ledger's batch workloads
+/// are drawn from — D_m1 at ξ 0.5 and the 2 000-record scale preset at
+/// ξ 0.7 — pinned: the grouping, the probe's prefixes and the
+/// expansion decide these four counters, and none of them may move
+/// without a partition moving too. The same join also journals its
+/// transient tables' sizes on one diagnostic `join_mem` line.
+#[test]
+fn the_join_funnel_is_pinned() {
+    let dm1 = Generator::new(hera_datagen::presets::dm1()).generate();
+    let scale = hera_datagen::ScaleGenerator::new(hera_datagen::scale_preset(2_000, 51)).generate();
+    let metric = TypeDispatch::paper_default();
+    for (ds, xi, funnel) in [
+        (&dm1, 0.5, [10_960, 4_658, 293_369, 132_807]),
+        (&scale, 0.7, [14_360, 13_065, 1_310_658, 7_045]),
+    ] {
+        let (recorder, journal) = hera::Recorder::to_memory();
+        let pairs = SimilarityJoin::new(JoinConfig::new(xi).with_threads(2), &metric)
+            .with_recorder(recorder)
+            .join_dataset(ds);
+        let journal = journal.contents();
+        let [values, distinct, candidates, count] = funnel;
+        let span = format!(
+            "\"stage\":\"join\",\"values\":{values},\"distinct\":{distinct},\
+             \"candidates\":{candidates},\"pairs\":{count}}}"
+        );
+        assert!(journal.contains(&span), "{journal}");
+        assert_eq!(pairs.len(), count);
+        let mem = journal
+            .lines()
+            .find(|l| l.contains("\"what\":\"join_mem\""))
+            .expect("a join_mem line");
+        for table in ["labels", "arena", "hot", "postings", "output"] {
+            assert!(mem.contains(&format!("\"{table}_bytes\":")), "{mem}");
+        }
+        let output = count * std::mem::size_of::<ValuePair>();
+        assert!(
+            mem.contains(&format!("\"output_bytes\":{output}}}")),
+            "{mem}"
+        );
+    }
+}
